@@ -156,7 +156,7 @@ func benchW(label string, workers int, f func()) float64 {
 	return ns
 }
 
-// record stores a deterministic non-timing measurement (byte counts
+// record stores a non-timing measurement (byte counts
 // here) under the same label scheme as timing results, so benchdiff's
 // ratio engine gates it: a -minspeedup 'MATERIALIZED|PEAK|4.0' check
 // over two byte labels asserts peak <= 25% of materialized. The value
@@ -939,7 +939,7 @@ var experiments = []experiment{
 				die(err)
 			})
 			// Emit mode is the true streaming shape (/evalstream ships
-			// chunks without materializing the result); its deterministic
+			// chunks without materializing the result); its peak
 			// accounting is what the 25% wall gates.
 			rep, err := ps.RunStream(inputs, discard)
 			die(err)

@@ -25,6 +25,9 @@ type frame struct {
 	floats []float64
 	arrays []*runtime.Strict
 	defs   [][]bool
+	// base holds, per array slot, the position of Data[0] in a stream
+	// stage (see Stage); nil in materialized runs.
+	base []int64
 	// workers is the parallel worker budget for this run, resolved at
 	// Run time from Exec.SetWorkers (0 means GOMAXPROCS then).
 	workers int
@@ -49,6 +52,9 @@ type compiler struct {
 	// hook is shared between the compiled BVerify closures and the Exec
 	// so SetVerifyHook (called after Compile) still reaches them.
 	hook *verifyHookBox
+	// stage compiles for a stream stage: rank-1 accesses subtract the
+	// frame's per-slot base instead of the declared lower bound.
+	stage bool
 }
 
 // verifyHookBox lets an observer record runtime verification verdicts.
@@ -65,6 +71,18 @@ func (c *compiler) fail(format string, args ...any) {
 // execFail raises a runtime error from compiled code.
 func execFail(prog string, format string, args ...any) {
 	panic(&ExecError{Program: prog, Msg: fmt.Sprintf(format, args...)})
+}
+
+// catchExec, deferred, turns an *ExecError panic into *err; any other
+// panic propagates.
+func catchExec(err *error) {
+	if r := recover(); r != nil {
+		if ee, ok := r.(*ExecError); ok {
+			*err = ee
+			return
+		}
+		panic(r)
+	}
 }
 
 // Exec is a compiled program ready to run.
@@ -88,15 +106,27 @@ func (ex *Exec) SetVerifyHook(fn func(claims idxprop.Claims, res idxprop.VerifyR
 // Compile translates the program to closures. It validates names and
 // arities; invalid IR is reported as an error.
 func Compile(p *Program) (ex *Exec, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if ee, ok := r.(*ExecError); ok {
-				ex, err = nil, ee
-				return
-			}
-			panic(r)
-		}
-	}()
+	defer catchExec(&err)
+	c := newCompiler(p)
+	nInts, nFloats := len(c.intSlots), len(c.floatSlots)
+	c.fp.p.New = func() any {
+		return &frame{ints: make([]int64, nInts), floats: make([]float64, nFloats)}
+	}
+	fns := c.compileStmts(p.Stmts)
+	return &Exec{
+		prog:       p,
+		run:        fns,
+		intSlots:   c.intSlots,
+		floatSlots: c.floatSlots,
+		arraySlots: c.arraySlots,
+		hook:       c.hook,
+	}, nil
+}
+
+// newCompiler assigns the program's slots: arrays and scalars by
+// declaration index, loop variables and induction registers in walk
+// order.
+func newCompiler(p *Program) *compiler {
 	c := &compiler{
 		prog:       p,
 		intSlots:   map[string]int{},
@@ -118,19 +148,7 @@ func Compile(p *Program) (ex *Exec, err error) {
 		c.floatSlots[s] = i
 	}
 	c.collectLoopVars(p.Stmts)
-	nInts, nFloats := len(c.intSlots), len(c.floatSlots)
-	c.fp.p.New = func() any {
-		return &frame{ints: make([]int64, nInts), floats: make([]float64, nFloats)}
-	}
-	fns := c.compileStmts(p.Stmts)
-	return &Exec{
-		prog:       p,
-		run:        fns,
-		intSlots:   c.intSlots,
-		floatSlots: c.floatSlots,
-		arraySlots: c.arraySlots,
-		hook:       c.hook,
-	}, nil
+	return c
 }
 
 func (c *compiler) collectLoopVars(stmts []Stmt) {
@@ -171,6 +189,9 @@ func runAll(fns []stmtFn, f *frame) {
 func (c *compiler) compileStmt(s Stmt) stmtFn {
 	switch x := s.(type) {
 	case *Loop:
+		if c.stage {
+			c.fail("nested loop over %q in a stream stage", x.Var)
+		}
 		slot := c.intSlots[x.Var]
 		if x.Step == 0 {
 			c.fail("loop over %q has zero step", x.Var)
@@ -331,6 +352,27 @@ func (c *compiler) compileOffset(arrName string, subs []IntExpr, off IntExpr, ch
 	b := c.prog.Arrays[slot].B
 	if len(subs) != b.Rank() {
 		c.fail("array %q: %d subscripts for rank %d", arrName, len(subs), b.Rank())
+	}
+	if c.stage {
+		if checked || len(subs) != 1 {
+			c.fail("array %q: stream stages take unchecked rank-1 accesses", arrName)
+		}
+		// Nearly every stage subscript is v+k; fold it into one closure.
+		v, k := "", int64(0)
+		switch x := subs[0].(type) {
+		case *IVar:
+			v = x.Name
+		case *ILin:
+			if len(x.Terms) == 1 && x.Terms[0].Coeff == 1 {
+				v, k = x.Terms[0].Var, x.Const
+			}
+		}
+		if v != "" {
+			s := c.intSlotOf(v)
+			return slot, func(f *frame) int64 { return f.ints[s] + k - f.base[slot] }
+		}
+		fn := c.compileInt(subs[0])
+		return slot, func(f *frame) int64 { return fn(f) - f.base[slot] }
 	}
 	if off != nil && !checked {
 		return slot, c.compileInt(off)

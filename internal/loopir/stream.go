@@ -45,7 +45,7 @@
 //
 // The optimizer's strength-reduction artifacts (Assign.Off / ARef.Off,
 // Loop.Inds) are ignored: Subs are retained precisely so dependence
-// reasoning can ignore offsets, and the streaming evaluator interprets
+// reasoning can ignore offsets, and CompileStage (stage.go) compiles
 // Subs directly. Parallel schedules (Loop.Par) are likewise ignored —
 // a stream stage runs sequentially; the pipeline's parallelism is
 // between stages.
@@ -53,6 +53,7 @@ package loopir
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -101,6 +102,10 @@ type StreamPlan struct {
 	MaxDist int64
 	// Loops counts the top-level loops (one comprehension arm each).
 	Loops int
+	// WriteOffsets holds, per top-level statement in program order, the
+	// write offset cw of a loop (write position = loop variable + cw).
+	// Scalar sets and constant-subscript point assigns record 0.
+	WriteOffsets []int64
 }
 
 // Read returns the window of the named array, or nil.
@@ -218,7 +223,9 @@ func BuildStreamPlan(p *Program) (*StreamPlan, error) {
 	}
 	// Top level: SetScalar, Loop, and constant-subscript Assign (the
 	// lowered form of a base case like [ 1 := a!1 ]).
+	offsets := make([]int64, 0, len(p.Stmts))
 	for _, s := range p.Stmts {
+		var cw int64
 		switch x := s.(type) {
 		case *SetScalar:
 			if err := c.topValue(x.Rhs); err != nil {
@@ -226,7 +233,8 @@ func BuildStreamPlan(p *Program) (*StreamPlan, error) {
 			}
 			c.topScalars[x.Name] = true
 		case *Loop:
-			if err := c.loop(x); err != nil {
+			var err error
+			if cw, err = c.loop(x); err != nil {
 				return nil, err
 			}
 		case *Assign:
@@ -234,12 +242,13 @@ func BuildStreamPlan(p *Program) (*StreamPlan, error) {
 			if err != nil {
 				return nil, fmt.Errorf("top-level assign to %s: %w", x.Array, err)
 			}
-			if err := c.loop(pl); err != nil {
+			if _, err := c.loop(pl); err != nil {
 				return nil, err
 			}
 		default:
 			return nil, fmt.Errorf("top-level %T is not streamable", s)
 		}
+		offsets = append(offsets, cw)
 	}
 	if len(c.loops) == 0 {
 		return nil, fmt.Errorf("no loops (nothing to chunk)")
@@ -259,12 +268,13 @@ func BuildStreamPlan(p *Program) (*StreamPlan, error) {
 	}
 	outDecl := p.Decl(c.out)
 	sp := &StreamPlan{
-		Out:      c.out,
-		Lo:       outDecl.B.Lo[0],
-		Hi:       outDecl.B.Hi[0],
-		SelfBack: c.selfBack,
-		MaxDist:  c.selfBack,
-		Loops:    len(c.loops),
+		Out:          c.out,
+		Lo:           outDecl.B.Lo[0],
+		Hi:           outDecl.B.Hi[0],
+		SelfBack:     c.selfBack,
+		MaxDist:      c.selfBack,
+		Loops:        len(c.loops),
+		WriteOffsets: offsets,
 	}
 	names := make([]string, 0, len(c.windows))
 	for n := range c.windows {
@@ -289,19 +299,20 @@ func BuildStreamPlan(p *Program) (*StreamPlan, error) {
 	return sp, nil
 }
 
-// loop checks one top-level loop and accumulates its window demands.
-func (c *streamChecker) loop(l *Loop) error {
+// loop checks one top-level loop, accumulates its window demands, and
+// returns its write offset.
+func (c *streamChecker) loop(l *Loop) (int64, error) {
 	if l.Step != 1 {
-		return fmt.Errorf("loop over %s has step %d; streaming needs forward unit steps", l.Var, l.Step)
+		return 0, fmt.Errorf("loop over %s has step %d; streaming needs forward unit steps", l.Var, l.Step)
 	}
 	// Find the loop's single write offset first: read legality is
 	// judged relative to the write position.
 	cw, nWrites, err := c.writeOffset(l.Body, l.Var)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	if nWrites == 0 {
-		return fmt.Errorf("loop over %s writes nothing", l.Var)
+		return 0, fmt.Errorf("loop over %s writes nothing", l.Var)
 	}
 	loopIdx := len(c.loops)
 	c.loops = append(c.loops, streamLoopRange{from: l.From + cw, to: l.To + cw})
@@ -341,7 +352,7 @@ func (c *streamChecker) loop(l *Loop) error {
 		}
 		return nil
 	}
-	return stmts(l.Body, true)
+	return cw, stmts(l.Body, true)
 }
 
 // writeOffset validates every Assign in the body and returns the
@@ -788,6 +799,9 @@ func CertifyStream(p *Program, claimed *StreamPlan) *certify.Report {
 	}
 	if claimed.Out != actual.Out || claimed.Lo != actual.Lo || claimed.Hi != actual.Hi {
 		return fail(fmt.Sprintf("output identity mismatch: claimed %s[%d..%d], replay %s[%d..%d]", claimed.Out, claimed.Lo, claimed.Hi, actual.Out, actual.Lo, actual.Hi))
+	}
+	if !slices.Equal(claimed.WriteOffsets, actual.WriteOffsets) {
+		return fail(fmt.Sprintf("claimed write offsets %v, replay %v", claimed.WriteOffsets, actual.WriteOffsets))
 	}
 	if claimed.SelfBack < actual.SelfBack {
 		return fail(fmt.Sprintf("claimed self history %d < required %d", claimed.SelfBack, actual.SelfBack))

@@ -209,7 +209,14 @@ func TestCertifyStream(t *testing.T) {
 	if rep := CertifyStream(p, &forged2); rep.Err() == nil {
 		t.Fatalf("forged output bounds must falsify")
 	}
-	// Forgery 3: a plan for a program the replay rejects outright.
+	// Forgery 3: shifted write offsets would clamp each loop to the
+	// wrong chunk positions.
+	forged3 := *sp
+	forged3.WriteOffsets = []int64{0, 1}
+	if rep := CertifyStream(p, &forged3); rep.Err() == nil {
+		t.Fatalf("forged write offsets must falsify")
+	}
+	// Forgery 4: a plan for a program the replay rejects outright.
 	bad := recurrenceProg(40)
 	bad.Stmts[1].(*Loop).Body[0].(*Assign).HasAccum = true
 	if rep := CertifyStream(bad, sp); rep.Err() == nil {

@@ -45,9 +45,10 @@ type streamTrailerJSON struct {
 	EvalNs int64  `json:"eval_ns"`
 	Chunks int64  `json:"chunks"`
 	Tier   string `json:"tier"`
-	// PeakBytes / MaterializedBytes are the deterministic accounting of
-	// a streamed run: what the pipeline actually held live vs what the
-	// materialized store would have held. Zero on fallback runs.
+	// PeakBytes / MaterializedBytes are the accounting of a streamed
+	// run: the high-water mark of what the pipeline held live (it
+	// varies with stage interleaving) vs what the materialized store
+	// would have held. Zero on fallback runs.
 	PeakBytes         int64 `json:"peak_bytes,omitempty"`
 	MaterializedBytes int64 `json:"materialized_bytes,omitempty"`
 }

@@ -14,20 +14,26 @@
 // step, retaining exactly the backward history the stream plan proved
 // sufficient.
 //
+// There is one closure compiler. Each stage runs the closures
+// loopir.CompileStage builds with the materialized interpreter's own
+// compiler; the only difference is that every array slot is bound to
+// a slice plus a base position: a resident input (base = its lower
+// bound), an upstream window, or the stage's own window. Sliding a
+// window moves its data and advances its base.
+//
 // Bitwise identity with the materialized path is by construction, not
 // by tolerance: each element is computed once (the compiler proved
-// writes collision-free), by the same closure semantics the loop-IR
-// interpreter uses (plain Go float64 arithmetic, the same math.*
-// builtins, the same short-circuit booleans), reading operands that
-// the window invariants prove are the same values the materialized
-// order would observe. The oracle's `stream` ablation arm cross-checks
-// this bit-for-bit on generated programs.
+// writes collision-free), by closures from the loop-IR interpreter's
+// own compiler, reading operands that the window invariants prove are
+// the same values the materialized order would observe. The oracle's
+// `stream` ablation arm cross-checks this bit-for-bit on generated
+// programs.
 //
-// Memory accounting is deterministic, not RSS sampling: an accountant
+// Memory accounting is a meter, not RSS sampling: an accountant
 // charges every live buffer (resident inputs, windows, in-flight
 // chunks, and the materialized result when collecting) and records the
-// high-water mark, so CI can gate the streaming-vs-materialized peak
-// ratio without scheduler noise.
+// high-water mark. That mark depends on how the stage goroutines
+// interleave, so it can differ between runs on a multicore host.
 package stream
 
 import (
@@ -44,10 +50,10 @@ import (
 // distance so one chunk of lookahead always suffices.
 const DefaultChunkSize = 4096
 
-// defaultChanDepth is the bounded-channel capacity beyond the
-// lookahead chunks a consumer holds unconsumed — the producer may run
-// at most this many chunks ahead before blocking (back-pressure).
-const defaultChanDepth = 2
+// chanSlack is the bounded-channel capacity beyond the lookahead
+// chunks a consumer holds unconsumed — the producer may run at most
+// this many chunks ahead before blocking (back-pressure).
+const chanSlack = 2
 
 // Def is one pipeline stage: a compiled definition with its stream
 // plan. Name is the definition's array name — the name consumers
@@ -63,9 +69,6 @@ type Config struct {
 	// ChunkSize is the chunk grid pitch (0 = DefaultChunkSize). It is
 	// raised to the pipeline's max window distance when smaller.
 	ChunkSize int64
-	// ChanDepth is the per-edge channel capacity beyond the lookahead
-	// requirement (0 = defaultChanDepth).
-	ChanDepth int
 }
 
 // Report is the outcome accounting of one pipeline run.
@@ -88,29 +91,32 @@ type Report struct {
 }
 
 // Pipeline is a compiled streaming pipeline: per-stage closure
-// programs plus the edge topology. It is immutable after Build and
-// safe for concurrent Runs.
+// programs plus the binding of every array slot they declare. It is
+// immutable after Build and safe for concurrent Runs.
 type Pipeline struct {
 	defs   []Def
-	comp   []*compiledDef
+	stages []*loopir.Stage
 	result int // index of the result stage
 	chunk  int64
-	depth  int
 	nCh    int64 // grid chunk count
 	gridLo int64
-	// edges[i] lists stage i's upstream edges.
-	edges [][]edgeSpec
-	// consumers[i] counts stage i's downstream readers (excluding the
-	// collector).
-	consumers []int
-	// resident[i] maps frame array slots to external input names for
-	// stage i.
-	resident []map[int]string
+	// Every declared array slot of stage i is bound to exactly one of:
+	// self[i], its own output window; a resident[i] input; an edges[i]
+	// upstream window.
+	self     []int
+	resident [][]residentBind
+	edges    [][]edgeSpec
 	// residentNames is the deduplicated external input set with the
 	// bounds each must have.
 	residentNames map[string]runtime.Bounds
 	maxDist       int64
 	matBytes      int64 // materialized-path live bytes (inputs + outputs)
+}
+
+// residentBind binds a stage's array slot to a caller input.
+type residentBind struct {
+	slot int
+	name string
 }
 
 // edgeSpec is the Build-time description of one producer→consumer
@@ -121,12 +127,13 @@ type edgeSpec struct {
 	back   int64
 	fwd    int64
 	kAhead int64 // lookahead chunks: ceil(fwd/chunk)
-	srcLo  int64
 }
 
 // Build compiles a pipeline from definitions in evaluation order.
-// Every read of an earlier definition's output must be windowable
-// (constant offsets); reads of external arrays are held resident.
+// Every array a stage declares binds to exactly one of its own output
+// window, an earlier stage's output through a window (its reads must
+// be at constant offsets), or a resident external input; a declared
+// array that binds to none fails the build.
 func Build(defs []Def, result string, cfg Config) (*Pipeline, error) {
 	if len(defs) == 0 {
 		return nil, fmt.Errorf("stream: empty pipeline")
@@ -134,15 +141,11 @@ func Build(defs []Def, result string, cfg Config) (*Pipeline, error) {
 	p := &Pipeline{
 		defs:          defs,
 		chunk:         cfg.ChunkSize,
-		depth:         cfg.ChanDepth,
 		result:        -1,
 		residentNames: map[string]runtime.Bounds{},
 	}
 	if p.chunk <= 0 {
 		p.chunk = DefaultChunkSize
-	}
-	if p.depth <= 0 {
-		p.depth = defaultChanDepth
 	}
 	prodIdx := map[string]int{}
 	for i, d := range defs {
@@ -169,12 +172,12 @@ func Build(defs []Def, result string, cfg Config) (*Pipeline, error) {
 	if p.chunk < p.maxDist {
 		p.chunk = p.maxDist
 	}
-	// Grid and per-stage topology.
+	// Grid, per-stage closures, and slot bindings.
 	gridLo, gridHi := defs[0].Plan.Lo, defs[0].Plan.Hi
+	p.stages = make([]*loopir.Stage, len(defs))
+	p.self = make([]int, len(defs))
+	p.resident = make([][]residentBind, len(defs))
 	p.edges = make([][]edgeSpec, len(defs))
-	p.consumers = make([]int, len(defs))
-	p.resident = make([]map[int]string, len(defs))
-	p.comp = make([]*compiledDef, len(defs))
 	for i, d := range defs {
 		if d.Plan.Lo < gridLo {
 			gridLo = d.Plan.Lo
@@ -182,46 +185,41 @@ func Build(defs []Def, result string, cfg Config) (*Pipeline, error) {
 		if d.Plan.Hi > gridHi {
 			gridHi = d.Plan.Hi
 		}
-		cd, err := compileDef(d)
+		st, err := loopir.CompileStage(d.Prog, d.Plan)
 		if err != nil {
 			return nil, fmt.Errorf("stream: stage %s: %w", d.Name, err)
 		}
-		p.comp[i] = cd
-		p.resident[i] = map[int]string{}
-		for _, w := range d.Plan.Reads {
-			slot, ok := cd.arraySlot[w.Array]
-			if !ok {
-				// The plan saw a read the compiled body never evaluates
-				// (can't happen today; defensive).
+		p.stages[i] = st
+		for slot, decl := range d.Prog.Arrays {
+			if decl.Name == d.Name {
+				p.self[i] = slot
 				continue
 			}
-			src, produced := prodIdx[w.Array]
+			w := d.Plan.Read(decl.Name)
+			if w == nil {
+				return nil, fmt.Errorf("stream: stage %s declares %s but never reads it", d.Name, decl.Name)
+			}
+			src, produced := prodIdx[decl.Name]
 			if !produced {
-				decl := d.Prog.Decl(w.Array)
-				if decl == nil {
-					return nil, fmt.Errorf("stream: stage %s reads undeclared %s", d.Name, w.Array)
+				if have, seen := p.residentNames[decl.Name]; seen && !have.Equal(decl.B) {
+					return nil, fmt.Errorf("stream: input %s declared with two different bounds", decl.Name)
 				}
-				if have, seen := p.residentNames[w.Array]; seen && !have.Equal(decl.B) {
-					return nil, fmt.Errorf("stream: input %s declared with two different bounds", w.Array)
-				}
-				p.residentNames[w.Array] = decl.B
-				p.resident[i][slot] = w.Array
+				p.residentNames[decl.Name] = decl.B
+				p.resident[i] = append(p.resident[i], residentBind{slot: slot, name: decl.Name})
 				continue
 			}
 			if src >= i {
-				return nil, fmt.Errorf("stream: stage %s reads %s out of evaluation order", d.Name, w.Array)
+				return nil, fmt.Errorf("stream: stage %s reads %s out of evaluation order", d.Name, decl.Name)
 			}
 			if !w.Windowable {
-				return nil, fmt.Errorf("stream: stage %s needs %s resident, but it is a pipeline stage output", d.Name, w.Array)
+				return nil, fmt.Errorf("stream: stage %s needs %s resident, but it is a pipeline stage output", d.Name, decl.Name)
 			}
 			sp := defs[src].Plan
-			decl := d.Prog.Decl(w.Array)
-			if decl == nil || decl.B.Rank() != 1 || decl.B.Lo[0] != sp.Lo || decl.B.Hi[0] != sp.Hi {
-				return nil, fmt.Errorf("stream: stage %s declares %s with bounds differing from its producer", d.Name, w.Array)
+			if decl.B.Lo[0] != sp.Lo || decl.B.Hi[0] != sp.Hi {
+				return nil, fmt.Errorf("stream: stage %s declares %s with bounds differing from its producer", d.Name, decl.Name)
 			}
 			kAhead := (w.Fwd + p.chunk - 1) / p.chunk
-			p.edges[i] = append(p.edges[i], edgeSpec{from: src, slot: slot, back: w.Back, fwd: w.Fwd, kAhead: kAhead, srcLo: sp.Lo})
-			p.consumers[src]++
+			p.edges[i] = append(p.edges[i], edgeSpec{from: src, slot: slot, back: w.Back, fwd: w.Fwd, kAhead: kAhead})
 		}
 	}
 	p.gridLo = gridLo
@@ -272,7 +270,7 @@ func (p *Pipeline) RunEmit(inputs map[string]*runtime.Strict, emit func(lo int64
 
 // --- run state ---
 
-// accountant is the deterministic live-byte meter.
+// accountant is the live-byte meter; its peak is a high-water mark.
 type accountant struct {
 	cur, peak atomic.Int64
 }
@@ -357,7 +355,7 @@ func (p *Pipeline) run(inputs map[string]*runtime.Strict, emit func(int64, []flo
 		for _, es := range p.edges[i] {
 			e := &runEdge{
 				spec:    es,
-				ch:      make(chan *chunkMsg, int64(p.depth)+es.kAhead),
+				ch:      make(chan *chunkMsg, chanSlack+es.kAhead),
 				buf:     make([]float64, es.back+p.chunk+es.kAhead*p.chunk),
 				recvIdx: -1,
 			}
@@ -365,7 +363,7 @@ func (p *Pipeline) run(inputs map[string]*runtime.Strict, emit func(int64, []flo
 			outs[es.from] = append(outs[es.from], e.ch)
 		}
 	}
-	collectCh := make(chan *chunkMsg, p.depth)
+	collectCh := make(chan *chunkMsg, chanSlack)
 	outs[p.result] = append(outs[p.result], collectCh)
 
 	var wg sync.WaitGroup
@@ -416,7 +414,7 @@ collector:
 
 // runStage walks the chunk grid for one stage.
 func (p *Pipeline) runStage(si int, inputs map[string]*runtime.Strict, edges []*runEdge, outs []chan *chunkMsg, acct *accountant, abortCh <-chan struct{}) error {
-	cd := p.comp[si]
+	st := p.stages[si]
 	plan := p.defs[si].Plan
 	C := p.chunk
 	// Own output window: [clo-SelfBack, chi], zero-initialized like a
@@ -430,30 +428,16 @@ func (p *Pipeline) runStage(si int, inputs map[string]*runtime.Strict, edges []*
 	}
 	acct.charge(winBytes)
 	defer acct.release(winBytes)
-	// Frame: readers resolve array slots to resident slices, upstream
-	// windows, or the own window.
-	f := &frame{
-		vars:    make([]int64, cd.nVars),
-		scalars: make([]float64, cd.nScalars),
-		readFn:  make([]func(int64) float64, cd.nArrays),
-	}
-	f.write = func(pos int64, v float64) { ownBuf[pos-ownBase] = v }
-	if cd.selfSlot >= 0 {
-		f.readFn[cd.selfSlot] = func(pos int64) float64 { return ownBuf[pos-ownBase] }
-	}
-	for slot, name := range p.resident[si] {
-		in := inputs[name]
-		data, lo := in.Data, in.B.Lo[0]
-		f.readFn[slot] = func(pos int64) float64 { return data[pos-lo] }
+	// Bind every array slot: the own window, resident inputs, and
+	// upstream windows (Build proved each slot has exactly one).
+	fr := st.NewFrame()
+	fr.Bind(p.self[si], ownBuf, ownBase)
+	for _, r := range p.resident[si] {
+		in := inputs[r.name]
+		fr.Bind(r.slot, in.Data, in.B.Lo[0])
 	}
 	for _, e := range edges {
-		e := e
-		f.readFn[e.spec.slot] = func(pos int64) float64 { return e.buf[pos-e.base] }
-	}
-	for slot, fn := range f.readFn {
-		if fn == nil {
-			return fmt.Errorf("stream: stage %s: array slot %d unresolved", p.defs[si].Name, slot)
-		}
+		fr.Bind(e.spec.slot, e.buf, e.base)
 	}
 
 	for ci := int64(0); ci < p.nCh; ci++ {
@@ -467,9 +451,11 @@ func (p *Pipeline) runStage(si int, inputs map[string]*runtime.Strict, edges []*
 				ownBuf[k] = 0
 			}
 			ownBase += C
+			fr.Slide(p.self[si], ownBase)
 			for _, e := range edges {
 				copy(e.buf[:int64(len(e.buf))-C], e.buf[C:])
 				e.base += C
+				fr.Slide(e.spec.slot, e.base)
 			}
 		}
 		// Drain upstream until every window covers this chunk's reads
@@ -499,21 +485,8 @@ func (p *Pipeline) runStage(si int, inputs map[string]*runtime.Strict, edges []*
 		}
 		// Execute the chunk: top-level statements in program order,
 		// loops clamped to write positions inside [clo, chi].
-		for _, ts := range cd.tops {
-			if ts.run == nil {
-				f.scalars[ts.scalar] = ts.setFn(f)
-				continue
-			}
-			lo, hi := ts.from, ts.to
-			if w := clo - ts.cw; w > lo {
-				lo = w
-			}
-			if w := chi - ts.cw; w < hi {
-				hi = w
-			}
-			if lo <= hi {
-				ts.run(f, lo, hi)
-			}
+		if err := st.RunChunk(fr, clo, chi); err != nil {
+			return fmt.Errorf("stream: stage %s: %w", p.defs[si].Name, err)
 		}
 		// Emit the immutable chunk copy.
 		s, e := clo, chi

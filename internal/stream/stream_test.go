@@ -287,8 +287,8 @@ func TestStreamEmitAbort(t *testing.T) {
 }
 
 // TestStreamPeakBytes: a long bounded-distance chain must hold far
-// less than the materialized store. The accounting is deterministic,
-// so the bound is exact, not statistical.
+// less than the materialized store. The peak is a high-water mark that
+// moves with stage interleaving; the bounds leave room for that.
 func TestStreamPeakBytes(t *testing.T) {
 	const lo, hi = 1, 1<<18 + 13
 	x := fill(b1(lo, hi), 9)
@@ -366,6 +366,18 @@ func TestStreamRejectsResidentStageOutput(t *testing.T) {
 	}
 	if _, err := stream.Build(defs, "r", stream.Config{}); err == nil {
 		t.Fatalf("reversal over a stage output must not stream")
+	}
+}
+
+// TestStreamRejectsUnboundArray: every declared array must bind to a
+// window or a resident input, so a declaration the stage never reads
+// fails the build.
+func TestStreamRejectsUnboundArray(t *testing.T) {
+	p := ewmaProg("e", "x", 1, 100)
+	p.Arrays = append(p.Arrays, loopir.ArrayDecl{Name: "unused", B: b1(1, 100), Role: loopir.RoleIn})
+	_, err := stream.Build([]stream.Def{mkDef(t, "e", p)}, "e", stream.Config{})
+	if err == nil || !strings.Contains(err.Error(), "never reads") {
+		t.Fatalf("unread declaration must fail the build, got %v", err)
 	}
 }
 
