@@ -148,24 +148,26 @@ func (c *resultCertifier) certifyPair(kind, pair string, srcForms, sinkForms []a
 		return false
 	}
 	// Enumerate the 3^shared concrete direction vectors; each one the
-	// walk refuted is an independence claim.
-	var enum func(v deptest.Vector, k int)
-	enum = func(v deptest.Vector, k int) {
+	// walk refuted is an independence claim. All of them search the
+	// same battery, which shares its per-loop term intervals.
+	bt := certify.NewBattery(probs)
+	v := deptest.AnyVector(total)
+	var enum func(k int)
+	enum = func(k int) {
 		if k == shared {
 			if covered(v) {
 				return
 			}
 			claim := fmt.Sprintf("%s dir %s independent", pair, v[:shared])
-			c.record(isWW, certify.CertifyIndependence("analysis", claim, probs, v))
+			c.record(isWW, certify.CertifyIndependence("analysis", claim, bt, v))
 			return
 		}
-		for _, d := range []deptest.Direction{deptest.DirLess, deptest.DirEqual, deptest.DirGreater} {
-			child := v.Clone()
-			child[k] = d
-			enum(child, k+1)
+		for _, d := range [...]deptest.Direction{deptest.DirLess, deptest.DirEqual, deptest.DirGreater} {
+			v[k] = d
+			enum(k + 1)
 		}
 	}
-	enum(deptest.AnyVector(total), 0)
+	enum(0)
 	// Every Definite claim must have a concrete witness.
 	for _, dep := range deps {
 		if dep.Verdict != deptest.Definite {
@@ -174,7 +176,7 @@ func (c *resultCertifier) certifyPair(kind, pair string, srcForms, sinkForms []a
 		full := deptest.AnyVector(total)
 		copy(full, dep.Dir)
 		claim := fmt.Sprintf("%s dir %s definite", pair, dep.Dir)
-		c.record(isWW, certify.CertifyDependence("analysis", claim, probs, full))
+		c.record(isWW, certify.CertifyDependence("analysis", claim, bt, full))
 	}
 }
 

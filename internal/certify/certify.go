@@ -121,6 +121,25 @@ type Report struct {
 	Failures []Certificate
 	// Skips holds the first few skipped certificates.
 	Skips []Certificate
+	// Layers tallies the certificates per Certificate.Layer.
+	Layers map[string]Tally
+}
+
+// Tally counts one layer's certificates by status. Exhaustive counts
+// the certified ones whose search covered the whole domain.
+type Tally struct {
+	Certified, Falsified, Skipped, Exhaustive int
+}
+
+func (t Tally) add(o Tally) Tally {
+	return Tally{t.Certified + o.Certified, t.Falsified + o.Falsified, t.Skipped + o.Skipped, t.Exhaustive + o.Exhaustive}
+}
+
+func (r *Report) tally(layer string, t Tally) {
+	if r.Layers == nil {
+		r.Layers = map[string]Tally{}
+	}
+	r.Layers[layer] = r.Layers[layer].add(t)
 }
 
 // maxSkipSample bounds the retained skipped certificates.
@@ -131,18 +150,26 @@ func NewReport() *Report { return &Report{} }
 
 // Record files one certificate.
 func (r *Report) Record(c Certificate) {
+	var t Tally
 	switch c.Status {
 	case Certified:
 		r.CertifiedCount++
+		t.Certified = 1
+		if c.Exhaustive {
+			t.Exhaustive = 1
+		}
 	case Falsified:
 		r.FalsifiedCount++
 		r.Failures = append(r.Failures, c)
+		t.Falsified = 1
 	case Skipped:
 		r.SkippedCount++
 		if len(r.Skips) < maxSkipSample {
 			r.Skips = append(r.Skips, c)
 		}
+		t.Skipped = 1
 	}
+	r.tally(c.Layer, t)
 }
 
 // Merge folds another report into r.
@@ -154,6 +181,9 @@ func (r *Report) Merge(o *Report) {
 	r.FalsifiedCount += o.FalsifiedCount
 	r.SkippedCount += o.SkippedCount
 	r.Failures = append(r.Failures, o.Failures...)
+	for layer, t := range o.Layers {
+		r.tally(layer, t)
+	}
 	for _, c := range o.Skips {
 		if len(r.Skips) < maxSkipSample {
 			r.Skips = append(r.Skips, c)

@@ -38,7 +38,7 @@ func TestSearchWitnessRefutesParity(t *testing.T) {
 	if !exhaustive {
 		t.Fatal("10 iterations must be covered exhaustively")
 	}
-	c := CertifyIndependence("analysis", "parity", []deptest.Problem{p}, vec(t, "(*)"))
+	c := CertifyIndependence("analysis", "parity", NewBattery([]deptest.Problem{p}), vec(t, "(*)"))
 	if c.Status != Certified || !c.Exhaustive {
 		t.Fatalf("certificate: %s", c)
 	}
@@ -76,10 +76,10 @@ func TestShadowClampEngages(t *testing.T) {
 	if found || exhaustive {
 		t.Fatalf("found=%v exhaustive=%v; witness lies outside the shadow", found, exhaustive)
 	}
-	if c := CertifyDependence("analysis", "far", []deptest.Problem{far}, vec(t, "(*)")); c.Status != Skipped {
+	if c := CertifyDependence("analysis", "far", NewBattery([]deptest.Problem{far}), vec(t, "(*)")); c.Status != Skipped {
 		t.Fatalf("unfindable definite witness must be Skipped, got %s", c)
 	}
-	if c := CertifyIndependence("analysis", "far", []deptest.Problem{far}, vec(t, "(*)")); c.Status != Certified || c.Exhaustive {
+	if c := CertifyIndependence("analysis", "far", NewBattery([]deptest.Problem{far}), vec(t, "(*)")); c.Status != Certified || c.Exhaustive {
 		t.Fatalf("clamped independence must certify non-exhaustively, got %s", c)
 	}
 }
@@ -94,7 +94,7 @@ func TestSimultaneousDimensions(t *testing.T) {
 	if found || !exhaustive {
 		t.Fatalf("found=%v exhaustive=%v", found, exhaustive)
 	}
-	c := CertifyIndependence("analysis", "coupled", []deptest.Problem{d1, d2}, vec(t, "(*)"))
+	c := CertifyIndependence("analysis", "coupled", NewBattery([]deptest.Problem{d1, d2}), vec(t, "(*)"))
 	if c.Status != Certified || !c.Exhaustive {
 		t.Fatalf("certificate: %s", c)
 	}
@@ -111,14 +111,14 @@ func TestEmptyDomainExhaustive(t *testing.T) {
 func TestCertifyDependenceWitness(t *testing.T) {
 	// a!(2i) vs a!(2j): definite dependence, witness x = y.
 	p := deptest.NewProblem(0, []int64{2}, 0, []int64{2}, []int64{16})
-	c := CertifyDependence("analysis", "even", []deptest.Problem{p}, vec(t, "(*)"))
+	c := CertifyDependence("analysis", "even", NewBattery([]deptest.Problem{p}), vec(t, "(*)"))
 	if c.Status != Certified || len(c.Witness) != 2 {
 		t.Fatalf("certificate: %s", c)
 	}
 	// A claim of a dependence that cannot exist is falsified when the
 	// domain is covered.
 	no := deptest.NewProblem(0, []int64{2}, 1, []int64{2}, []int64{16})
-	c = CertifyDependence("analysis", "parity", []deptest.Problem{no}, vec(t, "(*)"))
+	c = CertifyDependence("analysis", "parity", NewBattery([]deptest.Problem{no}), vec(t, "(*)"))
 	if c.Status != Falsified {
 		t.Fatalf("certificate: %s", c)
 	}
@@ -185,9 +185,71 @@ func TestReportAggregation(t *testing.T) {
 	if r.CertifiedCount != 2 {
 		t.Fatalf("merge lost counts: %s", r.Summary())
 	}
+	want := map[string]Tally{"analysis": {Certified: 2}, "schedule": {Skipped: 1}, "plan": {Falsified: 1}}
+	for layer, tl := range want {
+		if r.Layers[layer] != tl {
+			t.Errorf("layer %s tally %+v, want %+v", layer, r.Layers[layer], tl)
+		}
+	}
 	clean := NewReport()
 	clean.Record(Certificate{Status: Certified})
 	if err := clean.Err(); err != nil {
 		t.Fatalf("clean report must not error: %v", err)
+	}
+}
+
+// parityBattery is a!(2i, j) written against a!(2i'+1, j') read over
+// an m×m nest: no collision exists, so no search stops early on a
+// witness.
+func parityBattery(m int64) []deptest.Problem {
+	return []deptest.Problem{
+		deptest.NewProblem(0, []int64{2, 0}, 1, []int64{2, 0}, []int64{m, m}),
+		deptest.NewProblem(0, []int64{0, 1}, 0, []int64{0, 1}, []int64{m, m}),
+	}
+}
+
+// TestSearchWitnessAllocsFlat checks that a search's allocations do
+// not grow with the clamp: buffers are sized by the loop and problem
+// counts, never by the domain.
+func TestSearchWitnessAllocsFlat(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		probs func(m int64) []deptest.Problem
+		v     string
+	}{
+		{"refuted", parityBattery, "(*,*)"},
+		{"found", func(m int64) []deptest.Problem {
+			return []deptest.Problem{deptest.NewProblem(0, []int64{1, 1}, 1, []int64{1, 1}, []int64{m, m})}
+		}, "(>,*)"},
+	} {
+		v := vec(t, tc.v)
+		allocs := func(m int64) float64 {
+			probs := tc.probs(m)
+			return testing.AllocsPerRun(20, func() { SearchWitness(probs, v) })
+		}
+		if a8, a64 := allocs(8), allocs(64); a8 != a64 {
+			t.Errorf("%s: %v allocs at Bound 8, %v at Bound 64", tc.name, a8, a64)
+		}
+	}
+}
+
+// BenchmarkSearchWitness certifies every concrete direction vector of
+// a two-loop battery at the full shadow clamp, as the analysis layer
+// does for one reference pair.
+func BenchmarkSearchWitness(b *testing.B) {
+	probs := parityBattery(ShadowClamp)
+	var vs []deptest.Vector
+	for _, d0 := range []deptest.Direction{deptest.DirLess, deptest.DirEqual, deptest.DirGreater} {
+		for _, d1 := range []deptest.Direction{deptest.DirLess, deptest.DirEqual, deptest.DirGreater} {
+			vs = append(vs, deptest.Vector{d0, d1})
+		}
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		for _, v := range vs {
+			if _, found, _ := SearchWitness(probs, v); found {
+				b.Fatalf("parity collision found under %s", v)
+			}
+		}
 	}
 }

@@ -14,20 +14,105 @@ import (
 // only interval pruning (computed here by direct enumeration, not by
 // the Banerjee formulas under test) for speed.
 
-// searcher carries the recursion state of one witness search.
-type searcher struct {
-	probs  []deptest.Problem
-	v      deptest.Vector
-	clamp  []int64
-	x, y   []int64
-	delta  []int64
+// Battery is one reference pair's per-dimension problem battery,
+// prepared for witness searches under many direction vectors. The
+// analysis layer certifies up to 3^4 vectors against one battery, so
+// the battery keeps each loop's term intervals per (loop, direction,
+// clamp) and computes them once, and it reuses its search buffers
+// across searches: a search allocates only the witness it returns. A
+// Battery is not safe for concurrent use.
+type Battery struct {
+	probs []deptest.Problem
+	n     int  // loops of the combined loop list
+	valid bool // every problem shares one loop structure
+	empty bool // some loop has an empty range
+	exact bool // every equation constant is representable
+	// a and b hold the loop coefficients, [k*P+d] for loop k of
+	// problem d of P; delta holds each equation's constant.
+	a, b, delta []int64
+	// small reports that every coefficient is at most smallCoeff in
+	// magnitude, so no term over the clamped domain can saturate and
+	// plain arithmetic computes exactly what SatOps would.
+	small bool
+	// varyX marks the unshared loops that only the source surrounds
+	// (some problem has a nonzero source coefficient there).
+	varyX []bool
+	// terms caches the interval of each problem's loop-k term over the
+	// admitted clamped pairs, [(k*4+dir)*P+d]; termClamp[k*4+dir] is
+	// the clamp it was computed at (0: not computed).
+	terms     []deptest.Interval
+	termClamp []int64
+
+	// Search state.
+	v     deptest.Vector
+	clamp []int64
+	x, y  []int64
+	// target holds, per level k, the residue each problem's equation
+	// still needs from loops k.., [k*P+d]; suffix bounds the achievable
+	// Σ_{j≥k} term_j for problem d over the clamped admitted domain,
+	// [k*P+d].
 	target []int64
-	// suffix[k][d] bounds the achievable Σ_{j≥k} term_j for problem d
-	// over the clamped admitted domain.
-	suffix [][]deptest.Interval
+	suffix []deptest.Interval
 	budget int
 	sat    bool // some branch skipped due to saturating arithmetic
 	out    bool // budget exhausted
+}
+
+// NewBattery prepares probs for witness searches. All problems must
+// share one loop structure (bounds, sharing); this holds by
+// construction for the per-dimension batteries the analysis layer
+// builds. A mismatched battery never finds a witness and is never
+// exhaustive.
+func NewBattery(probs []deptest.Problem) *Battery {
+	bt := &Battery{probs: probs}
+	if len(probs) == 0 {
+		return bt
+	}
+	n := probs[0].NumLoops()
+	for _, p := range probs {
+		if p.NumLoops() != n {
+			return bt
+		}
+	}
+	np := len(probs)
+	bt.valid, bt.n, bt.exact = true, n, true
+	// One slab for every int64 buffer, one for the intervals.
+	ints := make([]int64, 2*n*np+np+4*n+3*n+(n+1)*np)
+	take := func(c int) []int64 {
+		s := ints[:c:c]
+		ints = ints[c:]
+		return s
+	}
+	bt.a, bt.b, bt.delta = take(n*np), take(n*np), take(np)
+	bt.termClamp = take(4 * n)
+	bt.clamp, bt.x, bt.y = take(n), take(n), take(n)
+	bt.target = take((n + 1) * np)
+	ivs := make([]deptest.Interval, 4*n*np+(n+1)*np)
+	bt.terms, bt.suffix = ivs[:4*n*np], ivs[4*n*np:]
+	bt.varyX = make([]bool, n)
+	bt.small = true
+	for k := 0; k < n; k++ {
+		if probs[0].Bound[k] < 1 {
+			bt.empty = true
+		}
+		for d, p := range probs {
+			bt.a[k*np+d], bt.b[k*np+d] = p.A[k], p.B[k]
+			if !isSmall(p.A[k]) || !isSmall(p.B[k]) {
+				bt.small = false
+			}
+			if p.A[k] != 0 {
+				bt.varyX[k] = true
+			}
+		}
+	}
+	for d, p := range probs {
+		delta, exact := p.DeltaSat()
+		if !exact {
+			bt.exact = false
+		}
+		bt.delta[d] = delta
+	}
+	return bt
 }
 
 // SearchWitness looks for a simultaneous integer solution of all
@@ -35,148 +120,133 @@ type searcher struct {
 // returns the witness (if any), whether one was found, and whether
 // the search exhaustively covered the full (unclamped) domain — only
 // then does "not found" certify impossibility outright.
-//
-// All problems must share one loop structure (bounds, sharing); this
-// holds by construction for the per-dimension batteries the analysis
-// layer builds. Mismatched batteries return (no witness, not
-// exhaustive).
 func SearchWitness(probs []deptest.Problem, v deptest.Vector) (Witness, bool, bool) {
-	if len(probs) == 0 {
+	return NewBattery(probs).Search(v)
+}
+
+// Search is SearchWitness over the battery's problems. A vector of the
+// wrong length, or with an unknown direction on a shared loop, finds
+// nothing and is not exhaustive.
+func (bt *Battery) Search(v deptest.Vector) (Witness, bool, bool) {
+	if !bt.valid || len(v) != bt.n {
 		return Witness{}, false, false
 	}
-	n := probs[0].NumLoops()
-	if len(v) != n {
-		return Witness{}, false, false
-	}
-	for _, p := range probs {
-		if p.NumLoops() != n {
+	n, p0 := bt.n, bt.probs[0]
+	for k := 0; k < n; k++ {
+		if p0.Shared[k] && v[k] > deptest.DirGreater {
 			return Witness{}, false, false
 		}
 	}
 	// Empty domain: exhaustively no solution.
-	for k := 0; k < n; k++ {
-		if probs[0].Bound[k] < 1 {
-			return Witness{}, false, true
-		}
+	if bt.empty {
+		return Witness{}, false, true
 	}
-	s := &searcher{
-		probs:  probs,
-		v:      v,
-		clamp:  make([]int64, n),
-		x:      make([]int64, n),
-		y:      make([]int64, n),
-		delta:  make([]int64, len(probs)),
-		target: make([]int64, len(probs)),
-		budget: shadowBudget,
-	}
+	bt.v = v
 	covered := true
 	for k := 0; k < n; k++ {
-		s.clamp[k] = probs[0].Bound[k]
-		if s.clamp[k] > ShadowClamp {
-			s.clamp[k] = ShadowClamp
+		bt.clamp[k] = p0.Bound[k]
+		if bt.clamp[k] > ShadowClamp {
+			bt.clamp[k] = ShadowClamp
 			covered = false
 		}
 	}
 	// Pre-shrink until the estimated point count fits the budget,
 	// halving the largest clamp first.
-	for s.estimate() > shadowBudget {
+	for bt.estimate() > shadowBudget {
 		maxK := 0
 		for k := 1; k < n; k++ {
-			if s.clamp[k] > s.clamp[maxK] {
+			if bt.clamp[k] > bt.clamp[maxK] {
 				maxK = k
 			}
 		}
-		if s.clamp[maxK] <= 1 {
+		if bt.clamp[maxK] <= 1 {
 			break
 		}
-		s.clamp[maxK] /= 2
+		bt.clamp[maxK] /= 2
 		covered = false
 	}
-	for d, p := range probs {
-		delta, exact := p.DeltaSat()
-		if !exact {
-			// The equation's constant is unrepresentable; no exact
-			// witness can balance it and absence proves nothing.
-			return Witness{}, false, false
-		}
-		s.delta[d] = delta
-		s.target[d] = delta
+	if !bt.exact {
+		// The equation's constant is unrepresentable; no exact
+		// witness can balance it and absence proves nothing.
+		return Witness{}, false, false
 	}
-	s.buildSuffix()
-	found := s.solve(0)
-	exhaustive := covered && !s.sat && !s.out
+	copy(bt.target, bt.delta)
+	bt.budget, bt.sat, bt.out = shadowBudget, false, false
+	bt.buildSuffix()
+	found := bt.solve(0)
+	exhaustive := covered && !bt.sat && !bt.out
 	if !found {
 		return Witness{}, false, exhaustive
 	}
-	w := Witness{X: append([]int64(nil), s.x...), Y: append([]int64(nil), s.y...)}
-	return w, true, exhaustive
+	xy := append(append(make([]int64, 0, 2*n), bt.x...), bt.y...)
+	return Witness{X: xy[:n:n], Y: xy[n:]}, true, exhaustive
 }
 
-// pairs enumerates the admitted (x, y) values of loop k over the
-// clamped domain, calling fn for each until it returns true.
-func (s *searcher) pairs(k int, fn func(x, y int64) bool) bool {
-	p0 := s.probs[0]
-	m := s.clamp[k]
-	if !p0.Shared[k] {
-		// Only the side with a nonzero coefficient matters; the other
-		// reference is not surrounded by this loop at all and its
-		// position is fixed arbitrarily at 1.
-		varyX := false
-		for _, p := range s.probs {
-			if p.A[k] != 0 {
-				varyX = true
-			}
-		}
-		for t := int64(1); t <= m; t++ {
-			if varyX {
-				if fn(t, 1) {
-					return true
-				}
-			} else {
-				if fn(1, t) {
-					return true
-				}
-			}
-		}
-		return false
+// xRange and yRange give loop k's admitted (x, y) pairs over the
+// clamped domain: x runs 1..xRange(k), and for each x, y runs over
+// yRange(k, x), both ascending. On a shared loop that is exactly the
+// pairs the direction admits: y>x for <, y=x for =, y<x for >. On an
+// unshared loop only the side with a nonzero coefficient matters; the
+// other reference is not surrounded by this loop at all and its
+// position is fixed arbitrarily at 1.
+func (bt *Battery) xRange(k int) int64 {
+	if !bt.probs[0].Shared[k] && !bt.varyX[k] {
+		return 1
 	}
-	d := s.v[k]
-	for x := int64(1); x <= m; x++ {
-		for y := int64(1); y <= m; y++ {
-			if !d.Admits(x, y) {
-				continue
-			}
-			if fn(x, y) {
-				return true
-			}
-		}
-	}
-	return false
+	return bt.clamp[k]
 }
+
+func (bt *Battery) yRange(k int, x int64) (lo, hi int64) {
+	m := bt.clamp[k]
+	if !bt.probs[0].Shared[k] {
+		if bt.varyX[k] {
+			return 1, 1
+		}
+		return 1, m
+	}
+	switch bt.v[k] {
+	case deptest.DirLess:
+		return x + 1, m
+	case deptest.DirEqual:
+		return x, x
+	case deptest.DirGreater:
+		return 1, x - 1
+	}
+	return 1, m
+}
+
+// smallCoeff bounds the coefficients for which a term a·x − b·y with
+// x, y ≤ ShadowClamp stays far inside the saturation range.
+const smallCoeff = 1 << 40
+
+func isSmall(c int64) bool { return -smallCoeff <= c && c <= smallCoeff }
 
 // term computes problem d's loop-k contribution at (x, y); ok=false
 // when the arithmetic saturated.
-func (s *searcher) term(d, k int, x, y int64) (int64, bool) {
+func (bt *Battery) term(d, k int, x, y int64) (int64, bool) {
+	i := k*len(bt.probs) + d
+	if bt.small {
+		return bt.a[i]*x - bt.b[i]*y, true
+	}
 	var so deptest.SatOps
-	p := s.probs[d]
-	t := so.Sub(so.Mul(p.A[k], x), so.Mul(p.B[k], y))
+	t := so.Sub(so.Mul(bt.a[i], x), so.Mul(bt.b[i], y))
 	return t, !so.Overflowed
 }
 
 // estimate approximates the number of enumeration points (product of
 // per-loop pair counts, saturating far above the budget).
-func (s *searcher) estimate() int64 {
+func (bt *Battery) estimate() int64 {
 	total := int64(1)
-	p0 := s.probs[0]
-	for k := range s.clamp {
-		m := s.clamp[k]
+	p0 := bt.probs[0]
+	for k := range bt.clamp {
+		m := bt.clamp[k]
 		var c int64
 		switch {
 		case !p0.Shared[k]:
 			c = m
-		case s.v[k] == deptest.DirEqual:
+		case bt.v[k] == deptest.DirEqual:
 			c = m
-		case s.v[k] == deptest.DirAny:
+		case bt.v[k] == deptest.DirAny:
 			c = m * m
 		default: // < or >
 			c = m * (m - 1) / 2
@@ -192,95 +262,123 @@ func (s *searcher) estimate() int64 {
 	return total
 }
 
-// buildSuffix computes the pruning intervals by direct enumeration of
-// each loop's admitted clamped domain.
-func (s *searcher) buildSuffix() {
-	n := s.probs[0].NumLoops()
-	s.suffix = make([][]deptest.Interval, n+1)
-	s.suffix[n] = make([]deptest.Interval, len(s.probs))
+// buildSuffix computes the pruning intervals from the per-loop term
+// intervals.
+func (bt *Battery) buildSuffix() {
+	n, np := bt.n, len(bt.probs)
+	for d := 0; d < np; d++ {
+		bt.suffix[n*np+d] = deptest.Interval{}
+	}
 	for k := n - 1; k >= 0; k-- {
-		ivs := make([]deptest.Interval, len(s.probs))
-		for d := range s.probs {
-			first := true
-			var iv deptest.Interval
-			whole := false
-			s.pairs(k, func(x, y int64) bool {
-				t, ok := s.term(d, k, x, y)
-				if !ok {
-					whole = true
-					return true // stop: interval degrades to the whole line
-				}
-				if first {
-					iv = deptest.Interval{Lo: t, Hi: t}
-					first = false
-				} else {
-					if t < iv.Lo {
-						iv.Lo = t
-					}
-					if t > iv.Hi {
-						iv.Hi = t
-					}
-				}
-				return false
-			})
-			if whole || first {
-				iv = deptest.WholeInterval
-			}
-			ivs[d] = iv.Add(s.suffix[k+1][d])
+		ivs := bt.termIntervals(k)
+		for d := 0; d < np; d++ {
+			bt.suffix[k*np+d] = ivs[d].Add(bt.suffix[(k+1)*np+d])
 		}
-		s.suffix[k] = ivs
 	}
 }
 
-// solve recursively assigns loops k.. and reports whether a full
-// simultaneous solution was found (positions left in s.x, s.y).
-func (s *searcher) solve(k int) bool {
-	if s.out {
-		return false
+// termIntervals returns each problem's loop-k term interval over the
+// admitted clamped pairs, by direct enumeration of those pairs (not by
+// the Banerjee formulas under audit). A loop without admitted pairs, or
+// whose terms saturate, gets the whole line.
+func (bt *Battery) termIntervals(k int) []deptest.Interval {
+	np := len(bt.probs)
+	dir := deptest.DirAny
+	if bt.probs[0].Shared[k] {
+		dir = bt.v[k]
 	}
-	n := s.probs[0].NumLoops()
-	if k == n {
-		for d := range s.probs {
-			if s.target[d] != 0 {
+	slot := k*4 + int(dir)
+	ivs := bt.terms[slot*np : (slot+1)*np]
+	m := bt.clamp[k]
+	if bt.termClamp[slot] == m {
+		return ivs
+	}
+	bt.termClamp[slot] = m
+	xHi := bt.xRange(k)
+	for d := 0; d < np; d++ {
+		iv, first := deptest.Interval{}, true
+	enum:
+		for x := int64(1); x <= xHi; x++ {
+			lo, hi := bt.yRange(k, x)
+			for y := lo; y <= hi; y++ {
+				t, ok := bt.term(d, k, x, y)
+				if !ok {
+					first = true // saturated: the whole line
+					break enum
+				}
+				if first {
+					iv, first = deptest.Interval{Lo: t, Hi: t}, false
+					continue
+				}
+				if t < iv.Lo {
+					iv.Lo = t
+				}
+				if t > iv.Hi {
+					iv.Hi = t
+				}
+			}
+		}
+		if first {
+			iv = deptest.WholeInterval
+		}
+		ivs[d] = iv
+	}
+	return ivs
+}
+
+// solve recursively assigns loops k.. and reports whether a full
+// simultaneous solution was found (positions left in bt.x, bt.y).
+func (bt *Battery) solve(k int) bool {
+	np := len(bt.probs)
+	if k == bt.n {
+		for _, t := range bt.target[k*np : (k+1)*np] {
+			if t != 0 {
 				return false
 			}
 		}
 		return true
 	}
-	return s.pairs(k, func(x, y int64) bool {
-		if s.budget--; s.budget < 0 {
-			s.out = true
-			return true // abort enumeration; caller sees found=false via s.out
-		}
-		saved := make([]int64, len(s.target))
-		copy(saved, s.target)
-		for d := range s.probs {
-			t, ok := s.term(d, k, x, y)
-			if !ok {
-				s.sat = true
-				copy(s.target, saved)
+	cur := bt.target[k*np : (k+1)*np]
+	next := bt.target[(k+1)*np : (k+2)*np]
+	reach := bt.suffix[(k+1)*np : (k+2)*np]
+	xHi := bt.xRange(k)
+	for x := int64(1); x <= xHi; x++ {
+		lo, hi := bt.yRange(k, x)
+	pair:
+		for y := lo; y <= hi; y++ {
+			if bt.budget--; bt.budget < 0 {
+				bt.out = true
 				return false
 			}
-			var so deptest.SatOps
-			need := so.Sub(s.target[d], t)
-			if so.Overflowed {
-				s.sat = true
-				copy(s.target, saved)
+			for d := 0; d < np; d++ {
+				t, ok := bt.term(d, k, x, y)
+				if !ok {
+					bt.sat = true
+					continue pair
+				}
+				// Targets and terms lie within the saturation range, so
+				// the raw difference cannot wrap; leaving the range is
+				// exactly SatOps' overflow.
+				need := cur[d] - t
+				if need < deptest.SatMin || need > deptest.SatMax {
+					bt.sat = true
+					continue pair
+				}
+				if !reach[d].Contains(need) {
+					continue pair
+				}
+				next[d] = need
+			}
+			bt.x[k], bt.y[k] = x, y
+			if bt.solve(k + 1) {
+				return true
+			}
+			if bt.out {
 				return false
 			}
-			if !s.suffix[k+1][d].Contains(need) {
-				copy(s.target, saved)
-				return false
-			}
-			s.target[d] = need
 		}
-		s.x[k], s.y[k] = x, y
-		if s.solve(k + 1) {
-			return !s.out
-		}
-		copy(s.target, saved)
-		return false
-	}) && !s.out
+	}
+	return false
 }
 
 // CertifyIndependence checks the claim "no dependence satisfying v
@@ -288,10 +386,10 @@ func (s *searcher) solve(k int) bool {
 // domain (and confirmed by re-evaluating the affine equations)
 // falsifies it; otherwise the claim is certified, exhaustively when
 // the search covered the whole domain.
-func CertifyIndependence(layer, claim string, probs []deptest.Problem, v deptest.Vector) Certificate {
-	w, found, exhaustive := SearchWitness(probs, v)
+func CertifyIndependence(layer, claim string, bt *Battery, v deptest.Vector) Certificate {
+	w, found, exhaustive := bt.Search(v)
 	if found {
-		if CheckWitness(probs, v, w) {
+		if CheckWitness(bt.probs, v, w) {
 			return Certificate{
 				Layer: layer, Claim: claim, Status: Falsified,
 				Witness: w.flatten(), Detail: "dependence witness found in shadow domain",
@@ -310,9 +408,9 @@ func CertifyIndependence(layer, claim string, probs []deptest.Problem, v deptest
 // falsification only when the search was exhaustive; a clamped search
 // that comes up empty is inconclusive (the definite point may lie
 // outside the shadow domain).
-func CertifyDependence(layer, claim string, probs []deptest.Problem, v deptest.Vector) Certificate {
-	w, found, exhaustive := SearchWitness(probs, v)
-	if found && CheckWitness(probs, v, w) {
+func CertifyDependence(layer, claim string, bt *Battery, v deptest.Vector) Certificate {
+	w, found, exhaustive := bt.Search(v)
+	if found && CheckWitness(bt.probs, v, w) {
 		return Certificate{
 			Layer: layer, Claim: claim, Status: Certified,
 			Witness: w.flatten(), Exhaustive: exhaustive,

@@ -1,7 +1,9 @@
 package loopir
 
 import (
+	"encoding/binary"
 	"fmt"
+	"strings"
 
 	"arraycomp/internal/certify"
 	"arraycomp/internal/deptest"
@@ -55,12 +57,28 @@ func CertifyPlans(p *Program) *certify.Report {
 	return rep
 }
 
-// planOcc is one enumerated access occurrence.
+// planOcc is one enumerated access occurrence, chained to the next
+// occurrence of the same element (-1 at the end).
 type planOcc struct {
 	i, j   int64 // loop variable values (j unused for 1-D)
 	prefix bool
 	write  bool
-	elem   string
+	next   int32
+}
+
+// planBucket chains one element's occurrences in enumeration order.
+// key is the element packed as little-endian int64 bytes: the array's
+// index in the plan's access list order, then its subscript values.
+type planBucket struct {
+	key           string
+	head, tail, n int32
+}
+
+// planSub is one subscript with its constant and scheduled-variable
+// coefficients hoisted out of the linear form.
+type planSub struct {
+	c, co, ci  int64
+	hasO, hasI bool // the form mentions the outer / inner variable
 }
 
 // certifyPlan checks one scheduled loop.
@@ -171,45 +189,113 @@ func checkPlan(claim string, acc []parAccess, nPre int, outer, inner *Loop, par 
 		}
 	}
 
-	eval := func(a *parAccess, vi, vj int64) (string, bool) {
-		key := a.arr
-		for _, f := range a.subs {
+	// Hoist each subscript's constant and scheduled-variable
+	// coefficients out of the per-point walk; enclosing variables
+	// cancel (verified above) and are dropped.
+	arrIdx := map[string]int{}
+	var arrNames []string
+	accArr := make([]int, len(acc))
+	accSubs := make([][]planSub, len(acc))
+	keyLen := 8
+	for k := range acc {
+		a := &acc[k]
+		id, ok := arrIdx[a.arr]
+		if !ok {
+			id = len(arrNames)
+			arrIdx[a.arr] = id
+			arrNames = append(arrNames, a.arr)
+		}
+		accArr[k] = id
+		subs := make([]planSub, len(a.subs))
+		for d, f := range a.subs {
+			subs[d].c = f.c
+			subs[d].co, subs[d].hasO = f.t[outer.Var]
+			if inner != nil {
+				subs[d].ci, subs[d].hasI = f.t[inner.Var]
+			}
+		}
+		accSubs[k] = subs
+		keyLen = max(keyLen, 8*(1+len(subs)))
+	}
+	// pack evaluates access k at (vi, vj) into buf; false when the
+	// arithmetic saturated.
+	var buf []byte
+	pack := func(k int, vi, vj int64) bool {
+		buf = binary.LittleEndian.AppendUint64(buf[:0], uint64(accArr[k]))
+		for _, f := range accSubs[k] {
 			var s deptest.SatOps
 			v := f.c
-			for name, coeff := range f.t {
-				switch {
-				case name == outer.Var:
-					v = s.Add(v, s.Mul(coeff, vi))
-				case inner != nil && name == inner.Var:
-					v = s.Add(v, s.Mul(coeff, vj))
-				}
-				// Enclosing variables cancel (verified above): skip.
+			if f.hasO {
+				v = s.Add(v, s.Mul(f.co, vi))
+			}
+			if f.hasI {
+				v = s.Add(v, s.Mul(f.ci, vj))
 			}
 			if s.Overflowed {
-				return "", false
+				return false
 			}
-			key += fmt.Sprintf(",%d", v)
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
 		}
-		return key, true
+		return true
+	}
+	// elemString renders a bucket key as "arr,v1,v2".
+	elemString := func(key string) string {
+		var b strings.Builder
+		b.WriteString(arrNames[binary.LittleEndian.Uint64([]byte(key[:8]))])
+		for i := 8; i+8 <= len(key); i += 8 {
+			fmt.Fprintf(&b, ",%d", int64(binary.LittleEndian.Uint64([]byte(key[i:i+8]))))
+		}
+		return b.String()
 	}
 
-	// Bucket occurrences by element.
-	buckets := map[string][]planOcc{}
+	// Bucket occurrences by element, buckets in first-seen order so the
+	// conflict scan reports a deterministic counterexample. Size for
+	// every occurrence and for one element per array and point of the
+	// domain grown by a one-point halo.
+	pre, body := int64(nPre), int64(len(acc)-nPre)
+	nOcc := min(satAdd(satMul(ni, pre), satMul(satMul(ni, nj), body)), planOccBudget+1)
+	halo := ni + 2
+	if inner != nil {
+		halo = satMul(halo, nj+2)
+	}
+	nElem := min(satMul(halo, int64(len(arrNames))), nOcc)
+	byKey := make(map[string]int32, nElem)
+	buckets := make([]planBucket, 0, nElem)
+	occs := make([]planOcc, 0, nOcc)
+	var keys strings.Builder
+	keys.Grow(int(nElem) * keyLen)
 	capped := false
 	sat := false
 	occCount := 0
-	addOcc := func(a *parAccess, vi, vj int64) bool {
-		elem, ok := eval(a, vi, vj)
-		if !ok {
+	addOcc := func(k int, vi, vj int64) bool {
+		if !pack(k, vi, vj) {
 			sat = true
 			return true
 		}
-		b := buckets[elem]
-		if len(b) >= planBucketCap {
+		bi, ok := byKey[string(buf)]
+		if !ok {
+			// Keys are substrings of one append-only arena.
+			bi = int32(len(buckets))
+			off := keys.Len()
+			keys.Write(buf)
+			key := keys.String()[off:]
+			byKey[key] = bi
+			buckets = append(buckets, planBucket{key: key, head: -1, tail: -1})
+		}
+		b := &buckets[bi]
+		if b.n >= planBucketCap {
 			capped = true
 			return true
 		}
-		buckets[elem] = append(b, planOcc{i: vi, j: vj, prefix: a.prefix, write: a.write, elem: elem})
+		o := int32(len(occs))
+		occs = append(occs, planOcc{i: vi, j: vj, prefix: acc[k].prefix, write: acc[k].write, next: -1})
+		if b.tail < 0 {
+			b.head = o
+		} else {
+			occs[b.tail].next = o
+		}
+		b.tail = o
+		b.n++
 		occCount++
 		return occCount <= planOccBudget
 	}
@@ -220,7 +306,7 @@ enumLoop:
 			if !acc[k].prefix {
 				continue
 			}
-			if !addOcc(&acc[k], vi, 0) {
+			if !addOcc(k, vi, 0) {
 				break enumLoop
 			}
 		}
@@ -229,7 +315,7 @@ enumLoop:
 				if acc[k].prefix {
 					continue
 				}
-				if !addOcc(&acc[k], vi, 0) {
+				if !addOcc(k, vi, 0) {
 					break enumLoop
 				}
 			}
@@ -241,7 +327,7 @@ enumLoop:
 				if acc[k].prefix {
 					continue
 				}
-				if !addOcc(&acc[k], vi, vj) {
+				if !addOcc(k, vi, vj) {
 					break enumLoop
 				}
 			}
@@ -300,10 +386,10 @@ enumLoop:
 	samePoint := func(a, b planOcc) bool {
 		return a.i == b.i && a.j == b.j && a.prefix == b.prefix
 	}
-	for _, b := range buckets {
-		for x := 0; x < len(b); x++ {
-			for y := x + 1; y < len(b); y++ {
-				p, q := b[x], b[y]
+	for bi := range buckets {
+		for x := buckets[bi].head; x >= 0; x = occs[x].next {
+			for y := occs[x].next; y >= 0; y = occs[y].next {
+				p, q := occs[x], occs[y]
 				if !p.write && !q.write {
 					continue
 				}
@@ -314,7 +400,7 @@ enumLoop:
 					return certify.Certificate{
 						Layer: "plan", Claim: claim, Status: certify.Falsified,
 						Witness: []int64{p.i, p.j, q.i, q.j},
-						Detail:  fmt.Sprintf("conflicting accesses of %s run unordered", p.elem),
+						Detail:  fmt.Sprintf("conflicting accesses of %s run unordered", elemString(buckets[bi].key)),
 					}
 				}
 			}

@@ -237,3 +237,79 @@ func TestTripCountSaturation(t *testing.T) {
 		}
 	}
 }
+
+func TestCertifyPlansWitnessDeterministic(t *testing.T) {
+	// A 2-D nest with north and west dependences forced onto a tile
+	// schedule: many elements conflict across tiles. Elements are
+	// scanned in first-seen order, so every run reports the same
+	// counterexample.
+	n := int64(100)
+	p := &Program{
+		Name:   "sorbad",
+		Arrays: []ArrayDecl{{Name: "a", B: runtime.NewBounds2(1, 1, n, n), Role: RoleInOut}},
+		Stmts: []Stmt{
+			&Loop{Var: "i", From: 2, To: n, Step: 1, Parallel: true,
+				Par: &ParSchedule{Kind: ParTile, TileI: 8, TileJ: 8},
+				Body: []Stmt{
+					&Loop{Var: "j", From: 2, To: n, Step: 1, Body: []Stmt{
+						&Assign{
+							Array: "a",
+							Subs:  []IntExpr{lin(0, term("i", 1)), lin(0, term("j", 1))},
+							Rhs: &VBin{Op: '+',
+								L: &ARef{Array: "a", Subs: []IntExpr{lin(-1, term("i", 1)), lin(0, term("j", 1))}},
+								R: &ARef{Array: "a", Subs: []IntExpr{lin(0, term("i", 1)), lin(-1, term("j", 1))}},
+							},
+						},
+					}},
+				}},
+		},
+	}
+	first := CertifyPlans(p)
+	if first.FalsifiedCount == 0 || len(first.Failures[0].Witness) != 4 {
+		t.Fatalf("forged tile schedule not falsified with a witness:\n%s", first)
+	}
+	f := first.Failures[0]
+	if !strings.HasPrefix(f.Detail, "conflicting accesses of a,") || !strings.HasSuffix(f.Detail, " run unordered") {
+		t.Fatalf("detail %q changed format", f.Detail)
+	}
+	for i := 1; i < 50; i++ {
+		if rep := CertifyPlans(p); rep.String() != first.String() {
+			t.Fatalf("run %d reported\n%s\nrun 0 reported\n%s", i, rep, first)
+		}
+	}
+}
+
+// BenchmarkCertifyPlans certifies a legal 2-D tile schedule whose
+// 126×126 nest is clamped to the 64×64 shadow domain.
+func BenchmarkCertifyPlans(b *testing.B) {
+	n := int64(128)
+	p := &Program{
+		Name: "jac",
+		Arrays: []ArrayDecl{
+			{Name: "a", B: runtime.NewBounds2(1, 1, n, n), Role: RoleOut},
+			{Name: "b", B: runtime.NewBounds2(1, 1, n, n), Role: RoleIn},
+		},
+		Stmts: []Stmt{
+			&Loop{Var: "i", From: 2, To: n - 1, Step: 1, Parallel: true,
+				Par: &ParSchedule{Kind: ParTile, TileI: 16, TileJ: 16},
+				Body: []Stmt{
+					&Loop{Var: "j", From: 2, To: n - 1, Step: 1, Body: []Stmt{
+						&Assign{
+							Array: "a",
+							Subs:  []IntExpr{lin(0, term("i", 1)), lin(0, term("j", 1))},
+							Rhs: &VBin{Op: '+',
+								L: &ARef{Array: "b", Subs: []IntExpr{lin(-1, term("i", 1)), lin(0, term("j", 1))}},
+								R: &ARef{Array: "b", Subs: []IntExpr{lin(0, term("i", 1)), lin(1, term("j", 1))}},
+							},
+						},
+					}},
+				}},
+		},
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if rep := CertifyPlans(p); rep.FalsifiedCount != 0 || rep.CertifiedCount != 1 {
+			b.Fatalf("tile schedule: %s", rep.Summary())
+		}
+	}
+}

@@ -40,16 +40,7 @@ func TestCertifyCatchesFlippedDirection(t *testing.T) {
 	if err != nil || sched.Thunked {
 		t.Fatalf("schedule: err=%v thunked=%v", err, sched.Thunked)
 	}
-	var flip func(ns []*Node)
-	flip = func(ns []*Node) {
-		for _, n := range ns {
-			if n.IsLoop() {
-				n.Dir = -n.Dir
-				flip(n.Body)
-			}
-		}
-	}
-	flip(sched.Nodes)
+	flipLoops(sched.Nodes)
 	rep := Certify(res, sched, false)
 	if rep.FalsifiedCount == 0 {
 		t.Fatalf("flipped schedule survived certification:\n%s", rep)
@@ -131,5 +122,67 @@ func TestCertifyLargeBoundsClamped(t *testing.T) {
 	rep := Certify(res, sched, false)
 	if rep.FalsifiedCount != 0 {
 		t.Fatalf("falsified:\n%s", rep)
+	}
+}
+
+// flipLoops reverses every loop direction of a schedule.
+func flipLoops(ns []*Node) {
+	for _, n := range ns {
+		if n.IsLoop() {
+			n.Dir = -n.Dir
+			flipLoops(n.Body)
+		}
+	}
+}
+
+func TestCertifyDeterministic(t *testing.T) {
+	// Five loops of 63 or 64 iterations exceed the event budget, so the
+	// certifier halves clamps, and several tie. A flipped schedule then
+	// falsifies the flow claim; the shadow domain (ties broken in tree
+	// order) and the reported counterexample (elements visited in
+	// first-seen order) must not change between runs.
+	src := `a = array ((1,1,1),(64,64,64))
+	  ([ (1,j,k) := 1.0 | j <- [1..64], k <- [1..64] ] ++
+	   [ (i,j,k) := a!(i-1,j,k) + 1.0 | i <- [2..64], j <- [1..64], k <- [1..64] ])`
+	res := analyzeSrc(t, src, nil)
+	sched, err := Build(res, nil)
+	if err != nil || sched.Thunked {
+		t.Fatalf("schedule: err=%v thunked=%v", err, sched.Thunked)
+	}
+	if rep := Certify(res, sched, false); rep.FalsifiedCount != 0 {
+		t.Fatalf("legal schedule falsified:\n%s", rep)
+	}
+	flipLoops(sched.Nodes)
+	first := Certify(res, sched, false)
+	if first.FalsifiedCount == 0 || len(first.Failures[0].Witness) == 0 {
+		t.Fatalf("flipped schedule not falsified with a witness:\n%s", first)
+	}
+	if d := first.Failures[0].Detail; !strings.Contains(d, "at element (") {
+		t.Fatalf("detail %q does not name the element", d)
+	}
+	for i := 1; i < 50; i++ {
+		if rep := Certify(res, sched, false); rep.String() != first.String() {
+			t.Fatalf("run %d reported\n%s\nrun 0 reported\n%s", i, rep, first)
+		}
+	}
+}
+
+// BenchmarkScheduleCertify certifies the 64×64 wavefront's schedule
+// over its whole domain: 4,096 instances of up to four accesses.
+func BenchmarkScheduleCertify(b *testing.B) {
+	src := `a = array ((1,1),(64,64))
+	  ([ (1,j) := 1.0 | j <- [1..64] ] ++
+	   [ (i,1) := 1.0 | i <- [2..64] ] ++
+	   [ (i,j) := a!(i-1,j) + a!(i,j-1) + a!(i-1,j-1) | i <- [2..64], j <- [2..64] ])`
+	res := analyzeSrc(b, src, nil)
+	sched, err := Build(res, nil)
+	if err != nil || sched.Thunked {
+		b.Fatalf("schedule: err=%v thunked=%v", err, sched.Thunked)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if rep := Certify(res, sched, false); rep.FalsifiedCount != 0 {
+			b.Fatalf("legal schedule falsified:\n%s", rep)
+		}
 	}
 }

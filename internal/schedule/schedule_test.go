@@ -9,7 +9,7 @@ import (
 	"arraycomp/internal/parser"
 )
 
-func analyzeSrc(t *testing.T, src string, env map[string]int64) *analysis.Result {
+func analyzeSrc(t testing.TB, src string, env map[string]int64) *analysis.Result {
 	t.Helper()
 	prog, err := parser.ParseProgram(src)
 	if err != nil {
