@@ -36,7 +36,8 @@ const (
 	// static loop nests executed as Go closures.
 	TierInterpreted Tier = "interpreted"
 	// TierNative is gogen-emitted Go compiled by the host toolchain
-	// and loaded as a plugin (or exec fallback).
+	// and loaded as a plugin. Where no plugin can be built, the
+	// program keeps serving TierInterpreted.
 	TierNative Tier = "native"
 	// TierStream is the bounded-memory streaming pipeline
 	// (Options.Stream with every definition window-legal). Streaming
@@ -313,7 +314,7 @@ func (p *Program) buildNative() error {
 		return fail(err)
 	}
 	t0 := time.Now()
-	plan, err := native.BuildOne(spec, native.Options{})
+	plan, err := native.BuildOne(spec)
 	d := time.Since(t0)
 	if ts.stats != nil {
 		ts.stats.PromoteNs.Add(int64(d))

@@ -17,6 +17,7 @@ package core_test
 import (
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -131,11 +132,10 @@ func TestTierWorkloadsDifferential(t *testing.T) {
 		legs = append(legs, leg{tc: tc, interp: interp, thunked: thunked})
 	}
 
-	mod, err := native.Build(specs, native.Options{})
+	mod, err := native.Build(specs)
 	if err != nil {
 		t.Fatalf("native batch build: %v", err)
 	}
-	defer mod.Close()
 
 	for _, l := range legs {
 		l := l
@@ -224,11 +224,10 @@ func TestTierGencompDifferential(t *testing.T) {
 	}
 	t.Logf("gencomp sweep: %d compiled, %d native-eligible", len(cases), len(specs))
 
-	mod, err := native.Build(specs, native.Options{})
+	mod, err := native.Build(specs)
 	if err != nil {
 		t.Fatalf("native batch build: %v", err)
 	}
-	defer mod.Close()
 
 	for _, c := range cases {
 		inputs := oracle.FillInputs(c.g)
@@ -321,11 +320,10 @@ func TestTierParallelNativeForcedWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parallel plan is native-ineligible: %v", err)
 	}
-	mod, err := native.Build([]native.ProgramSpec{spec}, native.Options{})
+	mod, err := native.Build([]native.ProgramSpec{spec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer mod.Close()
 
 	ref, err := seq.Run(in)
 	if err != nil {
@@ -432,6 +430,81 @@ func TestTierCertifiedPromotion(t *testing.T) {
 	}
 }
 
+// TestTierFallbackWithoutPlugins drills a host where no plugin can be
+// built: CC names a compiler that does not exist, so the cgo link of
+// -buildmode=plugin fails the way it does on a cgo-less host. The
+// promotion must fail exactly once, every call must keep serving the
+// interpreted tier bitwise equal to a TierOff compile, and later calls
+// must not start another build.
+func TestTierFallbackWithoutPlugins(t *testing.T) {
+	t.Setenv("CC", "/nonexistent/hac-cc")
+	n := int64(16)
+	in := map[string]*runtime.Strict{"a": workloads.Mesh(n, 7)}
+	params := workloads.ParamsFor("sor", n)
+	refProg, err := core.Compile(workloads.SORSrc, params, core.Options{InputBounds: boundsOf(in)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := refProg.Run(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// serveInterpreted runs p several times and checks every call.
+	serveInterpreted := func(t *testing.T, p *core.Program, stats *metrics.TierStats) {
+		t.Helper()
+		before := native.Builds()
+		for i := 0; i < 4; i++ {
+			out, tier, err := p.RunTiered(in)
+			if err != nil {
+				t.Fatalf("call %d: %v", i, err)
+			}
+			if tier != core.TierInterpreted {
+				t.Fatalf("call %d served by %q, want interpreted", i, tier)
+			}
+			bitwiseEqual(t, fmt.Sprintf("call %d", i), ref, out)
+		}
+		if got := native.Builds(); got != before {
+			t.Fatalf("native.Builds() moved %d → %d without a plugin toolchain", before, got)
+		}
+		if rep := p.TierReport(); !strings.Contains(rep, "native build failed") {
+			t.Fatalf("TierReport = %q, want the build failure", rep)
+		}
+		if got := stats.PromoteFailures.Load(); got != 1 {
+			t.Fatalf("PromoteFailures = %d, want 1 (one build attempt)", got)
+		}
+		if got := stats.Promotions.Load(); got != 0 {
+			t.Fatalf("Promotions = %d, want 0", got)
+		}
+	}
+
+	t.Run("auto", func(t *testing.T) {
+		var stats metrics.TierStats
+		p, err := core.Compile(workloads.SORSrc, params, core.Options{
+			InputBounds: boundsOf(in), Tier: core.TierAuto, TierSync: true,
+			TierThreshold: 1, TierStats: &stats,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		serveInterpreted(t, p, &stats)
+	})
+
+	t.Run("forced", func(t *testing.T) {
+		var stats metrics.TierStats
+		p, err := core.Compile(workloads.SORSrc, params, core.Options{
+			InputBounds: boundsOf(in), Tier: core.TierForced, TierStats: &stats,
+		})
+		if err != nil {
+			t.Fatalf("forced tier without plugins failed the compile: %v", err)
+		}
+		if !strings.Contains(strings.Join(p.Notes, "\n"), "serving interpreted") {
+			t.Fatalf("compile notes do not record the fallback: %q", p.Notes)
+		}
+		serveInterpreted(t, p, &stats)
+	})
+}
+
 // TestTierNativeVerifyParity: the native tier's fast/checked dual
 // lowering must report runtime-verifier verdicts identically to the
 // interpreter — one verified tally per passing run, one failed tally
@@ -489,7 +562,7 @@ func TestTierNativeVerifyParity(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NativeSpec: %v", err)
 	}
-	plan, err := native.BuildOne(spec, native.Options{})
+	plan, err := native.BuildOne(spec)
 	if err != nil {
 		t.Fatalf("native build: %v", err)
 	}

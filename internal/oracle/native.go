@@ -45,7 +45,7 @@ func RunNativeBatch(cases []*Case) {
 	if len(specs) == 0 {
 		return
 	}
-	mod, err := native.Build(specs, native.Options{})
+	mod, err := native.Build(specs)
 	if err != nil {
 		// A build failure of the batched module is itself a tiering
 		// bug: report it against every eligible case.
@@ -55,7 +55,6 @@ func RunNativeBatch(cases []*Case) {
 		}
 		return
 	}
-	defer mod.Close()
 
 	for _, e := range batch {
 		e.c.fullProg.AdoptNative(mod.Plan(e.key))

@@ -408,7 +408,7 @@ type AblationStats struct {
 // gogen-eligible cases are additionally emitted as one Go program and
 // cross-checked via `go run` (a single toolchain invocation for the
 // whole corpus). When withNative is set the eligible cases also run
-// through the native execution tier (one batched plugin/exec build).
+// through the native execution tier (one batched plugin build).
 func RunSeeds(seeds []uint64, cfg gencomp.Config, withGogen, withNative bool) *Summary {
 	s := &Summary{PerAblation: map[string]*AblationStats{}}
 	for _, ab := range Ablations() {

@@ -15,7 +15,7 @@ import (
 // generated programs, every Options ablation cross-checked against the
 // thunked reference, the gogen-eligible subset additionally built and
 // executed as native Go in one batched `go run`, and the same subset
-// run through the native execution tier (batched plugin/exec build,
+// run through the native execution tier (one batched plugin build,
 // adopted via the tier hot-swap).
 func TestOracleGenerated(t *testing.T) {
 	n := 400

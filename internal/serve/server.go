@@ -307,14 +307,10 @@ type boundsJSON struct {
 
 // optionsJSON mirrors the semantically relevant core.Options.
 type optionsJSON struct {
-	Parallel     bool                  `json:"parallel,omitempty"`
-	Workers      int                   `json:"workers,omitempty"`
-	ForceThunked bool                  `json:"force_thunked,omitempty"`
-	NoOptimize   bool                  `json:"no_optimize,omitempty"`
-	NoStencil    bool                  `json:"no_stencil,omitempty"`
-	NoLinearize  bool                  `json:"no_linearize,omitempty"`
-	Certify      bool                  `json:"certify,omitempty"`
-	InputBounds  map[string]boundsJSON `json:"input_bounds,omitempty"`
+	Parallel    bool                  `json:"parallel,omitempty"`
+	Workers     int                   `json:"workers,omitempty"`
+	Certify     bool                  `json:"certify,omitempty"`
+	InputBounds map[string]boundsJSON `json:"input_bounds,omitempty"`
 	// Tier is the execution-tier policy: "off", "auto", or "native".
 	// Empty means "use the server default" (the -tier flag), which is
 	// how a fleet operator turns tiering on without touching clients.
@@ -332,14 +328,10 @@ type optionsJSON struct {
 
 func (o optionsJSON) coreOptions() (core.Options, error) {
 	opts := core.Options{
-		Parallel:     o.Parallel,
-		Workers:      o.Workers,
-		ForceThunked: o.ForceThunked,
-		NoOptimize:   o.NoOptimize,
-		NoStencil:    o.NoStencil,
-		NoLinearize:  o.NoLinearize,
-		Certify:      o.Certify,
-		Stream:       o.Stream,
+		Parallel: o.Parallel,
+		Workers:  o.Workers,
+		Certify:  o.Certify,
+		Stream:   o.Stream,
 	}
 	tier, err := core.ParseTierMode(o.Tier)
 	if err != nil {

@@ -342,29 +342,39 @@ func TestRequestValidation(t *testing.T) {
 	}
 }
 
-// The limiter serializes work but never loses requests.
+// The limiter serializes work but never loses requests. The queue is
+// deep enough for every concurrent post, so none is shed (shedding is
+// covered by TestAdmissionControlSheds), and a request after the
+// burst proves every slot was released.
 func TestConcurrencyLimiterReleasesSlots(t *testing.T) {
-	_, ts := newTestServer(t, func(c *Config) { c.Concurrency = 1 })
+	_, ts := newTestServer(t, func(c *Config) {
+		c.Concurrency = 1
+		c.QueueDepth = 8
+	})
 	req := evalRequest{compileRequest: compileRequest{Source: wavefrontSrc, Params: map[string]int64{"n": 16}}}
 	data, _ := json.Marshal(req)
+	post := func() {
+		resp, err := http.Post(ts.URL+"/eval", "application/json", bytes.NewReader(data))
+		if err != nil {
+			t.Errorf("post: %v", err)
+			return
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("status = %d under limiter", resp.StatusCode)
+		}
+	}
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, err := http.Post(ts.URL+"/eval", "application/json", bytes.NewReader(data))
-			if err != nil {
-				t.Errorf("post: %v", err)
-				return
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				t.Errorf("status = %d under limiter", resp.StatusCode)
-			}
+			post()
 		}()
 	}
 	wg.Wait()
+	post()
 }
 
 // Parallel-scheduled plans execute on the shared warm worker pool.

@@ -10,9 +10,11 @@
 // covers the chunk plus that edge's forward lookahead, then executes
 // its loops restricted to the write positions inside the chunk, then
 // emits an immutable copy of its own chunk to every consumer (and the
-// collector, for the result stage). Windows slide by one chunk per
-// step, retaining exactly the backward history the stream plan proved
-// sufficient.
+// emit collector, for the result stage). Windows slide by one chunk
+// per step, retaining exactly the backward history the stream plan
+// proved sufficient. When the result is collected, the result stage
+// writes straight into the result array instead of a window, so its
+// chunks are never copied.
 //
 // There is one closure compiler. Each stage runs the closures
 // loopir.CompileStage builds with the materialized interpreter's own
@@ -363,40 +365,43 @@ func (p *Pipeline) run(inputs map[string]*runtime.Strict, emit func(int64, []flo
 			outs[es.from] = append(outs[es.from], e.ch)
 		}
 	}
-	collectCh := make(chan *chunkMsg, chanSlack)
-	outs[p.result] = append(outs[p.result], collectCh)
+	var collectCh chan *chunkMsg
+	if emit != nil {
+		collectCh = make(chan *chunkMsg, chanSlack)
+		outs[p.result] = append(outs[p.result], collectCh)
+	}
+	// The collected result is the result stage's own storage.
+	var out *runtime.Strict
+	if collect {
+		resPlan := p.defs[p.result].Plan
+		out = runtime.NewStrict(runtime.NewBounds1(resPlan.Lo, resPlan.Hi))
+		acct.charge(out.B.Size() * 8)
+	}
 
 	var wg sync.WaitGroup
 	for i := range p.defs {
+		var own *runtime.Strict
+		if i == p.result {
+			own = out
+		}
 		wg.Add(1)
 		go func(si int) {
 			defer wg.Done()
-			if err := p.runStage(si, inputs, chans[si], outs[si], acct, abortCh); err != nil {
+			if err := p.runStage(si, inputs, own, chans[si], outs[si], acct, abortCh); err != nil {
 				abort(err)
 			}
 		}(i)
 	}
-	// Collector: drain the result stage in chunk order.
-	var out *runtime.Strict
-	resPlan := p.defs[p.result].Plan
-	if collect {
-		out = runtime.NewStrict(runtime.NewBounds1(resPlan.Lo, resPlan.Hi))
-		acct.charge(out.B.Size() * 8)
-	}
-	var collectErr error
+	// Emit collector: drain the result stage in chunk order.
+	var emitErr error
 collector:
-	for got := int64(0); got < p.nCh; got++ {
+	for got := int64(0); collectCh != nil && got < p.nCh; got++ {
 		select {
 		case m := <-collectCh:
-			if len(m.data) > 0 {
-				if emit != nil && collectErr == nil {
-					if err := emit(m.start, m.data); err != nil {
-						collectErr = err
-						abort(fmt.Errorf("stream: emit: %w", err))
-					}
-				}
-				if collect {
-					copy(out.Data[m.start-resPlan.Lo:], m.data)
+			if len(m.data) > 0 && emitErr == nil {
+				if err := emit(m.start, m.data); err != nil {
+					emitErr = err
+					abort(fmt.Errorf("stream: emit: %w", err))
 				}
 			}
 			m.release()
@@ -412,16 +417,25 @@ collector:
 	return out, rep, nil
 }
 
-// runStage walks the chunk grid for one stage.
-func (p *Pipeline) runStage(si int, inputs map[string]*runtime.Strict, edges []*runEdge, outs []chan *chunkMsg, acct *accountant, abortCh <-chan struct{}) error {
+// runStage walks the chunk grid for one stage. A non-nil own is the
+// collected result array: the stage writes into it in place of its own
+// window.
+func (p *Pipeline) runStage(si int, inputs map[string]*runtime.Strict, own *runtime.Strict, edges []*runEdge, outs []chan *chunkMsg, acct *accountant, abortCh <-chan struct{}) error {
 	st := p.stages[si]
 	plan := p.defs[si].Plan
 	C := p.chunk
 	// Own output window: [clo-SelfBack, chi], zero-initialized like a
-	// fresh materialized output.
-	ownBuf := make([]float64, plan.SelfBack+C)
-	ownBase := p.gridLo - plan.SelfBack
-	winBytes := int64(len(ownBuf)) * 8
+	// fresh materialized output. The result array is already zeroed
+	// and charged, and holds every position, so it never slides.
+	var ownBuf []float64
+	var ownBase, winBytes int64
+	if own != nil {
+		ownBuf, ownBase = own.Data, own.B.Lo[0]
+	} else {
+		ownBuf = make([]float64, plan.SelfBack+C)
+		ownBase = p.gridLo - plan.SelfBack
+		winBytes = int64(len(ownBuf)) * 8
+	}
 	for _, e := range edges {
 		e.base = p.gridLo - e.spec.back
 		winBytes += int64(len(e.buf)) * 8
@@ -446,12 +460,14 @@ func (p *Pipeline) runStage(si int, inputs map[string]*runtime.Strict, edges []*
 		if ci > 0 {
 			// Slide: retain the backward history, zero the fresh span
 			// of the own window (fresh-array semantics).
-			copy(ownBuf[:plan.SelfBack], ownBuf[C:])
-			for k := plan.SelfBack; k < int64(len(ownBuf)); k++ {
-				ownBuf[k] = 0
+			if own == nil {
+				copy(ownBuf[:plan.SelfBack], ownBuf[C:])
+				for k := plan.SelfBack; k < int64(len(ownBuf)); k++ {
+					ownBuf[k] = 0
+				}
+				ownBase += C
+				fr.Slide(p.self[si], ownBase)
 			}
-			ownBase += C
-			fr.Slide(p.self[si], ownBase)
 			for _, e := range edges {
 				copy(e.buf[:int64(len(e.buf))-C], e.buf[C:])
 				e.base += C
