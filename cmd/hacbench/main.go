@@ -481,7 +481,7 @@ var experiments = []experiment{
 		},
 	}, {
 		id: "e16", title: "parallel engine v2: doacross/wavefront/tiling schedules",
-		expect: "wavefront nests and chains scale with workers on multi-CPU hosts; parity at 1 worker",
+		expect: "wavefront nests scale with workers on multi-CPU hosts; parity at 1 worker",
 		run: func() {
 			type kernel struct {
 				name, src, def string

@@ -39,9 +39,12 @@ import (
 // directory can forge a checksum, so the directory must be trusted to
 // the same degree as the binary.
 
+// diskVersion 2: plans are sized for the compile's worker target, not
+// the compiling host's GOMAXPROCS, so version-1 entries (which could
+// carry another host's tile shapes) are recompiled.
 const (
 	diskMagic   = "HACDISK1"
-	diskVersion = uint32(1)
+	diskVersion = uint32(2)
 	diskExt     = ".hacplan"
 )
 

@@ -62,8 +62,10 @@ type LowerOptions struct {
 	// show the unoptimized IR (`hacc ir` without -O).
 	NoOptimize bool
 	// Workers fixes the parallel worker budget of the compiled
-	// executable. 0 means decide per run (GOMAXPROCS); 1 forces
-	// sequential execution even of parallel-scheduled loops.
+	// executable and is the worker target the planner sizes tiles for.
+	// 0 means decide per run (GOMAXPROCS) and plan for the optimizer's
+	// default cohort; 1 forces sequential execution even of
+	// parallel-scheduled loops.
 	Workers int
 	// NoStencil disables the stencil specializer (guard splitting,
 	// footprint annotation, and the interior kernels keyed on the
@@ -278,7 +280,7 @@ func Lower(res *analysis.Result, sched *schedule.Result, external map[string]ana
 
 	if !o.NoOptimize {
 		t0 := time.Now()
-		st := loopir.OptimizeWith(lw.prog, loopir.OptOptions{NoStencil: o.NoStencil})
+		st := loopir.OptimizeWith(lw.prog, loopir.OptOptions{NoStencil: o.NoStencil, Workers: o.Workers})
 		lw.plan.OptTime = time.Since(t0)
 		lw.plan.Opt = st
 		if st.Changed() {
@@ -603,7 +605,7 @@ func (lw *lowerer) parallelEligible(n *schedule.Node) bool {
 // doacrossEligible mirrors parallelEligible for loops the scheduler
 // marked Doacross: the carried dependences all follow the pass
 // direction, so the optimizer's planning pass may still find a legal
-// pipelined schedule (wavefront, chains) after checking the concrete
+// pipelined schedule (a wavefront) after checking the concrete
 // distances. The same shared-state restrictions apply.
 func (lw *lowerer) doacrossEligible(n *schedule.Node) bool {
 	if !lw.opts.Parallel || !n.Doacross || lw.inParallel {

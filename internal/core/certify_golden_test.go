@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"os"
-	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -92,9 +91,9 @@ func certifyGoldenTable(t *testing.T) string {
 }
 
 // TestCertifyGoldenReports pins the certifiers' verdict counts. Plan
-// shapes depend on GOMAXPROCS, so it is pinned to the benchmark's 2.
+// shapes depend only on the corpus options (Workers: 2), not on the
+// host.
 func TestCertifyGoldenReports(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	want, err := os.ReadFile(certifyGoldenPath)
 	if err != nil {
 		t.Fatal(err)

@@ -38,11 +38,13 @@ type Options struct {
 	ForceThunked bool
 	// Parallel emits dependence-free loops as parallel loops sharded
 	// across CPUs (the paper's section 10 extension), and lets the
-	// optimizer attach doacross schedules (wavefront bands, residue
-	// chains) to loops with regular carried dependences.
+	// optimizer attach doacross schedules (wavefront bands) to loops
+	// with regular carried dependences.
 	Parallel bool
-	// Workers fixes the parallel worker budget of compiled plans. 0
-	// reads GOMAXPROCS at each run; 1 forces sequential execution.
+	// Workers fixes the parallel worker budget of compiled plans and
+	// the worker target their tiles are sized for. 0 reads GOMAXPROCS
+	// at each run and plans for a default cohort, so the plan does not
+	// depend on the compiling host; 1 forces sequential execution.
 	// Ignored unless Parallel is set.
 	Workers int
 	// NoLinearize disables the §6 linearization refinement for

@@ -28,27 +28,27 @@ func TestParallelWorkersMatchSequential(t *testing.T) {
 		schedule  string // substring expected in some plan dump; "" = none required
 	}{
 		{
-			name: "sor", src: workloads.SORSrc, n: 128,
-			bounds:   map[string]analysis.ArrayBounds{"a": mb(128)},
+			name: "sor", src: workloads.SORSrc, n: 384,
+			bounds:   map[string]analysis.ArrayBounds{"a": mb(384)},
 			inputs:   func(n int64) map[string]*runtime.Strict { return map[string]*runtime.Strict{"a": workloads.Mesh(n, 9)} },
 			schedule: "[wavefront",
 		},
 		{
-			name: "livermore23", src: workloads.Livermore23Src, n: 128,
+			name: "livermore23", src: workloads.Livermore23Src, n: 256,
 			bounds: map[string]analysis.ArrayBounds{
-				"za": mb(128), "zr": mb(128), "zb": mb(128), "zu": mb(128), "zv": mb(128),
+				"za": mb(256), "zr": mb(256), "zb": mb(256), "zu": mb(256), "zv": mb(256),
 			},
 			inputs:   workloads.Livermore23Inputs,
 			schedule: "[wavefront",
 		},
 		{
-			name: "wavefront", src: workloads.WavefrontSrc, n: 128,
+			name: "wavefront", src: workloads.WavefrontSrc, n: 384,
 			inputs:   func(int64) map[string]*runtime.Strict { return nil },
 			schedule: "[wavefront",
 		},
 		{
-			name: "jacobimono", src: workloads.JacobiMonolithicSrc, n: 80,
-			bounds:   map[string]analysis.ArrayBounds{"b": mb(80)},
+			name: "jacobimono", src: workloads.JacobiMonolithicSrc, n: 192,
+			bounds:   map[string]analysis.ArrayBounds{"b": mb(192)},
 			inputs:   func(n int64) map[string]*runtime.Strict { return map[string]*runtime.Strict{"b": workloads.Mesh(n, 3)} },
 			schedule: "[tile",
 		},

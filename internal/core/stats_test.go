@@ -53,7 +53,7 @@ func TestCompileStatsThunked(t *testing.T) {
 // chose (wavefront tiles for the §3 recurrence at a forced worker
 // count).
 func TestCompileStatsParallelSchedules(t *testing.T) {
-	p := compile(t, statsWavefrontSrc, map[string]int64{"n": 256}, Options{Parallel: true, Workers: 4})
+	p := compile(t, statsWavefrontSrc, map[string]int64{"n": 384}, Options{Parallel: true, Workers: 2})
 	kinds := p.Stats.Counters.SchedulesByKind
 	if kinds["wavefront"] == 0 {
 		t.Errorf("schedules by kind = %v, want a wavefront schedule", kinds)

@@ -9,14 +9,14 @@ import (
 // and mirrors the interpreter's executors in internal/loopir/parallel.go:
 //
 //   - ParShard:     contiguous chunks, one goroutine per worker
-//   - ParChains:    g independent residue-class chains of a constant-
-//     distance recurrence, one goroutine per chain
-//   - ParTile:      cache tiles handed out block-cyclically; the planner
-//     guarantees tiles touch disjoint data (row bands when only
-//     inner-carried dependences exist)
+//   - ParTile:      tiles (full-width row bands as the planner emits
+//     them) handed out block-cyclically; the planner guarantees tiles
+//     touch disjoint data
 //   - ParWavefront: anti-diagonal bands of tiles with a WaitGroup
-//     barrier between diagonals; per-row prefix statements run in the
-//     column-0 tile, so full row order is preserved
+//     barrier between diagonals (the interpreter pipelines row bands
+//     instead; both orders respect the planner's non-negative
+//     distances); per-row prefix statements run in the column-0 tile,
+//     so full row order is preserved
 //
 // Bodies with runtime checks never reach these shapes (the caller gates
 // on hasErrorPaths): a `return err` inside a goroutine closure would
@@ -32,12 +32,6 @@ func (e *emitter) emitScheduledLoop(x *loopir.Loop) bool {
 		return true
 	case loopir.ParMonoShard:
 		return e.emitMonoShardLoop(x)
-	case loopir.ParChains:
-		if x.Par.Chains < 2 {
-			return false
-		}
-		e.emitChainsLoop(x)
-		return true
 	case loopir.ParTile, loopir.ParWavefront:
 		return e.emitTiledNest(x)
 	}
@@ -49,7 +43,7 @@ func (e *emitter) emitScheduledLoop(x *loopir.Loop) bool {
 // next change of the subscript value, so a run of equal subscripts
 // never straddles two goroutines and the result is bitwise identical
 // to sequential left-to-right accumulation. Mirrors the interpreter's
-// compileMonoShardLoop.
+// compileShardLoop.
 func (e *emitter) emitMonoShardLoop(x *loopir.Loop) bool {
 	if x.Par.AlignOn == nil || intHasChecks(x.Par.AlignOn) {
 		return false
@@ -131,50 +125,6 @@ func (e *emitter) emitMonoShardLoop(x *loopir.Loop) bool {
 	e.depth--
 	e.line("}")
 	return true
-}
-
-// emitChainsLoop runs the residue classes i ≡ r (mod g) of a
-// constant-distance recurrence concurrently; every dependence chain
-// lies inside one class.
-func (e *emitter) emitChainsLoop(x *loopir.Loop) {
-	v := goName(x.Var)
-	g := int64(x.Par.Chains)
-	trip := (x.To-x.From)/x.Step + 1 // planner schedules step 1 only
-	if trip < 1 {
-		return
-	}
-	e.line("{ // doacross loop over %s: %d independent dependence chains", v, g)
-	e.depth++
-	e.line("var wg sync.WaitGroup")
-	e.line("for r := int64(0); r < %d; r++ {", g)
-	e.depth++
-	e.line("wg.Add(1)")
-	e.line("go func(r int64) {")
-	e.depth++
-	e.line("defer wg.Done()")
-	e.line("for t := r; t < %d; t += %d {", trip, g)
-	e.depth++
-	e.line("%s := int64(%d) + t*int64(%d)", v, x.From, x.Step)
-	e.line("_ = %s // may be fully strength-reduced away", v)
-	for _, ind := range x.Inds {
-		// Chains visit iterations out of order: rebase the register
-		// from its row ordinal instead of carrying it.
-		if ind.Step != 0 {
-			e.line("%s := %s + t*int64(%d)", goName(ind.Name), e.intExpr(ind.Init), ind.Step)
-		} else {
-			e.line("%s := %s", goName(ind.Name), e.intExpr(ind.Init))
-		}
-	}
-	e.emitStmts(x.Body)
-	e.depth--
-	e.line("}")
-	e.depth--
-	e.line("}(r)")
-	e.depth--
-	e.line("}")
-	e.line("wg.Wait()")
-	e.depth--
-	e.line("}")
 }
 
 // emitTiledNest renders a 2-D nest under a tile or wavefront schedule.

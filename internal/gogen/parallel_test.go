@@ -28,13 +28,6 @@ func checkGofmt(t *testing.T, name, src string) {
 	}
 }
 
-// Chains3Src is a third-order recurrence: three independent dependence
-// chains (residue classes mod 3).
-const chains3Src = `param n;
-a = array (1,n)
-  ([ i := 1.0 * i | i <- [1..3] ] ++
-   [ i := 0.5 * a!(i-3) + 1.0 | i <- [4..n] ])`
-
 // parDifferential compiles src with the Parallel option, checks the
 // emitted function carries the expected schedule shape, and runs the
 // generated code against the interpreter on identical inputs.
@@ -94,7 +87,7 @@ func parDifferential(t *testing.T, src string, params map[string]int64, inputDim
 // TestGeneratedWavefrontSchedule: SOR's doacross nest must emit the
 // anti-diagonal tile shape and still match the interpreter exactly.
 func TestGeneratedWavefrontSchedule(t *testing.T) {
-	n := int64(128)
+	n := int64(384)
 	parDifferential(t, workloads.SORSrc, workloads.ParamsFor("sor", n),
 		map[string][]int64{"a": {n, n}}, "a2",
 		"wavefront nest", "sync.WaitGroup")
@@ -103,18 +96,10 @@ func TestGeneratedWavefrontSchedule(t *testing.T) {
 // TestGeneratedTileSchedule: the dependence-free Jacobi interior tiles
 // without barriers.
 func TestGeneratedTileSchedule(t *testing.T) {
-	n := int64(80)
+	n := int64(192)
 	parDifferential(t, workloads.JacobiMonolithicSrc, workloads.ParamsFor("jacobimono", n),
 		map[string][]int64{"b": {n, n}}, "a",
 		"tiled nest", "runtime.GOMAXPROCS")
-}
-
-// TestGeneratedChainsSchedule: a distance-3 recurrence runs as three
-// goroutine chains.
-func TestGeneratedChainsSchedule(t *testing.T) {
-	n := int64(8192)
-	parDifferential(t, chains3Src, map[string]int64{"n": n}, nil, "a",
-		"independent dependence chains")
 }
 
 // TestForcedChecksSuppressParallelEmission pins the hasErrorPaths ×
@@ -124,7 +109,7 @@ func TestGeneratedChainsSchedule(t *testing.T) {
 // optimizer eliminating the checks (the default), the same program
 // takes the goroutine shapes.
 func TestForcedChecksSuppressParallelEmission(t *testing.T) {
-	n := int64(80)
+	n := int64(192)
 	bounds := map[string]analysis.ArrayBounds{"b": {Lo: []int64{1, 1}, Hi: []int64{n, n}}}
 	params := workloads.ParamsFor("jacobimono", n)
 
@@ -166,7 +151,6 @@ func TestGeneratedParallelGofmtClean(t *testing.T) {
 	}{
 		{"sor", workloads.SORSrc, "a2", workloads.ParamsFor("sor", n),
 			map[string]analysis.ArrayBounds{"a": {Lo: []int64{1, 1}, Hi: []int64{n, n}}}},
-		{"chains", chains3Src, "a", map[string]int64{"n": 8192}, nil},
 		{"jacobimono", workloads.JacobiMonolithicSrc, "a", workloads.ParamsFor("jacobimono", 80),
 			map[string]analysis.ArrayBounds{"b": {Lo: []int64{1, 1}, Hi: []int64{80, 80}}}},
 	} {

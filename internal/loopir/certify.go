@@ -18,13 +18,13 @@ import (
 //
 //   - shard: no cross-iteration conflicts at all (chunk boundaries are
 //     chosen at run time, so any conflict can straddle one);
-//   - chains: conflicting iterations agree modulo the chain count;
 //   - tile: conflicting points share a tile (tiles run concurrently
 //     and unordered; within a tile execution is sequential);
-//   - wavefront: conflicting points share a tile, or the earlier point
-//     lies on a strictly earlier tile anti-diagonal (the barrier
-//     orders diagonals). Per-row prefix statements execute with the
-//     row's column-0 tile.
+//   - wavefront: the earlier point's tile lies up and to the left of
+//     the later point's tile, or is the same tile (a tile starts once
+//     the tile above and the tile to its left have finished; tiles
+//     not so ordered run concurrently). Per-row prefix statements
+//     execute with the row's column-0 tile.
 
 // planOccBudget caps enumerated accesses per scheduled loop, and
 // planBucketCap the retained occurrences per element bucket.
@@ -88,7 +88,7 @@ func certifyPlan(o *optimizer, l *Loop) certify.Certificate {
 		return certify.Certificate{Layer: "plan", Claim: claim, Status: certify.Skipped, Detail: detail}
 	}
 	switch l.Par.Kind {
-	case ParShard, ParChains:
+	case ParShard:
 		acc, ok := o.collectParAccesses(l.Body)
 		if !ok {
 			return skip("accesses not collectible")
@@ -122,12 +122,6 @@ func checkPlan(claim string, acc []parAccess, nPre int, outer, inner *Loop, par 
 		return certify.Certificate{
 			Layer: "plan", Claim: claim, Status: certify.Falsified,
 			Detail: fmt.Sprintf("degenerate tile extents %dx%d", par.TileI, par.TileJ),
-		}
-	}
-	if par.Kind == ParChains && par.Chains < 2 {
-		return certify.Certificate{
-			Layer: "plan", Claim: claim, Status: certify.Falsified,
-			Detail: fmt.Sprintf("degenerate chain count %d", par.Chains),
 		}
 	}
 	for k := 0; k < nPre; k++ {
@@ -367,8 +361,6 @@ enumLoop:
 		switch par.Kind {
 		case ParShard:
 			return false
-		case ParChains:
-			return (a.i-b.i)%par.Chains == 0
 		case ParTile:
 			ai, aj := tileOf(a)
 			bi, bj := tileOf(b)
@@ -376,10 +368,7 @@ enumLoop:
 		case ParWavefront:
 			ai, aj := tileOf(a)
 			bi, bj := tileOf(b)
-			if ai == bi && aj == bj {
-				return true
-			}
-			return ai+aj < bi+bj
+			return ai <= bi && aj <= bj
 		}
 		return false
 	}

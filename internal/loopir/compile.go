@@ -49,6 +49,10 @@ type compiler struct {
 	// fp recycles per-worker frames across this program's parallel loop
 	// executions; its New is bound once slot counts are final.
 	fp *framePool
+	// rows holds each loop's row kernel (see fast.go), shared by its
+	// sequential loop and its parallel executor; parRows the kernel
+	// each parallel executor runs, by scheduled loop.
+	rows, parRows map[*Loop]*rowKernel
 	// hook is shared between the compiled BVerify closures and the Exec
 	// so SetVerifyHook (called after Compile) still reaches them.
 	hook *verifyHookBox
@@ -133,6 +137,8 @@ func newCompiler(p *Program) *compiler {
 		floatSlots: map[string]int{},
 		arraySlots: map[string]int{},
 		fp:         &framePool{},
+		rows:       map[*Loop]*rowKernel{},
+		parRows:    map[*Loop]*rowKernel{},
 		hook:       &verifyHookBox{},
 	}
 	for i, d := range p.Arrays {
@@ -192,43 +198,25 @@ func (c *compiler) compileStmt(s Stmt) stmtFn {
 		if c.stage {
 			c.fail("nested loop over %q in a stream stage", x.Var)
 		}
-		slot := c.intSlots[x.Var]
 		if x.Step == 0 {
 			c.fail("loop over %q has zero step", x.Var)
 		}
+		row := c.rowFor(x).run
 		trip := tripCount(x.From, x.To, x.Step)
-		inds := make([]cInd, len(x.Inds))
-		for i, ind := range x.Inds {
-			inds[i] = cInd{slot: c.intSlots[ind.Name], init: c.compileInt(ind.Init), step: ind.Step}
-		}
+		seq := func(f *frame) { row(f, 0, trip) }
+		var par stmtFn
 		if x.Par != nil {
-			seq := c.compileSeqLoop(x, slot, inds)
-			var par stmtFn
 			switch x.Par.Kind {
-			case ParShard:
-				par = c.compileShardLoop(x, slot, x.From, x.Step, trip, inds, seq)
-			case ParMonoShard:
-				par = c.compileMonoShardLoop(x, slot, x.From, x.Step, trip, inds, seq)
+			case ParShard, ParMonoShard:
+				par = c.compileShardLoop(x, trip, seq)
 			case ParTile, ParWavefront:
-				par = c.compileTiledNest(x, slot, x.From, trip, inds, seq)
-			case ParChains:
-				if x.Par.Chains >= 2 {
-					par = c.compileChainsLoop(x, slot, x.From, x.Step, trip, inds, seq)
-				}
+				par = c.compileTiledNest(x, trip, seq)
 			}
-			if par != nil {
-				return par
-			}
-			return seq
 		}
-		// Legacy gate: a dependence-free loop the planner did not
-		// schedule (NoOptimize, or a nest shape it does not model)
-		// still shards when the work warrants it.
-		if x.Parallel && parWorthwhile(trip, estimateWork(x.Body)) {
-			seq := c.compileSeqLoop(x, slot, inds)
-			return c.compileShardLoop(x, slot, x.From, x.Step, trip, inds, seq)
+		if par != nil {
+			return par
 		}
-		return c.compileSeqLoop(x, slot, inds)
+		return seq
 	case *If:
 		cond := c.compileBool(x.Cond)
 		then := c.compileStmts(x.Then)
@@ -288,51 +276,6 @@ func (c *compiler) compileStmt(s Stmt) stmtFn {
 	}
 	c.fail("unknown statement %T", s)
 	return nil
-}
-
-// compileSeqLoop compiles a loop's plain sequential execution — the
-// specialized fast path when the body shape allows it, otherwise the
-// generic direction-aware loop. Parallel executors also use this as
-// their single-worker fallback.
-func (c *compiler) compileSeqLoop(x *Loop, slot int, inds []cInd) stmtFn {
-	from, to, step := x.From, x.To, x.Step
-	trip := tripCount(from, to, step)
-	if fn := c.compileFastLoop(x, slot, inds); fn != nil {
-		return fn
-	}
-	if fn := c.compileStencilLoop(x, slot, inds); fn != nil {
-		return fn
-	}
-	body := c.compileStmts(x.Body)
-	if len(inds) > 0 {
-		return func(f *frame) {
-			for i := range inds {
-				f.ints[inds[i].slot] = inds[i].init(f)
-			}
-			for v, n := from, trip; n > 0; n-- {
-				f.ints[slot] = v
-				runAll(body, f)
-				v += step
-				for i := range inds {
-					f.ints[inds[i].slot] += inds[i].step
-				}
-			}
-		}
-	}
-	if step > 0 {
-		return func(f *frame) {
-			for v := from; v <= to; v += step {
-				f.ints[slot] = v
-				runAll(body, f)
-			}
-		}
-	}
-	return func(f *frame) {
-		for v := from; v >= to; v += step {
-			f.ints[slot] = v
-			runAll(body, f)
-		}
-	}
 }
 
 func (c *compiler) arraySlot(name string) int {

@@ -1,191 +1,319 @@
 package loopir
 
-// Interpreter specialization for strength-reduced loops. Most of the
-// win from strength reduction comes from the generic closure path
-// itself: an offset-form access (Assign.Off / ARef.Off) compiles to a
-// single register load plus constant add instead of re-evaluating the
-// subscript polynomial, which is what makes stencil reads and writes
-// at constant deltas cheap (see compileOffset). One shape deserves
-// more: a loop whose whole body is `dst@{r1} := src@{r2}` with both
-// registers advancing by one is a unit-stride row copy, and lowering
-// it to builtin copy turns the per-element interpreter loop into a
-// single memmove. That shape is exactly what node splitting's row
-// buffering produces (Jacobi's `rowbuf[j] := a[i-1,j]` pass).
+// The row kernel. Every loop compiles its body once, to a rowFn that
+// runs the trip-relative iterations [t0, t1) of the loop: iteration t
+// binds the loop variable to From + t·Step and each induction register
+// to its entry value + t·step. Every executor calls that one kernel —
+// the sequential loop runs row(f, 0, trip), a shard or mono-shard
+// worker its chunk, a tile or wavefront worker each row's slice of its
+// tile — so a parallel schedule runs exactly the sequential arm's
+// inner loop. The kernel compiler picks the strongest of three forms:
 //
-// An earlier revision compiled arbitrary straight-line bodies to
-// postfix tapes run by a small stack VM; measurement showed the
-// dispatch overhead made it strictly slower than the closure tree on
-// every workload, so only the copy specialization survives.
+//   - copy: a body `dst@{r1} := src@{r2}` over two step-one registers
+//     lowers to builtin copy, one memmove per row. Node splitting's
+//     row buffering produces it (Jacobi's `rowbuf[j] := a[i-1,j]`).
+//   - straight line: unchecked offset-form Assign and SetScalar
+//     statements whose registers all step by one. The register most
+//     accesses hang off is primary and lives in a local o, so each of
+//     its accesses is Data[o+d]; any other register sits a constant
+//     distance from it within a row, stored once per row in that
+//     register's slot. Such a body cannot observe the loop variable or
+//     the registers otherwise (int conversions, calls and conditionals
+//     take the generic form), so neither is maintained. Expressions
+//     evaluate in the generic form's operation order, so results are
+//     bitwise identical. This covers the stencil interiors and node
+//     splitting's multi-statement chains (Jacobi's rowbuf/prev/cur).
+//   - generic: the closure tree, writing the loop variable and the
+//     registers every iteration. Only this form raises runtime errors,
+//     and since the loop variable slot then holds the failing
+//     iteration, an executor's recover derives its rank from it.
+//
+// An earlier revision compiled straight-line bodies to postfix tapes
+// run by a small stack VM; its dispatch overhead made it strictly
+// slower than the closure tree on every workload.
 
-// sfn evaluates a stencil body expression at offset o — the current
-// value of the nest's shared unit-stride induction register. Every
-// array access in a recognized stencil row is Data[o+const], so one
-// register add replaces the whole per-access environment traffic of
-// the generic closure path.
-type sfn func(f *frame, o int64) float64
+// rowFn runs the trip-relative iterations [t0, t1) of one loop on f.
+type rowFn func(f *frame, t0, t1 int64)
 
-// compileStencilLoop compiles the interior row kernel of a recognized
-// stencil loop (Loop.Sten, see stencil.go): a single unchecked
-// offset-form assignment whose reads all hang off the same unit-stride
-// register. The kernel hoists the register into a local, skips the
-// loop-variable and register slot updates entirely (nothing in the
-// body reads them — all accesses are offset-form and VFromInt is
-// rejected), and evaluates the closure tree in the exact operation
-// order of the generic path, so results are bitwise identical.
-func (c *compiler) compileStencilLoop(x *Loop, slot int, inds []cInd) stmtFn {
-	if x.Sten == nil || x.Step != 1 || len(x.Body) != 1 {
-		return nil
+type rowKind uint8
+
+const (
+	rowGeneric rowKind = iota
+	rowCopy
+	rowStraight
+)
+
+// rowKernel is a loop's compiled row kernel and the form it took.
+type rowKernel struct {
+	run  rowFn
+	kind rowKind
+}
+
+// rowFor returns x's row kernel, compiling it on first use. The
+// sequential loop and the parallel executor of one loop share it.
+func (c *compiler) rowFor(x *Loop) *rowKernel {
+	if rk := c.rows[x]; rk != nil {
+		return rk
 	}
-	a, ok := x.Body[0].(*Assign)
-	if !ok || a.CheckBounds || a.CheckCollision || a.Accumulate != nil || a.Off == nil {
-		return nil
+	inds := c.compileInds(x)
+	rk := &rowKernel{kind: rowCopy, run: c.copyRow(x, inds)}
+	if rk.run == nil {
+		rk.kind, rk.run = rowStraight, c.straightRow(x, inds)
 	}
-	dstSlot, ok := c.arraySlots[a.Array]
-	if !ok || c.prog.Arrays[dstSlot].TrackDefs {
-		return nil
+	if rk.run == nil {
+		rk.kind, rk.run = rowGeneric, c.genericRow(x, inds)
 	}
-	dInit, dOff, ok := unitStrideOff(x, inds, a.Off)
-	if !ok {
-		return nil
+	c.rows[x] = rk
+	return rk
+}
+
+// parRow returns the row kernel the parallel executor of scheduled
+// loop x runs over loop l (x itself, or a tiled nest's inner loop).
+func (c *compiler) parRow(x, l *Loop) rowFn {
+	rk := c.rowFor(l)
+	c.parRows[x] = rk
+	return rk.run
+}
+
+func (c *compiler) compileInds(x *Loop) []cInd {
+	inds := make([]cInd, len(x.Inds))
+	for i, ind := range x.Inds {
+		inds[i] = cInd{slot: c.intSlots[ind.Name], init: c.compileInt(ind.Init), step: ind.Step}
 	}
-	base := a.Off.(*ILin).Terms[0].Var
-	body := c.compileStencilExpr(a.Rhs, base)
-	if body == nil {
-		return nil
-	}
-	trip := tripCount(x.From, x.To, x.Step)
-	if trip <= 0 {
-		return nil
-	}
-	return func(f *frame) {
-		data := f.arrays[dstSlot].Data
-		o := dInit(f)
-		for n := trip; n > 0; n-- {
-			data[o+dOff] = body(f, o)
-			o++
+	return inds
+}
+
+// genericRow runs the compiled statements once per iteration.
+func (c *compiler) genericRow(x *Loop, inds []cInd) rowFn {
+	body := c.compileStmts(x.Body)
+	slot, from, step := c.intSlots[x.Var], x.From, x.Step
+	return func(f *frame, t0, t1 int64) {
+		for i := range inds {
+			f.ints[inds[i].slot] = inds[i].init(f) + t0*inds[i].step
+		}
+		v := from + t0*step
+		for t := t0; t < t1; t++ {
+			f.ints[slot] = v
+			runAll(body, f)
+			v += step
+			for i := range inds {
+				f.ints[inds[i].slot] += inds[i].step
+			}
 		}
 	}
 }
 
-// compileStencilExpr compiles a stencil body expression to an sfn, or
-// nil when a subexpression needs the generic path. Every ARef must be
-// offset-form over the single base register; calls, conditionals, and
-// int conversions (which could observe the unmaintained loop variable)
-// are rejected.
-func (c *compiler) compileStencilExpr(e VExpr, base string) sfn {
-	switch x := e.(type) {
-	case *VConst:
-		v := x.Value
-		return func(*frame, int64) float64 { return v }
-	case *VScalar:
-		slot, ok := c.floatSlots[x.Name]
-		if !ok {
-			return nil
+// copyRow compiles the copy form, or returns nil.
+func (c *compiler) copyRow(x *Loop, inds []cInd) rowFn {
+	if len(x.Body) != 1 {
+		return nil
+	}
+	a, ok := x.Body[0].(*Assign)
+	if !ok || !c.plainStore(a) {
+		return nil
+	}
+	src, ok := a.Rhs.(*ARef)
+	if !ok || !c.plainLoad(src) || src.Array == a.Array {
+		return nil
+	}
+	di, dOff, okD := unitReg(x, a.Off)
+	si, sOff, okS := unitReg(x, src.Off)
+	if !okD || !okS {
+		return nil
+	}
+	dst, srcSlot := c.arraySlots[a.Array], c.arraySlots[src.Array]
+	dInit, sInit := inds[di].init, inds[si].init
+	return func(f *frame, t0, t1 int64) {
+		if t1 <= t0 {
+			return
 		}
-		return func(f *frame, _ int64) float64 { return f.floats[slot] }
-	case *ARef:
-		if x.CheckBounds || x.CheckDefined || x.Off == nil {
-			return nil
+		do := dInit(f) + dOff + t0
+		so := sInit(f) + sOff + t0
+		copy(f.arrays[dst].Data[do:do+t1-t0], f.arrays[srcSlot].Data[so:so+t1-t0])
+	}
+}
+
+// plainStore reports whether a is an unchecked, untracked offset-form
+// store the specialized forms may perform directly.
+func (c *compiler) plainStore(a *Assign) bool {
+	slot, ok := c.arraySlots[a.Array]
+	if !ok || a.CheckBounds || a.CheckCollision || a.Accumulate != nil || a.Off == nil {
+		return false
+	}
+	d := c.prog.Arrays[slot]
+	return d.Role != RoleIn && !(d.TrackDefs && !a.NoTrack)
+}
+
+// plainLoad reports whether r is an unchecked offset-form load.
+func (c *compiler) plainLoad(r *ARef) bool {
+	_, ok := c.arraySlots[r.Array]
+	return ok && !r.CheckBounds && !r.CheckDefined && r.Off != nil
+}
+
+// unitReg matches an offset expression const + 1·reg where reg is one
+// of x's registers stepping by one, returning reg's index in x.Inds
+// and the constant.
+func unitReg(x *Loop, off IntExpr) (int, int64, bool) {
+	lin, isLin := off.(*ILin)
+	if !isLin || len(lin.Terms) != 1 || lin.Terms[0].Coeff != 1 {
+		return 0, 0, false
+	}
+	for i, ind := range x.Inds {
+		if ind.Name == lin.Terms[0].Var {
+			return i, lin.Const, ind.Step == 1
 		}
-		lin, isLin := x.Off.(*ILin)
-		if !isLin || len(lin.Terms) != 1 || lin.Terms[0].Coeff != 1 || lin.Terms[0].Var != base {
-			return nil
+	}
+	return 0, 0, false
+}
+
+// sfn evaluates a straight-line expression at o, the primary
+// register's value.
+type sfn func(f *frame, o int64) float64
+
+// straightRow compiles the straight-line form, or returns nil.
+func (c *compiler) straightRow(x *Loop, inds []cInd) rowFn {
+	uses := make([]int, len(x.Inds))
+	if len(x.Body) == 0 || len(x.Inds) == 0 || !c.straightBody(x, uses) {
+		return nil
+	}
+	p := 0
+	for i := range uses {
+		if uses[i] > uses[p] {
+			p = i
 		}
-		slot, ok := c.arraySlots[x.Array]
-		if !ok || c.prog.Arrays[slot].TrackDefs {
-			return nil
+	}
+	// at returns an access's distance from the primary register, and
+	// -1 or the slot holding its secondary register's row distance.
+	at := func(off IntExpr) (int64, int) {
+		i, d, _ := unitReg(x, off)
+		if i == p {
+			return d, -1
 		}
-		d := lin.Const
-		return func(f *frame, o int64) float64 { return f.arrays[slot].Data[o+d] }
-	case *VBin:
-		l := c.compileStencilExpr(x.L, base)
-		r := c.compileStencilExpr(x.R, base)
-		if l == nil || r == nil {
-			return nil
+		return d, inds[i].slot
+	}
+	var expr func(e VExpr) sfn
+	expr = func(e VExpr) sfn {
+		switch v := e.(type) {
+		case *VConst:
+			k := v.Value
+			return func(*frame, int64) float64 { return k }
+		case *VScalar:
+			slot := c.floatSlots[v.Name]
+			return func(f *frame, _ int64) float64 { return f.floats[slot] }
+		case *ARef:
+			arr := c.arraySlots[v.Array]
+			d, s := at(v.Off)
+			if s >= 0 {
+				return func(f *frame, o int64) float64 { return f.arrays[arr].Data[o+f.ints[s]+d] }
+			}
+			return func(f *frame, o int64) float64 { return f.arrays[arr].Data[o+d] }
+		case *VNeg:
+			fn := expr(v.X)
+			return func(f *frame, o int64) float64 { return -fn(f, o) }
 		}
-		switch x.Op {
+		v := e.(*VBin)
+		l, r := expr(v.L), expr(v.R)
+		switch v.Op {
 		case '+':
 			return func(f *frame, o int64) float64 { return l(f, o) + r(f, o) }
 		case '-':
 			return func(f *frame, o int64) float64 { return l(f, o) - r(f, o) }
 		case '*':
 			return func(f *frame, o int64) float64 { return l(f, o) * r(f, o) }
-		case '/':
-			return func(f *frame, o int64) float64 { return l(f, o) / r(f, o) }
 		}
-		return nil
-	case *VNeg:
-		fn := c.compileStencilExpr(x.X, base)
-		if fn == nil {
-			return nil
+		return func(f *frame, o int64) float64 { return l(f, o) / r(f, o) }
+	}
+	var secs []cInd
+	for i, ind := range inds {
+		if i != p && uses[i] > 0 {
+			secs = append(secs, ind)
 		}
-		return func(f *frame, o int64) float64 { return -fn(f, o) }
 	}
-	return nil
-}
-
-// compileFastLoop recognizes the unit-stride copy shape and returns a
-// specialized executor, or nil when the loop needs the generic path.
-// inds are the loop's compiled induction registers, in x.Inds order.
-func (c *compiler) compileFastLoop(x *Loop, slot int, inds []cInd) stmtFn {
-	if len(x.Body) != 1 {
-		return nil
+	pInit := inds[p].init
+	start := func(f *frame, t0 int64) int64 {
+		o := pInit(f)
+		for _, s := range secs {
+			f.ints[s.slot] = s.init(f) - o
+		}
+		return o + t0
 	}
-	a, ok := x.Body[0].(*Assign)
-	if !ok || a.CheckBounds || a.CheckCollision || a.Accumulate != nil || a.Off == nil {
-		return nil
-	}
-	src, ok := a.Rhs.(*ARef)
-	if !ok || src.CheckBounds || src.CheckDefined || src.Off == nil || src.Array == a.Array {
-		return nil
-	}
-	dstSlot, ok := c.arraySlots[a.Array]
-	if !ok {
-		return nil
-	}
-	srcSlot, ok := c.arraySlots[src.Array]
-	if !ok {
-		return nil
-	}
-	// Definedness tracking needs the per-element path.
-	if c.prog.Arrays[dstSlot].TrackDefs {
-		return nil
-	}
-	dInit, dOff, ok := unitStrideOff(x, inds, a.Off)
-	if !ok {
-		return nil
-	}
-	sInit, sOff, ok := unitStrideOff(x, inds, src.Off)
-	if !ok {
-		return nil
-	}
-	trip := tripCount(x.From, x.To, x.Step)
-	if trip <= 0 {
-		return nil
-	}
-	return func(f *frame) {
-		do := dInit(f) + dOff
-		so := sInit(f) + sOff
-		copy(f.arrays[dstSlot].Data[do:do+trip], f.arrays[srcSlot].Data[so:so+trip])
-	}
-}
-
-// unitStrideOff matches an offset expression of the form
-// const + 1·reg where reg is one of the loop's induction registers
-// advancing by exactly one per iteration, returning the register's
-// compiled init and the constant.
-func unitStrideOff(x *Loop, inds []cInd, off IntExpr) (init intFn, d int64, ok bool) {
-	lin, isLin := off.(*ILin)
-	if !isLin || len(lin.Terms) != 1 || lin.Terms[0].Coeff != 1 {
-		return nil, 0, false
-	}
-	for i, ind := range x.Inds {
-		if ind.Name == lin.Terms[0].Var {
-			if ind.Step != 1 {
-				return nil, 0, false
+	if a, ok := x.Body[0].(*Assign); ok && len(x.Body) == 1 {
+		if d, s := at(a.Off); s < 0 {
+			// One store off the primary register, a stencil interior:
+			// hoist the destination and inline the store.
+			dst, rhs := c.arraySlots[a.Array], expr(a.Rhs)
+			return func(f *frame, t0, t1 int64) {
+				data := f.arrays[dst].Data
+				for o, n := start(f, t0), t1-t0; n > 0; o, n = o+1, n-1 {
+					data[o+d] = rhs(f, o)
+				}
 			}
-			return inds[i].init, lin.Const, true
 		}
 	}
-	return nil, 0, false
+	stmts := make([]func(f *frame, o int64), len(x.Body))
+	for i, s := range x.Body {
+		switch st := s.(type) {
+		case *Assign:
+			arr, rhs := c.arraySlots[st.Array], expr(st.Rhs)
+			if d, s := at(st.Off); s >= 0 {
+				stmts[i] = func(f *frame, o int64) { f.arrays[arr].Data[o+f.ints[s]+d] = rhs(f, o) }
+			} else {
+				stmts[i] = func(f *frame, o int64) { f.arrays[arr].Data[o+d] = rhs(f, o) }
+			}
+		case *SetScalar:
+			slot, rhs := c.floatSlots[st.Name], expr(st.Rhs)
+			stmts[i] = func(f *frame, o int64) { f.floats[slot] = rhs(f, o) }
+		}
+	}
+	return func(f *frame, t0, t1 int64) {
+		for o, n := start(f, t0), t1-t0; n > 0; o, n = o+1, n-1 {
+			for _, s := range stmts {
+				s(f, o)
+			}
+		}
+	}
+}
+
+// straightBody reports whether x's body fits the straight-line form,
+// counting each register's accesses into uses.
+func (c *compiler) straightBody(x *Loop, uses []int) bool {
+	access := func(off IntExpr) bool {
+		i, _, ok := unitReg(x, off)
+		if ok {
+			uses[i]++
+		}
+		return ok
+	}
+	var expr func(e VExpr) bool
+	expr = func(e VExpr) bool {
+		switch v := e.(type) {
+		case *VConst:
+			return true
+		case *VScalar:
+			_, ok := c.floatSlots[v.Name]
+			return ok
+		case *ARef:
+			return c.plainLoad(v) && access(v.Off)
+		case *VBin:
+			return (v.Op == '+' || v.Op == '-' || v.Op == '*' || v.Op == '/') && expr(v.L) && expr(v.R)
+		case *VNeg:
+			return expr(v.X)
+		}
+		return false
+	}
+	for _, s := range x.Body {
+		switch st := s.(type) {
+		case *Assign:
+			if !c.plainStore(st) || !access(st.Off) || !expr(st.Rhs) {
+				return false
+			}
+		case *SetScalar:
+			if _, ok := c.floatSlots[st.Name]; !ok || !expr(st.Rhs) {
+				return false
+			}
+		default:
+			return false
+		}
+	}
+	return true
 }

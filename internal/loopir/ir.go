@@ -96,25 +96,24 @@ type Loop struct {
 	To   int64
 	Step int64
 	// Parallel marks a loop whose instances carry no dependences and
-	// may execute concurrently (the paper's section 10 extension).
-	// The executor shards the iteration space across workers when the
-	// trip count warrants it; the code generator only sets this when
-	// the body touches no shared mutable state besides disjoint array
-	// elements.
+	// may execute concurrently (the paper's section 10 extension). The
+	// code generator only sets this when the body touches no shared
+	// mutable state besides disjoint array elements. Like Doacross,
+	// the flag alone never changes execution: only a Par schedule the
+	// planner attaches does.
 	Parallel bool
 	// Doacross marks a loop that carries dependences but whose pass
 	// direction is consistent with them: the optimizer may still find a
-	// doacross schedule (wavefront bands over 2-D nests, residue-class
-	// chains for 1-D constant-distance recurrences) after verifying the
-	// concrete dependence distances. The flag alone never changes
-	// execution — only a Par schedule attached by the optimizer does.
+	// doacross schedule (pipelined wavefront bands over 2-D nests)
+	// after verifying the concrete dependence distances. The flag
+	// alone never changes execution — only a Par schedule attached by
+	// the optimizer does.
 	Doacross bool
 	// Par is the concrete parallel schedule chosen by the optimizer's
 	// planning pass. It is only ever set after the distance-vector
 	// legality analysis and the trip/work cost model both pass; the
 	// executor and the Go emitter consume it. Nil means sequential
-	// execution (or, for Parallel loops compiled without the optimizer,
-	// the legacy sharding gate).
+	// execution in the interpreter.
 	Par *ParSchedule
 	// Inds are induction registers introduced by the optimizer's
 	// strength-reduction pass: each is set to Init at loop entry and
@@ -208,13 +207,14 @@ const (
 	// synchronization.
 	ParTile
 	// ParWavefront executes the TileI×TileJ tiles of a 2-D nest whose
-	// carried distance vectors are all component-wise non-negative
-	// along anti-diagonals: tiles on one diagonal run concurrently,
-	// diagonals are separated by barriers.
+	// carried distance vectors are all component-wise non-negative as
+	// a pipeline of row bands: a tile runs once the tile above it and
+	// the tile to its left have finished.
 	ParWavefront
-	// ParChains splits a 1-D loop whose carried distances share a gcd
-	// g ≥ 2 into g independent residue-class chains.
-	ParChains
+	// 4 named a residue-class chains schedule, deleted because it lost
+	// to sequential execution at every measured size; the number stays
+	// reserved so stored plans keep their kinds.
+	_
 	// ParMonoShard shards a 1-D commutative-accumulation loop whose
 	// write subscript routes through a runtime-verified monotone
 	// non-decreasing index array: chunk boundaries are aligned so that
@@ -235,8 +235,6 @@ func (k ParKind) String() string {
 		return "tile"
 	case ParWavefront:
 		return "wavefront"
-	case ParChains:
-		return "chains"
 	case ParMonoShard:
 		return "mono-shard"
 	}
@@ -252,8 +250,6 @@ type ParSchedule struct {
 	Kind ParKind
 	// TileI, TileJ are the cache tile extents (ParTile, ParWavefront).
 	TileI, TileJ int64
-	// Chains is the residue-class count g (ParChains).
-	Chains int64
 	// AlignOn is the write-subscript expression of a ParMonoShard loop,
 	// evaluated at a candidate boundary iteration to decide whether the
 	// boundary splits a run of equal subscript values. It references
@@ -266,8 +262,6 @@ func (s *ParSchedule) String() string {
 	switch s.Kind {
 	case ParTile, ParWavefront:
 		return fmt.Sprintf("%s %dx%d", s.Kind, s.TileI, s.TileJ)
-	case ParChains:
-		return fmt.Sprintf("%s %d", s.Kind, s.Chains)
 	case ParMonoShard:
 		return fmt.Sprintf("%s(%s)", s.Kind, IntExprString(s.AlignOn))
 	}

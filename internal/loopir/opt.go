@@ -89,6 +89,11 @@ type OptOptions struct {
 	// annotation (the `stencil` oracle ablation arm); the generic
 	// rewrite passes and parallel planning still run.
 	NoStencil bool
+	// Workers is the worker count the plans target (tile extents are
+	// sized for a cohort of this many). 0 means parCohortEst. It must
+	// be part of any key a plan is cached under, so that a plan is a
+	// pure function of its key.
+	Workers int
 }
 
 // Optimize rewrites the program in place and reports what it did.
@@ -98,7 +103,10 @@ func Optimize(p *Program) *OptStats {
 
 // OptimizeWith is Optimize with pass selection.
 func OptimizeWith(p *Program, opts OptOptions) *OptStats {
-	o := &optimizer{prog: p, stats: &OptStats{}, names: map[string]bool{}}
+	o := &optimizer{prog: p, stats: &OptStats{}, names: map[string]bool{}, workers: int64(opts.Workers)}
+	if o.workers < 1 {
+		o.workers = parCohortEst
+	}
 	for _, s := range p.Scalars {
 		o.names[s] = true
 	}
@@ -118,6 +126,7 @@ func OptimizeWith(p *Program, opts OptOptions) *OptStats {
 type optimizer struct {
 	prog     *Program
 	stats    *OptStats
+	workers  int64           // worker target of the parallel plans
 	names    map[string]bool // taken scalar/register names
 	indSeq   int
 	hSeq     int

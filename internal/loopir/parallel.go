@@ -1,5 +1,7 @@
 package loopir
 
+import "sync"
+
 // Parallel execution of scheduled loops (the paper's section 10
 // extension, grown into a doacross engine). The scheduler guarantees
 // which dependences a loop carries; the optimizer's planning pass (see
@@ -131,9 +133,8 @@ func tripCount(from, to, step int64) int64 {
 }
 
 // cInd is a compiled induction register: an entry-time base value and
-// a constant per-iteration step. Sequential loops advance the slot in
-// place; parallel workers rebind it per iteration as base + t·step so
-// no sequential carry is needed.
+// a constant per-iteration step. A row kernel starting at trip index t0
+// binds it to base + t0·step and advances it in place.
 type cInd struct {
 	slot int
 	init intFn
@@ -154,181 +155,72 @@ func workersFor(f *frame, limit int64) int {
 	return w
 }
 
-// compileShardLoop splits a dependence-free loop's [0..trip) iteration
-// space into one contiguous chunk per worker. seq is the sequential
-// fallback used when the run has a single worker.
-func (c *compiler) compileShardLoop(x *Loop, slot int, from, step, trip int64, inds []cInd, seq stmtFn) stmtFn {
-	body := c.compileStmts(x.Body)
-	fp := c.fp
-	return func(f *frame) {
-		w := workersFor(f, trip)
-		if w <= 1 {
-			seq(f)
-			return
+// catchRow, deferred by a worker running a row kernel over a 1-D
+// loop, records the kernel's runtime failure under the failing
+// iteration's trip index, read back from the loop variable slot (only
+// the generic kernel fails, and it writes that slot every iteration).
+// The rest of the worker's range is skipped; its iterations all follow
+// the failing one, so it is the range's first failure.
+func (p *parError) catchRow(wf *frame, slot int, from, step int64) {
+	if r := recover(); r != nil {
+		ee, ok := r.(*ExecError)
+		if !ok {
+			panic(r)
 		}
-		bases := make([]int64, len(inds))
-		for i := range inds {
-			bases[i] = inds[i].init(f)
-		}
-		chunk := (trip + int64(w) - 1) / int64(w)
-		errs := make([]parError, w)
-		runParallel(w, func(wi int) {
-			lo := int64(wi) * chunk
-			hi := lo + chunk
-			if hi > trip {
-				hi = trip
-			}
-			if lo >= hi {
-				return
-			}
-			wf := fp.get(f)
-			defer fp.put(wf)
-			var t int64
-			defer func() {
-				if r := recover(); r != nil {
-					ee, ok := r.(*ExecError)
-					if !ok {
-						panic(r)
-					}
-					// The rest of this chunk is skipped; its
-					// iterations all follow t, so t is the chunk's
-					// first failure.
-					errs[wi].record(t, ee)
-				}
-			}()
-			for t = lo; t < hi; t++ {
-				wf.ints[slot] = from + t*step
-				for i := range inds {
-					wf.ints[inds[i].slot] = bases[i] + t*inds[i].step
-				}
-				runAll(body, wf)
-			}
-		})
-		raiseMin(errs)
+		p.record((wf.ints[slot]-from)/step, ee)
 	}
 }
 
-// compileMonoShardLoop shards a loop whose write subscript
-// (Par.AlignOn, typically an indirect idx!(i) read) has been verified
-// non-decreasing over the iteration space. Naive per-worker chunk
-// boundaries are advanced to the next change of the subscript value, so
-// a run of equal subscripts never straddles two chunks: each output
-// element is written by exactly one worker, in sequential iteration
-// order, and the parallel result is bitwise identical to the
-// sequential left-to-right accumulation. Every worker computes the
-// boundary adjustment with the same pure function, so adjacent workers
-// agree on their shared boundary without communicating.
-func (c *compiler) compileMonoShardLoop(x *Loop, slot int, from, step, trip int64, inds []cInd, seq stmtFn) stmtFn {
-	if x.Par.AlignOn == nil {
-		return nil
+// compileShardLoop splits a loop's [0..trip) iteration space into one
+// contiguous chunk per worker, each run by the loop's row kernel. seq
+// is the single-worker path.
+//
+// A ParMonoShard loop's write subscript (Par.AlignOn, typically an
+// indirect idx!(i) read) has been verified non-decreasing over the
+// iteration space. Naive chunk boundaries are advanced to the next
+// change of the subscript value, so a run of equal subscripts never
+// straddles two chunks: each output element is written by exactly one
+// worker, in sequential iteration order, and the parallel result is
+// bitwise identical to the sequential left-to-right accumulation.
+// Every worker computes the boundary adjustment with the same pure
+// function, so adjacent workers agree on their shared boundary without
+// communicating.
+func (c *compiler) compileShardLoop(x *Loop, trip int64, seq stmtFn) stmtFn {
+	var align intFn
+	if x.Par.Kind == ParMonoShard {
+		if x.Par.AlignOn == nil {
+			return nil
+		}
+		align = c.compileInt(x.Par.AlignOn)
 	}
-	align := c.compileInt(x.Par.AlignOn)
-	body := c.compileStmts(x.Body)
-	fp := c.fp
+	row := c.parRow(x, x)
+	fp, slot, from, step := c.fp, c.intSlots[x.Var], x.From, x.Step
 	return func(f *frame) {
 		w := workersFor(f, trip)
 		if w <= 1 {
 			seq(f)
 			return
 		}
-		bases := make([]int64, len(inds))
-		for i := range inds {
-			bases[i] = inds[i].init(f)
-		}
 		chunk := (trip + int64(w) - 1) / int64(w)
 		errs := make([]parError, w)
 		runParallel(w, func(wi int) {
 			wf := fp.get(f)
 			defer fp.put(wf)
-			var t int64
-			bind := func(p int64) {
-				wf.ints[slot] = from + p*step
-				for i := range inds {
-					wf.ints[inds[i].slot] = bases[i] + p*inds[i].step
-				}
-			}
-			alignAt := func(p int64) int64 {
-				t = p // failures during probing report the probe point
-				bind(p)
+			defer errs[wi].catchRow(wf, slot, from, step)
+			// The write subscript reads only the loop variable, so a
+			// probe binds just that; a failing probe reports the probe
+			// point.
+			alignAt := func(t int64) int64 {
+				wf.ints[slot] = from + t*step
 				return align(wf)
 			}
-			advance := func(p int64) int64 {
-				for p > 0 && p < trip && alignAt(p) == alignAt(p-1) {
-					p++
+			advance := func(t int64) int64 {
+				for align != nil && t > 0 && t < trip && alignAt(t) == alignAt(t-1) {
+					t++
 				}
-				return p
+				return t
 			}
-			defer func() {
-				if r := recover(); r != nil {
-					ee, ok := r.(*ExecError)
-					if !ok {
-						panic(r)
-					}
-					errs[wi].record(t, ee)
-				}
-			}()
-			lo := advance(int64(wi) * chunk)
-			hi := int64(wi+1) * chunk
-			if hi > trip {
-				hi = trip
-			}
-			hi = advance(hi)
-			for t = lo; t < hi; t++ {
-				bind(t)
-				runAll(body, wf)
-			}
-		})
-		raiseMin(errs)
-	}
-}
-
-// compileChainsLoop runs the g residue-class chains of a 1-D
-// constant-distance recurrence concurrently: all carried distances are
-// multiples of g, so iterations t and t' only depend on each other when
-// t ≡ t' (mod g), and each chain is executed in order by one worker.
-func (c *compiler) compileChainsLoop(x *Loop, slot int, from, step, trip int64, inds []cInd, seq stmtFn) stmtFn {
-	g := x.Par.Chains
-	body := c.compileStmts(x.Body)
-	fp := c.fp
-	return func(f *frame) {
-		w := workersFor(f, g)
-		if w <= 1 {
-			seq(f)
-			return
-		}
-		bases := make([]int64, len(inds))
-		for i := range inds {
-			bases[i] = inds[i].init(f)
-		}
-		errs := make([]parError, w)
-		runParallel(w, func(wi int) {
-			wf := fp.get(f)
-			defer fp.put(wf)
-			for r := int64(wi); r < g; r += int64(w) {
-				// A failure ends its chain (later links read the
-				// failed element) but other chains are independent and
-				// keep running, so the globally first failure is
-				// always reached and recorded.
-				func() {
-					var t int64
-					defer func() {
-						if r := recover(); r != nil {
-							ee, ok := r.(*ExecError)
-							if !ok {
-								panic(r)
-							}
-							errs[wi].record(t, ee)
-						}
-					}()
-					for t = r; t < trip; t += g {
-						wf.ints[slot] = from + t*step
-						for i := range inds {
-							wf.ints[inds[i].slot] = bases[i] + t*inds[i].step
-						}
-						runAll(body, wf)
-					}
-				}()
-			}
+			row(wf, advance(int64(wi)*chunk), advance(min(int64(wi+1)*chunk, trip)))
 		})
 		raiseMin(errs)
 	}
@@ -336,38 +228,31 @@ func (c *compiler) compileChainsLoop(x *Loop, slot int, from, step, trip int64, 
 
 // tiledNest is the compiled form of a 2-D nest scheduled as cache
 // tiles: the outer loop, optional per-row prefix statements, and the
-// inner loop whose body is the tile kernel. Both loops step by +1.
+// inner loop's row kernel. Both loops step by +1.
 type tiledNest struct {
-	fp        *framePool
 	oSlot     int
 	oFrom, ni int64
 	oInds     []cInd
 	prefix    []stmtFn
 	iSlot     int
 	iFrom, nj int64
-	iInds     []cInd
-	body      []stmtFn
+	row       rowFn
 	tI, tJ    int64
 }
 
 // runTile executes tile (bi,bj) on the worker frame wf: rows in order,
-// the row prefix first when the tile is in column 0, then the row's
-// inner chunk. Runtime failures are recorded (tagged with the
-// iteration's rank in sequential order) and end the tile; later tiles
-// of the same worker still run, which guarantees the globally first
-// failure is reached regardless of tile-to-worker assignment.
+// the row prefix first when the tile is in column 0, then the row
+// kernel over the tile's columns. Runtime failures are recorded
+// (tagged with the iteration's rank in sequential order) and end the
+// tile; later tiles of the same worker still run, which guarantees the
+// globally first failure is reached regardless of tile-to-worker
+// assignment.
 func (tn *tiledNest) runTile(wf *frame, bi, bj int64, oBases []int64, perr *parError) {
 	iLo := tn.oFrom + bi*tn.tI
-	iHi := iLo + tn.tI
-	if last := tn.oFrom + tn.ni; iHi > last {
-		iHi = last
-	}
-	jLo := tn.iFrom + bj*tn.tJ
-	jHi := jLo + tn.tJ
-	if last := tn.iFrom + tn.nj; jHi > last {
-		jHi = last
-	}
-	var i, j int64
+	iHi := min(iLo+tn.tI, tn.oFrom+tn.ni)
+	t0 := bj * tn.tJ
+	t1 := min(t0+tn.tJ, tn.nj)
+	var i int64
 	inPrefix := false
 	defer func() {
 		if r := recover(); r != nil {
@@ -377,10 +262,11 @@ func (tn *tiledNest) runTile(wf *frame, bi, bj int64, oBases []int64, perr *parE
 			}
 			// Rank iterations so a row's prefix sorts after the
 			// previous row's last point and before the row's own
-			// points.
+			// points. The row kernel left the failing column in the
+			// inner loop variable.
 			rank := (i - tn.oFrom) * (tn.nj + 1)
 			if !inPrefix {
-				rank += 1 + (j - tn.iFrom)
+				rank += 1 + (wf.ints[tn.iSlot] - tn.iFrom)
 			}
 			perr.record(rank, ee)
 		}
@@ -395,27 +281,43 @@ func (tn *tiledNest) runTile(wf *frame, bi, bj int64, oBases []int64, perr *parE
 			runAll(tn.prefix, wf)
 			inPrefix = false
 		}
-		for r := range tn.iInds {
-			wf.ints[tn.iInds[r].slot] = tn.iInds[r].init(wf) + (jLo-tn.iFrom)*tn.iInds[r].step
-		}
-		for j = jLo; j < jHi; j++ {
-			wf.ints[tn.iSlot] = j
-			runAll(tn.body, wf)
-			for r := range tn.iInds {
-				wf.ints[tn.iInds[r].slot] += tn.iInds[r].step
-			}
-		}
+		tn.row(wf, t0, t1)
 	}
+}
+
+// bandProgress counts the finished tiles of one wavefront row band. A
+// worker waiting on it blocks rather than spins, so a cohort larger
+// than the CPUs it gets still makes progress at full speed.
+type bandProgress struct {
+	mu   sync.Mutex
+	cond sync.Cond
+	done int64
+}
+
+// await blocks until the band has finished at least n tiles.
+func (b *bandProgress) await(n int64) {
+	b.mu.Lock()
+	for b.done < n {
+		b.cond.Wait()
+	}
+	b.mu.Unlock()
+}
+
+// finish records that the band has finished n tiles.
+func (b *bandProgress) finish(n int64) {
+	b.mu.Lock()
+	b.done = n
+	b.cond.Broadcast()
+	b.mu.Unlock()
 }
 
 // compileTiledNest compiles a ParTile or ParWavefront schedule. ParTile
 // tiles are fully independent and distributed block-cyclically;
-// ParWavefront walks tile anti-diagonals with a cohort barrier between
-// diagonals, so every carried dependence (component-wise non-negative
-// by the planner's legality check) crosses a completed diagonal.
-// Returns nil when the nest shape is not the one the planner scheduled
-// (defensive — the caller then falls back to sequential execution).
-func (c *compiler) compileTiledNest(x *Loop, slot int, from, trip int64, inds []cInd, seq stmtFn) stmtFn {
+// ParWavefront pipelines row bands of tiles, each tile waiting only for
+// the tile above it. Returns nil when the nest shape is not the one the
+// planner scheduled (defensive — the caller then falls back to
+// sequential execution).
+func (c *compiler) compileTiledNest(x *Loop, trip int64, seq stmtFn) stmtFn {
 	if x.Step != 1 || len(x.Body) == 0 {
 		return nil
 	}
@@ -427,24 +329,18 @@ func (c *compiler) compileTiledNest(x *Loop, slot int, from, trip int64, inds []
 	if sched.TileI < 1 || sched.TileJ < 1 {
 		return nil
 	}
-	iSlot := c.intSlots[inner.Var]
+	inds := c.compileInds(x)
 	iTrip := tripCount(inner.From, inner.To, inner.Step)
-	iInds := make([]cInd, len(inner.Inds))
-	for i, ind := range inner.Inds {
-		iInds[i] = cInd{slot: c.intSlots[ind.Name], init: c.compileInt(ind.Init), step: ind.Step}
-	}
 	tn := &tiledNest{
-		fp:     c.fp,
-		oSlot:  slot,
-		oFrom:  from,
+		oSlot:  c.intSlots[x.Var],
+		oFrom:  x.From,
 		ni:     trip,
 		oInds:  inds,
 		prefix: c.compileStmts(x.Body[:len(x.Body)-1]),
-		iSlot:  iSlot,
+		iSlot:  c.intSlots[inner.Var],
 		iFrom:  inner.From,
 		nj:     iTrip,
-		iInds:  iInds,
-		body:   c.compileStmts(inner.Body),
+		row:    c.parRow(x, inner),
 		tI:     sched.TileI,
 		tJ:     sched.TileJ,
 	}
@@ -453,11 +349,9 @@ func (c *compiler) compileTiledNest(x *Loop, slot int, from, trip int64, inds []
 	wavefront := sched.Kind == ParWavefront
 	maxPar := nti * ntj
 	if wavefront {
-		maxPar = nti
-		if ntj < nti {
-			maxPar = ntj
-		}
+		maxPar = min(nti, ntj)
 	}
+	fp := c.fp
 	return func(f *frame) {
 		w := workersFor(f, maxPar)
 		if w <= 1 || trip == 0 || iTrip == 0 {
@@ -470,30 +364,34 @@ func (c *compiler) compileTiledNest(x *Loop, slot int, from, trip int64, inds []
 		}
 		errs := make([]parError, w)
 		if wavefront {
-			bar := newBarrier(w)
+			// Row bands are dealt to workers cyclically, and a band
+			// runs its tiles left to right. Tile (bi,bj) starts once
+			// band bi-1 has finished its tile bj, so by induction every
+			// tile up and to the left of it is done: each carried
+			// dependence (component-wise non-negative by the planner's
+			// legality check) crosses a finished tile.
+			bands := make([]bandProgress, nti)
+			for b := range bands {
+				bands[b].cond.L = &bands[b].mu
+			}
 			runParallel(w, func(wi int) {
-				wf := tn.fp.get(f)
-				defer tn.fp.put(wf)
-				for d := int64(0); d < nti+ntj-1; d++ {
-					biLo := d - (ntj - 1)
-					if biLo < 0 {
-						biLo = 0
+				wf := fp.get(f)
+				defer fp.put(wf)
+				for bi := int64(wi); bi < nti; bi += int64(w) {
+					for bj := int64(0); bj < ntj; bj++ {
+						if bi > 0 {
+							bands[bi-1].await(bj + 1)
+						}
+						tn.runTile(wf, bi, bj, oBases, &errs[wi])
+						bands[bi].finish(bj + 1)
 					}
-					biHi := d
-					if biHi > nti-1 {
-						biHi = nti - 1
-					}
-					for bi := biLo + int64(wi); bi <= biHi; bi += int64(w) {
-						tn.runTile(wf, bi, d-bi, oBases, &errs[wi])
-					}
-					bar.await()
 				}
 			})
 		} else {
 			total := nti * ntj
 			runParallel(w, func(wi int) {
-				wf := tn.fp.get(f)
-				defer tn.fp.put(wf)
+				wf := fp.get(f)
+				defer fp.put(wf)
 				for tid := int64(wi); tid < total; tid += int64(w) {
 					tn.runTile(wf, tid/ntj, tid%ntj, oBases, &errs[wi])
 				}

@@ -7,6 +7,21 @@ import (
 	"arraycomp/internal/runtime"
 )
 
+// sharded attaches a shard schedule to p's first loop by hand, so a
+// test exercises the shard executor whatever the cost model says.
+func sharded(p *Program) *Program {
+	p.Stmts[0].(*Loop).Par = &ParSchedule{Kind: ParShard}
+	return p
+}
+
+// runSharded runs p at four workers.
+func runSharded(t *testing.T, p *Program) (*runtime.Strict, error) {
+	t.Helper()
+	ex := mustCompile(t, p)
+	ex.SetWorkers(4)
+	return ex.RunResult(nil)
+}
+
 func parallelSquares(n int64, parallel bool) *Program {
 	return &Program{
 		Name:   "psquares",
@@ -24,12 +39,12 @@ func parallelSquares(n int64, parallel bool) *Program {
 }
 
 func TestParallelLoopMatchesSequential(t *testing.T) {
-	n := int64(10_000) // above minParallelTrip so sharding actually happens
+	n := int64(10_000)
 	seq, err := mustCompile(t, parallelSquares(n, false)).RunResult(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := mustCompile(t, parallelSquares(n, true)).RunResult(nil)
+	par, err := runSharded(t, sharded(parallelSquares(n, true)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,9 +54,14 @@ func TestParallelLoopMatchesSequential(t *testing.T) {
 }
 
 func TestParallelSmallTripStaysSequential(t *testing.T) {
-	// Below minParallelTrip the loop must not shard (and must still be
-	// correct).
-	out, err := mustCompile(t, parallelSquares(64, true)).RunResult(nil)
+	// The planner must not shard a loop this small (and it must still
+	// be correct).
+	p := parallelSquares(64, true)
+	Optimize(p)
+	if l := p.Stmts[0].(*Loop); l.Par != nil {
+		t.Fatalf("64-iteration loop got a %s schedule", l.Par)
+	}
+	out, err := mustCompile(t, p).RunResult(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +72,7 @@ func TestParallelSmallTripStaysSequential(t *testing.T) {
 
 func TestParallelErrorPropagates(t *testing.T) {
 	n := int64(8192)
-	p := &Program{
+	p := sharded(&Program{
 		Name:   "pfail",
 		Arrays: []ArrayDecl{{Name: "a", B: runtime.NewBounds1(1, n), Role: RoleOut}},
 		Stmts: []Stmt{
@@ -66,8 +86,8 @@ func TestParallelErrorPropagates(t *testing.T) {
 				},
 			}},
 		},
-	}
-	_, err := mustCompile(t, p).RunResult(nil)
+	})
+	_, err := runSharded(t, p)
 	if err == nil || !strings.Contains(err.Error(), "out of bounds") {
 		t.Fatalf("want bounds error from worker, got %v", err)
 	}
@@ -75,7 +95,7 @@ func TestParallelErrorPropagates(t *testing.T) {
 
 func TestParallelBackwardLoop(t *testing.T) {
 	n := int64(8192)
-	p := &Program{
+	p := sharded(&Program{
 		Name:   "pback",
 		Arrays: []ArrayDecl{{Name: "a", B: runtime.NewBounds1(1, n), Role: RoleOut}},
 		Stmts: []Stmt{
@@ -84,8 +104,8 @@ func TestParallelBackwardLoop(t *testing.T) {
 					Rhs: &VFromInt{X: &IVar{Name: "i"}}},
 			}},
 		},
-	}
-	out, err := mustCompile(t, p).RunResult(nil)
+	})
+	out, err := runSharded(t, p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,5 @@
 package loopir
 
-import (
-	"runtime"
-)
-
 // Parallel planning: the optimizer's last pass walks the optimized
 // statement tree and attaches a concrete ParSchedule to loops the
 // scheduler marked Parallel (no carried dependences at that level) or
@@ -14,75 +10,82 @@ import (
 // the candidate nest — bounds, strides and subscript coefficients are
 // all integers by now — and picks the strongest legal schedule:
 //
-//   - no carried conflicts at all      → ParTile (2-D) / ParShard (1-D)
-//   - all distances component-wise ≥ 0 → ParWavefront (anti-diagonal
-//     bands of cache tiles, barrier between diagonals)
-//   - 1-D distances with gcd g ≥ 2     → ParChains (g independent
-//     residue-class chains)
+//   - no carried conflicts, or only
+//     inner-carried ones (di = 0)      → ParTile full-width row bands
+//     (2-D) / ParShard (1-D)
+//   - all distances component-wise ≥ 0 → ParWavefront (pipelined row
+//     bands of cache tiles)
 //   - anything else                    → sequential
 //
 // A schedule is only attached when the trip/work cost model says the
-// parallel dispatch (and, for wavefronts, the barriers) will pay for
+// parallel dispatch (and, for wavefronts, the band waits) will pay for
 // itself.
 
 // --- cost model ---
 
 // The model charges abstract work units (the same currency as
-// estimateWork) for engine overheads: handing a closure to a pool
-// worker, and one barrier phase of a wavefront cohort. A schedule is
-// worthwhile when the loop's total work covers the overhead of a
-// typical cohort by parPayoff, so small or cheap loops stay sequential
-// no matter how parallel they look.
+// estimateWork; one unit ran in about 1.9 ns on the 2-vCPU host the
+// constants were fitted on) for engine overheads: handing a closure to
+// a pool worker, and a wavefront band blocking until the band above
+// has finished a tile. A schedule is worthwhile when the work it takes
+// off the critical path — the loop's total work minus the share its
+// longest worker still runs — covers those overheads by parPayoff, so
+// small, cheap or poorly balanced loops stay sequential no matter how
+// parallel they look. The workers are the compile's worker target.
 const (
-	parDispatchWork = 1 << 10 // per-worker handoff
-	parBarrierWork  = 1 << 9  // per barrier phase, per worker
-	parPayoff       = 8       // required work : overhead ratio
-	parCohortEst    = 4       // overhead is charged for this many workers
+	parDispatchWork = 1 << 14 // per worker handed a closure
+	parSyncWork     = 1 << 14 // per wavefront band waiting on the band above
+	parPayoff       = 4       // required saved work : overhead ratio
+	parCohortEst    = 4       // worker target when the compile names none
 )
 
-// parWorthwhile decides plain sharding (and chains): total work must
-// dwarf the dispatch overhead of a small cohort.
-func parWorthwhile(trip, bodyWork int64) bool {
-	if trip < 2 {
-		return false
-	}
-	return satMul(trip, bodyWork) >= parPayoff*parCohortEst*parDispatchWork
+// parPays decides a schedule that splits total work into units equal
+// parts, of which the longest worker's chain runs path, with workers
+// handed a closure and syncs blocking waits.
+func parPays(total, units, path, workers, syncs int64) bool {
+	saved := float64(total) * float64(units-path) / float64(units)
+	overhead := float64(workers-1)*parDispatchWork + float64(syncs)*parSyncWork
+	return workers >= 2 && saved >= parPayoff*overhead
 }
 
-// tileWorthwhile decides tiled schedules; wavefronts additionally pay
-// one barrier per tile anti-diagonal. Degenerate shapes (non-positive
+// parWorthwhile decides plain sharding: one contiguous chunk per
+// worker.
+func parWorthwhile(trip, bodyWork, workers int64) bool {
+	w := min(workers, trip)
+	return trip >= 2 && parPays(satMul(trip, bodyWork), trip, (trip+w-1)/w, w, 0)
+}
+
+// tileWorthwhile decides tiled schedules. Independent tiles are dealt
+// block-cyclically; a wavefront's row bands are dealt cyclically and
+// pipeline one tile apart, so its critical path is the longest
+// worker's bands plus the pipeline fill, and every band after the
+// first may block on the one above. Degenerate shapes (non-positive
 // extents or tiles, e.g. from a saturated trip count) never pay.
-func tileWorthwhile(ni, nj, bodyWork, tI, tJ int64, wavefront bool) bool {
+func tileWorthwhile(ni, nj, bodyWork, tI, tJ, workers int64, wavefront bool) bool {
 	if ni < 1 || nj < 1 || tI < 1 || tJ < 1 {
 		return false
 	}
 	nti := (ni-1)/tI + 1
 	ntj := (nj-1)/tJ + 1
-	if satMul(nti, ntj) < 2 {
-		return false
-	}
-	overhead := int64(parCohortEst) * parDispatchWork
-	if wavefront {
-		if nti < 2 && ntj < 2 {
-			return false
-		}
-		overhead = satAdd(overhead, satMul(satAdd(nti, ntj)-1, parCohortEst*parBarrierWork))
-	}
+	units := satMul(nti, ntj)
 	total := satMul(satMul(ni, nj), bodyWork)
-	return total >= satMul(parPayoff, overhead)
+	if !wavefront {
+		w := min(workers, units)
+		return parPays(total, units, (units+w-1)/w, w, 0)
+	}
+	w := min(workers, nti, ntj)
+	path := min(satAdd(satMul((nti+w-1)/w, ntj), w-1), units)
+	return parPays(total, units, path, w, nti-1)
 }
 
 // chooseTile picks the cache tile extents for an ni×nj nest: roughly
-// 2·workers tiles along each dimension so every anti-diagonal keeps the
-// cohort busy, clamped so a tile stays big enough to amortize its
-// dispatch and small enough to live in cache.
-func chooseTile(ni, nj int64) (tI, tJ int64) {
-	est := int64(runtime.GOMAXPROCS(0))
-	if est < 1 {
-		est = 1
-	}
+// 2·workers tiles along each dimension so every anti-diagonal keeps a
+// cohort of the compile's worker target busy, clamped so a tile stays
+// big enough to amortize its dispatch and small enough to live in
+// cache.
+func chooseTile(ni, nj, workers int64) (tI, tJ int64) {
 	pick := func(n int64) int64 {
-		t := n / (2 * est)
+		t := n / (2 * workers)
 		if t < 8 {
 			t = 8
 		}
@@ -109,9 +112,9 @@ func chooseTile(ni, nj int64) (tI, tJ int64) {
 // is a small fraction of its area — at least 8·haloI rows — while the
 // inner extent is stretched toward the cache-line-friendly maximum
 // (the interior row is unit-stride, so wide tiles cost nothing extra
-// and cut the number of synchronizing diagonals).
-func chooseStencilTile(ni, nj int64, st *StencilInfo) (tI, tJ int64) {
-	gi, gj := chooseTile(ni, nj)
+// and cut the number of tiles a band waits on).
+func chooseStencilTile(ni, nj, workers int64, st *StencilInfo) (tI, tJ int64) {
+	gi, gj := chooseTile(ni, nj, workers)
 	tI = 8 * st.HaloI
 	if tI < gi {
 		tI = gi
@@ -274,38 +277,34 @@ func (o *optimizer) assignPar2D(l, inner *Loop) bool {
 			nonneg = false
 		}
 	}
-	work := estimateWork(inner.Body)
-	tI, tJ := chooseTile(ni, nj)
+	work, w := estimateWork(inner.Body), o.workers
+	tI, tJ := chooseTile(ni, nj, w)
 	if l.Sten != nil && l.Sten.Dims == 2 {
 		// Halo-fed tiling: the recognized footprint overrides the
 		// generic occupancy heuristic. Legality is untouched — tile
 		// sizes only reshape the schedule's unit of work.
-		tI, tJ = chooseStencilTile(ni, nj, l.Sten)
+		tI, tJ = chooseStencilTile(ni, nj, w, l.Sten)
 	}
 	switch {
-	case !carried:
-		// Dependence-free: cache-tiled, no synchronization.
-		if !tileWorthwhile(ni, nj, work, tI, tJ, false) {
-			return false
-		}
-		l.Par = &ParSchedule{Kind: ParTile, TileI: tI, TileJ: tJ}
-		return true
-	case rowIndep:
-		// Only inner-carried dependences: rows are independent, so
-		// full-width row bands need no synchronization and keep each
-		// row's sequential order.
-		if !tileWorthwhile(ni, nj, work, tI, nj, false) {
+	case !carried || rowIndep:
+		// No carried dependence, or only inner-carried ones: rows are
+		// independent, so full-width row bands need no synchronization
+		// and keep each row's sequential order. On dependence-free
+		// stencils, full-width bands also measured faster than square
+		// tiles (out-of-place Jacobi at n=384, 2 workers: 1.5-1.7x
+		// over one worker against 1.3-1.4x).
+		if !tileWorthwhile(ni, nj, work, tI, nj, w, false) {
 			return false
 		}
 		l.Par = &ParSchedule{Kind: ParTile, TileI: tI, TileJ: nj}
 		return true
 	case nonneg:
-		// Regular carried dependences, all pointing right/down: tiles
-		// on one anti-diagonal are independent, diagonals synchronize
-		// through a barrier. A prefix conflict with the same or a later
-		// row is fine (the column-0 tile of a row band runs before all
-		// its other tiles).
-		if !tileWorthwhile(ni, nj, work, tI, tJ, true) {
+		// Regular carried dependences, all pointing right/down: a tile
+		// may start once the tile above and the tile to its left are
+		// done, so row bands pipeline. A prefix conflict with the same
+		// or a later row is fine (the column-0 tile of a row band runs
+		// before all its other tiles).
+		if !tileWorthwhile(ni, nj, work, tI, tJ, w, true) {
 			return false
 		}
 		l.Par = &ParSchedule{Kind: ParWavefront, TileI: tI, TileJ: tJ}
@@ -315,64 +314,34 @@ func (o *optimizer) assignPar2D(l, inner *Loop) bool {
 }
 
 func (o *optimizer) assignPar1D(l *Loop, trip int64) bool {
-	work := estimateWork(l.Body)
-	if !parWorthwhile(trip, work) {
+	if !parWorthwhile(trip, estimateWork(l.Body), o.workers) {
 		return false
 	}
-	if l.Parallel {
-		l.Par = &ParSchedule{Kind: ParShard}
-		return true
-	}
-	// Doacross: constant-distance 1-D recurrence. All subscripts must
-	// step uniformly with the loop so the distances are well defined.
-	if l.Step != 1 {
-		return false
-	}
-	acc, okAcc := o.collectParAccesses(l.Body)
-	if !okAcc {
-		return false
-	}
-	var g int64
-	for i := range acc {
-		for j := i; j < len(acc); j++ {
-			if !acc[i].write && !acc[j].write {
-				continue
-			}
-			d, kind := dist1D(&acc[i], &acc[j], l.Var, trip)
-			switch kind {
-			case distNone:
-				continue
-			case distUnknown:
-				return false
-			}
-			if d < 0 {
-				d = -d
-			}
-			if d != 0 {
-				g = gcd(g, d)
+	if !l.Parallel {
+		// Doacross: shard only when the concrete distances show no
+		// carried conflict after all. A loop that does carry one stays
+		// sequential: running its residue-class chains concurrently
+		// lost to one worker at every measured size.
+		if l.Step != 1 {
+			return false
+		}
+		acc, ok := o.collectParAccesses(l.Body)
+		if !ok {
+			return false
+		}
+		for i := range acc {
+			for j := i; j < len(acc); j++ {
+				if !acc[i].write && !acc[j].write {
+					continue
+				}
+				if d, kind := dist1D(&acc[i], &acc[j], l.Var, trip); kind == distUnknown || (kind == distExact && d != 0) {
+					return false
+				}
 			}
 		}
 	}
-	switch {
-	case g == 0:
-		// No carried conflicts after all: plain sharding is legal.
-		l.Par = &ParSchedule{Kind: ParShard}
-	case g >= 2:
-		l.Par = &ParSchedule{Kind: ParChains, Chains: g}
-	default:
-		return false
-	}
+	l.Par = &ParSchedule{Kind: ParShard}
 	return true
-}
-
-func gcd(a, b int64) int64 {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	if a < 0 {
-		return -a
-	}
-	return a
 }
 
 // --- access collection ---

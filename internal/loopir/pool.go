@@ -16,9 +16,8 @@ import (
 // of one Exec) may run parallel loops at the same time, each borrowing
 // as many workers as it needs. There is no fixed pool size — a request
 // that finds the idle stack empty simply starts another goroutine, so a
-// cohort of SPMD workers that synchronize through a barrier can never
-// deadlock waiting for each other to be scheduled. Only the parked
-// reserve is bounded.
+// cohort of workers that wait for each other can never deadlock
+// waiting to be scheduled. Only the parked reserve is bounded.
 
 const maxIdleWorkers = 64
 
@@ -59,8 +58,9 @@ func workerLoop(ch chan func()) {
 // runParallel executes fn(0) … fn(n-1) concurrently — fn(0) on the
 // calling goroutine, the rest on pool workers — and returns when all
 // have finished. Each fn runs on its own goroutine, so the cohort may
-// synchronize internally (wavefront barriers). fn must not panic:
-// parallel loop bodies convert runtime failures to recorded errors.
+// synchronize internally (a wavefront band waits for the band above).
+// fn must not panic: parallel loop bodies convert runtime failures to
+// recorded errors.
 func runParallel(n int, fn func(w int)) {
 	if n <= 1 {
 		fn(0)
@@ -78,42 +78,6 @@ func runParallel(n int, fn func(w int)) {
 	}
 	fn(0)
 	wg.Wait()
-}
-
-// spmdBarrier is a reusable generation barrier for a fixed cohort. A
-// condition variable (rather than a spin loop) keeps it correct when
-// the cohort is larger than GOMAXPROCS.
-type spmdBarrier struct {
-	mu    sync.Mutex
-	cond  sync.Cond
-	n     int
-	count int
-	gen   int
-}
-
-func newBarrier(n int) *spmdBarrier {
-	b := &spmdBarrier{n: n}
-	b.cond.L = &b.mu
-	return b
-}
-
-// await blocks until all n cohort members have called it, then releases
-// the whole cohort and resets for the next phase.
-func (b *spmdBarrier) await() {
-	b.mu.Lock()
-	gen := b.gen
-	b.count++
-	if b.count == b.n {
-		b.count = 0
-		b.gen++
-		b.cond.Broadcast()
-		b.mu.Unlock()
-		return
-	}
-	for gen == b.gen {
-		b.cond.Wait()
-	}
-	b.mu.Unlock()
 }
 
 // framePool recycles per-worker register frames across loop executions.

@@ -49,6 +49,13 @@ func seededMatrix(n int64) *runtime.Strict {
 	return m
 }
 
+// planWorkers is the worker target the schedule tests plan for, so a
+// test's plan does not depend on the host it runs on.
+const planWorkers = 2
+
+// optimizeFor optimizes p for planWorkers workers.
+func optimizeFor(p *Program) { OptimizeWith(p, OptOptions{Workers: planWorkers}) }
+
 // runWorkers compiles (optionally optimizing) and runs with a fixed
 // worker count.
 func runWorkers(t *testing.T, p *Program, optimize bool, workers int, inputs map[string]*runtime.Strict) *runtime.Strict {
@@ -66,12 +73,12 @@ func runWorkers(t *testing.T, p *Program, optimize bool, workers int, inputs map
 }
 
 func TestWavefrontScheduleMatchesSequential(t *testing.T) {
-	n := int64(128)
+	n := int64(256)
 	reads := [][2]int64{{-1, 0}, {0, -1}, {1, 0}, {0, 1}} // SOR shape
 	ref := runWorkers(t, stencil2D(n, false, reads), false, 1,
 		map[string]*runtime.Strict{"a": seededMatrix(n)})
 	p := stencil2D(n, true, reads)
-	Optimize(p)
+	optimizeFor(p)
 	if d := p.Dump(); !strings.Contains(d, "[wavefront") {
 		t.Fatalf("planner did not pick a wavefront schedule:\n%s", d)
 	}
@@ -91,7 +98,7 @@ func TestWavefrontScheduleMatchesSequential(t *testing.T) {
 func TestTileScheduleMatchesSequential(t *testing.T) {
 	// Reads come from a separate input: the nest is dependence-free and
 	// should tile without synchronization.
-	n := int64(128)
+	n := int64(256)
 	mk := func(parallel bool) *Program {
 		return &Program{
 			Name: "jac",
@@ -118,7 +125,7 @@ func TestTileScheduleMatchesSequential(t *testing.T) {
 	in := map[string]*runtime.Strict{"b": seededMatrix(n)}
 	ref := runWorkers(t, mk(false), false, 1, in)
 	p := mk(true)
-	Optimize(p)
+	optimizeFor(p)
 	if d := p.Dump(); !strings.Contains(d, "[tile") {
 		t.Fatalf("planner did not pick a tile schedule:\n%s", d)
 	}
@@ -131,12 +138,12 @@ func TestTileScheduleMatchesSequential(t *testing.T) {
 func TestRowBandScheduleMatchesSequential(t *testing.T) {
 	// Only an inner-carried dependence (a[i,j-1]): rows are independent,
 	// the planner should pick full-width row bands (TileJ = nj).
-	n := int64(128)
+	n := int64(256)
 	reads := [][2]int64{{0, -1}}
 	ref := runWorkers(t, stencil2D(n, false, reads), false, 1,
 		map[string]*runtime.Strict{"a": seededMatrix(n)})
 	p := stencil2D(n, true, reads)
-	Optimize(p)
+	optimizeFor(p)
 	outer, ok := p.Stmts[0].(*Loop)
 	if !ok || outer.Par == nil || outer.Par.Kind != ParTile || outer.Par.TileJ != n-2 {
 		t.Fatalf("want row-band tile schedule, got:\n%s", p.Dump())
@@ -147,67 +154,32 @@ func TestRowBandScheduleMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestChainsScheduleMatchesSequential(t *testing.T) {
-	n := int64(8192)
-	mk := func(doacross bool) *Program {
-		return &Program{
-			Name:   "rec3",
+func TestUnitDistanceRecurrenceStaysSequential(t *testing.T) {
+	// Big enough that a shard would pay if it were legal. Distance 3
+	// (three residue-class chains) stays sequential too: no schedule
+	// runs a carried 1-D recurrence.
+	n := int64(1 << 20)
+	for _, d := range []int64{1, 3} {
+		p := &Program{
+			Name:   "rec",
 			Arrays: []ArrayDecl{{Name: "a", B: runtime.NewBounds1(1, n), Role: RoleInOut}},
 			Stmts: []Stmt{
-				&Loop{Var: "i", From: 4, To: n, Step: 1, Doacross: doacross, Body: []Stmt{
+				&Loop{Var: "i", From: 1 + d, To: n, Step: 1, Doacross: true, Body: []Stmt{
 					&Assign{
 						Array: "a",
 						Subs:  []IntExpr{lin(0, term("i", 1))},
 						Rhs: &VBin{Op: '+',
-							L: &ARef{Array: "a", Subs: []IntExpr{lin(-3, term("i", 1))}},
+							L: &ARef{Array: "a", Subs: []IntExpr{lin(-d, term("i", 1))}},
 							R: &VConst{Value: 1},
 						},
 					},
 				}},
 			},
 		}
-	}
-	seed := func() *runtime.Strict {
-		v := runtime.NewStrict(runtime.NewBounds1(1, n))
-		for i := range v.Data {
-			v.Data[i] = float64(i % 5)
+		st := Optimize(p)
+		if outer := p.Stmts[0].(*Loop); outer.Par != nil || st.ParSchedules != 0 {
+			t.Fatalf("distance-%d recurrence must stay sequential:\n%s", d, p.Dump())
 		}
-		return v
-	}
-	ref := runWorkers(t, mk(false), false, 1, map[string]*runtime.Strict{"a": seed()})
-	p := mk(true)
-	Optimize(p)
-	outer, ok := p.Stmts[0].(*Loop)
-	if !ok || outer.Par == nil || outer.Par.Kind != ParChains || outer.Par.Chains != 3 {
-		t.Fatalf("want chains(3) schedule, got:\n%s", p.Dump())
-	}
-	got := runWorkers(t, p, false, 3, map[string]*runtime.Strict{"a": seed()})
-	if !ref.EqualWithin(got, 0) {
-		t.Fatal("chains result differs from sequential")
-	}
-}
-
-func TestUnitDistanceRecurrenceStaysSequential(t *testing.T) {
-	n := int64(8192)
-	p := &Program{
-		Name:   "rec1",
-		Arrays: []ArrayDecl{{Name: "a", B: runtime.NewBounds1(1, n), Role: RoleInOut}},
-		Stmts: []Stmt{
-			&Loop{Var: "i", From: 2, To: n, Step: 1, Doacross: true, Body: []Stmt{
-				&Assign{
-					Array: "a",
-					Subs:  []IntExpr{lin(0, term("i", 1))},
-					Rhs: &VBin{Op: '+',
-						L: &ARef{Array: "a", Subs: []IntExpr{lin(-1, term("i", 1))}},
-						R: &VConst{Value: 1},
-					},
-				},
-			}},
-		},
-	}
-	st := Optimize(p)
-	if outer := p.Stmts[0].(*Loop); outer.Par != nil || st.ParSchedules != 0 {
-		t.Fatalf("unit-distance recurrence must stay sequential:\n%s", p.Dump())
 	}
 }
 
@@ -240,7 +212,7 @@ func TestNonUniformDependenceStaysSequential(t *testing.T) {
 // tiled nest (the fused border-column case): the prefix must run once
 // per row, before the row's first tile column.
 func TestWavefrontPrefixRows(t *testing.T) {
-	n := int64(128)
+	n := int64(384)
 	mk := func(doacross bool) *Program {
 		return &Program{
 			Name:   "wf",
@@ -271,7 +243,7 @@ func TestWavefrontPrefixRows(t *testing.T) {
 	}
 	ref := runWorkers(t, mk(false), false, 1, map[string]*runtime.Strict{"a": seededMatrix(n)})
 	p := mk(true)
-	Optimize(p)
+	optimizeFor(p)
 	if d := p.Dump(); !strings.Contains(d, "[wavefront") {
 		t.Fatalf("planner did not pick a wavefront schedule:\n%s", d)
 	}
@@ -290,7 +262,7 @@ func TestShardDeterministicError(t *testing.T) {
 		Name:   "perr",
 		Arrays: []ArrayDecl{{Name: "a", B: runtime.NewBounds1(1, n), Role: RoleOut}},
 		Stmts: []Stmt{
-			&Loop{Var: "i", From: 1, To: n, Step: 1, Parallel: true, Body: []Stmt{
+			&Loop{Var: "i", From: 1, To: n, Step: 1, Parallel: true, Par: &ParSchedule{Kind: ParShard}, Body: []Stmt{
 				// i < bad: writes a[i]; i >= bad: writes a[i + n] — out of
 				// bounds, so every iteration from bad on fails.
 				&Assign{
@@ -428,23 +400,5 @@ func TestRunParallelPoolReuse(t *testing.T) {
 	workerPool.mu.Unlock()
 	if idle == 0 || idle > maxIdleWorkers {
 		t.Fatalf("idle pool size %d after reuse rounds", idle)
-	}
-}
-
-func TestBarrierGenerations(t *testing.T) {
-	const cohort = 6
-	const phases = 25
-	bar := newBarrier(cohort)
-	counts := make([]int64, cohort)
-	runParallel(cohort, func(w int) {
-		for p := 0; p < phases; p++ {
-			counts[w]++
-			bar.await()
-		}
-	})
-	for w, c := range counts {
-		if c != phases {
-			t.Fatalf("worker %d completed %d phases, want %d", w, c, phases)
-		}
 	}
 }

@@ -1,0 +1,194 @@
+package loopir
+
+import (
+	"strings"
+	"testing"
+
+	"arraycomp/internal/runtime"
+)
+
+// compileRows compiles p and returns the compiler, whose rows map
+// records the row kernel every loop got.
+func compileRows(t *testing.T, p *Program) *compiler {
+	t.Helper()
+	var c *compiler
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				t.Fatalf("compile: %v", r)
+			}
+		}()
+		c = newCompiler(p)
+		c.compileStmts(p.Stmts)
+	}()
+	return c
+}
+
+// TestExecutorsGetSpecializedRow: a stencil inner loop compiles to one
+// straight-line row kernel, and that kernel is the one the sequential
+// loop, the tile or wavefront executor and the shard executor run —
+// each loop has exactly one kernel, compiled once.
+func TestExecutorsGetSpecializedRow(t *testing.T) {
+	n := int64(64)
+	for _, kind := range []ParKind{ParTile, ParWavefront} {
+		p := stencil2D(n, true, [][2]int64{{-1, 0}, {0, -1}, {1, 0}, {0, 1}})
+		optimizeFor(p)
+		outer := p.Stmts[0].(*Loop)
+		outer.Par = &ParSchedule{Kind: kind, TileI: 16, TileJ: 16}
+		c := compileRows(t, p)
+		inner := outer.Body[len(outer.Body)-1].(*Loop)
+		if rk := c.parRows[outer]; rk == nil || rk != c.rows[inner] || rk.kind != rowStraight {
+			t.Fatalf("%s: executor row kernel %+v, want the inner loop's straight-line kernel", kind, rk)
+		}
+		if rk := c.rows[outer]; rk == nil || rk.kind != rowGeneric {
+			t.Fatalf("%s: outer loop row kernel %+v, want the generic form", kind, rk)
+		}
+		if len(c.rows) != 2 {
+			t.Fatalf("%s: %d row kernels compiled for a two-loop nest", kind, len(c.rows))
+		}
+	}
+
+	// A 1-D shard over a unit-stride body with two registers at a
+	// per-row distance: still one straight-line kernel.
+	p := &Program{
+		Name: "axpy",
+		Arrays: []ArrayDecl{
+			{Name: "y", B: runtime.NewBounds1(1, 4096), Role: RoleOut},
+			{Name: "x", B: runtime.NewBounds1(0, 4096), Role: RoleIn},
+		},
+		Stmts: []Stmt{&Loop{Var: "i", From: 1, To: 4096, Step: 1, Parallel: true,
+			Par: &ParSchedule{Kind: ParShard},
+			Inds: []Ind{
+				{Name: "oy", Init: lin(0), Step: 1},
+				{Name: "ox", Init: lin(1), Step: 1},
+			},
+			Body: []Stmt{&Assign{Array: "y", Subs: []IntExpr{lin(0, term("i", 1))}, Off: lin(0, term("oy", 1)),
+				Rhs: &VBin{Op: '+',
+					L: &ARef{Array: "x", Subs: []IntExpr{lin(0, term("i", 1))}, Off: lin(0, term("ox", 1))},
+					R: &ARef{Array: "x", Subs: []IntExpr{lin(-1, term("i", 1))}, Off: lin(-1, term("ox", 1))},
+				}}}}},
+	}
+	c := compileRows(t, p)
+	shard := p.Stmts[0].(*Loop)
+	if rk := c.parRows[shard]; rk == nil || rk != c.rows[shard] || rk.kind != rowStraight {
+		t.Fatalf("shard executor row kernel %+v, want the loop's straight-line kernel", rk)
+	}
+	in := runtime.NewStrict(runtime.NewBounds1(0, 4096))
+	for i := range in.Data {
+		in.Data[i] = float64(i)
+	}
+	ex := mustCompile(t, p)
+	for _, w := range []int{1, 4} {
+		ex.SetWorkers(w)
+		out, err := ex.RunResult(map[string]*runtime.Strict{"x": in})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := int64(1); i <= 4096; i++ {
+			if got := out.At(i); got != float64(2*i-1) {
+				t.Fatalf("workers=%d: y(%d) = %v, want %d", w, i, got, 2*i-1)
+			}
+		}
+	}
+}
+
+// TestRowKernelForms: which body shapes take which form.
+func TestRowKernelForms(t *testing.T) {
+	b := runtime.NewBounds1(1, 100)
+	at := func(reg string, d int64) IntExpr { return lin(d, term(reg, 1)) }
+	ref := func(arr, reg string, d int64) *ARef {
+		return &ARef{Array: arr, Subs: []IntExpr{lin(d, term("i", 1))}, Off: at(reg, d)}
+	}
+	store := func(arr, reg string, rhs VExpr) *Assign {
+		return &Assign{Array: arr, Subs: []IntExpr{lin(0, term("i", 1))}, Off: at(reg, 0), Rhs: rhs}
+	}
+	cases := []struct {
+		name string
+		body []Stmt
+		step int64
+		want rowKind
+	}{
+		{"copy", []Stmt{store("y", "o", ref("x", "o", 0))}, 1, rowCopy},
+		{"self copy", []Stmt{store("y", "o", ref("y", "o", -1))}, 1, rowStraight},
+		{"scalar chain", []Stmt{
+			&SetScalar{Name: "s", Rhs: &VBin{Op: '*', L: ref("x", "o", 0), R: &VConst{Value: 2}}},
+			store("y", "o", &VScalar{Name: "s"}),
+		}, 1, rowStraight},
+		{"int conversion", []Stmt{store("y", "o", &VFromInt{X: &IVar{Name: "i"}})}, 1, rowGeneric},
+		{"call", []Stmt{store("y", "o", &VCall{Fn: "abs", Args: []VExpr{ref("x", "o", 0)}})}, 1, rowGeneric},
+		{"checked read", []Stmt{store("y", "o", &ARef{Array: "x", Subs: []IntExpr{lin(0, term("i", 1))}, CheckBounds: true})}, 1, rowGeneric},
+		{"register step 2", []Stmt{store("y", "o", ref("x", "o", 0))}, 2, rowGeneric},
+	}
+	for _, tc := range cases {
+		p := &Program{
+			Name:    "form",
+			Arrays:  []ArrayDecl{{Name: "y", B: b, Role: RoleOut}, {Name: "x", B: b, Role: RoleIn}},
+			Scalars: []string{"s"},
+			Stmts: []Stmt{&Loop{Var: "i", From: 1, To: 50, Step: 1,
+				Inds: []Ind{{Name: "o", Init: lin(0), Step: tc.step}}, Body: tc.body}},
+		}
+		c := compileRows(t, p)
+		if rk := c.rows[p.Stmts[0].(*Loop)]; rk.kind != tc.want {
+			t.Errorf("%s: form %d, want %d", tc.name, rk.kind, tc.want)
+		}
+	}
+}
+
+// TestTiledNestTwoFailuresLowestRank: a checked tiled nest fails in
+// two tiles run by different workers. Every worker count and both
+// tiled schedules report the sequential run's message, the failure of
+// lowest rank.
+func TestTiledNestTwoFailuresLowestRank(t *testing.T) {
+	n := int64(128)
+	idx := runtime.NewStrict(runtime.NewBounds2(1, 1, n, n))
+	for i := int64(1); i <= n; i++ {
+		for j := int64(1); j <= n; j++ {
+			idx.Set(float64(j), i, j)
+		}
+	}
+	// Two failures in one row, in tiles (2,3) and (2,4) of 16×16: the
+	// tile schedule deals them to different workers, the later one to
+	// the lower worker index, so only the column part of the rank picks
+	// the sequentially first failure.
+	idx.Set(-40, 40, 50)
+	idx.Set(-70, 40, 70)
+	in := map[string]*runtime.Strict{"b": seededMatrix(n), "idx": idx}
+	for _, kind := range []ParKind{ParTile, ParWavefront} {
+		p := &Program{
+			Name: "twofail",
+			Arrays: []ArrayDecl{
+				{Name: "a", B: runtime.NewBounds2(1, 1, n, n), Role: RoleOut},
+				{Name: "b", B: runtime.NewBounds2(1, 1, n, n), Role: RoleIn},
+				{Name: "idx", B: runtime.NewBounds2(1, 1, n, n), Role: RoleIn},
+			},
+			Stmts: []Stmt{
+				&Loop{Var: "i", From: 1, To: n, Step: 1, Par: &ParSchedule{Kind: kind, TileI: 16, TileJ: 16}, Body: []Stmt{
+					&Loop{Var: "j", From: 1, To: n, Step: 1, Body: []Stmt{
+						&Assign{
+							Array: "a",
+							Subs:  []IntExpr{lin(0, term("i", 1)), lin(0, term("j", 1))},
+							Rhs: &ARef{Array: "b", CheckBounds: true, Subs: []IntExpr{
+								lin(0, term("i", 1)),
+								&IIdx{Array: "idx", Subs: []IntExpr{lin(0, term("i", 1)), lin(0, term("j", 1))}, CheckBounds: true},
+							}},
+						},
+					}},
+				}},
+			},
+		}
+		ex := mustCompile(t, p)
+		ex.SetWorkers(1)
+		_, err := ex.RunResult(in)
+		if err == nil || !strings.Contains(err.Error(), "subscript -40 ") {
+			t.Fatalf("%s: sequential run: %v, want the failure at (40,50)", kind, err)
+		}
+		seqErr := err.Error()
+		for _, w := range []int{2, 3, 4} {
+			ex.SetWorkers(w)
+			_, err := ex.RunResult(in)
+			if err == nil || err.Error() != seqErr {
+				t.Fatalf("%s workers=%d: error %v, sequential %q", kind, w, err, seqErr)
+			}
+		}
+	}
+}

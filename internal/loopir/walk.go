@@ -17,18 +17,13 @@ func WalkLoops(stmts []Stmt, fn func(*Loop)) {
 	}
 }
 
-// ScheduleKind names a loop's execution shape for reporting:
-// "sequential" when no parallel schedule applies, the Par schedule's
-// kind ("shard", "tile", "wavefront", "chains") when the optimizer
-// attached one, or "shard" for loops carrying the legacy lowering-time
-// parallel mark without a planned schedule.
+// ScheduleKind names a loop's execution shape for reporting: the Par
+// schedule's kind ("shard", "tile", "wavefront", "mono-shard") when
+// one is attached, else "sequential". The Parallel and Doacross marks
+// alone never change execution, so they do not count.
 func ScheduleKind(l *Loop) string {
-	switch {
-	case l.Par != nil:
+	if l.Par != nil {
 		return l.Par.Kind.String()
-	case l.Parallel:
-		return "shard"
-	default:
-		return "sequential"
 	}
+	return "sequential"
 }

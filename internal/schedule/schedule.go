@@ -47,9 +47,8 @@ type Node struct {
 	// Doacross reports that dependences ARE carried at this loop level,
 	// but every one of them points in the scheduled direction: the pass
 	// admits pipelined (doacross) execution if concrete dependence
-	// distances permit — wavefront bands over 2-D nests, residue-class
-	// chains for constant-distance recurrences. Mutually exclusive with
-	// Parallel.
+	// distances permit — wavefront bands over 2-D nests. Mutually
+	// exclusive with Parallel.
 	Doacross bool
 	// Body is the ordered contents of a loop pass.
 	Body []*Node
