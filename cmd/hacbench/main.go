@@ -876,7 +876,7 @@ var experiments = []experiment{
 		},
 	}, {
 		id: "e23", title: "streaming execution: bounded-memory chunked pipelines",
-		expect: "a long bounded-distance chain streams through O(stages*chunk) ring windows: emit-mode " +
+		expect: "a long bounded-distance chain streams through O(stages*chunk) sliding windows: emit-mode " +
 			"peak resident <= 25% of the materialized store at n >= 1e6, results bitwise-identical",
 		run: func() {
 			n := size(1<<20, 1<<17)

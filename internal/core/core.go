@@ -45,7 +45,9 @@ type Options struct {
 	// the worker target their tiles are sized for. 0 reads GOMAXPROCS
 	// at each run and plans for a default cohort, so the plan does not
 	// depend on the compiling host; 1 forces sequential execution.
-	// Ignored unless Parallel is set.
+	// Plans ignore it unless Parallel is set. It is also the step width
+	// of a streaming pipeline (Stream), resolved the same way: how many
+	// stages run their chunks at once.
 	Workers int
 	// NoLinearize disables the §6 linearization refinement for
 	// multi-dimensional subscripts (ablation).
@@ -513,7 +515,7 @@ func compileProgram(source *lang.Program, params map[string]int64, opts Options,
 		if opts.Certify {
 			cm = certifyMerge
 		}
-		if err := p.initStream(rep, cm); err != nil {
+		if err := p.initStream(rep, opts.Workers, cm); err != nil {
 			return nil, err
 		}
 	}

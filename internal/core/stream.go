@@ -49,10 +49,11 @@ func (p *Program) streamDefs() ([]stream.Def, error) {
 	return defs, nil
 }
 
-// initStream attempts to build the streaming pipeline. certifyMerge,
+// initStream attempts to build the streaming pipeline, whose step
+// width is workers (Options.Workers). certifyMerge,
 // when non-nil, receives the window-legality replay certificates (the
 // certify gate for streams); a falsification aborts via its error.
-func (p *Program) initStream(rep *metrics.CompileReport, certifyMerge func(name string, crep *certify.Report, t0 time.Time) error) error {
+func (p *Program) initStream(rep *metrics.CompileReport, workers int, certifyMerge func(name string, crep *certify.Report, t0 time.Time) error) error {
 	t0 := time.Now()
 	p.streamSt = &streamState{}
 	defs, err := p.streamDefs()
@@ -77,6 +78,7 @@ func (p *Program) initStream(rep *metrics.CompileReport, certifyMerge func(name 
 		rep.AddPhase(metrics.PhasePlan, time.Since(t0))
 		return nil
 	}
+	pl.SetWorkers(workers)
 	p.streamSt.pipeline = pl
 	p.note("stream: %d-stage pipeline, chunk %d, window d=%d, materialized footprint %d bytes",
 		pl.Stages(), pl.ChunkSize(), pl.MaxDist(), pl.MaterializedBytes())

@@ -28,6 +28,11 @@ package loopir
 //     and since the loop variable slot then holds the failing
 //     iteration, an executor's recover derives its rank from it.
 //
+// Stream stages (stage.go) run the same kernels. A register holds an
+// offset from the declared lower bound lo, but a stage binds each array
+// slot to a window whose element 0 is position base, so in stage mode
+// the copy and straight-line forms add lo − base once per row.
+//
 // An earlier revision compiled straight-line bodies to postfix tapes
 // run by a small stack VM; its dispatch overhead made it strictly
 // slower than the closure tree on every workload.
@@ -123,12 +128,17 @@ func (c *compiler) copyRow(x *Loop, inds []cInd) rowFn {
 	}
 	dst, srcSlot := c.arraySlots[a.Array], c.arraySlots[src.Array]
 	dInit, sInit := inds[di].init, inds[si].init
+	stage, dLo, sLo := c.stage, c.prog.Arrays[dst].B.Lo[0], c.prog.Arrays[srcSlot].B.Lo[0]
 	return func(f *frame, t0, t1 int64) {
 		if t1 <= t0 {
 			return
 		}
 		do := dInit(f) + dOff + t0
 		so := sInit(f) + sOff + t0
+		if stage {
+			do += dLo - f.base[dst]
+			so += sLo - f.base[srcSlot]
+		}
 		copy(f.arrays[dst].Data[do:do+t1-t0], f.arrays[srcSlot].Data[so:so+t1-t0])
 	}
 }
@@ -170,6 +180,15 @@ func unitReg(x *Loop, off IntExpr) (int, int64, bool) {
 // register's value.
 type sfn func(f *frame, o int64) float64
 
+// rowDist is a row distance the straight-line form stores in slot at
+// the start of each row: init − o, a register's distance from the
+// primary one, less base[arr] in stage mode (arr is -1 outside it).
+type rowDist struct {
+	slot int
+	init intFn
+	arr  int
+}
+
 // straightRow compiles the straight-line form, or returns nil.
 func (c *compiler) straightRow(x *Loop, inds []cInd) rowFn {
 	uses := make([]int, len(x.Inds))
@@ -182,10 +201,28 @@ func (c *compiler) straightRow(x *Loop, inds []cInd) rowFn {
 			p = i
 		}
 	}
-	// at returns an access's distance from the primary register, and
-	// -1 or the slot holding its secondary register's row distance.
-	at := func(off IntExpr) (int64, int) {
+	var dists []rowDist
+	for i, ind := range inds {
+		if i != p && uses[i] > 0 && !c.stage {
+			dists = append(dists, rowDist{slot: ind.slot, init: ind.init, arr: -1})
+		}
+	}
+	// at returns an access's distance from the primary register, and -1
+	// or the slot start stores the access's row distance in: a secondary
+	// register's own, or in stage mode one per (array, register) pair,
+	// which also holds the array's window shift.
+	at := func(arr int, off IntExpr) (int64, int) {
 		i, d, _ := unitReg(x, off)
+		if c.stage {
+			name := c.prog.Arrays[arr].Name + "@" + x.Inds[i].Name
+			slot, ok := c.intSlots[name]
+			if !ok {
+				slot = len(c.intSlots)
+				c.intSlots[name] = slot
+				dists = append(dists, rowDist{slot: slot, init: inds[i].init, arr: arr})
+			}
+			return d + c.prog.Arrays[arr].B.Lo[0], slot
+		}
 		if i == p {
 			return d, -1
 		}
@@ -202,7 +239,7 @@ func (c *compiler) straightRow(x *Loop, inds []cInd) rowFn {
 			return func(f *frame, _ int64) float64 { return f.floats[slot] }
 		case *ARef:
 			arr := c.arraySlots[v.Array]
-			d, s := at(v.Off)
+			d, s := at(arr, v.Off)
 			if s >= 0 {
 				return func(f *frame, o int64) float64 { return f.arrays[arr].Data[o+f.ints[s]+d] }
 			}
@@ -223,30 +260,31 @@ func (c *compiler) straightRow(x *Loop, inds []cInd) rowFn {
 		}
 		return func(f *frame, o int64) float64 { return l(f, o) / r(f, o) }
 	}
-	var secs []cInd
-	for i, ind := range inds {
-		if i != p && uses[i] > 0 {
-			secs = append(secs, ind)
-		}
-	}
 	pInit := inds[p].init
 	start := func(f *frame, t0 int64) int64 {
 		o := pInit(f)
-		for _, s := range secs {
+		for _, s := range dists {
 			f.ints[s.slot] = s.init(f) - o
+			if s.arr >= 0 {
+				f.ints[s.slot] -= f.base[s.arr]
+			}
 		}
 		return o + t0
 	}
 	if a, ok := x.Body[0].(*Assign); ok && len(x.Body) == 1 {
-		if d, s := at(a.Off); s < 0 {
-			// One store off the primary register, a stencil interior:
-			// hoist the destination and inline the store.
-			dst, rhs := c.arraySlots[a.Array], expr(a.Rhs)
-			return func(f *frame, t0, t1 int64) {
-				data := f.arrays[dst].Data
-				for o, n := start(f, t0), t1-t0; n > 0; o, n = o+1, n-1 {
-					data[o+d] = rhs(f, o)
-				}
+		// One store, a stencil interior: hoist the destination and its
+		// row distance and inline the store.
+		dst, rhs := c.arraySlots[a.Array], expr(a.Rhs)
+		d, s := at(dst, a.Off)
+		return func(f *frame, t0, t1 int64) {
+			data := f.arrays[dst].Data
+			o := start(f, t0)
+			dd := d
+			if s >= 0 {
+				dd += f.ints[s]
+			}
+			for n := t1 - t0; n > 0; o, n = o+1, n-1 {
+				data[o+dd] = rhs(f, o)
 			}
 		}
 	}
@@ -255,7 +293,7 @@ func (c *compiler) straightRow(x *Loop, inds []cInd) rowFn {
 		switch st := s.(type) {
 		case *Assign:
 			arr, rhs := c.arraySlots[st.Array], expr(st.Rhs)
-			if d, s := at(st.Off); s >= 0 {
+			if d, s := at(arr, st.Off); s >= 0 {
 				stmts[i] = func(f *frame, o int64) { f.arrays[arr].Data[o+f.ints[s]+d] = rhs(f, o) }
 			} else {
 				stmts[i] = func(f *frame, o int64) { f.arrays[arr].Data[o+d] = rhs(f, o) }

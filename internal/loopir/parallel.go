@@ -203,7 +203,7 @@ func (c *compiler) compileShardLoop(x *Loop, trip int64, seq stmtFn) stmtFn {
 		}
 		chunk := (trip + int64(w) - 1) / int64(w)
 		errs := make([]parError, w)
-		runParallel(w, func(wi int) {
+		RunParallel(w, func(wi int) {
 			wf := fp.get(f)
 			defer fp.put(wf)
 			defer errs[wi].catchRow(wf, slot, from, step)
@@ -374,7 +374,7 @@ func (c *compiler) compileTiledNest(x *Loop, trip int64, seq stmtFn) stmtFn {
 			for b := range bands {
 				bands[b].cond.L = &bands[b].mu
 			}
-			runParallel(w, func(wi int) {
+			RunParallel(w, func(wi int) {
 				wf := fp.get(f)
 				defer fp.put(wf)
 				for bi := int64(wi); bi < nti; bi += int64(w) {
@@ -389,7 +389,7 @@ func (c *compiler) compileTiledNest(x *Loop, trip int64, seq stmtFn) stmtFn {
 			})
 		} else {
 			total := nti * ntj
-			runParallel(w, func(wi int) {
+			RunParallel(w, func(wi int) {
 				wf := fp.get(f)
 				defer fp.put(wf)
 				for tid := int64(wi); tid < total; tid += int64(w) {

@@ -55,13 +55,14 @@ func workerLoop(ch chan func()) {
 	}
 }
 
-// runParallel executes fn(0) … fn(n-1) concurrently — fn(0) on the
+// RunParallel executes fn(0) … fn(n-1) concurrently — fn(0) on the
 // calling goroutine, the rest on pool workers — and returns when all
 // have finished. Each fn runs on its own goroutine, so the cohort may
 // synchronize internally (a wavefront band waits for the band above).
 // fn must not panic: parallel loop bodies convert runtime failures to
-// recorded errors.
-func runParallel(n int, fn func(w int)) {
+// recorded errors. Parallel loops and the steps of a stream pipeline
+// (internal/stream) share this one pool.
+func RunParallel(n int, fn func(w int)) {
 	if n <= 1 {
 		fn(0)
 		return

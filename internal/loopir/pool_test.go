@@ -386,7 +386,7 @@ func TestRunParallelPoolReuse(t *testing.T) {
 	for round := 0; round < 50; round++ {
 		var mu sync.Mutex
 		seen := map[int]bool{}
-		runParallel(8, func(w int) {
+		RunParallel(8, func(w int) {
 			mu.Lock()
 			seen[w] = true
 			mu.Unlock()

@@ -4,12 +4,14 @@ import "arraycomp/internal/runtime"
 
 // Stage is a stream-legal program (see BuildStreamPlan) compiled for
 // chunked execution by internal/stream. It is built by the same
-// closure compiler as Compile, with one difference: a rank-1 array
-// access subtracts a per-frame base position instead of the declared
-// lower bound, so each array slot can be bound to its whole storage or
-// to a window that slides along it (StageFrame.Bind, Slide). Offset
-// forms (Assign.Off, ARef.Off), induction registers and parallel
-// schedules are ignored: a stage runs sequentially over Subs.
+// compiler as Compile, with one difference: every array slot can be
+// bound to its whole storage or to a window that slides along it
+// (StageFrame.Bind, Slide), and each access subtracts the slot's base
+// position. Each top-level loop runs its row kernel (fast.go) over the
+// iterations that write inside a chunk, so an optimized stage takes
+// the same copy, straight-line or generic form as its materialized
+// loop. Parallel schedules are ignored: a stage runs one chunk at a
+// time, and a pipeline's parallelism is between stages.
 //
 // A Stage is immutable and safe for concurrent use through separate
 // frames.
@@ -21,15 +23,15 @@ type Stage struct {
 }
 
 // stageStmt is one top-level statement. A scalar set (set non-nil)
-// runs on every chunk; a loop runs the iterations whose write position
-// v+cw falls in the chunk. A point assign is a one-iteration loop with
-// no variable (slot -1).
+// runs on every chunk; a loop's row kernel runs the iterations whose
+// write position v+cw falls in the chunk; a point assign (point
+// non-nil, from = to = its write position) runs when the chunk holds
+// that position.
 type stageStmt struct {
-	set      stmtFn
-	body     []stmtFn
-	slot     int
-	from, to int64
-	cw       int64
+	set, point stmtFn
+	row        *rowKernel
+	from, to   int64
+	cw         int64
 }
 
 // CompileStage compiles p as a stream stage. sp must be p's stream
@@ -41,7 +43,7 @@ func CompileStage(p *Program, sp *StreamPlan) (st *Stage, err error) {
 	if len(sp.WriteOffsets) != len(p.Stmts) {
 		c.fail("stream plan has %d write offsets for %d top-level statements", len(sp.WriteOffsets), len(p.Stmts))
 	}
-	st = &Stage{prog: p, nInts: len(c.intSlots), nFloat: len(c.floatSlots)}
+	st = &Stage{prog: p}
 	for k, s := range p.Stmts {
 		switch x := s.(type) {
 		case *SetScalar:
@@ -50,13 +52,7 @@ func CompileStage(p *Program, sp *StreamPlan) (st *Stage, err error) {
 			if x.Step != 1 {
 				c.fail("stage loop over %q has step %d", x.Var, x.Step)
 			}
-			st.tops = append(st.tops, stageStmt{
-				body: c.compileStmts(x.Body),
-				slot: c.intSlots[x.Var],
-				from: x.From,
-				to:   x.To,
-				cw:   sp.WriteOffsets[k],
-			})
+			st.tops = append(st.tops, stageStmt{row: c.rowFor(x), from: x.From, to: x.To, cw: sp.WriteOffsets[k]})
 		case *Assign:
 			var w int64
 			ok := len(x.Subs) == 1
@@ -66,11 +62,13 @@ func CompileStage(p *Program, sp *StreamPlan) (st *Stage, err error) {
 			if !ok {
 				c.fail("top-level assign to %q has a non-constant subscript", x.Array)
 			}
-			st.tops = append(st.tops, stageStmt{body: []stmtFn{c.compileAssign(x)}, slot: -1, from: w, to: w})
+			st.tops = append(st.tops, stageStmt{point: c.compileAssign(x), from: w, to: w})
 		default:
 			c.fail("top-level %T in a stream stage", s)
 		}
 	}
+	// Straight-line kernels add row-distance slots as they compile.
+	st.nInts, st.nFloat = len(c.intSlots), len(c.floatSlots)
 	return st, nil
 }
 
@@ -118,11 +116,12 @@ func (st *Stage) RunChunk(sf *StageFrame, lo, hi int64) (err error) {
 			continue
 		}
 		from, to := max(t.from, lo-t.cw), min(t.to, hi-t.cw)
-		for v := from; v <= to; v++ {
-			if t.slot >= 0 {
-				f.ints[t.slot] = v
-			}
-			runAll(t.body, f)
+		switch {
+		case from > to:
+		case t.row != nil:
+			t.row.run(f, from-t.from, to-t.from+1)
+		default:
+			t.point(f)
 		}
 	}
 	return nil

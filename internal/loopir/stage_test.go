@@ -44,6 +44,75 @@ func stageProg(lo, hi int64) *Program {
 	}
 }
 
+// runStageChunked runs st chunk by chunk and returns its output. The
+// output and every windowable input are bound to windows whose bases
+// start away from the declared lower bound and slide every chunk;
+// other inputs stay resident. Window positions outside an input's
+// bounds hold NaN, so a read outside the window poisons the result.
+func runStageChunked(t *testing.T, p *Program, sp *StreamPlan, st *Stage, inputs map[string]*runtime.Strict, chunk int64) []float64 {
+	t.Helper()
+	lo, hi := sp.Lo, sp.Hi
+	got := make([]float64, hi-lo+1)
+	fr := st.NewFrame()
+	type win struct {
+		slot int
+		in   *runtime.Strict
+		buf  []float64
+		back int64
+	}
+	var wins []win
+	var own []float64
+	ownSlot := 0
+	for slot, d := range p.Arrays {
+		switch w := sp.Read(d.Name); {
+		case d.Name == sp.Out:
+			ownSlot, own = slot, make([]float64, sp.SelfBack+chunk)
+		case w.Windowable:
+			wins = append(wins, win{slot: slot, in: inputs[d.Name], buf: make([]float64, w.Back+chunk+w.Fwd), back: w.Back})
+		default:
+			in := inputs[d.Name]
+			fr.Bind(slot, in.Data, in.B.Lo[0])
+		}
+	}
+	fr.Bind(ownSlot, own, lo-sp.SelfBack)
+	for _, w := range wins {
+		fr.Bind(w.slot, w.buf, lo-w.back)
+	}
+	for clo := lo; clo <= hi; clo += chunk {
+		chi := min(clo+chunk-1, hi)
+		for _, w := range wins {
+			base := clo - w.back
+			for k := range w.buf {
+				w.buf[k] = math.NaN()
+				if pos := base + int64(k); pos >= w.in.B.Lo[0] && pos <= w.in.B.Hi[0] {
+					w.buf[k] = w.in.Data[pos-w.in.B.Lo[0]]
+				}
+			}
+			fr.Slide(w.slot, base)
+		}
+		if clo > lo {
+			copy(own[:sp.SelfBack], own[chunk:])
+			clear(own[sp.SelfBack:])
+		}
+		fr.Slide(ownSlot, clo-sp.SelfBack)
+		if err := st.RunChunk(fr, clo, chi); err != nil {
+			t.Fatal(err)
+		}
+		copy(got[clo-lo:chi-lo+1], own[sp.SelfBack:])
+	}
+	return got
+}
+
+// requireBitwise compares a chunked stage run with Exec.Run.
+func requireBitwise(t *testing.T, got []float64, want *runtime.Strict) {
+	t.Helper()
+	for i := range want.Data {
+		if math.Float64bits(got[i]) != math.Float64bits(want.Data[i]) {
+			t.Fatalf("element %d: stage %v, Exec.Run %v", want.B.Lo[0]+int64(i), got[i], want.Data[i])
+		}
+	}
+}
+
 // TestStreamStageSlidingWindows runs a CompileStage program chunk by
 // chunk with both arrays bound to windows whose bases start away from
 // the declared lower bound and slide every chunk, and requires the
@@ -56,11 +125,12 @@ func TestStreamStageSlidingWindows(t *testing.T) {
 		x.Data[i] = float64((i*37)%29-14) / 8
 	}
 	c := &runtime.Strict{B: b1(1, 4), Data: []float64{0.5, -1, 3.25, 2}}
+	inputs := map[string]*runtime.Strict{"c": c, "x": x}
 	ex, err := Compile(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ex.RunResult(map[string]*runtime.Strict{"c": c, "x": x})
+	want, err := ex.RunResult(inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,44 +146,95 @@ func TestStreamStageSlidingWindows(t *testing.T) {
 	if !xw.Windowable || xw.Back != 2 || xw.Fwd != 1 || sp.SelfBack != 2 {
 		t.Fatalf("unexpected geometry: x %+v, self-back %d", xw, sp.SelfBack)
 	}
-	back, fwd := xw.Back, xw.Fwd
 	for _, chunk := range []int64{1, 3, 16} {
 		t.Run(fmt.Sprintf("chunk%d", chunk), func(t *testing.T) {
-			got := make([]float64, hi-lo+1)
-			fr := st.NewFrame()
-			xbuf := make([]float64, back+chunk+fwd)
-			own := make([]float64, sp.SelfBack+chunk)
-			fr.Bind(0, c.Data, 1)
-			fr.Bind(1, xbuf, lo-back)
-			fr.Bind(2, own, lo-sp.SelfBack)
-			for clo := int64(lo); clo <= hi; clo += chunk {
-				chi := min(clo+chunk-1, hi)
-				xbase, obase := clo-back, clo-sp.SelfBack
-				// Refill x's window; positions outside x are NaN so a
-				// read outside the window poisons the result.
-				for k := range xbuf {
-					pos := xbase + int64(k)
-					xbuf[k] = math.NaN()
-					if pos >= lo && pos <= hi {
-						xbuf[k] = x.Data[pos-lo]
-					}
-				}
-				if clo > lo {
-					copy(own[:sp.SelfBack], own[chunk:])
-					clear(own[sp.SelfBack:])
-				}
-				fr.Slide(1, xbase)
-				fr.Slide(2, obase)
-				if err := st.RunChunk(fr, clo, chi); err != nil {
-					t.Fatal(err)
-				}
-				copy(got[clo-lo:chi-lo+1], own[sp.SelfBack:])
-			}
-			for i := range want.Data {
-				if math.Float64bits(got[i]) != math.Float64bits(want.Data[i]) {
-					t.Fatalf("element %d: stage %v, Exec.Run %v", lo+int64(i), got[i], want.Data[i])
-				}
-			}
+			requireBitwise(t, runStageChunked(t, p, sp, st, inputs, chunk), want)
 		})
+	}
+}
+
+// stageShapes returns the three stage shapes of the E23 chain over
+// lo..hi, each reading x: an elementwise map, 3-point smoothing with
+// copied ends, and a carried d=1 recurrence; plus a plain copy.
+func stageShapes(lo, hi int64) map[string]*Program {
+	at := func(arr string, d int64) VExpr { return &ARef{Array: arr, Subs: []IntExpr{lin(d, term("i", 1))}} }
+	pos := func(arr string, p int64) VExpr { return &ARef{Array: arr, Subs: []IntExpr{&IConst{Value: p}}} }
+	put := func(rhs VExpr) Stmt { return &Assign{Array: "s", Subs: []IntExpr{lin(0, term("i", 1))}, Rhs: rhs} }
+	point := func(w int64) Stmt { return &Assign{Array: "s", Subs: []IntExpr{&IConst{Value: w}}, Rhs: pos("x", w)} }
+	loop := func(from, to int64, rhs VExpr) Stmt {
+		return &Loop{Var: "i", From: from, To: to, Step: 1, Body: []Stmt{put(rhs)}}
+	}
+	k := func(v float64) VExpr { return &VConst{Value: v} }
+	bin := func(op byte, l, r VExpr) VExpr { return &VBin{Op: op, L: l, R: r} }
+	prog := func(stmts ...Stmt) *Program {
+		return &Program{
+			Name:   "s",
+			Arrays: []ArrayDecl{{Name: "s", B: b1(lo, hi), Role: RoleOut}, {Name: "x", B: b1(lo, hi), Role: RoleIn}},
+			Stmts:  stmts,
+		}
+	}
+	return map[string]*Program{
+		"copy": prog(loop(lo, hi, at("x", 0))),
+		"map":  prog(loop(lo, hi, bin('+', bin('*', at("x", 0), k(0.5)), k(0.25)))),
+		"smooth": prog(point(lo),
+			loop(lo+1, hi-1, bin('/', bin('+', bin('+', at("x", -1), at("x", 0)), at("x", 1)), k(3))),
+			point(hi)),
+		"recurrence": prog(point(lo),
+			loop(lo+1, hi, bin('+', bin('*', at("s", -1), k(0.75)), bin('*', at("x", 0), k(0.25))))),
+	}
+}
+
+// TestStageRowKernelForms: an optimized stage runs its loops' row
+// kernels, so the E23 chain's map, smoothing and recurrence loops take
+// the straight-line form and a plain copy the copy form; an
+// unoptimized stage, which has no offset forms, takes the generic form.
+// All are bitwise equal to Exec.Run at every chunk size.
+func TestStageRowKernelForms(t *testing.T) {
+	const lo, hi = 7, 300
+	x := runtime.NewStrict(b1(lo, hi))
+	for i := range x.Data {
+		x.Data[i] = float64((i*53)%31-15) / 4
+	}
+	inputs := map[string]*runtime.Strict{"x": x}
+	for _, optimize := range []bool{true, false} {
+		for name, p := range stageShapes(lo, hi) {
+			want := rowGeneric
+			if optimize {
+				optimizeFor(p)
+				want = rowStraight
+				if name == "copy" {
+					want = rowCopy
+				}
+			}
+			ex := mustCompile(t, p)
+			ref, err := ex.RunResult(inputs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sp, err := BuildStreamPlan(p)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			st, err := CompileStage(p, sp)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			loops := 0
+			for _, top := range st.tops {
+				if top.row == nil {
+					continue
+				}
+				loops++
+				if top.row.kind != want {
+					t.Fatalf("%s (optimized %v): stage loop form %d, want %d", name, optimize, top.row.kind, want)
+				}
+			}
+			if loops != 1 {
+				t.Fatalf("%s: %d stage loops, want 1", name, loops)
+			}
+			for _, chunk := range []int64{1, 5, 64} {
+				requireBitwise(t, runStageChunked(t, p, sp, st, inputs, chunk), ref)
+			}
+		}
 	}
 }

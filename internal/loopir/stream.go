@@ -43,12 +43,11 @@
 // definedness, subscripted subscripts — falls back to the materialized
 // path; BuildStreamPlan's error says why.
 //
-// The optimizer's strength-reduction artifacts (Assign.Off / ARef.Off,
-// Loop.Inds) are ignored: Subs are retained precisely so dependence
-// reasoning can ignore offsets, and CompileStage (stage.go) compiles
-// Subs directly. Parallel schedules (Loop.Par) are likewise ignored —
-// a stream stage runs sequentially; the pipeline's parallelism is
-// between stages.
+// The analysis reads Subs, which the optimizer keeps beside its
+// strength-reduced offsets (Assign.Off, ARef.Off, Loop.Inds) so that
+// dependence reasoning can ignore them; CompileStage (stage.go) runs
+// each loop's row kernel, which uses them. Parallel schedules
+// (Loop.Par) are ignored: a stage runs one chunk at a time.
 package loopir
 
 import (

@@ -46,9 +46,9 @@ type streamTrailerJSON struct {
 	Chunks int64  `json:"chunks"`
 	Tier   string `json:"tier"`
 	// PeakBytes / MaterializedBytes are the accounting of a streamed
-	// run: the high-water mark of what the pipeline held live (it
-	// varies with stage interleaving) vs what the materialized store
-	// would have held. Zero on fallback runs.
+	// run: what the pipeline held live (resident inputs plus every
+	// stage window, a closed form) vs what the materialized store would
+	// have held. Zero on fallback runs.
 	PeakBytes         int64 `json:"peak_bytes,omitempty"`
 	MaterializedBytes int64 `json:"materialized_bytes,omitempty"`
 }

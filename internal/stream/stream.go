@@ -1,47 +1,48 @@
 // Package stream is the bounded-memory streaming execution engine:
 // it runs a pipeline of stream-legal loop-IR programs (see
-// loopir.BuildStreamPlan) as chunked producer/consumer stages
-// connected by bounded channels, holding O(d)-sized sliding windows
-// per array instead of materialized O(n) arrays.
+// loopir.BuildStreamPlan) as one chunk-major loop over O(d)-sized
+// sliding windows, one per stage, instead of materialized O(n) arrays.
 //
 // Execution model. The union of the pipeline's output ranges is cut
-// into fixed chunks. Every stage walks the same chunk grid: for chunk
-// c it first drains its input channels until each upstream window
-// covers the chunk plus that edge's forward lookahead, then executes
-// its loops restricted to the write positions inside the chunk, then
-// emits an immutable copy of its own chunk to every consumer (and the
-// emit collector, for the result stage). Windows slide by one chunk
-// per step, retaining exactly the backward history the stream plan
-// proved sufficient. When the result is collected, the result stage
-// writes straight into the result array instead of a window, so its
-// chunks are never copied.
+// into fixed chunks, and the loop steps that chunk grid. At step t,
+// stage i runs chunk t − lag[i], where lag[i] is the largest lag[p] +
+// kAhead + 1 over its producers p and kAhead is the number of chunks
+// of lookahead stage i reads of p. Each step has two phases. First the
+// calling goroutine slides the window of every stage that runs this
+// step: it keeps the history its readers need and zeroes the fresh
+// chunk, as a fresh materialized output would be. Then those stages
+// run their chunks on loopir's worker pool, as many at once as the
+// step width (SetWorkers). A consumer reads its producers' windows in
+// place, so nothing is copied between stages; the +1 in the lag means
+// that within a step no stage reads a chunk another stage is writing.
+// A producer window therefore keeps max(SelfBack, back + (lag[c] −
+// lag[p])·chunk) elements of history for its consumers c. When the
+// result is collected, the result stage writes straight into the
+// result array instead of a window.
 //
-// There is one closure compiler. Each stage runs the closures
+// There is one compiler. Each stage runs the row kernels
 // loopir.CompileStage builds with the materialized interpreter's own
 // compiler; the only difference is that every array slot is bound to
 // a slice plus a base position: a resident input (base = its lower
-// bound), an upstream window, or the stage's own window. Sliding a
-// window moves its data and advances its base.
+// bound), an upstream window, or the stage's own window.
 //
 // Bitwise identity with the materialized path is by construction, not
 // by tolerance: each element is computed once (the compiler proved
-// writes collision-free), by closures from the loop-IR interpreter's
-// own compiler, reading operands that the window invariants prove are
-// the same values the materialized order would observe. The oracle's
-// `stream` ablation arm cross-checks this bit-for-bit on generated
-// programs.
+// writes collision-free), by the loop-IR interpreter's own kernels,
+// reading operands that the window invariants prove are the same
+// values the materialized order would observe. The order in which one
+// step's stages run cannot change a value, so results are identical at
+// every step width. The oracle's `stream` ablation arm cross-checks
+// this bit-for-bit on generated programs.
 //
-// Memory accounting is a meter, not RSS sampling: an accountant
-// charges every live buffer (resident inputs, windows, in-flight
-// chunks, and the materialized result when collecting) and records the
-// high-water mark. That mark depends on how the stage goroutines
-// interleave, so it can differ between runs on a multicore host.
+// Memory accounting is a closed form: every window is allocated before
+// the first step, so the peak is the resident inputs plus every stage
+// window, plus the result array when collecting.
 package stream
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
+	goruntime "runtime"
 
 	"arraycomp/internal/loopir"
 	"arraycomp/internal/runtime"
@@ -51,11 +52,6 @@ import (
 // set one. It is raised automatically to the pipeline's max window
 // distance so one chunk of lookahead always suffices.
 const DefaultChunkSize = 4096
-
-// chanSlack is the bounded-channel capacity beyond the lookahead
-// chunks a consumer holds unconsumed — the producer may run at most
-// this many chunks ahead before blocking (back-pressure).
-const chanSlack = 2
 
 // Def is one pipeline stage: a compiled definition with its stream
 // plan. Name is the definition's array name — the name consumers
@@ -75,9 +71,9 @@ type Config struct {
 
 // Report is the outcome accounting of one pipeline run.
 type Report struct {
-	// PeakBytes is the high-water mark of live streaming memory:
-	// resident inputs + windows + in-flight chunks (+ the materialized
-	// result when collecting).
+	// PeakBytes is the live streaming memory: resident inputs plus
+	// every stage window, where a collected result array stands in for
+	// the result stage's window.
 	PeakBytes int64
 	// MaterializedBytes is what the interpreted pipeline would hold
 	// live at its peak: every input plus every definition's output.
@@ -92,9 +88,10 @@ type Report struct {
 	MaxDist int64
 }
 
-// Pipeline is a compiled streaming pipeline: per-stage closure
-// programs plus the binding of every array slot they declare. It is
-// immutable after Build and safe for concurrent Runs.
+// Pipeline is a compiled streaming pipeline: per-stage kernels, the
+// chunk-major schedule, and the binding of every array slot they
+// declare. Apart from SetWorkers it is immutable after Build and safe
+// for concurrent Runs.
 type Pipeline struct {
 	defs   []Def
 	stages []*loopir.Stage
@@ -102,6 +99,11 @@ type Pipeline struct {
 	chunk  int64
 	nCh    int64 // grid chunk count
 	gridLo int64
+	// Stage i runs chunk t−lag[i] at step t of steps, keeping hist[i]
+	// positions of history in its window.
+	lag, hist []int64
+	steps     int64
+	workers   int
 	// Every declared array slot of stage i is bound to exactly one of:
 	// self[i], its own output window; a resident[i] input; an edges[i]
 	// upstream window.
@@ -121,14 +123,11 @@ type residentBind struct {
 	name string
 }
 
-// edgeSpec is the Build-time description of one producer→consumer
-// window.
+// edgeSpec binds a consumer's array slot to a producer's window.
 type edgeSpec struct {
-	from   int // producer stage
-	slot   int // consumer frame array slot
-	back   int64
-	fwd    int64
-	kAhead int64 // lookahead chunks: ceil(fwd/chunk)
+	from int // producer stage
+	slot int // consumer frame array slot
+	back int64
 }
 
 // Build compiles a pipeline from definitions in evaluation order.
@@ -164,29 +163,28 @@ func Build(defs []Def, result string, cfg Config) (*Pipeline, error) {
 		if d.Name == result {
 			p.result = i
 		}
-		if d.Plan.MaxDist > p.maxDist {
-			p.maxDist = d.Plan.MaxDist
-		}
+		p.maxDist = max(p.maxDist, d.Plan.MaxDist)
 	}
 	if p.result < 0 {
 		return nil, fmt.Errorf("stream: result %s is not a stage", result)
 	}
-	if p.chunk < p.maxDist {
-		p.chunk = p.maxDist
+	p.chunk = max(p.chunk, p.maxDist)
+	// Grid, per-stage kernels, slot bindings and the chunk-major
+	// schedule.
+	p.gridLo = defs[0].Plan.Lo
+	gridHi := defs[0].Plan.Hi
+	for _, d := range defs {
+		p.gridLo, gridHi = min(p.gridLo, d.Plan.Lo), max(gridHi, d.Plan.Hi)
+		p.matBytes += (d.Plan.Hi - d.Plan.Lo + 1) * 8
 	}
-	// Grid, per-stage closures, and slot bindings.
-	gridLo, gridHi := defs[0].Plan.Lo, defs[0].Plan.Hi
+	p.nCh = (gridHi-p.gridLo)/p.chunk + 1
 	p.stages = make([]*loopir.Stage, len(defs))
+	p.lag = make([]int64, len(defs))
+	p.hist = make([]int64, len(defs))
 	p.self = make([]int, len(defs))
 	p.resident = make([][]residentBind, len(defs))
 	p.edges = make([][]edgeSpec, len(defs))
 	for i, d := range defs {
-		if d.Plan.Lo < gridLo {
-			gridLo = d.Plan.Lo
-		}
-		if d.Plan.Hi > gridHi {
-			gridHi = d.Plan.Hi
-		}
 		st, err := loopir.CompileStage(d.Prog, d.Plan)
 		if err != nil {
 			return nil, fmt.Errorf("stream: stage %s: %w", d.Name, err)
@@ -221,19 +219,23 @@ func Build(defs []Def, result string, cfg Config) (*Pipeline, error) {
 				return nil, fmt.Errorf("stream: stage %s declares %s with bounds differing from its producer", d.Name, decl.Name)
 			}
 			kAhead := (w.Fwd + p.chunk - 1) / p.chunk
-			p.edges[i] = append(p.edges[i], edgeSpec{from: src, slot: slot, back: w.Back, fwd: w.Fwd, kAhead: kAhead})
+			p.lag[i] = max(p.lag[i], p.lag[src]+kAhead+1)
+			p.edges[i] = append(p.edges[i], edgeSpec{from: src, slot: slot, back: w.Back})
 		}
+		// Window history: the stage's own reads, and each consumer's
+		// reads back from the chunk it runs while its producer runs a
+		// later one.
+		p.hist[i] = max(p.hist[i], d.Plan.SelfBack)
+		for _, e := range p.edges[i] {
+			p.hist[e.from] = max(p.hist[e.from], e.back+(p.lag[i]-p.lag[e.from])*p.chunk)
+		}
+		p.steps = max(p.steps, p.lag[i]+p.nCh)
 	}
-	p.gridLo = gridLo
-	p.nCh = (gridHi-gridLo)/p.chunk + 1
 	// Materialized-path live bytes: every external input plus every
 	// definition's output stays in the interpreter's store for the
 	// whole run.
 	for _, b := range p.residentNames {
 		p.matBytes += b.Size() * 8
-	}
-	for _, d := range defs {
-		p.matBytes += (d.Plan.Hi - d.Plan.Lo + 1) * 8
 	}
 	return p, nil
 }
@@ -246,6 +248,13 @@ func (p *Pipeline) MaxDist() int64 { return p.maxDist }
 
 // Stages reports the stage count.
 func (p *Pipeline) Stages() int { return len(p.defs) }
+
+// SetWorkers fixes the step width of subsequent runs: how many stages
+// run their chunks at once on loopir's worker pool. n <= 0 restores the
+// default, GOMAXPROCS at the time each run starts. Results and the
+// reported peak are the same at every width. Not safe to call
+// concurrently with a run.
+func (p *Pipeline) SetWorkers(n int) { p.workers = max(n, 0) }
 
 // MaterializedBytes reports the materialized path's live footprint.
 func (p *Pipeline) MaterializedBytes() int64 { return p.matBytes }
@@ -263,63 +272,34 @@ func (p *Pipeline) Run(inputs map[string]*runtime.Strict) (*runtime.Strict, Repo
 
 // RunEmit executes the pipeline, delivering each non-empty result
 // chunk to emit in position order without materializing the result.
-// The data slice is only valid during the callback. A non-nil error
-// from emit aborts the run.
+// The data slice is the result stage's window, only valid during the
+// callback. A non-nil error from emit aborts the run, and the run's
+// error wraps it.
 func (p *Pipeline) RunEmit(inputs map[string]*runtime.Strict, emit func(lo int64, data []float64) error) (Report, error) {
 	_, rep, err := p.run(inputs, emit, false)
 	return rep, err
 }
 
-// --- run state ---
-
-// accountant is the live-byte meter; its peak is a high-water mark.
-type accountant struct {
-	cur, peak atomic.Int64
+// window is one stage's output storage for a run: its current chunk
+// after hist positions of history, or the whole collected result array,
+// which is written in place and never slides.
+type window struct {
+	buf  []float64
+	base int64 // position of buf[0]
 }
 
-func (a *accountant) charge(b int64) {
-	c := a.cur.Add(b)
-	for {
-		pk := a.peak.Load()
-		if c <= pk || a.peak.CompareAndSwap(pk, c) {
-			return
-		}
-	}
-}
-
-func (a *accountant) release(b int64) { a.cur.Add(-b) }
-
-// chunkMsg is one emitted chunk: an immutable copy of the producer's
-// window over [start, start+len(data)), refcounted across receivers
-// for accounting.
-type chunkMsg struct {
-	idx   int64
-	start int64
-	data  []float64
-	bytes int64
-	refs  atomic.Int32
-	acct  *accountant
-}
-
-func (m *chunkMsg) release() {
-	if m.refs.Add(-1) == 0 && m.bytes > 0 {
-		m.acct.release(m.bytes)
-	}
-}
-
-// runEdge is the per-run state of one upstream window.
-type runEdge struct {
-	spec    edgeSpec
-	ch      chan *chunkMsg
-	buf     []float64
-	base    int64 // absolute position of buf[0]
-	recvIdx int64 // last integrated chunk index
+// slide advances the window by one chunk of c positions: it keeps the
+// last len(buf)−c elements as history and zeroes the fresh chunk, like
+// a fresh materialized output.
+func (w *window) slide(c int64) {
+	copy(w.buf, w.buf[c:])
+	clear(w.buf[int64(len(w.buf))-c:])
+	w.base += c
 }
 
 // run drives one execution. collect materializes the result; emit, if
 // non-nil, receives result chunks in order.
 func (p *Pipeline) run(inputs map[string]*runtime.Strict, emit func(int64, []float64) error, collect bool) (*runtime.Strict, Report, error) {
-	acct := &accountant{}
 	rep := Report{
 		MaterializedBytes: p.matBytes,
 		Chunks:            p.nCh,
@@ -327,7 +307,6 @@ func (p *Pipeline) run(inputs map[string]*runtime.Strict, emit func(int64, []flo
 		Stages:            len(p.defs),
 		MaxDist:           p.maxDist,
 	}
-	// Validate and charge resident inputs.
 	for name, b := range p.residentNames {
 		in, ok := inputs[name]
 		if !ok {
@@ -336,202 +315,85 @@ func (p *Pipeline) run(inputs map[string]*runtime.Strict, emit func(int64, []flo
 		if !in.B.Equal(b) {
 			return nil, rep, fmt.Errorf("stream: input %s has bounds %v..%v, want %v..%v", name, in.B.Lo, in.B.Hi, b.Lo, b.Hi)
 		}
-		acct.charge(b.Size() * 8)
+		rep.PeakBytes += b.Size() * 8
 	}
-	// Abort plumbing: first error wins, every blocked send/recv
-	// unblocks on the closed channel.
-	var abortOnce sync.Once
-	abortCh := make(chan struct{})
-	var abortErr error
-	abort := func(err error) {
-		abortOnce.Do(func() {
-			abortErr = err
-			close(abortCh)
-		})
-	}
-	// Wire the edges: one channel per producer→consumer pair, plus the
-	// collector channel off the result stage.
-	chans := make([][]*runEdge, len(p.defs)) // consumer-side
-	outs := make([][]chan *chunkMsg, len(p.defs))
-	for i := range p.defs {
-		for _, es := range p.edges[i] {
-			e := &runEdge{
-				spec:    es,
-				ch:      make(chan *chunkMsg, chanSlack+es.kAhead),
-				buf:     make([]float64, es.back+p.chunk+es.kAhead*p.chunk),
-				recvIdx: -1,
-			}
-			chans[i] = append(chans[i], e)
-			outs[es.from] = append(outs[es.from], e.ch)
-		}
-	}
-	var collectCh chan *chunkMsg
-	if emit != nil {
-		collectCh = make(chan *chunkMsg, chanSlack)
-		outs[p.result] = append(outs[p.result], collectCh)
-	}
-	// The collected result is the result stage's own storage.
+	// Allocate every window up front, so the peak is their sum plus the
+	// resident inputs whatever the step width, and bind every array
+	// slot: the own window, resident inputs, and the producers' windows
+	// in place (Build proved each slot has exactly one).
 	var out *runtime.Strict
-	if collect {
-		resPlan := p.defs[p.result].Plan
-		out = runtime.NewStrict(runtime.NewBounds1(resPlan.Lo, resPlan.Hi))
-		acct.charge(out.B.Size() * 8)
-	}
-
-	var wg sync.WaitGroup
-	for i := range p.defs {
-		var own *runtime.Strict
-		if i == p.result {
-			own = out
+	wins := make([]window, len(p.defs))
+	frames := make([]*loopir.StageFrame, len(p.defs))
+	for i, st := range p.stages {
+		if plan := p.defs[i].Plan; collect && i == p.result {
+			out = runtime.NewStrict(runtime.NewBounds1(plan.Lo, plan.Hi))
+			wins[i] = window{buf: out.Data, base: plan.Lo}
+		} else {
+			wins[i] = window{buf: make([]float64, p.hist[i]+p.chunk), base: p.gridLo - p.hist[i]}
 		}
-		wg.Add(1)
-		go func(si int) {
-			defer wg.Done()
-			if err := p.runStage(si, inputs, own, chans[si], outs[si], acct, abortCh); err != nil {
-				abort(err)
-			}
-		}(i)
-	}
-	// Emit collector: drain the result stage in chunk order.
-	var emitErr error
-collector:
-	for got := int64(0); collectCh != nil && got < p.nCh; got++ {
-		select {
-		case m := <-collectCh:
-			if len(m.data) > 0 && emitErr == nil {
-				if err := emit(m.start, m.data); err != nil {
-					emitErr = err
-					abort(fmt.Errorf("stream: emit: %w", err))
-				}
-			}
-			m.release()
-		case <-abortCh:
-			break collector
+		rep.PeakBytes += int64(len(wins[i].buf)) * 8
+		fr := st.NewFrame()
+		fr.Bind(p.self[i], wins[i].buf, wins[i].base)
+		for _, r := range p.resident[i] {
+			in := inputs[r.name]
+			fr.Bind(r.slot, in.Data, in.B.Lo[0])
 		}
+		for _, e := range p.edges[i] {
+			fr.Bind(e.slot, wins[e.from].buf, wins[e.from].base)
+		}
+		frames[i] = fr
 	}
-	wg.Wait()
-	rep.PeakBytes = acct.peak.Load()
-	if abortErr != nil {
-		return nil, rep, abortErr
+	width := p.workers
+	if width <= 0 {
+		width = goruntime.GOMAXPROCS(0)
+	}
+	active := make([]int, 0, len(p.defs))
+	errs := make([]error, len(p.defs))
+	for t := int64(0); t < p.steps; t++ {
+		// Phase 1, on this goroutine: every stage that runs chunk
+		// t−lag this step slides its own window and rebinds the windows
+		// it reads, whose producers, earlier in evaluation order, have
+		// already slid.
+		active = active[:0]
+		for i := range p.defs {
+			c := t - p.lag[i]
+			if c < 0 || c >= p.nCh {
+				continue
+			}
+			active = append(active, i)
+			if c > 0 && (out == nil || i != p.result) {
+				wins[i].slide(p.chunk)
+				frames[i].Slide(p.self[i], wins[i].base)
+			}
+			for _, e := range p.edges[i] {
+				frames[i].Slide(e.slot, wins[e.from].base)
+			}
+		}
+		// Phase 2: the active stages run their chunks on the worker
+		// pool. The lag keeps every read behind every write.
+		n := min(width, len(active))
+		loopir.RunParallel(n, func(w int) {
+			for k := w; k < len(active); k += n {
+				i := active[k]
+				clo := p.gridLo + (t-p.lag[i])*p.chunk
+				errs[i] = p.stages[i].RunChunk(frames[i], clo, clo+p.chunk-1)
+			}
+		})
+		for _, i := range active {
+			if errs[i] != nil {
+				return nil, rep, fmt.Errorf("stream: stage %s: %w", p.defs[i].Name, errs[i])
+			}
+		}
+		if c := t - p.lag[p.result]; emit != nil && c >= 0 && c < p.nCh {
+			plan, w := p.defs[p.result].Plan, &wins[p.result]
+			s, e := max(p.gridLo+c*p.chunk, plan.Lo), min(p.gridLo+(c+1)*p.chunk-1, plan.Hi)
+			if s > e {
+				continue
+			}
+			if err := emit(s, w.buf[s-w.base:e-w.base+1]); err != nil {
+				return nil, rep, fmt.Errorf("stream: emit: %w", err)
+			}
+		}
 	}
 	return out, rep, nil
-}
-
-// runStage walks the chunk grid for one stage. A non-nil own is the
-// collected result array: the stage writes into it in place of its own
-// window.
-func (p *Pipeline) runStage(si int, inputs map[string]*runtime.Strict, own *runtime.Strict, edges []*runEdge, outs []chan *chunkMsg, acct *accountant, abortCh <-chan struct{}) error {
-	st := p.stages[si]
-	plan := p.defs[si].Plan
-	C := p.chunk
-	// Own output window: [clo-SelfBack, chi], zero-initialized like a
-	// fresh materialized output. The result array is already zeroed
-	// and charged, and holds every position, so it never slides.
-	var ownBuf []float64
-	var ownBase, winBytes int64
-	if own != nil {
-		ownBuf, ownBase = own.Data, own.B.Lo[0]
-	} else {
-		ownBuf = make([]float64, plan.SelfBack+C)
-		ownBase = p.gridLo - plan.SelfBack
-		winBytes = int64(len(ownBuf)) * 8
-	}
-	for _, e := range edges {
-		e.base = p.gridLo - e.spec.back
-		winBytes += int64(len(e.buf)) * 8
-	}
-	acct.charge(winBytes)
-	defer acct.release(winBytes)
-	// Bind every array slot: the own window, resident inputs, and
-	// upstream windows (Build proved each slot has exactly one).
-	fr := st.NewFrame()
-	fr.Bind(p.self[si], ownBuf, ownBase)
-	for _, r := range p.resident[si] {
-		in := inputs[r.name]
-		fr.Bind(r.slot, in.Data, in.B.Lo[0])
-	}
-	for _, e := range edges {
-		fr.Bind(e.spec.slot, e.buf, e.base)
-	}
-
-	for ci := int64(0); ci < p.nCh; ci++ {
-		clo := p.gridLo + ci*C
-		chi := clo + C - 1
-		if ci > 0 {
-			// Slide: retain the backward history, zero the fresh span
-			// of the own window (fresh-array semantics).
-			if own == nil {
-				copy(ownBuf[:plan.SelfBack], ownBuf[C:])
-				for k := plan.SelfBack; k < int64(len(ownBuf)); k++ {
-					ownBuf[k] = 0
-				}
-				ownBase += C
-				fr.Slide(p.self[si], ownBase)
-			}
-			for _, e := range edges {
-				copy(e.buf[:int64(len(e.buf))-C], e.buf[C:])
-				e.base += C
-				fr.Slide(e.spec.slot, e.base)
-			}
-		}
-		// Drain upstream until every window covers this chunk's reads
-		// plus lookahead.
-		for _, e := range edges {
-			need := ci + e.spec.kAhead
-			if need > p.nCh-1 {
-				need = p.nCh - 1
-			}
-			for e.recvIdx < need {
-				select {
-				case m := <-e.ch:
-					if len(m.data) > 0 {
-						dst := m.start - e.base
-						if dst < 0 || dst+int64(len(m.data)) > int64(len(e.buf)) {
-							m.release()
-							return fmt.Errorf("stream: stage %s: chunk %d from %s outside window", p.defs[si].Name, m.idx, p.defs[e.spec.from].Name)
-						}
-						copy(e.buf[dst:], m.data)
-					}
-					e.recvIdx = m.idx
-					m.release()
-				case <-abortCh:
-					return nil
-				}
-			}
-		}
-		// Execute the chunk: top-level statements in program order,
-		// loops clamped to write positions inside [clo, chi].
-		if err := st.RunChunk(fr, clo, chi); err != nil {
-			return fmt.Errorf("stream: stage %s: %w", p.defs[si].Name, err)
-		}
-		// Emit the immutable chunk copy.
-		s, e := clo, chi
-		if plan.Lo > s {
-			s = plan.Lo
-		}
-		if plan.Hi < e {
-			e = plan.Hi
-		}
-		var data []float64
-		if s <= e {
-			data = make([]float64, e-s+1)
-			copy(data, ownBuf[s-ownBase:])
-		}
-		if len(outs) == 0 {
-			continue
-		}
-		m := &chunkMsg{idx: ci, start: s, data: data, bytes: int64(len(data)) * 8, acct: acct}
-		m.refs.Store(int32(len(outs)))
-		if m.bytes > 0 {
-			acct.charge(m.bytes)
-		}
-		for _, ch := range outs {
-			select {
-			case ch <- m:
-			case <-abortCh:
-				return nil
-			}
-		}
-	}
-	return nil
 }

@@ -1,7 +1,9 @@
 package stream_test
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -125,28 +127,33 @@ func ewmaProg(name, src string, lo, hi int64) *loopir.Program {
 	}
 }
 
-// diffPipeline runs a pipeline streamed (at the given chunk size) and
-// materialized and requires bitwise equality.
-func diffPipeline(t *testing.T, defs []stream.Def, result string, inputs map[string]*runtime.Strict, chunk int64) stream.Report {
+// stepWidths are the step widths every pipeline test runs at.
+var stepWidths = []int{1, 2, 4}
+
+// diffPipeline runs a pipeline streamed (at the given chunk size, at
+// every step width) and materialized and requires bitwise equality.
+func diffPipeline(t *testing.T, defs []stream.Def, result string, inputs map[string]*runtime.Strict, chunk int64) {
 	t.Helper()
 	pl, err := stream.Build(defs, result, stream.Config{ChunkSize: chunk})
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	got, rep, err := pl.Run(inputs)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
 	want := runMaterialized(t, defs, inputs, result)
-	if !got.B.Equal(want.B) {
-		t.Fatalf("bounds differ: %v vs %v", got.B, want.B)
-	}
-	for i := range want.Data {
-		if got.Data[i] != want.Data[i] {
-			t.Fatalf("element %d differs: streamed %v, materialized %v", i, got.Data[i], want.Data[i])
+	for _, w := range stepWidths {
+		pl.SetWorkers(w)
+		got, _, err := pl.Run(inputs)
+		if err != nil {
+			t.Fatalf("width %d: Run: %v", w, err)
+		}
+		if !got.B.Equal(want.B) {
+			t.Fatalf("width %d: bounds differ: %v vs %v", w, got.B, want.B)
+		}
+		for i := range want.Data {
+			if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+				t.Fatalf("width %d: element %d differs: streamed %v, materialized %v", w, i, got.Data[i], want.Data[i])
+			}
 		}
 	}
-	return rep
 }
 
 func TestStreamBitwiseChain(t *testing.T) {
@@ -165,8 +172,8 @@ func TestStreamBitwiseChain(t *testing.T) {
 }
 
 // TestStreamBitwiseDiamond exercises one producer feeding two
-// consumers joined by a final stage (chunk refcounting and multi-edge
-// back-pressure).
+// consumers joined by a final stage: the producer's window keeps the
+// history of its most-lagged consumer.
 func TestStreamBitwiseDiamond(t *testing.T) {
 	const lo, hi = 1, 5003
 	v := "i"
@@ -264,7 +271,8 @@ func TestStreamEmitOrder(t *testing.T) {
 	}
 }
 
-// TestStreamEmitAbort propagates an emit error as the run error.
+// TestStreamEmitAbort propagates an emit error as the run error: the
+// run stops at the failing chunk and its error wraps the client's.
 func TestStreamEmitAbort(t *testing.T) {
 	const lo, hi = 1, 10000
 	x := fill(b1(lo, hi), 5)
@@ -273,24 +281,29 @@ func TestStreamEmitAbort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	errGone := errors.New("client went away")
 	calls := 0
 	_, err = pl.RunEmit(map[string]*runtime.Strict{"x": x}, func(int64, []float64) error {
 		calls++
 		if calls == 3 {
-			return fmt.Errorf("client went away")
+			return errGone
 		}
 		return nil
 	})
-	if err == nil {
-		t.Fatalf("emit error must abort the run")
+	if !errors.Is(err, errGone) {
+		t.Fatalf("run error %v does not wrap the emit error", err)
+	}
+	if calls != 3 {
+		t.Fatalf("emit called %d times, want 3", calls)
 	}
 }
 
-// TestStreamPeakBytes: a long bounded-distance chain must hold far
-// less than the materialized store. The peak is a high-water mark that
-// moves with stage interleaving; the bounds leave room for that.
+// TestStreamPeakBytes: a long bounded-distance chain holds far less
+// than the materialized store, and the peak is the closed form of the
+// windows Build sized, the same on every run and at every step width.
 func TestStreamPeakBytes(t *testing.T) {
 	const lo, hi = 1, 1<<18 + 13
+	const n, chunk = hi - lo + 1, 1024
 	x := fill(b1(lo, hi), 9)
 	var defs []stream.Def
 	src := "x"
@@ -299,32 +312,44 @@ func TestStreamPeakBytes(t *testing.T) {
 		defs = append(defs, mkDef(t, name, smoothProg(name, src, lo, hi)))
 		src = name
 	}
-	pl, err := stream.Build(defs, src, stream.Config{ChunkSize: 1024})
+	pl, err := stream.Build(defs, src, stream.Config{ChunkSize: chunk})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Emit mode is the true streaming shape (/evalstream ships chunks
-	// without materializing the result), so the peak there is the
-	// resident input plus O(stages·chunk) of windows and in-flight
-	// chunks.
-	rep, err := pl.RunEmit(map[string]*runtime.Strict{"x": x}, func(int64, []float64) error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.MaterializedBytes < 9*8*(hi-lo) {
-		t.Fatalf("materialized accounting too small: %d", rep.MaterializedBytes)
-	}
-	if 4*rep.PeakBytes > rep.MaterializedBytes {
-		t.Fatalf("peak %d is not ≤ 25%% of materialized %d", rep.PeakBytes, rep.MaterializedBytes)
-	}
-	// Collect mode additionally holds the materialized result; still
-	// far below the full store for a long chain.
-	_, crep, err := pl.Run(map[string]*runtime.Strict{"x": x})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if 2*crep.PeakBytes > crep.MaterializedBytes {
-		t.Fatalf("collect peak %d is not ≤ 50%% of materialized %d", crep.PeakBytes, crep.MaterializedBytes)
+	// Each smoothing consumer reads one position back and one ahead,
+	// so it trails its producer by 2 chunks (one of lookahead, plus
+	// one), and the producer keeps 1 + 2·chunk positions of history
+	// before its current chunk. The last stage has no consumer.
+	inBytes := int64(n * 8)
+	winBytes := int64(7*(1+2*chunk+chunk)) * 8
+	wantEmit := inBytes + winBytes + chunk*8
+	wantCollect := inBytes + winBytes + n*8
+	inputs := map[string]*runtime.Strict{"x": x}
+	for _, w := range stepWidths {
+		pl.SetWorkers(w)
+		for rep := 0; rep < 2; rep++ {
+			// Emit mode is the true streaming shape (/evalstream ships
+			// chunks without materializing the result).
+			erep, err := pl.RunEmit(inputs, func(int64, []float64) error { return nil })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if erep.PeakBytes != wantEmit {
+				t.Fatalf("width %d: emit peak %d, want %d", w, erep.PeakBytes, wantEmit)
+			}
+			// Collect mode holds the result array in place of the last
+			// stage's window.
+			_, crep, err := pl.Run(inputs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if crep.PeakBytes != wantCollect {
+				t.Fatalf("width %d: collect peak %d, want %d", w, crep.PeakBytes, wantCollect)
+			}
+			if crep.MaterializedBytes != 9*n*8 {
+				t.Fatalf("materialized accounting %d, want %d", crep.MaterializedBytes, 9*n*8)
+			}
+		}
 	}
 }
 

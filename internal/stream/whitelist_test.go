@@ -128,7 +128,8 @@ func whitelistProg(c whitelistCase, lo, hi int64) *loopir.Program {
 
 // TestStreamWhitelistBitwise runs every construct the window whitelist
 // admits through a two-stage pipeline and requires the streamed result
-// to be bitwise equal to the materialized one at several chunk sizes.
+// to be bitwise equal to the materialized one at several chunk sizes
+// and every step width.
 func TestStreamWhitelistBitwise(t *testing.T) {
 	const lo, hi = 3, 203
 	x := fill(b1(lo, hi), 17)
@@ -152,13 +153,16 @@ func TestStreamWhitelistBitwise(t *testing.T) {
 				if err != nil {
 					t.Fatalf("Build: %v", err)
 				}
-				got, _, err := pl.Run(inputs)
-				if err != nil {
-					t.Fatalf("Run: %v", err)
-				}
-				for i := range want.Data {
-					if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
-						t.Fatalf("element %d differs: streamed %v, materialized %v", lo+int64(i), got.Data[i], want.Data[i])
+				for _, w := range stepWidths {
+					pl.SetWorkers(w)
+					got, _, err := pl.Run(inputs)
+					if err != nil {
+						t.Fatalf("width %d: Run: %v", w, err)
+					}
+					for i := range want.Data {
+						if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+							t.Fatalf("width %d: element %d differs: streamed %v, materialized %v", w, lo+int64(i), got.Data[i], want.Data[i])
+						}
 					}
 				}
 			})
