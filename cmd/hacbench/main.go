@@ -799,9 +799,9 @@ var experiments = []experiment{
 			// Part 1: CSR SpMV. Without the index-property layer the
 			// accumulation scatter through row cannot parallelize (or
 			// drop its collision tracking); with verified monotone+range
-			// claims it mono-shards across the pool. Both arms pay the
-			// same per-run work otherwise, so the ratio is the price of
-			// not knowing the index array's properties.
+			// claims it shards across the pool on aligned chunks. Both
+			// arms pay the same per-run work otherwise, so the ratio is
+			// the price of not knowing the index array's properties.
 			spmvN := size(20000, 2000)
 			spmv := workloads.CSRInputs(spmvN, 8, 22)
 			nnz := spmv.Params["nnz"]
@@ -842,7 +842,7 @@ var experiments = []experiment{
 			fmt.Printf("    verify share of claims-off run = %.1f%%\n", 100*vf/off)
 
 			// Part 2: data-dependent histogram, pre-bucketed (monotone)
-			// samples: same mono-shard story on an accumArray.
+			// samples: same aligned-shard story on an accumArray.
 			histN := size(200000, 20000)
 			hist := workloads.HistogramIdxInputs(histN, 512, 23, true)
 			hOff := compileCase(workloads.HistogramIdxSrc, hist, core.Options{NoIdxProp: true, Parallel: true, Workers: 4})

@@ -63,7 +63,7 @@ func run(args []string, w io.Writer) error {
 	thunked := fs.Bool("thunked", false, "force the thunked baseline")
 	optimize := fs.Bool("O", false, "run the loop-IR optimizer before report/ir/emit-go output")
 	explain := fs.Bool("explain", false, "print the compile report (per-phase timings, optimization counters) before the command output")
-	parallel := fs.Bool("parallel", false, "enable parallel scheduling (shard/doacross/wavefront/tiling)")
+	parallel := fs.Bool("parallel", false, "enable parallel scheduling (shard/wavefront)")
 	certifyFlag := fs.Bool("certify", false, "audit every dependence verdict (witness re-checks + shadow-domain enumeration); falsified claims abort the compile naming the lying layer")
 	noStencil := fs.Bool("nostencil", false, "disable the stencil specializer (interior/boundary splitting, halo-fed tiling)")
 	workers := fs.Int("workers", 0, "parallel worker count; 0 = GOMAXPROCS at run time (needs -parallel)")

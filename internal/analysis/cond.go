@@ -50,8 +50,8 @@ type CondResult struct {
 	// MonoAccum marks the commutative-accumulation pattern: the
 	// single clause writes out!(MonoArray!(g)) with g traversing the
 	// index array in position order, so the claim-assuming plan may
-	// run under a mono-shard schedule (chunks aligned to equal-value
-	// runs; bitwise equal to sequential accumulation).
+	// run under an aligned shard schedule (chunks aligned to
+	// equal-value runs; bitwise equal to sequential accumulation).
 	MonoAccum bool
 	MonoArray string
 	// Detail is a one-line human-readable summary for reports.

@@ -41,10 +41,13 @@ import (
 
 // diskVersion 2: plans are sized for the compile's worker target, not
 // the compiling host's GOMAXPROCS, so version-1 entries (which could
-// carry another host's tile shapes) are recompiled.
+// carry another host's tile shapes) are recompiled. Version 3: the tile
+// and mono-shard schedule kinds are gone (a 2-D shard and an aligned
+// shard replace them), so version-2 entries that carry them are
+// recompiled.
 const (
 	diskMagic   = "HACDISK1"
-	diskVersion = uint32(2)
+	diskVersion = uint32(3)
 	diskExt     = ".hacplan"
 )
 

@@ -110,6 +110,11 @@ func TestDiskCorruptEntryDiscardedAndRecompiled(t *testing.T) {
 			binary.LittleEndian.PutUint32(out[8:12], 99)
 			return out
 		},
+		"previous version": func(raw []byte) []byte {
+			out := append([]byte(nil), raw...)
+			binary.LittleEndian.PutUint32(out[8:12], diskVersion-1)
+			return out
+		},
 		"empty file": func([]byte) []byte { return nil },
 	} {
 		t.Run(name, func(t *testing.T) {

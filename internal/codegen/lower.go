@@ -105,8 +105,8 @@ type lowerer struct {
 	// does not marks its assigns NoTrack).
 	declTrack bool
 	// monoAlign is captured by the accumulation clause during the
-	// claim-assuming pass and attached to its enclosing loop as a
-	// mono-shard schedule.
+	// claim-assuming pass and attached to its enclosing loop as an
+	// aligned shard schedule.
 	monoAlign *loopir.IIdx
 	// hooks from node splitting.
 	hooks *splitHooks
@@ -428,9 +428,9 @@ func verifyGuard(claims idxprop.Claims) loopir.BExpr {
 	return cond
 }
 
-// cloneInt deep-copies the IntExpr shapes the lowerer produces (the
-// mono-shard alignment expression must not share nodes with the loop
-// body the optimizer rewrites).
+// cloneInt deep-copies the IntExpr shapes the lowerer produces (an
+// aligned shard's alignment expression must not share nodes with the
+// loop body the optimizer rewrites).
 func cloneInt(e loopir.IntExpr) loopir.IntExpr {
 	switch x := e.(type) {
 	case *loopir.IConst:
@@ -574,9 +574,9 @@ func (lw *lowerer) lowerLoop(n *schedule.Node, x *xlate) ([]loopir.Stmt, error) 
 		// The accumulation clause below this loop captured its indirect
 		// write subscript: shard on chunks aligned to equal-value runs
 		// (sound under the mono + range claims guarding this variant).
-		loopStmt.Par = &loopir.ParSchedule{Kind: loopir.ParMonoShard, AlignOn: lw.monoAlign}
+		loopStmt.Par = &loopir.ParSchedule{Kind: loopir.ParShard, AlignOn: lw.monoAlign}
 		lw.monoAlign = nil
-		lw.note("loop %s mono-shard scheduled (chunks aligned on %s runs)", l.Var, lw.cond.MonoArray)
+		lw.note("loop %s shard scheduled (chunks aligned on %s runs)", l.Var, lw.cond.MonoArray)
 	}
 	stmt := loopir.Stmt(loopStmt)
 	// Guards on the loop node condition the whole loop.

@@ -50,7 +50,7 @@ func TestParallelWorkersMatchSequential(t *testing.T) {
 			name: "jacobimono", src: workloads.JacobiMonolithicSrc, n: 192,
 			bounds:   map[string]analysis.ArrayBounds{"b": mb(192)},
 			inputs:   func(n int64) map[string]*runtime.Strict { return map[string]*runtime.Strict{"b": workloads.Mesh(n, 3)} },
-			schedule: "[tile",
+			schedule: "[shard]",
 		},
 		{
 			// Unit-distance recurrence: doacross-eligible but unschedulable

@@ -294,55 +294,74 @@ func TestTierMidRunPromotion(t *testing.T) {
 	}
 }
 
-// TestTierParallelNativeForcedWorkers compares a forced-workers
-// parallel compile across tiers: the interpreter honours Workers, the
-// emitted code shards by GOMAXPROCS — both write disjoint elements
-// with identical per-element expressions, so outputs stay bitwise
-// identical whatever the worker count.
+// TestTierParallelNativeForcedWorkers compares forced-workers parallel
+// compiles across tiers: the interpreter honours Workers, the emitted
+// code shards by GOMAXPROCS — both write disjoint elements with
+// identical per-element expressions, so outputs stay bitwise identical
+// whatever the worker count. Out-of-place Jacobi shards its outer
+// loop; SpMV over sorted CSR rows is an aligned shard.
 func TestTierParallelNativeForcedWorkers(t *testing.T) {
-	n := int64(32)
-	in := map[string]*runtime.Strict{"b": workloads.Mesh(n, 8)}
-	opts := core.Options{
-		InputBounds: boundsOf(in),
-		Parallel:    true,
-		Workers:     4,
+	n := int64(192)
+	csr := workloads.CSRInputs(4000, 8, 5)
+	cases := []struct {
+		name, src string
+		params    map[string]int64
+		inputs    map[string]*runtime.Strict
+	}{
+		{"jmono-par", workloads.JacobiMonolithicSrc, workloads.ParamsFor("jacobi-mono", n),
+			map[string]*runtime.Strict{"b": workloads.Mesh(n, 8)}},
+		{"spmv-par", workloads.SpMVSrc, csr.Params, csr.Inputs},
 	}
-	seq, err := core.Compile(workloads.JacobiMonolithicSrc, workloads.ParamsFor("jacobi-mono", n),
-		core.Options{InputBounds: boundsOf(in)})
+	seqs := make([]*core.Program, len(cases))
+	pars := make([]*core.Program, len(cases))
+	var specs []native.ProgramSpec
+	for i, c := range cases {
+		var err error
+		seqs[i], err = core.Compile(c.src, c.params, core.Options{InputBounds: boundsOf(c.inputs)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pars[i], err = core.Compile(c.src, c.params, core.Options{
+			InputBounds: boundsOf(c.inputs),
+			Parallel:    true,
+			Workers:     4,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if kinds := pars[i].Stats.Counters.SchedulesByKind; kinds["shard"] == 0 {
+			t.Fatalf("%s: schedules %v, want a shard", c.name, kinds)
+		}
+		spec, err := pars[i].NativeSpec(c.name)
+		if err != nil {
+			t.Fatalf("%s: parallel plan is native-ineligible: %v", c.name, err)
+		}
+		specs = append(specs, spec)
+	}
+	mod, err := native.Build(specs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := core.Compile(workloads.JacobiMonolithicSrc, workloads.ParamsFor("jacobi-mono", n), opts)
-	if err != nil {
-		t.Fatal(err)
+	for i, c := range cases {
+		ref, err := seqs[i].Run(c.inputs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := pars[i].Run(c.inputs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bitwiseEqual(t, c.name+": sequential vs parallel interpreter", ref, got)
+		pars[i].AdoptNative(mod.Plan(c.name))
+		nat, tier, err := pars[i].RunTiered(c.inputs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tier != core.TierNative {
+			t.Fatalf("%s: served by %q, want native", c.name, tier)
+		}
+		bitwiseEqual(t, c.name+": parallel interpreter vs parallel native", got, nat)
 	}
-	spec, err := par.NativeSpec("jmono-par")
-	if err != nil {
-		t.Fatalf("parallel plan is native-ineligible: %v", err)
-	}
-	mod, err := native.Build([]native.ProgramSpec{spec})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ref, err := seq.Run(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := par.Run(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bitwiseEqual(t, "sequential vs parallel interpreter", ref, got)
-	par.AdoptNative(mod.Plan("jmono-par"))
-	nat, tier, err := par.RunTiered(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tier != core.TierNative {
-		t.Fatalf("served by %q, want native", tier)
-	}
-	bitwiseEqual(t, "parallel interpreter vs parallel native", got, nat)
 }
 
 // TestTierPromotionRace is the singleflight regression: 64 concurrent

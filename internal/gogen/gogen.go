@@ -177,10 +177,6 @@ func emitFunc(p *loopir.Program, name, passVar, failVar string) (src string, par
 	return e.b.String(), params, results, nil
 }
 
-// errReturn builds the return statement prefix for error paths; set by
-// EmitFunc before emitting statements.
-// (field kept on emitter for access inside statement emission)
-
 func (e *emitter) emitStmts(stmts []loopir.Stmt) {
 	for _, s := range stmts {
 		e.emitStmt(s)
@@ -195,12 +191,6 @@ func (e *emitter) emitStmt(s loopir.Stmt) {
 		// would not compile; the planner already guarantees the writes
 		// are race-free under the schedule).
 		if x.Par != nil && !hasErrorPaths(x.Body) && e.emitScheduledLoop(x) {
-			return
-		}
-		// Dependence-free loops without a concrete schedule still shard
-		// across CPUs.
-		if x.Parallel && x.Par == nil && !hasErrorPaths(x.Body) {
-			e.emitParallelLoop(x)
 			return
 		}
 		// Recognized stencil rows become constant-width slice loops the
@@ -852,70 +842,4 @@ func boolHasChecks(b loopir.BExpr) bool {
 		return boolHasChecks(x.X)
 	}
 	return false
-}
-
-// emitParallelLoop shards the iteration space across GOMAXPROCS
-// workers using sync.WaitGroup.
-func (e *emitter) emitParallelLoop(x *loopir.Loop) {
-	v := goName(x.Var)
-	trip := e.fresh("trip")
-	var tripVal int64
-	if x.Step > 0 {
-		tripVal = (x.To-x.From)/x.Step + 1
-	} else {
-		tripVal = (x.From-x.To)/(-x.Step) + 1
-	}
-	if tripVal < 1 {
-		return // empty loop
-	}
-	e.line("{ // parallel loop over %s: no carried dependences", v)
-	e.depth++
-	e.line("%s := int64(%d)", trip, tripVal)
-	e.line("workers := int64(runtime.GOMAXPROCS(0))")
-	e.line("if workers > %s {", trip)
-	e.depth++
-	e.line("workers = %s", trip)
-	e.depth--
-	e.line("}")
-	e.line("chunk := (%s + workers - 1) / workers", trip)
-	e.line("var wg sync.WaitGroup")
-	e.line("for w := int64(0); w < workers; w++ {")
-	e.depth++
-	e.line("lo, hi := w*chunk, (w+1)*chunk")
-	e.line("if hi > %s {", trip)
-	e.depth++
-	e.line("hi = %s", trip)
-	e.depth--
-	e.line("}")
-	e.line("if lo >= hi {")
-	e.depth++
-	e.line("break")
-	e.depth--
-	e.line("}")
-	e.line("wg.Add(1)")
-	e.line("go func(lo, hi int64) {")
-	e.depth++
-	e.line("defer wg.Done()")
-	e.line("for t := lo; t < hi; t++ {")
-	e.depth++
-	e.line("%s := int64(%d) + t*int64(%d)", v, x.From, x.Step)
-	e.line("_ = %s // may be fully strength-reduced away", v)
-	for _, ind := range x.Inds {
-		// Rebind per iteration: shards cannot carry the register.
-		if ind.Step != 0 {
-			e.line("%s := %s + t*int64(%d)", goName(ind.Name), e.intExpr(ind.Init), ind.Step)
-		} else {
-			e.line("%s := %s", goName(ind.Name), e.intExpr(ind.Init))
-		}
-	}
-	e.emitStmts(x.Body)
-	e.depth--
-	e.line("}")
-	e.depth--
-	e.line("}(lo, hi)")
-	e.depth--
-	e.line("}")
-	e.line("wg.Wait()")
-	e.depth--
-	e.line("}")
 }

@@ -377,29 +377,32 @@ func TestNativeSpeed(t *testing.T) {
 }
 
 // TestGeneratedParallelLoop: a dependence-free program compiled with
-// the Parallel option must emit a sharded goroutine loop that still
-// matches the interpreter.
+// the Parallel option at a size where the planner shards must emit a
+// sharded goroutine loop that still matches the interpreter.
 func TestGeneratedParallelLoop(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	n := int64(64)
+	n := int64(192)
 	inputBounds := map[string]analysis.ArrayBounds{"b": {Lo: []int64{1, 1}, Hi: []int64{n, n}}}
 	prog, err := core.Compile(workloads.JacobiMonolithicSrc, map[string]int64{"n": n},
 		core.Options{Parallel: true, InputBounds: inputBounds})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if kinds := prog.Stats.Counters.SchedulesByKind; kinds["shard"] == 0 {
+		t.Fatalf("planner did not shard: schedules %v", kinds)
+	}
 	fn, _, _, err := gogen.EmitFunc(prog.Defs["a"].Plan.Program, "Compiled")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(fn, "sync.WaitGroup") || !strings.Contains(fn, "go func(lo, hi int64)") {
+	if !strings.Contains(fn, "shard loop over") || !strings.Contains(fn, "go func(lo, hi int64)") {
 		t.Fatalf("parallel loop not emitted:\n%s", fn)
 	}
 	// Differential against the interpreter.
 	dir := t.TempDir()
-	emitParallelHarness(t, dir, fn)
+	emitParallelHarness(t, dir, fn, n)
 	got := runGenerated(t, dir)
 	plan := prog.Defs["a"].Plan
 	in := runtime.NewStrict(runtime.NewBounds2(1, 1, n, n))
@@ -414,7 +417,7 @@ func TestGeneratedParallelLoop(t *testing.T) {
 	}
 }
 
-func emitParallelHarness(t *testing.T, dir, fn string) {
+func emitParallelHarness(t *testing.T, dir, fn string, n int64) {
 	t.Helper()
 	var b strings.Builder
 	b.WriteString("package main\n\nimport (\n\t\"fmt\"\n\t\"os\"\n")
@@ -429,6 +432,7 @@ func emitParallelHarness(t *testing.T, dir, fn string) {
 	}
 	b.WriteString(")\n\n")
 	b.WriteString(fn)
+	fmt.Fprintf(&b, "\nconst N = %d\n", n)
 	b.WriteString(`
 func lcgFill(data []float64, seed uint64) {
 	x := seed
@@ -447,7 +451,7 @@ func checksum(data []float64) float64 {
 }
 
 func main() {
-	in := make([]float64, 64*64)
+	in := make([]float64, N*N)
 	lcgFill(in, 1000)
 	out, err := Compiled(in)
 	if err != nil {

@@ -8,19 +8,19 @@ import (
 // shape is rendered inline — generated functions stay self-contained —
 // and mirrors the interpreter's executors in internal/loopir/parallel.go:
 //
-//   - ParShard:     contiguous chunks, one goroutine per worker
-//   - ParTile:      tiles (full-width row bands as the planner emits
-//     them) handed out block-cyclically; the planner guarantees tiles
-//     touch disjoint data
+//   - ParShard:     contiguous chunks, one goroutine per worker; a 2-D
+//     nest shards its outer loop, whole rows to one goroutine
 //   - ParWavefront: anti-diagonal bands of tiles with a WaitGroup
 //     barrier between diagonals (the interpreter pipelines row bands
 //     instead; both orders respect the planner's non-negative
 //     distances); per-row prefix statements run in the column-0 tile,
 //     so full row order is preserved
 //
-// Bodies with runtime checks never reach these shapes (the caller gates
-// on hasErrorPaths): a `return err` inside a goroutine closure would
-// not compile.
+// Loops without a schedule are emitted sequentially, so emitted code
+// parallelizes exactly the loops the interpreter does. Bodies with
+// runtime checks never reach these shapes (the caller gates on
+// hasErrorPaths): a `return err` inside a goroutine closure would not
+// compile.
 
 // emitScheduledLoop renders x under its attached schedule. Returns
 // false when the schedule's shape cannot be matched (the caller then
@@ -28,24 +28,25 @@ import (
 func (e *emitter) emitScheduledLoop(x *loopir.Loop) bool {
 	switch x.Par.Kind {
 	case loopir.ParShard:
-		e.emitParallelLoop(x)
-		return true
-	case loopir.ParMonoShard:
-		return e.emitMonoShardLoop(x)
-	case loopir.ParTile, loopir.ParWavefront:
-		return e.emitTiledNest(x)
+		return e.emitShardLoop(x)
+	case loopir.ParWavefront:
+		return e.emitWavefront(x)
 	}
 	return false
 }
 
-// emitMonoShardLoop shards a loop whose write subscript (Par.AlignOn)
-// was verified non-decreasing: naive chunk boundaries advance to the
-// next change of the subscript value, so a run of equal subscripts
-// never straddles two goroutines and the result is bitwise identical
-// to sequential left-to-right accumulation. Mirrors the interpreter's
-// compileShardLoop.
-func (e *emitter) emitMonoShardLoop(x *loopir.Loop) bool {
-	if x.Par.AlignOn == nil || intHasChecks(x.Par.AlignOn) {
+// emitShardLoop splits the loop's iterations into one contiguous chunk
+// per worker, each run by a goroutine in sequential order. The body —
+// on a 2-D nest the row's prefix and inner loop — is emitted as usual
+// inside the chunk loop. An aligned shard's write subscript
+// (Par.AlignOn) was verified non-decreasing: chunk boundaries advance
+// to the next change of the subscript value, so a run of equal
+// subscripts never straddles two goroutines and the result is bitwise
+// identical to sequential left-to-right accumulation. Mirrors the
+// interpreter's compileShardLoop.
+func (e *emitter) emitShardLoop(x *loopir.Loop) bool {
+	align := x.Par.AlignOn
+	if align != nil && intHasChecks(align) {
 		return false
 	}
 	v := goName(x.Var)
@@ -59,7 +60,11 @@ func (e *emitter) emitMonoShardLoop(x *loopir.Loop) bool {
 		return true // empty loop: nothing to emit
 	}
 	trip := e.fresh("trip")
-	e.line("{ // mono-shard loop over %s: equal-subscript runs stay in one chunk", v)
+	if align != nil {
+		e.line("{ // shard loop over %s: equal-subscript runs stay in one chunk", v)
+	} else {
+		e.line("{ // shard loop over %s: no carried dependences between iterations", v)
+	}
 	e.depth++
 	e.line("%s := int64(%d)", trip, tripVal)
 	e.line("workers := int64(runtime.GOMAXPROCS(0))")
@@ -69,38 +74,41 @@ func (e *emitter) emitMonoShardLoop(x *loopir.Loop) bool {
 	e.depth--
 	e.line("}")
 	e.line("chunk := (%s + workers - 1) / workers", trip)
-	e.line("alignAt := func(t int64) int64 {")
-	e.depth++
-	e.line("%s := int64(%d) + t*int64(%d)", v, x.From, x.Step)
-	e.line("_ = %s", v)
-	e.line("return %s", e.intExpr(x.Par.AlignOn))
-	e.depth--
-	e.line("}")
-	e.line("advance := func(t int64) int64 {")
-	e.depth++
-	e.line("for t > 0 && t < %s && alignAt(t) == alignAt(t-1) {", trip)
-	e.depth++
-	e.line("t++")
-	e.depth--
-	e.line("}")
-	e.line("return t")
-	e.depth--
-	e.line("}")
+	if align != nil {
+		e.line("alignAt := func(t int64) int64 {")
+		e.depth++
+		e.line("%s := int64(%d) + t*int64(%d)", v, x.From, x.Step)
+		e.line("_ = %s", v)
+		e.line("return %s", e.intExpr(align))
+		e.depth--
+		e.line("}")
+		e.line("advance := func(t int64) int64 {")
+		e.depth++
+		e.line("for t > 0 && t < %s && alignAt(t) == alignAt(t-1) {", trip)
+		e.depth++
+		e.line("t++")
+		e.depth--
+		e.line("}")
+		e.line("return t")
+		e.depth--
+		e.line("}")
+	}
 	e.line("var wg sync.WaitGroup")
 	e.line("for w := int64(0); w < workers; w++ {")
 	e.depth++
-	e.line("wg.Add(1)")
-	e.line("go func(w int64) {")
-	e.depth++
-	e.line("defer wg.Done()")
-	e.line("lo := advance(w * chunk)")
-	e.line("hi := (w + 1) * chunk")
+	e.line("lo, hi := w*chunk, (w+1)*chunk")
 	e.line("if hi > %s {", trip)
 	e.depth++
 	e.line("hi = %s", trip)
 	e.depth--
 	e.line("}")
-	e.line("hi = advance(hi)")
+	if align != nil {
+		e.line("lo, hi = advance(lo), advance(hi)")
+	}
+	e.line("wg.Add(1)")
+	e.line("go func(lo, hi int64) {")
+	e.depth++
+	e.line("defer wg.Done()")
 	e.line("for t := lo; t < hi; t++ {")
 	e.depth++
 	e.line("%s := int64(%d) + t*int64(%d)", v, x.From, x.Step)
@@ -113,12 +121,13 @@ func (e *emitter) emitMonoShardLoop(x *loopir.Loop) bool {
 		} else {
 			e.line("%s := %s", goName(ind.Name), e.intExpr(ind.Init))
 		}
+		e.line("_ = %s", goName(ind.Name))
 	}
 	e.emitStmts(x.Body)
 	e.depth--
 	e.line("}")
 	e.depth--
-	e.line("}(w)")
+	e.line("}(lo, hi)")
 	e.depth--
 	e.line("}")
 	e.line("wg.Wait()")
@@ -127,10 +136,10 @@ func (e *emitter) emitMonoShardLoop(x *loopir.Loop) bool {
 	return true
 }
 
-// emitTiledNest renders a 2-D nest under a tile or wavefront schedule.
-// The nest shape is the planner's: any per-row prefix assignments
-// followed by a step-1 inner loop, both loops step 1.
-func (e *emitter) emitTiledNest(x *loopir.Loop) bool {
+// emitWavefront renders a 2-D nest under a wavefront schedule. The
+// nest shape is the planner's: any per-row prefix assignments followed
+// by a step-1 inner loop, both loops step 1.
+func (e *emitter) emitWavefront(x *loopir.Loop) bool {
 	if x.Step != 1 || len(x.Body) == 0 {
 		return false
 	}
@@ -153,7 +162,6 @@ func (e *emitter) emitTiledNest(x *loopir.Loop) bool {
 	nti := (ni + tI - 1) / tI
 	ntj := (nj + tJ - 1) / tJ
 	iv, jv := goName(x.Var), goName(inner.Var)
-	wavefront := x.Par.Kind == loopir.ParWavefront
 
 	// runTile renders the body of one (bi, bj) tile: the tile's rows in
 	// order, each row running its prefix first (column-0 tiles only)
@@ -213,71 +221,38 @@ func (e *emitter) emitTiledNest(x *loopir.Loop) bool {
 		e.line("}")
 	}
 
-	if wavefront {
-		e.line("{ // wavefront nest over %s,%s: %dx%d tiles, anti-diagonal bands", iv, jv, tI, tJ)
-		e.depth++
-		e.line("nti, ntj := int64(%d), int64(%d)", nti, ntj)
-		e.line("for d := int64(0); d < nti+ntj-1; d++ {")
-		e.depth++
-		e.line("biLo, biHi := d-ntj+1, d")
-		e.line("if biLo < 0 {")
-		e.depth++
-		e.line("biLo = 0")
-		e.depth--
-		e.line("}")
-		e.line("if biHi > nti-1 {")
-		e.depth++
-		e.line("biHi = nti - 1")
-		e.depth--
-		e.line("}")
-		e.line("var wg sync.WaitGroup")
-		e.line("for bi := biLo; bi <= biHi; bi++ {")
-		e.depth++
-		e.line("wg.Add(1)")
-		e.line("go func(bi int64) {")
-		e.depth++
-		e.line("defer wg.Done()")
-		e.line("bj := d - bi")
-		runTile()
-		e.depth--
-		e.line("}(bi)")
-		e.depth--
-		e.line("}")
-		e.line("wg.Wait()")
-		e.depth--
-		e.line("}")
-		e.depth--
-		e.line("}")
-		return true
-	}
-
-	e.line("{ // tiled nest over %s,%s: %dx%d tiles, no cross-tile dependences", iv, jv, tI, tJ)
+	e.line("{ // wavefront nest over %s,%s: %dx%d tiles, anti-diagonal bands", iv, jv, tI, tJ)
 	e.depth++
-	e.line("nt := int64(%d)", nti*ntj)
-	e.line("workers := int64(runtime.GOMAXPROCS(0))")
-	e.line("if workers > nt {")
+	e.line("nti, ntj := int64(%d), int64(%d)", nti, ntj)
+	e.line("for d := int64(0); d < nti+ntj-1; d++ {")
 	e.depth++
-	e.line("workers = nt")
+	e.line("biLo, biHi := d-ntj+1, d")
+	e.line("if biLo < 0 {")
+	e.depth++
+	e.line("biLo = 0")
+	e.depth--
+	e.line("}")
+	e.line("if biHi > nti-1 {")
+	e.depth++
+	e.line("biHi = nti - 1")
 	e.depth--
 	e.line("}")
 	e.line("var wg sync.WaitGroup")
-	e.line("for w := int64(0); w < workers; w++ {")
+	e.line("for bi := biLo; bi <= biHi; bi++ {")
 	e.depth++
 	e.line("wg.Add(1)")
-	e.line("go func(w int64) {")
+	e.line("go func(bi int64) {")
 	e.depth++
 	e.line("defer wg.Done()")
-	e.line("for t := w; t < nt; t += workers {")
-	e.depth++
-	e.line("bi, bj := t/int64(%d), t%%int64(%d)", ntj, ntj)
+	e.line("bj := d - bi")
 	runTile()
 	e.depth--
-	e.line("}")
-	e.depth--
-	e.line("}(w)")
+	e.line("}(bi)")
 	e.depth--
 	e.line("}")
 	e.line("wg.Wait()")
+	e.depth--
+	e.line("}")
 	e.depth--
 	e.line("}")
 	return true

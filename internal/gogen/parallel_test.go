@@ -93,13 +93,37 @@ func TestGeneratedWavefrontSchedule(t *testing.T) {
 		"wavefront nest", "sync.WaitGroup")
 }
 
-// TestGeneratedTileSchedule: the dependence-free Jacobi interior tiles
-// without barriers.
-func TestGeneratedTileSchedule(t *testing.T) {
+// TestGeneratedShardNestSchedule: the dependence-free Jacobi interior
+// shards its outer loop without barriers.
+func TestGeneratedShardNestSchedule(t *testing.T) {
 	n := int64(192)
 	parDifferential(t, workloads.JacobiMonolithicSrc, workloads.ParamsFor("jacobimono", n),
 		map[string][]int64{"b": {n, n}}, "a",
-		"tiled nest", "runtime.GOMAXPROCS")
+		"shard loop over", "runtime.GOMAXPROCS")
+}
+
+// TestGeneratedSequentialWithoutSchedule: Parallel marks alone never
+// change execution. At one worker the planner attaches no schedule to
+// out-of-place Jacobi, the interpreter runs it sequentially, and so
+// must the emitted code.
+func TestGeneratedSequentialWithoutSchedule(t *testing.T) {
+	n := int64(192)
+	prog, err := core.Compile(workloads.JacobiMonolithicSrc, workloads.ParamsFor("jacobimono", n),
+		core.Options{Parallel: true, Workers: 1, InputBounds: map[string]analysis.ArrayBounds{
+			"b": {Lo: []int64{1, 1}, Hi: []int64{n, n}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kinds := prog.Stats.Counters.SchedulesByKind; kinds["sequential"] == 0 || len(kinds) != 1 {
+		t.Fatalf("schedules %v, want only sequential loops at one worker", kinds)
+	}
+	fn, _, _, err := gogen.EmitFunc(prog.Defs["a"].Plan.Program, "Compiled")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(fn, "go func") {
+		t.Fatalf("unscheduled loops must emit sequentially:\n%s", fn)
+	}
 }
 
 // TestForcedChecksSuppressParallelEmission pins the hasErrorPaths ×
@@ -143,16 +167,26 @@ func TestForcedChecksSuppressParallelEmission(t *testing.T) {
 // TestGeneratedParallelGofmtClean: every scheduled shape must emit
 // syntactically valid Go.
 func TestGeneratedParallelGofmtClean(t *testing.T) {
-	n := int64(128)
+	n := int64(384)
+	csr := workloads.CSRInputs(20000, 8, 5)
+	csrBounds := map[string]analysis.ArrayBounds{}
+	for name, a := range csr.Inputs {
+		csrBounds[name] = analysis.ArrayBounds{Lo: a.B.Lo, Hi: a.B.Hi}
+	}
 	for _, c := range []struct {
 		name, src, def string
 		params         map[string]int64
 		bounds         map[string]analysis.ArrayBounds
+		shape          string // a line the scheduled shape emits
 	}{
 		{"sor", workloads.SORSrc, "a2", workloads.ParamsFor("sor", n),
-			map[string]analysis.ArrayBounds{"a": {Lo: []int64{1, 1}, Hi: []int64{n, n}}}},
-		{"jacobimono", workloads.JacobiMonolithicSrc, "a", workloads.ParamsFor("jacobimono", 80),
-			map[string]analysis.ArrayBounds{"b": {Lo: []int64{1, 1}, Hi: []int64{80, 80}}}},
+			map[string]analysis.ArrayBounds{"a": {Lo: []int64{1, 1}, Hi: []int64{n, n}}},
+			"wavefront nest"},
+		{"jacobimono", workloads.JacobiMonolithicSrc, "a", workloads.ParamsFor("jacobimono", 192),
+			map[string]analysis.ArrayBounds{"b": {Lo: []int64{1, 1}, Hi: []int64{192, 192}}},
+			"no carried dependences between iterations"},
+		{"spmv", workloads.SpMVSrc, "y", csr.Params, csrBounds,
+			"equal-subscript runs stay in one chunk"},
 	} {
 		prog, err := core.Compile(c.src, c.params, core.Options{Parallel: true, InputBounds: c.bounds})
 		if err != nil {
@@ -161,6 +195,9 @@ func TestGeneratedParallelGofmtClean(t *testing.T) {
 		src, err := gogen.EmitFile(prog.Defs[c.def].Plan.Program, "gen", "F")
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !strings.Contains(src, c.shape) {
+			t.Fatalf("%s: emitted source missing %q:\n%s", c.name, c.shape, src)
 		}
 		checkGofmt(t, c.name, src)
 	}

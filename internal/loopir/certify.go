@@ -16,10 +16,11 @@ import (
 // checking that every conflicting pair (at least one write, distinct
 // iterations) is legal under the attached schedule's execution order:
 //
-//   - shard: no cross-iteration conflicts at all (chunk boundaries are
-//     chosen at run time, so any conflict can straddle one);
-//   - tile: conflicting points share a tile (tiles run concurrently
-//     and unordered; within a tile execution is sequential);
+//   - shard: conflicting points share an outer iteration (chunk
+//     boundaries are chosen at run time, so any conflict between
+//     iterations can straddle one; within an iteration of a 2-D nest,
+//     the prefix and the inner loop run sequentially). On a 1-D loop
+//     the outer iteration is the point, so no conflict is legal;
 //   - wavefront: the earlier point's tile lies up and to the left of
 //     the later point's tile, or is the same tile (a tile starts once
 //     the tile above and the tile to its left have finished; tiles
@@ -87,38 +88,38 @@ func certifyPlan(o *optimizer, l *Loop) certify.Certificate {
 	skip := func(detail string) certify.Certificate {
 		return certify.Certificate{Layer: "plan", Claim: claim, Status: certify.Skipped, Detail: detail}
 	}
-	switch l.Par.Kind {
-	case ParShard:
-		acc, ok := o.collectParAccesses(l.Body)
-		if !ok {
-			return skip("accesses not collectible")
-		}
-		return checkPlan(claim, acc, 0, l, nil, l.Par)
-	case ParTile, ParWavefront:
-		inner := nest2D(l)
-		if inner == nil {
-			return skip("nest shape not recognized")
-		}
+	if l.Par.Kind != ParShard && l.Par.Kind != ParWavefront {
+		return skip("unknown schedule kind")
+	}
+	if l.Par.AlignOn != nil {
+		// Legality is claim-conditional (monotone index array), not a
+		// distance-vector fact; CertifyClaims audits the claim cover and
+		// the runtime verifier discharges the claims themselves.
+		return skip("aligned-shard legality audited by the claims certifier")
+	}
+	if inner := nest2D(l); inner != nil {
 		pre, okPre := o.collectParAccesses(l.Body[:len(l.Body)-1])
 		body, okBody := o.collectParAccesses(inner.Body)
 		if !okPre || !okBody {
 			return skip("accesses not collectible")
 		}
 		return checkPlan(claim, append(pre, body...), len(pre), l, inner, l.Par)
-	case ParMonoShard:
-		// Legality is claim-conditional (monotone index array), not a
-		// distance-vector fact; CertifyClaims audits the claim cover and
-		// the runtime verifier discharges the claims themselves.
-		return skip("mono-shard legality audited by the claims certifier")
 	}
-	return skip("unknown schedule kind")
+	if l.Par.Kind == ParWavefront || hasLoop(l.Body) {
+		return skip("nest shape not recognized")
+	}
+	acc, ok := o.collectParAccesses(l.Body)
+	if !ok {
+		return skip("accesses not collectible")
+	}
+	return checkPlan(claim, acc, 0, l, nil, l.Par)
 }
 
 // checkPlan enumerates the clamped iteration space and validates every
 // conflict against the schedule. The first nPre accesses are per-row
 // prefix accesses (2-D only; inner == nil means 1-D).
 func checkPlan(claim string, acc []parAccess, nPre int, outer, inner *Loop, par *ParSchedule) certify.Certificate {
-	if (par.Kind == ParTile || par.Kind == ParWavefront) && (par.TileI < 1 || par.TileJ < 1) {
+	if par.Kind == ParWavefront && (par.TileI < 1 || par.TileJ < 1) {
 		return certify.Certificate{
 			Layer: "plan", Claim: claim, Status: certify.Falsified,
 			Detail: fmt.Sprintf("degenerate tile extents %dx%d", par.TileI, par.TileJ),
@@ -334,8 +335,8 @@ enumLoop:
 		exhaustive = false
 	}
 
-	// Tile coordinates (2-D kinds). Prefix occurrences sit in the
-	// row's column-0 tile.
+	// Tile coordinates (wavefront). Prefix occurrences sit in the row's
+	// column-0 tile.
 	tileOf := func(p planOcc) (int64, int64) {
 		ti := (p.i - outer.From) / par.TileI
 		if p.prefix {
@@ -360,11 +361,7 @@ enumLoop:
 		}
 		switch par.Kind {
 		case ParShard:
-			return false
-		case ParTile:
-			ai, aj := tileOf(a)
-			bi, bj := tileOf(b)
-			return ai == bi && aj == bj
+			return a.i == b.i
 		case ParWavefront:
 			ai, aj := tileOf(a)
 			bi, bj := tileOf(b)

@@ -9,7 +9,7 @@ import (
 
 // Certification of claim-conditional plans. A dual lowering relaxes
 // runtime checks — unchecked index-array loads (IIdx), untracked
-// stores (Assign.NoTrack), mono-shard schedules — on the strength of
+// stores (Assign.NoTrack), aligned shards — on the strength of
 // index-array property claims, discharged either statically (the
 // claims passed in) or by the BVerify guard dominating the relaxed
 // branch. CertifyClaims re-walks the program and demands that every
@@ -103,16 +103,16 @@ func (a *claimAuditor) stmts(list []Stmt, active idxprop.Claims) {
 	for _, s := range list {
 		switch x := s.(type) {
 		case *Loop:
-			if x.Par != nil && x.Par.Kind == ParMonoShard {
+			if x.Par != nil && x.Par.AlignOn != nil {
 				a.sites++
 				idx, isIdx := x.Par.AlignOn.(*IIdx)
 				switch {
 				case !isIdx:
-					a.falsify("mono-shard loop %s aligns on a non-index expression", x.Var)
+					a.falsify("aligned shard loop %s aligns on a non-index expression", x.Var)
 				case !hasClaim(active, idx.Array, idxprop.KMonoNonDec):
-					a.falsify("mono-shard loop %s aligned on %s without a dominating monotonicity claim", x.Var, idx.Array)
+					a.falsify("aligned shard loop %s aligned on %s without a dominating monotonicity claim", x.Var, idx.Array)
 				case !hasClaim(active, idx.Array, idxprop.KRange):
-					a.falsify("mono-shard loop %s aligned on %s without a dominating range claim", x.Var, idx.Array)
+					a.falsify("aligned shard loop %s aligned on %s without a dominating range claim", x.Var, idx.Array)
 				}
 				if isIdx {
 					a.intExpr(idx, active, nil, 0)

@@ -124,7 +124,7 @@ func TestCertifyClaimsMonoShard(t *testing.T) {
 		align := &IIdx{Array: "b", Subs: []IntExpr{&IVar{Name: "k"}}}
 		loop := &Loop{
 			Var: "k", From: 1, To: 8, Step: 1,
-			Par: &ParSchedule{Kind: ParMonoShard, AlignOn: align},
+			Par: &ParSchedule{Kind: ParShard, AlignOn: align},
 			Body: []Stmt{&Assign{
 				Array:    "h",
 				Subs:     []IntExpr{&IIdx{Array: "b", Subs: []IntExpr{&IVar{Name: "k"}}}},
@@ -154,10 +154,10 @@ func TestCertifyClaimsMonoShard(t *testing.T) {
 		{Array: "b", Kind: idxprop.KRange, Lo: 1, Hi: 4},
 	}
 	if err := CertifyClaims(mk(full), nil).Err(); err != nil {
-		t.Fatalf("covered mono-shard falsified: %v", err)
+		t.Fatalf("covered aligned shard falsified: %v", err)
 	}
 	noMono := idxprop.Claims{{Array: "b", Kind: idxprop.KRange, Lo: 1, Hi: 4}}
 	if CertifyClaims(mk(noMono), nil).Err() == nil {
-		t.Fatalf("mono-shard without monotonicity claim must falsify")
+		t.Fatalf("aligned shard without monotonicity claim must falsify")
 	}
 }

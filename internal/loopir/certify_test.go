@@ -4,12 +4,19 @@ import (
 	"strings"
 	"testing"
 
+	"arraycomp/internal/certify"
 	"arraycomp/internal/runtime"
 )
 
-func TestCertifyPlansTile(t *testing.T) {
-	n := int64(256)
-	p := &Program{
+// jacobiOOP is out-of-place Jacobi's interior nest: a[i,j] averages
+// b's four neighbours of (i,j), so no iterations conflict.
+func jacobiOOP(n int64) *Program {
+	rhs := VExpr(&VConst{Value: 0})
+	for _, d := range [][2]int64{{-1, 0}, {1, 0}, {0, -1}, {0, 1}} {
+		rhs = &VBin{Op: '+', L: rhs, R: &ARef{Array: "b",
+			Subs: []IntExpr{lin(d[0], term("i", 1)), lin(d[1], term("j", 1))}}}
+	}
+	return &Program{
 		Name: "jac",
 		Arrays: []ArrayDecl{
 			{Name: "a", B: runtime.NewBounds2(1, 1, n, n), Role: RoleOut},
@@ -21,22 +28,46 @@ func TestCertifyPlansTile(t *testing.T) {
 					&Assign{
 						Array: "a",
 						Subs:  []IntExpr{lin(0, term("i", 1)), lin(0, term("j", 1))},
-						Rhs:   &ARef{Array: "b", Subs: []IntExpr{lin(-1, term("i", 1)), lin(0, term("j", 1))}},
+						Rhs:   &VBin{Op: '*', L: &VConst{Value: 0.25}, R: rhs},
 					},
 				}},
 			}},
 		},
 	}
-	optimizeFor(p)
-	if d := p.Dump(); !strings.Contains(d, "[tile") {
-		t.Fatalf("planner did not tile:\n%s", d)
+}
+
+// TestCertifyPlansShard2D: the planner shards out-of-place Jacobi's
+// outer loop, and the certifier proves it by enumeration — over the
+// whole iteration space at a small n, clamped at a large one. A nest
+// whose only conflicts stay within a row (a[i,j] reads a[i,j-1]) is
+// certified too: conflicting points share an outer iteration.
+func TestCertifyPlansShard2D(t *testing.T) {
+	rows := stencil2D(256, true, [][2]int64{{0, -1}})
+	optimizeFor(rows)
+	if rep := CertifyPlans(rows); rows.Stmts[0].(*Loop).Par == nil || rep.FalsifiedCount != 0 || rep.CertifiedCount != 1 {
+		t.Fatalf("row-carried 2-D shard not certified:\n%s\n%s", rows.Dump(), rep)
 	}
-	rep := CertifyPlans(p)
-	if rep.FalsifiedCount != 0 {
-		t.Fatalf("legal tile schedule falsified:\n%s", rep)
-	}
-	if rep.CertifiedCount == 0 {
-		t.Fatalf("tile schedule not certified: %s", rep.Summary())
+	for _, n := range []int64{32, 256} {
+		p := jacobiOOP(n)
+		optimizeFor(p)
+		outer := p.Stmts[0].(*Loop)
+		if n == 256 && (outer.Par == nil || outer.Par.Kind != ParShard) {
+			t.Fatalf("n=%d: planner did not shard the outer loop:\n%s", n, p.Dump())
+		}
+		// Too little work to pay at the small size: attach the schedule
+		// the planner picks at the large one.
+		outer.Par = &ParSchedule{Kind: ParShard}
+		rep := CertifyPlans(p)
+		if rep.FalsifiedCount != 0 || rep.CertifiedCount != 1 {
+			t.Fatalf("n=%d: legal 2-D shard not certified:\n%s", n, rep)
+		}
+		want := 0
+		if n-2 <= certify.ShadowClamp {
+			want = 1
+		}
+		if got := rep.Layers["plan"].Exhaustive; got != want {
+			t.Fatalf("n=%d: %d exhaustive certificates, want %d", n, got, want)
+		}
 	}
 }
 
@@ -78,7 +109,7 @@ func TestCertifyPlansCatchesForgedShard(t *testing.T) {
 	// conflict across any chunk boundary; the certifier must produce a
 	// concrete witness pair.
 	n := int64(4096)
-	p := &Program{
+	rec := &Program{
 		Name:   "rec1",
 		Arrays: []ArrayDecl{{Name: "a", B: runtime.NewBounds1(1, n), Role: RoleInOut}},
 		Stmts: []Stmt{
@@ -93,12 +124,18 @@ func TestCertifyPlansCatchesForgedShard(t *testing.T) {
 				}},
 		},
 	}
-	rep := CertifyPlans(p)
-	if rep.FalsifiedCount == 0 {
-		t.Fatalf("illegal shard survived certification:\n%s", rep)
-	}
-	if len(rep.Failures[0].Witness) == 0 {
-		t.Fatalf("falsification carries no witness: %s", rep.Failures[0])
+	// SOR's nest carries a[i-1,j] across rows: sharding its outer loop
+	// splits the dependence between workers.
+	sor := stencil2D(64, true, [][2]int64{{-1, 0}, {0, -1}, {1, 0}, {0, 1}})
+	sor.Stmts[0].(*Loop).Par = &ParSchedule{Kind: ParShard}
+	for _, p := range []*Program{rec, sor} {
+		rep := CertifyPlans(p)
+		if rep.FalsifiedCount == 0 {
+			t.Fatalf("%s: illegal shard survived certification:\n%s", p.Name, rep)
+		}
+		if len(rep.Failures[0].Witness) == 0 {
+			t.Fatalf("%s: falsification carries no witness: %s", p.Name, rep.Failures[0])
+		}
 	}
 }
 
@@ -188,8 +225,8 @@ func TestTripCountSaturation(t *testing.T) {
 }
 
 func TestCertifyPlansWitnessDeterministic(t *testing.T) {
-	// A 2-D nest with north and west dependences forced onto a tile
-	// schedule: many elements conflict across tiles. Elements are
+	// A 2-D nest with north and west dependences forced onto a shard:
+	// many elements conflict across rows. Elements are
 	// scanned in first-seen order, so every run reports the same
 	// counterexample.
 	n := int64(100)
@@ -198,7 +235,7 @@ func TestCertifyPlansWitnessDeterministic(t *testing.T) {
 		Arrays: []ArrayDecl{{Name: "a", B: runtime.NewBounds2(1, 1, n, n), Role: RoleInOut}},
 		Stmts: []Stmt{
 			&Loop{Var: "i", From: 2, To: n, Step: 1, Parallel: true,
-				Par: &ParSchedule{Kind: ParTile, TileI: 8, TileJ: 8},
+				Par: &ParSchedule{Kind: ParShard},
 				Body: []Stmt{
 					&Loop{Var: "j", From: 2, To: n, Step: 1, Body: []Stmt{
 						&Assign{
@@ -215,7 +252,7 @@ func TestCertifyPlansWitnessDeterministic(t *testing.T) {
 	}
 	first := CertifyPlans(p)
 	if first.FalsifiedCount == 0 || len(first.Failures[0].Witness) != 4 {
-		t.Fatalf("forged tile schedule not falsified with a witness:\n%s", first)
+		t.Fatalf("forged shard not falsified with a witness:\n%s", first)
 	}
 	f := first.Failures[0]
 	if !strings.HasPrefix(f.Detail, "conflicting accesses of a,") || !strings.HasSuffix(f.Detail, " run unordered") {
@@ -228,8 +265,8 @@ func TestCertifyPlansWitnessDeterministic(t *testing.T) {
 	}
 }
 
-// BenchmarkCertifyPlans certifies a legal 2-D tile schedule whose
-// 126×126 nest is clamped to the 64×64 shadow domain.
+// BenchmarkCertifyPlans certifies a legal 2-D shard whose 126×126
+// nest is clamped to the 64×64 shadow domain.
 func BenchmarkCertifyPlans(b *testing.B) {
 	n := int64(128)
 	p := &Program{
@@ -240,7 +277,7 @@ func BenchmarkCertifyPlans(b *testing.B) {
 		},
 		Stmts: []Stmt{
 			&Loop{Var: "i", From: 2, To: n - 1, Step: 1, Parallel: true,
-				Par: &ParSchedule{Kind: ParTile, TileI: 16, TileJ: 16},
+				Par: &ParSchedule{Kind: ParShard},
 				Body: []Stmt{
 					&Loop{Var: "j", From: 2, To: n - 1, Step: 1, Body: []Stmt{
 						&Assign{
@@ -258,7 +295,7 @@ func BenchmarkCertifyPlans(b *testing.B) {
 	b.ReportAllocs()
 	for b.Loop() {
 		if rep := CertifyPlans(p); rep.FalsifiedCount != 0 || rep.CertifiedCount != 1 {
-			b.Fatalf("tile schedule: %s", rep.Summary())
+			b.Fatalf("2-D shard: %s", rep.Summary())
 		}
 	}
 }

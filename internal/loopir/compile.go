@@ -207,10 +207,10 @@ func (c *compiler) compileStmt(s Stmt) stmtFn {
 		var par stmtFn
 		if x.Par != nil {
 			switch x.Par.Kind {
-			case ParShard, ParMonoShard:
+			case ParShard:
 				par = c.compileShardLoop(x, trip, seq)
-			case ParTile, ParWavefront:
-				par = c.compileTiledNest(x, trip, seq)
+			case ParWavefront:
+				par = c.compileWavefront(x, trip, seq)
 			}
 		}
 		if par != nil {

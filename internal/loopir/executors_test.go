@@ -33,8 +33,8 @@ func TestExecutorsBitwiseEquivalent(t *testing.T) {
 			workloads.Livermore23Inputs(256), "wavefront"},
 		{"wavefront", workloads.WavefrontSrc, map[string]int64{"n": 384}, nil, "wavefront"},
 		{"jacobi_oop", workloads.JacobiMonolithicSrc, map[string]int64{"n": 384},
-			map[string]*runtime.Strict{"b": mesh(384, 3)}, "tile"},
-		{"spmv", workloads.SpMVSrc, csr.Params, csr.Inputs, "mono-shard"},
+			map[string]*runtime.Strict{"b": mesh(384, 3)}, "shard"},
+		{"spmv", workloads.SpMVSrc, csr.Params, csr.Inputs, "shard"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -4,10 +4,10 @@ package loopir
 // runs the trip-relative iterations [t0, t1) of the loop: iteration t
 // binds the loop variable to From + t·Step and each induction register
 // to its entry value + t·step. Every executor calls that one kernel —
-// the sequential loop runs row(f, 0, trip), a shard or mono-shard
-// worker its chunk, a tile or wavefront worker each row's slice of its
-// tile — so a parallel schedule runs exactly the sequential arm's
-// inner loop. The kernel compiler picks the strongest of three forms:
+// the sequential loop runs row(f, 0, trip), a shard worker its chunk
+// (on a 2-D nest, of the outer loop's kernel, whose rows run the inner
+// loop's), a wavefront worker each row's slice of its tile — so a
+// parallel schedule runs exactly the sequential arm's inner loop. The kernel compiler picks the strongest of three forms:
 //
 //   - copy: a body `dst@{r1} := src@{r2}` over two step-one registers
 //     lowers to builtin copy, one memmove per row. Node splitting's

@@ -99,8 +99,8 @@ type Loop struct {
 	// may execute concurrently (the paper's section 10 extension). The
 	// code generator only sets this when the body touches no shared
 	// mutable state besides disjoint array elements. Like Doacross,
-	// the flag alone never changes execution: only a Par schedule the
-	// planner attaches does.
+	// the flag alone never changes execution, in the interpreter or in
+	// emitted Go: only a Par schedule the planner attaches does.
 	Parallel bool
 	// Doacross marks a loop that carries dependences but whose pass
 	// direction is consistent with them: the optimizer may still find a
@@ -109,11 +109,12 @@ type Loop struct {
 	// alone never changes execution — only a Par schedule attached by
 	// the optimizer does.
 	Doacross bool
-	// Par is the concrete parallel schedule chosen by the optimizer's
-	// planning pass. It is only ever set after the distance-vector
-	// legality analysis and the trip/work cost model both pass; the
+	// Par is the concrete parallel schedule: chosen by the optimizer's
+	// planning pass only after the distance-vector legality analysis
+	// and the trip/work cost model both pass, or, for an aligned shard,
+	// by lowering under runtime-verified index-array claims. The
 	// executor and the Go emitter consume it. Nil means sequential
-	// execution in the interpreter.
+	// execution in both.
 	Par *ParSchedule
 	// Inds are induction registers introduced by the optimizer's
 	// strength-reduction pass: each is set to Init at loop entry and
@@ -195,35 +196,34 @@ func (s *StencilInfo) String() string {
 	return "stencil " + part
 }
 
-// ParKind selects a parallel execution shape.
+// ParKind selects a parallel execution shape. There are two: a shard
+// deals contiguous chunks of a loop's iterations to workers, and a
+// wavefront pipelines the tiles of a 2-D nest whose rows depend on
+// earlier rows. Deleted kinds keep their numbers reserved, so a stored
+// plan never decodes as another kind.
 type ParKind uint8
 
 const (
-	// ParShard splits a dependence-free loop into contiguous chunks,
-	// one per worker.
+	// ParShard splits a loop's iterations into contiguous chunks, one
+	// per worker, each running in sequential order. On a 2-D nest the
+	// outer loop is sharded: every conflict lies within one outer
+	// iteration, so whole rows (prefix and inner loop) go to one
+	// worker. With ParSchedule.AlignOn set, chunk boundaries are
+	// aligned to runs of equal write subscripts (see AlignOn).
 	ParShard ParKind = iota + 1
-	// ParTile decomposes a dependence-free 2-D nest into TileI×TileJ
-	// cache tiles executed block-cyclically across workers with no
-	// synchronization.
-	ParTile
+	// 2 named a block-cyclic schedule of full-width row bands: a shard
+	// dealt in pieces.
+	_
 	// ParWavefront executes the TileI×TileJ tiles of a 2-D nest whose
 	// carried distance vectors are all component-wise non-negative as
 	// a pipeline of row bands: a tile runs once the tile above it and
 	// the tile to its left have finished.
 	ParWavefront
 	// 4 named a residue-class chains schedule, deleted because it lost
-	// to sequential execution at every measured size; the number stays
-	// reserved so stored plans keep their kinds.
+	// to sequential execution at every measured size.
 	_
-	// ParMonoShard shards a 1-D commutative-accumulation loop whose
-	// write subscript routes through a runtime-verified monotone
-	// non-decreasing index array: chunk boundaries are aligned so that
-	// equal subscript values never straddle workers (each worker
-	// advances its start past any run continuing the previous chunk's
-	// last value). Workers then own disjoint element sets and each
-	// element's contributions keep their sequential order, so the
-	// result is bitwise identical to sequential execution.
-	ParMonoShard
+	// 5 named the aligned shard, now a ParShard with AlignOn set.
+	_
 )
 
 // String names the schedule kind.
@@ -231,39 +231,39 @@ func (k ParKind) String() string {
 	switch k {
 	case ParShard:
 		return "shard"
-	case ParTile:
-		return "tile"
 	case ParWavefront:
 		return "wavefront"
-	case ParMonoShard:
-		return "mono-shard"
 	}
 	return fmt.Sprintf("ParKind(%d)", uint8(k))
 }
 
 // ParSchedule is the optimizer-chosen parallel schedule of a loop (see
-// Loop.Par). For ParTile and ParWavefront the loop must be a 2-D nest:
-// the annotated outer loop, optional prefix statements (executed once
-// per outer iteration, before the row's first tile column), and the
-// inner loop as the last body statement.
+// Loop.Par). A ParWavefront loop, and a ParShard loop with an inner
+// loop, must be a 2-D nest: the annotated outer loop, optional prefix
+// statements (executed once per outer iteration, before the row's
+// inner loop), and the inner loop as the last body statement.
 type ParSchedule struct {
 	Kind ParKind
-	// TileI, TileJ are the cache tile extents (ParTile, ParWavefront).
+	// TileI, TileJ are the cache tile extents (ParWavefront).
 	TileI, TileJ int64
-	// AlignOn is the write-subscript expression of a ParMonoShard loop,
-	// evaluated at a candidate boundary iteration to decide whether the
-	// boundary splits a run of equal subscript values. It references
-	// the loop variable only.
+	// AlignOn, when set on a 1-D ParShard loop, is its write subscript,
+	// verified at run time to be non-decreasing over the iteration
+	// space (typically an indirect idx!(i) read). A chunk boundary is
+	// advanced past any run of equal values, so equal subscripts never
+	// straddle workers: each worker owns a disjoint element set and
+	// every element's contributions keep their sequential order, which
+	// makes a commutative accumulation bitwise identical to sequential
+	// execution. It references the loop variable only.
 	AlignOn IntExpr
 }
 
 // String renders the schedule for dumps.
 func (s *ParSchedule) String() string {
-	switch s.Kind {
-	case ParTile, ParWavefront:
+	switch {
+	case s.Kind == ParWavefront:
 		return fmt.Sprintf("%s %dx%d", s.Kind, s.TileI, s.TileJ)
-	case ParMonoShard:
-		return fmt.Sprintf("%s(%s)", s.Kind, IntExprString(s.AlignOn))
+	case s.AlignOn != nil:
+		return fmt.Sprintf("%s aligned on %s", s.Kind, IntExprString(s.AlignOn))
 	}
 	return s.Kind.String()
 }

@@ -7,10 +7,12 @@ import "sync"
 // which dependences a loop carries; the optimizer's planning pass (see
 // plan.go) verifies the concrete distance vectors and attaches a
 // ParSchedule; this file compiles those schedules to closures over the
-// persistent worker pool (see pool.go). Each worker gets its own
-// register frame from the Exec's frame pool — loop variables and
-// scalars are thread-local, array storage and definedness bitmaps are
-// shared.
+// persistent worker pool (see pool.go): a shard deals contiguous
+// chunks of the loop's iterations (compileShardLoop), a wavefront
+// pipelines row bands of tiles (compileWavefront). Each worker gets
+// its own register frame from the Exec's frame pool — loop variables
+// and scalars are thread-local, array storage and definedness bitmaps
+// are shared.
 //
 // Every parallel executor reads the worker count from the frame at run
 // time (Exec.SetWorkers / GOMAXPROCS), falls back to the sequential
@@ -103,8 +105,8 @@ func vexprWork(e VExpr) int64 {
 // tripSaturated is the trip-count cap: spans too wide for int64
 // arithmetic clamp here instead of wrapping negative. A negative
 // "trip" used to reach the cost model for loops like [−2^62 .. 2^62],
-// where chooseTile would hand the tiled executors a zero (or negative)
-// tile extent.
+// where chooseTile would hand the wavefront executor a zero (or
+// negative) tile extent.
 const tripSaturated = int64(1) << 62
 
 func tripCount(from, to, step int64) int64 {
@@ -173,9 +175,11 @@ func (p *parError) catchRow(wf *frame, slot int, from, step int64) {
 
 // compileShardLoop splits a loop's [0..trip) iteration space into one
 // contiguous chunk per worker, each run by the loop's row kernel. seq
-// is the single-worker path.
+// is the single-worker path. On a 2-D nest that kernel is the outer
+// loop's: each iteration runs the row's prefix and then the inner loop,
+// which keeps its own row kernel.
 //
-// A ParMonoShard loop's write subscript (Par.AlignOn, typically an
+// An aligned shard's write subscript (Par.AlignOn, typically an
 // indirect idx!(i) read) has been verified non-decreasing over the
 // iteration space. Naive chunk boundaries are advanced to the next
 // change of the subscript value, so a run of equal subscripts never
@@ -187,10 +191,7 @@ func (p *parError) catchRow(wf *frame, slot int, from, step int64) {
 // communicating.
 func (c *compiler) compileShardLoop(x *Loop, trip int64, seq stmtFn) stmtFn {
 	var align intFn
-	if x.Par.Kind == ParMonoShard {
-		if x.Par.AlignOn == nil {
-			return nil
-		}
+	if x.Par.AlignOn != nil {
 		align = c.compileInt(x.Par.AlignOn)
 	}
 	row := c.parRow(x, x)
@@ -226,9 +227,9 @@ func (c *compiler) compileShardLoop(x *Loop, trip int64, seq stmtFn) stmtFn {
 	}
 }
 
-// tiledNest is the compiled form of a 2-D nest scheduled as cache
-// tiles: the outer loop, optional per-row prefix statements, and the
-// inner loop's row kernel. Both loops step by +1.
+// tiledNest is the compiled form of a 2-D nest scheduled as a
+// wavefront of cache tiles: the outer loop, optional per-row prefix
+// statements, and the inner loop's row kernel. Both loops step by +1.
 type tiledNest struct {
 	oSlot     int
 	oFrom, ni int64
@@ -245,7 +246,7 @@ type tiledNest struct {
 // kernel over the tile's columns. Runtime failures are recorded
 // (tagged with the iteration's rank in sequential order) and end the
 // tile; later tiles of the same worker still run, which guarantees the
-// globally first failure is reached regardless of tile-to-worker
+// globally first failure is reached regardless of band-to-worker
 // assignment.
 func (tn *tiledNest) runTile(wf *frame, bi, bj int64, oBases []int64, perr *parError) {
 	iLo := tn.oFrom + bi*tn.tI
@@ -311,13 +312,11 @@ func (b *bandProgress) finish(n int64) {
 	b.mu.Unlock()
 }
 
-// compileTiledNest compiles a ParTile or ParWavefront schedule. ParTile
-// tiles are fully independent and distributed block-cyclically;
-// ParWavefront pipelines row bands of tiles, each tile waiting only for
-// the tile above it. Returns nil when the nest shape is not the one the
-// planner scheduled (defensive — the caller then falls back to
-// sequential execution).
-func (c *compiler) compileTiledNest(x *Loop, trip int64, seq stmtFn) stmtFn {
+// compileWavefront compiles a ParWavefront schedule: row bands of
+// tiles pipeline, each tile waiting only for the tile above it.
+// Returns nil when the nest shape is not the one the planner scheduled
+// (defensive — the caller then falls back to sequential execution).
+func (c *compiler) compileWavefront(x *Loop, trip int64, seq stmtFn) stmtFn {
 	if x.Step != 1 || len(x.Body) == 0 {
 		return nil
 	}
@@ -346,14 +345,9 @@ func (c *compiler) compileTiledNest(x *Loop, trip int64, seq stmtFn) stmtFn {
 	}
 	nti := (trip + tn.tI - 1) / tn.tI
 	ntj := (iTrip + tn.tJ - 1) / tn.tJ
-	wavefront := sched.Kind == ParWavefront
-	maxPar := nti * ntj
-	if wavefront {
-		maxPar = min(nti, ntj)
-	}
 	fp := c.fp
 	return func(f *frame) {
-		w := workersFor(f, maxPar)
+		w := workersFor(f, min(nti, ntj))
 		if w <= 1 || trip == 0 || iTrip == 0 {
 			seq(f)
 			return
@@ -363,40 +357,29 @@ func (c *compiler) compileTiledNest(x *Loop, trip int64, seq stmtFn) stmtFn {
 			oBases[i] = inds[i].init(f)
 		}
 		errs := make([]parError, w)
-		if wavefront {
-			// Row bands are dealt to workers cyclically, and a band
-			// runs its tiles left to right. Tile (bi,bj) starts once
-			// band bi-1 has finished its tile bj, so by induction every
-			// tile up and to the left of it is done: each carried
-			// dependence (component-wise non-negative by the planner's
-			// legality check) crosses a finished tile.
-			bands := make([]bandProgress, nti)
-			for b := range bands {
-				bands[b].cond.L = &bands[b].mu
-			}
-			RunParallel(w, func(wi int) {
-				wf := fp.get(f)
-				defer fp.put(wf)
-				for bi := int64(wi); bi < nti; bi += int64(w) {
-					for bj := int64(0); bj < ntj; bj++ {
-						if bi > 0 {
-							bands[bi-1].await(bj + 1)
-						}
-						tn.runTile(wf, bi, bj, oBases, &errs[wi])
-						bands[bi].finish(bj + 1)
-					}
-				}
-			})
-		} else {
-			total := nti * ntj
-			RunParallel(w, func(wi int) {
-				wf := fp.get(f)
-				defer fp.put(wf)
-				for tid := int64(wi); tid < total; tid += int64(w) {
-					tn.runTile(wf, tid/ntj, tid%ntj, oBases, &errs[wi])
-				}
-			})
+		// Row bands are dealt to workers cyclically, and a band runs
+		// its tiles left to right. Tile (bi,bj) starts once band bi-1
+		// has finished its tile bj, so by induction every tile up and
+		// to the left of it is done: each carried dependence
+		// (component-wise non-negative by the planner's legality check)
+		// crosses a finished tile.
+		bands := make([]bandProgress, nti)
+		for b := range bands {
+			bands[b].cond.L = &bands[b].mu
 		}
+		RunParallel(w, func(wi int) {
+			wf := fp.get(f)
+			defer fp.put(wf)
+			for bi := int64(wi); bi < nti; bi += int64(w) {
+				for bj := int64(0); bj < ntj; bj++ {
+					if bi > 0 {
+						bands[bi-1].await(bj + 1)
+					}
+					tn.runTile(wf, bi, bj, oBases, &errs[wi])
+					bands[bi].finish(bj + 1)
+				}
+			}
+		})
 		raiseMin(errs)
 	}
 }

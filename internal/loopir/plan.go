@@ -11,8 +11,7 @@ package loopir
 // all integers by now — and picks the strongest legal schedule:
 //
 //   - no carried conflicts, or only
-//     inner-carried ones (di = 0)      → ParTile full-width row bands
-//     (2-D) / ParShard (1-D)
+//     inner-carried ones (di = 0)      → ParShard of the outer loop
 //   - all distances component-wise ≥ 0 → ParWavefront (pipelined row
 //     bands of cache tiles)
 //   - anything else                    → sequential
@@ -48,20 +47,19 @@ func parPays(total, units, path, workers, syncs int64) bool {
 	return workers >= 2 && saved >= parPayoff*overhead
 }
 
-// parWorthwhile decides plain sharding: one contiguous chunk per
-// worker.
+// parWorthwhile decides sharding: one contiguous chunk of a loop's
+// trip iterations, each costing bodyWork, per worker.
 func parWorthwhile(trip, bodyWork, workers int64) bool {
 	w := min(workers, trip)
 	return trip >= 2 && parPays(satMul(trip, bodyWork), trip, (trip+w-1)/w, w, 0)
 }
 
-// tileWorthwhile decides tiled schedules. Independent tiles are dealt
-// block-cyclically; a wavefront's row bands are dealt cyclically and
-// pipeline one tile apart, so its critical path is the longest
-// worker's bands plus the pipeline fill, and every band after the
-// first may block on the one above. Degenerate shapes (non-positive
+// tileWorthwhile decides a wavefront. Its row bands are dealt
+// cyclically and pipeline one tile apart, so its critical path is the
+// longest worker's bands plus the pipeline fill, and every band after
+// the first may block on the one above. Degenerate shapes (non-positive
 // extents or tiles, e.g. from a saturated trip count) never pay.
-func tileWorthwhile(ni, nj, bodyWork, tI, tJ, workers int64, wavefront bool) bool {
+func tileWorthwhile(ni, nj, bodyWork, tI, tJ, workers int64) bool {
 	if ni < 1 || nj < 1 || tI < 1 || tJ < 1 {
 		return false
 	}
@@ -69,10 +67,6 @@ func tileWorthwhile(ni, nj, bodyWork, tI, tJ, workers int64, wavefront bool) boo
 	ntj := (nj-1)/tJ + 1
 	units := satMul(nti, ntj)
 	total := satMul(satMul(ni, nj), bodyWork)
-	if !wavefront {
-		w := min(workers, units)
-		return parPays(total, units, (units+w-1)/w, w, 0)
-	}
 	w := min(workers, nti, ntj)
 	path := min(satAdd(satMul((nti+w-1)/w, ntj), w-1), units)
 	return parPays(total, units, path, w, nti-1)
@@ -183,7 +177,7 @@ func (o *optimizer) assignPar(l *Loop) bool {
 	return o.assignPar1D(l, trip)
 }
 
-// nest2D matches the tiled-schedule shape: the last body statement is
+// nest2D matches the 2-D schedule shape: the last body statement is
 // an inner loop and everything before it is a per-row prefix of plain
 // assignments. Both loops must step by +1.
 func nest2D(l *Loop) *Loop {
@@ -243,12 +237,11 @@ func (o *optimizer) assignPar2D(l, inner *Loop) bool {
 	if !ok {
 		return false
 	}
-	carried, rowIndep, nonneg := false, true, true
+	rowIndep, nonneg := true, true
 	for _, d := range dists {
 		if d.di == 0 && d.dj == 0 && !d.prefix && !d.prePre {
 			continue // loop-independent; statement order within a point holds
 		}
-		carried = true
 		if d.prePre {
 			// Cross-row prefix conflict: only the wavefront preserves
 			// full row order, in either direction.
@@ -258,7 +251,7 @@ func (o *optimizer) assignPar2D(l, inner *Loop) bool {
 		if d.prefix {
 			// Prefix dependences are directional (prefix first within
 			// its row): a conflict with an earlier row's body breaks
-			// every tiled schedule.
+			// every 2-D schedule.
 			if d.di < 0 {
 				nonneg = false
 			}
@@ -277,26 +270,19 @@ func (o *optimizer) assignPar2D(l, inner *Loop) bool {
 			nonneg = false
 		}
 	}
-	work, w := estimateWork(inner.Body), o.workers
-	tI, tJ := chooseTile(ni, nj, w)
-	if l.Sten != nil && l.Sten.Dims == 2 {
-		// Halo-fed tiling: the recognized footprint overrides the
-		// generic occupancy heuristic. Legality is untouched — tile
-		// sizes only reshape the schedule's unit of work.
-		tI, tJ = chooseStencilTile(ni, nj, w, l.Sten)
-	}
+	w := o.workers
 	switch {
-	case !carried || rowIndep:
+	case rowIndep:
 		// No carried dependence, or only inner-carried ones: rows are
-		// independent, so full-width row bands need no synchronization
-		// and keep each row's sequential order. On dependence-free
-		// stencils, full-width bands also measured faster than square
-		// tiles (out-of-place Jacobi at n=384, 2 workers: 1.5-1.7x
-		// over one worker against 1.3-1.4x).
-		if !tileWorthwhile(ni, nj, work, tI, nj, w, false) {
+		// independent, so sharding the outer loop needs no
+		// synchronization and keeps each row's sequential order. On
+		// dependence-free stencils, full-width rows also measured
+		// faster than square tiles (out-of-place Jacobi at n=384, 2
+		// workers: 1.5-1.7x over one worker against 1.3-1.4x).
+		if !parWorthwhile(ni, estimateWork(l.Body), w) {
 			return false
 		}
-		l.Par = &ParSchedule{Kind: ParTile, TileI: tI, TileJ: nj}
+		l.Par = &ParSchedule{Kind: ParShard}
 		return true
 	case nonneg:
 		// Regular carried dependences, all pointing right/down: a tile
@@ -304,7 +290,14 @@ func (o *optimizer) assignPar2D(l, inner *Loop) bool {
 		// done, so row bands pipeline. A prefix conflict with the same
 		// or a later row is fine (the column-0 tile of a row band runs
 		// before all its other tiles).
-		if !tileWorthwhile(ni, nj, work, tI, tJ, w, true) {
+		tI, tJ := chooseTile(ni, nj, w)
+		if l.Sten != nil && l.Sten.Dims == 2 {
+			// Halo-fed tiling: the recognized footprint overrides the
+			// generic occupancy heuristic. Legality is untouched — tile
+			// sizes only reshape the schedule's unit of work.
+			tI, tJ = chooseStencilTile(ni, nj, w, l.Sten)
+		}
+		if !tileWorthwhile(ni, nj, estimateWork(inner.Body), tI, tJ, w) {
 			return false
 		}
 		l.Par = &ParSchedule{Kind: ParWavefront, TileI: tI, TileJ: tJ}
@@ -464,7 +457,7 @@ type parDist struct {
 // access pair over the (outerVar, innerVar) iteration space. The first
 // nPre accesses are per-row prefix accesses. Returns ok=false when any
 // pair's distance cannot be pinned to a unique constant vector — the
-// uniform-dependence requirement of the tiled schedules.
+// uniform-dependence requirement of the 2-D schedules.
 func pairDistances(acc []parAccess, outerVar, innerVar string, ri, rj loopRange, nPre int) ([]parDist, bool) {
 	for i := 0; i < nPre; i++ {
 		acc[i].prefix = true

@@ -95,9 +95,9 @@ func TestWavefrontScheduleMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestTileScheduleMatchesSequential(t *testing.T) {
+func TestShardNestMatchesSequential(t *testing.T) {
 	// Reads come from a separate input: the nest is dependence-free and
-	// should tile without synchronization.
+	// its outer loop should shard without synchronization.
 	n := int64(256)
 	mk := func(parallel bool) *Program {
 		return &Program{
@@ -126,18 +126,18 @@ func TestTileScheduleMatchesSequential(t *testing.T) {
 	ref := runWorkers(t, mk(false), false, 1, in)
 	p := mk(true)
 	optimizeFor(p)
-	if d := p.Dump(); !strings.Contains(d, "[tile") {
-		t.Fatalf("planner did not pick a tile schedule:\n%s", d)
+	if d := p.Dump(); !strings.Contains(d, "[shard]") {
+		t.Fatalf("planner did not shard the nest:\n%s", d)
 	}
 	got := runWorkers(t, p, false, 4, in)
 	if !ref.EqualWithin(got, 0) {
-		t.Fatal("tiled result differs from sequential")
+		t.Fatal("sharded nest differs from sequential")
 	}
 }
 
 func TestRowBandScheduleMatchesSequential(t *testing.T) {
 	// Only an inner-carried dependence (a[i,j-1]): rows are independent,
-	// the planner should pick full-width row bands (TileJ = nj).
+	// so the planner should shard the outer loop into bands of rows.
 	n := int64(256)
 	reads := [][2]int64{{0, -1}}
 	ref := runWorkers(t, stencil2D(n, false, reads), false, 1,
@@ -145,8 +145,8 @@ func TestRowBandScheduleMatchesSequential(t *testing.T) {
 	p := stencil2D(n, true, reads)
 	optimizeFor(p)
 	outer, ok := p.Stmts[0].(*Loop)
-	if !ok || outer.Par == nil || outer.Par.Kind != ParTile || outer.Par.TileJ != n-2 {
-		t.Fatalf("want row-band tile schedule, got:\n%s", p.Dump())
+	if !ok || outer.Par == nil || outer.Par.Kind != ParShard {
+		t.Fatalf("want the outer loop sharded, got:\n%s", p.Dump())
 	}
 	got := runWorkers(t, p, false, 4, map[string]*runtime.Strict{"a": seededMatrix(n)})
 	if !ref.EqualWithin(got, 0) {
@@ -301,60 +301,75 @@ func TestShardDeterministicError(t *testing.T) {
 	}
 }
 
-// TestTileDeterministicError: the failing region spans many tiles; the
-// row-major-first failure must win regardless of tile assignment.
-func TestTileDeterministicError(t *testing.T) {
+// TestShard2DDeterministicError: a sharded 2-D nest fails in rows
+// owned by different workers, and within one row in both the prefix
+// and the inner loop. Every worker count reports the sequential run's
+// message: the earliest row's failure, and within a row the prefix's.
+func TestShard2DDeterministicError(t *testing.T) {
 	n := int64(128)
-	bad := int64(77)
+	checked := func(arr string, subs ...IntExpr) *ARef {
+		return &ARef{Array: "b", CheckBounds: true, Subs: []IntExpr{
+			lin(0, term("i", 1)), &IIdx{Array: arr, Subs: subs, CheckBounds: true}}}
+	}
 	p := &Program{
-		Name: "terr",
+		Name: "serr",
 		Arrays: []ArrayDecl{
 			{Name: "a", B: runtime.NewBounds2(1, 1, n, n), Role: RoleOut},
 			{Name: "b", B: runtime.NewBounds2(1, 1, n, n), Role: RoleIn},
+			{Name: "c", B: runtime.NewBounds1(1, n), Role: RoleOut},
+			{Name: "pidx", B: runtime.NewBounds1(1, n), Role: RoleIn},
+			{Name: "idx", B: runtime.NewBounds2(1, 1, n, n), Role: RoleIn},
 		},
 		Stmts: []Stmt{
-			&Loop{Var: "i", From: 1, To: n, Step: 1, Parallel: true, Body: []Stmt{
+			// The checked subscripts keep the planner away; force the
+			// shard to exercise the executor's error path.
+			&Loop{Var: "i", From: 1, To: n, Step: 1, Par: &ParSchedule{Kind: ParShard}, Body: []Stmt{
+				&Assign{Array: "c", Subs: []IntExpr{lin(0, term("i", 1))},
+					Rhs: checked("pidx", lin(0, term("i", 1)))},
 				&Loop{Var: "j", From: 1, To: n, Step: 1, Body: []Stmt{
-					// Fails for every (i,j) with i >= bad: column subscript
-					// j + n*(i/bad) leaves the bounds.
-					&Assign{
-						Array: "a",
-						Subs: []IntExpr{
-							lin(0, term("i", 1)),
-							&IBin{Op: '+',
-								L: &IVar{Name: "j"},
-								R: &IBin{Op: '*',
-									L: &IConst{Value: n},
-									R: &IBin{Op: '/', L: &IVar{Name: "i"}, R: &IConst{Value: bad}},
-								},
-							},
-						},
-						Rhs:         &ARef{Array: "b", Subs: []IntExpr{lin(0, term("i", 1)), lin(0, term("j", 1))}},
-						CheckBounds: true,
-					},
+					&Assign{Array: "a", Subs: []IntExpr{lin(0, term("i", 1)), lin(0, term("j", 1))},
+						Rhs: checked("idx", lin(0, term("i", 1)), lin(0, term("j", 1)))},
 				}},
 			}},
 		},
 	}
-	Optimize(p)
-	// The checked assign disqualifies planning? No: CheckBounds accesses
-	// have affine subs nil (IBin), so the planner rejects — force a tile
-	// schedule by hand to exercise the executor's error path.
-	outer := p.Stmts[0].(*Loop)
-	outer.Par = &ParSchedule{Kind: ParTile, TileI: 16, TileJ: 16}
-	ex := mustCompile(t, p)
-	in := map[string]*runtime.Strict{"b": seededMatrix(n)}
-	ex.SetWorkers(1)
-	_, err := ex.RunResult(in)
-	if err == nil {
-		t.Fatal("sequential run did not fail")
+	// Rows 40 and 100 fall to different workers at widths 2 and 4.
+	// Row 100 fails in its prefix and at its fifth column; row 40 only
+	// at its fiftieth.
+	inputs := func(row40 bool) map[string]*runtime.Strict {
+		pidx := runtime.NewStrict(runtime.NewBounds1(1, n))
+		idx := runtime.NewStrict(runtime.NewBounds2(1, 1, n, n))
+		for i := int64(1); i <= n; i++ {
+			pidx.Set(float64(i), i)
+			for j := int64(1); j <= n; j++ {
+				idx.Set(float64(j), i, j)
+			}
+		}
+		pidx.Set(-100, 100)
+		idx.Set(-5, 100, 5)
+		if row40 {
+			idx.Set(-50, 40, 50)
+		}
+		return map[string]*runtime.Strict{"b": seededMatrix(n), "pidx": pidx, "idx": idx}
 	}
-	seqErr := err.Error()
-	for _, w := range []int{2, 5} {
-		ex.SetWorkers(w)
+	ex := mustCompile(t, p)
+	for _, c := range []struct {
+		row40 bool
+		want  string
+	}{{true, "subscript -50 "}, {false, "subscript -100 "}} {
+		in := inputs(c.row40)
+		ex.SetWorkers(1)
 		_, err := ex.RunResult(in)
-		if err == nil || err.Error() != seqErr {
-			t.Fatalf("workers=%d: error %v, sequential %q", w, err, seqErr)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("sequential run: %v, want the failure at %q", err, c.want)
+		}
+		seqErr := err.Error()
+		for _, w := range []int{2, 4} {
+			ex.SetWorkers(w)
+			_, err := ex.RunResult(in)
+			if err == nil || err.Error() != seqErr {
+				t.Fatalf("workers=%d: error %v, sequential %q", w, err, seqErr)
+			}
 		}
 	}
 }

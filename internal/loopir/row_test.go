@@ -26,19 +26,28 @@ func compileRows(t *testing.T, p *Program) *compiler {
 
 // TestExecutorsGetSpecializedRow: a stencil inner loop compiles to one
 // straight-line row kernel, and that kernel is the one the sequential
-// loop, the tile or wavefront executor and the shard executor run —
-// each loop has exactly one kernel, compiled once.
+// loop, the wavefront executor and a 2-D shard's rows run — each loop
+// has exactly one kernel, compiled once. A wavefront runs the inner
+// kernel itself; a 2-D shard runs the outer loop's generic kernel,
+// which calls it once per row.
 func TestExecutorsGetSpecializedRow(t *testing.T) {
 	n := int64(64)
-	for _, kind := range []ParKind{ParTile, ParWavefront} {
+	for _, kind := range []ParKind{ParShard, ParWavefront} {
 		p := stencil2D(n, true, [][2]int64{{-1, 0}, {0, -1}, {1, 0}, {0, 1}})
 		optimizeFor(p)
 		outer := p.Stmts[0].(*Loop)
 		outer.Par = &ParSchedule{Kind: kind, TileI: 16, TileJ: 16}
 		c := compileRows(t, p)
 		inner := outer.Body[len(outer.Body)-1].(*Loop)
-		if rk := c.parRows[outer]; rk == nil || rk != c.rows[inner] || rk.kind != rowStraight {
-			t.Fatalf("%s: executor row kernel %+v, want the inner loop's straight-line kernel", kind, rk)
+		want := c.rows[inner]
+		if kind == ParShard {
+			want = c.rows[outer]
+		}
+		if rk := c.parRows[outer]; rk == nil || rk != want {
+			t.Fatalf("%s: executor row kernel %+v, want %+v", kind, rk, want)
+		}
+		if rk := c.rows[inner]; rk == nil || rk.kind != rowStraight {
+			t.Fatalf("%s: inner loop row kernel %+v, want the straight-line form", kind, rk)
 		}
 		if rk := c.rows[outer]; rk == nil || rk.kind != rowGeneric {
 			t.Fatalf("%s: outer loop row kernel %+v, want the generic form", kind, rk)
@@ -134,10 +143,9 @@ func TestRowKernelForms(t *testing.T) {
 	}
 }
 
-// TestTiledNestTwoFailuresLowestRank: a checked tiled nest fails in
-// two tiles run by different workers. Every worker count and both
-// tiled schedules report the sequential run's message, the failure of
-// lowest rank.
+// TestTiledNestTwoFailuresLowestRank: a checked wavefront nest fails
+// in two tiles run by different workers. Every worker count reports
+// the sequential run's message, the failure of lowest rank.
 func TestTiledNestTwoFailuresLowestRank(t *testing.T) {
 	n := int64(128)
 	idx := runtime.NewStrict(runtime.NewBounds2(1, 1, n, n))
@@ -146,49 +154,46 @@ func TestTiledNestTwoFailuresLowestRank(t *testing.T) {
 			idx.Set(float64(j), i, j)
 		}
 	}
-	// Two failures in one row, in tiles (2,3) and (2,4) of 16×16: the
-	// tile schedule deals them to different workers, the later one to
-	// the lower worker index, so only the column part of the rank picks
-	// the sequentially first failure.
+	// Two failures in one row, in tiles (2,3) and (2,4) of 16×16: both
+	// lie in one row band, so one worker meets them in column order
+	// and the rank's column part picks the sequentially first failure.
 	idx.Set(-40, 40, 50)
 	idx.Set(-70, 40, 70)
 	in := map[string]*runtime.Strict{"b": seededMatrix(n), "idx": idx}
-	for _, kind := range []ParKind{ParTile, ParWavefront} {
-		p := &Program{
-			Name: "twofail",
-			Arrays: []ArrayDecl{
-				{Name: "a", B: runtime.NewBounds2(1, 1, n, n), Role: RoleOut},
-				{Name: "b", B: runtime.NewBounds2(1, 1, n, n), Role: RoleIn},
-				{Name: "idx", B: runtime.NewBounds2(1, 1, n, n), Role: RoleIn},
-			},
-			Stmts: []Stmt{
-				&Loop{Var: "i", From: 1, To: n, Step: 1, Par: &ParSchedule{Kind: kind, TileI: 16, TileJ: 16}, Body: []Stmt{
-					&Loop{Var: "j", From: 1, To: n, Step: 1, Body: []Stmt{
-						&Assign{
-							Array: "a",
-							Subs:  []IntExpr{lin(0, term("i", 1)), lin(0, term("j", 1))},
-							Rhs: &ARef{Array: "b", CheckBounds: true, Subs: []IntExpr{
-								lin(0, term("i", 1)),
-								&IIdx{Array: "idx", Subs: []IntExpr{lin(0, term("i", 1)), lin(0, term("j", 1))}, CheckBounds: true},
-							}},
-						},
-					}},
+	p := &Program{
+		Name: "twofail",
+		Arrays: []ArrayDecl{
+			{Name: "a", B: runtime.NewBounds2(1, 1, n, n), Role: RoleOut},
+			{Name: "b", B: runtime.NewBounds2(1, 1, n, n), Role: RoleIn},
+			{Name: "idx", B: runtime.NewBounds2(1, 1, n, n), Role: RoleIn},
+		},
+		Stmts: []Stmt{
+			&Loop{Var: "i", From: 1, To: n, Step: 1, Par: &ParSchedule{Kind: ParWavefront, TileI: 16, TileJ: 16}, Body: []Stmt{
+				&Loop{Var: "j", From: 1, To: n, Step: 1, Body: []Stmt{
+					&Assign{
+						Array: "a",
+						Subs:  []IntExpr{lin(0, term("i", 1)), lin(0, term("j", 1))},
+						Rhs: &ARef{Array: "b", CheckBounds: true, Subs: []IntExpr{
+							lin(0, term("i", 1)),
+							&IIdx{Array: "idx", Subs: []IntExpr{lin(0, term("i", 1)), lin(0, term("j", 1))}, CheckBounds: true},
+						}},
+					},
 				}},
-			},
-		}
-		ex := mustCompile(t, p)
-		ex.SetWorkers(1)
+			}},
+		},
+	}
+	ex := mustCompile(t, p)
+	ex.SetWorkers(1)
+	_, err := ex.RunResult(in)
+	if err == nil || !strings.Contains(err.Error(), "subscript -40 ") {
+		t.Fatalf("sequential run: %v, want the failure at (40,50)", err)
+	}
+	seqErr := err.Error()
+	for _, w := range []int{2, 3, 4} {
+		ex.SetWorkers(w)
 		_, err := ex.RunResult(in)
-		if err == nil || !strings.Contains(err.Error(), "subscript -40 ") {
-			t.Fatalf("%s: sequential run: %v, want the failure at (40,50)", kind, err)
-		}
-		seqErr := err.Error()
-		for _, w := range []int{2, 3, 4} {
-			ex.SetWorkers(w)
-			_, err := ex.RunResult(in)
-			if err == nil || err.Error() != seqErr {
-				t.Fatalf("%s workers=%d: error %v, sequential %q", kind, w, err, seqErr)
-			}
+		if err == nil || err.Error() != seqErr {
+			t.Fatalf("workers=%d: error %v, sequential %q", w, err, seqErr)
 		}
 	}
 }

@@ -18,8 +18,8 @@ func WalkLoops(stmts []Stmt, fn func(*Loop)) {
 }
 
 // ScheduleKind names a loop's execution shape for reporting: the Par
-// schedule's kind ("shard", "tile", "wavefront", "mono-shard") when
-// one is attached, else "sequential". The Parallel and Doacross marks
+// schedule's kind ("shard" or "wavefront") when one is attached, else
+// "sequential". The Parallel and Doacross marks
 // alone never change execution, so they do not count.
 func ScheduleKind(l *Loop) string {
 	if l.Par != nil {

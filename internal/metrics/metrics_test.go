@@ -21,9 +21,9 @@ func TestCompileReportPhases(t *testing.T) {
 	}
 	r.Counters.AddSchedule("wavefront")
 	r.Counters.AddSchedule("wavefront")
-	r.Counters.AddSchedule("tile")
+	r.Counters.AddSchedule("shard")
 	s := r.String()
-	for _, want := range []string{"parse", "optimize", "wavefront=2", "tile=1"} {
+	for _, want := range []string{"parse", "optimize", "wavefront=2", "shard=1"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("report %q missing %q", s, want)
 		}

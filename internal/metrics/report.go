@@ -71,7 +71,7 @@ type Counters struct {
 	// LoopsFused counts adjacent loop pairs merged by the optimizer.
 	LoopsFused int `json:"loops_fused"`
 	// SchedulesByKind counts compiled loops by execution shape:
-	// "sequential", "shard", "tile", "wavefront", "mono-shard".
+	// "sequential", "shard", "wavefront".
 	SchedulesByKind map[string]int `json:"schedules_by_kind,omitempty"`
 	// ClaimsCertified/ClaimsFalsified/ClaimsSkipped tally the -certify
 	// audit outcomes across the analysis, schedule, and plan layers

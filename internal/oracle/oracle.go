@@ -83,7 +83,7 @@ func Ablations() []Ablation {
 		// against full: splitting and the specialized interior
 		// kernels re-order nothing, so even the last ulp must match.
 		{"stencil", core.Options{NoStencil: true}},
-		// parallel runs the doacross/wavefront/tile schedules with a
+		// parallel runs the shard and wavefront schedules with a
 		// forced multi-worker pool; results (and error messages) must be
 		// indistinguishable from sequential execution.
 		{"parallel", core.Options{Parallel: true, Workers: 4}},

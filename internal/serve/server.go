@@ -150,7 +150,7 @@ func New(cfg Config) (*Server, error) {
 	s.optTotal = s.reg.NewCounterVec("haccd_opt_total",
 		"Optimizations performed by compiles this process ran, by kind.", "kind")
 	s.schedTotal = s.reg.NewCounterVec("haccd_schedules_total",
-		"Loops compiled, by execution shape (sequential/shard/tile/wavefront/mono-shard).", "kind")
+		"Loops compiled, by execution shape (sequential/shard/wavefront).", "kind")
 	s.reg.NewCounterFunc("haccd_cache_hits_total", "Plan cache hits.", func() uint64 { return s.cache.Stats().Hits })
 	s.reg.NewCounterFunc("haccd_cache_misses_total", "Plan cache misses (compiles).", func() uint64 { return s.cache.Stats().Misses })
 	s.reg.NewCounterFunc("haccd_cache_evictions_total", "Plan cache LRU evictions.", func() uint64 { return s.cache.Stats().Evictions })

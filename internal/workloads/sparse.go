@@ -110,7 +110,8 @@ func ShuffleRows(c SparseCase, seed int64) SparseCase {
 
 // HistogramIdxInputs builds n samples binned into b buckets. With
 // sorted set, the bucket array is monotone (pre-bucketed samples), so
-// the accumulation mono-shards; unsorted exercises the fallback.
+// the accumulation runs as an aligned shard; unsorted exercises the
+// fallback.
 func HistogramIdxInputs(n, b, seed int64, sorted bool) SparseCase {
 	rng := rand.New(rand.NewSource(seed))
 	vals := make([]int64, n)
