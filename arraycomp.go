@@ -122,7 +122,11 @@ func (p *Program) Report() string {
 }
 
 // Mode reports how the named definition was compiled: "thunkless",
-// "in-place", "thunked", or "thunked-group".
+// "in-place" (a bigupd of an array nothing reads afterwards, updated
+// in place with node splitting), "copy-update" (a bigupd of a caller's
+// input or of an array read later: the plan copies it into the result
+// and reads old values from the kept source), "thunked", or
+// "thunked-group".
 func (p *Program) Mode(def string) (string, error) {
 	cd, ok := p.p.Defs[def]
 	if !ok {

@@ -3,6 +3,8 @@ package arraycomp
 import (
 	"strings"
 	"testing"
+
+	"arraycomp/internal/workloads"
 )
 
 func TestQuickStart(t *testing.T) {
@@ -101,21 +103,27 @@ func TestArrayConstructors(t *testing.T) {
 }
 
 func TestFacadeNotes(t *testing.T) {
-	prog, err := Compile(`param n;
-	a2 = bigupd a [ i := a!(i-1) | i <- [2..n] ]`,
+	// a1 updates the caller's a (copy-update); a2 updates a1, dead
+	// afterwards, in place.
+	prog, err := Compile(workloads.TwoSweeps(`param n;
+	a2 = bigupd a [ i := a!(i-1) | i <- [2..n] ]`),
 		Params{"n": 6},
 		&Options{Inputs: map[string]InputBounds{"a": {Lo: []int64{1}, Hi: []int64{6}}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	notes := prog.Notes()
-	found := false
-	for _, n := range notes {
-		if strings.Contains(n, "in-place") || strings.Contains(n, "anti") {
-			found = true
+	notes := strings.Join(prog.Notes(), "\n")
+	for _, want := range []string{
+		"a1: source a live after the update: copy-update, old values read from a",
+		"a2: all anti dependences satisfied by the schedule: in-place update with no copying",
+	} {
+		if !strings.Contains(notes, want) {
+			t.Errorf("notes missing %q:\n%s", want, notes)
 		}
 	}
-	if !found {
-		t.Errorf("notes = %v", notes)
+	for def, want := range map[string]string{"a1": "copy-update", "a2": "in-place"} {
+		if got, err := prog.Mode(def); err != nil || got != want {
+			t.Errorf("Mode(%s) = %q, %v; want %q", def, got, err, want)
+		}
 	}
 }

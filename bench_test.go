@@ -22,6 +22,7 @@ import (
 	"testing"
 
 	"arraycomp/internal/analysis"
+	"arraycomp/internal/codegen"
 	"arraycomp/internal/core"
 	"arraycomp/internal/deptest"
 	"arraycomp/internal/parser"
@@ -29,6 +30,17 @@ import (
 	"arraycomp/internal/schedule"
 	"arraycomp/internal/workloads"
 )
+
+// deadSourcePlan returns the in-place plan of def, the second sweep of
+// workloads.TwoSweeps(src), whose source is dead after the update.
+func deadSourcePlan(b *testing.B, src string, params map[string]int64, inputs map[string]*runtime.Strict, def string) *codegen.Plan {
+	b.Helper()
+	cd := mustCompileW(b, workloads.TwoSweeps(src), params, inputs, false).Defs[def]
+	if cd.Mode() != "in-place" {
+		b.Fatalf("%s compiled %s, want in-place", def, cd.Mode())
+	}
+	return cd.Plan
+}
 
 func mustCompileW(b *testing.B, src string, params map[string]int64, inputs map[string]*runtime.Strict, thunked bool) *core.Program {
 	b.Helper()
@@ -187,12 +199,11 @@ func BenchmarkE8_RowSwap(b *testing.B) {
 	in := workloads.Mesh(n, 7)
 	inputs := map[string]*runtime.Strict{"a": in}
 	b.Run("inplace-nodesplit", func(b *testing.B) {
-		p := mustCompileW(b, workloads.RowSwapSrc, params, inputs, false)
-		// Benchmark the raw in-place plan on a scratch array, exactly
-		// like the hand-written variant (Program.Run would add a
-		// defensive clone of the caller-owned input).
-		plan := p.Defs["a2"].Plan
-		scratch := map[string]*runtime.Strict{"a": in.Clone()}
+		// Benchmark the raw in-place plan of a dead source (the second
+		// sweep) on a scratch array, exactly like the hand-written
+		// variant.
+		plan := deadSourcePlan(b, workloads.RowSwapSrc, params, inputs, "a2")
+		scratch := map[string]*runtime.Strict{"a1": in.Clone()}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := plan.Run(scratch); err != nil {
@@ -229,14 +240,20 @@ func BenchmarkE9_Jacobi(b *testing.B) {
 		in := workloads.Mesh(n, 8)
 		inputs := map[string]*runtime.Strict{"a": in}
 		b.Run(fmt.Sprintf("nodesplit/n=%d", n), func(b *testing.B) {
-			p := mustCompileW(b, workloads.JacobiSrc, params, inputs, false)
-			plan := p.Defs["a2"].Plan
-			scratch := map[string]*runtime.Strict{"a": in.Clone()}
+			plan := deadSourcePlan(b, workloads.JacobiSrc, params, inputs, "a2")
+			scratch := map[string]*runtime.Strict{"a1": in.Clone()}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := plan.Run(scratch); err != nil {
 					b.Fatal(err)
 				}
+			}
+		})
+		b.Run(fmt.Sprintf("copyupdate/n=%d", n), func(b *testing.B) {
+			p := mustCompileW(b, workloads.JacobiSrc, params, inputs, false)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				runProg(b, p, inputs)
 			}
 		})
 		b.Run(fmt.Sprintf("thunked-snapshot/n=%d", n), func(b *testing.B) {
@@ -281,9 +298,8 @@ func BenchmarkE10_SOR(b *testing.B) {
 	in := workloads.Mesh(n, 9)
 	inputs := map[string]*runtime.Strict{"a": in}
 	b.Run("inplace", func(b *testing.B) {
-		p := mustCompileW(b, workloads.SORSrc, params, inputs, false)
-		plan := p.Defs["a2"].Plan
-		scratch := map[string]*runtime.Strict{"a": in.Clone()}
+		plan := deadSourcePlan(b, workloads.SORSrc, params, inputs, "a2")
+		scratch := map[string]*runtime.Strict{"a1": in.Clone()}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := plan.Run(scratch); err != nil {
@@ -312,13 +328,12 @@ func BenchmarkE10_Livermore23(b *testing.B) {
 	params := map[string]int64{"n": n}
 	inputs := workloads.Livermore23Inputs(n)
 	b.Run("inplace", func(b *testing.B) {
-		p := mustCompileW(b, workloads.Livermore23Src, params, inputs, false)
-		plan := p.Defs["za2"].Plan
+		plan := deadSourcePlan(b, workloads.Livermore23Src, params, inputs, "za2")
 		scratch := map[string]*runtime.Strict{}
 		for k, v := range inputs {
 			scratch[k] = v
 		}
-		scratch["za"] = inputs["za"].Clone()
+		scratch["za1"] = inputs["za"].Clone()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := plan.Run(scratch); err != nil {

@@ -41,6 +41,7 @@ import (
 	"arraycomp/internal/analysis"
 	"arraycomp/internal/benchcmp"
 	"arraycomp/internal/cache"
+	"arraycomp/internal/codegen"
 	"arraycomp/internal/core"
 	"arraycomp/internal/depgraph"
 	"arraycomp/internal/deptest"
@@ -204,6 +205,18 @@ func compileW(src string, params map[string]int64, inputs map[string]*runtime.St
 	return p
 }
 
+// deadSourcePlan compiles the one-definition bigupd src as the second
+// sweep of workloads.TwoSweeps and returns that sweep's plan, named def:
+// its source (the first sweep's result, named after the caller's array
+// with a "1" suffix) is dead afterwards, so the plan updates it in place.
+func deadSourcePlan(src string, params map[string]int64, inputs map[string]*runtime.Strict, def string) *codegen.Plan {
+	cd := compileW(workloads.TwoSweeps(src), params, inputs, false).Defs[def]
+	if cd.Mode() != "in-place" {
+		die(fmt.Errorf("%s: second sweep compiled %s, want in-place", def, cd.Mode()))
+	}
+	return cd.Plan
+}
+
 func runP(p *core.Program, inputs map[string]*runtime.Strict) {
 	_, err := p.Run(inputs)
 	die(err)
@@ -333,9 +346,8 @@ var experiments = []experiment{
 			params := workloads.ParamsFor("rowswap", n)
 			in := workloads.Mesh(n, 7)
 			inputs := map[string]*runtime.Strict{"a": in}
-			p := compileW(workloads.RowSwapSrc, params, inputs, false)
-			plan := p.Defs["a2"].Plan
-			scratch := map[string]*runtime.Strict{"a": in.Clone()}
+			plan := deadSourcePlan(workloads.RowSwapSrc, params, inputs, "a2")
+			scratch := map[string]*runtime.Strict{"a1": in.Clone()}
 			ip := bench("in-place node-split", func() { _, err := plan.Run(scratch); die(err) })
 			pt := compileW(workloads.RowSwapSrc, params, inputs, true)
 			th := bench("thunked snapshot", func() { runP(pt, inputs) })
@@ -354,21 +366,22 @@ var experiments = []experiment{
 			params := map[string]int64{"n": n}
 			in := workloads.Mesh(n, 8)
 			inputs := map[string]*runtime.Strict{"a": in}
-			p := compileW(workloads.JacobiSrc, params, inputs, false)
-			for _, note := range p.Defs["a2"].Plan.Notes {
+			plan := deadSourcePlan(workloads.JacobiSrc, params, inputs, "a2")
+			for _, note := range plan.Notes {
 				fmt.Printf("  note: %s\n", note)
 			}
-			plan := p.Defs["a2"].Plan
-			scratch := map[string]*runtime.Strict{"a": in.Clone()}
+			scratch := map[string]*runtime.Strict{"a1": in.Clone()}
 			ns := bench("node-split in-place", func() { _, err := plan.Run(scratch); die(err) })
+			p := compileW(workloads.JacobiSrc, params, inputs, false)
+			cu := bench("caller-owned copy-update", func() { runP(p, inputs) })
 			pt := compileW(workloads.JacobiSrc, params, inputs, true)
 			th := bench("thunked snapshot", func() { runP(pt, inputs) })
 			nv := bench("naive per-update copying", func() { workloads.NaiveJacobiCopying(in) })
 			tr := bench("trailer array", func() { workloads.TrailerJacobi(in) })
 			hw := in.Clone()
 			h := bench("hand-written (buffers)", func() { workloads.HandJacobi(hw) })
-			fmt.Printf("  naive/split = %s, trailer/split = %s, thunked/split = %s, split/hand = %s\n",
-				ratio(nv, ns), ratio(tr, ns), ratio(th, ns), ratio(ns, h))
+			fmt.Printf("  naive/split = %s, trailer/split = %s, thunked/split = %s, split/hand = %s, copy-update/hand = %s\n",
+				ratio(nv, ns), ratio(tr, ns), ratio(th, ns), ratio(ns, h), ratio(cu, h))
 		},
 	},
 	{
@@ -379,30 +392,32 @@ var experiments = []experiment{
 			params := map[string]int64{"n": n}
 			in := workloads.Mesh(n, 9)
 			inputs := map[string]*runtime.Strict{"a": in}
-			p := compileW(workloads.SORSrc, params, inputs, false)
-			plan := p.Defs["a2"].Plan
-			scratch := map[string]*runtime.Strict{"a": in.Clone()}
+			plan := deadSourcePlan(workloads.SORSrc, params, inputs, "a2")
+			scratch := map[string]*runtime.Strict{"a1": in.Clone()}
 			ip := bench("SOR in-place", func() { _, err := plan.Run(scratch); die(err) })
+			p := compileW(workloads.SORSrc, params, inputs, false)
+			cu := bench("SOR caller-owned copy-update", func() { runP(p, inputs) })
 			hw := in.Clone()
 			h := bench("SOR hand-written", func() { workloads.HandSOR(hw) })
-			fmt.Printf("  in-place/hand = %s\n", ratio(ip, h))
+			fmt.Printf("  in-place/hand = %s, copy-update/hand = %s\n", ratio(ip, h), ratio(cu, h))
 
 			ln := size(128, 32)
 			lp := map[string]int64{"n": ln}
 			linputs := workloads.Livermore23Inputs(ln)
-			pl := compileW(workloads.Livermore23Src, lp, linputs, false)
-			lplan := pl.Defs["za2"].Plan
+			lplan := deadSourcePlan(workloads.Livermore23Src, lp, linputs, "za2")
 			lscratch := map[string]*runtime.Strict{}
 			for k, v := range linputs {
 				lscratch[k] = v
 			}
-			lscratch["za"] = linputs["za"].Clone()
+			lscratch["za1"] = linputs["za"].Clone()
 			lip := bench("Livermore23 in-place", func() { _, err := lplan.Run(lscratch); die(err) })
+			pl := compileW(workloads.Livermore23Src, lp, linputs, false)
+			lcu := bench("Livermore23 caller-owned copy-update", func() { runP(pl, linputs) })
 			za := linputs["za"].Clone()
 			lh := bench("Livermore23 hand-written", func() {
 				workloads.HandLivermore23(za, linputs["zr"], linputs["zb"], linputs["zu"], linputs["zv"])
 			})
-			fmt.Printf("  in-place/hand = %s\n", ratio(lip, lh))
+			fmt.Printf("  in-place/hand = %s, copy-update/hand = %s\n", ratio(lip, lh), ratio(lcu, lh))
 		},
 	},
 	{
@@ -498,14 +513,16 @@ var experiments = []experiment{
 				for k, v := range l23In {
 					s[k] = v
 				}
-				s["za"] = l23In["za"].Clone()
+				s["za1"] = l23In["za"].Clone()
 				return s
 			}
+			// SOR and Livermore 23 time the in-place plan of a second
+			// sweep, whose source (a1, za1) is dead afterwards.
 			kernels := []kernel{
-				{"SOR", workloads.SORSrc, "a2", sorN,
+				{"SOR", workloads.TwoSweeps(workloads.SORSrc), "a2", sorN,
 					map[string]*runtime.Strict{"a": sorIn},
-					func() map[string]*runtime.Strict { return map[string]*runtime.Strict{"a": sorIn.Clone()} }},
-				{"Livermore23", workloads.Livermore23Src, "za2", l23N, l23In, l23Scratch},
+					func() map[string]*runtime.Strict { return map[string]*runtime.Strict{"a1": sorIn.Clone()} }},
+				{"Livermore23", workloads.TwoSweeps(workloads.Livermore23Src), "za2", l23N, l23In, l23Scratch},
 				{"wavefront", workloads.WavefrontSrc, "a", size(256, 64), nil,
 					func() map[string]*runtime.Strict { return nil }},
 				{"recurrence", workloads.RecurrenceSrc, "a", size(100000, 10000), nil,

@@ -1,9 +1,13 @@
 // Jacobi: iterative solution of Laplace's equation on a square mesh
 // using the paper's section 9 semi-monolithic update. Every neighbour
-// read refers to the OLD mesh (`a`), which forbids a naive in-place
-// sweep — the compiler's node splitting inserts exactly the carried
-// scalar and previous-row buffer a hand-coded Jacobi would use, and
-// then updates the mesh in place with no whole-array copy.
+// read refers to the OLD mesh (`a`). Each sweep's Run keeps its input
+// (the residual compares it with the result), so the step compiles to
+// a copy-update: the plan copies the mesh into the result once and
+// reads every neighbour from the kept old mesh, a dependence-free nest.
+// Where the old mesh is dead after the update (a second sweep in the
+// same program), node splitting instead inserts the carried scalar and
+// previous-row buffer a hand-coded Jacobi would use and updates the
+// mesh in place.
 package main
 
 import (

@@ -1,8 +1,10 @@
 // LINPACK fragments: the in-place update patterns of the paper's
 // section 9 — row interchange (the anti-dependence cycle broken by a
 // per-instance scalar), row scaling, and row SAXPY — composed into one
-// step of partial-pivoting Gaussian elimination, all compiled as
-// single-threaded in-place updates.
+// step of partial-pivoting Gaussian elimination. Each fragment updates
+// the caller's matrix, which the caller keeps, so it compiles to a
+// copy-update (one copy, old values read from the kept input); an
+// update of an array nothing reads afterwards compiles in place.
 package main
 
 import (

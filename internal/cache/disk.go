@@ -44,10 +44,13 @@ import (
 // carry another host's tile shapes) are recompiled. Version 3: the tile
 // and mono-shard schedule kinds are gone (a 2-D shard and an aligned
 // shard replace them), so version-2 entries that carry them are
-// recompiled.
+// recompiled. Version 4: a bigupd of a caller's input compiles to a
+// copy-update plan and no plan clones its source any more, so a
+// version-3 entry (an in-place plan that relied on that clone) would
+// update the caller's array; it is recompiled.
 const (
 	diskMagic   = "HACDISK1"
-	diskVersion = uint32(3)
+	diskVersion = uint32(4)
 	diskExt     = ".hacplan"
 )
 

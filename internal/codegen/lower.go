@@ -30,8 +30,11 @@ type Plan struct {
 	// Notes records lowering decisions (tier choices, check elisions).
 	Notes []string
 	// InPlace reports that the plan updates its input array in place
-	// (bigupd with single-threaded scheduling).
+	// (bigupd of a source nothing reads afterwards).
 	InPlace bool
+	// CopyUpdate reports that the plan copies its bigupd source into a
+	// fresh result array and updates that (LowerOptions.CopyUpdate).
+	CopyUpdate bool
 	// Opt reports what the loop-IR optimizer did (nil under NoOptimize).
 	Opt *loopir.OptStats
 	// OptTime is the time spent in the loop-IR optimizer, so callers
@@ -77,6 +80,13 @@ type LowerOptions struct {
 	// subscript stays on the fully checked sequential path (the
 	// `idxprop` oracle ablation arm).
 	NoIdxProp bool
+	// CopyUpdate lowers a bigupd whose source outlives the update: the
+	// source is a read-only input, the plan copies it into a fresh
+	// result array and updates that, old-value reads go to the source
+	// and new-value reads to the result. No anti dependence remains, so
+	// no node splitting is planned; the schedule must keep only flow
+	// and output edges (schedule.KeepFlowOutput).
+	CopyUpdate bool
 }
 
 // lowerer carries lowering state.
@@ -192,10 +202,19 @@ func Lower(res *analysis.Result, sched *schedule.Result, external map[string]ana
 	// Declare arrays.
 	switch res.Def.Kind {
 	case lang.BigUpd:
+		b := boundsToRuntime(res.Bounds)
+		if o.CopyUpdate {
+			lw.selfIR = res.Def.Name
+			lw.prog.Arrays = append(lw.prog.Arrays,
+				loopir.ArrayDecl{Name: lw.selfIR, B: b, Role: loopir.RoleOut},
+				loopir.ArrayDecl{Name: res.Def.Source, B: b, Role: loopir.RoleIn})
+			lw.prog.Stmts = append(lw.prog.Stmts, &loopir.CopyArray{Dst: lw.selfIR, Src: res.Def.Source})
+			lw.plan.CopyUpdate = true
+			lw.note("source %s live after the update: copy-update, old values read from %s", res.Def.Source, res.Def.Source)
+			break
+		}
 		lw.selfIR = res.Def.Source
-		lw.prog.Arrays = append(lw.prog.Arrays, loopir.ArrayDecl{
-			Name: lw.selfIR, B: boundsToRuntime(res.Bounds), Role: loopir.RoleInOut,
-		})
+		lw.prog.Arrays = append(lw.prog.Arrays, loopir.ArrayDecl{Name: lw.selfIR, B: b, Role: loopir.RoleInOut})
 		lw.plan.InPlace = true
 	default:
 		lw.selfIR = res.Def.Name
@@ -247,8 +266,9 @@ func Lower(res *analysis.Result, sched *schedule.Result, external map[string]ana
 		}
 	}
 
-	// Node splitting for bigupd (may add temps, hooks, redirections).
-	if res.Def.Kind == lang.BigUpd {
+	// Node splitting for in-place bigupd (may add temps, hooks,
+	// redirections).
+	if lw.plan.InPlace {
 		if err := lw.planSplits(); err != nil {
 			return nil, err
 		}
@@ -474,6 +494,9 @@ func (lw *lowerer) baseXlate() *xlate {
 		indexVars:  map[string]bool{},
 		arrayName: func(surface string) (string, error) {
 			if surface == lw.res.Def.Name || surface == lw.res.Def.Source {
+				if lw.plan.CopyUpdate {
+					return surface, nil // old values from the source, new from the result
+				}
 				return lw.selfIR, nil
 			}
 			if _, ok := lw.res.ExternalReads[surface]; ok {

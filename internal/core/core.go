@@ -129,8 +129,9 @@ type CompiledDef struct {
 	// GroupIdx ≥ 0 marks membership in a mutually recursive group
 	// evaluated together (Plan and Thunked are both nil then).
 	GroupIdx int
-	// CloneSource: this in-place plan's source array is live afterwards
-	// and must be cloned before running.
+	// CloneSource is always false: a bigupd whose source outlives it
+	// compiles to a copy-update plan that owns its copy, so no plan
+	// needs a clone before it runs. Kept for existing readers.
 	CloneSource bool
 }
 
@@ -141,6 +142,8 @@ func (d *CompiledDef) Mode() string {
 		return "thunked-group"
 	case d.Plan != nil && d.Plan.InPlace:
 		return "in-place"
+	case d.Plan != nil && d.Plan.CopyUpdate:
+		return "copy-update"
 	case d.Plan != nil:
 		return "thunkless"
 	default:
@@ -420,13 +423,26 @@ func compileProgram(source *lang.Program, params map[string]int64, opts Options,
 			p.note("%s: non-strict binding (plain letrec): thunked; use letrec* for thunkless compilation", name)
 			continue
 		}
+		// A bigupd whose source outlives the update (a caller's input,
+		// or read by a later definition) copies the source into a fresh
+		// result and reads old values from the source, so its anti edges
+		// vanish; only a dead source is updated in place.
+		copyUpdate := false
+		if def.Kind == lang.BigUpd {
+			lr, read := lastReader[def.Source]
+			copyUpdate = source.Def(def.Source) == nil || read && lr > pos
+		}
 		tPlan := time.Now()
-		sched, err := schedule.Build(res, nil)
+		var keep func(depgraph.Edge) bool
+		anti := schedule.AntiOrdered
+		if copyUpdate {
+			keep, anti = schedule.KeepFlowOutput, schedule.AntiCopied
+		}
+		sched, err := schedule.Build(res, keep)
 		if err != nil {
 			return nil, fmt.Errorf("core: %s: %w", name, err)
 		}
-		antiRelaxed := false
-		if sched.Thunked && def.Kind == lang.BigUpd {
+		if sched.Thunked && def.Kind == lang.BigUpd && !copyUpdate {
 			// Relax the anti edges; node splitting repairs the
 			// violated ones during lowering.
 			relaxed, err := schedule.Build(res, schedule.KeepFlowOutput)
@@ -436,7 +452,7 @@ func compileProgram(source *lang.Program, params map[string]int64, opts Options,
 			if !relaxed.Thunked {
 				p.note("%s: anti-dependence cycle broken by node splitting (%s)", name, sched.Reason)
 				sched = relaxed
-				antiRelaxed = true
+				anti = schedule.AntiSplit
 			}
 		}
 		rep.AddPhase(metrics.PhasePlan, time.Since(tPlan))
@@ -448,12 +464,12 @@ func compileProgram(source *lang.Program, params map[string]int64, opts Options,
 		}
 		if opts.Certify {
 			t0 := time.Now()
-			if err := certifyMerge(name, schedule.Certify(res, sched, antiRelaxed), t0); err != nil {
+			if err := certifyMerge(name, schedule.Certify(res, sched, anti), t0); err != nil {
 				return nil, err
 			}
 		}
 		tLower := time.Now()
-		plan, err := codegen.Lower(res, sched, external, codegen.LowerOptions{Parallel: opts.Parallel, ForceChecks: opts.ForceChecks, NoOptimize: opts.NoOptimize, Workers: opts.Workers, NoStencil: opts.NoStencil, NoIdxProp: opts.NoIdxProp})
+		plan, err := codegen.Lower(res, sched, external, codegen.LowerOptions{Parallel: opts.Parallel, ForceChecks: opts.ForceChecks, NoOptimize: opts.NoOptimize, Workers: opts.Workers, NoStencil: opts.NoStencil, NoIdxProp: opts.NoIdxProp, CopyUpdate: copyUpdate})
 		if err != nil {
 			return nil, fmt.Errorf("core: %s: %w", name, err)
 		}
@@ -484,20 +500,6 @@ func compileProgram(source *lang.Program, params map[string]int64, opts Options,
 			}
 			if err := certifyMerge(name, loopir.CertifyClaims(plan.Program, static), t0); err != nil {
 				return nil, err
-			}
-		}
-		if plan.InPlace {
-			// The in-place plan destroys its source; clone when the
-			// source is still live afterwards (or is the program
-			// result under a different name).
-			src := def.Source
-			if lr, ok := lastReader[src]; ok && lr > pos {
-				cd.CloneSource = true
-				p.note("%s: source %s live after the update; defensive clone inserted", name, src)
-			}
-			if source.Def(src) == nil {
-				// Caller-owned input: never destroy it.
-				cd.CloneSource = true
 			}
 		}
 		for _, n := range plan.Notes {
@@ -699,11 +701,12 @@ func selfLoop(g *depgraph.Graph, v int) bool {
 }
 
 // Run executes the program over the given input arrays and returns the
-// result array. Inputs are never mutated (in-place plans run on clones
-// when their source is caller-owned or still live), whichever tier
-// serves the call. Under a tiering policy (Options.Tier) this call
-// counts toward promotion and may be served natively; RunTiered
-// additionally reports which tier ran.
+// result array. Inputs are never mutated (a bigupd of a caller's input
+// or of a still-live array compiles to a copy-update plan; only dead
+// sources are updated in place), whichever tier serves the call. Under
+// a tiering policy (Options.Tier) this call counts toward promotion and
+// may be served natively; RunTiered additionally reports which tier
+// ran.
 func (p *Program) Run(inputs map[string]*runtime.Strict) (*runtime.Strict, error) {
 	out, _, err := p.RunTiered(inputs)
 	return out, err
@@ -740,22 +743,7 @@ func (p *Program) runInterp(inputs map[string]*runtime.Strict) (*runtime.Strict,
 			}
 			store[name] = out
 		default:
-			runIn := store
-			if cd.Plan.InPlace {
-				src, ok := store[cd.Def.Source]
-				if !ok {
-					return nil, fmt.Errorf("core: missing input array %q", cd.Def.Source)
-				}
-				if cd.CloneSource {
-					src = src.Clone()
-				}
-				runIn = map[string]*runtime.Strict{}
-				for k, v := range store {
-					runIn[k] = v
-				}
-				runIn[cd.Def.Source] = src
-			}
-			out, err := cd.Plan.Run(runIn)
+			out, err := cd.Plan.Run(store)
 			if err != nil {
 				return nil, err
 			}

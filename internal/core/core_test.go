@@ -9,6 +9,7 @@ import (
 
 	"arraycomp/internal/analysis"
 	"arraycomp/internal/runtime"
+	"arraycomp/internal/workloads"
 )
 
 func compile(t *testing.T, src string, params map[string]int64, opts Options) *Program {
@@ -225,6 +226,11 @@ func matBounds(m, n int64) analysis.ArrayBounds {
 	return analysis.ArrayBounds{Lo: []int64{1, 1}, Hi: []int64{m, n}}
 }
 
+// The bigupd tests below assert node splitting on the second sweep of
+// workloads.TwoSweeps: there the source is dead after the update, the
+// case the paper's section 9 updates in place. A bigupd of the
+// caller's array is a copy-update plan instead (copyupdate_test.go).
+
 func TestBigupdRowSwapEndToEnd(t *testing.T) {
 	src := `param m, n, i0, k0;
 	a2 = bigupd a
@@ -233,10 +239,13 @@ func TestBigupdRowSwapEndToEnd(t *testing.T) {
 	opts := Options{InputBounds: map[string]analysis.ArrayBounds{"a": matBounds(6, 7)}}
 	in := makeMatrix(6, 7, func(i, j int64) float64 { return float64(i*100 + j) })
 	orig := in.Clone()
-	p := compile(t, src, params, opts)
+	p := compile(t, workloads.TwoSweeps(src), params, opts)
+	if m := p.Defs["a1"].Mode(); m != "copy-update" {
+		t.Fatalf("first sweep over the caller's array: mode %s, want copy-update", m)
+	}
 	cd := p.Defs["a2"]
 	if cd.Mode() != "in-place" {
-		t.Fatalf("row swap must compile in place:\n%s", p.Report())
+		t.Fatalf("second row swap must compile in place:\n%s", p.Report())
 	}
 	// The scalar tier must be chosen, not the whole-array copy.
 	joined := strings.Join(cd.Plan.Notes, "\n")
@@ -246,7 +255,12 @@ func TestBigupdRowSwapEndToEnd(t *testing.T) {
 	if strings.Contains(joined, "whole-array") {
 		t.Errorf("row swap must not need a whole-array copy:\n%s", joined)
 	}
-	out := runBoth(t, src, params, opts, map[string]*runtime.Strict{"a": in})
+	// Two swaps restore the rows.
+	out := runBoth(t, workloads.TwoSweeps(src), params, opts, map[string]*runtime.Strict{"a": in})
+	if !out.EqualWithin(orig, 0) {
+		t.Error("two row swaps must restore the matrix")
+	}
+	out = runBoth(t, src, params, opts, map[string]*runtime.Strict{"a": in})
 	// Caller input must be untouched.
 	if !in.EqualWithin(orig, 0) {
 		t.Error("caller input mutated")
@@ -260,10 +274,7 @@ func TestBigupdRowSwapEndToEnd(t *testing.T) {
 }
 
 func TestBigupdJacobiEndToEnd(t *testing.T) {
-	src := `param n;
-	a2 = bigupd a
-	  [* [ (i,j) := 0.25 * (a!(i-1,j) + a!(i+1,j) + a!(i,j-1) + a!(i,j+1)) ]
-	   | i <- [2..n-1], j <- [2..n-1] *]`
+	src := workloads.TwoSweeps(workloads.JacobiSrc)
 	n := int64(10)
 	params := map[string]int64{"n": n}
 	opts := Options{InputBounds: map[string]analysis.ArrayBounds{"a": matBounds(n, n)}}
@@ -271,7 +282,7 @@ func TestBigupdJacobiEndToEnd(t *testing.T) {
 	p := compile(t, src, params, opts)
 	cd := p.Defs["a2"]
 	if cd.Mode() != "in-place" {
-		t.Fatalf("jacobi must compile in place with node splitting:\n%s", p.Report())
+		t.Fatalf("second jacobi sweep must compile in place with node splitting:\n%s", p.Report())
 	}
 	joined := strings.Join(cd.Plan.Notes, "\n")
 	if !strings.Contains(joined, "pipelined") || !strings.Contains(joined, "row temporary") {
@@ -285,12 +296,9 @@ func TestBigupdJacobiEndToEnd(t *testing.T) {
 
 func TestBigupdSOREndToEnd(t *testing.T) {
 	// Gauss-Seidel: north/west read the NEW values (a2), south/east
-	// the old (a): all dependences agree with forward loops — pure
+	// the old (a1): all dependences agree with forward loops — pure
 	// in-place, no node splitting at all.
-	src := `param n;
-	a2 = bigupd a
-	  [* [ (i,j) := 0.25 * (a2!(i-1,j) + a2!(i,j-1) + a!(i+1,j) + a!(i,j+1)) ]
-	   | i <- [2..n-1], j <- [2..n-1] *]`
+	src := workloads.TwoSweeps(workloads.SORSrc)
 	n := int64(10)
 	params := map[string]int64{"n": n}
 	opts := Options{InputBounds: map[string]analysis.ArrayBounds{"a": matBounds(n, n)}}
@@ -298,7 +306,7 @@ func TestBigupdSOREndToEnd(t *testing.T) {
 	p := compile(t, src, params, opts)
 	cd := p.Defs["a2"]
 	if cd.Mode() != "in-place" {
-		t.Fatalf("SOR must compile in place:\n%s", p.Report())
+		t.Fatalf("second SOR sweep must compile in place:\n%s", p.Report())
 	}
 	joined := strings.Join(cd.Plan.Notes, "\n")
 	if !strings.Contains(joined, "no copying") {

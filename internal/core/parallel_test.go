@@ -96,16 +96,19 @@ func TestParallelDisabledForTrackedDefs(t *testing.T) {
 	}
 }
 
-// TestParallelDisabledForNodeSplitting: bigupd with temps must stay
-// sequential.
+// TestParallelDisabledForNodeSplitting: an in-place bigupd with
+// node-splitting temps (Jacobi's second sweep) must stay sequential.
 func TestParallelDisabledForNodeSplitting(t *testing.T) {
 	n := int64(64)
 	opts := Options{
 		Parallel:    true,
 		InputBounds: map[string]analysis.ArrayBounds{"a": matBounds(n, n)},
 	}
-	p := compile(t, workloads.JacobiSrc, map[string]int64{"n": n}, opts)
+	p := compile(t, workloads.TwoSweeps(workloads.JacobiSrc), map[string]int64{"n": n}, opts)
 	dump := p.Defs["a2"].Plan.Program.Dump()
+	if !strings.Contains(dump, "rowbuf") {
+		t.Fatalf("second jacobi sweep must be node-split:\n%s", dump)
+	}
 	if strings.Contains(dump, "parallel") {
 		t.Fatalf("node-split bigupd wrongly parallelized:\n%s", dump)
 	}

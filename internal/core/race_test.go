@@ -13,9 +13,9 @@ import (
 // artifacts are meant to be reusable — Exec allocates a fresh frame
 // per run and the thunked evaluator builds a fresh non-strict array —
 // and this test makes the race detector prove it for every
-// representation: thunkless plans, in-place bigupd plans with a
-// defensive clone, parallel plans, and the thunked fallback with its
-// blackhole bookkeeping.
+// representation: thunkless plans, copy-update and in-place bigupd
+// plans, parallel plans, and the thunked fallback with its blackhole
+// bookkeeping.
 //
 // Note the non-strict runtime itself is single-goroutine by design
 // (blackhole detection has no goroutine identity, so two goroutines
@@ -43,11 +43,19 @@ func TestConcurrentProgramReuse(t *testing.T) {
 			mode: "thunkless",
 		},
 		{
-			name: "in-place bigupd with live source",
+			name: "copy-update bigupd with live source",
 			src: `letrec*
 			  a = bigupd u [* [ i := 2 * u!i ] | i <- [1..8] *];
 			  b = array (0,9) [* [ i := a!i + u!i ] | i <- [0..9] *];
 			in b`,
+		},
+		{
+			name: "in-place bigupd of a dead source",
+			src: `letrec*
+			  a = bigupd u [* [ i := 2 * u!i ] | i <- [1..8] *];
+			  b = bigupd a [* [ i := a!(i-1) + a!(i+1) ] | i <- [1..8] *];
+			in b`,
+			mode: "in-place",
 		},
 		{
 			name: "parallel plan",

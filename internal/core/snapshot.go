@@ -35,10 +35,10 @@ import (
 // SnapshotDef is one definition's durable compilation artifact.
 type SnapshotDef struct {
 	Name string
-	// SourceArray is the updated array for in-place plans (bigupd).
+	// SourceArray is the updated array of a bigupd plan.
 	SourceArray string
 	InPlace     bool
-	CloneSource bool
+	CopyUpdate  bool
 	Checks      codegen.CheckCounts
 	IR          *loopir.Program
 }
@@ -91,7 +91,7 @@ func (p *Program) Snapshot() (*Snapshot, error) {
 			Name:        name,
 			SourceArray: cd.Def.Source,
 			InPlace:     cd.Plan.InPlace,
-			CloneSource: cd.CloneSource,
+			CopyUpdate:  cd.Plan.CopyUpdate,
 			Checks:      cd.Plan.Checks,
 			IR:          cd.Plan.Program,
 		})
@@ -151,10 +151,9 @@ func RestoreSnapshot(s *Snapshot, opts Options) (*Program, error) {
 		ex.SetWorkers(opts.Workers)
 		p.installVerifyHook(ex, opts.VerifyStats)
 		p.Defs[d.Name] = &CompiledDef{
-			Def:         &lang.ArrayDef{Name: d.Name, Source: d.SourceArray, Strict: true},
-			GroupIdx:    -1,
-			Plan:        &codegen.Plan{Program: d.IR, Exec: ex, Checks: d.Checks, InPlace: d.InPlace},
-			CloneSource: d.CloneSource,
+			Def:      &lang.ArrayDef{Name: d.Name, Source: d.SourceArray, Strict: true},
+			GroupIdx: -1,
+			Plan:     &codegen.Plan{Program: d.IR, Exec: ex, Checks: d.Checks, InPlace: d.InPlace, CopyUpdate: d.CopyUpdate},
 		}
 	}
 	for _, name := range s.Order {

@@ -37,8 +37,8 @@ func (p *Program) streamDefs() ([]stream.Def, error) {
 		if cd.GroupIdx >= 0 || cd.Plan == nil {
 			return nil, fmt.Errorf("%s compiled %s; streaming needs thunkless plans", name, cd.Mode())
 		}
-		if cd.Plan.InPlace {
-			return nil, fmt.Errorf("%s updates in place; streaming stages own their windows", name)
+		if cd.Plan.InPlace || cd.Plan.CopyUpdate {
+			return nil, fmt.Errorf("%s is a bigupd (%s); streaming stages own their windows", name, cd.Mode())
 		}
 		sp, err := loopir.BuildStreamPlan(cd.Plan.Program)
 		if err != nil {

@@ -358,9 +358,8 @@ func (p *Program) AdoptNative(plan *native.Plan) {
 
 // NativeSpec renders the program as a native build spec under the
 // given module key: every live definition's loop-IR plan in
-// evaluation order, with the defensive-clone decisions core already
-// made. It fails on programs with thunked or grouped definitions —
-// the native tier has no suspension machinery.
+// evaluation order. It fails on programs with thunked or grouped
+// definitions — the native tier has no suspension machinery.
 func (p *Program) NativeSpec(key string) (native.ProgramSpec, error) {
 	spec := native.ProgramSpec{Key: key, Result: p.Result}
 	for _, name := range p.Order {
@@ -368,11 +367,7 @@ func (p *Program) NativeSpec(key string) (native.ProgramSpec, error) {
 		if cd.Plan == nil {
 			return spec, fmt.Errorf("core: %s compiled %s; the native tier needs a thunkless plan", name, cd.Mode())
 		}
-		u := native.Unit{Name: name, Prog: cd.Plan.Program}
-		if cd.Plan.InPlace && cd.CloneSource {
-			u.CloneSource = cd.Def.Source
-		}
-		spec.Units = append(spec.Units, u)
+		spec.Units = append(spec.Units, native.Unit{Name: name, Prog: cd.Plan.Program})
 	}
 	return spec, nil
 }

@@ -40,16 +40,12 @@ import (
 const buildTimeout = 3 * time.Minute
 
 // Unit is one compiled definition inside a program, in evaluation
-// order: the lowered loop-IR plan plus the defensive-clone decision
-// core made for in-place updates whose source stays live.
+// order: its lowered loop-IR plan.
 type Unit struct {
 	// Name is the definition (result array) name.
 	Name string
 	// Prog is the lowered loop-IR program of this definition.
 	Prog *loopir.Program
-	// CloneSource, when non-empty, names the input array that must be
-	// cloned before this unit runs (in-place plan, live source).
-	CloneSource string
 }
 
 // ProgramSpec describes one program to compile natively: its units in
@@ -162,9 +158,9 @@ func BuildOne(spec ProgramSpec) (*Plan, error) {
 func (m *Module) Plan(key string) *Plan { return m.plans[key] }
 
 // Run executes the native program. Semantics match the interpreter
-// tier exactly: inputs are never mutated (the emitted driver clones
-// in-place sources core marked live), runtime checks surface as
-// errors, and the result carries the compiled bounds.
+// tier exactly: inputs are never mutated (a bigupd over an input is a
+// copy-update plan), runtime checks surface as errors, and the result
+// carries the compiled bounds.
 func (p *Plan) Run(inputs map[string]*runtime.Strict) (*runtime.Strict, error) {
 	flat, _ := p.flatPool.Get().(map[string][]float64)
 	if flat == nil {
@@ -311,17 +307,6 @@ func emitProgram(b *strings.Builder, spec ProgramSpec, idx int) (*planMeta, erro
 		args := make([]string, len(params))
 		for k, pn := range params {
 			args[k] = resolve(pn)
-		}
-		if u.CloneSource != "" {
-			// Defensive clone, mirroring core.Program.Run: the in-place
-			// source is caller-owned or still live afterwards.
-			cv := fmt.Sprintf("c%d_%d", idx, j)
-			fmt.Fprintf(&calls, "\t%s := append([]float64(nil), %s...)\n", cv, resolve(u.CloneSource))
-			for k, pn := range params {
-				if pn == u.CloneSource {
-					args[k] = cv
-				}
-			}
 		}
 		out := fmt.Sprintf("d%d", j)
 		produced[u.Name] = out

@@ -52,17 +52,20 @@ func plusProg(name, in, out string, n int64, c float64) *loopir.Program {
 	}
 }
 
-// inoutProg builds v[i] = v[i] + 1 updating v in place (RoleInOut).
-func inoutProg(n int64) *loopir.Program {
+// copyUpdateProg builds the copy-update of v: v2 starts as a copy of v
+// and is bumped by one in place, v is only read.
+func copyUpdateProg(n int64) *loopir.Program {
 	return &loopir.Program{
 		Name: "bump",
 		Arrays: []loopir.ArrayDecl{
-			{Name: "v", B: runtime.NewBounds1(0, n-1), Role: loopir.RoleInOut},
+			{Name: "v2", B: runtime.NewBounds1(0, n-1), Role: loopir.RoleOut},
+			{Name: "v", B: runtime.NewBounds1(0, n-1), Role: loopir.RoleIn},
 		},
 		Stmts: []loopir.Stmt{
+			&loopir.CopyArray{Dst: "v2", Src: "v"},
 			&loopir.Loop{Var: "i", From: 0, To: n - 1, Step: 1, Body: []loopir.Stmt{
-				&loopir.Assign{Array: "v", Subs: iv("i"),
-					Rhs: &loopir.VBin{Op: '+', L: aref("v", "i"), R: &loopir.VConst{Value: 1}}},
+				&loopir.Assign{Array: "v2", Subs: iv("i"),
+					Rhs: &loopir.VBin{Op: '+', L: aref("v2", "i"), R: &loopir.VConst{Value: 1}}},
 			}},
 		},
 	}
@@ -86,7 +89,7 @@ func testSpecs(n int64) []native.ProgramSpec {
 			{Name: "a", Prog: plusProg("a", "src", "a", n, 1)},
 			{Name: "b", Prog: plusProg("b", "a", "b", n, 2)},
 		}, Result: "b"},
-		{Key: "bump", Units: []native.Unit{{Name: "v2", Prog: inoutProg(n), CloneSource: "v"}}, Result: "v2"},
+		{Key: "bump", Units: []native.Unit{{Name: "v2", Prog: copyUpdateProg(n)}}, Result: "v2"},
 		{Key: "boom", Units: []native.Unit{{Name: "out", Prog: failProg(n)}}, Result: "out"},
 	}
 }
@@ -122,7 +125,7 @@ func runModule(t *testing.T, m *native.Module, n int64) map[string][]float64 {
 		}
 		out[key] = res.Data
 	}
-	// The in-place unit must never scribble on the caller's input.
+	// The copy-update unit must never scribble on the caller's input.
 	for i, v := range in["v"].Data {
 		if v != float64(i)*2 {
 			t.Fatalf("bump mutated caller input at %d: %v", i, v)

@@ -154,8 +154,7 @@ func RunGogenBatch(cases []*Case) {
 // emitCase renders one case's compiled plans as Go functions plus the
 // driver body that chains them the way core.Program.Run does: inputs
 // filled by the shared LCG, each definition's function called in
-// schedule order, in-place sources cloned when the compiler marked
-// them live.
+// schedule order.
 func emitCase(c *Case, uniq int) (funcs []string, driver string, err error) {
 	prog := c.fullProg
 	var b strings.Builder
@@ -185,22 +184,8 @@ func emitCase(c *Case, uniq int) (funcs []string, driver string, err error) {
 		}
 		funcs = append(funcs, src)
 
-		args := make([]string, len(params))
-		for i, p := range params {
-			args[i] = p
-		}
-		if cd.Plan.InPlace && cd.CloneSource {
-			// Defensive clone, mirroring core.Program.Run.
-			clone := name + "Src"
-			fmt.Fprintf(&b, "\t%s := append([]float64(nil), %s...)\n", clone, cd.Def.Source)
-			for i, p := range params {
-				if p == cd.Def.Source {
-					args[i] = clone
-				}
-			}
-		}
 		errVar := "err" + name
-		fmt.Fprintf(&b, "\t%s, %s := %s(%s)\n", name, errVar, fnName, strings.Join(args, ", "))
+		fmt.Fprintf(&b, "\t%s, %s := %s(%s)\n", name, errVar, fnName, strings.Join(params, ", "))
 		fmt.Fprintf(&b, "\t_ = %s\n", name)
 		fmt.Fprintf(&b, "\tif %s != nil {\n\t\tfmt.Printf(\"case %%d err %%v\\n\", %%CASE%%, %s)\n\t\treturn\n\t}\n", errVar, errVar)
 	}

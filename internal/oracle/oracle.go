@@ -310,13 +310,10 @@ func runOnce(p *gencomp.Program, opts core.Options, inputs map[string]*runtime.S
 			c.IdxVerified, c.IdxFailed = snap.Verified, snap.Failed
 		}
 	}()
-	// Run on private clones: in-place plans may legitimately write
-	// into arrays the harness reuses for the next configuration.
-	run := map[string]*runtime.Strict{}
-	for k, v := range inputs {
-		run[k] = v.Clone()
-	}
-	res, err := prog.Run(run)
+	// Every arm runs on the same input arrays: Run must never mutate
+	// them, and an arm that does shows up as a mismatch in the arms
+	// after it.
+	res, err := prog.Run(inputs)
 	if err != nil {
 		return Outcome{Err: err.Error()}
 	}

@@ -73,12 +73,26 @@ const (
 	numKinds
 )
 
+// Anti says how a bigupd plan answers for its anti dependences (reads
+// of the old contents against the writes that kill them).
+type Anti int
+
+const (
+	// AntiOrdered: the schedule keeps the anti edges, and Certify
+	// claims the emitted order reads every old value before its kill.
+	AntiOrdered Anti = iota
+	// AntiSplit: the schedule dropped the anti edges (KeepFlowOutput)
+	// and node splitting preloads the affected reads, so emitted-order
+	// anti legality is recorded as skipped.
+	AntiSplit
+	// AntiCopied: a copy-update plan reads old values from the kept
+	// source, which nothing writes, so there is no anti claim at all.
+	AntiCopied
+)
+
 // Certify cross-validates a built schedule against the analysis it was
-// derived from. antiRelaxed reports that the schedule was built with
-// anti edges dropped (KeepFlowOutput) and the code generator preloads
-// the affected reads (node splitting), so emitted-order anti legality
-// is intentionally not claimed.
-func Certify(res *analysis.Result, sched *Result, antiRelaxed bool) *certify.Report {
+// derived from; anti says how a bigupd's anti dependences are met.
+func Certify(res *analysis.Result, sched *Result, anti Anti) *certify.Report {
 	rep := certify.NewReport()
 	if sched == nil || sched.Thunked {
 		return rep // the thunk fallback makes no static-order claims
@@ -86,7 +100,7 @@ func Certify(res *analysis.Result, sched *Result, antiRelaxed bool) *certify.Rep
 	c := &schedCertifier{res: res, rep: rep}
 	c.prepare()
 	c.simulate(sched)
-	c.check(antiRelaxed)
+	c.check(anti)
 	return rep
 }
 
@@ -402,7 +416,7 @@ func elemString(key string) string {
 
 // check indexes the simulated accesses by element and validates the
 // three order claims.
-func (c *schedCertifier) check(antiRelaxed bool) {
+func (c *schedCertifier) check(anti Anti) {
 	def := c.res.Def
 	bigupd := def.Kind == lang.BigUpd
 	orderMatters := bigupd || (def.Kind == lang.Accumulated && !def.Accum.Commutative())
@@ -486,8 +500,8 @@ func (c *schedCertifier) check(antiRelaxed bool) {
 	}
 
 	// Anti: reads of the old contents happen no later than the kill.
-	if bigupd {
-		if antiRelaxed {
+	if bigupd && anti != AntiCopied {
+		if anti == AntiSplit {
 			c.rep.Record(certify.Certificate{
 				Layer:  "schedule",
 				Claim:  fmt.Sprintf("%s: emitted order preserves anti dependences", name),

@@ -18,7 +18,7 @@ func TestCertifyForwardSchedule(t *testing.T) {
 	if err != nil || sched.Thunked {
 		t.Fatalf("schedule: err=%v thunked=%v", err, sched.Thunked)
 	}
-	rep := Certify(res, sched, false)
+	rep := Certify(res, sched, AntiOrdered)
 	if rep.FalsifiedCount != 0 {
 		t.Fatalf("legal schedule falsified:\n%s", rep)
 	}
@@ -41,7 +41,7 @@ func TestCertifyCatchesFlippedDirection(t *testing.T) {
 		t.Fatalf("schedule: err=%v thunked=%v", err, sched.Thunked)
 	}
 	flipLoops(sched.Nodes)
-	rep := Certify(res, sched, false)
+	rep := Certify(res, sched, AntiOrdered)
 	if rep.FalsifiedCount == 0 {
 		t.Fatalf("flipped schedule survived certification:\n%s", rep)
 	}
@@ -71,7 +71,7 @@ func TestCertifyThunkedMakesNoClaims(t *testing.T) {
 	if !sched.Thunked {
 		t.Skip("schedule unexpectedly static; relaxed-path test covers it")
 	}
-	rep := Certify(res, sched, false)
+	rep := Certify(res, sched, AntiOrdered)
 	if rep.CertifiedCount+rep.FalsifiedCount+rep.SkippedCount != 0 {
 		t.Fatalf("thunked schedule produced certificates: %s", rep.Summary())
 	}
@@ -92,7 +92,7 @@ func TestCertifyRelaxedAnti(t *testing.T) {
 	if err != nil || sched.Thunked {
 		t.Fatalf("relaxed schedule: err=%v thunked=%v", err, sched.Thunked)
 	}
-	rep := Certify(res, sched, true)
+	rep := Certify(res, sched, AntiSplit)
 	if rep.FalsifiedCount != 0 {
 		t.Fatalf("relaxed certification falsified:\n%s", rep)
 	}
@@ -106,9 +106,17 @@ func TestCertifyRelaxedAnti(t *testing.T) {
 		t.Fatalf("anti claim not skipped under relaxation: %s", rep.Summary())
 	}
 
-	strict := Certify(res, sched, false)
+	strict := Certify(res, sched, AntiOrdered)
 	if strict.FalsifiedCount == 0 {
 		t.Fatalf("relaxed order passed strict anti certification:\n%s", strict)
+	}
+
+	// A copy-update plan reads the old values from the kept source: no
+	// anti claim is made, neither certified nor skipped.
+	copied := Certify(res, sched, AntiCopied)
+	if copied.FalsifiedCount != 0 || copied.CertifiedCount != rep.CertifiedCount || copied.SkippedCount != rep.SkippedCount-1 {
+		t.Fatalf("copy-update certification = %s, want the node-split report minus its skipped anti claim (%s)",
+			copied.Summary(), rep.Summary())
 	}
 }
 
@@ -119,7 +127,7 @@ func TestCertifyLargeBoundsClamped(t *testing.T) {
 	if err != nil || sched.Thunked {
 		t.Fatalf("schedule: err=%v thunked=%v", err, sched.Thunked)
 	}
-	rep := Certify(res, sched, false)
+	rep := Certify(res, sched, AntiOrdered)
 	if rep.FalsifiedCount != 0 {
 		t.Fatalf("falsified:\n%s", rep)
 	}
@@ -149,11 +157,11 @@ func TestCertifyDeterministic(t *testing.T) {
 	if err != nil || sched.Thunked {
 		t.Fatalf("schedule: err=%v thunked=%v", err, sched.Thunked)
 	}
-	if rep := Certify(res, sched, false); rep.FalsifiedCount != 0 {
+	if rep := Certify(res, sched, AntiOrdered); rep.FalsifiedCount != 0 {
 		t.Fatalf("legal schedule falsified:\n%s", rep)
 	}
 	flipLoops(sched.Nodes)
-	first := Certify(res, sched, false)
+	first := Certify(res, sched, AntiOrdered)
 	if first.FalsifiedCount == 0 || len(first.Failures[0].Witness) == 0 {
 		t.Fatalf("flipped schedule not falsified with a witness:\n%s", first)
 	}
@@ -161,7 +169,7 @@ func TestCertifyDeterministic(t *testing.T) {
 		t.Fatalf("detail %q does not name the element", d)
 	}
 	for i := 1; i < 50; i++ {
-		if rep := Certify(res, sched, false); rep.String() != first.String() {
+		if rep := Certify(res, sched, AntiOrdered); rep.String() != first.String() {
 			t.Fatalf("run %d reported\n%s\nrun 0 reported\n%s", i, rep, first)
 		}
 	}
@@ -181,7 +189,7 @@ func BenchmarkScheduleCertify(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for b.Loop() {
-		if rep := Certify(res, sched, false); rep.FalsifiedCount != 0 {
+		if rep := Certify(res, sched, AntiOrdered); rep.FalsifiedCount != 0 {
 			b.Fatalf("legal schedule falsified:\n%s", rep)
 		}
 	}

@@ -8,6 +8,7 @@ package workloads
 import (
 	"fmt"
 	"math/rand"
+	"regexp"
 
 	"arraycomp/internal/runtime"
 )
@@ -114,6 +115,30 @@ a2 = bigupd a [ (k0,j) := a!(k0,j) + 2.0 * a!(i0,j) | j <- [1..n] ]`
 // HistogramSrc is the accumArray workload.
 const HistogramSrc = `h = accumArray (+) 0.0 (0,99)
   [ (i * 37) mod 100 := 1.0 | i <- [1..n] ]`
+
+// TwoSweeps chains two copies of a one-definition bigupd workload
+// `new = bigupd old [...]`. The first sweep, named old+"1", updates the
+// caller's old, which the caller keeps, so it compiles to a copy-update
+// plan. The second, named new, updates the first's result, which
+// nothing reads afterwards, so it compiles in place with node splitting
+// (the paper's section 9). Tests and benches use it to reach the
+// in-place plan of a dead source.
+func TwoSweeps(src string) string {
+	m := bigupdHead.FindStringSubmatchIndex(src)
+	if m == nil {
+		panic("workloads: TwoSweeps needs a `new = bigupd old` definition")
+	}
+	newName, old := src[m[2]:m[3]], src[m[4]:m[5]]
+	mid := old + "1"
+	body := src[m[1]:]
+	read := func(name string) *regexp.Regexp { return regexp.MustCompile(`\b` + name + `!`) }
+	first := read(newName).ReplaceAllString(body, mid+"!")
+	second := read(old).ReplaceAllString(body, mid+"!")
+	return fmt.Sprintf("%sletrec*\n%s = bigupd %s%s;\n%s = bigupd %s%s\nin %s",
+		src[:m[0]], mid, old, first, newName, mid, second, newName)
+}
+
+var bigupdHead = regexp.MustCompile(`(\w+) = bigupd (\w+)`)
 
 // --- input builders ---
 

@@ -126,6 +126,9 @@ func TestHandBaselinesMatchCompiled(t *testing.T) {
 }
 
 func TestWorkloadModes(t *testing.T) {
+	// A bigupd of the caller's array compiles to a copy-update plan;
+	// chained behind a first sweep (TwoSweeps) its source is dead and
+	// the same update compiles in place.
 	n := int64(16)
 	cases := []struct {
 		name, src, def, wantMode string
@@ -136,12 +139,12 @@ func TestWorkloadModes(t *testing.T) {
 		{"example1", Example1Src, "a", "thunkless", nil},
 		{"mixedpass", MixedPassSrc, "a", "thunkless", nil},
 		{"cyclic", CyclicSrc, "a", "thunked", nil},
-		{"rowswap", RowSwapSrc, "a2", "in-place", map[string]*runtime.Strict{"a": Mesh(n, 1)}},
-		{"jacobi", JacobiSrc, "a2", "in-place", map[string]*runtime.Strict{"a": Mesh(n, 1)}},
-		{"sor", SORSrc, "a2", "in-place", map[string]*runtime.Strict{"a": Mesh(n, 1)}},
-		{"scalerow", ScaleRowSrc, "a2", "in-place", map[string]*runtime.Strict{"a": Mesh(n, 1)}},
-		{"saxpy", SaxpyRowSrc, "a2", "in-place", map[string]*runtime.Strict{"a": Mesh(n, 1)}},
-		{"livermore23", Livermore23Src, "za2", "in-place", Livermore23Inputs(n)},
+		{"rowswap", RowSwapSrc, "a2", "copy-update", map[string]*runtime.Strict{"a": Mesh(n, 1)}},
+		{"jacobi", JacobiSrc, "a2", "copy-update", map[string]*runtime.Strict{"a": Mesh(n, 1)}},
+		{"sor", SORSrc, "a2", "copy-update", map[string]*runtime.Strict{"a": Mesh(n, 1)}},
+		{"scalerow", ScaleRowSrc, "a2", "copy-update", map[string]*runtime.Strict{"a": Mesh(n, 1)}},
+		{"saxpy", SaxpyRowSrc, "a2", "copy-update", map[string]*runtime.Strict{"a": Mesh(n, 1)}},
+		{"livermore23", Livermore23Src, "za2", "copy-update", Livermore23Inputs(n)},
 		{"histogram", HistogramSrc, "h", "thunkless", nil},
 	}
 	for _, c := range cases {
@@ -149,6 +152,13 @@ func TestWorkloadModes(t *testing.T) {
 			p := compileWorkload(t, c.src, ParamsFor(c.name, n), c.inputs)
 			if got := p.Defs[c.def].Mode(); got != c.wantMode {
 				t.Errorf("mode = %s, want %s\n%s", got, c.wantMode, p.Report())
+			}
+			if c.wantMode != "copy-update" {
+				return
+			}
+			p = compileWorkload(t, TwoSweeps(c.src), ParamsFor(c.name, n), c.inputs)
+			if got := p.Defs[c.def].Mode(); got != "in-place" {
+				t.Errorf("second sweep mode = %s, want in-place\n%s", got, p.Report())
 			}
 		})
 	}
@@ -164,8 +174,12 @@ func TestScaleAndSaxpyNoSplitting(t *testing.T) {
 			name = "za2"
 			inputs = Livermore23Inputs(n)
 		}
-		p := compileWorkload(t, src, ParamsFor("scalerow", n), inputs)
+		// The second sweep updates a dead source in place.
+		p := compileWorkload(t, TwoSweeps(src), ParamsFor("scalerow", n), inputs)
 		cd := p.Defs[name]
+		if cd.Mode() != "in-place" {
+			t.Fatalf("%s: mode %s, want in-place", name, cd.Mode())
+		}
 		for _, note := range cd.Plan.Notes {
 			if note != "" && (containsAny(note, "scalar", "pipelined", "row temporary", "whole-array")) {
 				t.Errorf("%s must need no node splitting, note: %s", name, note)
