@@ -838,6 +838,13 @@ var experiments = []experiment{
 			}
 			pOff := compileCase(workloads.SpMVSrc, spmv, core.Options{NoIdxProp: true, Parallel: true, Workers: 4})
 			off := benchW(fmt.Sprintf("spmv claims-off nnz=%d", nnz), 4, func() { runP(pOff, spmv.Inputs) })
+			// One worker, whatever -workers says: the claims-off path is
+			// sequential too, so this ratio is the verified branch's row
+			// kernel and verifier against the checked closure tree on
+			// one thread, and holds on any host.
+			p1 := compileCase(workloads.SpMVSrc, spmv, core.Options{Parallel: true, Workers: 1})
+			one := benchW(fmt.Sprintf("spmv par w=1 nnz=%d", nnz), 1, func() { runP(p1, spmv.Inputs) })
+			fmt.Printf("    claims-off/par(w=1) = %s\n", ratio(off, one))
 			for _, w := range workerCounts() {
 				pw := compileCase(workloads.SpMVSrc, spmv, core.Options{Parallel: true, Workers: w})
 				p := benchW(fmt.Sprintf("spmv par w=%d", w), w, func() { runP(pw, spmv.Inputs) })

@@ -535,10 +535,10 @@ func (p *Program) installVerifyHook(ex *loopir.Exec, sink *metrics.VerifyStats) 
 	if ex == nil {
 		return
 	}
-	ex.SetVerifyHook(func(_ idxprop.Claims, res idxprop.VerifyResult) {
-		p.IdxVerify.Record(res.OK)
+	ex.SetVerifyHook(func(_ idxprop.Claims, res idxprop.VerifyResult, took time.Duration) {
+		p.IdxVerify.Record(res.OK, took)
 		if sink != nil {
-			sink.Record(res.OK)
+			sink.Record(res.OK, took)
 		}
 	})
 }

@@ -75,41 +75,7 @@ func TestVerifyAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
 	okCount, failCount := 0, 0
 	for trial := 0; trial < 5000; trial++ {
-		n := rng.Intn(24)
-		data := make([]float64, n)
-		for i := range data {
-			switch rng.Intn(10) {
-			case 0: // fractional — violates integrality
-				data[i] = float64(rng.Intn(12)) + 0.5
-			case 1: // negative
-				data[i] = -float64(rng.Intn(6))
-			default:
-				data[i] = float64(rng.Intn(12))
-			}
-		}
-		if rng.Intn(3) == 0 {
-			// Sorted variants make mono claims pass often enough.
-			for i := 1; i < n; i++ {
-				if data[i] < data[i-1] {
-					data[i] = data[i-1]
-				}
-			}
-		}
-		var claims Claims
-		if rng.Intn(2) == 0 {
-			lo := int64(rng.Intn(8)) - 2
-			claims = append(claims, Claim{Array: "p", Kind: KRange, Lo: lo, Hi: lo + int64(rng.Intn(14))})
-		}
-		if rng.Intn(3) == 0 { // second, intersecting range claim
-			lo := int64(rng.Intn(8)) - 2
-			claims = append(claims, Claim{Array: "p", Kind: KRange, Lo: lo, Hi: lo + int64(rng.Intn(14))})
-		}
-		if rng.Intn(2) == 0 {
-			claims = append(claims, Claim{Array: "p", Kind: KMonoNonDec})
-		}
-		if rng.Intn(2) == 0 {
-			claims = append(claims, Claim{Array: "p", Kind: KInjective})
-		}
+		data, claims := bruteTrial(rng)
 		got := Verify(data, claims)
 		want := bruteVerify(data, claims)
 		if got.OK != want {
@@ -125,5 +91,102 @@ func TestVerifyAgainstBruteForce(t *testing.T) {
 	// The trial distribution must exercise both verdicts heavily.
 	if okCount < 500 || failCount < 500 {
 		t.Fatalf("degenerate trial distribution: ok=%d fail=%d", okCount, failCount)
+	}
+}
+
+// bruteTrial draws one random array and claim set of the brute-force
+// corpus.
+func bruteTrial(rng *rand.Rand) ([]float64, Claims) {
+	n := rng.Intn(24)
+	data := make([]float64, n)
+	for i := range data {
+		switch rng.Intn(10) {
+		case 0: // fractional — violates integrality
+			data[i] = float64(rng.Intn(12)) + 0.5
+		case 1: // negative
+			data[i] = -float64(rng.Intn(6))
+		default:
+			data[i] = float64(rng.Intn(12))
+		}
+	}
+	if rng.Intn(3) == 0 {
+		// Sorted variants make mono claims pass often enough.
+		for i := 1; i < n; i++ {
+			if data[i] < data[i-1] {
+				data[i] = data[i-1]
+			}
+		}
+	}
+	var claims Claims
+	if rng.Intn(2) == 0 {
+		lo := int64(rng.Intn(8)) - 2
+		claims = append(claims, Claim{Array: "p", Kind: KRange, Lo: lo, Hi: lo + int64(rng.Intn(14))})
+	}
+	if rng.Intn(3) == 0 { // second, intersecting range claim
+		lo := int64(rng.Intn(8)) - 2
+		claims = append(claims, Claim{Array: "p", Kind: KRange, Lo: lo, Hi: lo + int64(rng.Intn(14))})
+	}
+	if rng.Intn(2) == 0 {
+		claims = append(claims, Claim{Array: "p", Kind: KMonoNonDec})
+	}
+	if rng.Intn(2) == 0 {
+		claims = append(claims, Claim{Array: "p", Kind: KInjective})
+	}
+	return data, claims
+}
+
+// TestVerifierMatchesGeneralPass: the verifier specialized to a claim
+// set returns the general all-claims pass's verdict and byte-identical
+// Reason, over the brute-force corpus and at the edges the fast loops'
+// one-comparison tests must get right: non-finite and signed-zero
+// values, fractions, the magnitude limit and the first integer float64
+// cannot hold, and a mono violation at the last element.
+func TestVerifierMatchesGeneralPass(t *testing.T) {
+	check := func(data []float64, claims Claims) {
+		t.Helper()
+		want := needsOf(claims).general(data)
+		if got := Verifier(claims)(data); got != want {
+			t.Fatalf("claims %s data %v: specialized %+v, general %+v", claims, data, got, want)
+		}
+		if got := Verify(data, claims); got != want {
+			t.Fatalf("claims %s data %v: Verify %+v, general %+v", claims, data, got, want)
+		}
+	}
+	rng := rand.New(rand.NewSource(20260808))
+	for trial := 0; trial < 5000; trial++ {
+		data, claims := bruteTrial(rng)
+		check(data, claims)
+	}
+
+	const lim = float64(inferMagLimit)
+	rangeC := Claim{Array: "p", Kind: KRange, Lo: 1, Hi: 9}
+	wide := Claim{Array: "p", Kind: KRange, Lo: math.MinInt64, Hi: math.MaxInt64}
+	mono := Claim{Array: "p", Kind: KMonoNonDec}
+	inj := Claim{Array: "p", Kind: KInjective}
+	sets := []Claims{
+		{rangeC}, {wide}, {mono}, {inj},
+		{rangeC, mono}, {wide, mono}, {rangeC, inj}, {rangeC, mono, inj},
+	}
+	edges := []float64{
+		math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0.5, -0.5,
+		lim, -lim, lim + 1, -lim - 1, 1<<53 + 1, -(1<<53 + 1), 1 << 63, -(1 << 63), 1e300,
+	}
+	for _, claims := range sets {
+		check(nil, claims)
+		check([]float64{}, claims)
+		for _, e := range edges {
+			check([]float64{e}, claims)
+			check([]float64{1, 2, e}, claims)
+			check([]float64{e, 3, 4}, claims)
+		}
+		check([]float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 3}, claims) // mono violated last
+		check([]float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 9}, claims)
+		check([]float64{1, 1, 2, 3, 5, 8}, claims)
+		check([]float64{9, 8, 7}, claims)
+	}
+	// The specialized loop must accept what the general pass accepts:
+	// a false rejection would only cost a second pass, but show up here.
+	if r := Verifier(Claims{rangeC, mono})([]float64{1, 2, 2, 9}); !r.OK {
+		t.Fatalf("range+mono rejected a satisfying array: %s", r.Reason)
 	}
 }

@@ -3,6 +3,7 @@ package loopir
 import (
 	"fmt"
 	"math"
+	"time"
 
 	"arraycomp/internal/idxprop"
 	"arraycomp/internal/runtime"
@@ -65,7 +66,7 @@ type compiler struct {
 // It is a box (not a plain field) because closures capture it at
 // compile time while the hook itself is installed afterwards.
 type verifyHookBox struct {
-	fn func(claims idxprop.Claims, res idxprop.VerifyResult)
+	fn func(claims idxprop.Claims, res idxprop.VerifyResult, took time.Duration)
 }
 
 func (c *compiler) fail(format string, args ...any) {
@@ -101,9 +102,10 @@ type Exec struct {
 }
 
 // SetVerifyHook installs an observer called once per runtime
-// index-property verification with the claims checked and the verdict.
-// Pass nil to remove it. Not safe to change concurrently with Run.
-func (ex *Exec) SetVerifyHook(fn func(claims idxprop.Claims, res idxprop.VerifyResult)) {
+// index-property verification with the claims checked, the verdict and
+// the time the pass took. Pass nil to remove it. Not safe to change
+// concurrently with Run.
+func (ex *Exec) SetVerifyHook(fn func(claims idxprop.Claims, res idxprop.VerifyResult, took time.Duration)) {
 	ex.hook.fn = fn
 }
 
@@ -682,13 +684,15 @@ func (c *compiler) compileBool(e BExpr) boolFn {
 		return func(f *frame) bool { return !fn(f) }
 	case *BVerify:
 		slot := c.arraySlot(x.Array)
-		claims := x.Claims
+		claims, verify := x.Claims, idxprop.Verifier(x.Claims)
 		box := c.hook
 		return func(f *frame) bool {
-			r := idxprop.Verify(f.arrays[slot].Data, claims)
-			if box.fn != nil {
-				box.fn(claims, r)
+			if box.fn == nil {
+				return verify(f.arrays[slot].Data).OK
 			}
+			t0 := time.Now()
+			r := verify(f.arrays[slot].Data)
+			box.fn(claims, r, time.Since(t0))
 			return r.OK
 		}
 	}

@@ -1,0 +1,22 @@
+package loopir
+
+// SetGenericRows makes later compiles give every loop the generic row
+// form (on) or the strongest form (off), returning the old setting.
+func SetGenericRows(on bool) bool {
+	old := genericRows
+	genericRows = on
+	return old
+}
+
+// RowForms compiles the row kernel of every loop of p, for a stream
+// stage when stage is set, and returns their forms in WalkLoops order:
+// "copy", "straight" or "generic".
+func RowForms(p *Program, stage bool) []string {
+	c := newCompiler(p)
+	c.stage = stage
+	var forms []string
+	WalkLoops(p.Stmts, func(x *Loop) {
+		forms = append(forms, [...]string{rowGeneric: "generic", rowCopy: "copy", rowStraight: "straight"}[c.rowFor(x).kind])
+	})
+	return forms
+}

@@ -1,6 +1,9 @@
 package metrics
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+	"time"
+)
 
 // VerifyStats counts runtime index-array property verifications — the
 // one-pass O(n) checks (idxprop.Verify) that guard claim-conditional
@@ -13,15 +16,20 @@ type VerifyStats struct {
 	Verified atomic.Int64
 	// Failed counts failures (checked fallback taken).
 	Failed atomic.Int64
+	// Nanos is the cumulative time the timed passes took. The
+	// interpreter times each pass; the native tier reports verdicts
+	// only (AddN), so its passes add no time.
+	Nanos atomic.Int64
 }
 
-// Record tallies one verdict.
-func (s *VerifyStats) Record(ok bool) {
+// Record tallies one verdict and the time its pass took.
+func (s *VerifyStats) Record(ok bool, took time.Duration) {
 	if ok {
 		s.Verified.Add(1)
 	} else {
 		s.Failed.Add(1)
 	}
+	s.Nanos.Add(int64(took))
 }
 
 // AddN tallies n verdicts of one kind at once — the bulk entry point

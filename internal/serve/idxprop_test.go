@@ -74,7 +74,8 @@ func checkSpMVResult(t *testing.T, got arrayJSON, want *runtime.Strict) {
 // TestEvalSpMVIdxPropMetrics is the end-to-end irregular-workload
 // contract for the daemon: a certified, claim-conditional SpMV
 // submitted over HTTP (1) verifies its CSR-ordered index arrays at
-// runtime and surfaces that in /metrics, and (2) on a violating
+// runtime and surfaces the verdicts and the passes' time in /metrics,
+// and (2) on a violating
 // (shuffled, non-monotone) index array falls back to the checked
 // sequential path with the identical correct result — never a 5xx.
 func TestEvalSpMVIdxPropMetrics(t *testing.T) {
@@ -95,6 +96,9 @@ func TestEvalSpMVIdxPropMetrics(t *testing.T) {
 	}
 	if failed := scrapeCounter(t, ts, "haccd_idxprop_verify_failures_total"); failed != 0 {
 		t.Fatalf("haccd_idxprop_verify_failures_total = %v before any violating eval", failed)
+	}
+	if secs := scrapeCounter(t, ts, "haccd_idxprop_verify_seconds_total"); secs <= 0 {
+		t.Fatalf("haccd_idxprop_verify_seconds_total = %v after a verifying eval", secs)
 	}
 
 	// Same program, same cache entry — only the inputs change. The

@@ -203,6 +203,9 @@ func New(cfg Config) (*Server, error) {
 	s.reg.NewCounterFunc("haccd_idxprop_verify_failures_total",
 		"Runtime index-claim verifications that failed, routing execution to the checked sequential fallback.",
 		func() uint64 { return uint64(s.verifyStats.Failed.Load()) })
+	s.reg.NewGaugeFunc("haccd_idxprop_verify_seconds_total",
+		"Wall time spent in interpreted runtime index-claim verification passes.",
+		func() float64 { return float64(s.verifyStats.Nanos.Load()) / 1e9 })
 	return s, nil
 }
 
