@@ -207,6 +207,11 @@ func run(args []string, w io.Writer) error {
 	return fmt.Errorf("unknown command %q", cmd)
 }
 
+// fuzzConfig is the generator configuration hacc fuzz draws from: the
+// defaults plus accumulations the row kernels run unchecked, which the
+// default shapes seldom reach.
+var fuzzConfig = gencomp.Config{AccumWeight: 250}
+
 // runFuzz is the differential-fuzzing entry point: n generated
 // programs, every Options ablation cross-checked against the thunked
 // reference (and, unless -nogogen, against emitted Go run out of
@@ -222,7 +227,7 @@ func runFuzz(n int, seed int64, withGogen, withNative bool, w io.Writer) error {
 	for i := range seeds {
 		seeds[i] = uint64(seed) + uint64(i)
 	}
-	s := oracle.RunSeeds(seeds, gencomp.Config{}, withGogen, withNative)
+	s := oracle.RunSeeds(seeds, fuzzConfig, withGogen, withNative)
 	fmt.Fprint(w, s)
 	if len(s.Failures) == 0 {
 		fmt.Fprintf(w, "FUZZ-OK programs=%d\n", s.Programs)

@@ -58,6 +58,10 @@ func TestConcurrentProgramReuse(t *testing.T) {
 			mode: "in-place",
 		},
 		{
+			name: "strip kernel with scratch strips",
+			src:  `a = accumArray (+) 1.0 (0,9) [* [ i := u!i * 0.5 - 0.25 * u!i ] | i <- [0..9] *]`,
+		},
+		{
 			name: "parallel plan",
 			src:  `a = array (0,9) [* [ i := 3 * u!i ] | i <- [0..9] *]`,
 			opts: Options{Parallel: true},

@@ -55,6 +55,13 @@ type Config struct {
 	// and claim-violating index arrays. Default 0 (off); the idxprop
 	// fuzz arm sets it high.
 	IdxWeight int
+	// AccumWeight is the per-program permille chance, when no
+	// subscripted-subscript pair was appended, of appending an
+	// accumulation the row kernels run unchecked (accumgen.go): a dense
+	// accumArray over unit-step covers or a scatter through an index
+	// array. Default 0 (off) draws nothing, so every other config
+	// generates the same programs as before; hacc fuzz sets it.
+	AccumWeight int
 }
 
 func (c Config) withDefaults() Config {
@@ -173,6 +180,12 @@ func (g *gen) program() *lang.Program {
 		// Appended last so the consumer is the program result: the
 		// indirect pair is always live.
 		for _, def := range g.indirectDefs(idxName, consName) {
+			g.defs = append(g.defs, def)
+			g.arrs = append(g.arrs, arr{name: def.Name, bounds: g.boundsOf(def)})
+		}
+	} else if g.cfg.AccumWeight > 0 && g.chance(g.cfg.AccumWeight) {
+		// Appended last, like the pair above, so it is the result.
+		for _, def := range g.accumDefs(len(g.defs)) {
 			g.defs = append(g.defs, def)
 			g.arrs = append(g.arrs, arr{name: def.Name, bounds: g.boundsOf(def)})
 		}

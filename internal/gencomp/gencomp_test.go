@@ -1,11 +1,14 @@
 package gencomp
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
 	"testing"
 
 	"arraycomp/internal/core"
 	"arraycomp/internal/lang"
+	"arraycomp/internal/loopir"
 	"arraycomp/internal/parser"
 )
 
@@ -105,4 +108,57 @@ func TestErrorWeightZero(t *testing.T) {
 	if failed > n/4 {
 		t.Errorf("clean corpus: %d/%d fail to compile", failed, n)
 	}
+}
+
+// TestBenchConfigPinned pins the first 64 sources of the configuration
+// the compile benchmark draws from, so a new generator shape that
+// consumes random draws under it shows up here rather than as a silent
+// change of the benchmark's programs.
+func TestBenchConfigPinned(t *testing.T) {
+	const want = "2732f1a4aa9e587e4146f4ebb5d5d668f952ad98095b5eca7524017ef59a2fb1"
+	h := sha256.New()
+	for seed := uint64(0); seed < 64; seed++ {
+		h.Write([]byte(Generate(seed, Config{ErrorWeight: -1, IdxWeight: 400}).Source))
+		h.Write([]byte{0})
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("sources hash %s, want %s", got, want)
+	}
+}
+
+// TestAccumWeightReachesRowKernels: with AccumWeight on, most
+// generated programs end in an accumulating store the specialized row
+// forms take — unchecked, through an offset form or an unchecked
+// index-array load.
+func TestAccumWeightReachesRowKernels(t *testing.T) {
+	const n = 100
+	dense, scatter := 0, 0
+	for seed := uint64(0); seed < n; seed++ {
+		p := Generate(seed, Config{ErrorWeight: -1, AccumWeight: 1000})
+		prog, err := core.CompileProgram(p.Prog, p.Params, core.Options{InputBounds: p.Inputs})
+		if err != nil {
+			t.Fatalf("seed %d: %v\n%s", seed, err, p.Source)
+		}
+		res := prog.Defs[prog.Result]
+		if res.Plan == nil {
+			continue
+		}
+		loopir.WalkLoops(res.Plan.Program.Stmts, func(x *loopir.Loop) {
+			for _, s := range x.Body {
+				a, ok := s.(*loopir.Assign)
+				if !ok || a.Accumulate == nil || a.CheckBounds {
+					continue
+				}
+				if a.Off != nil {
+					dense++
+				} else if ii, ok := a.Subs[0].(*loopir.IIdx); ok && !ii.CheckBounds {
+					scatter++
+				}
+			}
+		})
+	}
+	if dense < n/4 || scatter < n/20 {
+		t.Errorf("unchecked accumulating stores: %d dense, %d scatters in %d programs", dense, scatter, n)
+	}
+	t.Logf("unchecked accumulating stores: %d dense, %d scatters in %d programs", dense, scatter, n)
 }

@@ -345,7 +345,7 @@ func (e *emitter) emitAssign(x *loopir.Assign) {
 		case "right":
 			e.line("%s[%s] = %s", id, off, rhs)
 		case "left":
-			e.line("_ = %s // left-combiner keeps the existing value", rhs)
+			e.line("_, _ = %s, %s // left-combiner keeps the existing value", off, rhs)
 		default:
 			e.fail("unknown accumArray combiner %q", e.prog.AccumOp)
 		}

@@ -3,6 +3,7 @@ package loopir
 import (
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
 	"arraycomp/internal/idxprop"
@@ -32,6 +33,8 @@ type frame struct {
 	// workers is the parallel worker budget for this run, resolved at
 	// Run time from Exec.SetWorkers (0 means GOMAXPROCS then).
 	workers int
+	// strip holds the strip form's scratch strips (fast.go).
+	strip []float64
 }
 
 type (
@@ -60,6 +63,9 @@ type compiler struct {
 	// stage compiles for a stream stage: rank-1 accesses subtract the
 	// frame's per-slot base instead of the declared lower bound.
 	stage bool
+	// strips is the scratch length, in float64s, that the program's
+	// strip kernels need in every frame that runs them.
+	strips int
 }
 
 // verifyHookBox lets an observer record runtime verification verdicts.
@@ -99,6 +105,10 @@ type Exec struct {
 	arraySlots map[string]int
 	workers    int
 	hook       *verifyHookBox
+	// strips recycles the scratch strips of Run's frames (see
+	// compiler.strips); worker frames keep theirs in the frame pool.
+	strips sync.Pool
+	nStrip int
 }
 
 // SetVerifyHook installs an observer called once per runtime
@@ -114,11 +124,11 @@ func (ex *Exec) SetVerifyHook(fn func(claims idxprop.Claims, res idxprop.VerifyR
 func Compile(p *Program) (ex *Exec, err error) {
 	defer catchExec(&err)
 	c := newCompiler(p)
-	nInts, nFloats := len(c.intSlots), len(c.floatSlots)
-	c.fp.p.New = func() any {
-		return &frame{ints: make([]int64, nInts), floats: make([]float64, nFloats)}
-	}
 	fns := c.compileStmts(p.Stmts)
+	nInts, nFloats, nStrip := len(c.intSlots), len(c.floatSlots), c.strips
+	c.fp.p.New = func() any {
+		return &frame{ints: make([]int64, nInts), floats: make([]float64, nFloats), strip: make([]float64, nStrip)}
+	}
 	return &Exec{
 		prog:       p,
 		run:        fns,
@@ -126,6 +136,7 @@ func Compile(p *Program) (ex *Exec, err error) {
 		floatSlots: c.floatSlots,
 		arraySlots: c.arraySlots,
 		hook:       c.hook,
+		nStrip:     nStrip,
 	}, nil
 }
 

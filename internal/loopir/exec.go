@@ -35,6 +35,15 @@ func (ex *Exec) Run(inputs map[string]*runtime.Strict) (map[string]*runtime.Stri
 	if f.workers <= 0 {
 		f.workers = goruntime.GOMAXPROCS(0)
 	}
+	if ex.nStrip > 0 {
+		buf, _ := ex.strips.Get().(*[]float64)
+		if buf == nil {
+			buf = new([]float64)
+			*buf = make([]float64, ex.nStrip)
+		}
+		f.strip = *buf
+		defer ex.strips.Put(buf)
+	}
 	for i, d := range ex.prog.Arrays {
 		switch d.Role {
 		case RoleIn, RoleInOut:

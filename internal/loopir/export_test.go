@@ -10,13 +10,13 @@ func SetGenericRows(on bool) bool {
 
 // RowForms compiles the row kernel of every loop of p, for a stream
 // stage when stage is set, and returns their forms in WalkLoops order:
-// "copy", "straight" or "generic".
+// "strip", "straight" or "generic".
 func RowForms(p *Program, stage bool) []string {
 	c := newCompiler(p)
 	c.stage = stage
 	var forms []string
 	WalkLoops(p.Stmts, func(x *Loop) {
-		forms = append(forms, [...]string{rowGeneric: "generic", rowCopy: "copy", rowStraight: "straight"}[c.rowFor(x).kind])
+		forms = append(forms, [...]string{rowGeneric: "generic", rowStrip: "strip", rowStraight: "straight"}[c.rowFor(x).kind])
 	})
 	return forms
 }

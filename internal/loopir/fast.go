@@ -12,9 +12,18 @@ import "arraycomp/internal/runtime"
 // parallel schedule runs exactly the sequential arm's inner loop. The
 // kernel compiler picks the strongest of three forms:
 //
-//   - copy: a body `dst@{r1} := src@{r2}` over two step-one registers
-//     lowers to builtin copy, one memmove per row. Node splitting's
-//     row buffering produces it (Jacobi's `rowbuf[j] := a[i-1,j]`).
+//   - strip: a straight-line body (below) that is one store whose
+//     right side never reads the stored array, directly or as an index
+//     array. Such a body carries nothing between iterations, so it
+//     runs stripLen iterations at a time, node by node, the "lifted"
+//     evaluation of data-parallel comprehensions: a load is a sub-slice
+//     of Data, a gather fills a strip, each + − * / and negation is one
+//     loop over its operands' strips, and constants and scalars are one
+//     value per strip. A plain store evaluates its root straight into
+//     the destination, so `dst@{r1} := src@{r2}` is one builtin copy
+//     per strip (node splitting's row buffering, Jacobi's
+//     `rowbuf[j] := a[i-1,j]`). A scatter or an accumulating store
+//     computes the strip, then stores it in element order.
 //   - straight line: unchecked, untracked Assign and SetScalar
 //     statements whose every access is either offset-form on a
 //     register stepping by one, or a rank-1 gather or scatter
@@ -29,14 +38,25 @@ import "arraycomp/internal/runtime"
 //     accumulate, folding its value in as comb(old, new) with + and *
 //     inlined. Such a body cannot observe the loop variable or the
 //     registers otherwise (int conversions, calls and conditionals
-//     take the generic form), so neither is maintained. Expressions
-//     evaluate in the generic form's operation order, so results are
-//     bitwise identical. This covers the stencil interiors, node
-//     splitting's multi-statement chains (Jacobi's rowbuf/prev/cur),
-//     and the claim-verified branches of SpMV, histograms and
-//     neighbour gathers.
+//     take the generic form), so neither is maintained. This form
+//     keeps what the strip form may not take: bodies that read the
+//     array they write (SOR, Livermore 23, the wavefront, stream
+//     recurrences) and node splitting's multi-statement chains
+//     (Jacobi's rowbuf/prev/cur).
 //   - generic: the closure tree, writing the loop variable and the
 //     registers every iteration.
+//
+// Every form evaluates each element through the generic form's IEEE
+// operations in the same order, so results are bitwise identical. A
+// strip loop performs exactly one operation per element: fusing a
+// multiply and an add into one loop body would let a compiler contract
+// them into an FMA (Go permits it on arm64), which rounds once.
+//
+// The strip form and a scatter's element-order store rely on one
+// invariant: distinct array slots never share storage. A store's
+// destination is then disjoint from every strip its right side reads,
+// so writing a strip before, or instead of, reading the next one
+// cannot change what is read.
 //
 // Only the generic form raises runtime errors: the others take
 // unchecked accesses only, and an unchecked index-array load needs a
@@ -48,7 +68,7 @@ import "arraycomp/internal/runtime"
 // Stream stages (stage.go) run the same kernels. A register holds an
 // offset from the declared lower bound lo, but a stage binds each array
 // slot to a window whose element 0 is position base, so in stage mode
-// the copy and straight-line forms add lo − base once per row. Stages
+// the strip and straight-line forms add lo − base once per row. Stages
 // take no gathers, scatters or accumulating stores.
 //
 // An earlier revision compiled straight-line bodies to postfix tapes
@@ -62,7 +82,7 @@ type rowKind uint8
 
 const (
 	rowGeneric rowKind = iota
-	rowCopy
+	rowStrip
 	rowStraight
 )
 
@@ -85,10 +105,7 @@ func (c *compiler) rowFor(x *Loop) *rowKernel {
 	inds := c.compileInds(x)
 	rk := &rowKernel{}
 	if !genericRows {
-		rk.kind, rk.run = rowCopy, c.copyRow(x, inds)
-		if rk.run == nil {
-			rk.kind, rk.run = rowStraight, c.straightRow(x, inds)
-		}
+		rk.kind, rk.run = c.straightRow(x, inds)
 	}
 	if rk.run == nil {
 		rk.kind, rk.run = rowGeneric, c.genericRow(x, inds)
@@ -133,41 +150,6 @@ func (c *compiler) genericRow(x *Loop, inds []cInd) rowFn {
 	}
 }
 
-// copyRow compiles the copy form, or returns nil.
-func (c *compiler) copyRow(x *Loop, inds []cInd) rowFn {
-	if len(x.Body) != 1 {
-		return nil
-	}
-	a, ok := x.Body[0].(*Assign)
-	if !ok || !c.plainStore(a) || a.Accumulate != nil {
-		return nil
-	}
-	src, ok := a.Rhs.(*ARef)
-	if !ok || !c.plainLoad(src) || src.Array == a.Array {
-		return nil
-	}
-	di, dOff, okD := unitReg(x, a.Off)
-	si, sOff, okS := unitReg(x, src.Off)
-	if !okD || !okS {
-		return nil
-	}
-	dst, srcSlot := c.arraySlots[a.Array], c.arraySlots[src.Array]
-	dInit, sInit := inds[di].init, inds[si].init
-	stage, dLo, sLo := c.stage, c.prog.Arrays[dst].B.Lo[0], c.prog.Arrays[srcSlot].B.Lo[0]
-	return func(f *frame, t0, t1 int64) {
-		if t1 <= t0 {
-			return
-		}
-		do := dInit(f) + dOff + t0
-		so := sInit(f) + sOff + t0
-		if stage {
-			do += dLo - f.base[dst]
-			so += sLo - f.base[srcSlot]
-		}
-		copy(f.arrays[dst].Data[do:do+t1-t0], f.arrays[srcSlot].Data[so:so+t1-t0])
-	}
-}
-
 // plainStore reports whether a is an unchecked, untracked store the
 // specialized forms may perform directly.
 func (c *compiler) plainStore(a *Assign) bool {
@@ -177,12 +159,6 @@ func (c *compiler) plainStore(a *Assign) bool {
 	}
 	d := c.prog.Arrays[slot]
 	return d.Role != RoleIn && !(d.TrackDefs && !a.NoTrack)
-}
-
-// plainLoad reports whether r is an unchecked offset-form load.
-func (c *compiler) plainLoad(r *ARef) bool {
-	_, ok := c.arraySlots[r.Array]
-	return ok && !r.CheckBounds && !r.CheckDefined && r.Off != nil
 }
 
 // gather matches the subscript of an unchecked rank-1 access to arr
@@ -282,15 +258,24 @@ func (st *sstore) run(f *frame, o int64) {
 	st.put(f.arrays[st.arr].Data, i, st.rhs(f, o))
 }
 
-// straightRow compiles the straight-line form, or returns nil. Its
-// registers are the loop's induction registers and, at index
+// rowStart returns the row's starting element distance of st, the
+// hoisted part of its subscript.
+func (st *sstore) rowStart(f *frame) int64 {
+	if st.s >= 0 {
+		return st.d + f.ints[st.s]
+	}
+	return st.d
+}
+
+// straightRow compiles the strip or the straight-line form, or returns
+// nil. Its registers are the loop's induction registers and, at index
 // len(x.Inds), the loop variable, which gathers and scatters index by;
 // when they do, it is the primary register.
-func (c *compiler) straightRow(x *Loop, inds []cInd) rowFn {
+func (c *compiler) straightRow(x *Loop, inds []cInd) (rowKind, rowFn) {
 	lv := len(x.Inds)
 	uses := make([]int, lv+1)
 	if len(x.Body) == 0 || !c.straightBody(x, uses) || lv == 0 && uses[lv] == 0 {
-		return nil
+		return rowGeneric, nil
 	}
 	p := 0
 	for i := range uses {
@@ -327,6 +312,40 @@ func (c *compiler) straightRow(x *Loop, inds []cInd) rowFn {
 			return d, -1
 		}
 		return d, inds[i].slot
+	}
+	pInit := func(*frame) int64 { return x.From }
+	if p < lv {
+		pInit = inds[p].init
+	}
+	start := func(f *frame, t0 int64) int64 {
+		o := pInit(f)
+		for _, s := range dists {
+			f.ints[s.slot] = s.init(f) - o
+			if s.arr >= 0 {
+				f.ints[s.slot] -= f.base[s.arr]
+			}
+		}
+		return o + t0
+	}
+	// store compiles where an Assign writes; the caller compiles its
+	// right side.
+	store := func(a *Assign) *sstore {
+		st := &sstore{arr: c.arraySlots[a.Array], s: -1, ix: -1, comb: a.Accumulate}
+		if ix, d, ok := c.gather(x, a.Array, a.Subs, a.Off); ok {
+			st.ix, st.d, st.lo = ix, d, c.prog.Arrays[st.arr].B.Lo[0]
+		} else {
+			st.d, st.s = at(st.arr, a.Off)
+		}
+		if a.Accumulate != nil {
+			st.op = 'c'
+			if op := c.prog.AccumOp; op == "+" || op == "*" {
+				st.op = op[0]
+			}
+		}
+		return st
+	}
+	if a, ok := x.Body[0].(*Assign); ok && len(x.Body) == 1 && !c.readsStored(x, a) {
+		return rowStrip, c.stripRow(x, store(a), a.Rhs, at, start)
 	}
 	var expr func(e VExpr) sfn
 	expr = func(e VExpr) sfn {
@@ -366,61 +385,27 @@ func (c *compiler) straightRow(x *Loop, inds []cInd) rowFn {
 		}
 		return func(f *frame, o int64) float64 { return l(f, o) / r(f, o) }
 	}
-	store := func(a *Assign) *sstore {
-		st := &sstore{arr: c.arraySlots[a.Array], s: -1, ix: -1, comb: a.Accumulate, rhs: expr(a.Rhs)}
-		if ix, d, ok := c.gather(x, a.Array, a.Subs, a.Off); ok {
-			st.ix, st.d, st.lo = ix, d, c.prog.Arrays[st.arr].B.Lo[0]
-		} else {
-			st.d, st.s = at(st.arr, a.Off)
-		}
-		if a.Accumulate != nil {
-			st.op = 'c'
-			if op := c.prog.AccumOp; op == "+" || op == "*" {
-				st.op = op[0]
-			}
-		}
-		return st
-	}
-	pInit := func(*frame) int64 { return x.From }
-	if p < lv {
-		pInit = inds[p].init
-	}
-	start := func(f *frame, t0 int64) int64 {
-		o := pInit(f)
-		for _, s := range dists {
-			f.ints[s.slot] = s.init(f) - o
-			if s.arr >= 0 {
-				f.ints[s.slot] -= f.base[s.arr]
-			}
-		}
-		return o + t0
-	}
 	if a, ok := x.Body[0].(*Assign); ok && len(x.Body) == 1 {
-		// One store, a stencil interior or a gather/scatter: hoist the
-		// destination, its row distance and its index array, and
-		// inline the store.
+		// One store that reads the array it writes, a stencil like SOR:
+		// hoist the destination, its row distance and its index array,
+		// and inline the store.
 		st := store(a)
+		st.rhs = expr(a.Rhs)
 		if st.op == 0 && st.ix < 0 {
 			rhs := st.rhs
-			return func(f *frame, t0, t1 int64) {
+			return rowStraight, func(f *frame, t0, t1 int64) {
 				data := f.arrays[st.arr].Data
 				o := start(f, t0)
-				dd := st.d
-				if st.s >= 0 {
-					dd += f.ints[st.s]
-				}
+				dd := st.rowStart(f)
 				for n := t1 - t0; n > 0; o, n = o+1, n-1 {
 					data[o+dd] = rhs(f, o)
 				}
 			}
 		}
-		return func(f *frame, t0, t1 int64) {
+		return rowStraight, func(f *frame, t0, t1 int64) {
 			data := f.arrays[st.arr].Data
 			o := start(f, t0)
-			dd := st.d
-			if st.s >= 0 {
-				dd += f.ints[st.s]
-			}
+			dd := st.rowStart(f)
 			var ix []float64
 			if st.ix >= 0 {
 				ix = f.arrays[st.ix].Data
@@ -439,6 +424,7 @@ func (c *compiler) straightRow(x *Loop, inds []cInd) rowFn {
 		switch st := s.(type) {
 		case *Assign:
 			ss := store(st)
+			ss.rhs = expr(st.Rhs)
 			arr, d, rhs := ss.arr, ss.d, ss.rhs
 			switch {
 			case ss.op != 0 || ss.ix >= 0:
@@ -454,7 +440,7 @@ func (c *compiler) straightRow(x *Loop, inds []cInd) rowFn {
 			stmts[i] = func(f *frame, o int64) { f.floats[slot] = rhs(f, o) }
 		}
 	}
-	return func(f *frame, t0, t1 int64) {
+	return rowStraight, func(f *frame, t0, t1 int64) {
 		for o, n := start(f, t0), t1-t0; n > 0; o, n = o+1, n-1 {
 			for _, s := range stmts {
 				s(f, o)
@@ -511,4 +497,308 @@ func (c *compiler) straightBody(x *Loop, uses []int) bool {
 		}
 	}
 	return true
+}
+
+// readsStored reports whether the straight-line store a reads the
+// array it writes: on its right side, directly or as an index array,
+// or through its own scatter index.
+func (c *compiler) readsStored(x *Loop, a *Assign) bool {
+	if ix, _, ok := c.gather(x, a.Array, a.Subs, a.Off); ok && ix == c.arraySlots[a.Array] {
+		return true
+	}
+	var reads func(e VExpr) bool
+	reads = func(e VExpr) bool {
+		switch v := e.(type) {
+		case *ARef:
+			if v.Array == a.Array {
+				return true
+			}
+			for _, s := range v.Subs {
+				if ii, ok := s.(*IIdx); ok && ii.Array == a.Array {
+					return true
+				}
+			}
+		case *VBin:
+			return reads(v.L) || reads(v.R)
+		case *VNeg:
+			return reads(v.X)
+		}
+		return false
+	}
+	return reads(a.Rhs)
+}
+
+// stripLen is the strip form's strip: long enough that one closure call
+// per node and strip costs little, short enough that a body's strips
+// stay in L1.
+const stripLen = 256
+
+// vfn evaluates a strip expression over the len(out) iterations from
+// o. It returns out, which it filled, or a view of an array's Data.
+type vfn func(f *frame, o int64, out []float64) []float64
+
+// snode is a compiled strip expression: a strip (vec), or one value
+// for the whole strip (val) when it reads no array. A view's vec
+// returns a sub-slice of Data and leaves out alone.
+type snode struct {
+	vec  vfn
+	val  func(f *frame) float64
+	view bool
+}
+
+// stripRow compiles the strip form of the one-store body st := rhs. A
+// node writes its strip into the out its parent passes: a binary node
+// hands its own out to its left operand and a scratch strip to its
+// right, unless the left is a view or a value, so scratch strips are
+// needed only for right operands that compute. Scratch strip k is
+// f.strip[k·stripLen:]; c.strips is the most any strip body needs.
+func (c *compiler) stripRow(x *Loop, st *sstore, rhs VExpr, at func(int, IntExpr) (int64, int), start func(*frame, int64) int64) rowFn {
+	scratch := func(k int) int {
+		c.strips = max(c.strips, (k+1)*stripLen)
+		return k * stripLen
+	}
+	var node func(e VExpr, next int) snode
+	node = func(e VExpr, next int) snode {
+		switch v := e.(type) {
+		case *VConst:
+			k := v.Value
+			return snode{val: func(*frame) float64 { return k }}
+		case *VScalar:
+			slot := c.floatSlots[v.Name]
+			return snode{val: func(f *frame) float64 { return f.floats[slot] }}
+		case *ARef:
+			arr := c.arraySlots[v.Array]
+			if ix, d, ok := c.gather(x, v.Array, v.Subs, v.Off); ok {
+				lo := c.prog.Arrays[arr].B.Lo[0]
+				return snode{vec: func(f *frame, o int64, out []float64) []float64 {
+					data, idx := f.arrays[arr].Data, f.arrays[ix].Data[o+d:o+d+int64(len(out))]
+					for i, k := range idx {
+						out[i] = data[int64(k)-lo]
+					}
+					return out
+				}}
+			}
+			d, s := at(arr, v.Off)
+			return snode{view: true, vec: func(f *frame, o int64, out []float64) []float64 {
+				o += d
+				if s >= 0 {
+					o += f.ints[s]
+				}
+				return f.arrays[arr].Data[o : o+int64(len(out))]
+			}}
+		case *VNeg:
+			a := node(v.X, next)
+			if a.val != nil {
+				return snode{val: func(f *frame) float64 { return -a.val(f) }}
+			}
+			return snode{vec: func(f *frame, o int64, out []float64) []float64 {
+				stripNeg(out, a.vec(f, o, out))
+				return out
+			}}
+		}
+		v := e.(*VBin)
+		op := v.Op
+		l := node(v.L, next)
+		computes := l.vec != nil && !l.view
+		rNext := next
+		if computes {
+			rNext++
+		}
+		r := node(v.R, rNext)
+		switch {
+		case l.val != nil && r.val != nil:
+			lv, rv := l.val, r.val
+			switch op {
+			case '+':
+				return snode{val: func(f *frame) float64 { return lv(f) + rv(f) }}
+			case '-':
+				return snode{val: func(f *frame) float64 { return lv(f) - rv(f) }}
+			case '*':
+				return snode{val: func(f *frame) float64 { return lv(f) * rv(f) }}
+			}
+			return snode{val: func(f *frame) float64 { return lv(f) / rv(f) }}
+		case r.val != nil:
+			return snode{vec: func(f *frame, o int64, out []float64) []float64 {
+				stripVK(op, out, l.vec(f, o, out), r.val(f))
+				return out
+			}}
+		case l.val != nil:
+			return snode{vec: func(f *frame, o int64, out []float64) []float64 {
+				stripKV(op, out, l.val(f), r.vec(f, o, out))
+				return out
+			}}
+		case computes && !r.view:
+			k := scratch(next)
+			return snode{vec: func(f *frame, o int64, out []float64) []float64 {
+				a := l.vec(f, o, out)
+				stripVV(op, out, a, r.vec(f, o, f.strip[k:k+len(out)]))
+				return out
+			}}
+		}
+		return snode{vec: func(f *frame, o int64, out []float64) []float64 {
+			a := l.vec(f, o, out)
+			stripVV(op, out, a, r.vec(f, o, out))
+			return out
+		}}
+	}
+	run := func(f *frame, t0, t1 int64, strip func(f *frame, o, dd int64, n int)) {
+		o := start(f, t0)
+		dd := st.rowStart(f)
+		for n := t1 - t0; n > 0; {
+			m := min(n, stripLen)
+			strip(f, o, dd, int(m))
+			o, n = o+m, n-m
+		}
+	}
+	if st.op == 0 && st.ix < 0 {
+		// A plain store: the root evaluates into the destination.
+		root := node(rhs, 0)
+		var strip func(f *frame, o, dd int64, n int)
+		switch {
+		case root.val != nil:
+			strip = func(f *frame, o, dd int64, n int) {
+				stripFill(f.arrays[st.arr].Data[o+dd:o+dd+int64(n)], root.val(f))
+			}
+		case root.view:
+			strip = func(f *frame, o, dd int64, n int) {
+				dst := f.arrays[st.arr].Data[o+dd : o+dd+int64(n)]
+				copy(dst, root.vec(f, o, dst))
+			}
+		default:
+			strip = func(f *frame, o, dd int64, n int) {
+				root.vec(f, o, f.arrays[st.arr].Data[o+dd:o+dd+int64(n)])
+			}
+		}
+		return func(f *frame, t0, t1 int64) { run(f, t0, t1, strip) }
+	}
+	// A scatter or an accumulating store: the root evaluates into
+	// scratch strip 0, then the strip is stored in element order.
+	root := node(rhs, 1)
+	scratch(0)
+	strip := func(f *frame, o, dd int64, n int) {
+		v := f.strip[:n]
+		if root.val != nil {
+			stripFill(v, root.val(f))
+		} else {
+			v = root.vec(f, o, v)
+		}
+		data := f.arrays[st.arr].Data
+		if st.ix < 0 {
+			dst := data[o+dd : o+dd+int64(n)]
+			if st.op == 'c' {
+				for i, x := range v {
+					dst[i] = st.comb(dst[i], x)
+				}
+				return
+			}
+			stripVV(st.op, dst, dst, v)
+			return
+		}
+		idx := f.arrays[st.ix].Data[o+dd : o+dd+int64(n)]
+		lo := st.lo
+		switch st.op {
+		case 0:
+			for k, x := range v {
+				data[int64(idx[k])-lo] = x
+			}
+		case '+':
+			for k, x := range v {
+				i := int64(idx[k]) - lo
+				data[i] = data[i] + x
+			}
+		case '*':
+			for k, x := range v {
+				i := int64(idx[k]) - lo
+				data[i] = data[i] * x
+			}
+		default:
+			for k, x := range v {
+				i := int64(idx[k]) - lo
+				data[i] = st.comb(data[i], x)
+			}
+		}
+	}
+	return func(f *frame, t0, t1 int64) { run(f, t0, t1, strip) }
+}
+
+// The strip loops. Each performs one floating-point operation per
+// element; see the header for why none may do two.
+
+func stripVV(op byte, out, a, b []float64) {
+	a, b = a[:len(out)], b[:len(out)]
+	switch op {
+	case '+':
+		for i := range out {
+			out[i] = a[i] + b[i]
+		}
+	case '-':
+		for i := range out {
+			out[i] = a[i] - b[i]
+		}
+	case '*':
+		for i := range out {
+			out[i] = a[i] * b[i]
+		}
+	default:
+		for i := range out {
+			out[i] = a[i] / b[i]
+		}
+	}
+}
+
+func stripVK(op byte, out, a []float64, k float64) {
+	a = a[:len(out)]
+	switch op {
+	case '+':
+		for i := range out {
+			out[i] = a[i] + k
+		}
+	case '-':
+		for i := range out {
+			out[i] = a[i] - k
+		}
+	case '*':
+		for i := range out {
+			out[i] = a[i] * k
+		}
+	default:
+		for i := range out {
+			out[i] = a[i] / k
+		}
+	}
+}
+
+func stripKV(op byte, out []float64, k float64, b []float64) {
+	b = b[:len(out)]
+	switch op {
+	case '+':
+		for i := range out {
+			out[i] = k + b[i]
+		}
+	case '-':
+		for i := range out {
+			out[i] = k - b[i]
+		}
+	case '*':
+		for i := range out {
+			out[i] = k * b[i]
+		}
+	default:
+		for i := range out {
+			out[i] = k / b[i]
+		}
+	}
+}
+
+func stripNeg(out, a []float64) {
+	a = a[:len(out)]
+	for i := range out {
+		out[i] = -a[i]
+	}
+}
+
+func stripFill(out []float64, k float64) {
+	for i := range out {
+		out[i] = k
+	}
 }

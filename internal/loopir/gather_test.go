@@ -11,7 +11,7 @@ import (
 )
 
 // TestGatherScatterRowForms: the claim-verified branch of each
-// irregular workload takes the straight-line row form — SpMV's
+// irregular workload takes the strip row form — SpMV's
 // accumulating scatter through row with its gather through col, the
 // histogram's accumulating scatter, the adjacency gather — while the
 // checked else branch keeps the generic form, which alone raises
@@ -37,8 +37,8 @@ func TestGatherScatterRowForms(t *testing.T) {
 		}
 		prog := p.Defs[p.Result].Plan.Program
 		// WalkLoops visits the verified branch's loop, then the checked one's.
-		if got := loopir.RowForms(prog, false); !slices.Equal(got, []string{"straight", "generic"}) {
-			t.Errorf("%s: forms %v, want [straight generic] (verified, checked):\n%s", tc.name, got, prog.Dump())
+		if got := loopir.RowForms(prog, false); !slices.Equal(got, []string{"strip", "generic"}) {
+			t.Errorf("%s: forms %v, want [strip generic] (verified, checked):\n%s", tc.name, got, prog.Dump())
 		}
 		// A stage takes unchecked accesses only: compile the verified branch.
 		verified := *prog

@@ -58,7 +58,7 @@ func TestExecutorsGetSpecializedRow(t *testing.T) {
 	}
 
 	// A 1-D shard over a unit-stride body with two registers at a
-	// per-row distance: still one straight-line kernel.
+	// per-row distance: still one kernel, in the strip form.
 	p := &Program{
 		Name: "axpy",
 		Arrays: []ArrayDecl{
@@ -79,8 +79,8 @@ func TestExecutorsGetSpecializedRow(t *testing.T) {
 	}
 	c := compileRows(t, p)
 	shard := p.Stmts[0].(*Loop)
-	if rk := c.parRows[shard]; rk == nil || rk != c.rows[shard] || rk.kind != rowStraight {
-		t.Fatalf("shard executor row kernel %+v, want the loop's straight-line kernel", rk)
+	if rk := c.parRows[shard]; rk == nil || rk != c.rows[shard] || rk.kind != rowStrip {
+		t.Fatalf("shard executor row kernel %+v, want the loop's strip kernel", rk)
 	}
 	in := runtime.NewStrict(runtime.NewBounds1(0, 4096))
 	for i := range in.Data {
@@ -101,7 +101,9 @@ func TestExecutorsGetSpecializedRow(t *testing.T) {
 	}
 }
 
-// TestRowKernelForms: which body shapes take which form.
+// TestRowKernelForms: which body shapes take which form. A single
+// store whose right side never reads the stored array takes the strip
+// form; one that reads it, or a scalar chain, the straight-line form.
 func TestRowKernelForms(t *testing.T) {
 	b := runtime.NewBounds1(1, 100)
 	at := func(reg string, d int64) IntExpr { return lin(d, term(reg, 1)) }
@@ -111,14 +113,20 @@ func TestRowKernelForms(t *testing.T) {
 	store := func(arr, reg string, rhs VExpr) *Assign {
 		return &Assign{Array: arr, Subs: []IntExpr{lin(0, term("i", 1))}, Off: at(reg, 0), Rhs: rhs}
 	}
+	bin := func(op byte, l, r VExpr) VExpr { return &VBin{Op: op, L: l, R: r} }
+	k := func(v float64) VExpr { return &VConst{Value: v} }
 	cases := []struct {
 		name string
 		body []Stmt
 		step int64
 		want rowKind
 	}{
-		{"copy", []Stmt{store("y", "o", ref("x", "o", 0))}, 1, rowCopy},
+		{"copy", []Stmt{store("y", "o", ref("x", "o", 0))}, 1, rowStrip},
+		{"map", []Stmt{store("y", "o", bin('+', bin('*', ref("x", "o", 0), k(0.5)), k(0.25)))}, 1, rowStrip},
+		{"stencil", []Stmt{store("y", "o", bin('/', bin('+', bin('+', ref("x", "o", -1), ref("x", "o", 0)), ref("x", "o", 1)), k(3)))}, 1, rowStrip},
+		{"constant", []Stmt{store("y", "o", &VNeg{X: &VScalar{Name: "s"}})}, 1, rowStrip},
 		{"self copy", []Stmt{store("y", "o", ref("y", "o", -1))}, 1, rowStraight},
+		{"self stencil", []Stmt{store("y", "o", bin('+', ref("x", "o", 0), bin('*', ref("y", "o", -1), k(0.5))))}, 1, rowStraight},
 		{"scalar chain", []Stmt{
 			&SetScalar{Name: "s", Rhs: &VBin{Op: '*', L: ref("x", "o", 0), R: &VConst{Value: 2}}},
 			store("y", "o", &VScalar{Name: "s"}),

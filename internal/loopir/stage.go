@@ -9,7 +9,7 @@ import "arraycomp/internal/runtime"
 // (StageFrame.Bind, Slide), and each access subtracts the slot's base
 // position. Each top-level loop runs its row kernel (fast.go) over the
 // iterations that write inside a chunk, so an optimized stage takes
-// the same copy, straight-line or generic form as its materialized
+// the same strip, straight-line or generic form as its materialized
 // loop. Parallel schedules are ignored: a stage runs one chunk at a
 // time, and a pipeline's parallelism is between stages.
 //
@@ -20,6 +20,7 @@ type Stage struct {
 	tops   []stageStmt
 	nInts  int
 	nFloat int
+	nStrip int
 }
 
 // stageStmt is one top-level statement. A scalar set (set non-nil)
@@ -68,7 +69,7 @@ func CompileStage(p *Program, sp *StreamPlan) (st *Stage, err error) {
 		}
 	}
 	// Straight-line kernels add row-distance slots as they compile.
-	st.nInts, st.nFloat = len(c.intSlots), len(c.floatSlots)
+	st.nInts, st.nFloat, st.nStrip = len(c.intSlots), len(c.floatSlots), c.strips
 	return st, nil
 }
 
@@ -82,9 +83,12 @@ type StageFrame struct {
 // NewFrame returns a frame with every array slot unbound.
 func (st *Stage) NewFrame() *StageFrame {
 	n := len(st.prog.Arrays)
+	// The scalars and the scratch strips share one allocation.
+	floats := make([]float64, st.nFloat+st.nStrip)
 	return &StageFrame{f: frame{
 		ints:   make([]int64, st.nInts),
-		floats: make([]float64, st.nFloat),
+		floats: floats[:st.nFloat:st.nFloat],
+		strip:  floats[st.nFloat:],
 		arrays: make([]*runtime.Strict, n),
 		base:   make([]int64, n),
 	}}

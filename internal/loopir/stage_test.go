@@ -185,12 +185,13 @@ func stageShapes(lo, hi int64) map[string]*Program {
 }
 
 // TestStageRowKernelForms: an optimized stage runs its loops' row
-// kernels, so the E23 chain's map, smoothing and recurrence loops take
-// the straight-line form and a plain copy the copy form; an
-// unoptimized stage, which has no offset forms, takes the generic form.
-// All are bitwise equal to Exec.Run at every chunk size.
+// kernels, so the E23 chain's map and smoothing loops and a plain copy
+// take the strip form and its recurrence, which reads its own output,
+// the straight-line form; an unoptimized stage, which has no offset
+// forms, takes the generic form. All are bitwise equal to Exec.Run at
+// every chunk size, including sizes that cut a row mid-strip.
 func TestStageRowKernelForms(t *testing.T) {
-	const lo, hi = 7, 300
+	const lo, hi = 7, 3*stripLen + 7
 	x := runtime.NewStrict(b1(lo, hi))
 	for i := range x.Data {
 		x.Data[i] = float64((i*53)%31-15) / 4
@@ -201,9 +202,9 @@ func TestStageRowKernelForms(t *testing.T) {
 			want := rowGeneric
 			if optimize {
 				optimizeFor(p)
-				want = rowStraight
-				if name == "copy" {
-					want = rowCopy
+				want = rowStrip
+				if name == "recurrence" {
+					want = rowStraight
 				}
 			}
 			ex := mustCompile(t, p)
@@ -232,7 +233,7 @@ func TestStageRowKernelForms(t *testing.T) {
 			if loops != 1 {
 				t.Fatalf("%s: %d stage loops, want 1", name, loops)
 			}
-			for _, chunk := range []int64{1, 5, 64} {
+			for _, chunk := range []int64{1, 5, 64, stripLen - 1, stripLen + 1, 1000} {
 				requireBitwise(t, runStageChunked(t, p, sp, st, inputs, chunk), ref)
 			}
 		}

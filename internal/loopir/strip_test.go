@@ -1,0 +1,140 @@
+package loopir
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"arraycomp/internal/runtime"
+)
+
+// stripBodies returns the strip-form body shapes over trip n as
+// programs: a loop k = 1..n with register o = k−1, sharded (aligned on
+// idx[k] when it scatters) so that worker chunks end mid-strip. Dense
+// stores write y(1..n); scatters write y(1..m) through idx, which is
+// non-decreasing and repeats, and gathers read x(0..n+1) through col.
+func stripBodies(n int64) map[string]*Program {
+	const m = 37
+	k := func() IntExpr { return &IVar{Name: "k"} }
+	at := func(arr string, d int64) VExpr {
+		return &ARef{Array: arr, Subs: []IntExpr{lin(d, term("k", 1))}, Off: lin(d+1, term("o", 1))}
+	}
+	v := &ARef{Array: "v", Subs: []IntExpr{k()}, Off: lin(0, term("o", 1))}
+	gat := func(arr, ix string) VExpr {
+		return &ARef{Array: arr, Subs: []IntExpr{&IIdx{Array: ix, Subs: []IntExpr{k()}}}}
+	}
+	c := func(x float64) VExpr { return &VConst{Value: x} }
+	bin := func(op byte, l, r VExpr) VExpr { return &VBin{Op: op, L: l, R: r} }
+	dense := func(rhs VExpr) *Assign {
+		return &Assign{Array: "y", Subs: []IntExpr{k()}, Off: lin(0, term("o", 1)), Rhs: rhs}
+	}
+	scatter := func(rhs VExpr) *Assign {
+		return &Assign{Array: "y", Subs: []IntExpr{&IIdx{Array: "idx", Subs: []IntExpr{k()}}}, Rhs: rhs}
+	}
+	prog := func(yHi int64, op string, a *Assign) *Program {
+		if op != "" {
+			a.Accumulate, _ = runtime.Combiner(op)
+		}
+		par := &ParSchedule{Kind: ParShard}
+		if a.Off == nil {
+			par.AlignOn = a.Subs[0]
+		}
+		return &Program{
+			Name: "strip",
+			Arrays: []ArrayDecl{
+				{Name: "y", B: runtime.NewBounds1(1, yHi), Role: RoleOut},
+				{Name: "x", B: runtime.NewBounds1(0, n+1), Role: RoleIn},
+				{Name: "v", B: runtime.NewBounds1(1, n), Role: RoleIn},
+				{Name: "col", B: runtime.NewBounds1(1, n), Role: RoleIn},
+				{Name: "idx", B: runtime.NewBounds1(1, n), Role: RoleIn},
+			},
+			Scalars: []string{"s"},
+			AccumOp: op,
+			Stmts: []Stmt{
+				&Fill{Array: "y", Value: 1.5},
+				&SetScalar{Name: "s", Rhs: &ARef{Array: "x", Subs: []IntExpr{&IConst{Value: 0}}}},
+				&Loop{Var: "k", From: 1, To: n, Step: 1, Par: par,
+					Inds: []Ind{{Name: "o", Init: lin(0), Step: 1}}, Body: []Stmt{a}},
+			},
+		}
+	}
+	return map[string]*Program{
+		"copy":           prog(n, "", dense(at("x", 1))),
+		"map":            prog(n, "", dense(bin('+', &VNeg{X: bin('*', at("x", 0), c(0.5))}, &VScalar{Name: "s"}))),
+		"stencil":        prog(n, "", dense(bin('/', bin('+', bin('+', at("x", -1), at("x", 0)), at("x", 1)), c(3)))),
+		"two scratch":    prog(n, "", dense(bin('-', bin('*', at("x", 0), c(2)), bin('/', bin('*', at("x", 1), c(3)), bin('+', at("x", -1), c(1)))))),
+		"scalar minus":   prog(n, "", dense(bin('-', bin('*', &VScalar{Name: "s"}, c(3)), bin('/', c(1), at("x", 0))))),
+		"constant":       prog(n, "", dense(&VNeg{X: bin('*', &VScalar{Name: "s"}, c(3))})),
+		"gather":         prog(n, "", dense(bin('*', gat("x", "col"), v))),
+		"accumulate +":   prog(n, "+", dense(bin('*', at("x", 0), c(3)))),
+		"accumulate *":   prog(n, "*", dense(bin('/', at("x", 1), c(7)))),
+		"accumulate max": prog(n, "max", dense(bin('-', at("x", 0), c(0.75)))),
+		"spmv":           prog(m, "+", scatter(bin('*', v, gat("x", "col")))),
+		"scatter *":      prog(m, "*", scatter(bin('+', bin('/', gat("x", "col"), c(64)), c(1)))),
+		"scatter min":    prog(m, "min", scatter(gat("x", "col"))),
+		"scatter right":  prog(m, "right", scatter(at("x", 0))),
+		"scatter":        prog(m, "", scatter(bin('*', v, c(0.1)))),
+		"histogram":      prog(m, "+", scatter(c(1))),
+	}
+}
+
+// stripInputs fills the inputs of stripBodies(n): values that round
+// under every operation, col spread over x, idx non-decreasing.
+func stripInputs(n int64) map[string]*runtime.Strict {
+	in := map[string]*runtime.Strict{}
+	for _, name := range []string{"x", "v", "col", "idx"} {
+		lo, hi := int64(1), n
+		if name == "x" {
+			lo, hi = 0, n+1
+		}
+		a := runtime.NewStrict(runtime.NewBounds1(lo, hi))
+		for i := range a.Data {
+			switch name {
+			case "col":
+				a.Data[i] = float64((int64(i) * 7919) % (n + 2))
+			case "idx":
+				a.Data[i] = float64(1 + int64(i)*36/max(n-1, 1))
+			default:
+				a.Data[i] = math.Sin(float64(i)*1.7+float64(len(name))) * 10
+			}
+		}
+		in[name] = a
+	}
+	return in
+}
+
+// TestStripMatchesGeneric runs every strip-form body shape at trips
+// around the strip length — 1, S−1, S, S+1 and 3S+7 — at 1, 2 and 4
+// workers, and requires the generic form's bits: each element goes
+// through the same IEEE operations in the same order, and a scatter
+// stores its strip in element order.
+func TestStripMatchesGeneric(t *testing.T) {
+	for _, n := range []int64{1, stripLen - 1, stripLen, stripLen + 1, 3*stripLen + 7} {
+		in := stripInputs(n)
+		for name, p := range stripBodies(n) {
+			t.Run(fmt.Sprintf("%s/n=%d", name, n), func(t *testing.T) {
+				loop := p.Stmts[len(p.Stmts)-1].(*Loop)
+				if rk := compileRows(t, p).rows[loop]; rk.kind != rowStrip {
+					t.Fatalf("form %d, want the strip form", rk.kind)
+				}
+				old := SetGenericRows(true)
+				gen := mustCompile(t, p)
+				SetGenericRows(old)
+				gen.SetWorkers(1)
+				want, err := gen.RunResult(in)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ex := mustCompile(t, p)
+				for _, w := range []int{1, 2, 4} {
+					ex.SetWorkers(w)
+					got, err := ex.RunResult(in)
+					if err != nil {
+						t.Fatalf("workers=%d: %v", w, err)
+					}
+					requireBitwise(t, got.Data, want)
+				}
+			})
+		}
+	}
+}

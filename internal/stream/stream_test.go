@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -515,5 +516,40 @@ func TestCoreStreamCertify(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("no stream note in %v", p.Notes)
+	}
+}
+
+// TestStreamOptimizedChainChunks streams an E23-style chain of
+// optimized stages — maps and smoothings in the strip form, a
+// recurrence in the straight-line form — at chunk sizes that cut a
+// row mid-strip, and requires the materialized run's bits.
+func TestStreamOptimizedChainChunks(t *testing.T) {
+	src := `letrec* a = array (1,n) [ i := x!i + 1.0 | i <- [1..n] ];
+  b = array (1,n) ([ 1 := a!1 ] ++ [ i := (a!(i-1) + a!i + a!(i+1)) / 3.0 | i <- [2..n-1] ] ++ [ n := a!n ]);
+  c = array (1,n) ([ 1 := b!1 ] ++ [ i := c!(i-1) * 0.75 + b!i * 0.25 | i <- [2..n] ]);
+  d = array (1,n) [ i := c!i * 0.5 + 0.25 | i <- [1..n] ]
+in d`
+	const n = 3*256 + 7 + 2000
+	p, err := core.Compile(src, map[string]int64{"n": n}, core.Options{InputBounds: inBounds("x", 1, n)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var defs []stream.Def
+	for _, name := range p.Order {
+		defs = append(defs, mkDef(t, name, p.Defs[name].Plan.Program))
+	}
+	x := fill(b1(1, n), 23)
+	inputs := map[string]*runtime.Strict{"x": x}
+	want, err := p.Run(inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := runMaterialized(t, defs, inputs, "d"); !slices.Equal(got.Data, want.Data) {
+		t.Fatal("the stage programs run materialized differ from Program.Run")
+	}
+	for _, chunk := range []int64{255, 257, 1000} {
+		t.Run(fmt.Sprintf("chunk%d", chunk), func(t *testing.T) {
+			diffPipeline(t, defs, "d", inputs, chunk)
+		})
 	}
 }
