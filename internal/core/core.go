@@ -191,6 +191,8 @@ type Program struct {
 	// thunked reference representation, making the interpreter tier
 	// the semantics baseline rather than the scheduler's loop nests.
 	allThunked bool
+	// workers is Options.Workers, the native tier's worker budget.
+	workers int
 }
 
 // Compile parses and compiles source under the given parameter binding.
@@ -423,6 +425,13 @@ func compileProgram(source *lang.Program, params map[string]int64, opts Options,
 			p.note("%s: non-strict binding (plain letrec): thunked; use letrec* for thunkless compilation", name)
 			continue
 		}
+		if def.Kind == lang.Accumulated && readsItself(res) {
+			// The reference rejects each instance that reads the array
+			// it accumulates; the thunked plan applies that rule.
+			cd.Thunked = newThunked(res, rep)
+			p.note("%s: accumArray reads itself: thunked, which rejects every instance that does", name)
+			continue
+		}
 		// A bigupd whose source outlives the update (a caller's input,
 		// or read by a later definition) copies the source into a fresh
 		// result and reads old values from the source, so its anti edges
@@ -526,6 +535,19 @@ func compileProgram(source *lang.Program, params map[string]int64, opts Options,
 
 func (p *Program) note(format string, args ...any) {
 	p.Notes = append(p.Notes, fmt.Sprintf(format, args...))
+}
+
+// readsItself reports whether a clause of the definition reads the
+// array it defines.
+func readsItself(res *analysis.Result) bool {
+	for _, cl := range res.Clauses {
+		for _, rd := range cl.Reads {
+			if rd.Ix.Array == res.Def.Name {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // installVerifyHook routes runtime index-property verifier verdicts

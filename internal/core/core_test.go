@@ -212,6 +212,51 @@ func TestAccumArrayNonCommutativeOrder(t *testing.T) {
 	}
 }
 
+// TestAccumArraySelfReadMatchesReference: an accumArray whose clauses
+// read the array itself fails in the thunked reference for every
+// instance that reads it, and succeeds when no instance does. Every
+// compiled configuration must agree: it compiles to the thunked plan.
+func TestAccumArraySelfReadMatchesReference(t *testing.T) {
+	const selfRead = `d = accumArray max 0 (1,5) [* [ k := 0.5 * d!(k - 1) + 0.5 * 1.5 ] | k <- [%s] *]`
+	ref := func(rng string) (*runtime.Strict, error) {
+		return compile(t, fmt.Sprintf(selfRead, rng), nil, Options{ForceThunked: true}).Run(nil)
+	}
+	failing, err := ref("2..5")
+	if err == nil || !strings.Contains(err.Error(), "accumArray d may not read itself") {
+		t.Fatalf("reference: %v, %v; want the self-read error", failing, err)
+	}
+	wantErr := err.Error()
+	empty, err := ref("6..5")
+	if err != nil {
+		t.Fatalf("reference over an empty range: %v", err)
+	}
+	for _, c := range []struct {
+		name string
+		opts Options
+	}{
+		{"default", Options{}},
+		{"parallel-w4", Options{Parallel: true, Workers: 4}},
+		{"stream", Options{Stream: true}},
+	} {
+		p := compile(t, fmt.Sprintf(selfRead, "2..5"), nil, c.opts)
+		if _, err := p.Run(nil); err == nil || err.Error() != wantErr {
+			t.Errorf("%s: self-read run gave %v, want %q", c.name, err, wantErr)
+		}
+		if !strings.Contains(strings.Join(p.Notes, "\n"), "accumArray reads itself: thunked") {
+			t.Errorf("%s: notes miss the thunked fallback:\n%s", c.name, strings.Join(p.Notes, "\n"))
+		}
+		got, err := compile(t, fmt.Sprintf(selfRead, "6..5"), nil, c.opts).Run(nil)
+		if err != nil {
+			t.Fatalf("%s: empty-range run: %v", c.name, err)
+		}
+		for i := range empty.Data {
+			if math.Float64bits(got.Data[i]) != math.Float64bits(empty.Data[i]) {
+				t.Fatalf("%s: element %d = %v, reference %v", c.name, i, got.Data[i], empty.Data[i])
+			}
+		}
+	}
+}
+
 func makeMatrix(m, n int64, f func(i, j int64) float64) *runtime.Strict {
 	s := runtime.NewStrict(runtime.NewBounds2(1, 1, m, n))
 	for i := int64(1); i <= m; i++ {

@@ -358,10 +358,11 @@ func (p *Program) AdoptNative(plan *native.Plan) {
 
 // NativeSpec renders the program as a native build spec under the
 // given module key: every live definition's loop-IR plan in
-// evaluation order. It fails on programs with thunked or grouped
-// definitions — the native tier has no suspension machinery.
+// evaluation order, run at the program's worker budget. It fails on
+// programs with thunked or grouped definitions — the native tier has
+// no suspension machinery.
 func (p *Program) NativeSpec(key string) (native.ProgramSpec, error) {
-	spec := native.ProgramSpec{Key: key, Result: p.Result}
+	spec := native.ProgramSpec{Key: key, Result: p.Result, Workers: p.workers}
 	for _, name := range p.Order {
 		cd := p.Defs[name]
 		if cd.Plan == nil {
@@ -378,6 +379,7 @@ func (p *Program) NativeSpec(key string) (native.ProgramSpec, error) {
 // and for TierForced performs the promotion right now, charged to the
 // compile report's promote phase.
 func (p *Program) initTier(opts Options, rep *metrics.CompileReport) error {
+	p.workers = opts.Workers
 	p.allThunked = true
 	for _, name := range p.Order {
 		cd := p.Defs[name]

@@ -295,72 +295,91 @@ func TestTierMidRunPromotion(t *testing.T) {
 }
 
 // TestTierParallelNativeForcedWorkers compares forced-workers parallel
-// compiles across tiers: the interpreter honours Workers, the emitted
-// code shards by GOMAXPROCS — both write disjoint elements with
-// identical per-element expressions, so outputs stay bitwise identical
-// whatever the worker count. Out-of-place Jacobi shards its outer
-// loop; SpMV over sorted CSR rows is an aligned shard.
+// compiles across tiers at Workers 1, 2 and 4. The native tier runs its
+// emitted kernels on the interpreter's executors at the plan's worker
+// budget, so both tiers split the same loops the same way, and every
+// result must match the sequential interpreter bitwise. Out-of-place
+// Jacobi shards its outer loop, SpMV over sorted CSR rows is an aligned
+// shard, and SOR is a wavefront.
 func TestTierParallelNativeForcedWorkers(t *testing.T) {
-	n := int64(192)
 	csr := workloads.CSRInputs(4000, 8, 5)
 	cases := []struct {
 		name, src string
 		params    map[string]int64
 		inputs    map[string]*runtime.Strict
+		schedule  string // a substring of the plan at Workers ≥ 2
 	}{
-		{"jmono-par", workloads.JacobiMonolithicSrc, workloads.ParamsFor("jacobi-mono", n),
-			map[string]*runtime.Strict{"b": workloads.Mesh(n, 8)}},
-		{"spmv-par", workloads.SpMVSrc, csr.Params, csr.Inputs},
+		{"jmono-par", workloads.JacobiMonolithicSrc, workloads.ParamsFor("jacobi-mono", 192),
+			map[string]*runtime.Strict{"b": workloads.Mesh(192, 8)}, "[shard]"},
+		{"spmv-par", workloads.SpMVSrc, csr.Params, csr.Inputs, "[shard aligned on"},
+		{"sor-par", workloads.SORSrc, workloads.ParamsFor("sor", 384),
+			map[string]*runtime.Strict{"a": workloads.Mesh(384, 9)}, "[wavefront"},
 	}
-	seqs := make([]*core.Program, len(cases))
-	pars := make([]*core.Program, len(cases))
+	workers := []int{1, 2, 4}
+	type run struct {
+		key      string
+		seq, par *core.Program
+		inputs   map[string]*runtime.Strict
+	}
+	var runs []run
 	var specs []native.ProgramSpec
-	for i, c := range cases {
-		var err error
-		seqs[i], err = core.Compile(c.src, c.params, core.Options{InputBounds: boundsOf(c.inputs)})
+	for _, c := range cases {
+		seq, err := core.Compile(c.src, c.params, core.Options{InputBounds: boundsOf(c.inputs)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		pars[i], err = core.Compile(c.src, c.params, core.Options{
-			InputBounds: boundsOf(c.inputs),
-			Parallel:    true,
-			Workers:     4,
-		})
-		if err != nil {
-			t.Fatal(err)
+		for _, w := range workers {
+			key := fmt.Sprintf("%s-w%d", c.name, w)
+			par, err := core.Compile(c.src, c.params, core.Options{
+				InputBounds: boundsOf(c.inputs),
+				Parallel:    true,
+				Workers:     w,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if w >= 2 {
+				found := false
+				for _, name := range par.Order {
+					if cd := par.Defs[name]; cd.Plan != nil && strings.Contains(cd.Plan.Program.Dump(), c.schedule) {
+						found = true
+					}
+				}
+				if !found {
+					t.Fatalf("%s: no plan carries a %q schedule", key, c.schedule)
+				}
+			}
+			spec, err := par.NativeSpec(key)
+			if err != nil {
+				t.Fatalf("%s: parallel plan is native-ineligible: %v", key, err)
+			}
+			specs = append(specs, spec)
+			runs = append(runs, run{key, seq, par, c.inputs})
 		}
-		if kinds := pars[i].Stats.Counters.SchedulesByKind; kinds["shard"] == 0 {
-			t.Fatalf("%s: schedules %v, want a shard", c.name, kinds)
-		}
-		spec, err := pars[i].NativeSpec(c.name)
-		if err != nil {
-			t.Fatalf("%s: parallel plan is native-ineligible: %v", c.name, err)
-		}
-		specs = append(specs, spec)
 	}
 	mod, err := native.Build(specs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, c := range cases {
-		ref, err := seqs[i].Run(c.inputs)
+	for _, r := range runs {
+		ref, err := r.seq.Run(r.inputs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := pars[i].Run(c.inputs)
+		got, err := r.par.Run(r.inputs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bitwiseEqual(t, c.name+": sequential vs parallel interpreter", ref, got)
-		pars[i].AdoptNative(mod.Plan(c.name))
-		nat, tier, err := pars[i].RunTiered(c.inputs)
+		bitwiseEqual(t, r.key+": sequential vs parallel interpreter", ref, got)
+		r.par.AdoptNative(mod.Plan(r.key))
+		nat, tier, err := r.par.RunTiered(r.inputs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if tier != core.TierNative {
-			t.Fatalf("%s: served by %q, want native", c.name, tier)
+			t.Fatalf("%s: served by %q, want native", r.key, tier)
 		}
-		bitwiseEqual(t, c.name+": parallel interpreter vs parallel native", got, nat)
+		bitwiseEqual(t, r.key+": parallel interpreter vs parallel native", got, nat)
 	}
 }
 

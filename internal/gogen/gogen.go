@@ -5,10 +5,13 @@
 // reproduction measure that claim without interpreter overhead.
 //
 // The generated file is self-contained (standard library only): a
-// function per program taking input arrays as []float64 slices and
-// returning the result arrays, plus optionally a main() harness that
-// builds deterministic inputs, times the function, and prints a
-// checksum for differential validation against the interpreter.
+// function per program taking a worker budget and the input arrays as
+// []float64 slices and returning the result arrays, the RunShard and
+// RunWavefront runners its scheduled loops call (see parallel.go), plus
+// optionally a main() harness that builds deterministic inputs, times
+// the function, and prints a checksum for differential validation
+// against the interpreter. Standalone output runs its scheduled loops
+// sequentially unless a host assigns parallel runners.
 package gogen
 
 import (
@@ -69,10 +72,12 @@ func goName(s string) string {
 
 // EmitFunc renders the program as one Go function:
 //
-//	func <name>(in1, in2 []float64, …) ([]float64, …, error)
+//	func <name>(workers int, in1, in2 []float64, …) ([]float64, …, error)
 //
-// Input (RoleIn) arrays arrive as parameters in declaration order;
-// RoleInOut arrays arrive as parameters, are updated in place and
+// workers is the budget handed to the RunShard and RunWavefront
+// runners (see Runners); the function needs them declared in its
+// package. Input (RoleIn) arrays arrive as parameters in declaration
+// order; RoleInOut arrays arrive as parameters, are updated in place and
 // returned; RoleOut arrays are allocated and returned; RoleTemp arrays
 // are local. Returns the function source plus the parameter and result
 // array names in order.
@@ -109,7 +114,7 @@ func emitFunc(p *loopir.Program, name, passVar, failVar string) (src string, par
 		e.decl[d.Name] = d
 	}
 
-	var paramDecls []string
+	paramDecls := []string{"workers int"}
 	for i := range p.Arrays {
 		d := &p.Arrays[i]
 		switch d.Role {
@@ -187,10 +192,11 @@ func (e *emitter) emitStmt(s loopir.Stmt) {
 	switch x := s.(type) {
 	case *loopir.Loop:
 		// Scheduled loops take their planned parallel shape when the body
-		// has no error paths (a `return err` inside a goroutine closure
+		// has no error paths (a `return err` inside a kernel closure
 		// would not compile; the planner already guarantees the writes
 		// are race-free under the schedule).
-		if x.Par != nil && !hasErrorPaths(x.Body) && e.emitScheduledLoop(x) {
+		if x.Par != nil && !hasErrorPaths(x.Body) &&
+			(x.Par.Kind == loopir.ParShard && e.emitShardLoop(x) || x.Par.Kind == loopir.ParWavefront && e.emitWavefront(x)) {
 			return
 		}
 		// Recognized stencil rows become constant-width slice loops the
@@ -628,7 +634,8 @@ func floatLit(v float64) string {
 	return s
 }
 
-// EmitFile wraps EmitFunc into a complete source file (package + imports).
+// EmitFile wraps EmitFunc into a complete source file: package,
+// imports, the function and the sequential Runners.
 func EmitFile(p *loopir.Program, pkg, funcName string) (string, error) {
 	fn, _, _, err := EmitFunc(p, funcName)
 	if err != nil {
@@ -639,6 +646,7 @@ func EmitFile(p *loopir.Program, pkg, funcName string) (string, error) {
 	fmt.Fprintf(&b, "package %s\n\n", pkg)
 	b.WriteString(importsFor(fn))
 	b.WriteString(fn)
+	b.WriteString("\n" + Runners)
 	return b.String(), nil
 }
 
@@ -649,12 +657,6 @@ func importsFor(src string) string {
 	}
 	if strings.Contains(src, "math.") {
 		imports = append(imports, `"math"`)
-	}
-	if strings.Contains(src, "runtime.GOMAXPROCS") {
-		imports = append(imports, `"runtime"`)
-	}
-	if strings.Contains(src, "sync.WaitGroup") {
-		imports = append(imports, `"sync"`)
 	}
 	if len(imports) == 0 {
 		return ""
@@ -668,7 +670,7 @@ func importsFor(src string) string {
 // and prints "<ns/op> <checksum-per-result…>" on one line. Used to
 // measure the native back end against hand-written loops (EXPERIMENTS
 // E11: the paper's "comparable to Fortran" claim without interpreter
-// overhead).
+// overhead). Scheduled loops run on the sequential Runners.
 func EmitBenchHarness(p *loopir.Program, iters int) (string, error) {
 	fn, params, results, err := EmitFunc(p, "Compiled")
 	if err != nil {
@@ -679,14 +681,9 @@ func EmitBenchHarness(p *loopir.Program, iters int) (string, error) {
 	if strings.Contains(fn, "math.") {
 		b.WriteString("\t\"math\"\n")
 	}
-	if strings.Contains(fn, "runtime.GOMAXPROCS") {
-		b.WriteString("\t\"runtime\"\n")
-	}
-	if strings.Contains(fn, "sync.WaitGroup") {
-		b.WriteString("\t\"sync\"\n")
-	}
 	b.WriteString(")\n\n")
 	b.WriteString(fn)
+	b.WriteString("\n" + Runners)
 	b.WriteString(`
 func lcgFill(data []float64, seed uint64) {
 	x := seed
@@ -714,7 +711,7 @@ func main() {
 		fmt.Fprintf(&b, "\tin%d := make([]float64, %d)\n", i, decl[name].B.Size())
 		fmt.Fprintf(&b, "\tlcgFill(in%d, %d)\n", i, 1000+i)
 	}
-	var args []string
+	args := []string{"1"}
 	for i := range params {
 		args = append(args, fmt.Sprintf("in%d", i))
 	}
@@ -743,7 +740,8 @@ func main() {
 }
 
 // hasErrorPaths reports whether a statement list can emit a `return
-// err` (runtime checks); such bodies cannot be wrapped in goroutines.
+// err` (runtime checks); such bodies cannot be wrapped in kernel
+// closures.
 func hasErrorPaths(stmts []loopir.Stmt) bool {
 	for _, s := range stmts {
 		switch x := s.(type) {

@@ -34,7 +34,7 @@ func TestEmitSquaresStructure(t *testing.T) {
 	}
 	for _, want := range []string{
 		"package gen",
-		"func Squares() ([]float64, error)",
+		"func Squares(workers int) ([]float64, error)",
 		"for i := int64(1); i <= 8; i += 1 {",
 		"sq := make([]float64, 8)",
 		"return sq, nil",
@@ -114,14 +114,9 @@ func emitHarness(t *testing.T, dir string, prog *core.Program, def string) (para
 	if strings.Contains(fn, "math.") {
 		b.WriteString("\t\"math\"\n")
 	}
-	if strings.Contains(fn, "runtime.GOMAXPROCS") {
-		b.WriteString("\t\"runtime\"\n")
-	}
-	if strings.Contains(fn, "sync.WaitGroup") {
-		b.WriteString("\t\"sync\"\n")
-	}
 	b.WriteString(")\n\n")
 	b.WriteString(fn)
+	b.WriteString("\n" + gogen.Runners)
 	b.WriteString(`
 func lcgFill(data []float64, seed uint64) {
 	x := seed
@@ -146,7 +141,7 @@ func main() {
 		fmt.Fprintf(&b, "\tin%d := make([]float64, %d)\n", i, d.B.Size())
 		fmt.Fprintf(&b, "\tlcgFill(in%d, %d)\n", i, 1000+i)
 	}
-	var args []string
+	args := []string{"1"}
 	for i := range params {
 		args = append(args, fmt.Sprintf("in%d", i))
 	}
@@ -378,7 +373,7 @@ func TestNativeSpeed(t *testing.T) {
 
 // TestGeneratedParallelLoop: a dependence-free program compiled with
 // the Parallel option at a size where the planner shards must emit a
-// sharded goroutine loop that still matches the interpreter.
+// RunShard call whose chunk loop still matches the interpreter.
 func TestGeneratedParallelLoop(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -397,7 +392,7 @@ func TestGeneratedParallelLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(fn, "shard loop over") || !strings.Contains(fn, "go func(lo, hi int64)") {
+	if !strings.Contains(fn, "shard loop over") || !strings.Contains(fn, "RunShard(workers, int64(190), nil, func(_ int, lo, hi int64) {") {
 		t.Fatalf("parallel loop not emitted:\n%s", fn)
 	}
 	// Differential against the interpreter.
@@ -424,14 +419,9 @@ func emitParallelHarness(t *testing.T, dir, fn string, n int64) {
 	if strings.Contains(fn, "math.") {
 		b.WriteString("\t\"math\"\n")
 	}
-	if strings.Contains(fn, "runtime.GOMAXPROCS") {
-		b.WriteString("\t\"runtime\"\n")
-	}
-	if strings.Contains(fn, "sync.WaitGroup") {
-		b.WriteString("\t\"sync\"\n")
-	}
 	b.WriteString(")\n\n")
 	b.WriteString(fn)
+	b.WriteString("\n" + gogen.Runners)
 	fmt.Fprintf(&b, "\nconst N = %d\n", n)
 	b.WriteString(`
 func lcgFill(data []float64, seed uint64) {
@@ -453,7 +443,7 @@ func checksum(data []float64) float64 {
 func main() {
 	in := make([]float64, N*N)
 	lcgFill(in, 1000)
-	out, err := Compiled(in)
+	out, err := Compiled(1, in)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

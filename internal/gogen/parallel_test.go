@@ -4,6 +4,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -84,23 +85,27 @@ func parDifferential(t *testing.T, src string, params map[string]int64, inputDim
 	}
 }
 
-// TestGeneratedWavefrontSchedule: SOR's doacross nest must emit the
-// anti-diagonal tile shape and still match the interpreter exactly.
+// TestGeneratedWavefrontSchedule: SOR's doacross nest must emit a
+// RunWavefront call over its tile grid and still match the interpreter
+// exactly.
 func TestGeneratedWavefrontSchedule(t *testing.T) {
 	n := int64(384)
 	parDifferential(t, workloads.SORSrc, workloads.ParamsFor("sor", n),
 		map[string][]int64{"a": {n, n}}, "a2",
-		"wavefront nest", "sync.WaitGroup")
+		"wavefront nest", "RunWavefront(workers, ", "func(_ int, bi, bj int64) {")
 }
 
 // TestGeneratedShardNestSchedule: the dependence-free Jacobi interior
-// shards its outer loop without barriers.
+// shards its outer loop: one RunShard call, whole rows per chunk.
 func TestGeneratedShardNestSchedule(t *testing.T) {
 	n := int64(192)
 	parDifferential(t, workloads.JacobiMonolithicSrc, workloads.ParamsFor("jacobimono", n),
 		map[string][]int64{"b": {n, n}}, "a",
-		"shard loop over", "runtime.GOMAXPROCS")
+		"shard loop over", "RunShard(workers, int64(190), nil, func(_ int, lo, hi int64) {")
 }
+
+// runnerCall matches an emitted runner call.
+const runnerCall = "Run(Shard|Wavefront)\\(workers, "
 
 // TestGeneratedSequentialWithoutSchedule: Parallel marks alone never
 // change execution. At one worker the planner attaches no schedule to
@@ -121,7 +126,7 @@ func TestGeneratedSequentialWithoutSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(fn, "go func") {
+	if regexp.MustCompile(runnerCall).MatchString(fn) {
 		t.Fatalf("unscheduled loops must emit sequentially:\n%s", fn)
 	}
 }
@@ -131,7 +136,7 @@ func TestGeneratedSequentialWithoutSchedule(t *testing.T) {
 // carries error paths and the emitter must fall back to sequential
 // loops even though the plans still carry parallel schedules. With the
 // optimizer eliminating the checks (the default), the same program
-// takes the goroutine shapes.
+// calls its runner.
 func TestForcedChecksSuppressParallelEmission(t *testing.T) {
 	n := int64(192)
 	bounds := map[string]analysis.ArrayBounds{"b": {Lo: []int64{1, 1}, Hi: []int64{n, n}}}
@@ -146,7 +151,7 @@ func TestForcedChecksSuppressParallelEmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(fn, "go func") || strings.Contains(fn, "sync.WaitGroup") {
+	if regexp.MustCompile(runnerCall).MatchString(fn) {
 		t.Fatalf("check-carrying bodies must emit sequentially:\n%s", fn)
 	}
 
@@ -159,13 +164,14 @@ func TestForcedChecksSuppressParallelEmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(fn, "go func") {
+	if !strings.Contains(fn, "RunShard(workers, ") {
 		t.Fatalf("check-eliminated bodies must take the parallel path:\n%s", fn)
 	}
 }
 
 // TestGeneratedParallelGofmtClean: every scheduled shape must emit
-// syntactically valid Go.
+// syntactically valid Go that calls its runner and spawns no goroutine
+// of its own.
 func TestGeneratedParallelGofmtClean(t *testing.T) {
 	n := int64(384)
 	csr := workloads.CSRInputs(20000, 8, 5)
@@ -178,15 +184,16 @@ func TestGeneratedParallelGofmtClean(t *testing.T) {
 		params         map[string]int64
 		bounds         map[string]analysis.ArrayBounds
 		shape          string // a line the scheduled shape emits
+		runner         string // the shape's runner call
 	}{
 		{"sor", workloads.SORSrc, "a2", workloads.ParamsFor("sor", n),
 			map[string]analysis.ArrayBounds{"a": {Lo: []int64{1, 1}, Hi: []int64{n, n}}},
-			"wavefront nest"},
+			"wavefront nest", "RunWavefront(workers, "},
 		{"jacobimono", workloads.JacobiMonolithicSrc, "a", workloads.ParamsFor("jacobimono", 192),
 			map[string]analysis.ArrayBounds{"b": {Lo: []int64{1, 1}, Hi: []int64{192, 192}}},
-			"no carried dependences between iterations"},
+			"no carried dependences between iterations", "RunShard(workers, int64(190), nil, "},
 		{"spmv", workloads.SpMVSrc, "y", csr.Params, csrBounds,
-			"equal-subscript runs stay in one chunk"},
+			"equal-subscript runs stay in one chunk", "RunShard(workers, int64(160003), func(_ int, t int64) int64 {"},
 	} {
 		prog, err := core.Compile(c.src, c.params, core.Options{Parallel: true, InputBounds: c.bounds})
 		if err != nil {
@@ -196,8 +203,15 @@ func TestGeneratedParallelGofmtClean(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		if !strings.Contains(src, c.shape) {
-			t.Fatalf("%s: emitted source missing %q:\n%s", c.name, c.shape, src)
+		for _, want := range []string{c.shape, c.runner} {
+			if !strings.Contains(src, want) {
+				t.Fatalf("%s: emitted source missing %q:\n%s", c.name, want, src)
+			}
+		}
+		for _, banned := range []string{"go func", "sync.WaitGroup", "runtime.GOMAXPROCS"} {
+			if strings.Contains(src, banned) {
+				t.Fatalf("%s: emitted source contains %q:\n%s", c.name, banned, src)
+			}
 		}
 		checkGofmt(t, c.name, src)
 	}

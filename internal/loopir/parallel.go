@@ -1,24 +1,29 @@
 package loopir
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // Parallel execution of scheduled loops (the paper's section 10
 // extension, grown into a doacross engine). The scheduler guarantees
 // which dependences a loop carries; the optimizer's planning pass (see
 // plan.go) verifies the concrete distance vectors and attaches a
-// ParSchedule; this file compiles those schedules to closures over the
-// persistent worker pool (see pool.go): a shard deals contiguous
-// chunks of the loop's iterations (compileShardLoop), a wavefront
-// pipelines row bands of tiles (compileWavefront). Each worker gets
-// its own register frame from the Exec's frame pool — loop variables
-// and scalars are thread-local, array storage and definedness bitmaps
-// are shared.
+// ParSchedule. Each schedule has one executor over the persistent
+// worker pool (see pool.go) that owns chunking, band progress and the
+// worker count and calls back a kernel: Shard deals contiguous chunks
+// of a loop's iterations, Wavefront pipelines row bands of tiles. The
+// interpreter passes its row kernels (compileShardLoop,
+// compileWavefront); native assigns both executors to a plugin's
+// runners, so emitted kernels run on them too.
 //
-// Every parallel executor reads the worker count from the frame at run
-// time (Exec.SetWorkers / GOMAXPROCS), falls back to the sequential
-// closure when only one worker is available, and reports the runtime
-// error of the lowest iteration in the loop's sequential order, so a
-// parallel run fails exactly like the sequential one would.
+// In the interpreter each worker gets its own register frame from the
+// Exec's frame pool — loop variables and scalars are thread-local,
+// array storage and definedness bitmaps are shared. The worker count
+// is read from the frame at run time (Exec.SetWorkers / GOMAXPROCS),
+// a single worker runs the sequential closure, and the runtime error
+// of the lowest iteration in the loop's sequential order is reported,
+// so a parallel run fails exactly like the sequential one would.
 
 // workSaturated caps the work estimate: deeply nested loops with huge
 // trip counts would overflow int64 under naive trip × body-cost
@@ -134,6 +139,10 @@ func tripCount(from, to, step int64) int64 {
 	return int64(trips)
 }
 
+// TripCount is the loop's iteration count, saturating at 2^62 like
+// every trip count the planner and the executors use.
+func (l *Loop) TripCount() int64 { return tripCount(l.From, l.To, l.Step) }
+
 // cInd is a compiled induction register: an entry-time base value and
 // a constant per-iteration step. A row kernel starting at trip index t0
 // binds it to base + t0·step and advances it in place.
@@ -143,26 +152,136 @@ type cInd struct {
 	step int64
 }
 
-// workersFor resolves the effective cohort size for this run: the
-// frame's worker count (set from Options.Workers or GOMAXPROCS when the
-// run started) capped by the schedulable parallelism.
-func workersFor(f *frame, limit int64) int {
-	w := f.workers
-	if w < 1 {
-		w = 1
-	}
-	if int64(w) > limit {
-		w = int(limit)
-	}
-	return w
+// clampWorkers caps a worker budget by the schedulable parallelism,
+// keeping at least one worker.
+func clampWorkers(w int, limit int64) int { return int(max(1, min(int64(w), limit))) }
+
+// Shard runs the iterations [0, trip) of a sharded loop as w
+// contiguous chunks, rows(wi, lo, hi) running chunk [lo, hi) on worker
+// wi. The cohort is the budget w capped by trip; worker 0 runs on the
+// calling goroutine. Workers claim chunks in order, so a worker that
+// is slow to wake costs at most the chunks it has not yet claimed.
+//
+// A non-nil align is an aligned shard's write subscript at an
+// iteration (ParSchedule.AlignOn), verified non-decreasing over the
+// iteration space. Naive chunk boundaries are advanced to the next
+// change of the subscript value, so a run of equal subscripts never
+// straddles two chunks: each output element is written by exactly one
+// worker, in sequential iteration order, and the parallel result is
+// bitwise identical to the sequential left-to-right accumulation.
+// Every worker computes the boundary adjustment with the same pure
+// function, so adjacent workers agree on their shared boundary without
+// communicating. align(wi, t) is called on worker wi's goroutine.
+func Shard(w int, trip int64, align func(wi int, t int64) int64, rows func(wi int, lo, hi int64)) {
+	w = clampWorkers(w, trip)
+	chunk := (trip + int64(w) - 1) / int64(w)
+	var next atomic.Int64
+	RunParallel(w, func(wi int) {
+		advance := func(t int64) int64 {
+			for align != nil && t > 0 && t < trip && align(wi, t) == align(wi, t-1) {
+				t++
+			}
+			return t
+		}
+		for c := next.Add(1) - 1; c < int64(w); c = next.Add(1) - 1 {
+			rows(wi, advance(c*chunk), advance(min((c+1)*chunk, trip)))
+		}
+	})
 }
 
-// catchRow, deferred by a worker running a row kernel over a 1-D
-// loop, records the kernel's runtime failure under the failing
-// iteration's trip index, read back from the loop variable slot (only
-// the generic kernel fails, and it writes that slot every iteration).
-// The rest of the worker's range is skipped; its iterations all follow
-// the failing one, so it is the range's first failure.
+// Wavefront runs an nti×ntj grid of tiles, tile(wi, bi, bj) running
+// tile (bi, bj) on worker wi. Row bands of tiles are dealt to workers
+// cyclically and a band runs its tiles left to right; tile (bi, bj)
+// starts once band bi-1 has finished its tile bj, so by induction
+// every tile up and to the left of it is done, and each carried
+// dependence (component-wise non-negative by the planner's legality
+// check) crosses a finished tile. The cohort is the budget w capped by
+// min(nti, ntj); worker 0 runs on the calling goroutine.
+func Wavefront(w int, nti, ntj int64, tile func(wi int, bi, bj int64)) {
+	w = clampWorkers(w, min(nti, ntj))
+	bands := make([]bandProgress, nti)
+	for b := range bands {
+		bands[b].cond.L = &bands[b].mu
+	}
+	RunParallel(w, func(wi int) {
+		for bi := int64(wi); bi < nti; bi += int64(w) {
+			for bj := int64(0); bj < ntj; bj++ {
+				if bi > 0 {
+					bands[bi-1].await(bj + 1)
+				}
+				tile(wi, bi, bj)
+				bands[bi].finish(bj + 1)
+			}
+		}
+	})
+}
+
+// bandProgress counts the finished tiles of one wavefront row band. A
+// worker waiting on it blocks rather than spins, so a cohort larger
+// than the CPUs it gets still makes progress at full speed.
+type bandProgress struct {
+	mu   sync.Mutex
+	cond sync.Cond
+	done int64
+}
+
+// await blocks until the band has finished at least n tiles.
+func (b *bandProgress) await(n int64) {
+	b.mu.Lock()
+	for b.done < n {
+		b.cond.Wait()
+	}
+	b.mu.Unlock()
+}
+
+// finish records that the band has finished n tiles.
+func (b *bandProgress) finish(n int64) {
+	b.mu.Lock()
+	b.done = n
+	b.cond.Broadcast()
+	b.mu.Unlock()
+}
+
+// cohort is the interpreter's per-worker state for one parallel loop
+// run: each worker's register frame, taken from the Exec's frame pool
+// on the worker's own goroutine at its first kernel call, and its
+// first runtime failure.
+type cohort []struct {
+	wf   *frame
+	perr parError
+}
+
+// frame returns worker wi's frame; call it on wi's goroutine only.
+func (c cohort) frame(fp *framePool, f *frame, wi int) *frame {
+	if c[wi].wf == nil {
+		c[wi].wf = fp.get(f)
+	}
+	return c[wi].wf
+}
+
+// finish returns the frames to the pool and re-raises the failure of
+// the lowest iteration in sequential order, if any, so a parallel loop
+// fails exactly like the sequential one would.
+func (c cohort) finish(fp *framePool) {
+	var best *parError
+	for i := range c {
+		if c[i].wf != nil {
+			fp.put(c[i].wf)
+		}
+		if e := &c[i].perr; e.err != nil && (best == nil || e.idx < best.idx) {
+			best = e
+		}
+	}
+	if best != nil {
+		panic(best.err)
+	}
+}
+
+// catchRow, deferred by a worker running a row kernel (or an align
+// probe) over a 1-D loop, records the kernel's runtime failure under
+// the failing iteration's trip index, read back from the loop variable
+// slot (only the generic kernel fails, and it writes that slot every
+// iteration).
 func (p *parError) catchRow(wf *frame, slot int, from, step int64) {
 	if r := recover(); r != nil {
 		ee, ok := r.(*ExecError)
@@ -173,22 +292,13 @@ func (p *parError) catchRow(wf *frame, slot int, from, step int64) {
 	}
 }
 
-// compileShardLoop splits a loop's [0..trip) iteration space into one
-// contiguous chunk per worker, each run by the loop's row kernel. seq
-// is the single-worker path. On a 2-D nest that kernel is the outer
-// loop's: each iteration runs the row's prefix and then the inner loop,
-// which keeps its own row kernel.
-//
-// An aligned shard's write subscript (Par.AlignOn, typically an
-// indirect idx!(i) read) has been verified non-decreasing over the
-// iteration space. Naive chunk boundaries are advanced to the next
-// change of the subscript value, so a run of equal subscripts never
-// straddles two chunks: each output element is written by exactly one
-// worker, in sequential iteration order, and the parallel result is
-// bitwise identical to the sequential left-to-right accumulation.
-// Every worker computes the boundary adjustment with the same pure
-// function, so adjacent workers agree on their shared boundary without
-// communicating.
+// compileShardLoop runs a ParShard loop on Shard, each chunk by the
+// loop's row kernel on the worker's frame. seq is the single-worker
+// path. On a 2-D nest that kernel is the outer loop's: each iteration
+// runs the row's prefix and then the inner loop, which keeps its own
+// row kernel. A worker's first failure skips the rest of its work, all
+// of which follows the failing iteration: an align probe binds just
+// the loop variable, so a failing probe reports the probe point.
 func (c *compiler) compileShardLoop(x *Loop, trip int64, seq stmtFn) stmtFn {
 	var align intFn
 	if x.Par.AlignOn != nil {
@@ -197,33 +307,33 @@ func (c *compiler) compileShardLoop(x *Loop, trip int64, seq stmtFn) stmtFn {
 	row := c.parRow(x, x)
 	fp, slot, from, step := c.fp, c.intSlots[x.Var], x.From, x.Step
 	return func(f *frame) {
-		w := workersFor(f, trip)
-		if w <= 1 {
+		w := clampWorkers(f.workers, trip)
+		if w == 1 {
 			seq(f)
 			return
 		}
-		chunk := (trip + int64(w) - 1) / int64(w)
-		errs := make([]parError, w)
-		RunParallel(w, func(wi int) {
-			wf := fp.get(f)
-			defer fp.put(wf)
-			defer errs[wi].catchRow(wf, slot, from, step)
-			// The write subscript reads only the loop variable, so a
-			// probe binds just that; a failing probe reports the probe
-			// point.
-			alignAt := func(t int64) int64 {
+		ws := make(cohort, w)
+		var alignAt func(wi int, t int64) int64
+		if align != nil {
+			alignAt = func(wi int, t int64) int64 {
+				wf := ws.frame(fp, f, wi)
+				if ws[wi].perr.err != nil {
+					return t // boundaries no longer matter
+				}
+				defer ws[wi].perr.catchRow(wf, slot, from, step)
 				wf.ints[slot] = from + t*step
 				return align(wf)
 			}
-			advance := func(t int64) int64 {
-				for align != nil && t > 0 && t < trip && alignAt(t) == alignAt(t-1) {
-					t++
-				}
-				return t
+		}
+		Shard(w, trip, alignAt, func(wi int, lo, hi int64) {
+			wf := ws.frame(fp, f, wi)
+			if ws[wi].perr.err != nil {
+				return
 			}
-			row(wf, advance(int64(wi)*chunk), advance(min(int64(wi+1)*chunk, trip)))
+			defer ws[wi].perr.catchRow(wf, slot, from, step)
+			row(wf, lo, hi)
 		})
-		raiseMin(errs)
+		ws.finish(fp)
 	}
 }
 
@@ -286,36 +396,10 @@ func (tn *tiledNest) runTile(wf *frame, bi, bj int64, oBases []int64, perr *parE
 	}
 }
 
-// bandProgress counts the finished tiles of one wavefront row band. A
-// worker waiting on it blocks rather than spins, so a cohort larger
-// than the CPUs it gets still makes progress at full speed.
-type bandProgress struct {
-	mu   sync.Mutex
-	cond sync.Cond
-	done int64
-}
-
-// await blocks until the band has finished at least n tiles.
-func (b *bandProgress) await(n int64) {
-	b.mu.Lock()
-	for b.done < n {
-		b.cond.Wait()
-	}
-	b.mu.Unlock()
-}
-
-// finish records that the band has finished n tiles.
-func (b *bandProgress) finish(n int64) {
-	b.mu.Lock()
-	b.done = n
-	b.cond.Broadcast()
-	b.mu.Unlock()
-}
-
-// compileWavefront compiles a ParWavefront schedule: row bands of
-// tiles pipeline, each tile waiting only for the tile above it.
-// Returns nil when the nest shape is not the one the planner scheduled
-// (defensive — the caller then falls back to sequential execution).
+// compileWavefront runs a ParWavefront schedule on Wavefront, each
+// tile by runTile on the worker's frame. Returns nil when the nest
+// shape is not the one the planner scheduled (defensive — the caller
+// then falls back to sequential execution).
 func (c *compiler) compileWavefront(x *Loop, trip int64, seq stmtFn) stmtFn {
 	if x.Step != 1 || len(x.Body) == 0 {
 		return nil
@@ -347,8 +431,8 @@ func (c *compiler) compileWavefront(x *Loop, trip int64, seq stmtFn) stmtFn {
 	ntj := (iTrip + tn.tJ - 1) / tn.tJ
 	fp := c.fp
 	return func(f *frame) {
-		w := workersFor(f, min(nti, ntj))
-		if w <= 1 || trip == 0 || iTrip == 0 {
+		w := clampWorkers(f.workers, min(nti, ntj))
+		if w == 1 {
 			seq(f)
 			return
 		}
@@ -356,30 +440,10 @@ func (c *compiler) compileWavefront(x *Loop, trip int64, seq stmtFn) stmtFn {
 		for i := range inds {
 			oBases[i] = inds[i].init(f)
 		}
-		errs := make([]parError, w)
-		// Row bands are dealt to workers cyclically, and a band runs
-		// its tiles left to right. Tile (bi,bj) starts once band bi-1
-		// has finished its tile bj, so by induction every tile up and
-		// to the left of it is done: each carried dependence
-		// (component-wise non-negative by the planner's legality check)
-		// crosses a finished tile.
-		bands := make([]bandProgress, nti)
-		for b := range bands {
-			bands[b].cond.L = &bands[b].mu
-		}
-		RunParallel(w, func(wi int) {
-			wf := fp.get(f)
-			defer fp.put(wf)
-			for bi := int64(wi); bi < nti; bi += int64(w) {
-				for bj := int64(0); bj < ntj; bj++ {
-					if bi > 0 {
-						bands[bi-1].await(bj + 1)
-					}
-					tn.runTile(wf, bi, bj, oBases, &errs[wi])
-					bands[bi].finish(bj + 1)
-				}
-			}
+		ws := make(cohort, w)
+		Wavefront(w, nti, ntj, func(wi int, bi, bj int64) {
+			tn.runTile(ws.frame(fp, f, wi), bi, bj, oBases, &ws[wi].perr)
 		})
-		raiseMin(errs)
+		ws.finish(fp)
 	}
 }

@@ -110,8 +110,9 @@ func (fp *framePool) put(wf *frame) {
 
 // parError is one worker's first runtime failure, tagged with the
 // row-major index of the failing iteration in the loop's sequential
-// order. After a join the minimum index wins, so a parallel loop
-// reports the same error sequential execution would have.
+// order. After a join the minimum index wins (cohort.finish), so a
+// parallel loop reports the same error sequential execution would
+// have.
 type parError struct {
 	idx int64
 	err *ExecError
@@ -121,21 +122,5 @@ type parError struct {
 func (p *parError) record(idx int64, err *ExecError) {
 	if p.err == nil || idx < p.idx {
 		p.idx, p.err = idx, err
-	}
-}
-
-// raiseMin re-raises the lowest-index error across workers, if any.
-func raiseMin(errs []parError) {
-	var best *parError
-	for i := range errs {
-		if errs[i].err == nil {
-			continue
-		}
-		if best == nil || errs[i].idx < best.idx {
-			best = &errs[i]
-		}
-	}
-	if best != nil {
-		panic(best.err)
 	}
 }

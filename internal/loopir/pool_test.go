@@ -3,6 +3,7 @@ package loopir
 import (
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"arraycomp/internal/runtime"
@@ -415,5 +416,48 @@ func TestRunParallelPoolReuse(t *testing.T) {
 	workerPool.mu.Unlock()
 	if idle == 0 || idle > maxIdleWorkers {
 		t.Fatalf("idle pool size %d after reuse rounds", idle)
+	}
+}
+
+// TestShardAndWavefrontExecutors drives the two executors directly, as
+// the native tier's emitted kernels do: a shard's chunks cover the
+// iterations exactly once without splitting a run of equal align
+// values, and a wavefront tile starts only after the tiles above and
+// to the left of it, at every worker budget (including budgets larger
+// than the parallelism, and empty grids).
+func TestShardAndWavefrontExecutors(t *testing.T) {
+	for _, w := range []int{0, 1, 2, 3, 4} {
+		for _, trip := range []int64{0, 1, 7, 100} {
+			align := func(_ int, t int64) int64 { return t / 3 }
+			hits := make([]atomic.Int32, trip)
+			Shard(w, trip, align, func(_ int, lo, hi int64) {
+				if lo > 0 && lo < trip && lo/3 == (lo-1)/3 {
+					t.Errorf("w=%d trip=%d: chunk starts at %d inside a run", w, trip, lo)
+				}
+				for i := lo; i < hi; i++ {
+					hits[i].Add(1)
+				}
+			})
+			for i := range hits {
+				if n := hits[i].Load(); n != 1 {
+					t.Fatalf("w=%d trip=%d: iteration %d ran %d times", w, trip, i, n)
+				}
+			}
+		}
+		for _, g := range [][2]int64{{0, 3}, {3, 0}, {1, 5}, {5, 1}, {4, 6}} {
+			nti, ntj := g[0], g[1]
+			done := make([]atomic.Bool, nti*ntj)
+			Wavefront(w, nti, ntj, func(_ int, bi, bj int64) {
+				if bi > 0 && !done[(bi-1)*ntj+bj].Load() || bj > 0 && !done[bi*ntj+bj-1].Load() {
+					t.Errorf("w=%d grid %dx%d: tile (%d,%d) ran before its predecessors", w, nti, ntj, bi, bj)
+				}
+				done[bi*ntj+bj].Store(true)
+			})
+			for i := range done {
+				if !done[i].Load() {
+					t.Fatalf("w=%d grid %dx%d: tile %d never ran", w, nti, ntj, i)
+				}
+			}
+		}
 	}
 }

@@ -9,7 +9,12 @@
 // The package is built with `go build -buildmode=plugin` and loaded
 // with plugin.Open, so the emitted entry points become in-process
 // function values and a native call costs exactly one function call
-// plus the program's own loops. When the host binary is
+// plus the program's own loops. The emitted package imports only fmt,
+// math and sync/atomic. Its scheduled loops call two runner variables,
+// RunShard and RunWavefront (gogen.Runners). After plugin.Open, and
+// before any entry is published, the host assigns them loopir.Shard
+// and loopir.Wavefront, so native kernels run on the interpreter's
+// executors, worker pool and worker count. When the host binary is
 // race-instrumented the plugin is built with -race too (the runtimes
 // must match). Where a plugin cannot be built or loaded, Build fails
 // and the caller keeps serving the interpreted tier.
@@ -26,6 +31,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	goruntime "runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -59,6 +65,10 @@ type ProgramSpec struct {
 	Units []Unit
 	// Result names the unit whose output is the program result.
 	Result string
+	// Workers is the worker budget of the program's parallel loops
+	// (core.Options.Workers); 0 means GOMAXPROCS at the start of
+	// each run, as the interpreter resolves it.
+	Workers int
 }
 
 // Module is one loaded native build serving the programs of a Build
@@ -70,10 +80,11 @@ type Module struct {
 
 // Plan is one program's native execution plan.
 type Plan struct {
-	key    string
-	fn     func(map[string][]float64) ([]float64, error)
-	inputs []string
-	bounds runtime.Bounds
+	key     string
+	fn      entry
+	workers int
+	inputs  []string
+	bounds  runtime.Bounds
 	// flatPool recycles the name→data map marshalled on every call, so
 	// the steady-state host overhead per Run is the result slice and
 	// its Strict header only.
@@ -139,7 +150,7 @@ func Build(specs []ProgramSpec) (*Module, error) {
 			return nil, fmt.Errorf("native: plugin is missing entry %q", spec.Key)
 		}
 		meta := metas[spec.Key]
-		m.plans[spec.Key] = &Plan{key: spec.Key, fn: fn, verifyFn: vf, inputs: meta.inputs, bounds: meta.bounds}
+		m.plans[spec.Key] = &Plan{key: spec.Key, fn: fn, workers: spec.Workers, verifyFn: vf, inputs: meta.inputs, bounds: meta.bounds}
 	}
 	builds.Add(1)
 	return m, nil
@@ -174,7 +185,11 @@ func (p *Plan) Run(inputs map[string]*runtime.Strict) (*runtime.Strict, error) {
 		}
 		flat[name] = a.Data
 	}
-	out, err := p.fn(flat)
+	w := p.workers
+	if w <= 0 {
+		w = goruntime.GOMAXPROCS(0)
+	}
+	out, err := p.fn(w, flat)
 	// The callee does not retain flat past its return; drop the data
 	// references and recycle the map.
 	for k := range flat {
@@ -215,14 +230,15 @@ type planMeta struct {
 
 // emitModuleSource renders all specs into one self-contained main
 // package: per-unit functions from gogen, a driver per program that
-// chains them the way core.Program.Run does, and the Entries and
-// VerifyCounts registries the host looks up after plugin.Open.
+// chains them the way core.Program.Run does, the runner variables, and
+// the Entries and VerifyCounts registries the host looks up after
+// plugin.Open.
 func emitModuleSource(specs []ProgramSpec) (string, map[string]*planMeta, error) {
 	metas := map[string]*planMeta{}
 	var funcs strings.Builder
 	var entries strings.Builder
 	var verifies strings.Builder
-	entries.WriteString("// Entries maps program keys to their native entry points.\nvar Entries = map[string]func(map[string][]float64) ([]float64, error){\n")
+	entries.WriteString("// Entries maps program keys to their native entry points.\nvar Entries = map[string]func(int, map[string][]float64) ([]float64, error){\n")
 	verifies.WriteString("// VerifyCounts reads a program's cumulative runtime-verifier\n// verdicts (verified, failed) — the native mirror of the host's\n// VerifyStats, queried after runs so no verdict is dropped.\nvar VerifyCounts = map[string]func() (uint64, uint64){\n")
 	seen := map[string]bool{}
 	for i, spec := range specs {
@@ -244,18 +260,9 @@ func emitModuleSource(specs []ProgramSpec) (string, map[string]*planMeta, error)
 
 	var b strings.Builder
 	b.WriteString("// Code generated by arraycomp (internal/native). DO NOT EDIT.\npackage main\n\n")
-	imports := []string{`"fmt"`, `"math"`, `"sync/atomic"`}
-	if strings.Contains(funcs.String(), "runtime.GOMAXPROCS") {
-		imports = append(imports, `"runtime"`)
-	}
-	if strings.Contains(funcs.String(), "sync.WaitGroup") {
-		imports = append(imports, `"sync"`)
-	}
-	b.WriteString("import (\n")
-	for _, imp := range imports {
-		b.WriteString("\t" + imp + "\n")
-	}
-	b.WriteString(")\n\nvar _, _ = fmt.Errorf, math.Abs\n\n")
+	b.WriteString("import (\n\t\"fmt\"\n\t\"math\"\n\t\"sync/atomic\"\n)\n\nvar _, _ = fmt.Errorf, math.Abs\n\n")
+	b.WriteString(gogen.Runners)
+	b.WriteString("\n")
 	b.WriteString(entries.String())
 	b.WriteString("\n")
 	b.WriteString(verifies.String())
@@ -304,9 +311,9 @@ func emitProgram(b *strings.Builder, spec ProgramSpec, idx int) (*planMeta, erro
 		b.WriteString(src)
 		b.WriteString("\n")
 
-		args := make([]string, len(params))
-		for k, pn := range params {
-			args[k] = resolve(pn)
+		args := []string{"workers"}
+		for _, pn := range params {
+			args = append(args, resolve(pn))
 		}
 		out := fmt.Sprintf("d%d", j)
 		produced[u.Name] = out
@@ -326,7 +333,7 @@ func emitProgram(b *strings.Builder, spec ProgramSpec, idx int) (*planMeta, erro
 		return nil, fmt.Errorf("native: program %q never defines result %q", spec.Key, spec.Result)
 	}
 
-	fmt.Fprintf(&driver, "func nrun_%d(in map[string][]float64) ([]float64, error) {\n", idx)
+	fmt.Fprintf(&driver, "func nrun_%d(workers int, in map[string][]float64) ([]float64, error) {\n", idx)
 	for _, name := range externalOrder {
 		fmt.Fprintf(&driver, "\t%s, ok%s := in[%q]\n", external[name], external[name], name)
 		fmt.Fprintf(&driver, "\tif !ok%s {\n\t\treturn nil, fmt.Errorf(\"native: missing input array %%q\", %q)\n\t}\n", external[name], name)

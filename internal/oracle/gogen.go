@@ -20,7 +20,9 @@ import (
 // single Go main package, runs it once with `go run`, and compares
 // each case's printed result against its reference outcome. Batching
 // matters: one toolchain invocation per corpus instead of one per
-// program keeps a 200-program short-mode run in seconds.
+// program keeps a 200-program short-mode run in seconds. Scheduled
+// loops run on gogen's sequential Runners; the native leg runs the same
+// kernels on the parallel executors.
 //
 // Cases that fail emission (a plan uses an IR feature gogen does not
 // cover yet) are skipped, not failed: emission coverage is a separate
@@ -54,6 +56,7 @@ func RunGogenBatch(cases []*Case) {
 	b.WriteString("package main\n\n")
 	b.WriteString("import (\n\t\"fmt\"\n\t\"math\"\n)\n\n")
 	b.WriteString("var _ = math.Abs\n\n")
+	b.WriteString(gogen.Runners + "\n")
 	b.WriteString("// fill loads deterministic dyadic inputs, mirroring oracle.lcgFill.\n")
 	b.WriteString("func fill(n int, seed uint64) []float64 {\n")
 	b.WriteString("\tout := make([]float64, n)\n\tx := seed\n\tfor i := range out {\n")
@@ -185,7 +188,7 @@ func emitCase(c *Case, uniq int) (funcs []string, driver string, err error) {
 		funcs = append(funcs, src)
 
 		errVar := "err" + name
-		fmt.Fprintf(&b, "\t%s, %s := %s(%s)\n", name, errVar, fnName, strings.Join(params, ", "))
+		fmt.Fprintf(&b, "\t%s, %s := %s(%s)\n", name, errVar, fnName, strings.Join(append([]string{"1"}, params...), ", "))
 		fmt.Fprintf(&b, "\t_ = %s\n", name)
 		fmt.Fprintf(&b, "\tif %s != nil {\n\t\tfmt.Printf(\"case %%d err %%v\\n\", %%CASE%%, %s)\n\t\treturn\n\t}\n", errVar, errVar)
 	}
