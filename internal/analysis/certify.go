@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"slices"
 
 	"arraycomp/internal/affine"
 	"arraycomp/internal/certify"
@@ -54,20 +55,9 @@ type resultCertifier struct {
 // anti, write-write — and certifies each pair's claims.
 func (c *resultCertifier) certifyPairs() {
 	r := c.r
-	target := r.Def.Name
-	if r.Def.Kind == lang.BigUpd {
-		target = r.Def.Source
-	}
 	for _, sink := range r.Clauses {
 		for _, rd := range sink.Reads {
 			switch {
-			case r.Def.Kind != lang.BigUpd && rd.Ix.Array == target:
-				for wi, writer := range r.Clauses {
-					c.certifyPair("flow",
-						fmt.Sprintf("flow %s→%s", writer.Label(), sink.Label()),
-						writer.WriteForms, rd.Forms, writer, sink,
-						r.pairOpts(r.budget, r.WriteInBounds[wi], r.ReadInBounds[rd]), false)
-				}
 			case r.Def.Kind == lang.BigUpd && rd.Ix.Array == r.Def.Source:
 				for wi, writer := range r.Clauses {
 					c.certifyPair("anti",
@@ -75,7 +65,7 @@ func (c *resultCertifier) certifyPairs() {
 						rd.Forms, writer.WriteForms, sink, writer,
 						r.pairOpts(r.budget, r.ReadInBounds[rd], r.WriteInBounds[wi]), false)
 				}
-			case r.Def.Kind == lang.BigUpd && rd.Ix.Array == r.Def.Name:
+			case rd.Ix.Array == r.Def.Name:
 				for wi, writer := range r.Clauses {
 					c.certifyPair("flow",
 						fmt.Sprintf("flow %s→%s", writer.Label(), sink.Label()),
@@ -192,20 +182,33 @@ func (c *resultCertifier) record(isWW bool, cert certify.Certificate) {
 	c.rep.Record(cert)
 }
 
-// boundsCheckBudget caps the enumerated instances per in-bounds
-// certificate.
+// boundsCheckBudget caps the enumerated instances per clause.
 const boundsCheckBudget = 1 << 16
 
+// boundsClaim is one in-bounds claim of a clause: its certificate and,
+// while the walk settles it, the references to evaluate against b, the
+// first point out of bounds and whether an evaluation saturated. refs
+// is nil when the certificate was settled before the walk.
+type boundsClaim struct {
+	cert certify.Certificate
+	refs []affine.NormalizedRef
+	b    ArrayBounds
+	bad  []int64
+	sat  bool
+}
+
 // certifyBounds re-proves every claimed in-bounds verdict pointwise:
-// each claimed reference is evaluated (with saturating arithmetic) at
-// every instance of the clamped iteration space and compared against
-// the array bounds. Out-of-range values in the *full* range falsify
-// the claim — that is exactly what FormRange asserted.
+// each clause's clamped iteration space is walked once, and at every
+// instance each claimed reference of the clause is evaluated (with
+// saturating arithmetic) and compared against its array's bounds.
+// Out-of-range values in the *full* range falsify the claim — that is
+// exactly what FormRange asserted.
 func (c *resultCertifier) certifyBounds() {
 	r := c.r
 	for i, cl := range r.Clauses {
+		var claims []boundsClaim
 		if r.WriteInBounds[i] {
-			c.rep.Record(c.boundsCert(
+			claims = append(claims, newBoundsClaim(
 				fmt.Sprintf("writes of %s in bounds", cl.Label()),
 				cl.WriteForms, cl, r.Bounds))
 		}
@@ -215,16 +218,20 @@ func (c *resultCertifier) certifyBounds() {
 			}
 			b, ok := c.readBounds(rd.Ix.Array)
 			if !ok {
-				c.rep.Record(certify.Certificate{
+				claims = append(claims, boundsClaim{cert: certify.Certificate{
 					Layer:  "analysis",
 					Claim:  fmt.Sprintf("reads of %s in %s bounds", rd.Ix.Array, cl.Label()),
 					Status: certify.Skipped, Detail: "bounds of read array unavailable",
-				})
+				}})
 				continue
 			}
-			c.rep.Record(c.boundsCert(
+			claims = append(claims, newBoundsClaim(
 				fmt.Sprintf("reads of %s in %s in bounds", rd.Ix.Array, cl.Label()),
 				rd.Forms, cl, b))
+		}
+		walkBounds(claims, cl.Nest.Trips())
+		for _, bc := range claims {
+			c.rep.Record(bc.cert)
 		}
 	}
 }
@@ -242,116 +249,75 @@ func (c *resultCertifier) readBounds(name string) (ArrayBounds, bool) {
 	return b, ok
 }
 
-// boundsCert enumerates the clause's clamped iteration space and
-// checks every subscript tuple against b.
-func (c *resultCertifier) boundsCert(claim string, forms []affine.Form, cl *FlatClause, b ArrayBounds) certify.Certificate {
+// newBoundsClaim normalizes a claim's subscripts against the clause's
+// nest; a rank mismatch or an unnormalizable subscript settles it.
+func newBoundsClaim(claim string, forms []affine.Form, cl *FlatClause, b ArrayBounds) boundsClaim {
+	bc := boundsClaim{cert: certify.Certificate{Layer: "analysis", Claim: claim}, b: b}
 	if len(forms) != b.Rank() {
-		return certify.Certificate{
-			Layer: "analysis", Claim: claim, Status: certify.Falsified,
-			Detail: fmt.Sprintf("rank mismatch: %d subscripts for rank %d", len(forms), b.Rank()),
-		}
+		bc.cert.Status = certify.Falsified
+		bc.cert.Detail = fmt.Sprintf("rank mismatch: %d subscripts for rank %d", len(forms), b.Rank())
+		return bc
 	}
 	refs := make([]affine.NormalizedRef, len(forms))
 	for d, f := range forms {
 		ref, err := cl.Nest.Normalize(f)
 		if err != nil {
-			return certify.Certificate{
-				Layer: "analysis", Claim: claim, Status: certify.Skipped,
-				Detail: fmt.Sprintf("normalize: %v", err),
-			}
+			bc.cert.Status = certify.Skipped
+			bc.cert.Detail = fmt.Sprintf("normalize: %v", err)
+			return bc
 		}
 		refs[d] = ref
 	}
-	trips := cl.Nest.Trips()
-	clamp := make([]int64, len(trips))
-	exhaustive := true
-	points := int64(1)
-	for k, m := range trips {
-		clamp[k] = m
-		if clamp[k] > certify.ShadowClamp {
-			clamp[k] = certify.ShadowClamp
-			exhaustive = false
-		}
-		if clamp[k] < 0 {
-			clamp[k] = 0
-		}
-		if points > boundsCheckBudget {
-			continue
-		}
-		if clamp[k] == 0 {
-			points = 0
-		} else if points > boundsCheckBudget/clamp[k] {
-			points = boundsCheckBudget + 1
-		} else {
-			points *= clamp[k]
-		}
+	bc.refs = refs
+	return bc
+}
+
+// walkBounds enumerates one clause's clamped iteration space, trips
+// clamped within boundsCheckBudget points, and settles every claim
+// still open.
+func walkBounds(claims []boundsClaim, trips []int64) {
+	if !slices.ContainsFunc(claims, func(bc boundsClaim) bool { return bc.refs != nil }) {
+		return
 	}
-	for points > boundsCheckBudget {
-		maxK := 0
-		for k := range clamp {
-			if clamp[k] > clamp[maxK] {
-				maxK = k
-			}
-		}
-		if clamp[maxK] <= 1 {
-			break
-		}
-		clamp[maxK] /= 2
-		exhaustive = false
-		points = 1
-		for _, m := range clamp {
-			if m == 0 {
-				points = 0
-				break
-			}
-			if points > boundsCheckBudget/m {
-				points = boundsCheckBudget + 1
-				break
-			}
-			points *= m
-		}
-	}
-	pos := make([]int64, len(trips))
-	sat := false
-	var bad []int64
-	var walk func(k int) bool
-	walk = func(k int) bool {
-		if k == len(trips) {
-			for d, ref := range refs {
-				v, exact := ref.EvalSat(pos)
+	clamp := slices.Clone(trips)
+	exhaustive := !certify.Clamp(clamp, boundsCheckBudget, func(clamp []int64) int64 {
+		return certify.Points(clamp, boundsCheckBudget)
+	})
+	pos := slices.Repeat([]int64{1}, len(clamp))
+	for n := certify.Points(clamp, boundsCheckBudget); n > 0; n-- {
+		for i := range claims {
+			bc := &claims[i]
+			for d := 0; d < len(bc.refs) && bc.bad == nil; d++ {
+				v, exact := bc.refs[d].EvalSat(pos)
 				if !exact {
-					sat = true
-					return false
+					bc.sat = true
+					break
 				}
-				if v < b.Lo[d] || v > b.Hi[d] {
-					bad = append([]int64(nil), pos...)
-					return true
+				if v < bc.b.Lo[d] || v > bc.b.Hi[d] {
+					bc.bad = slices.Clone(pos)
 				}
 			}
-			return false
 		}
-		for p := int64(1); p <= clamp[k]; p++ {
-			pos[k] = p
-			if walk(k + 1) {
-				return true
-			}
+		// Advance the odometer, the innermost loop fastest.
+		k := len(pos) - 1
+		for ; k >= 0 && pos[k] == clamp[k]; k-- {
+			pos[k] = 1
 		}
-		return false
-	}
-	if walk(0) {
-		return certify.Certificate{
-			Layer: "analysis", Claim: claim, Status: certify.Falsified,
-			Witness: bad, Detail: "subscript leaves the array bounds",
+		if k >= 0 {
+			pos[k]++
 		}
 	}
-	if sat {
-		return certify.Certificate{
-			Layer: "analysis", Claim: claim, Status: certify.Skipped,
-			Detail: "subscript evaluation saturated",
+	for i := range claims {
+		bc := &claims[i]
+		switch {
+		case bc.refs == nil:
+		case bc.bad != nil:
+			bc.cert.Status, bc.cert.Witness, bc.cert.Detail = certify.Falsified, bc.bad, "subscript leaves the array bounds"
+		case bc.sat:
+			bc.cert.Status, bc.cert.Detail = certify.Skipped, "subscript evaluation saturated"
+		default:
+			bc.cert.Status, bc.cert.Exhaustive = certify.Certified, exhaustive
 		}
-	}
-	return certify.Certificate{
-		Layer: "analysis", Claim: claim, Status: certify.Certified, Exhaustive: exhaustive,
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"arraycomp/internal/certify"
+	"arraycomp/internal/parser"
+	"arraycomp/internal/workloads"
 )
 
 // certifySrc analyzes a source program and certifies the result.
@@ -66,24 +68,32 @@ func TestCertifyInBoundsClaims(t *testing.T) {
 }
 
 func TestCertifyCatchesForgedIndependence(t *testing.T) {
-	// Forge an unsound analysis: claim the writes of a definition that
-	// definitely collides are in bounds of a *smaller* array. The
-	// pointwise re-evaluation must falsify the in-bounds claim.
-	src := `a = array (1,10) [* [i := 1.0] | i <- [1..10] *]`
-	res := analyzeSrc(t, src, nil)
-	res.Bounds = ArrayBounds{Lo: []int64{1}, Hi: []int64{5}} // shrink after the fact
-	rep := Certify(res)
-	if rep.FalsifiedCount == 0 {
-		t.Fatalf("forged in-bounds claim survived:\n%s", rep)
+	// Forge an unsound analysis: claim the references of a definition
+	// are in bounds of a *smaller* array. The pointwise re-evaluation
+	// must falsify every such claim, each with its own first point out
+	// of bounds, and the certificates must not change.
+	cases := []struct{ src, want string }{
+		{`a = array (1,10) [* [i := 1.0] | i <- [1..10] *]`,
+			"[analysis] writes of clause0@1:24 in bounds: falsified witness=[6] (subscript leaves the array bounds)\n" +
+				"[analysis] a: empties excluded: falsified (10 instances for 5 elements)"},
+		// One clause, a write and a read leaving the bounds at
+		// different points.
+		{`a = array (1,10) ([1 := 1.0] ++ [i := a!(i-1) | i <- [2..10]])`,
+			"[analysis] writes of clause1@1:36 in bounds: falsified witness=[5] (subscript leaves the array bounds)\n" +
+				"[analysis] reads of a in clause1@1:36 in bounds: falsified witness=[6] (subscript leaves the array bounds)\n" +
+				"[analysis] a: empties excluded: falsified (10 instances for 5 elements)"},
 	}
-	var hit bool
-	for _, c := range rep.Failures {
-		if strings.Contains(c.Claim, "in bounds") && len(c.Witness) > 0 {
-			hit = true
+	for _, c := range cases {
+		res := analyzeSrc(t, c.src, nil)
+		res.Bounds = ArrayBounds{Lo: []int64{1}, Hi: []int64{5}} // shrink after the fact
+		rep := Certify(res)
+		got := make([]string, len(rep.Failures))
+		for i, f := range rep.Failures {
+			got[i] = f.String()
 		}
-	}
-	if !hit {
-		t.Fatalf("no witness-carrying in-bounds falsification:\n%s", rep)
+		if g := strings.Join(got, "\n"); g != c.want {
+			t.Errorf("%s: falsifications changed:\n%s\nwant\n%s", c.src, g, c.want)
+		}
 	}
 }
 
@@ -122,5 +132,29 @@ func TestCertifyLargeBoundsShadowClamped(t *testing.T) {
 	_, rep := certifySrc(t, src, nil)
 	if rep.FalsifiedCount != 0 {
 		t.Fatalf("falsified:\n%s", rep)
+	}
+}
+
+// BenchmarkCertifyBounds certifies Livermore 23 at n=64: one 62×62
+// clause whose write and 13 reads are all claimed in bounds, plus its
+// pair and definition-level claims.
+func BenchmarkCertifyBounds(b *testing.B) {
+	prog, err := parser.ParseProgram(workloads.Livermore23Src)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const n = 64
+	lo, hi := workloads.MatrixBounds(n)
+	mesh := ArrayBounds{Lo: lo, Hi: hi}
+	in := map[string]ArrayBounds{"za": mesh, "zr": mesh, "zb": mesh, "zu": mesh, "zv": mesh}
+	res, err := Analyze(prog.Defs[0], map[string]int64{"n": n}, mesh, in, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if rep := Certify(res); rep.FalsifiedCount != 0 || rep.SkippedCount != 0 {
+			b.Fatalf("Livermore 23: %s", rep.Summary())
+		}
 	}
 }

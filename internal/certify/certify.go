@@ -74,8 +74,12 @@ func (s Status) String() string {
 
 // Certificate records the outcome of checking one compiler claim.
 type Certificate struct {
-	// Layer names the pass whose claim was checked: "analysis",
-	// "schedule", or "plan".
+	// Layer names the pass whose claim was checked: "analysis"
+	// (dependence, bounds and def-level verdicts), "schedule" (emitted
+	// order), "plan" (parallel schedules), "stencil" (boundary
+	// splits), "claims" (index-array claim covers), "idxprop"
+	// (statically discharged index-array claims) or "stream" (window
+	// legality of a streaming pipeline).
 	Layer string
 	// Claim is the human-readable statement that was checked.
 	Claim string

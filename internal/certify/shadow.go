@@ -142,29 +142,8 @@ func (bt *Battery) Search(v deptest.Vector) (Witness, bool, bool) {
 		return Witness{}, false, true
 	}
 	bt.v = v
-	covered := true
-	for k := 0; k < n; k++ {
-		bt.clamp[k] = p0.Bound[k]
-		if bt.clamp[k] > ShadowClamp {
-			bt.clamp[k] = ShadowClamp
-			covered = false
-		}
-	}
-	// Pre-shrink until the estimated point count fits the budget,
-	// halving the largest clamp first.
-	for bt.estimate() > shadowBudget {
-		maxK := 0
-		for k := 1; k < n; k++ {
-			if bt.clamp[k] > bt.clamp[maxK] {
-				maxK = k
-			}
-		}
-		if bt.clamp[maxK] <= 1 {
-			break
-		}
-		bt.clamp[maxK] /= 2
-		covered = false
-	}
+	copy(bt.clamp, p0.Bound)
+	covered := !Clamp(bt.clamp, shadowBudget, bt.estimate)
 	if !bt.exact {
 		// The equation's constant is unrepresentable; no exact
 		// witness can balance it and absence proves nothing.
@@ -233,13 +212,12 @@ func (bt *Battery) term(d, k int, x, y int64) (int64, bool) {
 	return t, !so.Overflowed
 }
 
-// estimate approximates the number of enumeration points (product of
-// per-loop pair counts, saturating far above the budget).
-func (bt *Battery) estimate() int64 {
+// estimate approximates the number of enumeration points under clamp
+// (product of per-loop pair counts, saturating far above the budget).
+func (bt *Battery) estimate(clamp []int64) int64 {
 	total := int64(1)
 	p0 := bt.probs[0]
-	for k := range bt.clamp {
-		m := bt.clamp[k]
+	for k, m := range clamp {
 		var c int64
 		switch {
 		case !p0.Shared[k]:

@@ -25,14 +25,14 @@ type goldenCase struct {
 	opts   Options
 }
 
-// certifyGoldenCorpus is the six paper programs at n=64 and 64
-// generated clean programs, the second half with frequent
-// subscripted-subscript pairs. Options match the benchmark's compile
-// workload: Parallel with two workers and Certify.
+// certifyGoldenCorpus is the six paper programs at n=64, 64 generated
+// clean programs (the second half with frequent subscripted-subscript
+// pairs), then Jacobi at n=96 and SOR at n=256, which plan a certified
+// shard and a certified wavefront. Options match the benchmark's
+// compile workload: Parallel with two workers and Certify.
 func certifyGoldenCorpus() []goldenCase {
-	const n = 64
-	lo, hi := workloads.MatrixBounds(n)
-	mesh := func(names ...string) map[string]analysis.ArrayBounds {
+	mesh := func(n int64, names ...string) map[string]analysis.ArrayBounds {
+		lo, hi := workloads.MatrixBounds(n)
 		b := map[string]analysis.ArrayBounds{}
 		for _, name := range names {
 			b[name] = analysis.ArrayBounds{Lo: lo, Hi: hi}
@@ -42,11 +42,11 @@ func certifyGoldenCorpus() []goldenCase {
 	opts := func(in map[string]analysis.ArrayBounds) Options {
 		return Options{Certify: true, Parallel: true, Workers: 2, InputBounds: in}
 	}
-	p := map[string]int64{"n": n}
+	p := map[string]int64{"n": 64}
 	cases := []goldenCase{
-		{"sor", workloads.SORSrc, p, opts(mesh("a"))},
-		{"jacobi", workloads.JacobiSrc, p, opts(mesh("a"))},
-		{"l23", workloads.Livermore23Src, p, opts(mesh("za", "zr", "zb", "zu", "zv"))},
+		{"sor", workloads.SORSrc, p, opts(mesh(64, "a"))},
+		{"jacobi", workloads.JacobiSrc, p, opts(mesh(64, "a"))},
+		{"l23", workloads.Livermore23Src, p, opts(mesh(64, "za", "zr", "zb", "zu", "zv"))},
 		{"wavefront", workloads.WavefrontSrc, p, opts(nil)},
 		{"example1", workloads.Example1Src, p, opts(nil)},
 		{"mixedpass", workloads.MixedPassSrc, p, opts(nil)},
@@ -59,7 +59,9 @@ func certifyGoldenCorpus() []goldenCase {
 		gp := gencomp.Generate(seed, cfg)
 		cases = append(cases, goldenCase{fmt.Sprintf("gen%02d", seed), gp.Source, gp.Params, opts(gp.Inputs)})
 	}
-	return cases
+	return append(cases,
+		goldenCase{"jacobi", workloads.JacobiSrc, map[string]int64{"n": 96}, opts(mesh(96, "a"))},
+		goldenCase{"sor", workloads.SORSrc, map[string]int64{"n": 256}, opts(mesh(256, "a"))})
 }
 
 // certifyGoldenTable compiles the corpus and renders one line per

@@ -63,6 +63,8 @@ func (p *Program) initStream(rep *metrics.CompileReport, workers int, certifyMer
 		rep.AddPhase(metrics.PhasePlan, time.Since(t0))
 		return nil
 	}
+	// The replay is charged to certify: move plan's start past it.
+	tCert := time.Now()
 	if certifyMerge != nil {
 		for _, d := range defs {
 			tc := time.Now()
@@ -71,6 +73,7 @@ func (p *Program) initStream(rep *metrics.CompileReport, workers int, certifyMer
 			}
 		}
 	}
+	t0 = t0.Add(time.Since(tCert))
 	pl, err := stream.Build(defs, p.Result, stream.Config{})
 	if err != nil {
 		p.streamSt.reason = err.Error()

@@ -383,6 +383,50 @@ func TestTierParallelNativeForcedWorkers(t *testing.T) {
 	}
 }
 
+// TestTierNativeProgramNames: an input array named lo, the name of the
+// emitted shard closure's chunk bound, must not keep a sharded program
+// off the native tier, and native must match the interpreter bitwise.
+func TestTierNativeProgramNames(t *testing.T) {
+	const n = 200000
+	src := `param n;
+a = array (1,n) [ i := lo!(i) * 2.0 | i <- [1..n] ]`
+	lo := runtime.NewStrict(runtime.NewBounds1(1, n))
+	for i := range lo.Data {
+		lo.Data[i] = float64(i%97) / 8
+	}
+	inputs := map[string]*runtime.Strict{"lo": lo}
+	p, err := core.Compile(src, map[string]int64{"n": n}, core.Options{
+		InputBounds: boundsOf(inputs), Parallel: true, Workers: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := p.Defs["a"].Plan.Program.Dump(); !strings.Contains(d, "[shard]") {
+		t.Fatalf("no shard planned:\n%s", d)
+	}
+	spec, err := p.NativeSpec("lo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mod, err := native.Build([]native.ProgramSpec{spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := p.Run(inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.AdoptNative(mod.Plan("lo"))
+	got, tier, err := p.RunTiered(inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tier != core.TierNative {
+		t.Fatalf("served by %q, want native", tier)
+	}
+	bitwiseEqual(t, "interpreter vs native", ref, got)
+}
+
 // TestTierPromotionRace is the singleflight regression: 64 concurrent
 // evaluations arriving while the background build runs must (a) never
 // observe a partial swap — every call returns a complete, correct

@@ -60,15 +60,21 @@ func (e *emitter) fresh(prefix string) string {
 	return fmt.Sprintf("%s%d", prefix, e.tmpSeq)
 }
 
-// goName sanitizes an IR identifier (which may contain '$') into a Go
+// Identifiers from the program (arrays, loop variables, scalars,
+// induction registers) are emitted as v_<name> and an array's
+// definedness bitmap as d_<name>, so neither can collide with the
+// emitter's own names: parameters, closure arguments, temporaries, the
+// runners and the imported packages. sanitize escapes underscores,
+// primes and dollars apart, so distinct names stay distinct (a_ and a'
+// among them).
+var sanitize = strings.NewReplacer("_", "__", "'", "_q", "$", "_d")
+
+// goName renders an IR identifier (which may contain '$') as a Go
 // identifier.
-func goName(s string) string {
-	out := strings.NewReplacer("$", "_", "'", "_").Replace(s)
-	if out == "" {
-		return "_x"
-	}
-	return out
-}
+func goName(s string) string { return "v_" + sanitize.Replace(s) }
+
+// defsName renders the definedness bitmap of array s.
+func defsName(s string) string { return "d_" + sanitize.Replace(s) }
 
 // EmitFunc renders the program as one Go function:
 //
@@ -155,8 +161,8 @@ func emitFunc(p *loopir.Program, name, passVar, failVar string) (src string, par
 			e.line("_ = %s", e.ident[d.Name])
 		}
 		if d.TrackDefs {
-			e.line("%sDefs := make([]bool, %d)", e.ident[d.Name], d.B.Size())
-			e.line("_ = %sDefs", e.ident[d.Name])
+			e.line("%s := make([]bool, %d)", defsName(d.Name), d.B.Size())
+			e.line("_ = %s", defsName(d.Name))
 		}
 	}
 	// Scalars.
@@ -258,9 +264,9 @@ func (e *emitter) emitStmt(s loopir.Stmt) {
 		e.line("copy(%s, %s)", e.ident[x.Dst], e.ident[x.Src])
 	case *loopir.CheckFull:
 		d := e.decl[x.Array]
-		e.line("for off := range %sDefs {", e.ident[x.Array])
+		e.line("for off := range %s {", defsName(x.Array))
 		e.depth++
-		e.line("if !%sDefs[off] {", e.ident[x.Array])
+		e.line("if !%s[off] {", defsName(x.Array))
 		e.depth++
 		e.line(`return %s`, e.errReturn(fmt.Sprintf(`fmt.Errorf("array %s has an undefined element at offset %%d (empty)", off)`, d.Name)))
 		e.depth--
@@ -356,18 +362,18 @@ func (e *emitter) emitAssign(x *loopir.Assign) {
 			e.fail("unknown accumArray combiner %q", e.prog.AccumOp)
 		}
 		if e.decl[x.Array].TrackDefs {
-			e.line("%sDefs[%s] = true", id, off)
+			e.line("%s[%s] = true", defsName(x.Array), off)
 		}
 	case x.CheckCollision:
-		e.line("if %sDefs[%s] {", id, off)
+		e.line("if %s[%s] {", defsName(x.Array), off)
 		e.depth++
 		e.line(`return %s`, e.errReturn(fmt.Sprintf(`fmt.Errorf("write collision on %s at offset %%d", %s)`, x.Array, off)))
 		e.depth--
 		e.line("}")
-		e.line("%sDefs[%s] = true", id, off)
+		e.line("%s[%s] = true", defsName(x.Array), off)
 		e.line("%s[%s] = %s", id, off, rhs)
 	case e.decl[x.Array].TrackDefs:
-		e.line("%sDefs[%s] = true", id, off)
+		e.line("%s[%s] = true", defsName(x.Array), off)
 		e.line("%s[%s] = %s", id, off, rhs)
 	default:
 		e.line("%s[%s] = %s", id, off, rhs)
@@ -449,7 +455,7 @@ func (e *emitter) valueExpr(x loopir.VExpr) string {
 			off := e.fresh("o")
 			e.line("%s := %s", off, e.offsetExpr(n.Array, n.Subs, n.Off, n.CheckBounds))
 			id := e.ident[n.Array]
-			e.line("if !%sDefs[%s] {", id, off)
+			e.line("if !%s[%s] {", defsName(n.Array), off)
 			e.depth++
 			e.line(`return %s`, e.errReturn(fmt.Sprintf(`fmt.Errorf("read of undefined element of %s at offset %%d (empty)", %s)`, n.Array, off)))
 			e.depth--

@@ -35,15 +35,15 @@ func TestEmitSquaresStructure(t *testing.T) {
 	for _, want := range []string{
 		"package gen",
 		"func Squares(workers int) ([]float64, error)",
-		"for i := int64(1); i <= 8; i += 1 {",
-		"sq := make([]float64, 8)",
-		"return sq, nil",
+		"for v_i := int64(1); v_i <= 8; v_i += 1 {",
+		"v_sq := make([]float64, 8)",
+		"return v_sq, nil",
 	} {
 		if !strings.Contains(src, want) {
 			t.Errorf("generated source missing %q:\n%s", want, src)
 		}
 	}
-	if strings.Contains(src, "Defs") {
+	if strings.Contains(src, "[]bool") {
 		t.Error("squares needs no definedness bitmap")
 	}
 }

@@ -104,6 +104,20 @@ func TestGeneratedShardNestSchedule(t *testing.T) {
 		"shard loop over", "RunShard(workers, int64(190), nil, func(_ int, lo, hi int64) {")
 }
 
+// TestGeneratedProgramNamesReserved: program identifiers never collide
+// with the emitter's own or with each other. Arrays named lo (the shard
+// closure's chunk bound), workers (the budget parameter), math and fmt
+// (packages), RunShard (the runner), and a_ beside a' must build and
+// match the interpreter.
+func TestGeneratedProgramNamesReserved(t *testing.T) {
+	const n = 200000
+	src := `param n;
+RunShard = array (1,n) [ i := lo!(i) * workers!(i) + sqrt (math!(i)) + fmt!(i) - a_!(i) * a'!(i) | i <- [1..n] ]`
+	parDifferential(t, src, map[string]int64{"n": n},
+		map[string][]int64{"lo": {n}, "workers": {n}, "math": {n}, "fmt": {n}, "a_": {n}, "a'": {n}}, "RunShard",
+		"RunShard(workers, int64(200000), nil, func(_ int, lo, hi int64) {")
+}
+
 // runnerCall matches an emitted runner call.
 const runnerCall = "Run(Shard|Wavefront)\\(workers, "
 

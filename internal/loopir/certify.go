@@ -1,9 +1,7 @@
 package loopir
 
 import (
-	"encoding/binary"
 	"fmt"
-	"strings"
 
 	"arraycomp/internal/certify"
 	"arraycomp/internal/deptest"
@@ -28,10 +26,10 @@ import (
 //     execute with the row's column-0 tile.
 
 // planOccBudget caps enumerated accesses per scheduled loop, and
-// planBucketCap the retained occurrences per element bucket.
+// planElemCap the retained occurrences per element.
 const (
 	planOccBudget = 1 << 18
-	planBucketCap = 64
+	planElemCap   = 64
 )
 
 // CertifyPlans audits every parallel schedule the optimizer attached
@@ -58,21 +56,11 @@ func CertifyPlans(p *Program) *certify.Report {
 	return rep
 }
 
-// planOcc is one enumerated access occurrence, chained to the next
-// occurrence of the same element (-1 at the end).
+// planOcc is one enumerated access occurrence.
 type planOcc struct {
 	i, j   int64 // loop variable values (j unused for 1-D)
 	prefix bool
 	write  bool
-	next   int32
-}
-
-// planBucket chains one element's occurrences in enumeration order.
-// key is the element packed as little-endian int64 bytes: the array's
-// index in the plan's access list order, then its subscript values.
-type planBucket struct {
-	key           string
-	head, tail, n int32
 }
 
 // planSub is one subscript with its constant and scheduled-variable
@@ -137,6 +125,14 @@ func checkPlan(claim string, acc []parAccess, nPre int, outer, inner *Loop, par 
 	if inner != nil {
 		scheduled[inner.Var] = true
 	}
+	differ := func(x, y map[string]int64) bool {
+		for v, cv := range x {
+			if !scheduled[v] && y[v] != cv {
+				return true
+			}
+		}
+		return false
+	}
 	ref := map[string]*parAccess{}
 	for k := range acc {
 		a := &acc[k]
@@ -145,44 +141,22 @@ func checkPlan(claim string, acc []parAccess, nPre int, outer, inner *Loop, par 
 			ref[a.arr] = a
 			continue
 		}
-		for d := range a.subs {
-			if d >= len(r.subs) {
-				break
-			}
-			fa, fr := a.subs[d], r.subs[d]
-			for v, cv := range fa.t {
-				if !scheduled[v] && fr.t[v] != cv {
-					return certify.Certificate{
-						Layer: "plan", Claim: claim, Status: certify.Skipped,
-						Detail: fmt.Sprintf("enclosing-variable coefficients differ on %s", a.arr),
-					}
-				}
-			}
-			for v, cv := range fr.t {
-				if !scheduled[v] && fa.t[v] != cv {
-					return certify.Certificate{
-						Layer: "plan", Claim: claim, Status: certify.Skipped,
-						Detail: fmt.Sprintf("enclosing-variable coefficients differ on %s", a.arr),
-					}
+		for d := range min(len(a.subs), len(r.subs)) {
+			if fa, fr := a.subs[d], r.subs[d]; differ(fa.t, fr.t) || differ(fr.t, fa.t) {
+				return certify.Certificate{
+					Layer: "plan", Claim: claim, Status: certify.Skipped,
+					Detail: fmt.Sprintf("enclosing-variable coefficients differ on %s", a.arr),
 				}
 			}
 		}
 	}
 
-	ni := tripCount(outer.From, outer.To, outer.Step)
-	exhaustive := true
-	if ni > certify.ShadowClamp {
-		ni = certify.ShadowClamp
-		exhaustive = false
-	}
-	var nj int64 = 1
+	clamp := []int64{tripCount(outer.From, outer.To, outer.Step), 1}
 	if inner != nil {
-		nj = tripCount(inner.From, inner.To, inner.Step)
-		if nj > certify.ShadowClamp {
-			nj = certify.ShadowClamp
-			exhaustive = false
-		}
+		clamp[1] = tripCount(inner.From, inner.To, inner.Step)
 	}
+	exhaustive := !certify.Clamp(clamp, 0, nil)
+	ni, nj := clamp[0], clamp[1]
 
 	// Hoist each subscript's constant and scheduled-variable
 	// coefficients out of the per-point walk; enclosing variables
@@ -191,7 +165,6 @@ func checkPlan(claim string, acc []parAccess, nPre int, outer, inner *Loop, par 
 	var arrNames []string
 	accArr := make([]int, len(acc))
 	accSubs := make([][]planSub, len(acc))
-	keyLen := 8
 	for k := range acc {
 		a := &acc[k]
 		id, ok := arrIdx[a.arr]
@@ -210,13 +183,13 @@ func checkPlan(claim string, acc []parAccess, nPre int, outer, inner *Loop, par 
 			}
 		}
 		accSubs[k] = subs
-		keyLen = max(keyLen, 8*(1+len(subs)))
 	}
-	// pack evaluates access k at (vi, vj) into buf; false when the
-	// arithmetic saturated.
-	var buf []byte
+	// pack evaluates access k at (vi, vj) into key: the array's index
+	// in the access list order, then the subscript values. It reports
+	// false when the arithmetic saturated.
+	var key []int64
 	pack := func(k int, vi, vj int64) bool {
-		buf = binary.LittleEndian.AppendUint64(buf[:0], uint64(accArr[k]))
+		key = append(key[:0], int64(accArr[k]))
 		for _, f := range accSubs[k] {
 			var s deptest.SatOps
 			v := f.c
@@ -229,21 +202,12 @@ func checkPlan(claim string, acc []parAccess, nPre int, outer, inner *Loop, par 
 			if s.Overflowed {
 				return false
 			}
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
+			key = append(key, v)
 		}
 		return true
 	}
-	// elemString renders a bucket key as "arr,v1,v2".
-	elemString := func(key string) string {
-		var b strings.Builder
-		b.WriteString(arrNames[binary.LittleEndian.Uint64([]byte(key[:8]))])
-		for i := 8; i+8 <= len(key); i += 8 {
-			fmt.Fprintf(&b, ",%d", int64(binary.LittleEndian.Uint64([]byte(key[i:i+8]))))
-		}
-		return b.String()
-	}
 
-	// Bucket occurrences by element, buckets in first-seen order so the
+	// Index occurrences by element, elements in first-seen order so the
 	// conflict scan reports a deterministic counterexample. Size for
 	// every occurrence and for one element per array and point of the
 	// domain grown by a one-point halo.
@@ -254,45 +218,21 @@ func checkPlan(claim string, acc []parAccess, nPre int, outer, inner *Loop, par 
 		halo = satMul(halo, nj+2)
 	}
 	nElem := min(satMul(halo, int64(len(arrNames))), nOcc)
-	byKey := make(map[string]int32, nElem)
-	buckets := make([]planBucket, 0, nElem)
+	ix := certify.NewElemIndex(1, planElemCap, int(nElem), int(nOcc))
 	occs := make([]planOcc, 0, nOcc)
-	var keys strings.Builder
-	keys.Grow(int(nElem) * keyLen)
 	capped := false
 	sat := false
-	occCount := 0
 	addOcc := func(k int, vi, vj int64) bool {
 		if !pack(k, vi, vj) {
 			sat = true
 			return true
 		}
-		bi, ok := byKey[string(buf)]
-		if !ok {
-			// Keys are substrings of one append-only arena.
-			bi = int32(len(buckets))
-			off := keys.Len()
-			keys.Write(buf)
-			key := keys.String()[off:]
-			byKey[key] = bi
-			buckets = append(buckets, planBucket{key: key, head: -1, tail: -1})
-		}
-		b := &buckets[bi]
-		if b.n >= planBucketCap {
+		if !ix.Add(key, 0, int32(len(occs))) {
 			capped = true
 			return true
 		}
-		o := int32(len(occs))
-		occs = append(occs, planOcc{i: vi, j: vj, prefix: acc[k].prefix, write: acc[k].write, next: -1})
-		if b.tail < 0 {
-			b.head = o
-		} else {
-			occs[b.tail].next = o
-		}
-		b.tail = o
-		b.n++
-		occCount++
-		return occCount <= planOccBudget
+		occs = append(occs, planOcc{i: vi, j: vj, prefix: acc[k].prefix, write: acc[k].write})
+		return len(occs) <= planOccBudget
 	}
 enumLoop:
 	for ki := int64(0); ki < ni; ki++ {
@@ -328,10 +268,7 @@ enumLoop:
 			}
 		}
 	}
-	if occCount > planOccBudget {
-		exhaustive = false
-	}
-	if capped || sat {
+	if len(occs) > planOccBudget || capped || sat {
 		exhaustive = false
 	}
 
@@ -372,10 +309,10 @@ enumLoop:
 	samePoint := func(a, b planOcc) bool {
 		return a.i == b.i && a.j == b.j && a.prefix == b.prefix
 	}
-	for bi := range buckets {
-		for x := buckets[bi].head; x >= 0; x = occs[x].next {
-			for y := occs[x].next; y >= 0; y = occs[y].next {
-				p, q := occs[x], occs[y]
+	for el := range int32(ix.Len()) {
+		for x := ix.Head(el, 0); x >= 0; x = ix.Next(x) {
+			for y := ix.Next(x); y >= 0; y = ix.Next(y) {
+				p, q := occs[ix.Payload(x)], occs[ix.Payload(y)]
 				if !p.write && !q.write {
 					continue
 				}
@@ -383,10 +320,11 @@ enumLoop:
 					continue // one iteration executes sequentially
 				}
 				if !legal(p, q) {
+					key := ix.Key(el)
 					return certify.Certificate{
 						Layer: "plan", Claim: claim, Status: certify.Falsified,
 						Witness: []int64{p.i, p.j, q.i, q.j},
-						Detail:  fmt.Sprintf("conflicting accesses of %s run unordered", elemString(buckets[bi].key)),
+						Detail:  fmt.Sprintf("conflicting accesses of %s,%s run unordered", arrNames[key[0]], certify.KeyString(key[1:])),
 					}
 				}
 			}

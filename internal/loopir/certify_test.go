@@ -128,13 +128,19 @@ func TestCertifyPlansCatchesForgedShard(t *testing.T) {
 	// splits the dependence between workers.
 	sor := stencil2D(64, true, [][2]int64{{-1, 0}, {0, -1}, {1, 0}, {0, 1}})
 	sor.Stmts[0].(*Loop).Par = &ParSchedule{Kind: ParShard}
-	for _, p := range []*Program{rec, sor} {
-		rep := CertifyPlans(p)
-		if rep.FalsifiedCount == 0 {
-			t.Fatalf("%s: illegal shard survived certification:\n%s", p.Name, rep)
+	for _, c := range []struct {
+		p    *Program
+		want string
+	}{
+		{rec, "[plan] loop i: shard schedule legal: falsified witness=[2 0 3 0] (conflicting accesses of a,2 run unordered)"},
+		{sor, "[plan] loop i: shard schedule legal: falsified witness=[2 2 3 2] (conflicting accesses of a,2,2 run unordered)"},
+	} {
+		rep := CertifyPlans(c.p)
+		if rep.FalsifiedCount != 1 {
+			t.Fatalf("%s: illegal shard survived certification:\n%s", c.p.Name, rep)
 		}
-		if len(rep.Failures[0].Witness) == 0 {
-			t.Fatalf("%s: falsification carries no witness: %s", p.Name, rep.Failures[0])
+		if got := rep.Failures[0].String(); got != c.want {
+			t.Errorf("%s: falsification changed:\n%s\nwant\n%s", c.p.Name, got, c.want)
 		}
 	}
 }
@@ -254,9 +260,8 @@ func TestCertifyPlansWitnessDeterministic(t *testing.T) {
 	if first.FalsifiedCount == 0 || len(first.Failures[0].Witness) != 4 {
 		t.Fatalf("forged shard not falsified with a witness:\n%s", first)
 	}
-	f := first.Failures[0]
-	if !strings.HasPrefix(f.Detail, "conflicting accesses of a,") || !strings.HasSuffix(f.Detail, " run unordered") {
-		t.Fatalf("detail %q changed format", f.Detail)
+	if got, want := first.Failures[0].String(), "[plan] loop i: shard schedule legal: falsified witness=[2 2 3 2] (conflicting accesses of a,2,2 run unordered)"; got != want {
+		t.Fatalf("falsification changed:\n%s\nwant\n%s", got, want)
 	}
 	for i := 1; i < 50; i++ {
 		if rep := CertifyPlans(p); rep.String() != first.String() {

@@ -26,11 +26,12 @@ package loopir
 //
 //  2. Shape annotation (annotateStencils). Guard-free nests whose
 //     reads all sit at constant per-dimension offsets from the write
-//     are annotated with their footprint (Loop.Sten). The tile
-//     planner derives halo-fed tile sizes from the annotation, the
-//     interpreter compiles a direct interior kernel for it (fast.go),
-//     and gogen emits a bounds-check-elimination-friendly interior
-//     loop over constant-width row slices (gogen).
+//     are annotated with their footprint (Loop.Sten). Two passes
+//     read it: the wavefront planner sizes halo-fed tiles from a 2-D
+//     footprint (chooseStencilTile in plan.go), and gogen emits a
+//     bounds-check-elimination-friendly interior loop over
+//     constant-width row slices (gogen/stencil.go). The interpreter's
+//     row kernels do not read it.
 //
 // Splitting runs before planning on purpose: the interior clone of a
 // guarded recurrence frequently becomes schedulable (its distance

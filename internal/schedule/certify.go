@@ -1,9 +1,7 @@
 package schedule
 
 import (
-	"encoding/binary"
 	"fmt"
-	"strings"
 
 	"arraycomp/internal/affine"
 	"arraycomp/internal/analysis"
@@ -35,11 +33,11 @@ import (
 // certifyEventBudget caps the simulated instances per schedule.
 const certifyEventBudget = 1 << 16
 
-// instEvent is one simulated clause instance.
+// instEvent is one simulated clause instance. Events are appended in
+// execution order, so an event's index is its execution timestamp.
 type instEvent struct {
 	ci  *clauseInfo
 	off int // its normalized positions are pos[off:off+len(ci.nest)]
-	t   int // execution timestamp
 }
 
 // clauseInfo is what the certifier needs of one clause.
@@ -53,9 +51,8 @@ type clauseInfo struct {
 	// source array, in cl.Reads order.
 	writes []affine.NormalizedRef
 	reads  []readRefs
-	// listTime is the canonical source-list timestamp of each instance,
-	// indexed by its mixed-radix position over the nest's clamps.
-	listTime []int32
+	// rank is the clause's place in tree order.
+	rank int
 }
 
 // readRefs is one read's normalized subscripts (nil when not
@@ -65,7 +62,7 @@ type readRefs struct {
 	kind int
 }
 
-// Access kinds, indexing elemAccesses.head/tail.
+// Access kinds, the chains of the element index.
 const (
 	kindWrite = iota
 	kindFlow  // read of the defined array
@@ -99,7 +96,7 @@ func Certify(res *analysis.Result, sched *Result, anti Anti) *certify.Report {
 	}
 	c := &schedCertifier{res: res, rep: rep}
 	c.prepare()
-	c.simulate(sched)
+	c.runNodes(sched.Nodes)
 	c.check(anti)
 	return rep
 }
@@ -122,25 +119,23 @@ type schedCertifier struct {
 
 	events []instEvent
 	pos    []int64
-	time   int
 }
 
-// prepare clamps every loop of the comprehension tree, normalizes the
-// subscript forms once per clause and records the canonical list order.
+// prepare numbers the loops and ranks the clauses of the comprehension
+// tree in tree order, normalizes the subscript forms once per clause
+// and clamps every loop.
 func (c *schedCertifier) prepare() {
 	c.loopIdx = map[*analysis.TreeNode]int{}
+	rank := map[*analysis.FlatClause]int{}
 	var walk func(nodes []*analysis.TreeNode)
 	walk = func(nodes []*analysis.TreeNode) {
 		for _, n := range nodes {
 			if n.IsLoop() {
-				m := n.Loop.Trip()
-				if m > certify.ShadowClamp {
-					m = certify.ShadowClamp
-					c.clamped = true
-				}
 				c.loopIdx[n] = len(c.clamp)
-				c.clamp = append(c.clamp, m)
+				c.clamp = append(c.clamp, n.Loop.Trip())
 				walk(n.Children)
+			} else if n.Clause != nil {
+				rank[n.Clause] = len(rank)
 			}
 		}
 	}
@@ -149,7 +144,7 @@ func (c *schedCertifier) prepare() {
 	bigupd := def.Kind == lang.BigUpd
 	c.clauses = make(map[*analysis.FlatClause]*clauseInfo, len(c.res.Clauses))
 	for _, cl := range c.res.Clauses {
-		ci := &clauseInfo{cl: cl, nest: make([]int, len(cl.NestNodes))}
+		ci := &clauseInfo{cl: cl, nest: make([]int, len(cl.NestNodes)), rank: rank[cl]}
 		for i, tn := range cl.NestNodes {
 			k, ok := c.loopIdx[tn]
 			if !ok {
@@ -181,62 +176,20 @@ func (c *schedCertifier) prepare() {
 		c.clauses[cl] = ci
 	}
 	c.cur = make([]int64, len(c.clamp))
-	// Shrink further until the estimated instance count fits, halving
-	// the largest clamp; ties go to the earliest loop in tree order.
-	for c.estimate() > certifyEventBudget {
-		maxK := -1
-		for k, m := range c.clamp {
-			if maxK < 0 || m > c.clamp[maxK] {
-				maxK = k
-			}
-		}
-		if maxK < 0 || c.clamp[maxK] <= 1 {
-			break
-		}
-		c.clamp[maxK] /= 2
-		c.clamped = true
-	}
-	// Canonical source order: all loops forward, clauses in tree order.
+	c.clamped = certify.Clamp(c.clamp, certifyEventBudget, c.estimate)
 	// Size the event buffers for one event per clause instance.
 	var nEvents, nPos int64
 	for _, ci := range c.clauses {
 		size := int64(1)
 		for _, k := range ci.nest {
-			size *= max(c.clamp[k], 0)
+			size *= c.clamp[k]
 		}
-		ci.listTime = make([]int32, size)
 		nEvents += size
 		nPos += size * int64(len(ci.nest))
 	}
 	nEvents = min(nEvents, certifyEventBudget)
 	c.events = make([]instEvent, 0, nEvents)
 	c.pos = make([]int64, 0, min(nPos, nEvents*int64(len(c.clamp))))
-	t := int32(0)
-	var pos []int64
-	var src func(nodes []*analysis.TreeNode)
-	src = func(nodes []*analysis.TreeNode) {
-		for _, n := range nodes {
-			if n.Clause != nil {
-				ci := c.clauses[n.Clause]
-				pos = pos[:0]
-				for _, k := range ci.nest {
-					pos = append(pos, c.cur[k])
-				}
-				if i, ok := c.instIndex(ci, pos); ok {
-					ci.listTime[i] = t
-				}
-				t++
-				continue
-			}
-			k := c.loopIdx[n]
-			for p := int64(1); p <= c.clamp[k]; p++ {
-				c.cur[k] = p
-				src(n.Children)
-			}
-			c.cur[k] = 0
-		}
-	}
-	src(c.res.Roots)
 }
 
 func (c *schedCertifier) normalize(cl *analysis.FlatClause, forms []affine.Form) []affine.NormalizedRef {
@@ -251,13 +204,13 @@ func (c *schedCertifier) normalize(cl *analysis.FlatClause, forms []affine.Form)
 	return out
 }
 
-// estimate sums the clamped instance counts over all clauses.
-func (c *schedCertifier) estimate() int64 {
+// estimate sums the instance counts under clamp over all clauses.
+func (c *schedCertifier) estimate(clamp []int64) int64 {
 	total := int64(0)
 	for _, cl := range c.res.Clauses {
 		n := int64(1)
 		for _, k := range c.clauses[cl].nest {
-			m := c.clamp[k]
+			m := clamp[k]
 			if m < 1 {
 				n = 0
 				break
@@ -275,27 +228,23 @@ func (c *schedCertifier) estimate() int64 {
 	return total
 }
 
-// instIndex returns the mixed-radix index into ci.listTime of the
-// instance at pos (aligned with ci.nest); ok is false when a position
-// lies outside its loop's clamp.
-func (c *schedCertifier) instIndex(ci *clauseInfo, pos []int64) (int, bool) {
-	i := int64(0)
-	for n, k := range ci.nest {
-		p, m := pos[n], c.clamp[k]
-		if p < 1 || p > m {
-			return 0, false
+// listBefore reports whether event a's instance precedes b's in the
+// canonical source order: every loop forward, clauses in tree order.
+// Instances first differ at a loop both clauses share, or else run
+// in the same iteration of every shared loop and follow tree order.
+func (c *schedCertifier) listBefore(a, b int32) bool {
+	ea, eb := c.events[a], c.events[b]
+	pa, pb := c.posOf(ea), c.posOf(eb)
+	for n := 0; n < len(pa) && n < len(pb) && ea.ci.nest[n] == eb.ci.nest[n]; n++ {
+		if pa[n] != pb[n] {
+			return pa[n] < pb[n]
 		}
-		i = i*m + p - 1
 	}
-	return int(i), true
+	return ea.ci.rank < eb.ci.rank
 }
 
-// simulate replays the schedule's emitted order, appending one event
+// runNodes replays the schedule's emitted order, appending one event
 // per clause instance.
-func (c *schedCertifier) simulate(sched *Result) {
-	c.runNodes(sched.Nodes)
-}
-
 func (c *schedCertifier) runNodes(nodes []*Node) {
 	if c.over {
 		return
@@ -311,8 +260,7 @@ func (c *schedCertifier) runNodes(nodes []*Node) {
 			for _, k := range ci.nest {
 				c.pos = append(c.pos, c.cur[k])
 			}
-			c.events = append(c.events, instEvent{ci: ci, off: off, t: c.time})
-			c.time++
+			c.events = append(c.events, instEvent{ci: ci, off: off})
 			continue
 		}
 		k, ok := c.loopIdx[n.Loop]
@@ -339,83 +287,27 @@ func (c *schedCertifier) posOf(ev instEvent) []int64 {
 	return c.pos[ev.off : ev.off+len(ev.ci.nest)]
 }
 
-// access is one element access: its event, the event's canonical list
-// timestamp, and the next access of the same element and kind (-1 at
-// the end).
-type access struct {
-	ev, listTime, next int32
-}
-
-// elemAccesses chains one element's accesses per kind in event order.
-type elemAccesses struct {
-	key        string // packed subscript values
-	head, tail [numKinds]int32
-}
-
-// elemIndex buckets accesses by the element they touch. Elements are
-// keyed by their subscript values packed as little-endian int64 bytes
-// and kept in first-seen order, so the checks visit them, and report
-// counterexamples, deterministically. The keys are substrings of one
-// append-only arena rather than one allocation each.
-type elemIndex struct {
-	byKey map[string]int32
-	elems []elemAccesses
-	acc   []access
-	keys  strings.Builder
-	buf   []byte
-}
-
-// add records one access of kind at the element packed in ix.buf.
-func (ix *elemIndex) add(kind int, ev, listTime int32) {
-	e, ok := ix.byKey[string(ix.buf)]
-	if !ok {
-		e = int32(len(ix.elems))
-		off := ix.keys.Len()
-		ix.keys.Write(ix.buf)
-		key := ix.keys.String()[off:]
-		ix.byKey[key] = e
-		ix.elems = append(ix.elems, elemAccesses{key: key, head: [numKinds]int32{-1, -1, -1}, tail: [numKinds]int32{-1, -1, -1}})
-	}
-	a := int32(len(ix.acc))
-	ix.acc = append(ix.acc, access{ev: ev, listTime: listTime, next: -1})
-	el := &ix.elems[e]
-	if el.tail[kind] < 0 {
-		el.head[kind] = a
-	} else {
-		ix.acc[el.tail[kind]].next = a
-	}
-	el.tail[kind] = a
-}
-
-// pack evaluates refs at pos into ix.buf; false when there are no refs
+// pack evaluates refs at pos into key; false when there are no refs
 // or an evaluation saturated (noted in c.sat).
-func (c *schedCertifier) pack(ix *elemIndex, refs []affine.NormalizedRef, pos []int64) bool {
+func (c *schedCertifier) pack(key []int64, refs []affine.NormalizedRef, pos []int64) ([]int64, bool) {
 	if refs == nil {
-		return false
+		return key, false
 	}
-	ix.buf = ix.buf[:0]
+	key = key[:0]
 	for _, r := range refs {
 		v, exact := r.EvalSat(pos)
 		if !exact {
 			c.sat = true
-			return false
+			return key, false
 		}
-		ix.buf = binary.LittleEndian.AppendUint64(ix.buf, uint64(v))
+		key = append(key, v)
 	}
-	return true
-}
-
-// elemString renders a packed element key as "v1,v2,…,".
-func elemString(key string) string {
-	var b strings.Builder
-	for i := 0; i+8 <= len(key); i += 8 {
-		fmt.Fprintf(&b, "%d,", int64(binary.LittleEndian.Uint64([]byte(key[i:i+8]))))
-	}
-	return b.String()
+	return key, true
 }
 
 // check indexes the simulated accesses by element and validates the
-// three order claims.
+// three order claims. The index's payloads are event indices, that is,
+// execution timestamps.
 func (c *schedCertifier) check(anti Anti) {
 	def := c.res.Def
 	bigupd := def.Kind == lang.BigUpd
@@ -425,45 +317,41 @@ func (c *schedCertifier) check(anti Anti) {
 	for _, ev := range c.events {
 		nAcc += 1 + len(ev.ci.reads)
 	}
-	ix := &elemIndex{
-		byKey: make(map[string]int32, len(c.events)),
-		elems: make([]elemAccesses, 0, len(c.events)),
-		acc:   make([]access, 0, nAcc),
-	}
-	ix.keys.Grow(8 * len(c.events) * max(len(c.res.Bounds.Lo), 1))
+	ix := certify.NewElemIndex(numKinds, 0, len(c.events), nAcc)
+	var key []int64
 	var nKind [numKinds]int
 	for e, ev := range c.events {
 		pos := c.posOf(ev)
-		lt := c.listTimeOf(ev)
-		if c.pack(ix, ev.ci.writes, pos) {
-			ix.add(kindWrite, int32(e), lt)
+		var ok bool
+		if key, ok = c.pack(key, ev.ci.writes, pos); ok {
+			ix.Add(key, kindWrite, int32(e))
 			nKind[kindWrite]++
 		}
 		for _, rd := range ev.ci.reads {
-			if c.pack(ix, rd.refs, pos) {
-				ix.add(rd.kind, int32(e), lt)
+			if key, ok = c.pack(key, rd.refs, pos); ok {
+				ix.Add(key, rd.kind, int32(e))
 				nKind[rd.kind]++
 			}
 		}
 	}
 	// chain walks one element's accesses of one kind.
-	chain := func(el *elemAccesses, kind int, fn func(a access) bool) bool {
-		for i := el.head[kind]; i >= 0; i = ix.acc[i].next {
-			if fn(ix.acc[i]) {
+	chain := func(el int32, kind int, fn func(ev int32) bool) bool {
+		for l := ix.Head(el, kind); l >= 0; l = ix.Next(l) {
+			if fn(ix.Payload(l)) {
 				return true
 			}
 		}
 		return false
 	}
-	event := func(a access) instEvent { return c.events[a.ev] }
+	label := func(ev int32) string { return c.events[ev].ci.cl.Label() }
 
 	exhaustive := !c.clamped && !c.sat && !c.over
 	name := def.Name
-	record := func(claim string, bad *[2]access, detail string) {
+	record := func(claim string, bad *[2]int32, detail string) {
 		cert := certify.Certificate{Layer: "schedule", Claim: claim}
 		if bad != nil {
 			cert.Status = certify.Falsified
-			cert.Witness = append(append([]int64(nil), c.posOf(event(bad[0]))...), c.posOf(event(bad[1]))...)
+			cert.Witness = append(append([]int64(nil), c.posOf(c.events[bad[0]])...), c.posOf(c.events[bad[1]])...)
 			cert.Detail = detail
 		} else {
 			cert.Status = certify.Certified
@@ -474,22 +362,20 @@ func (c *schedCertifier) check(anti Anti) {
 
 	// Flow: all writes of an element strictly precede all its reads.
 	if nKind[kindFlow] > 0 {
-		var flowBad *[2]access
+		var flowBad *[2]int32
 		var flowDetail string
-		for e := range ix.elems {
-			el := &ix.elems[e]
-			if chain(el, kindFlow, func(r access) bool {
-				return chain(el, kindWrite, func(w access) bool {
-					we, re := event(w), event(r)
-					if we.t < re.t {
+		for el := range int32(ix.Len()) {
+			if chain(el, kindFlow, func(r int32) bool {
+				return chain(el, kindWrite, func(w int32) bool {
+					if w < r {
 						return false
 					}
-					flowBad = &[2]access{w, r}
+					flowBad = &[2]int32{w, r}
 					what := "write does not precede read"
-					if we.t == re.t {
+					if w == r {
 						what = "instance reads the element it writes"
 					}
-					flowDetail = fmt.Sprintf("%s: %s vs %s at element (%s)", what, we.ci.cl.Label(), re.ci.cl.Label(), elemString(el.key))
+					flowDetail = fmt.Sprintf("%s: %s vs %s at element (%s,)", what, label(w), label(r), certify.KeyString(ix.Key(el)))
 					return true
 				})
 			}) {
@@ -509,18 +395,16 @@ func (c *schedCertifier) check(anti Anti) {
 				Detail: "anti edges relaxed; node splitting preloads the reads",
 			})
 		} else if nKind[kindAnti] > 0 {
-			var antiBad *[2]access
+			var antiBad *[2]int32
 			var antiDetail string
-			for e := range ix.elems {
-				el := &ix.elems[e]
-				if chain(el, kindAnti, func(r access) bool {
-					return chain(el, kindWrite, func(w access) bool {
-						we, re := event(w), event(r)
-						if we.t >= re.t {
+			for el := range int32(ix.Len()) {
+				if chain(el, kindAnti, func(r int32) bool {
+					return chain(el, kindWrite, func(w int32) bool {
+						if w >= r {
 							return false
 						}
-						antiBad = &[2]access{r, w}
-						antiDetail = fmt.Sprintf("read of old value in %s after kill in %s at element (%s)", re.ci.cl.Label(), we.ci.cl.Label(), elemString(el.key))
+						antiBad = &[2]int32{r, w}
+						antiDetail = fmt.Sprintf("read of old value in %s after kill in %s at element (%s,)", label(r), label(w), certify.KeyString(ix.Key(el)))
 						return true
 					})
 				}) {
@@ -533,30 +417,29 @@ func (c *schedCertifier) check(anti Anti) {
 
 	// Output: order-sensitive colliding writes keep their list order.
 	if orderMatters {
-		var outBad *[2]access
+		var outBad *[2]int32
 		var outDetail string
 		collides := false
-		for e := range ix.elems {
-			el := &ix.elems[e]
-			first := el.head[kindWrite]
-			if first < 0 || ix.acc[first].next < 0 {
+		for el := range int32(ix.Len()) {
+			first := ix.Head(el, kindWrite)
+			if first < 0 || ix.Next(first) < 0 {
 				continue
 			}
 			collides = true
-			if chain(el, kindWrite, func(a access) bool {
-				for j := a.next; j >= 0; j = ix.acc[j].next {
-					x, y := a, ix.acc[j]
-					if y.listTime < x.listTime {
+			for a := first; a >= 0 && outBad == nil; a = ix.Next(a) {
+				for b := ix.Next(a); b >= 0; b = ix.Next(b) {
+					x, y := ix.Payload(a), ix.Payload(b)
+					if c.listBefore(y, x) {
 						x, y = y, x
 					}
-					if event(x).t >= event(y).t {
-						outBad = &[2]access{x, y}
-						outDetail = fmt.Sprintf("writes of %s and %s out of list order", event(x).ci.cl.Label(), event(y).ci.cl.Label())
-						return true
+					if x >= y {
+						outBad = &[2]int32{x, y}
+						outDetail = fmt.Sprintf("writes of %s and %s out of list order", label(x), label(y))
+						break
 					}
 				}
-				return false
-			}) {
+			}
+			if outBad != nil {
 				break
 			}
 		}
@@ -564,14 +447,4 @@ func (c *schedCertifier) check(anti Anti) {
 			record(fmt.Sprintf("%s: emitted order preserves write order", name), outBad, outDetail)
 		}
 	}
-}
-
-// listTimeOf recovers the canonical list timestamp of an event (0 for
-// an instance outside the canonical walk).
-func (c *schedCertifier) listTimeOf(ev instEvent) int32 {
-	i, ok := c.instIndex(ev.ci, c.posOf(ev))
-	if !ok {
-		return 0
-	}
-	return ev.ci.listTime[i]
 }

@@ -3,6 +3,8 @@ package schedule
 import (
 	"strings"
 	"testing"
+
+	"arraycomp/internal/certify"
 )
 
 func TestCertifyForwardSchedule(t *testing.T) {
@@ -41,18 +43,59 @@ func TestCertifyCatchesFlippedDirection(t *testing.T) {
 		t.Fatalf("schedule: err=%v thunked=%v", err, sched.Thunked)
 	}
 	flipLoops(sched.Nodes)
-	rep := Certify(res, sched, AntiOrdered)
-	if rep.FalsifiedCount == 0 {
-		t.Fatalf("flipped schedule survived certification:\n%s", rep)
+	wantFailures(t, Certify(res, sched, AntiOrdered),
+		"[schedule] a: emitted order preserves flow dependences: falsified witness=[63 64] (write does not precede read: clause0@2:12 vs clause1@3:14 at element (189,))")
+}
+
+// TestCertifyCatchesReversedBigupd: a bigupd whose clause reads the
+// old a!(i+1) before iteration i+1 kills it. Run backward, the kill
+// comes first, and the anti claim must fall with the same witness.
+func TestCertifyCatchesReversedBigupd(t *testing.T) {
+	src := `param n;
+	a2 = bigupd a [ i := 0.5 * a!(i+1) | i <- [1..n-1] ]`
+	res := analyzeSrc(t, src, map[string]int64{"n": 20})
+	sched, err := Build(res, nil)
+	if err != nil || sched.Thunked {
+		t.Fatalf("schedule: err=%v thunked=%v", err, sched.Thunked)
 	}
-	found := false
-	for _, c := range rep.Failures {
-		if strings.Contains(c.Claim, "flow") && len(c.Witness) > 0 {
-			found = true
-		}
+	if rep := Certify(res, sched, AntiOrdered); rep.FalsifiedCount != 0 {
+		t.Fatalf("legal schedule falsified:\n%s", rep)
 	}
-	if !found {
-		t.Fatalf("no witness-carrying flow falsification:\n%s", rep)
+	flipLoops(sched.Nodes)
+	wantFailures(t, Certify(res, sched, AntiOrdered),
+		"[schedule] a2: emitted order preserves anti dependences: falsified witness=[18 19] (read of old value in clause0@2:20 after kill in clause0@2:20 at element (19,))")
+}
+
+// TestCertifyCatchesReversedAccum: a non-commutative accumArray that
+// writes each element once per inner iteration, in list order. Run
+// backward, the writes to one element come out of list order, and the
+// output-order claim must fall with the same witness.
+func TestCertifyCatchesReversedAccum(t *testing.T) {
+	src := `h = accumArray right 0.0 (1,5)
+	  [ i := 1.0 | i <- [1..5], j <- [1..3] ]`
+	res := analyzeSrc(t, src, nil)
+	sched, err := Build(res, nil)
+	if err != nil || sched.Thunked {
+		t.Fatalf("schedule: err=%v thunked=%v", err, sched.Thunked)
+	}
+	if rep := Certify(res, sched, AntiOrdered); rep.FalsifiedCount != 0 {
+		t.Fatalf("legal schedule falsified:\n%s", rep)
+	}
+	flipLoops(sched.Nodes)
+	wantFailures(t, Certify(res, sched, AntiOrdered),
+		"[schedule] h: emitted order preserves write order: falsified witness=[5 2 5 3] (writes of clause0@2:8 and clause0@2:8 out of list order)")
+}
+
+// wantFailures compares a report's falsified certificates, one per
+// line, with want.
+func wantFailures(t *testing.T, rep *certify.Report, want string) {
+	t.Helper()
+	got := make([]string, len(rep.Failures))
+	for i, c := range rep.Failures {
+		got[i] = c.String()
+	}
+	if g := strings.Join(got, "\n"); g != want {
+		t.Fatalf("falsifications changed:\n%s\nwant\n%s", g, want)
 	}
 }
 
