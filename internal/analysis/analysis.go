@@ -359,11 +359,7 @@ func (r *Result) analyzeWrites(budget int) error {
 					}
 				}
 				if orderMatters {
-					// Preserve the list order of colliding writes: the
-					// source is the clause whose instance comes first in
-					// list order. For i < j (or carried (<) self pairs)
-					// that is a; the edge constrains a before b.
-					r.Graph.AddEdge(i, j, depgraph.Output, dep.Dir)
+					r.addOutputEdges(i, j, dep.Dir)
 				}
 			}
 		}
@@ -371,6 +367,24 @@ func (r *Result) analyzeWrites(budget int) error {
 	r.Collision = verdict
 	r.CollisionDetail = detail
 	return nil
+}
+
+// addOutputEdges preserves the list order of one colliding write pair
+// of clauses i ≤ j: the edge's source is the clause whose instance
+// comes first in list order. Within one iteration of the shared loops
+// clause i's instance comes first, and so it does when the vector's
+// leading component is (<). A leading (>) puts clause j's instance in
+// an earlier iteration, so the edge runs j → i with the reversed
+// vector; a leading * admits both, so both edges are added. Self pairs
+// reach here led by (<) or *, and one edge covers both orders.
+func (r *Result) addOutputEdges(i, j int, dir deptest.Vector) {
+	lead := dir.LeadingDirection()
+	if i == j || lead != deptest.DirGreater {
+		r.Graph.AddEdge(i, j, depgraph.Output, dir)
+	}
+	if i != j && (lead == deptest.DirGreater || lead == deptest.DirAny) {
+		r.Graph.AddEdge(j, i, depgraph.Output, dir.Reverse())
+	}
 }
 
 // proveBounds computes per-reference in-bounds proofs.

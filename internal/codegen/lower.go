@@ -2,6 +2,8 @@ package codegen
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"time"
 
 	"arraycomp/internal/analysis"
@@ -236,7 +238,9 @@ func Lower(res *analysis.Result, sched *schedule.Result, external map[string]ana
 			Name: lw.selfIR, B: boundsToRuntime(res.Bounds), Role: loopir.RoleOut, TrackDefs: lw.declTrack,
 		})
 	}
-	for name := range res.ExternalReads {
+	// Inputs are declared in name order: a map's order would make the
+	// program layout, and so the plan and its dump, vary between runs.
+	for _, name := range slices.Sorted(maps.Keys(res.ExternalReads)) {
 		b, ok := external[name]
 		if !ok {
 			return nil, fmt.Errorf("codegen: no bounds known for external array %q", name)

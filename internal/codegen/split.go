@@ -129,9 +129,15 @@ func antiSatisfied(paths map[int]schedPath, dep analysis.AntiDep) bool {
 // and installs the repairs.
 func (lw *lowerer) planSplits() error {
 	paths := buildPaths(lw.sched)
+	// Repairs are installed in the reads' first-violation order, so the
+	// temporaries and hooks they add land in the same place every run.
 	violated := map[*analysis.ReadRef][]analysis.AntiDep{}
+	var reads []*analysis.ReadRef
 	for _, dep := range lw.res.AntiDeps {
 		if !antiSatisfied(paths, dep) {
+			if violated[dep.Read] == nil {
+				reads = append(reads, dep.Read)
+			}
 			violated[dep.Read] = append(violated[dep.Read], dep)
 		}
 	}
@@ -140,7 +146,8 @@ func (lw *lowerer) planSplits() error {
 		return nil
 	}
 	var copyReads []*analysis.ReadRef
-	for rd, deps := range violated {
+	for _, rd := range reads {
+		deps := violated[rd]
 		tier := lw.classifySplit(paths, rd, deps)
 		switch tier {
 		case "scalar":

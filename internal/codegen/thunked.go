@@ -2,6 +2,8 @@ package codegen
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"arraycomp/internal/analysis"
 	"arraycomp/internal/lang"
@@ -118,7 +120,7 @@ func (p *ThunkedPlan) baseEvaluator(inputs map[string]*runtime.Strict) (*evaluat
 		params: p.res.Env,
 		arrays: map[string]func([]int64) (float64, error){},
 	}
-	for name := range p.res.ExternalReads {
+	for _, name := range slices.Sorted(maps.Keys(p.res.ExternalReads)) {
 		in, ok := inputs[name]
 		if !ok {
 			return nil, fmt.Errorf("codegen: thunked run missing input array %q", name)
@@ -243,7 +245,7 @@ func RunThunkedGroup(group []*analysis.Result, inputs map[string]*runtime.Strict
 		}
 		plans[i] = NewThunkedPlan(res)
 		ev := &evaluator{params: res.Env, arrays: map[string]func([]int64) (float64, error){}}
-		for name := range res.ExternalReads {
+		for _, name := range slices.Sorted(maps.Keys(res.ExternalReads)) {
 			if groupNames[name] {
 				continue // wired below as a group member
 			}

@@ -11,6 +11,8 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -664,7 +666,7 @@ func orderDefs(source *lang.Program, results map[string]*analysis.Result) ([]str
 			// Reads of the defined name inside a bigupd are internal.
 			delete(deps, def.Name)
 		}
-		for dep := range deps {
+		for _, dep := range slices.Sorted(maps.Keys(deps)) {
 			if j, ok := idx[dep]; ok {
 				g.AddEdge(j, i, depgraph.Flow, nil)
 			}

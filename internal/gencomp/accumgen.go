@@ -18,11 +18,15 @@ import (
 // straight-line expressions (affine reads, constants, sums,
 // differences and halvings), so the kernels take them whole. None
 // reads the array it accumulates: the reference semantics reject that.
+// Some draws are order-sensitive writes instead (collidingDef).
 
 // accumDefs returns the definitions of one such accumulation starting
 // at definition k; the last is the program result.
 func (g *gen) accumDefs(k int) []*lang.ArrayDef {
 	name := fmt.Sprintf("%c", 'a'+k)
+	if g.chance(300) {
+		return []*lang.ArrayDef{g.collidingDef(name)}
+	}
 	comb := combiners[g.intn(len(combiners))]
 	init := lang.Expr(lang.Num(0))
 	if comb == "*" || comb == "min" {
@@ -91,4 +95,62 @@ func (g *gen) lineValue(depth int, v vrange) lang.Expr {
 	default:
 		return &lang.BinOp{Op: lang.OpMul, L: &lang.FloatLit{Value: 0.5}, R: g.lineValue(depth-1, v)}
 	}
+}
+
+// collidingDef is a definition whose writes must keep list order: an
+// accumArray with a non-commutative combiner (right or left) or a
+// bigupd of a rank-1 array. Two clauses under one generator write
+// elements that collide in both directions, so neither clause may run
+// all its instances first: i beside l+h-i (a mirror), i beside i+s (a
+// shift) or i beside 2i-l (a doubled stride), in either clause order.
+// The clauses store distinct values, so any reordering of a collision
+// shows in the result.
+func (g *gen) collidingDef(name string) *lang.ArrayDef {
+	var srcs []arr
+	for _, a := range g.arrs {
+		if a.bounds.Rank() == 1 {
+			srcs = append(srcs, a)
+		}
+	}
+	var def *lang.ArrayDef
+	var l, h int64
+	if len(srcs) > 0 && g.chance(400) {
+		src := srcs[g.intn(len(srcs))]
+		def = &lang.ArrayDef{Name: name, Kind: lang.BigUpd, Source: src.name, Strict: true}
+		l, h = src.bounds.Lo[0], src.bounds.Hi[0]
+	} else {
+		_, lo, hi := g.freshBounds()
+		l, h = lo[0], hi[0]
+		comb := [...]string{"right", "left"}[g.intn(2)]
+		def = &lang.ArrayDef{
+			Name:   name,
+			Kind:   lang.Accumulated,
+			Bounds: g.langBounds(lo[:1], hi[:1]),
+			Accum:  &lang.AccumSpec{Combine: comb, Init: lang.Num(0)},
+			Strict: true,
+		}
+	}
+	v := g.freshVar()
+	x := func() lang.Expr { return lang.Name(v) }
+	last := h
+	var s1, s2 lang.Expr
+	switch g.pick(40, 30, 30) {
+	case 0:
+		s1, s2 = x(), lang.Sub(lang.Num(l+h), x())
+	case 1:
+		s := min(1+g.rng.Int63n(2), h-l)
+		last = h - s
+		s1, s2 = x(), lang.Add(x(), lang.Num(s))
+	default:
+		last = l + (h-l)/2
+		s1, s2 = x(), lang.Sub(lang.Mul(lang.Num(2), x()), lang.Num(l))
+	}
+	if g.chance(500) {
+		s1, s2 = s2, s1
+	}
+	def.Comp = g.genNode(v, l, last, 1, &lang.Append{Parts: []lang.CompNode{
+		&lang.Clause{Subs: []lang.Expr{s1}, Value: lang.Add(x(), lang.Num(1))},
+		&lang.Clause{Subs: []lang.Expr{s2}, Value: lang.Sub(lang.Num(0), lang.Add(x(), lang.Num(1)))},
+	}})
+	return def
 }

@@ -59,8 +59,10 @@ type Config struct {
 	// subscripted-subscript pair was appended, of appending an
 	// accumulation the row kernels run unchecked (accumgen.go): a dense
 	// accumArray over unit-step covers or a scatter through an index
-	// array. Default 0 (off) draws nothing, so every other config
-	// generates the same programs as before; hacc fuzz sets it.
+	// array, or else two clauses whose writes must keep list order (a
+	// non-commutative accumArray or a bigupd). Default 0 (off) draws
+	// nothing, so every other config generates the same programs as
+	// before; hacc fuzz sets it.
 	AccumWeight int
 }
 

@@ -1,0 +1,212 @@
+package loopir
+
+// The access table: one walk over a statement list records every array
+// touch with its per-dimension affine subscript forms, the way the
+// analysis builds each clause's affine subscript form once
+// (internal/affine). Every loop-IR analysis that reasons about array
+// accesses is a filter over this table, each keeping its own decision
+// rule:
+//
+//   - loop fusion (fuse: pairSafe, dimAnalyze) compares every pair of
+//     accesses across the two bodies;
+//   - the parallel planner (planAccesses: pairDistances, dist2D,
+//     dist1D) and the plan certifier (checkPlan, which enumerates
+//     concrete points instead of trusting the planner's distances)
+//     read the element accesses of a candidate nest;
+//   - the stencil recognizer (stencilShape) measures each read's
+//     offset from the write's forms;
+//   - strength reduction (strengthReduce) rewrites the loop's direct
+//     accesses through their node pointers;
+//   - the row-kernel compiler (readsStored) asks whether a store reads
+//     the array it writes.
+//
+// A table is built on demand for the statements a pass examines and
+// never kept across rewrites: guard splitting clones loops, and a
+// record points into the statements it was built from.
+
+// access is one array touch.
+type access struct {
+	array string
+	write bool
+	// whole marks a touch of every element: CopyArray, Fill, a BVerify
+	// guard, and an index load (IIdx), whose element is data-dependent.
+	whole bool
+	// exprs are an element access's subscripts and subs their affine
+	// forms, derived on first use (forms).
+	exprs []IntExpr
+	subs  []*linForm
+	// loops are the loops bound between the table's root and the
+	// access, innermost first. Accesses under one loop share its scope.
+	loops *loopScope
+	// checked: the access checks bounds (or, for a read, definedness).
+	// accum and collide mark an accumulating or collision-checked store.
+	checked, accum, collide bool
+	// node is the *Assign or *ARef of an element access.
+	node any
+}
+
+// forms returns the per-dimension affine forms of an element access's
+// subscripts, nil in a dimension that is not affine. They are derived
+// on first use: most consumers read the forms of only some records.
+func (a *access) forms() []*linForm {
+	if a.subs == nil && len(a.exprs) > 0 {
+		a.subs = make([]*linForm, len(a.exprs))
+		for i, s := range a.exprs {
+			a.subs[i] = intLin(s)
+		}
+	}
+	return a.subs
+}
+
+// loopScope is one loop bound between a table's root and an access.
+type loopScope struct {
+	v  string
+	r  loopRange
+	up *loopScope
+}
+
+// lookup returns the range of the innermost enclosing loop binding v.
+func (s *loopScope) lookup(v string) (loopRange, bool) {
+	for ; s != nil; s = s.up {
+		if s.v == v {
+			return s.r, true
+		}
+	}
+	return loopRange{}, false
+}
+
+// accessTable is the access record of a statement list, in evaluation
+// order, plus what the statements do besides touching arrays.
+type accessTable struct {
+	acc []access
+	// scalarR and scalarW are the scalars read and written (nil when
+	// none).
+	scalarR, scalarW map[string]bool
+	// barrier: a CheckFull or Fail appears. other: a statement other
+	// than Assign and If appears. cond: a conditional value (VCond)
+	// appears.
+	barrier, other, cond bool
+	// nested: the table descends into nested loops.
+	nested bool
+}
+
+// collectAccesses builds the access table of stmts. With nested set it
+// records the accesses of nested loops too, as fusion needs; without,
+// a nested loop only counts as an other statement, which is all the
+// consumers that examine one level need, and cheaper.
+func collectAccesses(stmts []Stmt, nested bool) *accessTable {
+	t := &accessTable{nested: nested}
+	t.stmts(stmts, nil)
+	return t
+}
+
+func mark(m *map[string]bool, name string) {
+	if *m == nil {
+		*m = map[string]bool{}
+	}
+	(*m)[name] = true
+}
+
+func (t *accessTable) stmts(list []Stmt, sc *loopScope) {
+	for _, s := range list {
+		switch x := s.(type) {
+		case *If:
+			t.boolExpr(x.Cond, sc)
+			t.stmts(x.Then, sc)
+			t.stmts(x.Else, sc)
+			continue
+		case *Assign:
+			t.elem(x.Array, x.Subs, x.Off, true, x.CheckBounds, sc, x)
+			a := &t.acc[len(t.acc)-1]
+			a.accum, a.collide = x.Accumulate != nil, x.CheckCollision
+			t.value(x.Rhs, sc)
+			continue
+		case *Loop:
+			if t.nested {
+				t.stmts(x.Body, &loopScope{v: x.Var, r: loopRange{x.From, x.To, x.Step}, up: sc})
+			}
+		case *SetScalar:
+			mark(&t.scalarW, x.Name)
+			t.value(x.Rhs, sc)
+		case *CopyArray:
+			t.acc = append(t.acc,
+				access{array: x.Dst, write: true, whole: true, loops: sc},
+				access{array: x.Src, whole: true, loops: sc})
+		case *Fill:
+			t.acc = append(t.acc, access{array: x.Array, write: true, whole: true, loops: sc})
+		case *CheckFull, *Fail:
+			t.barrier = true
+		}
+		t.other = true
+	}
+}
+
+// elem records an element access, then the index loads in its
+// subscripts and offset.
+func (t *accessTable) elem(arr string, subs []IntExpr, off IntExpr, write, checked bool, sc *loopScope, node any) {
+	t.acc = append(t.acc, access{array: arr, write: write, checked: checked, loops: sc, node: node, exprs: subs})
+	for _, s := range subs {
+		t.intExpr(s, sc)
+	}
+	t.intExpr(off, sc)
+}
+
+func (t *accessTable) value(e VExpr, sc *loopScope) {
+	switch x := e.(type) {
+	case *VScalar:
+		mark(&t.scalarR, x.Name)
+	case *ARef:
+		t.elem(x.Array, x.Subs, x.Off, false, x.CheckBounds || x.CheckDefined, sc, x)
+	case *VFromInt:
+		t.intExpr(x.X, sc)
+	case *VBin:
+		t.value(x.L, sc)
+		t.value(x.R, sc)
+	case *VNeg:
+		t.value(x.X, sc)
+	case *VCall:
+		for _, a := range x.Args {
+			t.value(a, sc)
+		}
+	case *VCond:
+		t.cond = true
+		t.boolExpr(x.C, sc)
+		t.value(x.T, sc)
+		t.value(x.E, sc)
+	}
+}
+
+// intExpr records the index loads of an integer expression.
+func (t *accessTable) intExpr(e IntExpr, sc *loopScope) {
+	switch x := e.(type) {
+	case *IBin:
+		t.intExpr(x.L, sc)
+		t.intExpr(x.R, sc)
+	case *IIdx:
+		t.acc = append(t.acc, access{array: x.Array, whole: true, loops: sc})
+		for _, s := range x.Subs {
+			t.intExpr(s, sc)
+		}
+	}
+}
+
+func (t *accessTable) boolExpr(e BExpr, sc *loopScope) {
+	switch x := e.(type) {
+	case *BVerify:
+		t.acc = append(t.acc, access{array: x.Array, whole: true, loops: sc})
+	case *BCmpInt:
+		t.intExpr(x.L, sc)
+		t.intExpr(x.R, sc)
+	case *BCmpFloat:
+		t.value(x.L, sc)
+		t.value(x.R, sc)
+	case *BAnd:
+		t.boolExpr(x.L, sc)
+		t.boolExpr(x.R, sc)
+	case *BOr:
+		t.boolExpr(x.L, sc)
+		t.boolExpr(x.R, sc)
+	case *BNot:
+		t.boolExpr(x.X, sc)
+	}
+}

@@ -86,8 +86,8 @@ func certifyPlan(o *optimizer, l *Loop) certify.Certificate {
 		return skip("aligned-shard legality audited by the claims certifier")
 	}
 	if inner := nest2D(l); inner != nil {
-		pre, okPre := o.collectParAccesses(l.Body[:len(l.Body)-1])
-		body, okBody := o.collectParAccesses(inner.Body)
+		pre, okPre := o.planAccesses(l.Body[:len(l.Body)-1])
+		body, okBody := o.planAccesses(inner.Body)
 		if !okPre || !okBody {
 			return skip("accesses not collectible")
 		}
@@ -96,7 +96,7 @@ func certifyPlan(o *optimizer, l *Loop) certify.Certificate {
 	if l.Par.Kind == ParWavefront || hasLoop(l.Body) {
 		return skip("nest shape not recognized")
 	}
-	acc, ok := o.collectParAccesses(l.Body)
+	acc, ok := o.planAccesses(l.Body)
 	if !ok {
 		return skip("accesses not collectible")
 	}
@@ -106,15 +106,12 @@ func certifyPlan(o *optimizer, l *Loop) certify.Certificate {
 // checkPlan enumerates the clamped iteration space and validates every
 // conflict against the schedule. The first nPre accesses are per-row
 // prefix accesses (2-D only; inner == nil means 1-D).
-func checkPlan(claim string, acc []parAccess, nPre int, outer, inner *Loop, par *ParSchedule) certify.Certificate {
+func checkPlan(claim string, acc []*access, nPre int, outer, inner *Loop, par *ParSchedule) certify.Certificate {
 	if par.Kind == ParWavefront && (par.TileI < 1 || par.TileJ < 1) {
 		return certify.Certificate{
 			Layer: "plan", Claim: claim, Status: certify.Falsified,
 			Detail: fmt.Sprintf("degenerate tile extents %dx%d", par.TileI, par.TileJ),
 		}
-	}
-	for k := 0; k < nPre; k++ {
-		acc[k].prefix = true
 	}
 	// Accesses to one array must agree on every variable other than the
 	// scheduled loop variables; those enclosing contributions then
@@ -133,19 +130,19 @@ func checkPlan(claim string, acc []parAccess, nPre int, outer, inner *Loop, par 
 		}
 		return false
 	}
-	ref := map[string]*parAccess{}
-	for k := range acc {
-		a := &acc[k]
-		r, ok := ref[a.arr]
+	ref := map[string]*access{}
+	for _, a := range acc {
+		r, ok := ref[a.array]
 		if !ok {
-			ref[a.arr] = a
+			ref[a.array] = a
 			continue
 		}
-		for d := range min(len(a.subs), len(r.subs)) {
-			if fa, fr := a.subs[d], r.subs[d]; differ(fa.t, fr.t) || differ(fr.t, fa.t) {
+		af, rf := a.forms(), r.forms()
+		for d := range min(len(af), len(rf)) {
+			if differ(af[d].t, rf[d].t) || differ(rf[d].t, af[d].t) {
 				return certify.Certificate{
 					Layer: "plan", Claim: claim, Status: certify.Skipped,
-					Detail: fmt.Sprintf("enclosing-variable coefficients differ on %s", a.arr),
+					Detail: fmt.Sprintf("enclosing-variable coefficients differ on %s", a.array),
 				}
 			}
 		}
@@ -165,17 +162,17 @@ func checkPlan(claim string, acc []parAccess, nPre int, outer, inner *Loop, par 
 	var arrNames []string
 	accArr := make([]int, len(acc))
 	accSubs := make([][]planSub, len(acc))
-	for k := range acc {
-		a := &acc[k]
-		id, ok := arrIdx[a.arr]
+	for k, a := range acc {
+		id, ok := arrIdx[a.array]
 		if !ok {
 			id = len(arrNames)
-			arrIdx[a.arr] = id
-			arrNames = append(arrNames, a.arr)
+			arrIdx[a.array] = id
+			arrNames = append(arrNames, a.array)
 		}
 		accArr[k] = id
-		subs := make([]planSub, len(a.subs))
-		for d, f := range a.subs {
+		forms := a.forms()
+		subs := make([]planSub, len(forms))
+		for d, f := range forms {
 			subs[d].c = f.c
 			subs[d].co, subs[d].hasO = f.t[outer.Var]
 			if inner != nil {
@@ -231,25 +228,19 @@ func checkPlan(claim string, acc []parAccess, nPre int, outer, inner *Loop, par 
 			capped = true
 			return true
 		}
-		occs = append(occs, planOcc{i: vi, j: vj, prefix: acc[k].prefix, write: acc[k].write})
+		occs = append(occs, planOcc{i: vi, j: vj, prefix: k < nPre, write: acc[k].write})
 		return len(occs) <= planOccBudget
 	}
 enumLoop:
 	for ki := int64(0); ki < ni; ki++ {
 		vi := outer.From + ki*outer.Step
-		for k := range acc {
-			if !acc[k].prefix {
-				continue
-			}
+		for k := range nPre {
 			if !addOcc(k, vi, 0) {
 				break enumLoop
 			}
 		}
 		if inner == nil {
-			for k := range acc {
-				if acc[k].prefix {
-					continue
-				}
+			for k := nPre; k < len(acc); k++ {
 				if !addOcc(k, vi, 0) {
 					break enumLoop
 				}
@@ -258,10 +249,7 @@ enumLoop:
 		}
 		for kj := int64(0); kj < nj; kj++ {
 			vj := inner.From + kj*inner.Step
-			for k := range acc {
-				if acc[k].prefix {
-					continue
-				}
+			for k := nPre; k < len(acc); k++ {
 				if !addOcc(k, vi, vj) {
 					break enumLoop
 				}

@@ -14,12 +14,13 @@ import "arraycomp/internal/runtime"
 //
 //   - strip: a straight-line body (below) that is one store whose
 //     right side never reads the stored array, directly or as an index
-//     array. Such a body carries nothing between iterations, so it
-//     runs stripLen iterations at a time, node by node, the "lifted"
-//     evaluation of data-parallel comprehensions: a load is a sub-slice
-//     of Data, a gather fills a strip, each + − * / and negation is one
-//     loop over its operands' strips, and constants and scalars are one
-//     value per strip. A plain store evaluates its root straight into
+//     array, which the loop's access table (access.go) answers in one
+//     filter (readsStored). Such a body carries nothing between
+//     iterations, so it runs stripLen iterations at a time, node by
+//     node, the "lifted" evaluation of data-parallel comprehensions: a
+//     load is a sub-slice of Data, a gather fills a strip, each + − * /
+//     and negation is one loop over its operands' strips, and constants
+//     and scalars are one value per strip. A plain store evaluates its root straight into
 //     the destination, so `dst@{r1} := src@{r2}` is one builtin copy
 //     per strip (node splitting's row buffering, Jacobi's
 //     `rowbuf[j] := a[i-1,j]`). A scatter or an accumulating store
@@ -344,7 +345,7 @@ func (c *compiler) straightRow(x *Loop, inds []cInd) (rowKind, rowFn) {
 		}
 		return st
 	}
-	if a, ok := x.Body[0].(*Assign); ok && len(x.Body) == 1 && !c.readsStored(x, a) {
+	if a, ok := x.Body[0].(*Assign); ok && len(x.Body) == 1 && !readsStored(x.Body) {
 		return rowStrip, c.stripRow(x, store(a), a.Rhs, at, start)
 	}
 	var expr func(e VExpr) sfn
@@ -499,33 +500,18 @@ func (c *compiler) straightBody(x *Loop, uses []int) bool {
 	return true
 }
 
-// readsStored reports whether the straight-line store a reads the
-// array it writes: on its right side, directly or as an index array,
-// or through its own scatter index.
-func (c *compiler) readsStored(x *Loop, a *Assign) bool {
-	if ix, _, ok := c.gather(x, a.Array, a.Subs, a.Off); ok && ix == c.arraySlots[a.Array] {
-		return true
-	}
-	var reads func(e VExpr) bool
-	reads = func(e VExpr) bool {
-		switch v := e.(type) {
-		case *ARef:
-			if v.Array == a.Array {
-				return true
-			}
-			for _, s := range v.Subs {
-				if ii, ok := s.(*IIdx); ok && ii.Array == a.Array {
-					return true
-				}
-			}
-		case *VBin:
-			return reads(v.L) || reads(v.R)
-		case *VNeg:
-			return reads(v.X)
+// readsStored reports whether a body of one store reads the array it
+// writes: on its right side, directly or as an index array, or through
+// its own scatter index. The store is the table's first record, and
+// every later one is a read.
+func readsStored(body []Stmt) bool {
+	t := collectAccesses(body, false)
+	for k := 1; k < len(t.acc); k++ {
+		if t.acc[k].array == t.acc[0].array {
+			return true
 		}
-		return false
 	}
-	return reads(a.Rhs)
+	return false
 }
 
 // stripLen is the strip form's strip: long enough that one closure call

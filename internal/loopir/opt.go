@@ -882,8 +882,7 @@ func (o *optimizer) fuse(l1, l2 *Loop, env map[string]loopRange) *Loop {
 		body2 = renameVar(body2, l2.Var, l1.Var)
 	}
 	r := loopRange{l1.From, l1.To, l1.Step}
-	a1 := collectAccesses(l1.Body)
-	a2 := collectAccesses(body2)
+	a1, a2 := collectAccesses(l1.Body, true), collectAccesses(body2, true)
 	if a1.barrier || a2.barrier {
 		return nil
 	}
@@ -901,9 +900,9 @@ func (o *optimizer) fuse(l1, l2 *Loop, env map[string]loopRange) *Loop {
 		}
 	}
 	sameIterOnly := true
-	for i := range a1.arr {
-		for j := range a2.arr {
-			safe, carried := pairSafe(&a1.arr[i], &a2.arr[j], l1.Var, r, env)
+	for i := range a1.acc {
+		for j := range a2.acc {
+			safe, carried := pairSafe(&a1.acc[i], &a2.acc[j], l1.Var, r, env)
 			if !safe {
 				return nil
 			}
@@ -926,138 +925,6 @@ func (o *optimizer) fuse(l1, l2 *Loop, env map[string]loopRange) *Loop {
 	}
 }
 
-// access is one array touch with per-dimension affine subscript forms
-// (nil entries are non-affine) and the ranges of variables bound inside
-// the body it came from (those vary independently between the two
-// bodies; everything else is shared).
-type access struct {
-	array string
-	subs  []*linForm
-	write bool
-	whole bool // Fill/CopyArray: touches every element
-	inner map[string]loopRange
-}
-
-type accessSet struct {
-	arr              []access
-	scalarR, scalarW map[string]bool
-	barrier          bool
-}
-
-func collectAccesses(stmts []Stmt) *accessSet {
-	out := &accessSet{scalarR: map[string]bool{}, scalarW: map[string]bool{}}
-	collectAccStmts(stmts, map[string]loopRange{}, out)
-	return out
-}
-
-func collectAccStmts(stmts []Stmt, bound map[string]loopRange, out *accessSet) {
-	addExpr := func(e VExpr) { collectAccExpr(e, bound, out) }
-	for _, s := range stmts {
-		switch x := s.(type) {
-		case *Loop:
-			b := copyEnv(bound)
-			b[x.Var] = loopRange{x.From, x.To, x.Step}
-			collectAccStmts(x.Body, b, out)
-		case *If:
-			collectAccBool(x.Cond, bound, out)
-			collectAccStmts(x.Then, bound, out)
-			collectAccStmts(x.Else, bound, out)
-		case *Assign:
-			out.arr = append(out.arr, makeAccess(x.Array, x.Subs, true, bound))
-			for _, sub := range x.Subs {
-				collectAccInt(sub, out)
-			}
-			collectAccInt(x.Off, out)
-			addExpr(x.Rhs)
-		case *SetScalar:
-			out.scalarW[x.Name] = true
-			addExpr(x.Rhs)
-		case *CopyArray:
-			out.arr = append(out.arr,
-				access{array: x.Dst, write: true, whole: true},
-				access{array: x.Src, whole: true})
-		case *Fill:
-			out.arr = append(out.arr, access{array: x.Array, write: true, whole: true})
-		case *CheckFull, *Fail:
-			out.barrier = true
-		}
-	}
-}
-
-func collectAccExpr(e VExpr, bound map[string]loopRange, out *accessSet) {
-	switch x := e.(type) {
-	case *VScalar:
-		out.scalarR[x.Name] = true
-	case *ARef:
-		out.arr = append(out.arr, makeAccess(x.Array, x.Subs, false, bound))
-		for _, sub := range x.Subs {
-			collectAccInt(sub, out)
-		}
-		collectAccInt(x.Off, out)
-	case *VFromInt:
-		collectAccInt(x.X, out)
-	case *VBin:
-		collectAccExpr(x.L, bound, out)
-		collectAccExpr(x.R, bound, out)
-	case *VNeg:
-		collectAccExpr(x.X, bound, out)
-	case *VCall:
-		for _, a := range x.Args {
-			collectAccExpr(a, bound, out)
-		}
-	case *VCond:
-		collectAccBool(x.C, bound, out)
-		collectAccExpr(x.T, bound, out)
-		collectAccExpr(x.E, bound, out)
-	}
-}
-
-// collectAccInt records the indirect (IIdx) reads inside an integer
-// expression as whole-array reads: their element positions are
-// data-dependent, so overlap analysis must assume any element.
-func collectAccInt(e IntExpr, out *accessSet) {
-	switch x := e.(type) {
-	case *IBin:
-		collectAccInt(x.L, out)
-		collectAccInt(x.R, out)
-	case *IIdx:
-		out.arr = append(out.arr, access{array: x.Array, whole: true})
-		for _, s := range x.Subs {
-			collectAccInt(s, out)
-		}
-	}
-}
-
-func collectAccBool(e BExpr, bound map[string]loopRange, out *accessSet) {
-	switch x := e.(type) {
-	case *BVerify:
-		out.arr = append(out.arr, access{array: x.Array, whole: true})
-	case *BCmpInt:
-		collectAccInt(x.L, out)
-		collectAccInt(x.R, out)
-	case *BCmpFloat:
-		collectAccExpr(x.L, bound, out)
-		collectAccExpr(x.R, bound, out)
-	case *BAnd:
-		collectAccBool(x.L, bound, out)
-		collectAccBool(x.R, bound, out)
-	case *BOr:
-		collectAccBool(x.L, bound, out)
-		collectAccBool(x.R, bound, out)
-	case *BNot:
-		collectAccBool(x.X, bound, out)
-	}
-}
-
-func makeAccess(arr string, subs []IntExpr, write bool, bound map[string]loopRange) access {
-	a := access{array: arr, write: write, inner: copyEnv(bound)}
-	a.subs = make([]*linForm, len(subs))
-	for i, s := range subs {
-		a.subs[i] = intLin(s)
-	}
-	return a
-}
-
 // pairSafe decides whether the cross-body access pair is compatible
 // with fusion over loop variable v with range r. carried reports a
 // proven dependence at distance ≠ 0 (which forbids keeping the fused
@@ -1069,19 +936,20 @@ func pairSafe(x1, x2 *access, v string, r loopRange, env map[string]loopRange) (
 	if x1.array != x2.array {
 		return true, false
 	}
-	if x1.whole || x2.whole || len(x1.subs) != len(x2.subs) {
+	s1, s2 := x1.forms(), x2.forms()
+	if x1.whole || x2.whole || len(s1) != len(s2) {
 		return false, false
 	}
 	// Per dimension: either prove the subscripts never coincide, or pin
 	// the iteration distance v1−v2 to a constant.
 	var dist int64
 	haveDist := false
-	for d := range x1.subs {
-		f1, f2 := x1.subs[d], x2.subs[d]
+	for d := range s1 {
+		f1, f2 := s1[d], s2[d]
 		if f1 == nil || f2 == nil {
 			continue // non-affine: no information from this dimension
 		}
-		res := dimAnalyze(f1, f2, x1.inner, x2.inner, v, r, env)
+		res := dimAnalyze(f1, f2, x1.loops, x2.loops, v, r, env)
 		switch res.kind {
 		case dimDisjoint:
 			return true, false
@@ -1126,7 +994,7 @@ const (
 // every other variable is an enclosing loop variable holding the same
 // value for both. Returns dimDisjoint when f1 = f2 has no solution over
 // the concrete ranges, dimExact when any solution forces v1 − v2 = d.
-func dimAnalyze(f1, f2 *linForm, in1, in2 map[string]loopRange, v string, r loopRange, env map[string]loopRange) dimResult {
+func dimAnalyze(f1, f2 *linForm, in1, in2 *loopScope, v string, r loopRange, env map[string]loopRange) dimResult {
 	// Interval of f1 − f2 and the structural facts needed for an exact
 	// distance: coefficient of v on each side, presence of independent
 	// (inner) terms, non-cancelling shared terms.
@@ -1152,12 +1020,12 @@ func dimAnalyze(f1, f2 *linForm, in1, in2 map[string]loopRange, v string, r loop
 	}
 	exact := true
 	shared := map[string]int64{}
-	handleSide := func(f *linForm, in map[string]loopRange, sign int64) {
+	handleSide := func(f *linForm, in *loopScope, sign int64) {
 		for name, coeff := range f.t {
 			if name == v {
 				continue
 			}
-			if rng, isInner := in[name]; isInner {
+			if rng, isInner := in.lookup(name); isInner {
 				addRange(sign*coeff, rng, true)
 				exact = false // independent term: distance not pinned
 				continue
@@ -1383,12 +1251,6 @@ func renameBool(e BExpr, from, to string) BExpr {
 // Pass: strength reduction
 // ---------------------------------------------------------------------------
 
-// accessSite is one rewritable array access in a loop's direct body.
-type accessSite struct {
-	form   *linForm // flattened row-major offset
-	setOff func(IntExpr)
-}
-
 // strengthReduce rewrites the affine unchecked accesses of L's direct
 // body (statements not nested in an inner loop) to incrementally
 // maintained offsets. For each distinct variable-coefficient signature
@@ -1396,42 +1258,62 @@ type accessSite struct {
 // constant share it through a constant delta. The register's Init is an
 // affine form over enclosing loop variables — for the inner loop of a
 // row-major 2-D nest this is precisely the precomputed row base.
+//
+// If branches (and VCond arms) are included — the offset arithmetic is
+// pure, so maintaining it for an access that does not execute is
+// harmless — but nested loops are not (their accesses are reduced
+// against their own header).
 func (o *optimizer) strengthReduce(L *Loop, env map[string]loopRange) {
-	sites := o.collectSites(L.Body)
-	if len(sites) == 0 {
-		return
-	}
 	type group struct {
 		base *linForm
 		name string
 	}
 	groups := map[string]*group{}
 	var order []string
-	for _, site := range sites {
-		vs := site.form.vars()
+	t := collectAccesses(L.Body, false)
+	for i := range t.acc {
+		a := &t.acc[i]
+		var off *IntExpr
+		switch x := a.node.(type) {
+		case *Assign:
+			if !x.CheckBounds {
+				off = &x.Off
+			}
+		case *ARef:
+			if !x.CheckBounds {
+				off = &x.Off
+			}
+		}
+		if off == nil || *off != nil {
+			continue
+		}
+		form := o.offsetForm(a.array, a.forms())
+		if form == nil {
+			continue
+		}
+		vs := form.vars()
 		sigParts := make([]string, len(vs))
-		for i, name := range vs {
-			sigParts[i] = fmt.Sprintf("%s*%d", name, site.form.t[name])
+		for k, name := range vs {
+			sigParts[k] = fmt.Sprintf("%s*%d", name, form.t[name])
 		}
 		sig := strings.Join(sigParts, "|")
 		if len(vs) == 0 {
 			// Fully constant offset: no register needed.
-			site.setOff(&ILin{Const: site.form.c})
+			*off = &ILin{Const: form.c}
 			o.stats.ReducedAccesses++
 			continue
 		}
 		g := groups[sig]
 		if g == nil {
-			g = &group{base: site.form}
+			g = &group{base: form}
 			groups[sig] = g
 			order = append(order, sig)
 		}
-		delta := site.form.c - g.base.c
+		delta := form.c - g.base.c
 		if g.name == "" {
 			g.name = o.fresh("o", &o.indSeq)
 		}
-		off := &ILin{Const: delta, Terms: []ITerm{{Var: g.name, Coeff: 1}}}
-		site.setOff(off)
+		*off = &ILin{Const: delta, Terms: []ITerm{{Var: g.name, Coeff: 1}}}
 		o.stats.ReducedAccesses++
 	}
 	for _, sig := range order {
@@ -1445,96 +1327,16 @@ func (o *optimizer) strengthReduce(L *Loop, env map[string]loopRange) {
 	}
 }
 
-// collectSites gathers the rewritable accesses of the loop's direct
-// body: unchecked, all-affine subscripts over known variables, Off not
-// already set. If branches (and VCond arms) are included — the offset
-// arithmetic is pure, so maintaining it for an access that does not
-// execute is harmless — but nested loops are not (their accesses are
-// reduced against their own header).
-func (o *optimizer) collectSites(stmts []Stmt) []accessSite {
-	var sites []accessSite
-	var walkStmts func(list []Stmt)
-	var walkV func(e VExpr)
-	addARef := func(x *ARef) {
-		if x.CheckBounds || x.Off != nil {
-			return
-		}
-		if form := o.offsetForm(x.Array, x.Subs); form != nil {
-			sites = append(sites, accessSite{form: form, setOff: func(e IntExpr) { x.Off = e }})
-		}
-	}
-	var walkB func(e BExpr)
-	walkB = func(e BExpr) {
-		switch x := e.(type) {
-		case *BCmpFloat:
-			walkV(x.L)
-			walkV(x.R)
-		case *BAnd:
-			walkB(x.L)
-			walkB(x.R)
-		case *BOr:
-			walkB(x.L)
-			walkB(x.R)
-		case *BNot:
-			walkB(x.X)
-		}
-	}
-	walkV = func(e VExpr) {
-		switch x := e.(type) {
-		case *ARef:
-			addARef(x)
-		case *VBin:
-			walkV(x.L)
-			walkV(x.R)
-		case *VNeg:
-			walkV(x.X)
-		case *VCall:
-			for _, a := range x.Args {
-				walkV(a)
-			}
-		case *VCond:
-			walkB(x.C)
-			walkV(x.T)
-			walkV(x.E)
-		}
-	}
-	walkStmts = func(list []Stmt) {
-		for _, s := range list {
-			switch x := s.(type) {
-			case *Loop:
-				// inner loops handle their own accesses
-			case *If:
-				walkB(x.Cond)
-				walkStmts(x.Then)
-				walkStmts(x.Else)
-			case *Assign:
-				if !x.CheckBounds && x.Off == nil {
-					if form := o.offsetForm(x.Array, x.Subs); form != nil {
-						xa := x
-						sites = append(sites, accessSite{form: form, setOff: func(e IntExpr) { xa.Off = e }})
-					}
-				}
-				walkV(x.Rhs)
-			case *SetScalar:
-				walkV(x.Rhs)
-			}
-		}
-	}
-	walkStmts(stmts)
-	return sites
-}
-
-// offsetForm flattens an access's subscripts to the row-major linear
-// offset form, or nil when any subscript is non-affine or the access
-// does not match its declaration.
-func (o *optimizer) offsetForm(arr string, subs []IntExpr) *linForm {
+// offsetForm flattens an access's subscript forms to the row-major
+// linear offset form, or nil when any subscript is non-affine or the
+// access does not match its declaration.
+func (o *optimizer) offsetForm(arr string, subs []*linForm) *linForm {
 	d := o.prog.Decl(arr)
 	if d == nil || len(subs) != d.B.Rank() {
 		return nil
 	}
 	total := &linForm{t: map[string]int64{}}
-	for dim, s := range subs {
-		f := intLin(s)
+	for dim, f := range subs {
 		if f == nil {
 			return nil
 		}

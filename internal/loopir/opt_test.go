@@ -193,6 +193,36 @@ func TestFusionLegality(t *testing.T) {
 			0,
 		},
 		{
+			// Pass 2 gathers through b[i+1], which pass 1 writes in a
+			// later fused iteration. An index load's element is
+			// data-dependent, so it conflicts with every write of its
+			// array: must not fuse.
+			"index load of a later write",
+			func() *Program {
+				return &Program{Name: "p", Arrays: decl("a", "b", "x"), Stmts: []Stmt{
+					&Fill{Array: "b", Value: 1},
+					loop(1, n, 1, iassign("x", 0, &VFromInt{X: &IVar{Name: "i"}})),
+					loop(1, n-1, 1, iassign("b", 0, &VFromInt{X: lin(1, term("i", 1))})),
+					loop(1, n-1, 1, iassign("a", 0, &ARef{Array: "x", CheckBounds: true,
+						Subs: []IntExpr{&IIdx{Array: "b", Subs: []IntExpr{lin(1, term("i", 1))}, CheckBounds: true}}})),
+				}}
+			},
+			0,
+		},
+		{
+			// Pass 2 refills b every iteration, a whole-array write that
+			// pass 1's read of b[i] must not see early.
+			"fill in a pass",
+			func() *Program {
+				return &Program{Name: "p", Arrays: decl("a", "b"), Stmts: []Stmt{
+					&Fill{Array: "b", Value: 5},
+					loop(1, n, 1, iassign("a", 0, iref("b", 0))),
+					loop(1, n, 1, &Fill{Array: "b", Value: 2}),
+				}}
+			},
+			0,
+		},
+		{
 			// Both passes write the same scalar: order matters for the
 			// final value, so fusion is rejected.
 			"shared scalar",

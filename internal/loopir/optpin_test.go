@@ -1,0 +1,213 @@
+package loopir_test
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/gob"
+	"encoding/hex"
+	"fmt"
+	"hash"
+	"strings"
+	"testing"
+
+	"arraycomp/internal/analysis"
+	"arraycomp/internal/core"
+	"arraycomp/internal/gencomp"
+	"arraycomp/internal/loopir"
+	"arraycomp/internal/runtime"
+	"arraycomp/internal/workloads"
+)
+
+// optCase is one program the optimizer pins and benchmarks cover.
+type optCase struct {
+	name   string
+	src    string
+	params map[string]int64
+	inputs map[string]*runtime.Strict
+}
+
+// optWorkloads are the executor workloads at sizes where the planner
+// attaches schedules.
+func optWorkloads() []optCase {
+	mesh := func(name string, n, seed int64) map[string]*runtime.Strict {
+		return map[string]*runtime.Strict{name: workloads.Mesh(n, seed)}
+	}
+	csr := workloads.CSRInputs(20000, 8, 5)
+	hist := workloads.HistogramIdxInputs(40000, 256, 6, true)
+	adj := workloads.AdjInputs(5000, 40000, 7)
+	cases := []optCase{
+		{"sor", workloads.SORSrc, map[string]int64{"n": 384}, mesh("a", 384, 1)},
+		{"wavefront", workloads.WavefrontSrc, map[string]int64{"n": 384}, nil},
+		{"l23", workloads.Livermore23Src, map[string]int64{"n": 256}, workloads.Livermore23Inputs(256)},
+		{"spmv", workloads.SpMVSrc, csr.Params, csr.Inputs},
+		{"histogram", workloads.HistogramIdxSrc, hist.Params, hist.Inputs},
+		{"adjgather", workloads.AdjGatherSrc, adj.Params, adj.Inputs},
+	}
+	for _, n := range []int64{192, 384} {
+		cases = append(cases,
+			optCase{fmt.Sprintf("jacobi-%d", n), workloads.JacobiSrc, map[string]int64{"n": n}, mesh("a", n, 2)},
+			optCase{fmt.Sprintf("jacobi_oop-%d", n), workloads.JacobiMonolithicSrc, map[string]int64{"n": n}, mesh("b", n, 3)})
+	}
+	return cases
+}
+
+func boundsOf(inputs map[string]*runtime.Strict) map[string]analysis.ArrayBounds {
+	out := map[string]analysis.ArrayBounds{}
+	for name, a := range inputs {
+		out[name] = analysis.ArrayBounds{Lo: a.B.Lo, Hi: a.B.Hi}
+	}
+	return out
+}
+
+// pinSum adds every definition's optimizer counters into sum and
+// writes each optimized definition's dump, its row-kernel forms and,
+// when certs is set, its plan certificates into h.
+func pinSum(h hash.Hash, sum *loopir.OptStats, p *core.Program, certs bool) {
+	for _, name := range p.Order {
+		d := p.Defs[name]
+		if d.Plan == nil || d.Plan.Opt == nil {
+			continue
+		}
+		st := d.Plan.Opt
+		sum.DeadLoops += st.DeadLoops
+		sum.FusedLoops += st.FusedLoops
+		sum.Unswitched += st.Unswitched
+		sum.HoistedScalars += st.HoistedScalars
+		sum.HoistedExprs += st.HoistedExprs
+		sum.ReducedAccesses += st.ReducedAccesses
+		sum.IndRegisters += st.IndRegisters
+		sum.ParSchedules += st.ParSchedules
+		sum.StencilNests += st.StencilNests
+		sum.StencilSplits += st.StencilSplits
+		sum.StencilGuards += st.StencilGuards
+		prog := d.Plan.Program
+		fmt.Fprintf(h, "%s\n%s%s\n", name, prog.Dump(), strings.Join(loopir.RowForms(prog, false), " "))
+		if certs {
+			rep := loopir.CertifyPlans(prog)
+			fmt.Fprintf(h, "%s%v\n", rep, rep.Layers)
+		}
+	}
+}
+
+// TestOptimizerOutputPinned pins what the optimizer produces: the
+// summed OptStats and one SHA-256 over every optimized definition's
+// dump and row-kernel forms, for the gencomp corpus under the bench,
+// the default and the hacc fuzz configurations, and for the executor
+// workloads at 1, 2 and 4 workers (with their plan certificates). A
+// change to any analysis the passes share moves one of them; a
+// refactor must not.
+func TestOptimizerOutputPinned(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		cfg  gencomp.Config
+		want loopir.OptStats
+		hash string
+	}{
+		{"bench", gencomp.Config{ErrorWeight: -1, IdxWeight: 400},
+			loopir.OptStats{FusedLoops: 114, HoistedScalars: 5, HoistedExprs: 34, ReducedAccesses: 711, IndRegisters: 508,
+				StencilNests: 39, StencilSplits: 5, StencilGuards: 17},
+			"fc67c562d106548da23bd0d3cf1c142144db759f795a9cbf76908016c64d34f5"},
+		{"default", gencomp.Config{},
+			loopir.OptStats{FusedLoops: 37, HoistedScalars: 9, HoistedExprs: 64, ReducedAccesses: 584, IndRegisters: 402,
+				StencilNests: 67, StencilSplits: 8, StencilGuards: 25},
+			"f3c8e0ffe5c687448aec4be9ea44968ed70f5425f24fdd29c9afedb4cfd7a49f"},
+		{"fuzz", gencomp.Config{AccumWeight: 250},
+			loopir.OptStats{FusedLoops: 47, HoistedScalars: 8, HoistedExprs: 75, ReducedAccesses: 820, IndRegisters: 498,
+				StencilNests: 55, StencilSplits: 7, StencilGuards: 22},
+			"e09376290ee5739ac3d803d4b8acc47b729fe3d5124f2a828f0e94fafd9b7329"},
+	} {
+		h := sha256.New()
+		var sum loopir.OptStats
+		for seed := uint64(1); seed <= 400; seed++ {
+			g := gencomp.Generate(seed, c.cfg)
+			p, err := core.CompileProgram(g.Prog, g.Params, core.Options{InputBounds: g.Inputs, Parallel: true})
+			if err != nil {
+				fmt.Fprintf(h, "seed %d: %v\n", seed, err)
+				continue
+			}
+			pinSum(h, &sum, p, false)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); sum != c.want || got != c.hash {
+			t.Errorf("%s corpus: stats %+v hash %s\nwant stats %+v hash %s", c.name, sum, got, c.want, c.hash)
+		}
+	}
+
+	h := sha256.New()
+	var sum loopir.OptStats
+	for _, c := range optWorkloads() {
+		for _, w := range []int{1, 2, 4} {
+			p, err := core.Compile(c.src, c.params, core.Options{Parallel: true, Workers: w, InputBounds: boundsOf(c.inputs)})
+			if err != nil {
+				t.Fatalf("%s w=%d: %v", c.name, w, err)
+			}
+			fmt.Fprintf(h, "%s w=%d\n", c.name, w)
+			pinSum(h, &sum, p, true)
+		}
+	}
+	if sum.ParSchedules == 0 {
+		t.Fatal("the workloads planned no parallel schedule")
+	}
+	want := loopir.OptStats{FusedLoops: 21, ReducedAccesses: 195, IndRegisters: 51, ParSchedules: 16, StencilNests: 21}
+	const wantHash = "f5faa654e9c45e959a35c46b0d428cd399b0f1dc66a7f2b70f5e11f6abec010a"
+	if got := hex.EncodeToString(h.Sum(nil)); sum != want || got != wantHash {
+		t.Errorf("workloads: stats %+v hash %s\nwant stats %+v hash %s", sum, got, want, wantHash)
+	}
+}
+
+// BenchmarkOptimize runs the loop-IR optimizer over the bench-config
+// gencomp corpus (seeds 1–400) and the executor workloads at 1, 2 and
+// 4 workers: one op optimizes every lowered definition once. Each op
+// decodes fresh copies of the lowered programs with the timer stopped,
+// since the optimizer rewrites in place.
+func BenchmarkOptimize(b *testing.B) {
+	type lowered struct {
+		enc     []byte
+		workers int
+	}
+	var progs []lowered
+	add := func(p *core.Program, workers int) {
+		for _, name := range p.Order {
+			if d := p.Defs[name]; d.Plan != nil {
+				var buf bytes.Buffer
+				if err := gob.NewEncoder(&buf).Encode(d.Plan.Program); err != nil {
+					b.Fatal(err)
+				}
+				progs = append(progs, lowered{buf.Bytes(), workers})
+			}
+		}
+	}
+	for seed := uint64(1); seed <= 400; seed++ {
+		g := gencomp.Generate(seed, gencomp.Config{ErrorWeight: -1, IdxWeight: 400})
+		if p, err := core.CompileProgram(g.Prog, g.Params, core.Options{InputBounds: g.Inputs, Parallel: true, NoOptimize: true}); err == nil {
+			add(p, 0)
+		}
+	}
+	for _, c := range optWorkloads() {
+		for _, w := range []int{1, 2, 4} {
+			p, err := core.Compile(c.src, c.params, core.Options{Parallel: true, Workers: w, NoOptimize: true, InputBounds: boundsOf(c.inputs)})
+			if err != nil {
+				b.Fatal(err)
+			}
+			add(p, w)
+		}
+	}
+	fresh := make([]*loopir.Program, len(progs))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		b.StopTimer()
+		for i, lp := range progs {
+			fresh[i] = &loopir.Program{}
+			if err := gob.NewDecoder(bytes.NewReader(lp.enc)).Decode(fresh[i]); err != nil {
+				b.Fatal(err)
+			}
+			if err := loopir.RebindAccum(fresh[i]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StartTimer()
+		for i, p := range fresh {
+			loopir.OptimizeWith(p, loopir.OptOptions{Workers: progs[i].workers})
+		}
+	}
+}

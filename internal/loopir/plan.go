@@ -219,14 +219,14 @@ func (o *optimizer) assignPar2D(l, inner *Loop) bool {
 	if ni < 1 || nj < 2 || ni >= tripSaturated || nj >= tripSaturated {
 		return false
 	}
-	pre, okPre := o.collectParAccesses(l.Body[:len(l.Body)-1])
-	body, okBody := o.collectParAccesses(inner.Body)
+	pre, okPre := o.planAccesses(l.Body[:len(l.Body)-1])
+	body, okBody := o.planAccesses(inner.Body)
 	if !okPre || !okBody {
 		return false
 	}
 	// Prefix subscripts may only involve the outer variable.
 	for _, a := range pre {
-		for _, f := range a.subs {
+		for _, f := range a.forms() {
 			if _, uses := f.t[inner.Var]; uses {
 				return false
 			}
@@ -318,7 +318,7 @@ func (o *optimizer) assignPar1D(l *Loop, trip int64) bool {
 		if l.Step != 1 {
 			return false
 		}
-		acc, ok := o.collectParAccesses(l.Body)
+		acc, ok := o.planAccesses(l.Body)
 		if !ok {
 			return false
 		}
@@ -327,7 +327,7 @@ func (o *optimizer) assignPar1D(l *Loop, trip int64) bool {
 				if !acc[i].write && !acc[j].write {
 					continue
 				}
-				if d, kind := dist1D(&acc[i], &acc[j], l.Var, trip); kind == distUnknown || (kind == distExact && d != 0) {
+				if d, kind := dist1D(acc[i], acc[j], l.Var, trip); kind == distUnknown || (kind == distExact && d != 0) {
 					return false
 				}
 			}
@@ -339,104 +339,37 @@ func (o *optimizer) assignPar1D(l *Loop, trip int64) bool {
 
 // --- access collection ---
 
-// parAccess is one array access inside a candidate nest, with affine
-// subscripts. prefix marks accesses from the per-row prefix statements.
-type parAccess struct {
-	arr    string
-	write  bool
-	prefix bool
-	subs   []*linForm
-}
-
-// collectParAccesses gathers every array access under stmts; the bool
-// is false when the statements are not schedulable: anything other
-// than pure assignments and guards, accumulation, definedness-tracked
-// arrays, or non-affine subscripts disqualifies the nest.
-func (o *optimizer) collectParAccesses(stmts []Stmt) ([]parAccess, bool) {
-	var out []parAccess
-	ok := true
-	var walkV func(e VExpr)
-	var walkB func(e BExpr)
-	addAccess := func(arr string, subs []IntExpr, write bool) {
-		d := o.prog.Decl(arr)
-		if d == nil || d.TrackDefs || len(subs) != d.B.Rank() {
-			ok = false
-			return
+// planAccesses filters the access table of stmts down to the element
+// accesses a schedule must order, in table order; the bool is false
+// when the statements are not schedulable: anything other than pure
+// assignments and guards, accumulation, definedness checks or tracked
+// arrays, or non-affine subscripts disqualifies the nest. Whole-array
+// touches left after that (index loads outside a subscript, verifier
+// guards) are not ordered.
+func (o *optimizer) planAccesses(stmts []Stmt) ([]*access, bool) {
+	t := collectAccesses(stmts, false)
+	if t.other {
+		return nil, false
+	}
+	var out []*access
+	for i := range t.acc {
+		a := &t.acc[i]
+		if a.whole {
+			continue
 		}
-		a := parAccess{arr: arr, write: write, subs: make([]*linForm, len(subs))}
-		for i, s := range subs {
-			f := intLin(s)
+		d := o.prog.Decl(a.array)
+		if r, ok := a.node.(*ARef); ok && r.CheckDefined {
+			return nil, false
+		}
+		if d == nil || d.TrackDefs || len(a.forms()) != d.B.Rank() || a.accum || a.collide {
+			return nil, false
+		}
+		for _, f := range a.forms() {
 			if f == nil {
-				ok = false
-				return
+				return nil, false
 			}
-			a.subs[i] = f
 		}
 		out = append(out, a)
-	}
-	walkV = func(e VExpr) {
-		switch x := e.(type) {
-		case *ARef:
-			if x.CheckDefined {
-				ok = false
-				return
-			}
-			addAccess(x.Array, x.Subs, false)
-		case *VBin:
-			walkV(x.L)
-			walkV(x.R)
-		case *VNeg:
-			walkV(x.X)
-		case *VCall:
-			for _, a := range x.Args {
-				walkV(a)
-			}
-		case *VCond:
-			walkB(x.C)
-			walkV(x.T)
-			walkV(x.E)
-		}
-	}
-	walkB = func(e BExpr) {
-		switch x := e.(type) {
-		case *BCmpFloat:
-			walkV(x.L)
-			walkV(x.R)
-		case *BCmpInt:
-		case *BAnd:
-			walkB(x.L)
-			walkB(x.R)
-		case *BOr:
-			walkB(x.L)
-			walkB(x.R)
-		case *BNot:
-			walkB(x.X)
-		}
-	}
-	var walkS func(list []Stmt)
-	walkS = func(list []Stmt) {
-		for _, s := range list {
-			switch x := s.(type) {
-			case *Assign:
-				if x.Accumulate != nil || x.CheckCollision {
-					ok = false
-					return
-				}
-				addAccess(x.Array, x.Subs, true)
-				walkV(x.Rhs)
-			case *If:
-				walkB(x.Cond)
-				walkS(x.Then)
-				walkS(x.Else)
-			default:
-				ok = false
-				return
-			}
-		}
-	}
-	walkS(stmts)
-	if !ok {
-		return nil, false
 	}
 	return out, true
 }
@@ -458,18 +391,15 @@ type parDist struct {
 // nPre accesses are per-row prefix accesses. Returns ok=false when any
 // pair's distance cannot be pinned to a unique constant vector — the
 // uniform-dependence requirement of the 2-D schedules.
-func pairDistances(acc []parAccess, outerVar, innerVar string, ri, rj loopRange, nPre int) ([]parDist, bool) {
-	for i := 0; i < nPre; i++ {
-		acc[i].prefix = true
-	}
+func pairDistances(acc []*access, outerVar, innerVar string, ri, rj loopRange, nPre int) ([]parDist, bool) {
 	var out []parDist
 	for i := range acc {
 		for j := i; j < len(acc); j++ {
-			a, b := &acc[i], &acc[j]
-			if a.arr != b.arr || (!a.write && !b.write) {
+			a, b := acc[i], acc[j]
+			if a.array != b.array || (!a.write && !b.write) {
 				continue
 			}
-			if a.prefix && b.prefix {
+			if j < nPre {
 				// Prefix statements of one row always keep their order,
 				// but across rows only the wavefront preserves row order
 				// (its column-0 tiles sit on distinct, increasing
@@ -482,17 +412,16 @@ func pairDistances(acc []parAccess, outerVar, innerVar string, ri, rj loopRange,
 				out = append(out, parDist{di: d1, prePre: true})
 				continue
 			}
-			if b.prefix {
-				a, b = b, a
-			}
-			d, kind := dist2D(a, b, outerVar, innerVar, ri, rj)
+			// Prefix accesses come first, so a is the prefix one of a
+			// prefix-body pair.
+			d, kind := dist2D(a, b, i < nPre, outerVar, innerVar, ri, rj)
 			switch kind {
 			case distNone:
 				continue
 			case distUnknown:
 				return nil, false
 			}
-			d.prefix = a.prefix
+			d.prefix = i < nPre
 			out = append(out, d)
 		}
 	}
@@ -514,17 +443,18 @@ type parCon struct{ ai, aj, rhs int64 }
 // distance (di,dj) = (iteration of b − iteration of a). Subscript
 // coefficients must agree between the two accesses (uniform
 // dependences); terms over enclosing loop variables must cancel. When a
-// is a prefix access its inner-variable coefficient is zero and the
-// second unknown is the absolute inner position of the conflict,
-// range-checked instead of distance-checked.
-func dist2D(a, b *parAccess, outerVar, innerVar string, ri, rj loopRange) (parDist, distKind) {
+// is a prefix access (aPrefix) its inner-variable coefficient is zero
+// and the second unknown is the absolute inner position of the
+// conflict, range-checked instead of distance-checked.
+func dist2D(a, b *access, aPrefix bool, outerVar, innerVar string, ri, rj loopRange) (parDist, distKind) {
 	ni, nj := ri.trip(), rj.trip()
 	var cons []parCon
-	for k := range a.subs {
-		fa, fb := a.subs[k], b.subs[k]
+	sa, sb := a.forms(), b.forms()
+	for k := range sa {
+		fa, fb := sa[k], sb[k]
 		ai := fb.t[outerVar]
 		aj := fb.t[innerVar]
-		if fa.t[outerVar] != ai || (!a.prefix && fa.t[innerVar] != aj) {
+		if fa.t[outerVar] != ai || (!aPrefix && fa.t[innerVar] != aj) {
 			return parDist{}, distUnknown
 		}
 		// Every other variable (enclosing loops) must contribute
@@ -548,7 +478,7 @@ func dist2D(a, b *parAccess, outerVar, innerVar string, ri, rj loopRange) (parDi
 		}
 		cons = append(cons, parCon{ai, aj, rhs})
 	}
-	if a.prefix {
+	if aPrefix {
 		return solvePrefix(cons, ri, rj)
 	}
 	if len(cons) == 0 {
@@ -634,11 +564,12 @@ func solvePrefix(cons []parCon, ri, rj loopRange) (parDist, distKind) {
 }
 
 // dist1D is the one-variable analogue: a·d = Δc across every dimension.
-func dist1D(a, b *parAccess, loopVar string, trip int64) (int64, distKind) {
+func dist1D(a, b *access, loopVar string, trip int64) (int64, distKind) {
 	var d int64
 	have := false
-	for k := range a.subs {
-		fa, fb := a.subs[k], b.subs[k]
+	sa, sb := a.forms(), b.forms()
+	for k := range sa {
+		fa, fb := sa[k], sb[k]
 		av := fb.t[loopVar]
 		if fa.t[loopVar] != av {
 			return 0, distUnknown

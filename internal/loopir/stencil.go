@@ -26,7 +26,9 @@ package loopir
 //
 //  2. Shape annotation (annotateStencils). Guard-free nests whose
 //     reads all sit at constant per-dimension offsets from the write
-//     are annotated with their footprint (Loop.Sten). Two passes
+//     are annotated with their footprint (Loop.Sten). The offsets come
+//     from the body's access table (access.go): each read's affine
+//     subscript forms less the write's. Two passes
 //     read it: the wavefront planner sizes halo-fed tiles from a 2-D
 //     footprint (chooseStencilTile in plan.go), and gogen emits a
 //     bounds-check-elimination-friendly interior loop over
@@ -235,7 +237,7 @@ func (o *optimizer) trySplit(l *Loop) []*Loop {
 func pruneInds(l *Loop) {
 	kept := l.Inds[:0]
 	for _, ind := range l.Inds {
-		if usesVarStmts(l.Body, ind.Name) {
+		if stmtsMentionVar(l.Body, ind.Name) {
 			kept = append(kept, ind)
 		}
 	}
@@ -257,104 +259,6 @@ func pruneIndsIn(s Stmt) {
 			pruneIndsIn(t)
 		}
 	}
-}
-
-func usesVarStmts(stmts []Stmt, name string) bool {
-	for _, s := range stmts {
-		switch x := s.(type) {
-		case *Loop:
-			for _, ind := range x.Inds {
-				if usesVarInt(ind.Init, name) {
-					return true
-				}
-			}
-			if usesVarStmts(x.Body, name) {
-				return true
-			}
-		case *If:
-			if usesVarBool(x.Cond, name) || usesVarStmts(x.Then, name) || usesVarStmts(x.Else, name) {
-				return true
-			}
-		case *Assign:
-			for _, sub := range x.Subs {
-				if usesVarInt(sub, name) {
-					return true
-				}
-			}
-			if x.Off != nil && usesVarInt(x.Off, name) {
-				return true
-			}
-			if usesVarV(x.Rhs, name) {
-				return true
-			}
-		case *SetScalar:
-			if usesVarV(x.Rhs, name) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-func usesVarInt(e IntExpr, name string) bool {
-	switch x := e.(type) {
-	case *IVar:
-		return x.Name == name
-	case *ILin:
-		for _, t := range x.Terms {
-			if t.Var == name {
-				return true
-			}
-		}
-	case *IBin:
-		return usesVarInt(x.L, name) || usesVarInt(x.R, name)
-	}
-	return false
-}
-
-func usesVarV(e VExpr, name string) bool {
-	switch x := e.(type) {
-	case *VFromInt:
-		return usesVarInt(x.X, name)
-	case *ARef:
-		for _, sub := range x.Subs {
-			if usesVarInt(sub, name) {
-				return true
-			}
-		}
-		if x.Off != nil && usesVarInt(x.Off, name) {
-			return true
-		}
-	case *VBin:
-		return usesVarV(x.L, name) || usesVarV(x.R, name)
-	case *VNeg:
-		return usesVarV(x.X, name)
-	case *VCall:
-		for _, arg := range x.Args {
-			if usesVarV(arg, name) {
-				return true
-			}
-		}
-	case *VCond:
-		return usesVarBool(x.C, name) || usesVarV(x.T, name) || usesVarV(x.E, name)
-	}
-	return false
-}
-
-func usesVarBool(e BExpr, name string) bool {
-	switch x := e.(type) {
-	case *BCmpInt:
-		return usesVarInt(x.L, name) || usesVarInt(x.R, name)
-	case *BCmpFloat:
-		return usesVarV(x.L, name) || usesVarV(x.R, name)
-	case *BAnd:
-		return usesVarBool(x.L, name) || usesVarBool(x.R, name)
-	case *BOr:
-		return usesVarBool(x.L, name) || usesVarBool(x.R, name)
-	case *BNot:
-		return usesVarBool(x.X, name)
-	}
-	return false
 }
 
 // resolveGuard substitutes the proven-constant arm at the guard site:
@@ -713,26 +617,30 @@ func (o *optimizer) annotateStencil(l *Loop) bool {
 // stencilShape matches the loop body as a single plain assignment
 // whose write subscripts are dimension-aligned with (iVar, jVar) and
 // whose reads each differ from the write by per-dimension constants.
-// Returns the footprint per loop dimension.
+// Returns the footprint per loop dimension. Guards belong to the
+// splitter, so a residual conditional body is not a uniform stencil.
+// Index loads outside a subscript do not count as reads.
 func (o *optimizer) stencilShape(l *Loop, iVar, jVar string) (haloI, haloJ int64, ok bool) {
 	if len(l.Body) != 1 {
 		return 0, 0, false
 	}
-	a, isAssign := l.Body[0].(*Assign)
-	if !isAssign || a.CheckBounds || a.CheckCollision || a.Accumulate != nil {
+	if _, isAssign := l.Body[0].(*Assign); !isAssign {
 		return 0, 0, false
 	}
-	d := o.prog.Decl(a.Array)
+	t := collectAccesses(l.Body, false)
+	wa := &t.acc[0] // the store
+	if t.cond || wa.checked || wa.collide || wa.accum {
+		return 0, 0, false
+	}
+	d := o.prog.Decl(wa.array)
 	if d == nil || d.TrackDefs {
 		return 0, 0, false
 	}
-	w := make([]*linForm, len(a.Subs))
-	for i, s := range a.Subs {
-		f := intLin(s)
+	w := wa.forms()
+	for _, f := range w {
 		if f == nil {
 			return 0, 0, false
 		}
-		w[i] = f
 	}
 	// Dimension alignment: exactly one write dimension depends on each
 	// loop variable (the nest writes a genuinely 2-D/1-D region).
@@ -759,76 +667,38 @@ func (o *optimizer) stencilShape(l *Loop, iVar, jVar string) (haloI, haloJ int64
 			return 0, 0, false
 		}
 	}
-	ok = true
-	var walkV func(e VExpr)
-	addRead := func(r *ARef) {
-		if !ok || r.CheckBounds || r.CheckDefined {
-			ok = false
-			return
+	for k := 1; k < len(t.acc); k++ {
+		r := &t.acc[k]
+		if r.whole {
+			continue
 		}
-		rd := o.prog.Decl(r.Array)
-		if rd == nil || rd.TrackDefs || len(r.Subs) != len(w) {
-			ok = false
-			return
+		rd := o.prog.Decl(r.array)
+		if r.checked || rd == nil || rd.TrackDefs || len(r.forms()) != len(w) {
+			return 0, 0, false
 		}
-		for dim, s := range r.Subs {
-			f := intLin(s)
-			if f == nil {
-				ok = false
-				return
-			}
+		for dim, f := range r.forms() {
 			// The read must shift the write by a constant: identical
 			// variable coefficients, any constant difference.
-			if len(f.t) != len(w[dim].t) {
-				ok = false
-				return
+			if f == nil || len(f.t) != len(w[dim].t) {
+				return 0, 0, false
 			}
 			for v, c := range f.t {
 				if w[dim].t[v] != c {
-					ok = false
-					return
+					return 0, 0, false
 				}
 			}
 			diff := abs64(f.c - w[dim].c)
 			switch dim {
 			case iDim:
-				if diff > haloI {
-					haloI = diff
-				}
+				haloI = max(haloI, diff)
 			case jDim:
-				if diff > haloJ {
-					haloJ = diff
-				}
+				haloJ = max(haloJ, diff)
 			default:
 				if diff != 0 {
-					ok = false
-					return
+					return 0, 0, false
 				}
 			}
 		}
-	}
-	walkV = func(e VExpr) {
-		switch x := e.(type) {
-		case *ARef:
-			addRead(x)
-		case *VBin:
-			walkV(x.L)
-			walkV(x.R)
-		case *VNeg:
-			walkV(x.X)
-		case *VCall:
-			for _, arg := range x.Args {
-				walkV(arg)
-			}
-		case *VCond:
-			// Guards belong to the splitter; a residual conditional
-			// body is not a uniform stencil.
-			ok = false
-		}
-	}
-	walkV(a.Rhs)
-	if !ok {
-		return 0, 0, false
 	}
 	return haloI, haloJ, true
 }

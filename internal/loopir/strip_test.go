@@ -138,3 +138,46 @@ func TestStripMatchesGeneric(t *testing.T) {
 		}
 	}
 }
+
+// TestSelfIndexedStoreStaysStraight: a store that gathers through the
+// array it writes, idx[k+1] := x[idx[k]], reads each element one
+// iteration after storing it. The strip form would read a whole strip
+// of idx before storing any of it, so the body must keep the
+// straight-line form and the generic form's result.
+func TestSelfIndexedStoreStaysStraight(t *testing.T) {
+	const n = stripLen + 9
+	p := &Program{
+		Name: "selfidx",
+		Arrays: []ArrayDecl{
+			{Name: "idx", B: runtime.NewBounds1(1, n+1), Role: RoleInOut},
+			{Name: "x", B: runtime.NewBounds1(1, n+1), Role: RoleIn},
+		},
+		Stmts: []Stmt{&Loop{Var: "k", From: 1, To: n, Step: 1,
+			Inds: []Ind{{Name: "o", Init: lin(0), Step: 1}},
+			Body: []Stmt{&Assign{Array: "idx", Subs: []IntExpr{lin(1, term("k", 1))}, Off: lin(1, term("o", 1)),
+				Rhs: &ARef{Array: "x", Subs: []IntExpr{&IIdx{Array: "idx", Subs: []IntExpr{&IVar{Name: "k"}}}}}}}}},
+	}
+	inputs := func() map[string]*runtime.Strict {
+		idx, x := runtime.NewStrict(p.Arrays[0].B), runtime.NewStrict(p.Arrays[1].B)
+		for i := range idx.Data {
+			idx.Data[i] = 1
+			x.Data[i] = float64(min(i+2, n+1))
+		}
+		return map[string]*runtime.Strict{"idx": idx, "x": x}
+	}
+	if rk := compileRows(t, p).rows[p.Stmts[0].(*Loop)]; rk.kind != rowStraight {
+		t.Fatalf("form %d, want the straight-line form", rk.kind)
+	}
+	old := SetGenericRows(true)
+	gen := mustCompile(t, p)
+	SetGenericRows(old)
+	want, err := gen.RunResult(inputs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := mustCompile(t, p).RunResult(inputs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireBitwise(t, got.Data, want)
+}
