@@ -26,8 +26,9 @@ func allocInput(n int64) (map[string]*runtime.Strict, map[string]analysis.ArrayB
 }
 
 // TestSteadyRunAllocs: a served 1-D map at n=160 (haccd's most popular
-// program shape) allocates within its budget per Run, and so does an
-// accumulating body, whose strip kernel needs a scratch strip.
+// program shape) allocates within its budget per Run, and so do an
+// accumulating body, whose strip kernel needs a scratch strip, and a
+// recurrence, whose strip kernel runs a carried spine.
 func TestSteadyRunAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled objects at random")
@@ -36,6 +37,7 @@ func TestSteadyRunAllocs(t *testing.T) {
 	for _, src := range []string{
 		"a = array (1,n) [ i := x!i * 0.5 + 0.25 | i <- [1..n] ]",
 		"a = accumArray (+) 1.0 (1,n) [ i := x!i * 0.5 + 0.25 | i <- [1..n] ]",
+		"a = array (1,n) ([ 1 := x!1 ] ++ [ i := 0.75 * a!(i-1) + x!i | i <- [2..n] ])",
 	} {
 		p, err := Compile(src, map[string]int64{"n": 160}, Options{Parallel: true, Workers: 2, InputBounds: b})
 		if err != nil {

@@ -18,7 +18,8 @@ import (
 // straight-line expressions (affine reads, constants, sums,
 // differences and halvings), so the kernels take them whole. None
 // reads the array it accumulates: the reference semantics reject that.
-// Some draws are order-sensitive writes instead (collidingDef).
+// Some draws are order-sensitive writes instead (collidingDef), and
+// some recurrences that read themselves d elements back (distantRecur).
 
 // accumDefs returns the definitions of one such accumulation starting
 // at definition k; the last is the program result.
@@ -26,6 +27,9 @@ func (g *gen) accumDefs(k int) []*lang.ArrayDef {
 	name := fmt.Sprintf("%c", 'a'+k)
 	if g.chance(300) {
 		return []*lang.ArrayDef{g.collidingDef(name)}
+	}
+	if g.chance(250) {
+		return []*lang.ArrayDef{g.distantRecur(name)}
 	}
 	comb := combiners[g.intn(len(combiners))]
 	init := lang.Expr(lang.Num(0))
@@ -153,4 +157,43 @@ func (g *gen) collidingDef(name string) *lang.ArrayDef {
 		&lang.Clause{Subs: []lang.Expr{s2}, Value: lang.Sub(lang.Num(0), lang.Add(x(), lang.Num(1)))},
 	}})
 	return def
+}
+
+// distantRecur is a rank-1 recurrence that reads itself d elements
+// back, at the edges of the row kernels' carried band (their strip
+// form runs 256 iterations at a time, and a read is carried when it
+// reaches back less than a strip): d from 3 to 8 over a short trip, or
+// d from 254 to 258 over a trip past 256. The first d elements are
+// straight-line values; the rest fold a!(i-d) into one, as a halving,
+// under negation, or averaged with a!(i-1).
+func (g *gen) distantRecur(name string) *lang.ArrayDef {
+	d, trip := 3+g.rng.Int63n(6), 1+g.rng.Int63n(2*g.cfg.MaxExtent)
+	if g.chance(300) {
+		d, trip = 254+g.rng.Int63n(5), 257+g.rng.Int63n(40)
+	}
+	lo := int64(g.pick(5, 4, 1))
+	hi := lo + d + trip - 1
+	base, v := g.freshVar(), g.freshVar()
+	half := func(e lang.Expr) lang.Expr { return &lang.BinOp{Op: lang.OpMul, L: &lang.FloatLit{Value: 0.5}, R: e} }
+	back := func(k int64) lang.Expr { return lang.At(name, lang.Sub(lang.Name(v), lang.Num(k))) }
+	val := g.lineValue(1, vrange{v, lo + d, hi})
+	var rhs lang.Expr
+	switch g.pick(40, 30, 30) {
+	case 0:
+		rhs = lang.Add(half(back(d)), val)
+	case 1:
+		rhs = lang.Sub(val, half(&lang.UnOp{Op: lang.OpNeg, X: back(d)}))
+	default:
+		rhs = lang.Sub(half(lang.Add(back(d), back(1))), val)
+	}
+	return &lang.ArrayDef{
+		Name:   name,
+		Kind:   lang.Monolithic,
+		Bounds: g.langBounds([]int64{lo}, []int64{hi}),
+		Strict: true,
+		Comp: &lang.Append{Parts: []lang.CompNode{
+			g.genNode(base, lo, lo+d-1, 1, &lang.Clause{Subs: []lang.Expr{lang.Name(base)}, Value: g.lineValue(1, vrange{base, lo, lo + d - 1})}),
+			g.genNode(v, lo+d, hi, 1, &lang.Clause{Subs: []lang.Expr{lang.Name(v)}, Value: rhs}),
+		}},
+	}
 }

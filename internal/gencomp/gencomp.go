@@ -60,7 +60,8 @@ type Config struct {
 	// accumulation the row kernels run unchecked (accumgen.go): a dense
 	// accumArray over unit-step covers or a scatter through an index
 	// array, or else two clauses whose writes must keep list order (a
-	// non-commutative accumArray or a bigupd). Default 0 (off) draws
+	// non-commutative accumArray or a bigupd) or a recurrence that
+	// reads itself d elements back. Default 0 (off) draws
 	// nothing, so every other config generates the same programs as
 	// before; hacc fuzz sets it.
 	AccumWeight int

@@ -1,5 +1,7 @@
 package loopir
 
+import "sync"
+
 // The access table: one walk over a statement list records every array
 // touch with its per-dimension affine subscript forms, the way the
 // analysis builds each clause's affine subscript form once
@@ -17,8 +19,8 @@ package loopir
 //     offset from the write's forms;
 //   - strength reduction (strengthReduce) rewrites the loop's direct
 //     accesses through their node pointers;
-//   - the row-kernel compiler (readsStored) asks whether a store reads
-//     the array it writes.
+//   - the row-kernel compiler (selfReads) measures each read of the
+//     stored array's distance from the store.
 //
 // A table is built on demand for the statements a pass examines and
 // never kept across rewrites: guard splitting clones loops, and a
@@ -31,10 +33,9 @@ type access struct {
 	// whole marks a touch of every element: CopyArray, Fill, a BVerify
 	// guard, and an index load (IIdx), whose element is data-dependent.
 	whole bool
-	// exprs are an element access's subscripts and subs their affine
-	// forms, derived on first use (forms).
-	exprs []IntExpr
-	subs  []*linForm
+	// subs are an element access's per-dimension affine subscript
+	// forms, derived from node on first use (forms).
+	subs []*linForm
 	// loops are the loops bound between the table's root and the
 	// access, innermost first. Accesses under one loop share its scope.
 	loops *loopScope
@@ -49,9 +50,19 @@ type access struct {
 // subscripts, nil in a dimension that is not affine. They are derived
 // on first use: most consumers read the forms of only some records.
 func (a *access) forms() []*linForm {
-	if a.subs == nil && len(a.exprs) > 0 {
-		a.subs = make([]*linForm, len(a.exprs))
-		for i, s := range a.exprs {
+	if a.subs != nil {
+		return a.subs
+	}
+	var exprs []IntExpr
+	switch x := a.node.(type) {
+	case *Assign:
+		exprs = x.Subs
+	case *ARef:
+		exprs = x.Subs
+	}
+	if len(exprs) > 0 {
+		a.subs = make([]*linForm, len(exprs))
+		for i, s := range exprs {
 			a.subs[i] = intLin(s)
 		}
 	}
@@ -94,11 +105,27 @@ type accessTable struct {
 // records the accesses of nested loops too, as fusion needs; without,
 // a nested loop only counts as an other statement, which is all the
 // consumers that examine one level need, and cheaper.
+//
+// A caller that keeps no record past its last look at the table
+// releases it, so that the next table reuses its records' storage:
+// passes build a table per loop and most hold a handful of records, so
+// growing a fresh slice for each cost more than the records themselves.
 func collectAccesses(stmts []Stmt, nested bool) *accessTable {
-	t := &accessTable{nested: nested}
+	t := accessTables.Get().(*accessTable)
+	t.nested = nested
 	t.stmts(stmts, nil)
 	return t
 }
+
+// release returns t to the pool. Neither t nor any of its records may
+// be used afterwards.
+func (t *accessTable) release() {
+	clear(t.acc)
+	*t = accessTable{acc: t.acc[:0]}
+	accessTables.Put(t)
+}
+
+var accessTables = sync.Pool{New: func() any { return new(accessTable) }}
 
 func mark(m *map[string]bool, name string) {
 	if *m == nil {
@@ -144,7 +171,7 @@ func (t *accessTable) stmts(list []Stmt, sc *loopScope) {
 // elem records an element access, then the index loads in its
 // subscripts and offset.
 func (t *accessTable) elem(arr string, subs []IntExpr, off IntExpr, write, checked bool, sc *loopScope, node any) {
-	t.acc = append(t.acc, access{array: arr, write: write, checked: checked, loops: sc, node: node, exprs: subs})
+	t.acc = append(t.acc, access{array: arr, write: write, checked: checked, loops: sc, node: node})
 	for _, s := range subs {
 		t.intExpr(s, sc)
 	}

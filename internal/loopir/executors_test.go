@@ -1,6 +1,7 @@
 package loopir_test
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -17,31 +18,45 @@ import (
 // specializer off, and with every loop forced to the generic row form.
 // Every executor runs the same row kernels in the same per-element
 // order, and every form evaluates in the generic form's operation
-// order, so the results must agree bit for bit.
+// order, so the results must agree bit for bit. Recurrences that read
+// their own array d elements back, on both sides of the carried band's
+// edges and at trips around the strip length, and an in-place update
+// that reads its own array at distances 0 and +1, run streamed too.
 func TestExecutorsBitwiseEquivalent(t *testing.T) {
 	mesh := func(n, seed int64) *runtime.Strict { return workloads.Mesh(n, seed) }
 	csr := workloads.CSRInputs(20000, 8, 5)
 	hist := workloads.HistogramIdxInputs(40000, 256, 6, true)
 	adj := workloads.AdjInputs(5000, 40000, 7)
-	cases := []struct {
+	type bitwiseCase struct {
 		name     string
 		src      string
 		params   map[string]int64
 		inputs   map[string]*runtime.Strict
 		schedule string // the kind the 2- and 4-worker plans must carry; "" for none
-	}{
+		stream   bool   // also run it streamed
+	}
+	cases := []bitwiseCase{
 		{"sor", workloads.SORSrc, map[string]int64{"n": 384},
-			map[string]*runtime.Strict{"a": mesh(384, 1)}, "wavefront"},
+			map[string]*runtime.Strict{"a": mesh(384, 1)}, "wavefront", false},
 		{"jacobi", workloads.JacobiSrc, map[string]int64{"n": 384},
-			map[string]*runtime.Strict{"a": mesh(384, 2)}, ""},
+			map[string]*runtime.Strict{"a": mesh(384, 2)}, "", false},
 		{"l23", workloads.Livermore23Src, map[string]int64{"n": 256},
-			workloads.Livermore23Inputs(256), "wavefront"},
-		{"wavefront", workloads.WavefrontSrc, map[string]int64{"n": 384}, nil, "wavefront"},
+			workloads.Livermore23Inputs(256), "wavefront", false},
+		{"wavefront", workloads.WavefrontSrc, map[string]int64{"n": 384}, nil, "wavefront", false},
 		{"jacobi_oop", workloads.JacobiMonolithicSrc, map[string]int64{"n": 384},
-			map[string]*runtime.Strict{"b": mesh(384, 3)}, "shard"},
-		{"spmv", workloads.SpMVSrc, csr.Params, csr.Inputs, "shard"},
-		{"histogram", workloads.HistogramIdxSrc, hist.Params, hist.Inputs, "shard"},
-		{"adjgather", workloads.AdjGatherSrc, adj.Params, adj.Inputs, ""},
+			map[string]*runtime.Strict{"b": mesh(384, 3)}, "shard", false},
+		{"spmv", workloads.SpMVSrc, csr.Params, csr.Inputs, "shard", false},
+		{"histogram", workloads.HistogramIdxSrc, hist.Params, hist.Inputs, "shard", false},
+		{"adjgather", workloads.AdjGatherSrc, adj.Params, adj.Inputs, "", false},
+		{"in place ahead", aheadSrc, map[string]int64{"n": 3*strip + 7},
+			map[string]*runtime.Strict{"x": mesh1(3*strip + 7)}, "", false},
+	}
+	for _, d := range []int64{strip + 1, strip, strip - 1, 3, 1} {
+		for _, trip := range []int64{1, strip - 1, strip + 1, 3*strip + 7} {
+			n := d + trip
+			cases = append(cases, bitwiseCase{fmt.Sprintf("recurrence d=%d trip=%d", d, trip), recurrenceSrc,
+				map[string]int64{"n": n, "d": d}, map[string]*runtime.Strict{"x": mesh1(n)}, "", true})
+		}
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -61,6 +76,13 @@ func TestExecutorsBitwiseEquivalent(t *testing.T) {
 				{"generic w=1", core.Options{Parallel: true, Workers: 1, InputBounds: bounds}, true},
 				{"generic w=4", core.Options{Parallel: true, Workers: 4, InputBounds: bounds}, true},
 			}
+			if c.stream {
+				configs = append(configs, struct {
+					label   string
+					opts    core.Options
+					generic bool
+				}{"stream w=2", core.Options{Parallel: true, Workers: 2, InputBounds: bounds, Stream: true}, false})
+			}
 			var ref []float64
 			for _, cfg := range configs {
 				old := loopir.SetGenericRows(cfg.generic)
@@ -68,6 +90,9 @@ func TestExecutorsBitwiseEquivalent(t *testing.T) {
 				loopir.SetGenericRows(old)
 				if err != nil {
 					t.Fatalf("%s: %v", cfg.label, err)
+				}
+				if cfg.opts.Stream && !p.StreamActive() {
+					t.Fatalf("%s: did not stream: %s", cfg.label, p.StreamFallback())
 				}
 				if kinds := p.Stats.Counters.SchedulesByKind; c.schedule != "" &&
 					(cfg.label == "w=2" || cfg.label == "w=4") && kinds[c.schedule] == 0 {
@@ -92,4 +117,29 @@ func TestExecutorsBitwiseEquivalent(t *testing.T) {
 			}
 		})
 	}
+}
+
+// recurrenceSrc copies x into its first d elements, then reads itself
+// d and one elements back, the second under negation.
+const recurrenceSrc = `param n, d;
+a = array (1,n) ([ i := x!i | i <- [1..d] ] ++
+  [ i := 0.5 * a!(i-d) - (- a!(i-1)) * 0.25 + x!i | i <- [d+1..n] ])`
+
+// aheadSrc updates b in place from its own old values at distances 0
+// and +1.
+const aheadSrc = `param n;
+letrec* b = array (1,n) [ i := x!i | i <- [1..n] ];
+  c = bigupd b [ i := 0.5 * x!i + (b!(i+1) - b!i) * 0.25 | i <- [1..n-1] ]
+in c`
+
+// strip is the row kernels' strip length.
+const strip = 256
+
+// mesh1 is a rank-1 input over 1..n.
+func mesh1(n int64) *runtime.Strict {
+	a := runtime.NewStrict(runtime.NewBounds1(1, n))
+	for i := range a.Data {
+		a.Data[i] = math.Sin(float64(i)*0.7) * 4
+	}
+	return a
 }

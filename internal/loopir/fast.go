@@ -12,19 +12,33 @@ import "arraycomp/internal/runtime"
 // parallel schedule runs exactly the sequential arm's inner loop. The
 // kernel compiler picks the strongest of three forms:
 //
-//   - strip: a straight-line body (below) that is one store whose
-//     right side never reads the stored array, directly or as an index
-//     array, which the loop's access table (access.go) answers in one
-//     filter (readsStored). Such a body carries nothing between
-//     iterations, so it runs stripLen iterations at a time, node by
-//     node, the "lifted" evaluation of data-parallel comprehensions: a
-//     load is a sub-slice of Data, a gather fills a strip, each + − * /
-//     and negation is one loop over its operands' strips, and constants
-//     and scalars are one value per strip. A plain store evaluates its root straight into
-//     the destination, so `dst@{r1} := src@{r2}` is one builtin copy
-//     per strip (node splitting's row buffering, Jacobi's
-//     `rowbuf[j] := a[i-1,j]`). A scatter or an accumulating store
-//     computes the strip, then stores it in element order.
+//   - strip: a straight-line body (below) that is one store, unless
+//     it gathers through the array it writes or gathers by it, or is a
+//     scatter or an accumulating store that reads it. It runs stripLen
+//     iterations at a time, node by node, the "lifted" evaluation of
+//     data-parallel comprehensions: a load is a sub-slice of Data, a
+//     gather fills a strip, each + − * / and negation is one loop over
+//     its operands' strips, and constants and scalars are one value per
+//     strip. A strip is read before any of it is stored, so a read of
+//     the stored array sees what the sequential loop sees unless it is
+//     carried: at a distance d iterations from the store, on the
+//     store's register, with −min(stripLen, trip) < d < 0, or on
+//     another register, whose distance is unknown. The loop's access
+//     table (access.go) classifies the reads in one filter
+//     (selfReads). With carried reads, every subtree without one is
+//     still a strip, computed before the strip's stores, and only the
+//     spine, the path from the carried reads to the root, runs once
+//     per element: one closure per node and IEEE operation, its
+//     off-spine operand a constant or a strip, its carried reads
+//     loading Data, which holds what the previous element stored
+//     (SOR, Livermore 23, the wavefront, stream recurrences). Without
+//     carried reads the spine is empty. A plain store that does not
+//     read its own array evaluates its root straight into the
+//     destination, so `dst@{r1} := src@{r2}` is one builtin copy per
+//     strip (node splitting's row buffering, Jacobi's
+//     `rowbuf[j] := a[i-1,j]`). A scatter, an accumulating store or a
+//     store that reads its own array computes the strip into scratch,
+//     then stores it in element order.
 //   - straight line: unchecked, untracked Assign and SetScalar
 //     statements whose every access is either offset-form on a
 //     register stepping by one, or a rank-1 gather or scatter
@@ -40,24 +54,29 @@ import "arraycomp/internal/runtime"
 //     inlined. Such a body cannot observe the loop variable or the
 //     registers otherwise (int conversions, calls and conditionals
 //     take the generic form), so neither is maintained. This form
-//     keeps what the strip form may not take: bodies that read the
-//     array they write (SOR, Livermore 23, the wavefront, stream
-//     recurrences) and node splitting's multi-statement chains
-//     (Jacobi's rowbuf/prev/cur).
+//     keeps what the strip form may not take: node splitting's
+//     multi-statement chains (Jacobi's rowbuf/prev/cur), scatters and
+//     accumulating stores that read the array they write, and stores
+//     that gather through it or by it.
 //   - generic: the closure tree, writing the loop variable and the
 //     registers every iteration.
 //
 // Every form evaluates each element through the generic form's IEEE
 // operations in the same order, so results are bitwise identical. A
-// strip loop performs exactly one operation per element: fusing a
-// multiply and an add into one loop body would let a compiler contract
-// them into an FMA (Go permits it on arm64), which rounds once.
+// strip loop, and a spine closure, performs exactly one operation per
+// element: fusing a multiply and an add into one loop body would let a
+// compiler contract them into an FMA (Go permits it on arm64), which
+// rounds once.
 //
 // The strip form and a scatter's element-order store rely on one
 // invariant: distinct array slots never share storage. A store's
-// destination is then disjoint from every strip its right side reads,
-// so writing a strip before, or instead of, reading the next one
-// cannot change what is read.
+// destination is then disjoint from every strip its right side reads
+// from another array, so writing a strip before, or instead of,
+// reading the next one cannot change what is read. A body that reads
+// its own array breaks that: a read at d > 0 overlaps the destination
+// strip shifted by d. Such a body therefore evaluates into scratch and
+// stores afterwards (its carried spine stores each element as it
+// computes it), and never evaluates its root into the destination.
 //
 // Only the generic form raises runtime errors: the others take
 // unchecked accesses only, and an unchecked index-array load needs a
@@ -70,7 +89,8 @@ import "arraycomp/internal/runtime"
 // offset from the declared lower bound lo, but a stage binds each array
 // slot to a window whose element 0 is position base, so in stage mode
 // the strip and straight-line forms add lo − base once per row. Stages
-// take no gathers, scatters or accumulating stores.
+// take no gathers, scatters or accumulating stores; their recurrences
+// take the strip form with a carried spine.
 //
 // An earlier revision compiled straight-line bodies to postfix tapes
 // run by a small stack VM; its dispatch overhead made it strictly
@@ -345,8 +365,10 @@ func (c *compiler) straightRow(x *Loop, inds []cInd) (rowKind, rowFn) {
 		}
 		return st
 	}
-	if a, ok := x.Body[0].(*Assign); ok && len(x.Body) == 1 && !readsStored(x.Body) {
-		return rowStrip, c.stripRow(x, store(a), a.Rhs, at, start)
+	if a, ok := x.Body[0].(*Assign); ok && len(x.Body) == 1 {
+		if carried, self, ok := c.selfReads(x); ok {
+			return rowStrip, c.stripRow(x, store(a), a.Rhs, carried, self, at, start)
+		}
 	}
 	var expr func(e VExpr) sfn
 	expr = func(e VExpr) sfn {
@@ -387,22 +409,12 @@ func (c *compiler) straightRow(x *Loop, inds []cInd) (rowKind, rowFn) {
 		return func(f *frame, o int64) float64 { return l(f, o) / r(f, o) }
 	}
 	if a, ok := x.Body[0].(*Assign); ok && len(x.Body) == 1 {
-		// One store that reads the array it writes, a stencil like SOR:
-		// hoist the destination, its row distance and its index array,
-		// and inline the store.
+		// One store that gathers through the array it writes, or a
+		// scatter or accumulating store that reads itself: hoist the
+		// destination, its row distance and its index array, and inline
+		// the store.
 		st := store(a)
 		st.rhs = expr(a.Rhs)
-		if st.op == 0 && st.ix < 0 {
-			rhs := st.rhs
-			return rowStraight, func(f *frame, t0, t1 int64) {
-				data := f.arrays[st.arr].Data
-				o := start(f, t0)
-				dd := st.rowStart(f)
-				for n := t1 - t0; n > 0; o, n = o+1, n-1 {
-					data[o+dd] = rhs(f, o)
-				}
-			}
-		}
 		return rowStraight, func(f *frame, t0, t1 int64) {
 			data := f.arrays[st.arr].Data
 			o := start(f, t0)
@@ -500,18 +512,45 @@ func (c *compiler) straightBody(x *Loop, uses []int) bool {
 	return true
 }
 
-// readsStored reports whether a body of one store reads the array it
-// writes: on its right side, directly or as an index array, or through
-// its own scatter index. The store is the table's first record, and
-// every later one is a read.
-func readsStored(body []Stmt) bool {
-	t := collectAccesses(body, false)
+// selfReads decides whether x's body, one store, may take the strip
+// form, by the distance of each read of the stored array. The store is
+// the access table's first record, and every later one is a read. A
+// read at distance d iterations from the store on the store's register
+// is carried when −min(stripLen, trip) < d < 0: the sequential loop
+// reads what an earlier iteration of the same strip stored. A read on
+// another register has no distance known at compile time and is
+// carried too. Any other read sees what it would see sequentially when
+// the strip is read before it is stored. A gather through the stored
+// array, or of it, and a scatter or accumulating store that reads
+// itself keep the straight-line form (ok false). self reports whether
+// the body reads the stored array at all.
+func (c *compiler) selfReads(x *Loop) (carried map[*ARef]bool, self, ok bool) {
+	t := collectAccesses(x.Body, false)
+	defer t.release()
+	sr, sd, dense := unitReg(x, t.acc[0].node.(*Assign).Off)
+	band := min(stripLen, x.TripCount())
 	for k := 1; k < len(t.acc); k++ {
-		if t.acc[k].array == t.acc[0].array {
-			return true
+		a := &t.acc[k]
+		if a.array != t.acc[0].array {
+			continue
+		}
+		self = true
+		ref, isRef := a.node.(*ARef)
+		if !isRef || !dense || t.acc[0].accum {
+			return nil, true, false
+		}
+		r, d, direct := unitReg(x, ref.Off)
+		if !direct {
+			return nil, true, false
+		}
+		if d -= sd; r != sr || -band < d && d < 0 {
+			if carried == nil {
+				carried = map[*ARef]bool{}
+			}
+			carried[ref] = true
 		}
 	}
-	return false
+	return carried, self, true
 }
 
 // stripLen is the strip form's strip: long enough that one closure call
@@ -532,13 +571,26 @@ type snode struct {
 	view bool
 }
 
-// stripRow compiles the strip form of the one-store body st := rhs. A
-// node writes its strip into the out its parent passes: a binary node
-// hands its own out to its left operand and a scratch strip to its
-// right, unless the left is a view or a value, so scratch strips are
-// needed only for right operands that compute. Scratch strip k is
+// efn evaluates one element of a carried chain: o is the primary
+// register's value at the element and i its index in the strip.
+type efn func(f *frame, o int64, i int) float64
+
+// stripRow compiles the strip form of the one-store body st := rhs,
+// whose reads of the stored array in carried are carried (selfReads)
+// and which reads the stored array at all when self is set.
+//
+// A subtree that holds no carried read is a strip. A node writes its
+// strip into the out its parent passes: a binary node hands its own
+// out to its left operand and a scratch strip to its right, unless the
+// left is a view or a value, so scratch strips are needed only for
+// right operands that compute. Scratch strip k is
 // f.strip[k·stripLen:]; c.strips is the most any strip body needs.
-func (c *compiler) stripRow(x *Loop, st *sstore, rhs VExpr, at func(int, IntExpr) (int64, int), start func(*frame, int64) int64) rowFn {
+//
+// The spine, every node with a carried read below it, runs once per
+// element instead, after the strips its off-spine operands need; its
+// carried reads load Data, so each sees what the previous element
+// stored.
+func (c *compiler) stripRow(x *Loop, st *sstore, rhs VExpr, carried map[*ARef]bool, self bool, at func(int, IntExpr) (int64, int), start func(*frame, int64) int64) rowFn {
 	scratch := func(k int) int {
 		c.strips = max(c.strips, (k+1)*stripLen)
 		return k * stripLen
@@ -636,8 +688,22 @@ func (c *compiler) stripRow(x *Loop, st *sstore, rhs VExpr, at func(int, IntExpr
 			o, n = o+m, n-m
 		}
 	}
-	if st.op == 0 && st.ix < 0 {
-		// A plain store: the root evaluates into the destination.
+	if len(carried) > 0 {
+		root, fills := c.spine(rhs, carried, node, scratch, at)
+		strip := func(f *frame, o, dd int64, n int) {
+			for _, fill := range fills {
+				fill(f, o, n)
+			}
+			dst := f.arrays[st.arr].Data[o+dd : o+dd+int64(n)]
+			for i := range dst {
+				dst[i] = root(f, o+int64(i), i)
+			}
+		}
+		return func(f *frame, t0, t1 int64) { run(f, t0, t1, strip) }
+	}
+	if st.op == 0 && st.ix < 0 && !self {
+		// A plain store that does not read its own array: the root
+		// evaluates into the destination.
 		root := node(rhs, 0)
 		var strip func(f *frame, o, dd int64, n int)
 		switch {
@@ -657,8 +723,10 @@ func (c *compiler) stripRow(x *Loop, st *sstore, rhs VExpr, at func(int, IntExpr
 		}
 		return func(f *frame, t0, t1 int64) { run(f, t0, t1, strip) }
 	}
-	// A scatter or an accumulating store: the root evaluates into
-	// scratch strip 0, then the strip is stored in element order.
+	// A scatter, an accumulating store, or a plain store that reads its
+	// own array: the root evaluates into scratch strip 0 (or is a view,
+	// which copy moves like memmove), then the strip is stored in
+	// element order.
 	root := node(rhs, 1)
 	scratch(0)
 	strip := func(f *frame, o, dd int64, n int) {
@@ -671,13 +739,16 @@ func (c *compiler) stripRow(x *Loop, st *sstore, rhs VExpr, at func(int, IntExpr
 		data := f.arrays[st.arr].Data
 		if st.ix < 0 {
 			dst := data[o+dd : o+dd+int64(n)]
-			if st.op == 'c' {
+			switch st.op {
+			case 0:
+				copy(dst, v)
+			case 'c':
 				for i, x := range v {
 					dst[i] = st.comb(dst[i], x)
 				}
-				return
+			default:
+				stripVV(st.op, dst, dst, v)
 			}
-			stripVV(st.op, dst, dst, v)
 			return
 		}
 		idx := f.arrays[st.ix].Data[o+dd : o+dd+int64(n)]
@@ -705,6 +776,130 @@ func (c *compiler) stripRow(x *Loop, st *sstore, rhs VExpr, at func(int, IntExpr
 		}
 	}
 	return func(f *frame, t0, t1 int64) { run(f, t0, t1, strip) }
+}
+
+// spine compiles the spine of rhs, the nodes above its carried reads,
+// to one closure per node, each doing one IEEE operation. Every
+// off-spine operand is a constant or a strip: off-spine operand j is
+// compiled by node into scratch strip j, its own subtree's scratch
+// above it, and filled once per strip by fills[j], in order.
+func (c *compiler) spine(rhs VExpr, carried map[*ARef]bool, node func(VExpr, int) snode, scratch func(int) int, at func(int, IntExpr) (int64, int)) (efn, []func(f *frame, o int64, n int)) {
+	var fills []func(f *frame, o int64, n int)
+	var onSpine func(e VExpr) bool
+	onSpine = func(e VExpr) bool {
+		switch v := e.(type) {
+		case *ARef:
+			return carried[v]
+		case *VNeg:
+			return onSpine(v.X)
+		case *VBin:
+			return onSpine(v.L) || onSpine(v.R)
+		}
+		return false
+	}
+	// operand returns an off-spine operand: the constant k when q < 0,
+	// else the scratch offset q of its strip.
+	operand := func(e VExpr) (k float64, q int) {
+		if v, ok := e.(*VConst); ok {
+			return v.Value, -1
+		}
+		q = scratch(len(fills))
+		n := node(e, len(fills)+1)
+		fills = append(fills, func(f *frame, o int64, m int) {
+			out := f.strip[q : q+m]
+			switch {
+			case n.val != nil:
+				stripFill(out, n.val(f))
+			case n.view:
+				copy(out, n.vec(f, o, out))
+			default:
+				n.vec(f, o, out)
+			}
+		})
+		return 0, q
+	}
+	var spine func(e VExpr) efn
+	spine = func(e VExpr) efn {
+		switch v := e.(type) {
+		case *ARef:
+			arr := c.arraySlots[v.Array]
+			d, s := at(arr, v.Off)
+			if s >= 0 {
+				return func(f *frame, o int64, _ int) float64 { return f.arrays[arr].Data[o+f.ints[s]+d] }
+			}
+			return func(f *frame, o int64, _ int) float64 { return f.arrays[arr].Data[o+d] }
+		case *VNeg:
+			a := spine(v.X)
+			return func(f *frame, o int64, i int) float64 { return -a(f, o, i) }
+		}
+		v := e.(*VBin)
+		switch {
+		case !onSpine(v.R):
+			k, q := operand(v.R)
+			return spineVK(v.Op, spine(v.L), k, q)
+		case !onSpine(v.L):
+			k, q := operand(v.L)
+			return spineKV(v.Op, k, q, spine(v.R))
+		}
+		return spineVV(v.Op, spine(v.L), spine(v.R))
+	}
+	return spine(rhs), fills
+}
+
+// The spine's binary nodes: both operands on the spine (spineVV), or
+// the right or left one off it, the constant k when q < 0, else
+// element i of the scratch strip at q (spineVK, spineKV).
+
+func spineVV(op byte, l, r efn) efn {
+	switch op {
+	case '+':
+		return func(f *frame, o int64, i int) float64 { return l(f, o, i) + r(f, o, i) }
+	case '-':
+		return func(f *frame, o int64, i int) float64 { return l(f, o, i) - r(f, o, i) }
+	case '*':
+		return func(f *frame, o int64, i int) float64 { return l(f, o, i) * r(f, o, i) }
+	}
+	return func(f *frame, o int64, i int) float64 { return l(f, o, i) / r(f, o, i) }
+}
+
+func spineVK(op byte, l efn, k float64, q int) efn {
+	switch {
+	case q < 0 && op == '+':
+		return func(f *frame, o int64, i int) float64 { return l(f, o, i) + k }
+	case q < 0 && op == '-':
+		return func(f *frame, o int64, i int) float64 { return l(f, o, i) - k }
+	case q < 0 && op == '*':
+		return func(f *frame, o int64, i int) float64 { return l(f, o, i) * k }
+	case q < 0:
+		return func(f *frame, o int64, i int) float64 { return l(f, o, i) / k }
+	case op == '+':
+		return func(f *frame, o int64, i int) float64 { return l(f, o, i) + f.strip[q+i] }
+	case op == '-':
+		return func(f *frame, o int64, i int) float64 { return l(f, o, i) - f.strip[q+i] }
+	case op == '*':
+		return func(f *frame, o int64, i int) float64 { return l(f, o, i) * f.strip[q+i] }
+	}
+	return func(f *frame, o int64, i int) float64 { return l(f, o, i) / f.strip[q+i] }
+}
+
+func spineKV(op byte, k float64, q int, r efn) efn {
+	switch {
+	case q < 0 && op == '+':
+		return func(f *frame, o int64, i int) float64 { return k + r(f, o, i) }
+	case q < 0 && op == '-':
+		return func(f *frame, o int64, i int) float64 { return k - r(f, o, i) }
+	case q < 0 && op == '*':
+		return func(f *frame, o int64, i int) float64 { return k * r(f, o, i) }
+	case q < 0:
+		return func(f *frame, o int64, i int) float64 { return k / r(f, o, i) }
+	case op == '+':
+		return func(f *frame, o int64, i int) float64 { return f.strip[q+i] + r(f, o, i) }
+	case op == '-':
+		return func(f *frame, o int64, i int) float64 { return f.strip[q+i] - r(f, o, i) }
+	case op == '*':
+		return func(f *frame, o int64, i int) float64 { return f.strip[q+i] * r(f, o, i) }
+	}
+	return func(f *frame, o int64, i int) float64 { return f.strip[q+i] / r(f, o, i) }
 }
 
 // The strip loops. Each performs one floating-point operation per

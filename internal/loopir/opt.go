@@ -883,6 +883,8 @@ func (o *optimizer) fuse(l1, l2 *Loop, env map[string]loopRange) *Loop {
 	}
 	r := loopRange{l1.From, l1.To, l1.Step}
 	a1, a2 := collectAccesses(l1.Body, true), collectAccesses(body2, true)
+	defer a1.release()
+	defer a2.release()
 	if a1.barrier || a2.barrier {
 		return nil
 	}
@@ -1271,6 +1273,7 @@ func (o *optimizer) strengthReduce(L *Loop, env map[string]loopRange) {
 	groups := map[string]*group{}
 	var order []string
 	t := collectAccesses(L.Body, false)
+	defer t.release()
 	for i := range t.acc {
 		a := &t.acc[i]
 		var off *IntExpr

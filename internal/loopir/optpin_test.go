@@ -106,15 +106,15 @@ func TestOptimizerOutputPinned(t *testing.T) {
 		{"bench", gencomp.Config{ErrorWeight: -1, IdxWeight: 400},
 			loopir.OptStats{FusedLoops: 114, HoistedScalars: 5, HoistedExprs: 34, ReducedAccesses: 711, IndRegisters: 508,
 				StencilNests: 39, StencilSplits: 5, StencilGuards: 17},
-			"fc67c562d106548da23bd0d3cf1c142144db759f795a9cbf76908016c64d34f5"},
+			"327c7233f33458cfbfca4cf0ae649421bef6f96344609fe1681b42edd84f86ec"},
 		{"default", gencomp.Config{},
 			loopir.OptStats{FusedLoops: 37, HoistedScalars: 9, HoistedExprs: 64, ReducedAccesses: 584, IndRegisters: 402,
 				StencilNests: 67, StencilSplits: 8, StencilGuards: 25},
-			"f3c8e0ffe5c687448aec4be9ea44968ed70f5425f24fdd29c9afedb4cfd7a49f"},
+			"ca5871a215b7e55d89604aa73ea3c9f6268567d1b9878cebae557aae6c3b8b7b"},
 		{"fuzz", gencomp.Config{AccumWeight: 250},
-			loopir.OptStats{FusedLoops: 47, HoistedScalars: 8, HoistedExprs: 75, ReducedAccesses: 820, IndRegisters: 498,
-				StencilNests: 55, StencilSplits: 7, StencilGuards: 22},
-			"e09376290ee5739ac3d803d4b8acc47b729fe3d5124f2a828f0e94fafd9b7329"},
+			loopir.OptStats{FusedLoops: 44, HoistedScalars: 7, HoistedExprs: 75, ReducedAccesses: 837, IndRegisters: 508,
+				StencilNests: 80, StencilSplits: 5, StencilGuards: 18},
+			"b0781484ebab83b1624ce0e7b535e53918ff50d3bcebeb8b594c9bf0e9452666"},
 	} {
 		h := sha256.New()
 		var sum loopir.OptStats
@@ -148,7 +148,7 @@ func TestOptimizerOutputPinned(t *testing.T) {
 		t.Fatal("the workloads planned no parallel schedule")
 	}
 	want := loopir.OptStats{FusedLoops: 21, ReducedAccesses: 195, IndRegisters: 51, ParSchedules: 16, StencilNests: 21}
-	const wantHash = "f5faa654e9c45e959a35c46b0d428cd399b0f1dc66a7f2b70f5e11f6abec010a"
+	const wantHash = "52ae08c2ae87250c3ff9b9bd511459d775c2a12e190d754c5c2411b73fa9d6f8"
 	if got := hex.EncodeToString(h.Sum(nil)); sum != want || got != wantHash {
 		t.Errorf("workloads: stats %+v hash %s\nwant stats %+v hash %s", sum, got, want, wantHash)
 	}

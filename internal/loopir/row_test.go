@@ -24,10 +24,10 @@ func compileRows(t *testing.T, p *Program) *compiler {
 	return c
 }
 
-// TestExecutorsGetSpecializedRow: a stencil inner loop compiles to one
-// straight-line row kernel, and that kernel is the one the sequential
-// loop, the wavefront executor and a 2-D shard's rows run — each loop
-// has exactly one kernel, compiled once. A wavefront runs the inner
+// TestExecutorsGetSpecializedRow: an in-place stencil inner loop
+// compiles to one strip row kernel, and that kernel is the one the
+// sequential loop, the wavefront executor and a 2-D shard's rows run —
+// each loop has exactly one kernel, compiled once. A wavefront runs the inner
 // kernel itself; a 2-D shard runs the outer loop's generic kernel,
 // which calls it once per row.
 func TestExecutorsGetSpecializedRow(t *testing.T) {
@@ -46,8 +46,8 @@ func TestExecutorsGetSpecializedRow(t *testing.T) {
 		if rk := c.parRows[outer]; rk == nil || rk != want {
 			t.Fatalf("%s: executor row kernel %+v, want %+v", kind, rk, want)
 		}
-		if rk := c.rows[inner]; rk == nil || rk.kind != rowStraight {
-			t.Fatalf("%s: inner loop row kernel %+v, want the straight-line form", kind, rk)
+		if rk := c.rows[inner]; rk == nil || rk.kind != rowStrip {
+			t.Fatalf("%s: inner loop row kernel %+v, want the strip form", kind, rk)
 		}
 		if rk := c.rows[outer]; rk == nil || rk.kind != rowGeneric {
 			t.Fatalf("%s: outer loop row kernel %+v, want the generic form", kind, rk)
@@ -102,8 +102,9 @@ func TestExecutorsGetSpecializedRow(t *testing.T) {
 }
 
 // TestRowKernelForms: which body shapes take which form. A single
-// store whose right side never reads the stored array takes the strip
-// form; one that reads it, or a scalar chain, the straight-line form.
+// store takes the strip form, also when it reads the stored array at a
+// constant distance (its carried reads then run per element); a scalar
+// chain takes the straight-line form.
 func TestRowKernelForms(t *testing.T) {
 	b := runtime.NewBounds1(1, 100)
 	at := func(reg string, d int64) IntExpr { return lin(d, term(reg, 1)) }
@@ -125,8 +126,8 @@ func TestRowKernelForms(t *testing.T) {
 		{"map", []Stmt{store("y", "o", bin('+', bin('*', ref("x", "o", 0), k(0.5)), k(0.25)))}, 1, rowStrip},
 		{"stencil", []Stmt{store("y", "o", bin('/', bin('+', bin('+', ref("x", "o", -1), ref("x", "o", 0)), ref("x", "o", 1)), k(3)))}, 1, rowStrip},
 		{"constant", []Stmt{store("y", "o", &VNeg{X: &VScalar{Name: "s"}})}, 1, rowStrip},
-		{"self copy", []Stmt{store("y", "o", ref("y", "o", -1))}, 1, rowStraight},
-		{"self stencil", []Stmt{store("y", "o", bin('+', ref("x", "o", 0), bin('*', ref("y", "o", -1), k(0.5))))}, 1, rowStraight},
+		{"self copy", []Stmt{store("y", "o", ref("y", "o", -1))}, 1, rowStrip},
+		{"self stencil", []Stmt{store("y", "o", bin('+', ref("x", "o", 0), bin('*', ref("y", "o", -1), k(0.5))))}, 1, rowStrip},
 		{"scalar chain", []Stmt{
 			&SetScalar{Name: "s", Rhs: &VBin{Op: '*', L: ref("x", "o", 0), R: &VConst{Value: 2}}},
 			store("y", "o", &VScalar{Name: "s"}),

@@ -80,11 +80,15 @@ type StageFrame struct {
 	f frame
 }
 
-// NewFrame returns a frame with every array slot unbound.
-func (st *Stage) NewFrame() *StageFrame {
+// FrameFloats is the float64 storage a frame of st needs: its scalars
+// and the strip form's scratch strips.
+func (st *Stage) FrameFloats() int { return st.nFloat + st.nStrip }
+
+// NewFrame returns a frame with every array slot unbound that keeps
+// its scalars and scratch strips in floats, FrameFloats() long, so a
+// caller can carve them from an allocation it makes anyway.
+func (st *Stage) NewFrame(floats []float64) *StageFrame {
 	n := len(st.prog.Arrays)
-	// The scalars and the scratch strips share one allocation.
-	floats := make([]float64, st.nFloat+st.nStrip)
 	return &StageFrame{f: frame{
 		ints:   make([]int64, st.nInts),
 		floats: floats[:st.nFloat:st.nFloat],

@@ -628,6 +628,7 @@ func (o *optimizer) stencilShape(l *Loop, iVar, jVar string) (haloI, haloJ int64
 		return 0, 0, false
 	}
 	t := collectAccesses(l.Body, false)
+	defer t.release()
 	wa := &t.acc[0] // the store
 	if t.cond || wa.checked || wa.collide || wa.accum {
 		return 0, 0, false

@@ -103,17 +103,105 @@ func stripInputs(n int64) map[string]*runtime.Strict {
 	return in
 }
 
-// TestStripMatchesGeneric runs every strip-form body shape at trips
-// around the strip length — 1, S−1, S, S+1 and 3S+7 — at 1, 2 and 4
-// workers, and requires the generic form's bits: each element goes
-// through the same IEEE operations in the same order, and a scatter
-// stores its strip in element order.
+// selfBodies returns strip-form bodies over trip n that read the array
+// they write, y(k) := f(y(k+d), …) for k = 1..n, at distances d on
+// both sides of the carried band's edges (−S−1, −S, −S+1 with S the
+// strip length, −3, −1, 0, +1), with two carried reads, a carried read
+// under negation, a carried copy, and a read through a second register
+// o2 = o−1 whose distance the compiler cannot see. y is an input over
+// −S..n+1, so every read lands inside it and starts from distinct
+// values. "row back" is a 2-D nest over rows i = 1..4 of length n that
+// reads one row back and one element back, tiled as a wavefront so
+// that each row kernel call covers one tile's 16 columns.
+func selfBodies(n int64) map[string]*Program {
+	const lo = -stripLen
+	y := func(d int64) VExpr {
+		return &ARef{Array: "y", Subs: []IntExpr{lin(d, term("k", 1))}, Off: lin(d, term("o", 1))}
+	}
+	x := func(d int64) VExpr {
+		return &ARef{Array: "x", Subs: []IntExpr{lin(d, term("k", 1))}, Off: lin(d, term("o", 1))}
+	}
+	c := func(v float64) VExpr { return &VConst{Value: v} }
+	bin := func(op byte, l, r VExpr) VExpr { return &VBin{Op: op, L: l, R: r} }
+	prog := func(rhs VExpr) *Program {
+		b := runtime.NewBounds1(lo, n+1)
+		return &Program{
+			Name:   "self",
+			Arrays: []ArrayDecl{{Name: "y", B: b, Role: RoleInOut}, {Name: "x", B: b, Role: RoleIn}},
+			Stmts: []Stmt{&Loop{Var: "k", From: 1, To: n, Step: 1,
+				Inds: []Ind{{Name: "o", Init: lin(1 - lo), Step: 1}, {Name: "o2", Init: lin(-lo), Step: 1}},
+				Body: []Stmt{&Assign{Array: "y", Subs: []IntExpr{lin(0, term("k", 1))}, Off: lin(0, term("o", 1)), Rhs: rhs}}}},
+		}
+	}
+	out := map[string]*Program{
+		"self two carried": prog(bin('+', bin('*', bin('+', y(-1), x(0)), c(0.25)), bin('*', y(-3), c(0.5)))),
+		"self negated":     prog(bin('-', x(1), bin('*', &VNeg{X: y(-2)}, c(0.5)))),
+		"self copy":        prog(y(-1)),
+		"self register":    prog(bin('+', bin('*', &ARef{Array: "y", Subs: []IntExpr{lin(-1, term("k", 1))}, Off: lin(0, term("o2", 1))}, c(0.5)), x(0))),
+		"self ahead":       prog(bin('/', bin('+', bin('*', x(-1), c(0.5)), y(1)), bin('-', c(3), y(0)))),
+	}
+	for _, d := range []int64{-stripLen - 1, -stripLen, -stripLen + 1, -3, -1, 0, 1} {
+		out[fmt.Sprintf("self d=%d", d)] = prog(bin('+', bin('*', y(d), c(0.5)), bin('*', x(0), c(0.75))))
+	}
+	// y(i, j) := 0.5·y(i−1, j) + 0.25·y(i, j−1) + x(i, j) for j = 2..n+1:
+	// the row back is carry-free at d = −(n+1), the element back carried.
+	b := runtime.NewBounds2(0, 1, 4, n+1)
+	at := func(arr string, di, dj int64) VExpr {
+		return &ARef{Array: arr, Subs: []IntExpr{lin(di, term("i", 1)), lin(dj, term("j", 1))}, Off: lin(di*(n+1)+dj, term("o", 1))}
+	}
+	out["self row back"] = &Program{
+		Name:   "self2d",
+		Arrays: []ArrayDecl{{Name: "y", B: b, Role: RoleInOut}, {Name: "x", B: b, Role: RoleIn}},
+		Stmts: []Stmt{&Loop{Var: "i", From: 1, To: 4, Step: 1, Par: &ParSchedule{Kind: ParWavefront, TileI: 2, TileJ: 16},
+			Body: []Stmt{&Loop{Var: "j", From: 2, To: n + 1, Step: 1,
+				Inds: []Ind{{Name: "o", Init: lin(1, term("i", n+1)), Step: 1}},
+				Body: []Stmt{&Assign{Array: "y", Subs: []IntExpr{lin(0, term("i", 1)), lin(0, term("j", 1))}, Off: lin(0, term("o", 1)),
+					Rhs: bin('+', bin('+', bin('*', c(0.5), at("y", -1, 0)), bin('*', c(0.25), at("y", 0, -1))), at("x", 0, 0))}}}}}},
+	}
+	return out
+}
+
+// progInputs fills every input array of p, at its declared bounds,
+// with values that round under every operation.
+func progInputs(p *Program) map[string]*runtime.Strict {
+	in := map[string]*runtime.Strict{}
+	for _, d := range p.Arrays {
+		if d.Role == RoleIn || d.Role == RoleInOut {
+			a := runtime.NewStrict(d.B)
+			for i := range a.Data {
+				a.Data[i] = math.Sin(float64(i)*1.3+float64(len(d.Name))) * 10
+			}
+			in[d.Name] = a
+		}
+	}
+	return in
+}
+
+// TestStripMatchesGeneric runs every strip-form body shape, including
+// those that read the array they write, at trips around the strip
+// length — 1, S−1, S, S+1 and 3S+7 — at 1, 2 and 4 workers, and
+// requires the generic form's bits: each element goes through the same
+// IEEE operations in the same order, a scatter stores its strip in
+// element order, and a carried read sees what the previous element
+// stored.
 func TestStripMatchesGeneric(t *testing.T) {
 	for _, n := range []int64{1, stripLen - 1, stripLen, stripLen + 1, 3*stripLen + 7} {
+		// A self-reading body updates its input y in place, so every run
+		// gets fresh inputs.
 		in := stripInputs(n)
-		for name, p := range stripBodies(n) {
+		inputs := map[string]func(*Program) map[string]*runtime.Strict{}
+		bodies := stripBodies(n)
+		for name := range bodies {
+			inputs[name] = func(*Program) map[string]*runtime.Strict { return in }
+		}
+		for name, p := range selfBodies(n) {
+			bodies[name], inputs[name] = p, progInputs
+		}
+		for name, p := range bodies {
+			inputs := func() map[string]*runtime.Strict { return inputs[name](p) }
 			t.Run(fmt.Sprintf("%s/n=%d", name, n), func(t *testing.T) {
-				loop := p.Stmts[len(p.Stmts)-1].(*Loop)
+				var loop *Loop
+				WalkLoops(p.Stmts, func(x *Loop) { loop = x })
 				if rk := compileRows(t, p).rows[loop]; rk.kind != rowStrip {
 					t.Fatalf("form %d, want the strip form", rk.kind)
 				}
@@ -121,14 +209,14 @@ func TestStripMatchesGeneric(t *testing.T) {
 				gen := mustCompile(t, p)
 				SetGenericRows(old)
 				gen.SetWorkers(1)
-				want, err := gen.RunResult(in)
+				want, err := gen.RunResult(inputs())
 				if err != nil {
 					t.Fatal(err)
 				}
 				ex := mustCompile(t, p)
 				for _, w := range []int{1, 2, 4} {
 					ex.SetWorkers(w)
-					got, err := ex.RunResult(in)
+					got, err := ex.RunResult(inputs())
 					if err != nil {
 						t.Fatalf("workers=%d: %v", w, err)
 					}

@@ -325,14 +325,21 @@ func (p *Pipeline) run(inputs map[string]*runtime.Strict, emit func(int64, []flo
 	wins := make([]window, len(p.defs))
 	frames := make([]*loopir.StageFrame, len(p.defs))
 	for i, st := range p.stages {
+		// The frame's scalars and scratch strips ride the window's
+		// allocation, past its end.
+		var floats []float64
 		if plan := p.defs[i].Plan; collect && i == p.result {
 			out = runtime.NewStrict(runtime.NewBounds1(plan.Lo, plan.Hi))
 			wins[i] = window{buf: out.Data, base: plan.Lo}
+			floats = make([]float64, st.FrameFloats())
 		} else {
-			wins[i] = window{buf: make([]float64, p.hist[i]+p.chunk), base: p.gridLo - p.hist[i]}
+			w := p.hist[i] + p.chunk
+			buf := make([]float64, w+int64(st.FrameFloats()))
+			wins[i] = window{buf: buf[:w:w], base: p.gridLo - p.hist[i]}
+			floats = buf[w:]
 		}
 		rep.PeakBytes += int64(len(wins[i].buf)) * 8
-		fr := st.NewFrame()
+		fr := st.NewFrame(floats)
 		fr.Bind(p.self[i], wins[i].buf, wins[i].base)
 		for _, r := range p.resident[i] {
 			in := inputs[r.name]
