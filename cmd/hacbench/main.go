@@ -777,7 +777,7 @@ var experiments = []experiment{
 			fmt.Printf("  sequential/batch = %s (gate: >= 3.0x)\n", ratio(seq, batch))
 
 			// Part 2: the restart-warmth argument. A certified plan
-			// persisted to the disk tier restores (gob decode + loop-IR
+			// persisted to the disk tier restores (snapshot decode + loop-IR
 			// recompile) without parse/analyze/plan/lower/optimize/
 			// certify; cold pays all of them.
 			dir, err := os.MkdirTemp("", "hacbench-disk-")

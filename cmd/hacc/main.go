@@ -23,6 +23,8 @@
 // (concrete witnesses for "dependent", shadow-domain enumeration for
 // "independent", schedule-order simulation, parallel-plan conflict
 // checks); a falsified claim is a compiler bug and aborts the compile.
+// With -certify (or -explain on a certified compile), each certifier's
+// tally and time are printed before the command's output.
 package main
 
 import (
@@ -130,6 +132,10 @@ func run(args []string, w io.Writer) error {
 		// A compile that got here has zero falsifications (they abort
 		// with an error); print the audit trail.
 		fmt.Fprint(w, prog.Certs.String())
+	}
+	if (*explain || *certifyFlag) && prog.Certs != nil {
+		// The certify phase split by certifier: each one's tally and time.
+		fmt.Fprint(w, "certify layers:\n", prog.Certs.LayerTable())
 	}
 	switch cmd {
 	case "report":

@@ -231,8 +231,8 @@ func TestNestNormalize(t *testing.T) {
 	for p1 := int64(1); p1 <= nest[0].Trip(); p1++ {
 		for p2 := int64(1); p2 <= nest[1].Trip(); p2++ {
 			src := f.Eval(map[string]int64{"i": nest[0].ValueAt(p1), "j": nest[1].ValueAt(p2)})
-			norm := ref.Eval([]int64{p1, p2})
-			if src != norm {
+			norm, exact := ref.EvalSat([]int64{p1, p2})
+			if !exact || src != norm {
 				t.Fatalf("normalization mismatch at (%d,%d): src %d, norm %d", p1, p2, src, norm)
 			}
 		}
@@ -279,7 +279,7 @@ func TestNormalizePropertyQuick(t *testing.T) {
 		for p1 := int64(1); p1 <= tripI; p1++ {
 			for p2 := int64(1); p2 <= tripJ; p2++ {
 				src := form.Eval(map[string]int64{"i": li.ValueAt(p1), "j": lj.ValueAt(p2)})
-				if src != ref.Eval([]int64{p1, p2}) {
+				if v, exact := ref.EvalSat([]int64{p1, p2}); !exact || src != v {
 					return false
 				}
 			}
@@ -326,4 +326,78 @@ func TestFormEqualEdgeCases(t *testing.T) {
 	if a.Equal(Form{Const: 1, Coeff: map[string]int64{"i": 2, "j": 1}}) {
 		t.Error("different arity equal")
 	}
+}
+
+// TestCompiledRefMatchesEvalSat: at every point of random clamped
+// domains, a compiled subscript returns EvalSat's value and exactness.
+// The draws straddle 2^40 and the 2^62 saturation bound, and every
+// third one puts the domain's extreme value within two of ±2^62, where
+// the exactness check decides between plain arithmetic and EvalSat.
+func TestCompiledRefMatchesEvalSat(t *testing.T) {
+	const bound = int64(1) << 62
+	rng := rand.New(rand.NewSource(1))
+	near := []int64{0, 1, 7, 1 << 40, bound/5 - 1, bound - 1, bound, bound + 1}
+	draw := func() int64 {
+		v := near[rng.Intn(len(near))] + rng.Int63n(5) - 2
+		if rng.Intn(2) == 0 {
+			v = -v
+		}
+		return v
+	}
+	exact := 0
+	for trial := 0; trial < 6000; trial++ {
+		n := rng.Intn(4)
+		clamp := make([]int64, n)
+		ref := NormalizedRef{Const: draw(), Coeff: make([]int64, n)}
+		for k := range clamp {
+			clamp[k] = rng.Int63n(6)
+			ref.Coeff[k] = draw()
+		}
+		if trial%3 == 0 {
+			// Every coefficient one sign, so the corner p = clamp
+			// reaches |Const| + Σ|c_k|·clamp_k = 2^62 + δ.
+			sign, total := int64(1-2*rng.Intn(2)), int64(0)
+			for k := range clamp {
+				clamp[k] = 1 + rng.Int63n(5)
+				c := 1 + rng.Int63n(1<<40)
+				ref.Coeff[k] = sign * c
+				total += c * clamp[k]
+			}
+			ref.Const = sign * (bound - total + rng.Int63n(5) - 2)
+		}
+		c := ref.Compile(clamp)
+		if c.Exact() {
+			exact++
+		}
+		pos := make([]int64, n)
+		for k := range pos {
+			pos[k] = 1
+		}
+		for points := domainPoints(clamp); points > 0; points-- {
+			gv, gok := c.Eval(pos)
+			wv, wok := ref.EvalSat(pos)
+			if gv != wv || gok != wok {
+				t.Fatalf("ref %+v clamp %v at %v: compiled (%d, %v), EvalSat (%d, %v)", ref, clamp, pos, gv, gok, wv, wok)
+			}
+			k := n - 1
+			for ; k >= 0 && pos[k] == clamp[k]; k-- {
+				pos[k] = 1
+			}
+			if k >= 0 {
+				pos[k]++
+			}
+		}
+	}
+	if exact == 0 {
+		t.Fatal("no draw passed the exactness check")
+	}
+}
+
+// domainPoints counts the points of a clamped domain.
+func domainPoints(clamp []int64) int64 {
+	n := int64(1)
+	for _, m := range clamp {
+		n *= m
+	}
+	return n
 }

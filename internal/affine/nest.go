@@ -106,15 +106,6 @@ type NormalizedRef struct {
 	Coeff []int64
 }
 
-// Eval evaluates the normalized form at normalized positions.
-func (r NormalizedRef) Eval(pos []int64) int64 {
-	out := r.Const
-	for k, c := range r.Coeff {
-		out += c * pos[k]
-	}
-	return out
-}
-
 // evalSatBound is the saturation range for EvalSat, matching the
 // dependence tests' ±2^62 working range.
 const evalSatBound = int64(1) << 62
@@ -172,6 +163,63 @@ func (r NormalizedRef) EvalSat(pos []int64) (int64, bool) {
 		exact = exact && ok3
 	}
 	return out, exact
+}
+
+// CompiledRef is a NormalizedRef compiled for one clamped domain, the
+// positions p_k ∈ [1..clamp[k]]: its nonzero coefficients by slot, and
+// whether plain int64 arithmetic is exact over the whole domain.
+type CompiledRef struct {
+	NormalizedRef
+	exact bool
+	slots []int
+	coeff []int64
+}
+
+// Compile compiles r for the domain clamp, positionally aligned with
+// r.Coeff. The exactness check runs once: |Const| + Σ|Coeff[k]|·clamp[k]
+// < 2^62 bounds every partial sum at every point of the domain, so
+// EvalSat could neither clamp nor report inexact there.
+func (r NormalizedRef) Compile(clamp []int64) CompiledRef {
+	c := CompiledRef{NormalizedRef: r, exact: inSatRange(r.Const)}
+	acc := max(r.Const, -r.Const)
+	for k, a := range r.Coeff {
+		if a == 0 {
+			continue
+		}
+		c.slots = append(c.slots, k)
+		c.coeff = append(c.coeff, a)
+		m := max(clamp[k], 0)
+		switch {
+		case !c.exact:
+		case !inSatRange(a):
+			c.exact = false
+		case m > 0 && max(a, -a) > (evalSatBound-1-acc)/m:
+			c.exact = false
+		default:
+			acc += max(a, -a) * m
+		}
+	}
+	return c
+}
+
+func inSatRange(v int64) bool { return -evalSatBound < v && v < evalSatBound }
+
+// Exact reports whether every point of the compiled domain evaluates
+// exactly.
+func (c *CompiledRef) Exact() bool { return c.exact }
+
+// Eval evaluates c at pos, a point of the domain it was compiled for,
+// with exactly EvalSat's result: plain arithmetic over the nonzero
+// slots when the domain passed the exactness check, EvalSat otherwise.
+func (c *CompiledRef) Eval(pos []int64) (int64, bool) {
+	if !c.exact {
+		return c.EvalSat(pos)
+	}
+	v := c.Const
+	for i, k := range c.slots {
+		v += c.coeff[i] * pos[k]
+	}
+	return v, true
 }
 
 // Normalize rewrites a source-variable affine form over the nest's

@@ -24,6 +24,9 @@ import (
 // plus the two non-pair claim families: per-reference in-bounds proofs
 // (re-evaluated pointwise over the clamped iteration space) and the
 // def-level collision/empties verdicts.
+//
+// A report only counts certified certificates, so claim text is built
+// only for the falsified and skipped ones it keeps.
 
 // maxCertifyShared bounds the shared-loop depth for which the 3^n
 // concrete direction vectors are enumerated; deeper pairs are skipped
@@ -60,15 +63,13 @@ func (c *resultCertifier) certifyPairs() {
 			switch {
 			case r.Def.Kind == lang.BigUpd && rd.Ix.Array == r.Def.Source:
 				for wi, writer := range r.Clauses {
-					c.certifyPair("anti",
-						fmt.Sprintf("anti %s→%s", sink.Label(), writer.Label()),
+					c.certifyPair(func() string { return fmt.Sprintf("anti %s→%s", sink.Label(), writer.Label()) },
 						rd.Forms, writer.WriteForms, sink, writer,
 						r.pairOpts(r.budget, r.ReadInBounds[rd], r.WriteInBounds[wi]), false)
 				}
 			case rd.Ix.Array == r.Def.Name:
 				for wi, writer := range r.Clauses {
-					c.certifyPair("flow",
-						fmt.Sprintf("flow %s→%s", writer.Label(), sink.Label()),
+					c.certifyPair(func() string { return fmt.Sprintf("flow %s→%s", writer.Label(), sink.Label()) },
 						writer.WriteForms, rd.Forms, writer, sink,
 						r.pairOpts(r.budget, r.WriteInBounds[wi], r.ReadInBounds[rd]), false)
 				}
@@ -78,8 +79,7 @@ func (c *resultCertifier) certifyPairs() {
 	for i, a := range r.Clauses {
 		for j := i; j < len(r.Clauses); j++ {
 			b := r.Clauses[j]
-			c.certifyPair("output",
-				fmt.Sprintf("write collision %s×%s", a.Label(), b.Label()),
+			c.certifyPair(func() string { return fmt.Sprintf("write collision %s×%s", a.Label(), b.Label()) },
 				a.WriteForms, b.WriteForms, a, b,
 				r.pairOpts(r.budget, r.WriteInBounds[i], r.WriteInBounds[j]), true)
 		}
@@ -89,10 +89,10 @@ func (c *resultCertifier) certifyPairs() {
 // certifyPair re-runs one reference-pair analysis and certifies its
 // claims. The claimed deps cover a subset of the concrete direction
 // vectors over the shared loops; every uncovered vector is an
-// independence claim, every Definite dep a dependence claim. isWW
-// marks write-write pairs, whose outcomes also feed the collision
-// summary.
-func (c *resultCertifier) certifyPair(kind, pair string, srcForms, sinkForms []affine.Form, src, sink *FlatClause, opts PairOptions, isWW bool) {
+// independence claim, every Definite dep a dependence claim. pair
+// names the pair in kept certificates. isWW marks write-write pairs,
+// whose outcomes also feed the collision summary.
+func (c *resultCertifier) certifyPair(pair func() string, srcForms, sinkForms []affine.Form, src, sink *FlatClause, opts PairOptions, isWW bool) {
 	if srcForms == nil || sinkForms == nil {
 		// Non-affine: the analysis already claimed the fully pessimistic
 		// '*…*' dependence, so there is no independence to audit.
@@ -101,7 +101,7 @@ func (c *resultCertifier) certifyPair(kind, pair string, srcForms, sinkForms []a
 	deps, err := AnalyzePairOpts(srcForms, sinkForms, src, sink, opts)
 	if err != nil {
 		c.record(isWW, certify.Certificate{
-			Layer: "analysis", Claim: pair, Status: certify.Skipped,
+			Layer: "analysis", Claim: pair(), Status: certify.Skipped,
 			Detail: fmt.Sprintf("pair replay failed: %v", err),
 		})
 		return
@@ -109,7 +109,7 @@ func (c *resultCertifier) certifyPair(kind, pair string, srcForms, sinkForms []a
 	probs, shared, err := pairProblems(srcForms, sinkForms, src, sink)
 	if err != nil || len(probs) == 0 {
 		c.record(isWW, certify.Certificate{
-			Layer: "analysis", Claim: pair, Status: certify.Skipped,
+			Layer: "analysis", Claim: pair(), Status: certify.Skipped,
 			Detail: "no problem battery",
 		})
 		return
@@ -117,7 +117,7 @@ func (c *resultCertifier) certifyPair(kind, pair string, srcForms, sinkForms []a
 	total := probs[0].NumLoops()
 	if shared > maxCertifyShared {
 		c.record(isWW, certify.Certificate{
-			Layer: "analysis", Claim: pair, Status: certify.Skipped,
+			Layer: "analysis", Claim: pair(), Status: certify.Skipped,
 			Detail: fmt.Sprintf("%d shared loops exceed the certification depth", shared),
 		})
 		return
@@ -148,8 +148,11 @@ func (c *resultCertifier) certifyPair(kind, pair string, srcForms, sinkForms []a
 			if covered(v) {
 				return
 			}
-			claim := fmt.Sprintf("%s dir %s independent", pair, v[:shared])
-			c.record(isWW, certify.CertifyIndependence("analysis", claim, bt, v))
+			cert := certify.CertifyIndependence("analysis", bt, v)
+			if cert.Kept() {
+				cert.Claim = fmt.Sprintf("%s dir %s independent", pair(), v[:shared])
+			}
+			c.record(isWW, cert)
 			return
 		}
 		for _, d := range [...]deptest.Direction{deptest.DirLess, deptest.DirEqual, deptest.DirGreater} {
@@ -165,8 +168,11 @@ func (c *resultCertifier) certifyPair(kind, pair string, srcForms, sinkForms []a
 		}
 		full := deptest.AnyVector(total)
 		copy(full, dep.Dir)
-		claim := fmt.Sprintf("%s dir %s definite", pair, dep.Dir)
-		c.record(isWW, certify.CertifyDependence("analysis", claim, bt, full))
+		cert := certify.CertifyDependence("analysis", bt, full)
+		if cert.Kept() {
+			cert.Claim = fmt.Sprintf("%s dir %s definite", pair(), dep.Dir)
+		}
+		c.record(isWW, cert)
 	}
 }
 
@@ -185,12 +191,15 @@ func (c *resultCertifier) record(isWW bool, cert certify.Certificate) {
 // boundsCheckBudget caps the enumerated instances per clause.
 const boundsCheckBudget = 1 << 16
 
-// boundsClaim is one in-bounds claim of a clause: its certificate and,
-// while the walk settles it, the references to evaluate against b, the
-// first point out of bounds and whether an evaluation saturated. refs
-// is nil when the certificate was settled before the walk.
+// boundsClaim is one in-bounds claim of a clause, of its writes or of
+// its reads of array read: its certificate and, while the walk settles
+// it, the references to evaluate against b, the first point out of
+// bounds and whether an evaluation saturated. refs is nil when the
+// certificate was settled before the walk.
 type boundsClaim struct {
 	cert certify.Certificate
+	cl   *FlatClause
+	read string
 	refs []affine.NormalizedRef
 	b    ArrayBounds
 	bad  []int64
@@ -208,9 +217,7 @@ func (c *resultCertifier) certifyBounds() {
 	for i, cl := range r.Clauses {
 		var claims []boundsClaim
 		if r.WriteInBounds[i] {
-			claims = append(claims, newBoundsClaim(
-				fmt.Sprintf("writes of %s in bounds", cl.Label()),
-				cl.WriteForms, cl, r.Bounds))
+			claims = append(claims, newBoundsClaim("", cl.WriteForms, cl, r.Bounds))
 		}
 		for _, rd := range cl.Reads {
 			if !r.ReadInBounds[rd] {
@@ -225,12 +232,13 @@ func (c *resultCertifier) certifyBounds() {
 				}})
 				continue
 			}
-			claims = append(claims, newBoundsClaim(
-				fmt.Sprintf("reads of %s in %s in bounds", rd.Ix.Array, cl.Label()),
-				rd.Forms, cl, b))
+			claims = append(claims, newBoundsClaim(rd.Ix.Array, rd.Forms, cl, b))
 		}
 		walkBounds(claims, cl.Nest.Trips())
 		for _, bc := range claims {
+			if bc.cert.Kept() && bc.cert.Claim == "" {
+				bc.cert.Claim = bc.text()
+			}
 			c.rep.Record(bc.cert)
 		}
 	}
@@ -249,10 +257,18 @@ func (c *resultCertifier) readBounds(name string) (ArrayBounds, bool) {
 	return b, ok
 }
 
+// text renders the claim of a kept certificate.
+func (bc *boundsClaim) text() string {
+	if bc.read == "" {
+		return fmt.Sprintf("writes of %s in bounds", bc.cl.Label())
+	}
+	return fmt.Sprintf("reads of %s in %s in bounds", bc.read, bc.cl.Label())
+}
+
 // newBoundsClaim normalizes a claim's subscripts against the clause's
 // nest; a rank mismatch or an unnormalizable subscript settles it.
-func newBoundsClaim(claim string, forms []affine.Form, cl *FlatClause, b ArrayBounds) boundsClaim {
-	bc := boundsClaim{cert: certify.Certificate{Layer: "analysis", Claim: claim}, b: b}
+func newBoundsClaim(read string, forms []affine.Form, cl *FlatClause, b ArrayBounds) boundsClaim {
+	bc := boundsClaim{cert: certify.Certificate{Layer: "analysis"}, cl: cl, read: read, b: b}
 	if len(forms) != b.Rank() {
 		bc.cert.Status = certify.Falsified
 		bc.cert.Detail = fmt.Sprintf("rank mismatch: %d subscripts for rank %d", len(forms), b.Rank())
@@ -274,7 +290,7 @@ func newBoundsClaim(claim string, forms []affine.Form, cl *FlatClause, b ArrayBo
 
 // walkBounds enumerates one clause's clamped iteration space, trips
 // clamped within boundsCheckBudget points, and settles every claim
-// still open.
+// still open. Each reference is compiled once for the clamped domain.
 func walkBounds(claims []boundsClaim, trips []int64) {
 	if !slices.ContainsFunc(claims, func(bc boundsClaim) bool { return bc.refs != nil }) {
 		return
@@ -283,12 +299,20 @@ func walkBounds(claims []boundsClaim, trips []int64) {
 	exhaustive := !certify.Clamp(clamp, boundsCheckBudget, func(clamp []int64) int64 {
 		return certify.Points(clamp, boundsCheckBudget)
 	})
+	// subs holds every claim's compiled references back to back.
+	var subs []affine.CompiledRef
+	for _, bc := range claims {
+		for _, r := range bc.refs {
+			subs = append(subs, r.Compile(clamp))
+		}
+	}
 	pos := slices.Repeat([]int64{1}, len(clamp))
 	for n := certify.Points(clamp, boundsCheckBudget); n > 0; n-- {
+		s0 := 0
 		for i := range claims {
 			bc := &claims[i]
 			for d := 0; d < len(bc.refs) && bc.bad == nil; d++ {
-				v, exact := bc.refs[d].EvalSat(pos)
+				v, exact := subs[s0+d].Eval(pos)
 				if !exact {
 					bc.sat = true
 					break
@@ -297,6 +321,7 @@ func walkBounds(claims []boundsClaim, trips []int64) {
 					bc.bad = slices.Clone(pos)
 				}
 			}
+			s0 += len(bc.refs)
 		}
 		// Advance the odometer, the innermost loop fastest.
 		k := len(pos) - 1
@@ -334,21 +359,21 @@ func (c *resultCertifier) certifyDefVerdicts() {
 			status = certify.Falsified
 			detail = "a write-write independence claim was falsified"
 		}
-		c.rep.Record(certify.Certificate{
+		cert := certify.Certificate{
 			Layer:  "analysis",
-			Claim:  fmt.Sprintf("%s: collision verdict 'no'", r.Def.Name),
 			Status: status, Detail: detail, Exhaustive: c.wwExhaustive,
-		})
+		}
+		if cert.Kept() {
+			cert.Claim = fmt.Sprintf("%s: collision verdict 'no'", r.Def.Name)
+		}
+		c.rep.Record(cert)
 	}
 	if r.Def.Kind == lang.Monolithic && r.NoEmpties {
 		var count int64
 		for _, cl := range r.Clauses {
 			count += cl.Instances
 		}
-		cert := certify.Certificate{
-			Layer: "analysis",
-			Claim: fmt.Sprintf("%s: empties excluded", r.Def.Name),
-		}
+		cert := certify.Certificate{Layer: "analysis"}
 		switch {
 		case count != r.Bounds.Size():
 			cert.Status = certify.Falsified
@@ -359,6 +384,9 @@ func (c *resultCertifier) certifyDefVerdicts() {
 		default:
 			cert.Status = certify.Certified
 			cert.Exhaustive = c.wwExhaustive
+		}
+		if cert.Kept() {
+			cert.Claim = fmt.Sprintf("%s: empties excluded", r.Def.Name)
 		}
 		c.rep.Record(cert)
 	}

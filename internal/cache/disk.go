@@ -4,13 +4,13 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 
 	"arraycomp/internal/core"
+	"arraycomp/internal/wire"
 )
 
 // The persistent tier under the memory LRU: compiled programs whose
@@ -26,7 +26,8 @@ import (
 //	version 4 bytes  format version (entries with any other version
 //	                 are discarded and recompiled, never migrated)
 //	length  8 bytes  payload byte count
-//	payload          gob(diskPayload{Key, Snap})
+//	payload          key, then the snapshot (core.Snapshot.MarshalBinary),
+//	                 each as a length-prefixed byte string (internal/wire)
 //	sum    32 bytes  SHA-256 over magic+version+length+payload
 //
 // The checksum makes the whole entry — including the certification
@@ -47,10 +48,13 @@ import (
 // recompiled. Version 4: a bigupd of a caller's input compiles to a
 // copy-update plan and no plan clones its source any more, so a
 // version-3 entry (an in-place plan that relied on that clone) would
-// update the caller's array; it is recompiled.
+// update the caller's array; it is recompiled. Version 5: a plan's loop
+// IR rides in its own compact encoding (loopir.Program.MarshalBinary)
+// instead of a gob-encoded node tree, so version-4 entries are
+// recompiled.
 const (
 	diskMagic   = "HACDISK1"
-	diskVersion = uint32(4)
+	diskVersion = uint32(5)
 	diskExt     = ".hacplan"
 )
 
@@ -62,6 +66,30 @@ type diskPayload struct {
 	// re-checked against the filename on load.
 	Key  string
 	Snap *core.Snapshot
+}
+
+func (pl *diskPayload) encode() ([]byte, error) {
+	snap, err := pl.Snap.MarshalBinary()
+	if err != nil {
+		return nil, err
+	}
+	e := &wire.Encoder{}
+	e.Str(pl.Key)
+	e.Bytes(snap)
+	return e.Buf, nil
+}
+
+func decodePayload(b []byte) (diskPayload, error) {
+	d := wire.NewDecoder(b)
+	key, snap := d.Str(), d.Bytes()
+	if err := d.Err(); err != nil {
+		return diskPayload{}, err
+	}
+	pl := diskPayload{Key: key, Snap: &core.Snapshot{}}
+	if err := pl.Snap.UnmarshalBinary(snap); err != nil {
+		return diskPayload{}, err
+	}
+	return pl, nil
 }
 
 type diskTier struct {
@@ -82,17 +110,17 @@ func (d *diskTier) path(key string) string {
 // write persists one snapshot, atomically (temp file + rename), so a
 // concurrent reader or a crash mid-write never observes a torn entry.
 func (d *diskTier) write(key string, snap *core.Snapshot) error {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(&diskPayload{Key: key, Snap: snap}); err != nil {
+	payload, err := (&diskPayload{Key: key, Snap: snap}).encode()
+	if err != nil {
 		return err
 	}
 	var buf bytes.Buffer
 	buf.WriteString(diskMagic)
 	var hdr [12]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], diskVersion)
-	binary.LittleEndian.PutUint64(hdr[4:12], uint64(payload.Len()))
+	binary.LittleEndian.PutUint64(hdr[4:12], uint64(len(payload)))
 	buf.Write(hdr[:])
-	buf.Write(payload.Bytes())
+	buf.Write(payload)
 	sum := sha256.Sum256(buf.Bytes())
 	buf.Write(sum[:])
 
@@ -153,15 +181,12 @@ func (d *diskTier) validate(key string, raw []byte, opts core.Options) (*core.Pr
 	if !bytes.Equal(sum[:], raw[len(body):]) {
 		return nil, fmt.Errorf("cache: disk entry %s checksum mismatch", key)
 	}
-	var pl diskPayload
-	if err := gob.NewDecoder(bytes.NewReader(raw[diskHeaderLen:len(body)])).Decode(&pl); err != nil {
+	pl, err := decodePayload(raw[diskHeaderLen:len(body)])
+	if err != nil {
 		return nil, fmt.Errorf("cache: disk entry %s: %w", key, err)
 	}
 	if pl.Key != key {
 		return nil, fmt.Errorf("cache: disk entry %s written for key %s", key, pl.Key)
-	}
-	if pl.Snap == nil {
-		return nil, fmt.Errorf("cache: disk entry %s has no snapshot", key)
 	}
 	return core.RestoreSnapshot(pl.Snap, opts)
 }

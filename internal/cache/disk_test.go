@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"math"
 	"os"
@@ -189,9 +188,8 @@ func TestDiskForgedCertifyEvidenceRejected(t *testing.T) {
 
 	// Forge: decode the payload, flip the certification evidence, and
 	// splice the re-encoded payload under the ORIGINAL checksum.
-	var pl diskPayload
-	payload := raw[diskHeaderLen : len(raw)-sha256.Size]
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&pl); err != nil {
+	pl, err := decodePayload(raw[diskHeaderLen : len(raw)-sha256.Size])
+	if err != nil {
 		t.Fatal(err)
 	}
 	if pl.Snap.CertifiedClaims == 0 {
@@ -202,13 +200,13 @@ func TestDiskForgedCertifyEvidenceRejected(t *testing.T) {
 	forged.WriteString(diskMagic)
 	var hdr [12]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], diskVersion)
-	var newPayload bytes.Buffer
-	if err := gob.NewEncoder(&newPayload).Encode(&pl); err != nil {
+	newPayload, err := pl.encode()
+	if err != nil {
 		t.Fatal(err)
 	}
-	binary.LittleEndian.PutUint64(hdr[4:12], uint64(newPayload.Len()))
+	binary.LittleEndian.PutUint64(hdr[4:12], uint64(len(newPayload)))
 	forged.Write(hdr[:])
-	forged.Write(newPayload.Bytes())
+	forged.Write(newPayload)
 	forged.Write(raw[len(raw)-sha256.Size:]) // stale checksum from the honest entry
 	if err := os.WriteFile(path, forged.Bytes(), 0o644); err != nil {
 		t.Fatal(err)

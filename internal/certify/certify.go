@@ -28,7 +28,10 @@ package certify
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
+	"time"
 
 	"arraycomp/internal/deptest"
 )
@@ -97,6 +100,11 @@ type Certificate struct {
 	Exhaustive bool
 }
 
+// Kept reports whether a Report keeps c rather than only counting it:
+// falsified and skipped certificates are kept, certified ones are not,
+// so a certifier need not build a certified claim's text.
+func (c Certificate) Kept() bool { return c.Status != Certified }
+
 // String renders the certificate on one line.
 func (c Certificate) String() string {
 	var b strings.Builder
@@ -127,6 +135,9 @@ type Report struct {
 	Skips []Certificate
 	// Layers tallies the certificates per Certificate.Layer.
 	Layers map[string]Tally
+	// Times holds each certifier's time, keyed by the Layer of the
+	// certificates it files (a certifier may file none).
+	Times map[string]time.Duration
 }
 
 // Tally counts one layer's certificates by status. Exhaustive counts
@@ -176,6 +187,14 @@ func (r *Report) Record(c Certificate) {
 	r.tally(c.Layer, t)
 }
 
+// AddTime charges d to the certifier of layer.
+func (r *Report) AddTime(layer string, d time.Duration) {
+	if r.Times == nil {
+		r.Times = map[string]time.Duration{}
+	}
+	r.Times[layer] += d
+}
+
 // Merge folds another report into r.
 func (r *Report) Merge(o *Report) {
 	if o == nil {
@@ -187,6 +206,9 @@ func (r *Report) Merge(o *Report) {
 	r.Failures = append(r.Failures, o.Failures...)
 	for layer, t := range o.Layers {
 		r.tally(layer, t)
+	}
+	for layer, d := range o.Times {
+		r.AddTime(layer, d)
 	}
 	for _, c := range o.Skips {
 		if len(r.Skips) < maxSkipSample {
@@ -224,6 +246,25 @@ func (r *Report) String() string {
 	}
 	if r.SkippedCount > len(r.Skips) {
 		fmt.Fprintf(&b, "  … and %d more skipped\n", r.SkippedCount-len(r.Skips))
+	}
+	return b.String()
+}
+
+// LayerTable renders one line per certifier layer, sorted: its tally
+// and its time.
+func (r *Report) LayerTable() string {
+	var b strings.Builder
+	keys := slices.Collect(maps.Keys(r.Layers))
+	for layer := range r.Times {
+		if _, ok := r.Layers[layer]; !ok {
+			keys = append(keys, layer)
+		}
+	}
+	slices.Sort(keys)
+	for _, layer := range keys {
+		t := r.Layers[layer]
+		fmt.Fprintf(&b, "  %-9s certified=%d falsified=%d skipped=%d exhaustive=%d  %.3fms\n",
+			layer, t.Certified, t.Falsified, t.Skipped, t.Exhaustive, float64(r.Times[layer])/1e6)
 	}
 	return b.String()
 }

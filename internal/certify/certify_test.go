@@ -2,6 +2,7 @@ package certify
 
 import (
 	"testing"
+	"time"
 
 	"arraycomp/internal/deptest"
 )
@@ -38,7 +39,7 @@ func TestSearchWitnessRefutesParity(t *testing.T) {
 	if !exhaustive {
 		t.Fatal("10 iterations must be covered exhaustively")
 	}
-	c := CertifyIndependence("analysis", "parity", NewBattery([]deptest.Problem{p}), vec(t, "(*)"))
+	c := CertifyIndependence("analysis", NewBattery([]deptest.Problem{p}), vec(t, "(*)"))
 	if c.Status != Certified || !c.Exhaustive {
 		t.Fatalf("certificate: %s", c)
 	}
@@ -76,10 +77,10 @@ func TestShadowClampEngages(t *testing.T) {
 	if found || exhaustive {
 		t.Fatalf("found=%v exhaustive=%v; witness lies outside the shadow", found, exhaustive)
 	}
-	if c := CertifyDependence("analysis", "far", NewBattery([]deptest.Problem{far}), vec(t, "(*)")); c.Status != Skipped {
+	if c := CertifyDependence("analysis", NewBattery([]deptest.Problem{far}), vec(t, "(*)")); c.Status != Skipped {
 		t.Fatalf("unfindable definite witness must be Skipped, got %s", c)
 	}
-	if c := CertifyIndependence("analysis", "far", NewBattery([]deptest.Problem{far}), vec(t, "(*)")); c.Status != Certified || c.Exhaustive {
+	if c := CertifyIndependence("analysis", NewBattery([]deptest.Problem{far}), vec(t, "(*)")); c.Status != Certified || c.Exhaustive {
 		t.Fatalf("clamped independence must certify non-exhaustively, got %s", c)
 	}
 }
@@ -94,7 +95,7 @@ func TestSimultaneousDimensions(t *testing.T) {
 	if found || !exhaustive {
 		t.Fatalf("found=%v exhaustive=%v", found, exhaustive)
 	}
-	c := CertifyIndependence("analysis", "coupled", NewBattery([]deptest.Problem{d1, d2}), vec(t, "(*)"))
+	c := CertifyIndependence("analysis", NewBattery([]deptest.Problem{d1, d2}), vec(t, "(*)"))
 	if c.Status != Certified || !c.Exhaustive {
 		t.Fatalf("certificate: %s", c)
 	}
@@ -111,14 +112,14 @@ func TestEmptyDomainExhaustive(t *testing.T) {
 func TestCertifyDependenceWitness(t *testing.T) {
 	// a!(2i) vs a!(2j): definite dependence, witness x = y.
 	p := deptest.NewProblem(0, []int64{2}, 0, []int64{2}, []int64{16})
-	c := CertifyDependence("analysis", "even", NewBattery([]deptest.Problem{p}), vec(t, "(*)"))
+	c := CertifyDependence("analysis", NewBattery([]deptest.Problem{p}), vec(t, "(*)"))
 	if c.Status != Certified || len(c.Witness) != 2 {
 		t.Fatalf("certificate: %s", c)
 	}
 	// A claim of a dependence that cannot exist is falsified when the
 	// domain is covered.
 	no := deptest.NewProblem(0, []int64{2}, 1, []int64{2}, []int64{16})
-	c = CertifyDependence("analysis", "parity", NewBattery([]deptest.Problem{no}), vec(t, "(*)"))
+	c = CertifyDependence("analysis", NewBattery([]deptest.Problem{no}), vec(t, "(*)"))
 	if c.Status != Falsified {
 		t.Fatalf("certificate: %s", c)
 	}
@@ -190,6 +191,23 @@ func TestReportAggregation(t *testing.T) {
 		if r.Layers[layer] != tl {
 			t.Errorf("layer %s tally %+v, want %+v", layer, r.Layers[layer], tl)
 		}
+	}
+	// Times merge by layer, and a layer with a time but no
+	// certificates still gets its table line.
+	r.AddTime("analysis", 2*time.Millisecond)
+	other = NewReport()
+	other.AddTime("analysis", time.Millisecond)
+	other.AddTime("stencil", 500*time.Microsecond)
+	r.Merge(other)
+	if r.Times["analysis"] != 3*time.Millisecond || r.Times["stencil"] != 500*time.Microsecond {
+		t.Errorf("merged times %v", r.Times)
+	}
+	wantTable := "  analysis  certified=2 falsified=0 skipped=0 exhaustive=0  3.000ms\n" +
+		"  plan      certified=0 falsified=1 skipped=0 exhaustive=0  0.000ms\n" +
+		"  schedule  certified=0 falsified=0 skipped=1 exhaustive=0  0.000ms\n" +
+		"  stencil   certified=0 falsified=0 skipped=0 exhaustive=0  0.500ms\n"
+	if got := r.LayerTable(); got != wantTable {
+		t.Errorf("LayerTable:\n%s\nwant\n%s", got, wantTable)
 	}
 	clean := NewReport()
 	clean.Record(Certificate{Status: Certified})

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // The shadow-domain toolkit shared by the certifiers: one clamp for
@@ -77,22 +78,43 @@ type elem struct{ off, n, count int32 }
 
 type link struct{ payload, next int32 }
 
+// elemIndexes keeps released indexes, so the certifiers of one compile
+// (and of the next) reuse one index's storage instead of allocating and
+// clearing a fresh table per definition.
+var elemIndexes = sync.Pool{New: func() any { return new(ElemIndex) }}
+
 // NewElemIndex returns an index with kinds access kinds and a
 // per-element payload cap (0 for none), sized for about elems elements
-// and payloads payloads.
-func NewElemIndex(kinds, cap, elems, payloads int) *ElemIndex {
+// and payloads payloads. Its storage may be a released index's.
+func NewElemIndex(kinds, perElem, elems, payloads int) *ElemIndex {
 	slots := 16
 	for slots < 2*elems {
 		slots *= 2
 	}
-	return &ElemIndex{
-		kinds: kinds, cap: int32(cap),
-		elems: make([]elem, 0, elems),
-		ends:  make([]int32, 0, 2*kinds*elems),
-		links: make([]link, 0, payloads),
-		slots: make([]int32, slots),
-	}
+	ix := elemIndexes.Get().(*ElemIndex)
+	ix.kinds, ix.cap = kinds, int32(perElem)
+	ix.keys = ix.keys[:0]
+	ix.elems = slices.Grow(ix.elems[:0], elems)
+	ix.ends = slices.Grow(ix.ends[:0], 2*kinds*elems)
+	ix.links = slices.Grow(ix.links[:0], payloads)
+	ix.slots = sizeSlots(ix.slots, slots)
+	return ix
 }
+
+// sizeSlots returns a cleared table of n slots, in s's storage when it
+// has room.
+func sizeSlots(s []int32, n int) []int32 {
+	if cap(s) < n {
+		return make([]int32, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// Release hands the index's storage to a later NewElemIndex. The index
+// and the keys it returned must not be used afterwards.
+func (ix *ElemIndex) Release() { elemIndexes.Put(ix) }
 
 // Add appends payload to the kind chain of the element key, creating
 // the element when it is new. It returns false, and adds nothing, when
@@ -131,7 +153,7 @@ func (ix *ElemIndex) lookup(key []int64) int32 {
 	ix.slots[i] = e + 1
 	if 2*len(ix.elems) > len(ix.slots) {
 		// Grow to keep the table at most half full.
-		ix.slots = make([]int32, 2*len(ix.slots))
+		ix.slots = sizeSlots(ix.slots, 2*len(ix.slots))
 		for e := range ix.elems {
 			ix.slots[ix.probe(ix.Key(int32(e)))] = int32(e) + 1
 		}

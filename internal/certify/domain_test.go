@@ -120,3 +120,30 @@ func TestElemIndexLookupDoesNotAllocate(t *testing.T) {
 		t.Fatalf("lookup of a known key allocates %v times", a)
 	}
 }
+
+// TestElemIndexReleaseReuse: an index made from released storage, even
+// a larger index's with another kind count, starts empty and numbers
+// its elements as a fresh one does.
+func TestElemIndexReleaseReuse(t *testing.T) {
+	big := NewElemIndex(3, 0, 0, 0)
+	for p := int32(0); p < 500; p++ {
+		big.Add([]int64{int64(p), 1}, int(p%3), p)
+	}
+	big.Release()
+	for round := 0; round < 3; round++ {
+		ix := NewElemIndex(1, 2, 2, 4)
+		if ix.Len() != 0 {
+			t.Fatalf("round %d: reused index starts with %d elements", round, ix.Len())
+		}
+		for p, v := range []int64{9, 4, 9, 9, 4} {
+			ix.Add([]int64{v}, 0, int32(p))
+		}
+		if ix.Len() != 2 || !slices.Equal(ix.Key(0), []int64{9}) || !slices.Equal(ix.Key(1), []int64{4}) {
+			t.Fatalf("round %d: elements %v, %v", round, ix.Key(0), ix.Key(1))
+		}
+		if c0, c1 := chain(ix, 0, 0), chain(ix, 1, 0); !slices.Equal(c0, []int32{0, 2}) || !slices.Equal(c1, []int32{1, 4}) {
+			t.Fatalf("round %d: chains %v, %v", round, c0, c1)
+		}
+		ix.Release()
+	}
+}

@@ -200,15 +200,12 @@ const smallCoeff = 1 << 40
 
 func isSmall(c int64) bool { return -smallCoeff <= c && c <= smallCoeff }
 
-// term computes problem d's loop-k contribution at (x, y); ok=false
-// when the arithmetic saturated.
-func (bt *Battery) term(d, k int, x, y int64) (int64, bool) {
-	i := k*len(bt.probs) + d
-	if bt.small {
-		return bt.a[i]*x - bt.b[i]*y, true
-	}
+// satTerm computes a loop's contribution a·x − b·y with saturating
+// arithmetic; ok=false when it saturated. On the small path callers
+// compute the term with plain arithmetic, which is exact there.
+func satTerm(a, b, x, y int64) (int64, bool) {
 	var so deptest.SatOps
-	t := so.Sub(so.Mul(bt.a[i], x), so.Mul(bt.b[i], y))
+	t := so.Sub(so.Mul(a, x), so.Mul(b, y))
 	return t, !so.Overflowed
 }
 
@@ -259,6 +256,12 @@ func (bt *Battery) buildSuffix() {
 // admitted clamped pairs, by direct enumeration of those pairs (not by
 // the Banerjee formulas under audit). A loop without admitted pairs, or
 // whose terms saturate, gets the whole line.
+//
+// The enumeration visits every x but only the two ends of its y range.
+// For a fixed x, a·x − b·y is monotone in y ≥ 1, and so is |b·y|: the
+// extremes over y ∈ [lo, hi] lie at y = lo and y = hi, and a term that
+// saturates anywhere in the range saturates at one of them. The
+// interval is the one a scan of every pair would find.
 func (bt *Battery) termIntervals(k int) []deptest.Interval {
 	np := len(bt.probs)
 	dir := deptest.DirAny
@@ -275,25 +278,30 @@ func (bt *Battery) termIntervals(k int) []deptest.Interval {
 	xHi := bt.xRange(k)
 	for d := 0; d < np; d++ {
 		iv, first := deptest.Interval{}, true
+		widen := func(t int64) {
+			if first {
+				iv, first = deptest.Interval{Lo: t, Hi: t}, false
+				return
+			}
+			iv.Lo, iv.Hi = min(iv.Lo, t), max(iv.Hi, t)
+		}
+		a, b := bt.a[k*np+d], bt.b[k*np+d]
 	enum:
 		for x := int64(1); x <= xHi; x++ {
 			lo, hi := bt.yRange(k, x)
-			for y := lo; y <= hi; y++ {
-				t, ok := bt.term(d, k, x, y)
+			if lo > hi {
+				continue
+			}
+			for _, y := range [2]int64{lo, hi} {
+				t, ok := a*x-b*y, true
+				if !bt.small {
+					t, ok = satTerm(a, b, x, y)
+				}
 				if !ok {
 					first = true // saturated: the whole line
 					break enum
 				}
-				if first {
-					iv, first = deptest.Interval{Lo: t, Hi: t}, false
-					continue
-				}
-				if t < iv.Lo {
-					iv.Lo = t
-				}
-				if t > iv.Hi {
-					iv.Hi = t
-				}
+				widen(t)
 			}
 		}
 		if first {
@@ -319,6 +327,7 @@ func (bt *Battery) solve(k int) bool {
 	cur := bt.target[k*np : (k+1)*np]
 	next := bt.target[(k+1)*np : (k+2)*np]
 	reach := bt.suffix[(k+1)*np : (k+2)*np]
+	a, b := bt.a[k*np:(k+1)*np], bt.b[k*np:(k+1)*np]
 	xHi := bt.xRange(k)
 	for x := int64(1); x <= xHi; x++ {
 		lo, hi := bt.yRange(k, x)
@@ -329,7 +338,10 @@ func (bt *Battery) solve(k int) bool {
 				return false
 			}
 			for d := 0; d < np; d++ {
-				t, ok := bt.term(d, k, x, y)
+				t, ok := a[d]*x-b[d]*y, true
+				if !bt.small {
+					t, ok = satTerm(a[d], b[d], x, y)
+				}
 				if !ok {
 					bt.sat = true
 					continue pair
@@ -363,45 +375,47 @@ func (bt *Battery) solve(k int) bool {
 // exists between this reference pair": a witness found in the shadow
 // domain (and confirmed by re-evaluating the affine equations)
 // falsifies it; otherwise the claim is certified, exhaustively when
-// the search covered the whole domain.
-func CertifyIndependence(layer, claim string, bt *Battery, v deptest.Vector) Certificate {
+// the search covered the whole domain. The caller names the claim of
+// a kept certificate.
+func CertifyIndependence(layer string, bt *Battery, v deptest.Vector) Certificate {
 	w, found, exhaustive := bt.Search(v)
 	if found {
 		if CheckWitness(bt.probs, v, w) {
 			return Certificate{
-				Layer: layer, Claim: claim, Status: Falsified,
+				Layer: layer, Status: Falsified,
 				Witness: w.flatten(), Detail: "dependence witness found in shadow domain",
 			}
 		}
 		return Certificate{
-			Layer: layer, Claim: claim, Status: Skipped,
+			Layer: layer, Status: Skipped,
 			Witness: w.flatten(), Detail: "internal: enumerated witness failed re-evaluation",
 		}
 	}
-	return Certificate{Layer: layer, Claim: claim, Status: Certified, Exhaustive: exhaustive}
+	return Certificate{Layer: layer, Status: Certified, Exhaustive: exhaustive}
 }
 
 // CertifyDependence checks a Definite ("dependence certainly
 // exists") claim by producing a concrete witness. Absence of one is a
 // falsification only when the search was exhaustive; a clamped search
 // that comes up empty is inconclusive (the definite point may lie
-// outside the shadow domain).
-func CertifyDependence(layer, claim string, bt *Battery, v deptest.Vector) Certificate {
+// outside the shadow domain). The caller names the claim of a kept
+// certificate.
+func CertifyDependence(layer string, bt *Battery, v deptest.Vector) Certificate {
 	w, found, exhaustive := bt.Search(v)
 	if found && CheckWitness(bt.probs, v, w) {
 		return Certificate{
-			Layer: layer, Claim: claim, Status: Certified,
+			Layer: layer, Status: Certified,
 			Witness: w.flatten(), Exhaustive: exhaustive,
 		}
 	}
 	if exhaustive {
 		return Certificate{
-			Layer: layer, Claim: claim, Status: Falsified,
+			Layer: layer, Status: Falsified,
 			Detail: "no solution exists in the exhaustively covered domain",
 		}
 	}
 	return Certificate{
-		Layer: layer, Claim: claim, Status: Skipped,
+		Layer: layer, Status: Skipped,
 		Detail: "no witness within shadow bounds",
 	}
 }

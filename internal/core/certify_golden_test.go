@@ -119,3 +119,18 @@ func TestCertifyGoldenReports(t *testing.T) {
 	}
 	t.Fatalf("certificate tallies differ from %s; full table:\n%s", certifyGoldenPath, got)
 }
+
+// BenchmarkCompileCertify is a certified cold compile of the six paper
+// programs at n=64 with the compile workload's options: the end-to-end
+// cost of -certify next to the per-layer certifier benchmarks.
+func BenchmarkCompileCertify(b *testing.B) {
+	cases := certifyGoldenCorpus()[:6]
+	b.ReportAllocs()
+	for b.Loop() {
+		for _, c := range cases {
+			if _, err := Compile(c.src, c.params, c.opts); err != nil {
+				b.Fatalf("%s: %v", c.name, err)
+			}
+		}
+	}
+}

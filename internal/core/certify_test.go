@@ -2,8 +2,10 @@ package core
 
 import (
 	"testing"
+	"time"
 
 	"arraycomp/internal/analysis"
+	"arraycomp/internal/metrics"
 	"arraycomp/internal/workloads"
 )
 
@@ -110,5 +112,29 @@ func TestCertifyReportsThroughProgram(t *testing.T) {
 	p := compile(t, workloads.SquaresSrc, map[string]int64{"n": 16}, Options{})
 	if p.Certs != nil {
 		t.Fatal("Certs attached without Options.Certify")
+	}
+}
+
+// TestCertifyTimesPerCertifier: every certifier a compile runs charges
+// its time to its layer, also when it files no certificate, and the
+// layer times add up to the certify phase.
+func TestCertifyTimesPerCertifier(t *testing.T) {
+	lo, hi := workloads.MatrixBounds(64)
+	opts := Options{Certify: true, Parallel: true, Workers: 2,
+		InputBounds: map[string]analysis.ArrayBounds{"a": {Lo: lo, Hi: hi}}}
+	p := compile(t, workloads.SORSrc, map[string]int64{"n": 64}, opts)
+	var sum time.Duration
+	for _, layer := range []string{"analysis", "schedule", "plan", "stencil", "claims"} {
+		d, ok := p.Certs.Times[layer]
+		if !ok {
+			t.Errorf("no time for the %s certifier: %v", layer, p.Certs.Times)
+		}
+		sum += d
+	}
+	if len(p.Certs.Times) != 5 {
+		t.Errorf("times %v, want the five certifiers SOR runs", p.Certs.Times)
+	}
+	if want := p.Stats.Phases[metrics.PhaseCertify]; sum != want {
+		t.Errorf("layer times sum to %v, certify phase %v", sum, want)
 	}
 }

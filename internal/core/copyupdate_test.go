@@ -8,7 +8,6 @@ package core_test
 // shard that reads old values from the result instead.
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -79,12 +78,12 @@ func restored(t *testing.T, p *core.Program, opts core.Options) *core.Program {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := s.Encode(&buf); err != nil {
+	enc, err := s.MarshalBinary()
+	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := core.DecodeSnapshot(&buf)
-	if err != nil {
+	dec := &core.Snapshot{}
+	if err := dec.UnmarshalBinary(enc); err != nil {
 		t.Fatal(err)
 	}
 	r, err := core.RestoreSnapshot(dec, opts)

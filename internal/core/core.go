@@ -244,15 +244,17 @@ func compileProgram(source *lang.Program, params map[string]int64, opts Options,
 	if opts.Certify {
 		p.Certs = certify.NewReport()
 	}
-	// certifyMerge folds one layer's certificates into the program
-	// report and aborts the compile on any falsification. certified
-	// sums the time it charges to the certify phase.
+	// certifyMerge folds one certifier's certificates into the program
+	// report, charges its time to the certifier's layer there, and
+	// aborts the compile on any falsification. certified sums the time
+	// it charges to the certify phase.
 	var certified time.Duration
-	certifyMerge := func(name string, crep *certify.Report, t0 time.Time) error {
+	certifyMerge := func(name, layer string, crep *certify.Report, t0 time.Time) error {
 		d := time.Since(t0)
 		certified += d
 		rep.AddPhase(metrics.PhaseCertify, d)
 		p.Certs.Merge(crep)
+		p.Certs.AddTime(layer, d)
 		rep.Counters.ClaimsCertified += crep.CertifiedCount
 		rep.Counters.ClaimsFalsified += crep.FalsifiedCount
 		rep.Counters.ClaimsSkipped += crep.SkippedCount
@@ -339,14 +341,14 @@ func compileProgram(source *lang.Program, params map[string]int64, opts Options,
 				def.Name, res.Cond.Claims, nStatic, len(res.Cond.Claims))
 			if opts.Certify {
 				t0 := time.Now()
-				if err := certifyMerge(def.Name, certifyStaticClaims(res.Cond.Claims, source, env), t0); err != nil {
+				if err := certifyMerge(def.Name, "idxprop", certifyStaticClaims(res.Cond.Claims, source, env), t0); err != nil {
 					return nil, err
 				}
 			}
 		}
 		if opts.Certify {
 			t0 := time.Now()
-			if err := certifyMerge(def.Name, analysis.Certify(res), t0); err != nil {
+			if err := certifyMerge(def.Name, "analysis", analysis.Certify(res), t0); err != nil {
 				return nil, err
 			}
 		}
@@ -480,7 +482,7 @@ func compileProgram(source *lang.Program, params map[string]int64, opts Options,
 		}
 		if opts.Certify {
 			t0 := time.Now()
-			if err := certifyMerge(name, schedule.Certify(res, sched, anti), t0); err != nil {
+			if err := certifyMerge(name, "schedule", schedule.Certify(res, sched, anti), t0); err != nil {
 				return nil, err
 			}
 		}
@@ -498,11 +500,11 @@ func compileProgram(source *lang.Program, params map[string]int64, opts Options,
 		p.installVerifyHook(plan.Exec, opts.VerifyStats)
 		if opts.Certify {
 			t0 := time.Now()
-			if err := certifyMerge(name, loopir.CertifyPlans(plan.Program), t0); err != nil {
+			if err := certifyMerge(name, "plan", loopir.CertifyPlans(plan.Program), t0); err != nil {
 				return nil, err
 			}
 			t0 = time.Now()
-			if err := certifyMerge(name, loopir.CertifySplits(plan.Program), t0); err != nil {
+			if err := certifyMerge(name, "stencil", loopir.CertifySplits(plan.Program), t0); err != nil {
 				return nil, err
 			}
 			t0 = time.Now()
@@ -514,7 +516,7 @@ func compileProgram(source *lang.Program, params map[string]int64, opts Options,
 					}
 				}
 			}
-			if err := certifyMerge(name, loopir.CertifyClaims(plan.Program, static), t0); err != nil {
+			if err := certifyMerge(name, "claims", loopir.CertifyClaims(plan.Program, static), t0); err != nil {
 				return nil, err
 			}
 		}
@@ -529,7 +531,7 @@ func compileProgram(source *lang.Program, params map[string]int64, opts Options,
 		return nil, err
 	}
 	if opts.Stream {
-		var cm func(string, *certify.Report, time.Time) error
+		var cm func(string, string, *certify.Report, time.Time) error
 		if opts.Certify {
 			cm = certifyMerge
 		}

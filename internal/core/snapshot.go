@@ -1,9 +1,9 @@
 package core
 
 import (
-	"encoding/gob"
 	"fmt"
-	"io"
+	"maps"
+	"slices"
 	"time"
 
 	"arraycomp/internal/certify"
@@ -11,6 +11,7 @@ import (
 	"arraycomp/internal/lang"
 	"arraycomp/internal/loopir"
 	"arraycomp/internal/metrics"
+	"arraycomp/internal/wire"
 )
 
 // This file is the persistence boundary of the compiler: a compiled
@@ -99,18 +100,104 @@ func (p *Program) Snapshot() (*Snapshot, error) {
 	return s, nil
 }
 
-// Encode writes the snapshot in gob form.
-func (s *Snapshot) Encode(w io.Writer) error {
-	return gob.NewEncoder(w).Encode(s)
+// snapshotVersion leads every encoded Snapshot; any other is refused.
+const snapshotVersion = 1
+
+// MarshalBinary encodes s field by field (internal/wire), each
+// definition's IR in loopir's own encoding, and Env in key order.
+func (s *Snapshot) MarshalBinary() ([]byte, error) {
+	e := &wire.Encoder{Buf: []byte{snapshotVersion}}
+	e.Str(s.Result)
+	e.Len(len(s.Env))
+	for _, k := range slices.Sorted(maps.Keys(s.Env)) {
+		e.Str(k)
+		e.Int(s.Env[k])
+	}
+	e.Strs(s.Order)
+	e.Strs(s.Notes)
+	c := &s.Counters
+	for _, v := range [...]int{c.CollisionChecksElided, c.EmptiesChecksElided, c.ThunksAvoided, c.ThunkedDefs, c.LoopsFused,
+		c.ClaimsCertified, c.ClaimsFalsified, c.ClaimsSkipped, c.IdxClaims, c.IdxClaimsStatic} {
+		e.Int(int64(v))
+	}
+	e.Len(len(c.SchedulesByKind))
+	for _, k := range slices.Sorted(maps.Keys(c.SchedulesByKind)) {
+		e.Str(k)
+		e.Int(int64(c.SchedulesByKind[k]))
+	}
+	e.Int(int64(s.CertifiedClaims))
+	e.Len(len(s.Defs))
+	for i := range s.Defs {
+		d := &s.Defs[i]
+		e.Str(d.Name)
+		e.Str(d.SourceArray)
+		e.Bool(d.InPlace)
+		e.Bool(d.CopyUpdate)
+		for _, v := range [...]int{d.Checks.CollisionChecks, d.Checks.BoundsChecks, d.Checks.DefinedChecks, d.Checks.EmptiesSweeps} {
+			e.Int(int64(v))
+		}
+		e.Bool(d.IR != nil)
+		if d.IR != nil {
+			ir, err := d.IR.MarshalBinary()
+			if err != nil {
+				return nil, err
+			}
+			e.Bytes(ir)
+		}
+	}
+	return e.Buf, nil
 }
 
-// DecodeSnapshot reads a gob-encoded snapshot.
-func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
-	s := &Snapshot{}
-	if err := gob.NewDecoder(r).Decode(s); err != nil {
-		return nil, fmt.Errorf("core: decoding snapshot: %w", err)
+// UnmarshalBinary decodes what MarshalBinary wrote, replacing s.
+func (s *Snapshot) UnmarshalBinary(data []byte) error {
+	d := wire.NewDecoder(data)
+	if d.Byte() != snapshotVersion {
+		return fmt.Errorf("core: snapshot is not in encoding version %d", snapshotVersion)
 	}
-	return s, nil
+	out := Snapshot{Result: d.Str()}
+	if n := d.Len(); n > 0 {
+		out.Env = make(map[string]int64, n)
+		for range n {
+			k := d.Str()
+			out.Env[k] = d.Int()
+		}
+	}
+	out.Order, out.Notes = d.Strs(), d.Strs()
+	c := &out.Counters
+	for _, v := range [...]*int{&c.CollisionChecksElided, &c.EmptiesChecksElided, &c.ThunksAvoided, &c.ThunkedDefs, &c.LoopsFused,
+		&c.ClaimsCertified, &c.ClaimsFalsified, &c.ClaimsSkipped, &c.IdxClaims, &c.IdxClaimsStatic} {
+		*v = int(d.Int())
+	}
+	if n := d.Len(); n > 0 {
+		c.SchedulesByKind = make(map[string]int, n)
+		for range n {
+			k := d.Str()
+			c.SchedulesByKind[k] = int(d.Int())
+		}
+	}
+	out.CertifiedClaims = int(d.Int())
+	if n := d.Len(); n > 0 {
+		out.Defs = make([]SnapshotDef, n)
+		for i := range out.Defs {
+			def := &out.Defs[i]
+			def.Name, def.SourceArray = d.Str(), d.Str()
+			def.InPlace, def.CopyUpdate = d.Bool(), d.Bool()
+			for _, v := range [...]*int{&def.Checks.CollisionChecks, &def.Checks.BoundsChecks, &def.Checks.DefinedChecks, &def.Checks.EmptiesSweeps} {
+				*v = int(d.Int())
+			}
+			if d.Bool() {
+				def.IR = &loopir.Program{}
+				if err := def.IR.UnmarshalBinary(d.Bytes()); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	if err := d.Err(); err != nil {
+		return err
+	}
+	*s = out
+	return nil
 }
 
 // RestoreSnapshot rebuilds a runnable Program from its durable form

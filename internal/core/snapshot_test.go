@@ -1,16 +1,18 @@
 package core
 
 import (
-	"bytes"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
 	"arraycomp/internal/analysis"
+	"arraycomp/internal/loopir"
 	"arraycomp/internal/metrics"
 	"arraycomp/internal/runtime"
 )
 
-// roundtrip certifies, compiles, snapshots, gob-encodes, decodes, and
+// roundtrip certifies, compiles, snapshots, encodes, decodes, and
 // restores src, then checks the restored program's output is bitwise
 // identical to the original's and that it paid zero compile-phase time.
 func roundtrip(t *testing.T, src string, params map[string]int64, opts Options, inputs map[string]*runtime.Strict) *Program {
@@ -26,12 +28,12 @@ func roundtrip(t *testing.T, src string, params map[string]int64, opts Options, 
 	if err != nil {
 		t.Fatalf("snapshot: %v\n%s", err, p.Report())
 	}
-	var buf bytes.Buffer
-	if err := s.Encode(&buf); err != nil {
+	enc, err := s.MarshalBinary()
+	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	dec, err := DecodeSnapshot(bytes.NewReader(buf.Bytes()))
-	if err != nil {
+	dec := &Snapshot{}
+	if err := dec.UnmarshalBinary(enc); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
 	r, err := RestoreSnapshot(dec, opts)
@@ -153,12 +155,12 @@ func TestSnapshotCorruptAccumMarker(t *testing.T) {
 	if err != nil {
 		t.Fatalf("snapshot: %v", err)
 	}
-	var buf bytes.Buffer
-	if err := s.Encode(&buf); err != nil {
+	enc, err := s.MarshalBinary()
+	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	dec, err := DecodeSnapshot(bytes.NewReader(buf.Bytes()))
-	if err != nil {
+	dec := &Snapshot{}
+	if err := dec.UnmarshalBinary(enc); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
 	for i := range dec.Defs {
@@ -166,5 +168,71 @@ func TestSnapshotCorruptAccumMarker(t *testing.T) {
 	}
 	if _, err := RestoreSnapshot(dec, Options{}); err == nil || !strings.Contains(err.Error(), "AccumOp") {
 		t.Fatalf("restore with dropped combiner: err = %v, want AccumOp error", err)
+	}
+}
+
+// TestSnapshotCodecRoundTripsEveryField: a snapshot with every field
+// set to a distinct nonzero value (the IR a real certified plan)
+// decodes to a deep-equal copy. A field added to Snapshot, SnapshotDef,
+// metrics.Counters or codegen.CheckCounts without a codec change comes
+// back zero and fails the comparison.
+func TestSnapshotCodecRoundTripsEveryField(t *testing.T) {
+	p := compile(t, "a = array (1,n) [ i := 2.0 * i | i <- [1..n] ]", map[string]int64{"n": 8}, Options{Certify: true})
+	// The IR as the codec gives it back (zero-length slices are nil),
+	// so the comparison below sees only the snapshot's own fields.
+	enc, err := p.Defs["a"].Plan.Program.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ir := &loopir.Program{}
+	if err := ir.UnmarshalBinary(enc); err != nil {
+		t.Fatal(err)
+	}
+	n := int64(0)
+	var fill func(v reflect.Value)
+	fill = func(v reflect.Value) {
+		n++
+		switch v.Kind() {
+		case reflect.Bool:
+			v.SetBool(true)
+		case reflect.Int, reflect.Int64:
+			v.SetInt(n * 1_000_003)
+		case reflect.String:
+			v.SetString(fmt.Sprintf("s%d", n))
+		case reflect.Pointer:
+			v.Set(reflect.ValueOf(ir))
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				fill(v.Field(i))
+			}
+		case reflect.Slice:
+			v.Set(reflect.MakeSlice(v.Type(), 2, 2))
+			for i := 0; i < 2; i++ {
+				fill(v.Index(i))
+			}
+		case reflect.Map:
+			v.Set(reflect.MakeMap(v.Type()))
+			for i := 0; i < 3; i++ {
+				k, e := reflect.New(v.Type().Key()).Elem(), reflect.New(v.Type().Elem()).Elem()
+				fill(k)
+				fill(e)
+				v.SetMapIndex(k, e)
+			}
+		default:
+			t.Fatalf("unhandled kind %s", v.Kind())
+		}
+	}
+	s := &Snapshot{}
+	fill(reflect.ValueOf(s).Elem())
+	enc, err = s.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := &Snapshot{}
+	if err := dec.UnmarshalBinary(enc); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(s, dec) {
+		t.Fatalf("round trip differs:\n%+v\nwant\n%+v", dec, s)
 	}
 }

@@ -53,7 +53,7 @@ func (p *Program) streamDefs() ([]stream.Def, error) {
 // width is workers (Options.Workers). certifyMerge,
 // when non-nil, receives the window-legality replay certificates (the
 // certify gate for streams); a falsification aborts via its error.
-func (p *Program) initStream(rep *metrics.CompileReport, workers int, certifyMerge func(name string, crep *certify.Report, t0 time.Time) error) error {
+func (p *Program) initStream(rep *metrics.CompileReport, workers int, certifyMerge func(name, layer string, crep *certify.Report, t0 time.Time) error) error {
 	t0 := time.Now()
 	p.streamSt = &streamState{}
 	defs, err := p.streamDefs()
@@ -68,7 +68,7 @@ func (p *Program) initStream(rep *metrics.CompileReport, workers int, certifyMer
 	if certifyMerge != nil {
 		for _, d := range defs {
 			tc := time.Now()
-			if err := certifyMerge(d.Name, loopir.CertifyStream(d.Prog, d.Plan), tc); err != nil {
+			if err := certifyMerge(d.Name, "stream", loopir.CertifyStream(d.Prog, d.Plan), tc); err != nil {
 				return err
 			}
 		}

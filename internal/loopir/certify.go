@@ -216,6 +216,7 @@ func checkPlan(claim string, acc []*access, nPre int, outer, inner *Loop, par *P
 	}
 	nElem := min(satMul(halo, int64(len(arrNames))), nOcc)
 	ix := certify.NewElemIndex(1, planElemCap, int(nElem), int(nOcc))
+	defer ix.Release()
 	occs := make([]planOcc, 0, nOcc)
 	capped := false
 	sat := false

@@ -300,8 +300,8 @@ type Assign struct {
 	// Accumulate, when non-nil, folds Rhs into the element with this
 	// combining function instead of storing it (accumArray).
 	Accumulate runtime.CombineFunc
-	// HasAccum mirrors Accumulate != nil in plain data: gob drops
-	// func-typed fields, so serialized programs use the marker plus
+	// HasAccum mirrors Accumulate != nil in plain data: no encoding
+	// carries a closure, so serialized programs use the marker plus
 	// Program.AccumOp to re-derive the closure (RebindAccum).
 	HasAccum bool
 	// Off, when non-nil, is the strength-reduced row-major offset of the

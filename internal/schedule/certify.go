@@ -46,19 +46,20 @@ type clauseInfo struct {
 	// nest holds the loop numbers (schedCertifier.loopIdx) of the
 	// clause's enclosing loops, cl.NestNodes.
 	nest []int
-	// writes are the normalized write subscripts (nil when not affine
-	// or not normalizable); reads the affine reads of the defined or
-	// source array, in cl.Reads order.
-	writes []affine.NormalizedRef
+	// writes are the write subscripts (nil when not affine or not
+	// normalizable); reads the affine reads of the defined or source
+	// array, in cl.Reads order. Both are compiled for the clause's
+	// clamped domain once the loops are clamped.
+	writes []affine.CompiledRef
 	reads  []readRefs
 	// rank is the clause's place in tree order.
 	rank int
 }
 
-// readRefs is one read's normalized subscripts (nil when not
-// normalizable) and the access kind it records.
+// readRefs is one read's subscripts (nil when not normalizable) and
+// the access kind it records.
 type readRefs struct {
-	refs []affine.NormalizedRef
+	refs []affine.CompiledRef
 	kind int
 }
 
@@ -122,8 +123,8 @@ type schedCertifier struct {
 }
 
 // prepare numbers the loops and ranks the clauses of the comprehension
-// tree in tree order, normalizes the subscript forms once per clause
-// and clamps every loop.
+// tree in tree order, clamps every loop and compiles the subscript
+// forms once per clause for its clamped domain.
 func (c *schedCertifier) prepare() {
 	c.loopIdx = map[*analysis.TreeNode]int{}
 	rank := map[*analysis.FlatClause]int{}
@@ -177,6 +178,16 @@ func (c *schedCertifier) prepare() {
 	}
 	c.cur = make([]int64, len(c.clamp))
 	c.clamped = certify.Clamp(c.clamp, certifyEventBudget, c.estimate)
+	for _, ci := range c.clauses {
+		clamp := make([]int64, len(ci.nest))
+		for i, k := range ci.nest {
+			clamp[i] = c.clamp[k]
+		}
+		compile(ci.writes, clamp)
+		for _, rd := range ci.reads {
+			compile(rd.refs, clamp)
+		}
+	}
 	// Size the event buffers for one event per clause instance.
 	var nEvents, nPos int64
 	for _, ci := range c.clauses {
@@ -192,16 +203,24 @@ func (c *schedCertifier) prepare() {
 	c.pos = make([]int64, 0, min(nPos, nEvents*int64(len(c.clamp))))
 }
 
-func (c *schedCertifier) normalize(cl *analysis.FlatClause, forms []affine.Form) []affine.NormalizedRef {
-	out := make([]affine.NormalizedRef, len(forms))
+// normalize rewrites forms over the clause's normalized positions,
+// nil when one is not normalizable; compile compiles them later.
+func (c *schedCertifier) normalize(cl *analysis.FlatClause, forms []affine.Form) []affine.CompiledRef {
+	out := make([]affine.CompiledRef, len(forms))
 	for d, f := range forms {
 		ref, err := cl.Nest.Normalize(f)
 		if err != nil {
 			return nil
 		}
-		out[d] = ref
+		out[d].NormalizedRef = ref
 	}
 	return out
+}
+
+func compile(refs []affine.CompiledRef, clamp []int64) {
+	for d := range refs {
+		refs[d] = refs[d].Compile(clamp)
+	}
 }
 
 // estimate sums the instance counts under clamp over all clauses.
@@ -289,13 +308,13 @@ func (c *schedCertifier) posOf(ev instEvent) []int64 {
 
 // pack evaluates refs at pos into key; false when there are no refs
 // or an evaluation saturated (noted in c.sat).
-func (c *schedCertifier) pack(key []int64, refs []affine.NormalizedRef, pos []int64) ([]int64, bool) {
+func (c *schedCertifier) pack(key []int64, refs []affine.CompiledRef, pos []int64) ([]int64, bool) {
 	if refs == nil {
 		return key, false
 	}
 	key = key[:0]
-	for _, r := range refs {
-		v, exact := r.EvalSat(pos)
+	for d := range refs {
+		v, exact := refs[d].Eval(pos)
 		if !exact {
 			c.sat = true
 			return key, false
@@ -318,6 +337,7 @@ func (c *schedCertifier) check(anti Anti) {
 		nAcc += 1 + len(ev.ci.reads)
 	}
 	ix := certify.NewElemIndex(numKinds, 0, len(c.events), nAcc)
+	defer ix.Release()
 	var key []int64
 	var nKind [numKinds]int
 	for e, ev := range c.events {
@@ -347,9 +367,12 @@ func (c *schedCertifier) check(anti Anti) {
 
 	exhaustive := !c.clamped && !c.sat && !c.over
 	name := def.Name
-	record := func(claim string, bad *[2]int32, detail string) {
-		cert := certify.Certificate{Layer: "schedule", Claim: claim}
+	// record files the claim that the emitted order preserves what; a
+	// certified claim is only counted, so only a falsified one is named.
+	record := func(what string, bad *[2]int32, detail string) {
+		cert := certify.Certificate{Layer: "schedule"}
 		if bad != nil {
+			cert.Claim = fmt.Sprintf("%s: emitted order preserves %s", name, what)
 			cert.Status = certify.Falsified
 			cert.Witness = append(append([]int64(nil), c.posOf(c.events[bad[0]])...), c.posOf(c.events[bad[1]])...)
 			cert.Detail = detail
@@ -382,7 +405,7 @@ func (c *schedCertifier) check(anti Anti) {
 				break
 			}
 		}
-		record(fmt.Sprintf("%s: emitted order preserves flow dependences", name), flowBad, flowDetail)
+		record("flow dependences", flowBad, flowDetail)
 	}
 
 	// Anti: reads of the old contents happen no later than the kill.
@@ -411,7 +434,7 @@ func (c *schedCertifier) check(anti Anti) {
 					break
 				}
 			}
-			record(fmt.Sprintf("%s: emitted order preserves anti dependences", name), antiBad, antiDetail)
+			record("anti dependences", antiBad, antiDetail)
 		}
 	}
 
@@ -444,7 +467,7 @@ func (c *schedCertifier) check(anti Anti) {
 			}
 		}
 		if collides {
-			record(fmt.Sprintf("%s: emitted order preserves write order", name), outBad, outDetail)
+			record("write order", outBad, outDetail)
 		}
 	}
 }
