@@ -643,8 +643,11 @@ func recordPlanStats(rep *metrics.CompileReport, res *analysis.Result, plan *cod
 	if plan.Opt != nil {
 		rep.Counters.LoopsFused += plan.Opt.FusedLoops
 	}
-	loopir.WalkLoops(plan.Program.Stmts, func(l *loopir.Loop) {
-		rep.Counters.AddSchedule(loopir.ScheduleKind(l))
+	loopir.Inspect(plan.Program.Stmts, func(n any) bool {
+		if l, ok := n.(*loopir.Loop); ok {
+			rep.Counters.AddSchedule(loopir.ScheduleKind(l))
+		}
+		return true
 	})
 }
 

@@ -143,7 +143,11 @@ func TestAccumWeightReachesRowKernels(t *testing.T) {
 		if res.Plan == nil {
 			continue
 		}
-		loopir.WalkLoops(res.Plan.Program.Stmts, func(x *loopir.Loop) {
+		loopir.Inspect(res.Plan.Program.Stmts, func(n any) bool {
+			x, ok := n.(*loopir.Loop)
+			if !ok {
+				return true
+			}
 			for _, s := range x.Body {
 				a, ok := s.(*loopir.Assign)
 				if !ok || a.Accumulate == nil || a.CheckBounds {
@@ -155,6 +159,7 @@ func TestAccumWeightReachesRowKernels(t *testing.T) {
 					scatter++
 				}
 			}
+			return true
 		})
 	}
 	if dense < n/4 || scatter < n/20 {

@@ -201,7 +201,7 @@ func (e *emitter) emitStmt(s loopir.Stmt) {
 		// has no error paths (a `return err` inside a kernel closure
 		// would not compile; the planner already guarantees the writes
 		// are race-free under the schedule).
-		if x.Par != nil && !hasErrorPaths(x.Body) &&
+		if x.Par != nil && !loopir.CanFail(x.Body) &&
 			(x.Par.Kind == loopir.ParShard && e.emitShardLoop(x) || x.Par.Kind == loopir.ParWavefront && e.emitWavefront(x)) {
 			return
 		}
@@ -423,14 +423,25 @@ func (e *emitter) intExpr(x loopir.IntExpr) string {
 		e.line("}")
 		return fmt.Sprintf("int64(%s)", tmp)
 	case *loopir.IBin:
-		l, r := e.intExpr(n.L), e.intExpr(n.R)
 		switch n.Op {
 		case '+', '-', '*':
+			l, r := e.intExpr(n.L), e.intExpr(n.R)
 			return fmt.Sprintf("(%s %c %s)", l, n.Op, r)
-		case '/':
-			return fmt.Sprintf("(%s / %s)", l, r)
-		case '%':
-			return fmt.Sprintf("(%s %% %s)", l, r)
+		case '/', '%':
+			// Like the interpreter: the divisor first, a zero divisor
+			// fails with the interpreter's error, then the dividend.
+			d := e.fresh("dv")
+			e.line("%s := %s", d, e.intExpr(n.R))
+			e.line("if %s == 0 {", d)
+			e.depth++
+			what := "mod"
+			if n.Op == '/' {
+				what = "division"
+			}
+			e.line("return %s", e.errReturn(fmt.Sprintf("fmt.Errorf(%q)", fmt.Sprintf("loopir: %s: integer %s by zero", e.prog.Name, what))))
+			e.depth--
+			e.line("}")
+			return fmt.Sprintf("(%s %c %s)", e.intExpr(n.L), n.Op, d)
 		}
 		e.fail("unknown integer operator %q", string(n.Op))
 		return "0"
@@ -516,9 +527,9 @@ func (e *emitter) boolExpr(x loopir.BExpr) string {
 	case *loopir.BCmpFloat:
 		return fmt.Sprintf("(%s %s %s)", e.valueExpr(n.L), goCmp[n.Op], e.valueExpr(n.R))
 	case *loopir.BAnd:
-		return fmt.Sprintf("(%s && %s)", e.boolExpr(n.L), e.boolExpr(n.R))
+		return e.shortCircuit(n.L, n.R, "&&")
 	case *loopir.BOr:
-		return fmt.Sprintf("(%s || %s)", e.boolExpr(n.L), e.boolExpr(n.R))
+		return e.shortCircuit(n.L, n.R, "||")
 	case *loopir.BNot:
 		return fmt.Sprintf("!(%s)", e.boolExpr(n.X))
 	case *loopir.BVerify:
@@ -526,6 +537,28 @@ func (e *emitter) boolExpr(x loopir.BExpr) string {
 	}
 	e.fail("unknown boolean expression %T", x)
 	return "false"
+}
+
+// shortCircuit renders l && r or l || r. When r can fail, its checks
+// are statements, so r is evaluated under an if: a check must not run
+// where the interpreter's short circuit skips r.
+func (e *emitter) shortCircuit(l, r loopir.BExpr, op string) string {
+	ls := e.boolExpr(l)
+	if !loopir.CanFail(r) {
+		return fmt.Sprintf("(%s %s %s)", ls, op, e.boolExpr(r))
+	}
+	c := e.fresh("c")
+	e.line("%s := %s", c, ls)
+	if op == "&&" {
+		e.line("if %s {", c)
+	} else {
+		e.line("if !%s {", c)
+	}
+	e.depth++
+	e.line("%s = %s", c, e.boolExpr(r))
+	e.depth--
+	e.line("}")
+	return c
 }
 
 // emitVerify renders the one-pass runtime index-property verifier for a
@@ -743,107 +776,4 @@ func main() {
 	}
 	b.WriteString("\tfmt.Println()\n}\n")
 	return b.String(), nil
-}
-
-// hasErrorPaths reports whether a statement list can emit a `return
-// err` (runtime checks); such bodies cannot be wrapped in kernel
-// closures.
-func hasErrorPaths(stmts []loopir.Stmt) bool {
-	for _, s := range stmts {
-		switch x := s.(type) {
-		case *loopir.Loop:
-			if hasErrorPaths(x.Body) {
-				return true
-			}
-		case *loopir.If:
-			if boolHasChecks(x.Cond) || hasErrorPaths(x.Then) || hasErrorPaths(x.Else) {
-				return true
-			}
-		case *loopir.Assign:
-			if x.CheckBounds || x.CheckCollision || exprHasChecks(x.Rhs) {
-				return true
-			}
-			for _, sub := range x.Subs {
-				if intHasChecks(sub) {
-					return true
-				}
-			}
-			if intHasChecks(x.Off) {
-				return true
-			}
-		case *loopir.SetScalar:
-			if exprHasChecks(x.Rhs) {
-				return true
-			}
-		case *loopir.CheckFull, *loopir.Fail:
-			return true
-		}
-	}
-	return false
-}
-
-// intHasChecks reports whether an integer expression contains a
-// bounds-checked indirect subscript read (which emits a `return err`).
-func intHasChecks(x loopir.IntExpr) bool {
-	switch n := x.(type) {
-	case *loopir.IBin:
-		return intHasChecks(n.L) || intHasChecks(n.R)
-	case *loopir.IIdx:
-		if n.CheckBounds {
-			return true
-		}
-		for _, s := range n.Subs {
-			if intHasChecks(s) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-func exprHasChecks(v loopir.VExpr) bool {
-	switch x := v.(type) {
-	case *loopir.ARef:
-		if x.CheckBounds || x.CheckDefined {
-			return true
-		}
-		for _, s := range x.Subs {
-			if intHasChecks(s) {
-				return true
-			}
-		}
-		return intHasChecks(x.Off)
-	case *loopir.VBin:
-		return exprHasChecks(x.L) || exprHasChecks(x.R)
-	case *loopir.VNeg:
-		return exprHasChecks(x.X)
-	case *loopir.VFromInt:
-		return intHasChecks(x.X)
-	case *loopir.VCall:
-		for _, a := range x.Args {
-			if exprHasChecks(a) {
-				return true
-			}
-		}
-		return false
-	case *loopir.VCond:
-		return boolHasChecks(x.C) || exprHasChecks(x.T) || exprHasChecks(x.E)
-	}
-	return false
-}
-
-func boolHasChecks(b loopir.BExpr) bool {
-	switch x := b.(type) {
-	case *loopir.BCmpInt:
-		return intHasChecks(x.L) || intHasChecks(x.R)
-	case *loopir.BCmpFloat:
-		return exprHasChecks(x.L) || exprHasChecks(x.R)
-	case *loopir.BAnd:
-		return boolHasChecks(x.L) || boolHasChecks(x.R)
-	case *loopir.BOr:
-		return boolHasChecks(x.L) || boolHasChecks(x.R)
-	case *loopir.BNot:
-		return boolHasChecks(x.X)
-	}
-	return false
 }

@@ -493,25 +493,25 @@ func TestHasErrorPathsClassification(t *testing.T) {
 	clean := []loopir.Stmt{
 		&loopir.Assign{Array: "a", Subs: []loopir.IntExpr{&loopir.IConst{Value: 1}}, Rhs: &loopir.VConst{}},
 	}
-	if gogen.HasErrorPathsForTest(clean) {
+	if loopir.CanFail(clean) {
 		t.Error("unchecked assign must be clean")
 	}
 	checked := []loopir.Stmt{
 		&loopir.Assign{Array: "a", Subs: []loopir.IntExpr{&loopir.IConst{Value: 1}}, Rhs: &loopir.VConst{}, CheckBounds: true},
 	}
-	if !gogen.HasErrorPathsForTest(checked) {
+	if !loopir.CanFail(checked) {
 		t.Error("bounds-checked assign must be an error path")
 	}
 	readChecked := []loopir.Stmt{
 		&loopir.SetScalar{Name: "s", Rhs: &loopir.ARef{Array: "a", Subs: []loopir.IntExpr{&loopir.IConst{Value: 1}}, CheckBounds: true}},
 	}
-	if !gogen.HasErrorPathsForTest(readChecked) {
+	if !loopir.CanFail(readChecked) {
 		t.Error("checked read must be an error path")
 	}
 	condChecked := []loopir.Stmt{
 		&loopir.If{Cond: &loopir.BConst{Value: true}, Then: []loopir.Stmt{&loopir.Fail{Msg: "x"}}},
 	}
-	if !gogen.HasErrorPathsForTest(condChecked) {
+	if !loopir.CanFail(condChecked) {
 		t.Error("Fail inside If must be an error path")
 	}
 	nestedBool := []loopir.Stmt{
@@ -522,7 +522,16 @@ func TestHasErrorPathsClassification(t *testing.T) {
 			T: &loopir.VConst{}, E: &loopir.VConst{},
 		}},
 	}
-	if !gogen.HasErrorPathsForTest(nestedBool) {
+	if !loopir.CanFail(nestedBool) {
 		t.Error("checked read inside a boolean condition must be an error path")
+	}
+	// An integer mod (or division) fails on a zero divisor, and gogen
+	// checks for it with a `return err`.
+	mod := []loopir.Stmt{
+		&loopir.Assign{Array: "a", Subs: []loopir.IntExpr{&loopir.IConst{Value: 1}}, Rhs: &loopir.VFromInt{
+			X: &loopir.IBin{Op: '%', L: &loopir.IVar{Name: "n"}, R: &loopir.IVar{Name: "i"}}}},
+	}
+	if !loopir.CanFail(mod) {
+		t.Error("integer mod must be an error path")
 	}
 }

@@ -17,9 +17,9 @@ import (
 //
 // Loops without a schedule are emitted sequentially, so emitted code
 // parallelizes exactly the loops the interpreter does. Bodies with
-// runtime checks never reach these shapes (the caller gates on
-// hasErrorPaths): a `return err` inside a kernel closure would not
-// compile.
+// runtime checks or integer division never reach these shapes (the
+// caller gates on loopir.CanFail): a `return err` inside a kernel
+// closure would not compile.
 
 // Runners declares the runner variables with sequential defaults.
 // Every emitted package includes it once.
@@ -47,7 +47,7 @@ var RunWavefront = func(workers int, nti, ntj int64, tile func(wi int, bi, bj in
 // when the shape cannot be emitted (the caller emits sequentially).
 func (e *emitter) emitShardLoop(x *loopir.Loop) bool {
 	align := x.Par.AlignOn
-	if align != nil && intHasChecks(align) {
+	if align != nil && loopir.CanFail(align) {
 		return false
 	}
 	trip := x.TripCount()

@@ -145,7 +145,7 @@ func TestGeneratedSequentialWithoutSchedule(t *testing.T) {
 	}
 }
 
-// TestForcedChecksSuppressParallelEmission pins the hasErrorPaths ×
+// TestForcedChecksSuppressParallelEmission pins the loopir.CanFail ×
 // optimizer interplay: with runtime checks forced on, every loop body
 // carries error paths and the emitter must fall back to sequential
 // loops even though the plans still carry parallel schedules. With the

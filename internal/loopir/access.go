@@ -134,106 +134,45 @@ func mark(m *map[string]bool, name string) {
 	(*m)[name] = true
 }
 
+// stmts records the accesses of a statement list under scope sc, in
+// Inspect's order: a store before the index loads of its subscripts and
+// offset, and those before its right-hand side's reads.
 func (t *accessTable) stmts(list []Stmt, sc *loopScope) {
-	for _, s := range list {
-		switch x := s.(type) {
-		case *If:
-			t.boolExpr(x.Cond, sc)
-			t.stmts(x.Then, sc)
-			t.stmts(x.Else, sc)
-			continue
+	inspectList(list, func(n any) bool {
+		switch x := n.(type) {
 		case *Assign:
-			t.elem(x.Array, x.Subs, x.Off, true, x.CheckBounds, sc, x)
-			a := &t.acc[len(t.acc)-1]
-			a.accum, a.collide = x.Accumulate != nil, x.CheckCollision
-			t.value(x.Rhs, sc)
-			continue
+			t.acc = append(t.acc, access{array: x.Array, write: true, checked: x.CheckBounds, loops: sc, node: x,
+				accum: x.Accumulate != nil, collide: x.CheckCollision})
 		case *Loop:
 			if t.nested {
 				t.stmts(x.Body, &loopScope{v: x.Var, r: loopRange{x.From, x.To, x.Step}, up: sc})
 			}
+			t.other = true
+			return false
 		case *SetScalar:
 			mark(&t.scalarW, x.Name)
-			t.value(x.Rhs, sc)
+			t.other = true
 		case *CopyArray:
 			t.acc = append(t.acc,
 				access{array: x.Dst, write: true, whole: true, loops: sc},
 				access{array: x.Src, whole: true, loops: sc})
+			t.other = true
 		case *Fill:
 			t.acc = append(t.acc, access{array: x.Array, write: true, whole: true, loops: sc})
+			t.other = true
 		case *CheckFull, *Fail:
-			t.barrier = true
+			t.barrier, t.other = true, true
+		case *VScalar:
+			mark(&t.scalarR, x.Name)
+		case *ARef:
+			t.acc = append(t.acc, access{array: x.Array, checked: x.CheckBounds || x.CheckDefined, loops: sc, node: x})
+		case *IIdx:
+			t.acc = append(t.acc, access{array: x.Array, whole: true, loops: sc})
+		case *BVerify:
+			t.acc = append(t.acc, access{array: x.Array, whole: true, loops: sc})
+		case *VCond:
+			t.cond = true
 		}
-		t.other = true
-	}
-}
-
-// elem records an element access, then the index loads in its
-// subscripts and offset.
-func (t *accessTable) elem(arr string, subs []IntExpr, off IntExpr, write, checked bool, sc *loopScope, node any) {
-	t.acc = append(t.acc, access{array: arr, write: write, checked: checked, loops: sc, node: node})
-	for _, s := range subs {
-		t.intExpr(s, sc)
-	}
-	t.intExpr(off, sc)
-}
-
-func (t *accessTable) value(e VExpr, sc *loopScope) {
-	switch x := e.(type) {
-	case *VScalar:
-		mark(&t.scalarR, x.Name)
-	case *ARef:
-		t.elem(x.Array, x.Subs, x.Off, false, x.CheckBounds || x.CheckDefined, sc, x)
-	case *VFromInt:
-		t.intExpr(x.X, sc)
-	case *VBin:
-		t.value(x.L, sc)
-		t.value(x.R, sc)
-	case *VNeg:
-		t.value(x.X, sc)
-	case *VCall:
-		for _, a := range x.Args {
-			t.value(a, sc)
-		}
-	case *VCond:
-		t.cond = true
-		t.boolExpr(x.C, sc)
-		t.value(x.T, sc)
-		t.value(x.E, sc)
-	}
-}
-
-// intExpr records the index loads of an integer expression.
-func (t *accessTable) intExpr(e IntExpr, sc *loopScope) {
-	switch x := e.(type) {
-	case *IBin:
-		t.intExpr(x.L, sc)
-		t.intExpr(x.R, sc)
-	case *IIdx:
-		t.acc = append(t.acc, access{array: x.Array, whole: true, loops: sc})
-		for _, s := range x.Subs {
-			t.intExpr(s, sc)
-		}
-	}
-}
-
-func (t *accessTable) boolExpr(e BExpr, sc *loopScope) {
-	switch x := e.(type) {
-	case *BVerify:
-		t.acc = append(t.acc, access{array: x.Array, whole: true, loops: sc})
-	case *BCmpInt:
-		t.intExpr(x.L, sc)
-		t.intExpr(x.R, sc)
-	case *BCmpFloat:
-		t.value(x.L, sc)
-		t.value(x.R, sc)
-	case *BAnd:
-		t.boolExpr(x.L, sc)
-		t.boolExpr(x.R, sc)
-	case *BOr:
-		t.boolExpr(x.L, sc)
-		t.boolExpr(x.R, sc)
-	case *BNot:
-		t.boolExpr(x.X, sc)
-	}
+		return true
+	})
 }

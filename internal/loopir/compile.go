@@ -170,10 +170,11 @@ func newCompiler(p *Program) *compiler {
 	return c
 }
 
+// collectLoopVars gives every loop variable and induction register a
+// slot. Loop variables may repeat; register names are program-unique.
 func (c *compiler) collectLoopVars(stmts []Stmt) {
-	for _, s := range stmts {
-		switch x := s.(type) {
-		case *Loop:
+	inspectList(stmts, func(n any) bool {
+		if x, ok := n.(*Loop); ok {
 			if _, ok := c.intSlots[x.Var]; !ok {
 				c.intSlots[x.Var] = len(c.intSlots)
 			}
@@ -183,12 +184,9 @@ func (c *compiler) collectLoopVars(stmts []Stmt) {
 				}
 				c.intSlots[ind.Name] = len(c.intSlots)
 			}
-			c.collectLoopVars(x.Body)
-		case *If:
-			c.collectLoopVars(x.Then)
-			c.collectLoopVars(x.Else)
 		}
-	}
+		return isStmt(n)
+	})
 }
 
 func (c *compiler) compileStmts(stmts []Stmt) []stmtFn {

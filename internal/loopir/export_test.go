@@ -9,14 +9,17 @@ func SetGenericRows(on bool) bool {
 }
 
 // RowForms compiles the row kernel of every loop of p, for a stream
-// stage when stage is set, and returns their forms in WalkLoops order:
+// stage when stage is set, and returns their forms in Inspect order:
 // "strip", "straight" or "generic".
 func RowForms(p *Program, stage bool) []string {
 	c := newCompiler(p)
 	c.stage = stage
 	var forms []string
-	WalkLoops(p.Stmts, func(x *Loop) {
-		forms = append(forms, [...]string{rowGeneric: "generic", rowStrip: "strip", rowStraight: "straight"}[c.rowFor(x).kind])
+	Inspect(p.Stmts, func(n any) bool {
+		if x, ok := n.(*Loop); ok {
+			forms = append(forms, [...]string{rowGeneric: "generic", rowStrip: "strip", rowStraight: "straight"}[c.rowFor(x).kind])
+		}
+		return true
 	})
 	return forms
 }

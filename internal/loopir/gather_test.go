@@ -36,7 +36,7 @@ func TestGatherScatterRowForms(t *testing.T) {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		prog := p.Defs[p.Result].Plan.Program
-		// WalkLoops visits the verified branch's loop, then the checked one's.
+		// Inspect visits the verified branch's loop, then the checked one's.
 		if got := loopir.RowForms(prog, false); !slices.Equal(got, []string{"strip", "generic"}) {
 			t.Errorf("%s: forms %v, want [strip generic] (verified, checked):\n%s", tc.name, got, prog.Dump())
 		}

@@ -268,6 +268,17 @@ func (s *ParSchedule) String() string {
 	return s.Kind.String()
 }
 
+// ScheduleKind names a loop's execution shape for reporting: the Par
+// schedule's kind ("shard" or "wavefront") when one is attached, else
+// "sequential". The Parallel and Doacross marks
+// alone never change execution, so they do not count.
+func ScheduleKind(l *Loop) string {
+	if l.Par != nil {
+		return l.Par.Kind.String()
+	}
+	return "sequential"
+}
+
 // Ind is one induction register of a strength-reduced loop. Init is an
 // integer expression over the enclosing loop variables (the "row base"
 // for inner loops of multi-dimensional nests), evaluated once per loop

@@ -3,6 +3,7 @@ package loopir
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -331,160 +332,22 @@ func (f *linForm) toILin() IntExpr {
 	return lin
 }
 
-// intVars adds every variable mentioned by an integer expression.
-func intVars(e IntExpr, out map[string]bool) {
-	switch x := e.(type) {
-	case *IVar:
-		out[x.Name] = true
-	case *ILin:
-		for _, t := range x.Terms {
-			out[t.Var] = true
-		}
-	case *IBin:
-		intVars(x.L, out)
-		intVars(x.R, out)
-	case *IIdx:
-		for _, s := range x.Subs {
-			intVars(s, out)
-		}
-	}
-}
-
-// intHasDiv reports whether evaluating the expression can fail
-// (integer division or modulus by zero, or a bounds-checked indirect
-// subscript read).
-func intHasDiv(e IntExpr) bool {
-	switch x := e.(type) {
-	case *IBin:
-		if x.Op == '/' || x.Op == '%' {
-			return true
-		}
-		return intHasDiv(x.L) || intHasDiv(x.R)
-	case *IIdx:
-		if x.CheckBounds {
-			return true
-		}
-		for _, s := range x.Subs {
-			if intHasDiv(s) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// exprInfo accumulates what a float expression touches.
-type exprInfo struct {
-	vars       map[string]bool // integer variables read
-	scalars    map[string]bool // float scalars read
-	arrays     map[string]bool // arrays read
-	anyChecked bool            // contains a bounds- or defined-checked read
-}
-
-func newExprInfo() *exprInfo {
-	return &exprInfo{vars: map[string]bool{}, scalars: map[string]bool{}, arrays: map[string]bool{}}
-}
-
-// walkI records what an integer expression touches: the variables it
-// reads and, for indirect IIdx subscripts, the array whose contents it
-// depends on (a write to that array changes the expression's value, so
-// invariance analyses must see the read).
-func (in *exprInfo) walkI(e IntExpr) {
-	switch x := e.(type) {
-	case *IVar:
-		in.vars[x.Name] = true
-	case *ILin:
-		for _, t := range x.Terms {
-			in.vars[t.Var] = true
-		}
-	case *IBin:
-		in.walkI(x.L)
-		in.walkI(x.R)
-	case *IIdx:
-		in.arrays[x.Array] = true
-		if x.CheckBounds {
-			in.anyChecked = true
-		}
-		for _, s := range x.Subs {
-			in.walkI(s)
-		}
-	}
-}
-
-func (in *exprInfo) walkV(e VExpr) {
-	switch x := e.(type) {
-	case *VConst:
-	case *VFromInt:
-		in.walkI(x.X)
-	case *VScalar:
-		in.scalars[x.Name] = true
-	case *ARef:
-		in.arrays[x.Array] = true
-		if x.CheckBounds || x.CheckDefined {
-			in.anyChecked = true
-		}
-		for _, s := range x.Subs {
-			in.walkI(s)
-		}
-		if x.Off != nil {
-			in.walkI(x.Off)
-		}
-	case *VBin:
-		in.walkV(x.L)
-		in.walkV(x.R)
-	case *VNeg:
-		in.walkV(x.X)
-	case *VCall:
-		for _, a := range x.Args {
-			in.walkV(a)
-		}
-	case *VCond:
-		in.walkB(x.C)
-		in.walkV(x.T)
-		in.walkV(x.E)
-	}
-}
-
-func (in *exprInfo) walkB(e BExpr) {
-	switch x := e.(type) {
-	case *BVerify:
-		in.arrays[x.Array] = true
-	case *BCmpInt:
-		in.walkI(x.L)
-		in.walkI(x.R)
-	case *BCmpFloat:
-		in.walkV(x.L)
-		in.walkV(x.R)
-	case *BAnd:
-		in.walkB(x.L)
-		in.walkB(x.R)
-	case *BOr:
-		in.walkB(x.L)
-		in.walkB(x.R)
-	case *BNot:
-		in.walkB(x.X)
-	}
-}
-
-// stmtEffects summarizes a statement list's writes and bindings.
+// stmtEffects summarizes what a loop's body writes and binds.
 type stmtEffects struct {
 	arraysWritten  map[string]bool
 	scalarsWritten map[string]bool
 	boundVars      map[string]bool
 }
 
-func collectEffects(stmts []Stmt, eff *stmtEffects) {
-	for _, s := range stmts {
-		switch x := s.(type) {
+// collect adds the writes and bindings of the statements.
+func (eff *stmtEffects) collect(stmts []Stmt) {
+	inspectList(stmts, func(n any) bool {
+		switch x := n.(type) {
 		case *Loop:
 			eff.boundVars[x.Var] = true
 			for _, ind := range x.Inds {
 				eff.boundVars[ind.Name] = true
 			}
-			collectEffects(x.Body, eff)
-		case *If:
-			collectEffects(x.Then, eff)
-			collectEffects(x.Else, eff)
 		case *Assign:
 			eff.arraysWritten[x.Array] = true
 		case *SetScalar:
@@ -493,57 +356,78 @@ func collectEffects(stmts []Stmt, eff *stmtEffects) {
 			eff.arraysWritten[x.Dst] = true
 		case *Fill:
 			eff.arraysWritten[x.Array] = true
-		case *CheckFull, *Fail:
 		}
+		return isStmt(n)
+	})
+}
+
+// variant reports whether the node reads state that changes across the
+// loop's iterations: a variable the loop binds, or a scalar or array it
+// writes. A BVerify guard counts as variant, so that unswitching never
+// moves the claim verifier.
+func (eff *stmtEffects) variant(n any) bool {
+	switch x := n.(type) {
+	case *IVar:
+		return eff.boundVars[x.Name]
+	case *ILin:
+		for _, t := range x.Terms {
+			if eff.boundVars[t.Var] {
+				return true
+			}
+		}
+	case *VScalar:
+		return eff.scalarsWritten[x.Name]
+	case *ARef:
+		return eff.arraysWritten[x.Array]
+	case *IIdx:
+		return eff.arraysWritten[x.Array]
+	case *BVerify:
+		return true
 	}
+	return false
+}
+
+// invariant reports whether the expression is loop-invariant: none of
+// its nodes is variant.
+func (eff *stmtEffects) invariant(e any) bool {
+	return !anyNode(e, eff.variant)
 }
 
 // mentionsScalar reports whether the statement list reads or writes the
 // scalar anywhere.
 func mentionsScalar(stmts []Stmt, name string) bool {
-	found := false
-	var inExpr func(e VExpr)
-	inExpr = func(e VExpr) {
-		if found {
-			return
+	return anyStmt(stmts, func(n any) bool {
+		switch x := n.(type) {
+		case *VScalar:
+			return x.Name == name
+		case *SetScalar:
+			return x.Name == name
 		}
-		info := newExprInfo()
-		info.walkV(e)
-		if info.scalars[name] {
-			found = true
+		return false
+	})
+}
+
+// CanFail reports whether running or evaluating n (a Stmt, an
+// expression or a []Stmt) can raise a runtime error: a bounds,
+// definedness or collision check, a CheckFull or Fail, or an integer
+// division or modulus, whose divisor may be zero. Float division is
+// total (IEEE).
+func CanFail(n any) bool {
+	return anyNode(n, func(n any) bool {
+		switch x := n.(type) {
+		case *Assign:
+			return x.CheckBounds || x.CheckCollision
+		case *ARef:
+			return x.CheckBounds || x.CheckDefined
+		case *IIdx:
+			return x.CheckBounds
+		case *IBin:
+			return x.Op == '/' || x.Op == '%'
+		case *CheckFull, *Fail:
+			return true
 		}
-	}
-	var walk func(list []Stmt)
-	walk = func(list []Stmt) {
-		for _, s := range list {
-			if found {
-				return
-			}
-			switch x := s.(type) {
-			case *Loop:
-				walk(x.Body)
-			case *If:
-				info := newExprInfo()
-				info.walkB(x.Cond)
-				if info.scalars[name] {
-					found = true
-					return
-				}
-				walk(x.Then)
-				walk(x.Else)
-			case *Assign:
-				inExpr(x.Rhs)
-			case *SetScalar:
-				if x.Name == name {
-					found = true
-					return
-				}
-				inExpr(x.Rhs)
-			}
-		}
-	}
-	walk(stmts)
-	return found
+		return false
+	})
 }
 
 // ---------------------------------------------------------------------------
@@ -562,7 +446,7 @@ func (o *optimizer) hoistFromLoop(L *Loop, env map[string]loopRange) (pre []Stmt
 		scalarsWritten: map[string]bool{},
 		boundVars:      map[string]bool{L.Var: true},
 	}
-	collectEffects(L.Body, eff)
+	eff.collect(L.Body)
 
 	// Invariant scalar bindings: a SetScalar whose right-hand side only
 	// reads state the loop never writes computes the same value every
@@ -574,28 +458,17 @@ func (o *optimizer) hoistFromLoop(L *Loop, env map[string]loopRange) (pre []Stmt
 	}
 	writesOf := func(name string) int {
 		n := 0
-		var count func(list []Stmt)
-		count = func(list []Stmt) {
-			for _, s := range list {
-				switch x := s.(type) {
-				case *Loop:
-					count(x.Body)
-				case *If:
-					count(x.Then)
-					count(x.Else)
-				case *SetScalar:
-					if x.Name == name {
-						n++
-					}
-				}
+		inspectList(L.Body, func(x any) bool {
+			if ss, ok := x.(*SetScalar); ok && ss.Name == name {
+				n++
 			}
-		}
-		count(L.Body)
+			return isStmt(x)
+		})
 		return n
 	}
 	for _, s := range L.Body {
 		ss, isSet := s.(*SetScalar)
-		if !isSet || !o.exprInvariant(ss.Rhs, eff) || writesOf(ss.Name) != 1 || prefixMentions(ss.Name) {
+		if !isSet || !eff.invariant(ss.Rhs) || writesOf(ss.Name) != 1 || prefixMentions(ss.Name) {
 			kept = append(kept, s)
 			continue
 		}
@@ -622,30 +495,6 @@ func (o *optimizer) hoistFromLoop(L *Loop, env map[string]loopRange) (pre []Stmt
 	return pre, out
 }
 
-// exprInvariant reports whether the float expression is loop-invariant:
-// it mentions no variable bound by the loop and reads no array or
-// scalar the loop writes.
-func (o *optimizer) exprInvariant(e VExpr, eff *stmtEffects) bool {
-	info := newExprInfo()
-	info.walkV(e)
-	for v := range info.vars {
-		if eff.boundVars[v] {
-			return false
-		}
-	}
-	for s := range info.scalars {
-		if eff.scalarsWritten[s] {
-			return false
-		}
-	}
-	for a := range info.arrays {
-		if eff.arraysWritten[a] {
-			return false
-		}
-	}
-	return true
-}
-
 // hoistSubexprs replaces maximal invariant non-trivial subexpressions
 // of e with fresh scalars, appending their bindings to *pre. Only
 // unconditionally evaluated positions are rewritten (VCond branches are
@@ -654,7 +503,7 @@ func (o *optimizer) exprInvariant(e VExpr, eff *stmtEffects) bool {
 func (o *optimizer) hoistSubexprs(e VExpr, eff *stmtEffects, pre *[]Stmt) VExpr {
 	switch e.(type) {
 	case *VBin, *VNeg, *VCall:
-		if o.exprInvariant(e, eff) {
+		if eff.invariant(e) {
 			name := o.fresh("h", &o.hSeq)
 			o.prog.Scalars = append(o.prog.Scalars, name)
 			*pre = append(*pre, &SetScalar{Name: name, Rhs: e})
@@ -674,93 +523,6 @@ func (o *optimizer) hoistSubexprs(e VExpr, eff *stmtEffects, pre *[]Stmt) VExpr 
 		}
 	}
 	return e
-}
-
-// boolInvariant reports whether the condition is invariant in the
-// loop: no variable bound by the loop, and no read of an array or
-// scalar the loop writes (float comparisons go through exprInvariant
-// for that check).
-func (o *optimizer) boolInvariant(e BExpr, eff *stmtEffects) bool {
-	switch x := e.(type) {
-	case *BConst:
-		return true
-	case *BCmpInt:
-		info := newExprInfo()
-		info.walkI(x.L)
-		info.walkI(x.R)
-		for v := range info.vars {
-			if eff.boundVars[v] {
-				return false
-			}
-		}
-		for a := range info.arrays {
-			if eff.arraysWritten[a] {
-				return false
-			}
-		}
-		return true
-	case *BCmpFloat:
-		return o.exprInvariant(x.L, eff) && o.exprInvariant(x.R, eff)
-	case *BAnd:
-		return o.boolInvariant(x.L, eff) && o.boolInvariant(x.R, eff)
-	case *BOr:
-		return o.boolInvariant(x.L, eff) && o.boolInvariant(x.R, eff)
-	case *BNot:
-		return o.boolInvariant(x.X, eff)
-	}
-	return false
-}
-
-// boolCanFail reports whether evaluating the condition can raise a
-// runtime error: integer division/modulus by zero, or a bounds- or
-// definedness-checked array read. Float division is total (IEEE).
-func boolCanFail(e BExpr) bool {
-	switch x := e.(type) {
-	case *BCmpInt:
-		return intHasDiv(x.L) || intHasDiv(x.R)
-	case *BCmpFloat:
-		return vexprCanFail(x.L) || vexprCanFail(x.R)
-	case *BAnd:
-		return boolCanFail(x.L) || boolCanFail(x.R)
-	case *BOr:
-		return boolCanFail(x.L) || boolCanFail(x.R)
-	case *BNot:
-		return boolCanFail(x.X)
-	}
-	return false
-}
-
-// vexprCanFail reports whether evaluating the float expression can
-// raise a runtime error (an embedded integer division, or a checked
-// array read whose check could fire).
-func vexprCanFail(e VExpr) bool {
-	switch x := e.(type) {
-	case *VFromInt:
-		return intHasDiv(x.X)
-	case *ARef:
-		if x.CheckBounds || x.CheckDefined {
-			return true
-		}
-		for _, s := range x.Subs {
-			if intHasDiv(s) {
-				return true
-			}
-		}
-		return x.Off != nil && intHasDiv(x.Off)
-	case *VBin:
-		return vexprCanFail(x.L) || vexprCanFail(x.R)
-	case *VNeg:
-		return vexprCanFail(x.X)
-	case *VCall:
-		for _, a := range x.Args {
-			if vexprCanFail(a) {
-				return true
-			}
-		}
-	case *VCond:
-		return boolCanFail(x.C) || vexprCanFail(x.T) || vexprCanFail(x.E)
-	}
-	return false
 }
 
 // unswitch moves an invariant guard out of a loop whose body is a
@@ -784,7 +546,7 @@ func (o *optimizer) unswitch(L *Loop, eff *stmtEffects) Stmt {
 	if !ok {
 		return nil
 	}
-	if o.boolInvariant(fi.Cond, eff) {
+	if eff.invariant(fi.Cond) {
 		o.stats.Unswitched++
 		if len(fi.Else) == 0 {
 			L.Body = fi.Then
@@ -801,7 +563,7 @@ func (o *optimizer) unswitch(L *Loop, eff *stmtEffects) Stmt {
 	conj := flattenAnd(fi.Cond)
 	var inv, variant []BExpr
 	for _, c := range conj {
-		if o.boolInvariant(c, eff) && !boolCanFail(c) {
+		if eff.invariant(c) && !CanFail(c) {
 			inv = append(inv, c)
 		} else {
 			variant = append(variant, c)
@@ -876,10 +638,10 @@ func (o *optimizer) fuse(l1, l2 *Loop, env map[string]loopRange) *Loop {
 	}
 	body2 := l2.Body
 	if l2.Var != l1.Var {
-		if stmtsMentionVar(body2, l1.Var) {
+		if mentionsVar(body2, l1.Var) {
 			return nil // renaming would capture
 		}
-		body2 = renameVar(body2, l2.Var, l1.Var)
+		body2, _ = rewriteAll(body2, renaming{l2.Var: l1.Var}.node)
 	}
 	r := loopRange{l1.From, l1.To, l1.Step}
 	a1, a2 := collectAccesses(l1.Body, true), collectAccesses(body2, true)
@@ -1061,192 +823,63 @@ func dimAnalyze(f1, f2 *linForm, in1, in2 *loopScope, v string, r loopRange, env
 	return dimResult{kind: dimUnknown}
 }
 
-// stmtsMentionVar reports whether the variable name occurs anywhere in
-// the statements (as a binder or in any expression).
-func stmtsMentionVar(stmts []Stmt, name string) bool {
-	found := false
-	check := func(vars map[string]bool) {
-		if vars[name] {
-			found = true
+// mentionsVar reports whether the integer variable occurs anywhere in
+// the statements, as a binder or in an expression.
+func mentionsVar(stmts []Stmt, name string) bool {
+	return anyStmt(stmts, func(n any) bool {
+		switch x := n.(type) {
+		case *Loop:
+			return x.Var == name || slices.ContainsFunc(x.Inds, func(ind Ind) bool { return ind.Name == name })
+		case *IVar:
+			return x.Name == name
+		case *ILin:
+			return slices.ContainsFunc(x.Terms, func(t ITerm) bool { return t.Var == name })
 		}
-	}
-	var walkI func(e IntExpr)
-	walkI = func(e IntExpr) {
-		vars := map[string]bool{}
-		intVars(e, vars)
-		check(vars)
-	}
-	var walkV func(e VExpr)
-	walkV = func(e VExpr) {
-		info := newExprInfo()
-		info.walkV(e)
-		check(info.vars)
-	}
-	var walk func(list []Stmt)
-	walk = func(list []Stmt) {
-		for _, s := range list {
-			if found {
-				return
-			}
-			switch x := s.(type) {
-			case *Loop:
-				if x.Var == name {
-					found = true
-					return
-				}
-				for _, ind := range x.Inds {
-					if ind.Name == name {
-						found = true
-						return
-					}
-					walkI(ind.Init)
-				}
-				walk(x.Body)
-			case *If:
-				info := newExprInfo()
-				info.walkB(x.Cond)
-				check(info.vars)
-				walk(x.Then)
-				walk(x.Else)
-			case *Assign:
-				for _, sub := range x.Subs {
-					walkI(sub)
-				}
-				if x.Off != nil {
-					walkI(x.Off)
-				}
-				walkV(x.Rhs)
-			case *SetScalar:
-				walkV(x.Rhs)
-			}
-		}
-	}
-	walk(stmts)
-	return found
+		return false
+	})
 }
 
-// renameVar returns the statements with every free occurrence of the
-// integer variable from replaced by to. Callers must ensure the
-// statements neither bind from nor mention to.
-func renameVar(stmts []Stmt, from, to string) []Stmt {
-	out := make([]Stmt, len(stmts))
-	for i, s := range stmts {
-		out[i] = renameStmt(s, from, to)
-	}
-	return out
+// renaming maps integer variables to new names. Its node method is a
+// Rewrite callback that renames them at every use and at the binders of
+// induction registers. Loop variables are renamed at their uses only:
+// callers rename a loop's free variable, or registers, which are
+// program-unique.
+type renaming map[string]string
+
+func (m renaming) has(name string) bool {
+	_, ok := m[name]
+	return ok
 }
 
-func renameStmt(s Stmt, from, to string) Stmt {
-	switch x := s.(type) {
-	case *Loop:
-		cp := *x
-		cp.Inds = make([]Ind, len(x.Inds))
-		for i, ind := range x.Inds {
-			cp.Inds[i] = Ind{Name: ind.Name, Init: renameInt(ind.Init, from, to), Step: ind.Step}
-		}
-		cp.Body = renameVar(x.Body, from, to)
-		return &cp
-	case *If:
-		cp := *x
-		cp.Cond = renameBool(x.Cond, from, to)
-		cp.Then = renameVar(x.Then, from, to)
-		cp.Else = renameVar(x.Else, from, to)
-		return &cp
-	case *Assign:
-		cp := *x
-		cp.Subs = make([]IntExpr, len(x.Subs))
-		for i, sub := range x.Subs {
-			cp.Subs[i] = renameInt(sub, from, to)
-		}
-		if x.Off != nil {
-			cp.Off = renameInt(x.Off, from, to)
-		}
-		cp.Rhs = renameV(x.Rhs, from, to)
-		return &cp
-	case *SetScalar:
-		cp := *x
-		cp.Rhs = renameV(x.Rhs, from, to)
-		return &cp
-	default:
-		return s
-	}
-}
-
-func renameInt(e IntExpr, from, to string) IntExpr {
-	switch x := e.(type) {
+func (m renaming) node(n any) any {
+	switch x := n.(type) {
 	case *IVar:
-		if x.Name == from {
-			return &IVar{Name: to}
+		if m.has(x.Name) {
+			return &IVar{Name: m[x.Name]}
 		}
-		return x
 	case *ILin:
-		cp := &ILin{Const: x.Const, Terms: make([]ITerm, len(x.Terms))}
-		for i, t := range x.Terms {
-			if t.Var == from {
-				t.Var = to
+		if slices.ContainsFunc(x.Terms, func(t ITerm) bool { return m.has(t.Var) }) {
+			c := &ILin{Const: x.Const, Terms: slices.Clone(x.Terms)}
+			for i, t := range c.Terms {
+				if m.has(t.Var) {
+					c.Terms[i].Var = m[t.Var]
+				}
 			}
-			cp.Terms[i] = t
+			return c
 		}
-		return cp
-	case *IBin:
-		return &IBin{Op: x.Op, L: renameInt(x.L, from, to), R: renameInt(x.R, from, to)}
-	case *IIdx:
-		cp := &IIdx{Array: x.Array, Subs: make([]IntExpr, len(x.Subs)), CheckBounds: x.CheckBounds}
-		for i, s := range x.Subs {
-			cp.Subs[i] = renameInt(s, from, to)
+	case *Loop:
+		if slices.ContainsFunc(x.Inds, func(ind Ind) bool { return m.has(ind.Name) }) {
+			c := *x
+			c.Inds = slices.Clone(x.Inds)
+			for i, ind := range c.Inds {
+				if m.has(ind.Name) {
+					c.Inds[i].Name = m[ind.Name]
+				}
+			}
+			return &c
 		}
-		return cp
-	default:
-		return e
 	}
-}
-
-func renameV(e VExpr, from, to string) VExpr {
-	switch x := e.(type) {
-	case *VFromInt:
-		return &VFromInt{X: renameInt(x.X, from, to)}
-	case *ARef:
-		cp := *x
-		cp.Subs = make([]IntExpr, len(x.Subs))
-		for i, sub := range x.Subs {
-			cp.Subs[i] = renameInt(sub, from, to)
-		}
-		if x.Off != nil {
-			cp.Off = renameInt(x.Off, from, to)
-		}
-		return &cp
-	case *VBin:
-		return &VBin{Op: x.Op, L: renameV(x.L, from, to), R: renameV(x.R, from, to)}
-	case *VNeg:
-		return &VNeg{X: renameV(x.X, from, to)}
-	case *VCall:
-		cp := &VCall{Fn: x.Fn, Args: make([]VExpr, len(x.Args))}
-		for i, a := range x.Args {
-			cp.Args[i] = renameV(a, from, to)
-		}
-		return cp
-	case *VCond:
-		return &VCond{C: renameBool(x.C, from, to), T: renameV(x.T, from, to), E: renameV(x.E, from, to)}
-	default:
-		return e
-	}
-}
-
-func renameBool(e BExpr, from, to string) BExpr {
-	switch x := e.(type) {
-	case *BCmpInt:
-		return &BCmpInt{Op: x.Op, L: renameInt(x.L, from, to), R: renameInt(x.R, from, to)}
-	case *BCmpFloat:
-		return &BCmpFloat{Op: x.Op, L: renameV(x.L, from, to), R: renameV(x.R, from, to)}
-	case *BAnd:
-		return &BAnd{L: renameBool(x.L, from, to), R: renameBool(x.R, from, to)}
-	case *BOr:
-		return &BOr{L: renameBool(x.L, from, to), R: renameBool(x.R, from, to)}
-	case *BNot:
-		return &BNot{X: renameBool(x.X, from, to)}
-	default:
-		return e
-	}
+	return n
 }
 
 // ---------------------------------------------------------------------------

@@ -59,9 +59,13 @@ func workerLoop(ch chan func()) {
 // calling goroutine, the rest on pool workers — and returns when all
 // have finished. Each fn runs on its own goroutine, so the cohort may
 // synchronize internally (a wavefront band waits for the band above).
-// fn must not panic: parallel loop bodies convert runtime failures to
-// recorded errors. Parallel loops and the steps of a stream pipeline
-// (internal/stream) share this one pool.
+// fn must not panic, since no caller's recover reaches a pool worker.
+// Interpreted parallel loop bodies convert runtime failures to
+// recorded errors. Native kernels reach this pool only for bodies
+// that cannot fail (gogen gates kernel closures on loopir.CanFail);
+// bodies with checks or integer division run sequentially on the
+// caller and return their errors. Parallel loops and the steps of a
+// stream pipeline (internal/stream) share this one pool.
 func RunParallel(n int, fn func(w int)) {
 	if n <= 1 {
 		fn(0)

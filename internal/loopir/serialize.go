@@ -539,32 +539,17 @@ func RebindAccum(p *Program) error {
 		}
 	}
 	var err error
-	walkStmts(p.Stmts, func(s Stmt) {
-		a, ok := s.(*Assign)
-		if !ok || !a.HasAccum {
-			return
+	inspectList(p.Stmts, func(n any) bool {
+		if a, ok := n.(*Assign); ok && a.HasAccum {
+			if comb == nil {
+				err = fmt.Errorf("loopir: accumulating store on %q but Program.AccumOp is empty", a.Array)
+			} else {
+				a.Accumulate = comb
+			}
 		}
-		if comb == nil {
-			err = fmt.Errorf("loopir: accumulating store on %q but Program.AccumOp is empty", a.Array)
-			return
-		}
-		a.Accumulate = comb
+		return isStmt(n)
 	})
 	return err
-}
-
-// walkStmts visits every statement in the tree, pre-order.
-func walkStmts(stmts []Stmt, visit func(Stmt)) {
-	for _, s := range stmts {
-		visit(s)
-		switch x := s.(type) {
-		case *Loop:
-			walkStmts(x.Body, visit)
-		case *If:
-			walkStmts(x.Then, visit)
-			walkStmts(x.Else, visit)
-		}
-	}
 }
 
 // Per-node byte charges for Size. They are deliberately coarse — the

@@ -1,5 +1,7 @@
 package loopir
 
+import "slices"
+
 // Stencil specialization: shape recognition and interior/boundary
 // splitting, run between the rewrite passes and parallel planning.
 //
@@ -235,30 +237,12 @@ func (o *optimizer) trySplit(l *Loop) []*Loop {
 // a register whose only uses sat in the discarded arm would otherwise
 // surface as a declared-but-unused variable in emitted Go code.
 func pruneInds(l *Loop) {
-	kept := l.Inds[:0]
-	for _, ind := range l.Inds {
-		if stmtsMentionVar(l.Body, ind.Name) {
-			kept = append(kept, ind)
+	Inspect(l, func(n any) bool {
+		if x, ok := n.(*Loop); ok {
+			x.Inds = slices.DeleteFunc(x.Inds, func(ind Ind) bool { return !mentionsVar(x.Body, ind.Name) })
 		}
-	}
-	l.Inds = kept
-	for _, s := range l.Body {
-		pruneIndsIn(s)
-	}
-}
-
-func pruneIndsIn(s Stmt) {
-	switch x := s.(type) {
-	case *Loop:
-		pruneInds(x)
-	case *If:
-		for _, t := range x.Then {
-			pruneIndsIn(t)
-		}
-		for _, t := range x.Else {
-			pruneIndsIn(t)
-		}
-	}
+		return isStmt(n)
+	})
 }
 
 // resolveGuard substitutes the proven-constant arm at the guard site:
@@ -292,19 +276,30 @@ func (o *optimizer) nextSplitID() int {
 	return o.splitSeq
 }
 
-// cloneLoopRange deep-copies l restricted to [from, to], renaming
-// every induction register bound inside the clone (register names are
-// program-unique; see collectLoopVars) and shifting the clone's own
-// register inits to the new entry point.
+// cloneLoopRange copies l restricted to [from, to] in one Rewrite: it
+// copies every statement, so that the clone's later in-place edits
+// (guard resolution, register pruning, annotation, planning) never reach
+// l, and it renames every induction register bound inside the clone to
+// a fresh name (register names are program-unique; see
+// collectLoopVars). The clone's own register inits are shifted to the
+// new entry point.
 func (o *optimizer) cloneLoopRange(l *Loop, from, to int64) *Loop {
-	c := cloneStmt(l).(*Loop)
+	fresh := renaming{}
+	Inspect(l, func(n any) bool {
+		if x, ok := n.(*Loop); ok {
+			for _, ind := range x.Inds {
+				fresh[ind.Name] = o.fresh("o", &o.indSeq)
+			}
+		}
+		return isStmt(n)
+	})
+	c := Rewrite(l, func(n any) any { return copyStmt(fresh.node(n)) })
 	c.From, c.To = from, to
 	for i := range c.Inds {
 		// Init was computed for entry at l.From; entering at `from`
 		// advances the register by Step·(from − l.From).
 		c.Inds[i].Init = shiftInit(c.Inds[i].Init, c.Inds[i].Step*(from-l.From))
 	}
-	o.freshenRegisters(c)
 	return c
 }
 
@@ -324,72 +319,37 @@ func shiftInit(e IntExpr, d int64) IntExpr {
 	}
 }
 
-// freshenRegisters renames every induction register bound at or below
-// l to a fresh program-unique name.
-func (o *optimizer) freshenRegisters(l *Loop) {
-	for i := range l.Inds {
-		old := l.Inds[i].Name
-		name := o.fresh("o", &o.indSeq)
-		l.Inds[i].Name = name
-		l.Body = renameVar(l.Body, old, name)
-	}
-	var walk func(stmts []Stmt)
-	walk = func(stmts []Stmt) {
-		for _, s := range stmts {
-			switch x := s.(type) {
-			case *Loop:
-				o.freshenRegisters(x)
-			case *If:
-				walk(x.Then)
-				walk(x.Else)
-			}
-		}
-	}
-	walk(l.Body)
-}
-
-// cloneStmt deep-copies a statement tree. Immutable leaves (CopyArray,
-// CheckFull, Fail, Fill) are shared; everything the optimizer may
-// mutate later is copied.
-func cloneStmt(s Stmt) Stmt {
-	switch x := s.(type) {
+// copyStmt returns a shallow copy of a statement node with its own
+// register list, schedule, stencil record and subscript list; any
+// other node is returned as it is. Immutable leaves (CopyArray,
+// CheckFull, Fail, Fill) are shared.
+func copyStmt(n any) any {
+	switch x := n.(type) {
 	case *Loop:
-		cp := *x
-		cp.Inds = append([]Ind(nil), x.Inds...)
+		c := *x
+		c.Inds = slices.Clone(x.Inds)
 		if x.Par != nil {
 			par := *x.Par
-			cp.Par = &par
+			c.Par = &par
 		}
 		if x.Sten != nil {
 			st := *x.Sten
-			st.Splits = append([]SplitRecord(nil), x.Sten.Splits...)
-			cp.Sten = &st
+			st.Splits = slices.Clone(x.Sten.Splits)
+			c.Sten = &st
 		}
-		cp.Body = cloneStmts(x.Body)
-		return &cp
+		return &c
 	case *If:
-		cp := *x
-		cp.Then = cloneStmts(x.Then)
-		cp.Else = cloneStmts(x.Else)
-		return &cp
+		c := *x
+		return &c
 	case *Assign:
-		cp := *x
-		cp.Subs = append([]IntExpr(nil), x.Subs...)
-		return &cp
+		c := *x
+		c.Subs = slices.Clone(x.Subs)
+		return &c
 	case *SetScalar:
-		cp := *x
-		return &cp
-	default:
-		return s
+		c := *x
+		return &c
 	}
-}
-
-func cloneStmts(stmts []Stmt) []Stmt {
-	out := make([]Stmt, len(stmts))
-	for i, s := range stmts {
-		out[i] = cloneStmt(s)
-	}
-	return out
+	return n
 }
 
 // mergeSten overlays shape fields onto an existing (split) record,

@@ -201,23 +201,14 @@ func BuildStreamPlan(p *Program) (*StreamPlan, error) {
 	}
 	// Pre-scan for body scalar writes (the top-level walk needs the
 	// full set before judging body reads).
-	var scanBody func(stmts []Stmt)
-	scanBody = func(stmts []Stmt) {
-		for _, s := range stmts {
-			switch x := s.(type) {
-			case *SetScalar:
-				c.bodySet[x.Name] = true
-			case *If:
-				scanBody(x.Then)
-				scanBody(x.Else)
-			case *Loop:
-				scanBody(x.Body)
-			}
-		}
-	}
 	for _, s := range p.Stmts {
 		if l, ok := s.(*Loop); ok {
-			scanBody(l.Body)
+			inspectList(l.Body, func(n any) bool {
+				if x, ok := n.(*SetScalar); ok {
+					c.bodySet[x.Name] = true
+				}
+				return isStmt(n)
+			})
 		}
 	}
 	// Top level: SetScalar, Loop, and constant-subscript Assign (the
@@ -457,114 +448,31 @@ func pointLoop(a *Assign) (*Loop, error) {
 	return &Loop{Var: pointVar, From: w, To: w, Step: 1, Body: []Stmt{na}}, nil
 }
 
-// pointValue copies a value expression, rewriting every ARef subscript
-// from its constant position k to the affine form pointVar+(k-w).
+// pointValue rewrites every ARef subscript of a value expression from
+// its constant position k to the affine form pointVar+(k-w).
 func pointValue(e VExpr, w int64) (VExpr, error) {
-	switch x := e.(type) {
-	case *VConst, *VScalar, *VFromInt:
-		return e, nil
-	case *ARef:
+	var err error
+	out := Rewrite(e, func(n any) any {
+		x, ok := n.(*ARef)
+		if !ok || err != nil {
+			return n
+		}
 		if len(x.Subs) != 1 {
-			return nil, fmt.Errorf("read of %s has %d subscripts", x.Array, len(x.Subs))
+			err = fmt.Errorf("read of %s has %d subscripts", x.Array, len(x.Subs))
+			return n
 		}
 		k, ok := streamConstInt(x.Subs[0])
 		if !ok {
-			return nil, fmt.Errorf("read of %s at non-constant position %s", x.Array, IntExprString(x.Subs[0]))
+			err = fmt.Errorf("read of %s at non-constant position %s", x.Array, IntExprString(x.Subs[0]))
+			return n
 		}
 		return &ARef{
 			Array:       x.Array,
 			Subs:        []IntExpr{&ILin{Const: k - w, Terms: []ITerm{{Var: pointVar, Coeff: 1}}}},
 			CheckBounds: x.CheckBounds, CheckDefined: x.CheckDefined,
-		}, nil
-	case *VBin:
-		l, err := pointValue(x.L, w)
-		if err != nil {
-			return nil, err
 		}
-		r, err := pointValue(x.R, w)
-		if err != nil {
-			return nil, err
-		}
-		return &VBin{Op: x.Op, L: l, R: r}, nil
-	case *VNeg:
-		in, err := pointValue(x.X, w)
-		if err != nil {
-			return nil, err
-		}
-		return &VNeg{X: in}, nil
-	case *VCall:
-		args := make([]VExpr, len(x.Args))
-		for i, a := range x.Args {
-			na, err := pointValue(a, w)
-			if err != nil {
-				return nil, err
-			}
-			args[i] = na
-		}
-		return &VCall{Fn: x.Fn, Args: args}, nil
-	case *VCond:
-		cond, err := pointBool(x.C, w)
-		if err != nil {
-			return nil, err
-		}
-		t, err := pointValue(x.T, w)
-		if err != nil {
-			return nil, err
-		}
-		f, err := pointValue(x.E, w)
-		if err != nil {
-			return nil, err
-		}
-		return &VCond{C: cond, T: t, E: f}, nil
-	}
-	return nil, fmt.Errorf("value expression %T in a point assign", e)
-}
-
-// pointBool copies a boolean expression under the same rewrite.
-func pointBool(b BExpr, w int64) (BExpr, error) {
-	switch x := b.(type) {
-	case *BConst, *BCmpInt:
-		// Integer comparisons at top level are over constants; the
-		// checker's affine walk validates them as-is.
-		return b, nil
-	case *BCmpFloat:
-		l, err := pointValue(x.L, w)
-		if err != nil {
-			return nil, err
-		}
-		r, err := pointValue(x.R, w)
-		if err != nil {
-			return nil, err
-		}
-		return &BCmpFloat{Op: x.Op, L: l, R: r}, nil
-	case *BAnd:
-		l, err := pointBool(x.L, w)
-		if err != nil {
-			return nil, err
-		}
-		r, err := pointBool(x.R, w)
-		if err != nil {
-			return nil, err
-		}
-		return &BAnd{L: l, R: r}, nil
-	case *BOr:
-		l, err := pointBool(x.L, w)
-		if err != nil {
-			return nil, err
-		}
-		r, err := pointBool(x.R, w)
-		if err != nil {
-			return nil, err
-		}
-		return &BOr{L: l, R: r}, nil
-	case *BNot:
-		in, err := pointBool(x.X, w)
-		if err != nil {
-			return nil, err
-		}
-		return &BNot{X: in}, nil
-	}
-	return nil, fmt.Errorf("boolean expression %T in a point assign", b)
+	})
+	return out, err
 }
 
 // integer checks an integer expression inside a loop (guard operands,

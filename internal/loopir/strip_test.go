@@ -201,7 +201,12 @@ func TestStripMatchesGeneric(t *testing.T) {
 			inputs := func() map[string]*runtime.Strict { return inputs[name](p) }
 			t.Run(fmt.Sprintf("%s/n=%d", name, n), func(t *testing.T) {
 				var loop *Loop
-				WalkLoops(p.Stmts, func(x *Loop) { loop = x })
+				Inspect(p.Stmts, func(n any) bool {
+					if x, ok := n.(*Loop); ok {
+						loop = x
+					}
+					return true
+				})
 				if rk := compileRows(t, p).rows[loop]; rk.kind != rowStrip {
 					t.Fatalf("form %d, want the strip form", rk.kind)
 				}

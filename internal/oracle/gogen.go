@@ -69,7 +69,7 @@ func RunGogenBatch(cases []*Case) {
 	b.WriteString("}\n\n")
 	for i, e := range batch {
 		fmt.Fprintf(&b, "func runCase%d() {\n", i)
-		fmt.Fprintf(&b, "\tdefer func() {\n\t\tif r := recover(); r != nil {\n\t\t\tfmt.Printf(\"case %d err %%v\\n\", r)\n\t\t}\n\t}()\n", i)
+		fmt.Fprintf(&b, "\tdefer func() {\n\t\tif r := recover(); r != nil {\n\t\t\tfmt.Printf(\"case %d panic %%v\\n\", r)\n\t\t}\n\t}()\n", i)
 		b.WriteString(strings.ReplaceAll(e.driver, "%CASE%", strconv.Itoa(i)))
 		b.WriteString("}\n\n")
 		for _, f := range e.funcs {
@@ -118,8 +118,8 @@ func RunGogenBatch(cases []*Case) {
 		if err != nil {
 			continue
 		}
-		if fields[2] == "err" {
-			outcomes[idx] = Outcome{Err: strings.Join(fields[3:], " ")}
+		if fields[2] == "err" || fields[2] == "panic" {
+			outcomes[idx] = Outcome{Err: strings.Join(fields[3:], " "), Panicked: fields[2] == "panic"}
 			continue
 		}
 		vals := make([]float64, 0, len(fields)-4)
@@ -208,7 +208,7 @@ func valueFromFlat(vals []float64) *runtime.Strict {
 // elements are compared (the compiled plan's bounds equal the
 // reference bounds by construction — core validated them).
 func agreeFlat(ref, got Outcome) (bool, string) {
-	if ref.OK() != got.OK() {
+	if ref.OK() != got.OK() || ref.Panicked || got.Panicked {
 		return false, fmt.Sprintf("reference %s, gogen %s", ref, got)
 	}
 	if !ref.OK() {

@@ -62,7 +62,7 @@ func RunNativeBatch(cases []*Case) {
 		out := func() (o Outcome) {
 			defer func() {
 				if r := recover(); r != nil {
-					o = Outcome{Err: fmt.Sprintf("panic: %v", r)}
+					o = Outcome{Err: fmt.Sprintf("panic: %v", r), Panicked: true}
 				}
 			}()
 			res, tier, err := e.c.fullProg.RunTiered(inputs)

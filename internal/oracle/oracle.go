@@ -36,6 +36,9 @@ type Outcome struct {
 	Err string
 	// CompileTime marks Err as a compile-time rejection.
 	CompileTime bool
+	// Panicked marks Err as a recovered panic. An arm must fail with an
+	// error, never a panic, so a panicked outcome agrees with nothing.
+	Panicked bool
 	// Value is the result array when Err is empty.
 	Value *runtime.Strict
 }
@@ -48,8 +51,11 @@ func (o Outcome) String() string {
 		return fmt.Sprintf("ok %d elements", len(o.Value.Data))
 	}
 	stage := "runtime"
-	if o.CompileTime {
+	switch {
+	case o.CompileTime:
 		stage = "compile"
+	case o.Panicked:
+		stage = "panic"
 	}
 	return fmt.Sprintf("%s error: %s", stage, o.Err)
 }
@@ -264,7 +270,7 @@ func RunCase(p *gencomp.Program) *Case {
 // configurations that are required to perform the same operations in
 // the same order, where tolerance would mask a real divergence.
 func BitwiseAgree(ref, got Outcome) (bool, string) {
-	if ref.OK() != got.OK() {
+	if ref.OK() != got.OK() || ref.Panicked || got.Panicked {
 		return false, fmt.Sprintf("reference %s, backend %s", ref, got)
 	}
 	if !ref.OK() {
@@ -290,7 +296,7 @@ func BitwiseAgree(ref, got Outcome) (bool, string) {
 func runOnce(p *gencomp.Program, opts core.Options, inputs map[string]*runtime.Strict, abName string, c *Case) (out Outcome) {
 	defer func() {
 		if r := recover(); r != nil {
-			out = Outcome{Err: fmt.Sprintf("panic: %v", r)}
+			out = Outcome{Err: fmt.Sprintf("panic: %v", r), Panicked: true}
 		}
 	}()
 	prog, err := core.CompileProgram(p.Prog, p.Params, opts)
@@ -336,9 +342,10 @@ func gogenEligible(prog *core.Program) bool {
 // success, and successful values must agree element-wise: bitwise
 // equal, or within 1e-9 relative tolerance (NaN matches NaN, and
 // infinities must match exactly). Error text is not compared — the
-// three backends phrase the same ⊥/collision differently.
+// three backends phrase the same ⊥/collision differently — but an
+// error must be an error: a recovered panic agrees with nothing.
 func Agree(ref, got Outcome) (bool, string) {
-	if ref.OK() != got.OK() {
+	if ref.OK() != got.OK() || ref.Panicked || got.Panicked {
 		return false, fmt.Sprintf("reference %s, backend %s", ref, got)
 	}
 	if !ref.OK() {

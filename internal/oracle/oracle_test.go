@@ -115,6 +115,8 @@ func TestAgree(t *testing.T) {
 		{"ok vs err", mk(1), errOut, false},
 		{"err vs ok", errOut, mk(1), false},
 		{"both err (texts differ)", errOut, Outcome{Err: "⊥ at 0"}, true},
+		{"err vs backend panic", errOut, Outcome{Err: "panic: integer divide by zero", Panicked: true}, false},
+		{"reference panic vs err", Outcome{Err: "panic: x", Panicked: true}, errOut, false},
 		{"nan matches nan", mk(nan), mk(nan), true},
 		{"nan vs number", mk(nan), mk(0), false},
 		{"inf matches inf", mk(inf), mk(inf), true},
