@@ -18,10 +18,7 @@
 //	hacbench -json BENCH.json -noopt e3 e9 e10 e11
 //	hacbench -json BENCH.json        e3 e9 e10 e11
 //
-// -baseline FILE gates the run against a committed result file (the CI
-// bench-regression wall): after benching, every gated label must be
-// within -maxregress percent of the baseline ns/op or hacbench prints
-// BENCH-REGRESS lines and exits nonzero.
+// cmd/benchdiff compares a -json file against a committed one.
 package main
 
 import (
@@ -54,12 +51,10 @@ import (
 )
 
 var (
-	quick      = flag.Bool("quick", false, "smaller sizes for a fast smoke run")
-	noopt      = flag.Bool("noopt", false, "disable the loop-IR optimizer (pre/post comparisons)")
-	jsonPath   = flag.String("json", "", "merge machine-readable results into FILE")
-	workersF   = flag.Int("workers", 0, "bench parallel arms at this worker count only (0 = 1, 2 and NumCPU)")
-	baseline   = flag.String("baseline", "", "gate this run against a committed result FILE")
-	maxRegress = flag.Float64("maxregress", 25, "with -baseline: max allowed ns/op regression, percent")
+	quick    = flag.Bool("quick", false, "smaller sizes for a fast smoke run")
+	noopt    = flag.Bool("noopt", false, "disable the loop-IR optimizer (pre/post comparisons)")
+	jsonPath = flag.String("json", "", "merge machine-readable results into FILE")
+	workersF = flag.Int("workers", 0, "bench parallel arms at this worker count only (0 = 1, 2 and NumCPU)")
 )
 
 var jsonResults = map[string]benchcmp.Result{}
@@ -81,25 +76,6 @@ func main() {
 		}
 	}
 	writeJSON()
-	gateBaseline()
-}
-
-// gateBaseline enforces the bench-regression wall in-process: compare
-// this run's results against -baseline and exit nonzero on any gated
-// regression, using the same engine as cmd/benchdiff.
-func gateBaseline() {
-	if *baseline == "" {
-		return
-	}
-	base, err := benchcmp.Load(*baseline)
-	die(err)
-	rep := benchcmp.Compare(base, jsonResults, *maxRegress, benchcmp.Skipper(benchcmp.DefaultSkip))
-	fmt.Printf("\n### baseline gate vs %s (wall: +%.0f%%)\n", *baseline, *maxRegress)
-	rep.WriteTable(os.Stdout)
-	rep.WriteMachine(os.Stdout)
-	if !rep.OK() {
-		os.Exit(1)
-	}
 }
 
 // writeJSON merges this run's results into -json FILE (earlier entries
@@ -143,7 +119,7 @@ func benchW(label string, workers int, f func()) float64 {
 	})
 	ns := float64(r.T.Nanoseconds()) / float64(r.N)
 	fmt.Printf("  %-34s %14.0f ns/op\n", label, ns)
-	if *jsonPath != "" || *baseline != "" {
+	if *jsonPath != "" {
 		prefix := "opt/"
 		if *noopt {
 			prefix = "noopt/"
@@ -164,7 +140,7 @@ func benchW(label string, workers int, f func()) float64 {
 // lands in the ns_per_op slot — the field is just "the gated number".
 func record(label string, value float64) {
 	fmt.Printf("  %-34s %14.0f bytes\n", label, value)
-	if *jsonPath != "" || *baseline != "" {
+	if *jsonPath != "" {
 		prefix := "opt/"
 		if *noopt {
 			prefix = "noopt/"

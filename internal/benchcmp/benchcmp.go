@@ -1,8 +1,8 @@
 // Package benchcmp compares two hacbench -json result files and
-// reports per-label regressions. It is the shared engine behind the
-// benchdiff CLI and hacbench's -baseline flag: both enforce the CI
-// bench-regression wall (compiled-path ns/op must not regress more
-// than a threshold against the committed baseline).
+// reports per-label regressions. It is the engine behind the benchdiff
+// CLI, which enforces the CI bench-regression wall (compiled-path
+// ns/op must not regress more than a threshold against the committed
+// baseline).
 package benchcmp
 
 import (
@@ -58,6 +58,10 @@ func (h Host) String() string {
 // Known reports whether the host was recorded at all (files written
 // before the fields existed load as zero hosts).
 func (h Host) Known() bool { return h != Host{} }
+
+// Oversubscribed reports whether the host ran more Go threads than it
+// has CPUs, where parallel arms cannot show their speedup.
+func (h Host) Oversubscribed() bool { return h.GoMaxProcs > h.NCPU }
 
 // HostOf extracts the recorded host of a result file: the first entry
 // carrying host fields wins (hacbench stamps every entry identically).
@@ -231,18 +235,30 @@ type SpeedupResult struct {
 	SlowNs, FastNs float64
 	Ratio          float64 // SlowNs/FastNs; >= MinRatio passes
 	Missing        string  // non-empty when a label is absent from the file
+	// HostMismatch describes an oversubscribed measuring host; the
+	// ratio is then reported, not judged.
+	HostMismatch string
 }
 
-// OK reports whether the check held.
-func (r SpeedupResult) OK() bool { return r.Missing == "" && r.Ratio >= r.Check.MinRatio }
+// OK reports whether the check held, or could not be judged on its
+// host.
+func (r SpeedupResult) OK() bool {
+	return r.Missing == "" && (r.HostMismatch != "" || r.Ratio >= r.Check.MinRatio)
+}
 
 // CheckSpeedups evaluates every check against one result file and
-// reports whether all held.
+// reports whether all held. A file measured with GOMAXPROCS above the
+// CPU count cannot show the speedups the checks demand, so there no
+// ratio fails a check; a missing label still does.
 func CheckSpeedups(m map[string]Result, checks []SpeedupCheck) ([]SpeedupResult, bool) {
 	out := make([]SpeedupResult, 0, len(checks))
 	allOK := true
+	mismatch := ""
+	if h := HostOf(m); h.Oversubscribed() {
+		mismatch = fmt.Sprintf("gomaxprocs=%d > ncpu=%d", h.GoMaxProcs, h.NCPU)
+	}
 	for _, c := range checks {
-		r := SpeedupResult{Check: c}
+		r := SpeedupResult{Check: c, HostMismatch: mismatch}
 		slow, okS := m[c.Slow]
 		fast, okF := m[c.Fast]
 		switch {
@@ -265,13 +281,18 @@ func CheckSpeedups(m map[string]Result, checks []SpeedupCheck) ([]SpeedupResult,
 }
 
 // WriteSpeedups emits one machine-readable line per check:
-// BENCH-SPEEDUP-OK / BENCH-SPEEDUP-FAIL / BENCH-SPEEDUP-MISSING.
+// BENCH-SPEEDUP-OK / BENCH-SPEEDUP-FAIL / BENCH-SPEEDUP-MISSING, or
+// BENCH-HOST-MISMATCH with the measured ratio on an oversubscribed
+// host.
 func WriteSpeedups(w io.Writer, results []SpeedupResult) {
 	for _, r := range results {
 		switch {
 		case r.Missing != "":
 			fmt.Fprintf(w, "BENCH-SPEEDUP-MISSING label=%q slow=%q fast=%q\n",
 				r.Missing, r.Check.Slow, r.Check.Fast)
+		case r.HostMismatch != "":
+			fmt.Fprintf(w, "BENCH-HOST-MISMATCH %s slow=%q fast=%q ratio=%.2f min=%.2f\n",
+				r.HostMismatch, r.Check.Slow, r.Check.Fast, r.Ratio, r.Check.MinRatio)
 		case r.OK():
 			fmt.Fprintf(w, "BENCH-SPEEDUP-OK slow=%q fast=%q ratio=%.2f min=%.2f\n",
 				r.Check.Slow, r.Check.Fast, r.Ratio, r.Check.MinRatio)

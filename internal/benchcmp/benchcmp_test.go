@@ -143,6 +143,30 @@ func TestCheckSpeedups(t *testing.T) {
 	if _, ok := CheckSpeedups(m, checks[:1]); !ok {
 		t.Fatal("holding set must pass")
 	}
+
+	// A file stamped GOMAXPROCS > NCPU reports the lost edge as a host
+	// mismatch with its ratio and passes; a missing label still fails.
+	// At GOMAXPROCS <= NCPU the lost edge fails as above.
+	for _, h := range []Host{{NCPU: 2, GoMaxProcs: 4}, {NCPU: 4, GoMaxProcs: 4}} {
+		stamped := map[string]Result{}
+		for l, r := range m {
+			h.Stamp(&r)
+			stamped[l] = r
+		}
+		results, ok := CheckSpeedups(stamped, checks[:2])
+		buf.Reset()
+		WriteSpeedups(&buf, results)
+		if over := h.GoMaxProcs > h.NCPU; ok != over {
+			t.Fatalf("%s: lost edge passes %v, want %v\n%s", h, ok, over, buf.String())
+		}
+		line := `BENCH-HOST-MISMATCH gomaxprocs=4 > ncpu=2 slow="jacobi workers=1" fast="jacobi workers=4" ratio=1.14 min=1.50`
+		if got := strings.Contains(buf.String(), line); got != (h.NCPU == 2) {
+			t.Fatalf("%s: host mismatch line present %v:\n%s", h, got, buf.String())
+		}
+		if _, ok := CheckSpeedups(stamped, checks[2:3]); ok {
+			t.Fatalf("%s: a missing label must fail", h)
+		}
+	}
 }
 
 func TestLoadRoundTrip(t *testing.T) {

@@ -106,7 +106,7 @@ type lowerer struct {
 	// trackDefs / checkCollision / checkEmpties per the analysis.
 	trackDefs      bool
 	checkCollision bool
-	accum          runtime.CombineFunc
+	accum          bool
 	// cond is the claim-assumed re-analysis driving dual lowering
 	// (nil when absent or disabled); condActive marks the pass
 	// currently lowering the claim-assuming variant.
@@ -251,11 +251,10 @@ func Lower(res *analysis.Result, sched *schedule.Result, external map[string]ana
 	}
 
 	if res.Def.Kind == lang.Accumulated {
-		comb, ok := runtime.Combiner(res.Def.Accum.Combine)
-		if !ok {
+		if _, ok := runtime.Combiner(res.Def.Accum.Combine); !ok {
 			return nil, fmt.Errorf("codegen: unknown combining function %q", res.Def.Accum.Combine)
 		}
-		lw.accum = comb
+		lw.accum = true
 		lw.prog.AccumOp = res.Def.Accum.Combine
 		init, err := lw.baseXlate().valueExpr(res.Def.Accum.Init)
 		if err != nil {
@@ -647,7 +646,7 @@ func (lw *lowerer) parSafeState() bool {
 	if lw.trackDefs {
 		return false
 	}
-	if lw.accum != nil && lw.effCollision() != analysis.No {
+	if lw.accum && lw.effCollision() != analysis.No {
 		return false
 	}
 	if len(lw.hooks.clauseSaves) > 0 || len(lw.hooks.instanceStart) > 0 ||
@@ -701,13 +700,12 @@ func (lw *lowerer) lowerClause(cl *analysis.FlatClause, x *xlate) ([]loopir.Stmt
 		CheckBounds: checkBounds,
 		NoTrack:     lw.declTrack && !lw.trackDefs,
 	}
-	if lw.condActive && lw.cond.MonoAccum && lw.accum != nil && lw.opts.Parallel {
+	if lw.condActive && lw.cond.MonoAccum && lw.accum && lw.opts.Parallel {
 		if iidx, ok := subs[0].(*loopir.IIdx); ok && iidx.Array == lw.cond.MonoArray {
 			lw.monoAlign = cloneInt(iidx).(*loopir.IIdx)
 		}
 	}
-	if lw.accum != nil {
-		assign.Accumulate = lw.accum
+	if lw.accum {
 		assign.HasAccum = true
 	} else if lw.checkCollision {
 		assign.CheckCollision = true

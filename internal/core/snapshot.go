@@ -228,9 +228,6 @@ func RestoreSnapshot(s *Snapshot, opts Options) (*Program, error) {
 		if d.IR == nil {
 			return nil, fmt.Errorf("core: snapshot of %s has no IR", d.Name)
 		}
-		if err := loopir.RebindAccum(d.IR); err != nil {
-			return nil, err
-		}
 		ex, err := loopir.Compile(d.IR)
 		if err != nil {
 			return nil, fmt.Errorf("core: restoring %s: %w", d.Name, err)

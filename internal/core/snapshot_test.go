@@ -86,8 +86,8 @@ func TestSnapshotRoundtripWavefrontParallel(t *testing.T) {
 }
 
 func TestSnapshotRoundtripAccumArray(t *testing.T) {
-	// The accumulating store's combiner is a closure gob cannot carry;
-	// the HasAccum marker plus RebindAccum must restore it. The 'right'
+	// An accumulating store is the HasAccum marker plus the program's
+	// AccumOp, which the restored compile resolves. The 'right'
 	// combiner is order-sensitive, so a silently dropped accumulation
 	// (plain store semantics) would still "work" for (+) histograms —
 	// exercise both.

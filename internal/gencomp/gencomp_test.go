@@ -150,7 +150,7 @@ func TestAccumWeightReachesRowKernels(t *testing.T) {
 			}
 			for _, s := range x.Body {
 				a, ok := s.(*loopir.Assign)
-				if !ok || a.Accumulate == nil || a.CheckBounds {
+				if !ok || !a.HasAccum || a.CheckBounds {
 					continue
 				}
 				if a.Off != nil {

@@ -332,15 +332,10 @@ func (e *emitter) emitAssign(x *loopir.Assign) {
 	e.line("%s := %s", off, e.offsetExpr(x.Array, x.Subs, x.Off, x.CheckBounds))
 	id := e.ident[x.Array]
 	switch {
-	case x.Accumulate != nil:
-		// The combining function is a Go closure in the IR; generated
-		// code re-derives it from the program name conventionally. The
-		// code generator records the operation on the Assign via the
-		// Accumulate field — unavailable as source — so gogen supports
-		// only the named combiners re-looked-up by the caller. To keep
-		// the emitted file self-contained we inline addition, the only
-		// combiner the compiler emits Fill+Accumulate pairs for by
-		// default; other combiners fall back with an error.
+	case x.HasAccum:
+		// The store folds its value in with the combiner
+		// Program.AccumOp names, inlined so the emitted file stays
+		// self-contained; an empty or unknown name is an error.
 		if e.prog.AccumOp == "" {
 			e.fail("accumArray emission requires Program.AccumOp")
 			return

@@ -50,7 +50,7 @@ func (e *emitter) emitStencilLoop(x *loopir.Loop) bool {
 		return false
 	}
 	a, ok := x.Body[0].(*loopir.Assign)
-	if !ok || a.CheckBounds || a.CheckCollision || a.Accumulate != nil || a.Off == nil {
+	if !ok || a.CheckBounds || a.CheckCollision || a.HasAccum || a.Off == nil {
 		return false
 	}
 	d := e.decl[a.Array]

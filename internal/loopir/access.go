@@ -142,7 +142,7 @@ func (t *accessTable) stmts(list []Stmt, sc *loopScope) {
 		switch x := n.(type) {
 		case *Assign:
 			t.acc = append(t.acc, access{array: x.Array, write: true, checked: x.CheckBounds, loops: sc, node: x,
-				accum: x.Accumulate != nil, collide: x.CheckCollision})
+				accum: x.HasAccum, collide: x.CheckCollision})
 		case *Loop:
 			if t.nested {
 				t.stmts(x.Body, &loopScope{v: x.Var, r: loopRange{x.From, x.To, x.Step}, up: sc})

@@ -66,6 +66,9 @@ type compiler struct {
 	// strips is the scratch length, in float64s, that the program's
 	// strip kernels need in every frame that runs them.
 	strips int
+	// comb is the combining function of the program's accumulating
+	// stores (combiner), resolved on first use.
+	comb runtime.CombineFunc
 }
 
 // verifyHookBox lets an observer record runtime verification verdicts.
@@ -73,6 +76,20 @@ type compiler struct {
 // compile time while the hook itself is installed afterwards.
 type verifyHookBox struct {
 	fn func(claims idxprop.Claims, res idxprop.VerifyResult, took time.Duration)
+}
+
+// combiner returns the combining function Program.AccumOp names,
+// resolved once per compile. An accumulating store under an empty or
+// unknown AccumOp is a compile error.
+func (c *compiler) combiner() runtime.CombineFunc {
+	if c.comb == nil {
+		comb, ok := runtime.Combiner(c.prog.AccumOp)
+		if !ok {
+			c.fail("accumulating store, but Program.AccumOp %q names no combining function", c.prog.AccumOp)
+		}
+		c.comb = comb
+	}
+	return c.comb
 }
 
 func (c *compiler) fail(format string, args ...any) {
@@ -384,8 +401,8 @@ func (c *compiler) compileAssign(x *Assign) stmtFn {
 	b := decl.B
 	track := decl.TrackDefs && !x.NoTrack
 	switch {
-	case x.Accumulate != nil:
-		comb := x.Accumulate
+	case x.HasAccum:
+		comb := c.combiner()
 		return func(f *frame) {
 			off := offFn(f)
 			data := f.arrays[slot].Data

@@ -10,14 +10,14 @@ func SetGenericRows(on bool) bool {
 
 // RowForms compiles the row kernel of every loop of p, for a stream
 // stage when stage is set, and returns their forms in Inspect order:
-// "strip", "straight" or "generic".
+// "strip" or "generic".
 func RowForms(p *Program, stage bool) []string {
 	c := newCompiler(p)
 	c.stage = stage
 	var forms []string
 	Inspect(p.Stmts, func(n any) bool {
 		if x, ok := n.(*Loop); ok {
-			forms = append(forms, [...]string{rowGeneric: "generic", rowStrip: "strip", rowStraight: "straight"}[c.rowFor(x).kind])
+			forms = append(forms, map[bool]string{false: "generic", true: "strip"}[c.rowFor(x).strip])
 		}
 		return true
 	})

@@ -10,36 +10,9 @@ import "arraycomp/internal/runtime"
 // (on a 2-D nest, of the outer loop's kernel, whose rows run the inner
 // loop's), a wavefront worker each row's slice of its tile — so a
 // parallel schedule runs exactly the sequential arm's inner loop. The
-// kernel compiler picks the strongest of three forms:
+// kernel compiler picks the stronger of two forms:
 //
-//   - strip: a straight-line body (below) that is one store, unless
-//     it gathers through the array it writes or gathers by it, or is a
-//     scatter or an accumulating store that reads it. It runs stripLen
-//     iterations at a time, node by node, the "lifted" evaluation of
-//     data-parallel comprehensions: a load is a sub-slice of Data, a
-//     gather fills a strip, each + − * / and negation is one loop over
-//     its operands' strips, and constants and scalars are one value per
-//     strip. A strip is read before any of it is stored, so a read of
-//     the stored array sees what the sequential loop sees unless it is
-//     carried: at a distance d iterations from the store, on the
-//     store's register, with −min(stripLen, trip) < d < 0, or on
-//     another register, whose distance is unknown. The loop's access
-//     table (access.go) classifies the reads in one filter
-//     (selfReads). With carried reads, every subtree without one is
-//     still a strip, computed before the strip's stores, and only the
-//     spine, the path from the carried reads to the root, runs once
-//     per element: one closure per node and IEEE operation, its
-//     off-spine operand a constant or a strip, its carried reads
-//     loading Data, which holds what the previous element stored
-//     (SOR, Livermore 23, the wavefront, stream recurrences). Without
-//     carried reads the spine is empty. A plain store that does not
-//     read its own array evaluates its root straight into the
-//     destination, so `dst@{r1} := src@{r2}` is one builtin copy per
-//     strip (node splitting's row buffering, Jacobi's
-//     `rowbuf[j] := a[i-1,j]`). A scatter, an accumulating store or a
-//     store that reads its own array computes the strip into scratch,
-//     then stores it in element order.
-//   - straight line: unchecked, untracked Assign and SetScalar
+//   - strip: a body of unchecked, untracked Assign and SetScalar
 //     statements whose every access is either offset-form on a
 //     register stepping by one, or a rank-1 gather or scatter
 //     `arr[idx[k+c]]`: an unchecked load from a rank-1 index array at
@@ -49,36 +22,69 @@ import "arraycomp/internal/runtime"
 //     off — lives in a local o, so each of its accesses is Data[o+d]
 //     and a gather reads arr.Data[int64(idx.Data[o+d]) − lo]; any
 //     other register sits a constant distance from it within a row,
-//     stored once per row in that register's slot. A store may
-//     accumulate, folding its value in as comb(old, new) with + and *
-//     inlined. Such a body cannot observe the loop variable or the
-//     registers otherwise (int conversions, calls and conditionals
-//     take the generic form), so neither is maintained. This form
-//     keeps what the strip form may not take: node splitting's
-//     multi-statement chains (Jacobi's rowbuf/prev/cur), scatters and
-//     accumulating stores that read the array they write, and stores
-//     that gather through it or by it.
+//     stored once per row in that register's slot. Such a body cannot
+//     observe the loop variable or the registers otherwise (int
+//     conversions, calls and conditionals take the generic form), so
+//     neither is maintained.
+//
+//     The body runs stripLen iterations at a time, node by node, the
+//     "lifted" evaluation of data-parallel comprehensions: a load is a
+//     sub-slice of Data, a gather fills a strip, each + − * / and
+//     negation is one loop over its operands' strips, and constants
+//     and scalars are one value per strip. What a strip cannot compute
+//     is the spine: the path from each leaf that may see what an
+//     earlier element of the same strip stored up to its statement's
+//     root. The spine runs once per element, one closure per node and
+//     IEEE operation, its off-spine operands constants or strips
+//     filled before the strip's first element, its leaves loading Data
+//     or a scalar slot, which hold what the previous element stored.
+//
+//     A body that is one store has a spine only for its carried reads
+//     of the stored array. A strip is read before any of it is stored,
+//     so such a read sees what the sequential loop sees unless it is
+//     carried: at a distance d iterations from the store, on the
+//     store's register, with −min(stripLen, trip) < d < 0, or on
+//     another register, whose distance is unknown. The loop's access
+//     table (access.go) classifies the reads in one filter
+//     (selfReads). A carried spine stores each element as it computes
+//     it (SOR, Livermore 23, the wavefront, stream recurrences).
+//     Without carried reads, a plain store that does not read its own
+//     array evaluates its root straight into the destination, so
+//     `dst@{r1} := src@{r2}` is one builtin copy per strip (Jacobi's
+//     `rowbuf[j] := a[i-1,j]`), and a scatter, an accumulating store
+//     (comb(old, new), + and * inlined) or a store that reads its own
+//     array computes the strip into scratch, then stores it in element
+//     order.
+//
+//     Every other body — several statements (node splitting's
+//     rowbuf/prev/cur/v chain, fused border loops, the row swap), a
+//     store that gathers through the array it writes or by it, a
+//     scatter or accumulating store that reads it — puts on its spine
+//     every read of an array the body writes and of a scalar it sets;
+//     only the subtrees that read neither are strips. Per element,
+//     each statement's spine runs in statement order and its root
+//     stores or sets the value, so every read sees what it sees in the
+//     sequential loop.
 //   - generic: the closure tree, writing the loop variable and the
 //     registers every iteration.
 //
-// Every form evaluates each element through the generic form's IEEE
-// operations in the same order, so results are bitwise identical. A
-// strip loop, and a spine closure, performs exactly one operation per
-// element: fusing a multiply and an add into one loop body would let a
-// compiler contract them into an FMA (Go permits it on arm64), which
-// rounds once.
+// Both forms evaluate each element through the same IEEE operations in
+// the same order, so results are bitwise identical. A strip loop, and a
+// spine closure, performs exactly one operation per element: fusing a
+// multiply and an add into one loop body would let a compiler contract
+// them into an FMA (Go permits it on arm64), which rounds once.
 //
 // The strip form and a scatter's element-order store rely on one
 // invariant: distinct array slots never share storage. A store's
 // destination is then disjoint from every strip its right side reads
 // from another array, so writing a strip before, or instead of,
-// reading the next one cannot change what is read. A body that reads
+// reading the next one cannot change what is read. A store that reads
 // its own array breaks that: a read at d > 0 overlaps the destination
-// strip shifted by d. Such a body therefore evaluates into scratch and
-// stores afterwards (its carried spine stores each element as it
-// computes it), and never evaluates its root into the destination.
+// strip shifted by d. Such a store therefore evaluates into scratch and
+// stores afterwards, or stores per element from its spine, and never
+// evaluates its root into the destination.
 //
-// Only the generic form raises runtime errors: the others take
+// Only the generic form raises runtime errors: the strip form takes
 // unchecked accesses only, and an unchecked index-array load needs a
 // range claim that was proven statically or verified by the BVerify
 // guard of its branch. Since the generic form's
@@ -88,9 +94,9 @@ import "arraycomp/internal/runtime"
 // Stream stages (stage.go) run the same kernels. A register holds an
 // offset from the declared lower bound lo, but a stage binds each array
 // slot to a window whose element 0 is position base, so in stage mode
-// the strip and straight-line forms add lo − base once per row. Stages
-// take no gathers, scatters or accumulating stores; their recurrences
-// take the strip form with a carried spine.
+// the strip form adds lo − base once per row. Stages take no gathers,
+// scatters or accumulating stores; their recurrences and per-iteration
+// temporaries run on the spine.
 //
 // An earlier revision compiled straight-line bodies to postfix tapes
 // run by a small stack VM; its dispatch overhead made it strictly
@@ -99,18 +105,11 @@ import "arraycomp/internal/runtime"
 // rowFn runs the trip-relative iterations [t0, t1) of one loop on f.
 type rowFn func(f *frame, t0, t1 int64)
 
-type rowKind uint8
-
-const (
-	rowGeneric rowKind = iota
-	rowStrip
-	rowStraight
-)
-
-// rowKernel is a loop's compiled row kernel and the form it took.
+// rowKernel is a loop's compiled row kernel and whether it took the
+// strip form.
 type rowKernel struct {
-	run  rowFn
-	kind rowKind
+	run   rowFn
+	strip bool
 }
 
 // genericRows makes every loop take the generic form, so tests can
@@ -126,10 +125,11 @@ func (c *compiler) rowFor(x *Loop) *rowKernel {
 	inds := c.compileInds(x)
 	rk := &rowKernel{}
 	if !genericRows {
-		rk.kind, rk.run = c.straightRow(x, inds)
+		rk.run = c.stripRow(x, inds)
+		rk.strip = rk.run != nil
 	}
 	if rk.run == nil {
-		rk.kind, rk.run = rowGeneric, c.genericRow(x, inds)
+		rk.run = c.genericRow(x, inds)
 	}
 	c.rows[x] = rk
 	return rk
@@ -169,17 +169,6 @@ func (c *compiler) genericRow(x *Loop, inds []cInd) rowFn {
 			}
 		}
 	}
-}
-
-// plainStore reports whether a is an unchecked, untracked store the
-// specialized forms may perform directly.
-func (c *compiler) plainStore(a *Assign) bool {
-	slot, ok := c.arraySlots[a.Array]
-	if !ok || a.CheckBounds || a.CheckCollision {
-		return false
-	}
-	d := c.prog.Arrays[slot]
-	return d.Role != RoleIn && !(d.TrackDefs && !a.NoTrack)
 }
 
 // gather matches the subscript of an unchecked rank-1 access to arr
@@ -229,54 +218,25 @@ func unitReg(x *Loop, off IntExpr) (int, int64, bool) {
 	return 0, 0, false
 }
 
-// sfn evaluates a straight-line expression at o, the primary
-// register's value.
-type sfn func(f *frame, o int64) float64
-
-// rowDist is a row distance the straight-line form stores in slot at
-// the start of each row: init − o, a register's distance from the
-// primary one, less base[arr] in stage mode (arr is -1 outside it).
+// rowDist is a row distance the strip form stores in slot at the start
+// of each row: init − o, a register's distance from the primary one,
+// less base[arr] in stage mode (arr is -1 outside it).
 type rowDist struct {
 	slot int
 	init intFn
 	arr  int
 }
 
-// sstore is a straight-line store. It writes element o+d of array arr,
-// plus the row distance in slot s when s ≥ 0; a scatter (ix ≥ 0)
+// sstore is a store of the strip form. It writes element o+d of array
+// arr, plus the row distance in slot s when s ≥ 0; a scatter (ix ≥ 0)
 // writes element int64(Data_ix[o+d]) − lo instead. op 0 overwrites;
 // an accumulating store folds the value in as comb(old, new), with +
-// and * inlined.
+// and * inlined in a single store's strip.
 type sstore struct {
 	arr, s, ix int
 	d, lo      int64
 	op         byte
 	comb       runtime.CombineFunc
-	rhs        sfn
-}
-
-func (st *sstore) put(data []float64, i int64, v float64) {
-	switch st.op {
-	case 0:
-		data[i] = v
-	case '+':
-		data[i] = data[i] + v
-	case '*':
-		data[i] = data[i] * v
-	default:
-		data[i] = st.comb(data[i], v)
-	}
-}
-
-func (st *sstore) run(f *frame, o int64) {
-	i := o + st.d
-	if st.s >= 0 {
-		i += f.ints[st.s]
-	}
-	if st.ix >= 0 {
-		i = int64(f.arrays[st.ix].Data[i]) - st.lo
-	}
-	st.put(f.arrays[st.arr].Data, i, st.rhs(f, o))
 }
 
 // rowStart returns the row's starting element distance of st, the
@@ -288,15 +248,16 @@ func (st *sstore) rowStart(f *frame) int64 {
 	return st.d
 }
 
-// straightRow compiles the strip or the straight-line form, or returns
-// nil. Its registers are the loop's induction registers and, at index
-// len(x.Inds), the loop variable, which gathers and scatters index by;
-// when they do, it is the primary register.
-func (c *compiler) straightRow(x *Loop, inds []cInd) (rowKind, rowFn) {
+// stripRow compiles x's body to the strip form, or returns nil when the
+// body does not fit it (stripBody). Its registers are the loop's
+// induction registers and, at index len(x.Inds), the loop variable,
+// which gathers and scatters index by; when they do, it is the primary
+// register.
+func (c *compiler) stripRow(x *Loop, inds []cInd) rowFn {
 	lv := len(x.Inds)
 	uses := make([]int, lv+1)
-	if len(x.Body) == 0 || !c.straightBody(x, uses) || lv == 0 && uses[lv] == 0 {
-		return rowGeneric, nil
+	if len(x.Body) == 0 || !c.stripBody(x, uses) || lv == 0 && uses[lv] == 0 {
+		return nil
 	}
 	p := 0
 	for i := range uses {
@@ -334,138 +295,188 @@ func (c *compiler) straightRow(x *Loop, inds []cInd) (rowKind, rowFn) {
 		}
 		return d, inds[i].slot
 	}
-	pInit := func(*frame) int64 { return x.From }
-	if p < lv {
-		pInit = inds[p].init
-	}
-	start := func(f *frame, t0 int64) int64 {
-		o := pInit(f)
-		for _, s := range dists {
-			f.ints[s.slot] = s.init(f) - o
-			if s.arr >= 0 {
-				f.ints[s.slot] -= f.base[s.arr]
-			}
-		}
-		return o + t0
-	}
-	// store compiles where an Assign writes; the caller compiles its
-	// right side.
 	store := func(a *Assign) *sstore {
-		st := &sstore{arr: c.arraySlots[a.Array], s: -1, ix: -1, comb: a.Accumulate}
+		st := &sstore{arr: c.arraySlots[a.Array], s: -1, ix: -1}
 		if ix, d, ok := c.gather(x, a.Array, a.Subs, a.Off); ok {
 			st.ix, st.d, st.lo = ix, d, c.prog.Arrays[st.arr].B.Lo[0]
 		} else {
 			st.d, st.s = at(st.arr, a.Off)
 		}
-		if a.Accumulate != nil {
-			st.op = 'c'
+		if a.HasAccum {
+			st.op, st.comb = 'c', c.combiner()
 			if op := c.prog.AccumOp; op == "+" || op == "*" {
 				st.op = op[0]
 			}
 		}
 		return st
 	}
-	if a, ok := x.Body[0].(*Assign); ok && len(x.Body) == 1 {
-		if carried, self, ok := c.selfReads(x); ok {
-			return rowStrip, c.stripRow(x, store(a), a.Rhs, carried, self, at, start)
-		}
+	node := c.stripNode(x, at)
+	var fills []fillFn
+	var strip func(f *frame, o, dd int64, n int)
+	// st is the one store a strip stores to; any other body's roots
+	// store per element, so its st hoists nothing.
+	st, rhs := &sstore{s: -1}, VExpr(nil)
+	a, carried, self := c.selfReads(x)
+	if a != nil {
+		st, rhs = store(a), a.Rhs
 	}
-	var expr func(e VExpr) sfn
-	expr = func(e VExpr) sfn {
-		switch v := e.(type) {
-		case *VConst:
-			k := v.Value
-			return func(*frame, int64) float64 { return k }
-		case *VScalar:
-			slot := c.floatSlots[v.Name]
-			return func(f *frame, _ int64) float64 { return f.floats[slot] }
-		case *ARef:
-			arr := c.arraySlots[v.Array]
-			if ix, d, ok := c.gather(x, v.Array, v.Subs, v.Off); ok {
-				lo := c.prog.Arrays[arr].B.Lo[0]
-				return func(f *frame, o int64) float64 {
-					return f.arrays[arr].Data[int64(f.arrays[ix].Data[o+d])-lo]
+	switch {
+	case a == nil:
+		// Any other body: the spine holds every read of an array the
+		// body writes and of a scalar it sets, and per element each
+		// statement's root stores or sets its value, in statement order.
+		t := collectAccesses(x.Body, false)
+		written, set := map[string]bool{}, t.scalarW
+		for _, a := range t.acc {
+			written[a.array] = written[a.array] || a.write
+		}
+		t.release()
+		elem := c.spine(x, func(e VExpr) bool {
+			switch v := e.(type) {
+			case *VScalar:
+				return set[v.Name]
+			case *ARef:
+				ix, _, gathers := c.gather(x, v.Array, v.Subs, v.Off)
+				return written[v.Array] || gathers && written[c.prog.Arrays[ix].Name]
+			}
+			return false
+		}, node, at, &fills)
+		roots := make([]func(f *frame, o int64, i int), len(x.Body))
+		for k, s := range x.Body {
+			switch s := s.(type) {
+			case *Assign:
+				st, e := store(s), elem(s.Rhs)
+				roots[k] = func(f *frame, o int64, i int) {
+					data, j := f.arrays[st.arr].Data, o+st.rowStart(f)
+					if st.ix >= 0 {
+						j = int64(f.arrays[st.ix].Data[j]) - st.lo
+					}
+					if v := e(f, o, i); st.op == 0 {
+						data[j] = v
+					} else {
+						data[j] = st.comb(data[j], v)
+					}
+				}
+			case *SetScalar:
+				slot, e := c.floatSlots[s.Name], elem(s.Rhs)
+				roots[k] = func(f *frame, o int64, i int) { f.floats[slot] = e(f, o, i) }
+			}
+		}
+		strip = func(f *frame, o, _ int64, n int) {
+			for i := range n {
+				for _, root := range roots {
+					root(f, o+int64(i), i)
 				}
 			}
-			d, s := at(arr, v.Off)
-			if s >= 0 {
-				return func(f *frame, o int64) float64 { return f.arrays[arr].Data[o+f.ints[s]+d] }
+		}
+	case len(carried) > 0:
+		root := c.spine(x, func(e VExpr) bool { return carried[e] }, node, at, &fills)(rhs)
+		strip = func(f *frame, o, dd int64, n int) {
+			dst := f.arrays[st.arr].Data[o+dd : o+dd+int64(n)]
+			for i := range dst {
+				dst[i] = root(f, o+int64(i), i)
 			}
-			return func(f *frame, o int64) float64 { return f.arrays[arr].Data[o+d] }
-		case *VNeg:
-			fn := expr(v.X)
-			return func(f *frame, o int64) float64 { return -fn(f, o) }
 		}
-		v := e.(*VBin)
-		l, r := expr(v.L), expr(v.R)
-		switch v.Op {
-		case '+':
-			return func(f *frame, o int64) float64 { return l(f, o) + r(f, o) }
-		case '-':
-			return func(f *frame, o int64) float64 { return l(f, o) - r(f, o) }
-		case '*':
-			return func(f *frame, o int64) float64 { return l(f, o) * r(f, o) }
+	case st.op == 0 && st.ix < 0 && !self:
+		// A plain store that does not read its own array: the root
+		// evaluates into the destination.
+		root := node(rhs, 0)
+		switch {
+		case root.val != nil:
+			strip = func(f *frame, o, dd int64, n int) {
+				stripFill(f.arrays[st.arr].Data[o+dd:o+dd+int64(n)], root.val(f))
+			}
+		case root.view:
+			strip = func(f *frame, o, dd int64, n int) {
+				dst := f.arrays[st.arr].Data[o+dd : o+dd+int64(n)]
+				copy(dst, root.vec(f, o, dst))
+			}
+		default:
+			strip = func(f *frame, o, dd int64, n int) {
+				root.vec(f, o, f.arrays[st.arr].Data[o+dd:o+dd+int64(n)])
+			}
 		}
-		return func(f *frame, o int64) float64 { return l(f, o) / r(f, o) }
-	}
-	if a, ok := x.Body[0].(*Assign); ok && len(x.Body) == 1 {
-		// One store that gathers through the array it writes, or a
-		// scatter or accumulating store that reads itself: hoist the
-		// destination, its row distance and its index array, and inline
-		// the store.
-		st := store(a)
-		st.rhs = expr(a.Rhs)
-		return rowStraight, func(f *frame, t0, t1 int64) {
+	default:
+		// A scatter, an accumulating store, or a plain store that reads
+		// its own array: the root evaluates into scratch strip 0 (or is a
+		// view, which copy moves like memmove), then the strip is stored
+		// in element order.
+		root := node(rhs, 1)
+		c.scratch(0)
+		strip = func(f *frame, o, dd int64, n int) {
+			v := f.strip[:n]
+			if root.val != nil {
+				stripFill(v, root.val(f))
+			} else {
+				v = root.vec(f, o, v)
+			}
 			data := f.arrays[st.arr].Data
-			o := start(f, t0)
-			dd := st.rowStart(f)
-			var ix []float64
-			if st.ix >= 0 {
-				ix = f.arrays[st.ix].Data
-			}
-			for n := t1 - t0; n > 0; o, n = o+1, n-1 {
-				i := o + dd
-				if ix != nil {
-					i = int64(ix[i]) - st.lo
+			if st.ix < 0 {
+				dst := data[o+dd : o+dd+int64(n)]
+				switch st.op {
+				case 0:
+					copy(dst, v)
+				case 'c':
+					for i, x := range v {
+						dst[i] = st.comb(dst[i], x)
+					}
+				default:
+					stripVV(st.op, dst, dst, v)
 				}
-				st.put(data, i, st.rhs(f, o))
+				return
 			}
-		}
-	}
-	stmts := make([]func(f *frame, o int64), len(x.Body))
-	for i, s := range x.Body {
-		switch st := s.(type) {
-		case *Assign:
-			ss := store(st)
-			ss.rhs = expr(st.Rhs)
-			arr, d, rhs := ss.arr, ss.d, ss.rhs
-			switch {
-			case ss.op != 0 || ss.ix >= 0:
-				stmts[i] = ss.run
-			case ss.s >= 0:
-				s := ss.s
-				stmts[i] = func(f *frame, o int64) { f.arrays[arr].Data[o+f.ints[s]+d] = rhs(f, o) }
+			idx := f.arrays[st.ix].Data[o+dd : o+dd+int64(n)]
+			lo := st.lo
+			switch st.op {
+			case 0:
+				for k, x := range v {
+					data[int64(idx[k])-lo] = x
+				}
+			case '+':
+				for k, x := range v {
+					i := int64(idx[k]) - lo
+					data[i] = data[i] + x
+				}
+			case '*':
+				for k, x := range v {
+					i := int64(idx[k]) - lo
+					data[i] = data[i] * x
+				}
 			default:
-				stmts[i] = func(f *frame, o int64) { f.arrays[arr].Data[o+d] = rhs(f, o) }
+				for k, x := range v {
+					i := int64(idx[k]) - lo
+					data[i] = st.comb(data[i], x)
+				}
 			}
-		case *SetScalar:
-			slot, rhs := c.floatSlots[st.Name], expr(st.Rhs)
-			stmts[i] = func(f *frame, o int64) { f.floats[slot] = rhs(f, o) }
 		}
 	}
-	return rowStraight, func(f *frame, t0, t1 int64) {
-		for o, n := start(f, t0), t1-t0; n > 0; o, n = o+1, n-1 {
-			for _, s := range stmts {
-				s(f, o)
+	return func(f *frame, t0, t1 int64) {
+		o := x.From
+		if p < lv {
+			o = inds[p].init(f)
+		}
+		for _, s := range dists {
+			f.ints[s.slot] = s.init(f) - o
+			if s.arr >= 0 {
+				f.ints[s.slot] -= f.base[s.arr]
 			}
+		}
+		dd := st.rowStart(f)
+		for o, n := o+t0, t1-t0; n > 0; {
+			m := min(n, stripLen)
+			for _, fill := range fills {
+				fill(f, o, int(m))
+			}
+			strip(f, o, dd, int(m))
+			o, n = o+m, n-m
 		}
 	}
 }
 
-// straightBody reports whether x's body fits the straight-line form,
-// counting each register's accesses into uses (the loop variable's at
-// index len(x.Inds)).
-func (c *compiler) straightBody(x *Loop, uses []int) bool {
+// stripBody reports whether x's body fits the strip form, counting
+// each register's accesses into uses (the loop variable's at index
+// len(x.Inds)).
+func (c *compiler) stripBody(x *Loop, uses []int) bool {
 	access := func(arr string, subs []IntExpr, off IntExpr) bool {
 		if _, _, ok := c.gather(x, arr, subs, off); ok {
 			uses[len(x.Inds)]++
@@ -498,7 +509,11 @@ func (c *compiler) straightBody(x *Loop, uses []int) bool {
 	for _, s := range x.Body {
 		switch st := s.(type) {
 		case *Assign:
-			if !c.plainStore(st) || c.stage && st.Accumulate != nil || !access(st.Array, st.Subs, st.Off) || !expr(st.Rhs) {
+			slot, ok := c.arraySlots[st.Array]
+			if !ok || st.CheckBounds || st.CheckCollision || c.stage && st.HasAccum || !access(st.Array, st.Subs, st.Off) || !expr(st.Rhs) {
+				return false
+			}
+			if d := c.prog.Arrays[slot]; d.Role == RoleIn || d.TrackDefs && !st.NoTrack {
 				return false
 			}
 		case *SetScalar:
@@ -512,45 +527,50 @@ func (c *compiler) straightBody(x *Loop, uses []int) bool {
 	return true
 }
 
-// selfReads decides whether x's body, one store, may take the strip
-// form, by the distance of each read of the stored array. The store is
-// the access table's first record, and every later one is a read. A
-// read at distance d iterations from the store on the store's register
-// is carried when −min(stripLen, trip) < d < 0: the sequential loop
-// reads what an earlier iteration of the same strip stored. A read on
-// another register has no distance known at compile time and is
-// carried too. Any other read sees what it would see sequentially when
-// the strip is read before it is stored. A gather through the stored
-// array, or of it, and a scatter or accumulating store that reads
-// itself keep the straight-line form (ok false). self reports whether
-// the body reads the stored array at all.
-func (c *compiler) selfReads(x *Loop) (carried map[*ARef]bool, self, ok bool) {
+// selfReads returns x's body's store when the body is one store whose
+// spine holds only its carried reads of the stored array, deciding by
+// the distance of each read of the stored array. The store is the access table's
+// first record, and every later one is a read. A read at distance d
+// iterations from the store on the store's register is carried when
+// −min(stripLen, trip) < d < 0: the sequential loop reads what an
+// earlier iteration of the same strip stored. A read on another
+// register has no distance known at compile time and is carried too.
+// Any other read sees what it would see sequentially when the strip is
+// read before it is stored. A body of several statements, a gather
+// through the stored array or of it, and a scatter or accumulating
+// store that reads itself return nil: every read of a written array
+// goes on the spine instead. self reports whether the body reads the
+// stored array at all.
+func (c *compiler) selfReads(x *Loop) (a *Assign, carried map[VExpr]bool, self bool) {
+	a, one := x.Body[0].(*Assign)
+	if !one || len(x.Body) > 1 {
+		return nil, nil, false
+	}
 	t := collectAccesses(x.Body, false)
 	defer t.release()
-	sr, sd, dense := unitReg(x, t.acc[0].node.(*Assign).Off)
+	sr, sd, dense := unitReg(x, a.Off)
 	band := min(stripLen, x.TripCount())
 	for k := 1; k < len(t.acc); k++ {
-		a := &t.acc[k]
-		if a.array != t.acc[0].array {
+		if t.acc[k].array != a.Array {
 			continue
 		}
 		self = true
-		ref, isRef := a.node.(*ARef)
-		if !isRef || !dense || t.acc[0].accum {
-			return nil, true, false
+		ref, isRef := t.acc[k].node.(*ARef)
+		if !isRef || !dense || a.HasAccum {
+			return nil, nil, true
 		}
 		r, d, direct := unitReg(x, ref.Off)
 		if !direct {
-			return nil, true, false
+			return nil, nil, true
 		}
 		if d -= sd; r != sr || -band < d && d < 0 {
 			if carried == nil {
-				carried = map[*ARef]bool{}
+				carried = map[VExpr]bool{}
 			}
 			carried[ref] = true
 		}
 	}
-	return carried, self, true
+	return a, carried, self
 }
 
 // stripLen is the strip form's strip: long enough that one closure call
@@ -571,30 +591,27 @@ type snode struct {
 	view bool
 }
 
-// efn evaluates one element of a carried chain: o is the primary
-// register's value at the element and i its index in the strip.
+// efn evaluates one element of a spine: o is the primary register's
+// value at the element and i its index in the strip.
 type efn func(f *frame, o int64, i int) float64
 
-// stripRow compiles the strip form of the one-store body st := rhs,
-// whose reads of the stored array in carried are carried (selfReads)
-// and which reads the stored array at all when self is set.
-//
-// A subtree that holds no carried read is a strip. A node writes its
+// fillFn computes one off-spine operand's strip of n elements from o.
+type fillFn func(f *frame, o int64, n int)
+
+// scratch returns the offset in f.strip of scratch strip k; c.strips is
+// the most any strip body needs.
+func (c *compiler) scratch(k int) int {
+	c.strips = max(c.strips, (k+1)*stripLen)
+	return k * stripLen
+}
+
+// stripNode returns the strip compiler of x's expressions, whose
+// offset-form accesses sit where at places them. A node writes its
 // strip into the out its parent passes: a binary node hands its own
-// out to its left operand and a scratch strip to its right, unless the
-// left is a view or a value, so scratch strips are needed only for
-// right operands that compute. Scratch strip k is
-// f.strip[k·stripLen:]; c.strips is the most any strip body needs.
-//
-// The spine, every node with a carried read below it, runs once per
-// element instead, after the strips its off-spine operands need; its
-// carried reads load Data, so each sees what the previous element
-// stored.
-func (c *compiler) stripRow(x *Loop, st *sstore, rhs VExpr, carried map[*ARef]bool, self bool, at func(int, IntExpr) (int64, int), start func(*frame, int64) int64) rowFn {
-	scratch := func(k int) int {
-		c.strips = max(c.strips, (k+1)*stripLen)
-		return k * stripLen
-	}
+// out to its left operand and scratch strip next to its right, unless
+// the left is a view or a value, so scratch strips are needed only for
+// right operands that compute.
+func (c *compiler) stripNode(x *Loop, at func(int, IntExpr) (int64, int)) func(e VExpr, next int) snode {
 	var node func(e VExpr, next int) snode
 	node = func(e VExpr, next int) snode {
 		switch v := e.(type) {
@@ -666,7 +683,7 @@ func (c *compiler) stripRow(x *Loop, st *sstore, rhs VExpr, carried map[*ARef]bo
 				return out
 			}}
 		case computes && !r.view:
-			k := scratch(next)
+			k := c.scratch(next)
 			return snode{vec: func(f *frame, o int64, out []float64) []float64 {
 				a := l.vec(f, o, out)
 				stripVV(op, out, a, r.vec(f, o, f.strip[k:k+len(out)]))
@@ -679,123 +696,27 @@ func (c *compiler) stripRow(x *Loop, st *sstore, rhs VExpr, carried map[*ARef]bo
 			return out
 		}}
 	}
-	run := func(f *frame, t0, t1 int64, strip func(f *frame, o, dd int64, n int)) {
-		o := start(f, t0)
-		dd := st.rowStart(f)
-		for n := t1 - t0; n > 0; {
-			m := min(n, stripLen)
-			strip(f, o, dd, int(m))
-			o, n = o+m, n-m
-		}
-	}
-	if len(carried) > 0 {
-		root, fills := c.spine(rhs, carried, node, scratch, at)
-		strip := func(f *frame, o, dd int64, n int) {
-			for _, fill := range fills {
-				fill(f, o, n)
-			}
-			dst := f.arrays[st.arr].Data[o+dd : o+dd+int64(n)]
-			for i := range dst {
-				dst[i] = root(f, o+int64(i), i)
-			}
-		}
-		return func(f *frame, t0, t1 int64) { run(f, t0, t1, strip) }
-	}
-	if st.op == 0 && st.ix < 0 && !self {
-		// A plain store that does not read its own array: the root
-		// evaluates into the destination.
-		root := node(rhs, 0)
-		var strip func(f *frame, o, dd int64, n int)
-		switch {
-		case root.val != nil:
-			strip = func(f *frame, o, dd int64, n int) {
-				stripFill(f.arrays[st.arr].Data[o+dd:o+dd+int64(n)], root.val(f))
-			}
-		case root.view:
-			strip = func(f *frame, o, dd int64, n int) {
-				dst := f.arrays[st.arr].Data[o+dd : o+dd+int64(n)]
-				copy(dst, root.vec(f, o, dst))
-			}
-		default:
-			strip = func(f *frame, o, dd int64, n int) {
-				root.vec(f, o, f.arrays[st.arr].Data[o+dd:o+dd+int64(n)])
-			}
-		}
-		return func(f *frame, t0, t1 int64) { run(f, t0, t1, strip) }
-	}
-	// A scatter, an accumulating store, or a plain store that reads its
-	// own array: the root evaluates into scratch strip 0 (or is a view,
-	// which copy moves like memmove), then the strip is stored in
-	// element order.
-	root := node(rhs, 1)
-	scratch(0)
-	strip := func(f *frame, o, dd int64, n int) {
-		v := f.strip[:n]
-		if root.val != nil {
-			stripFill(v, root.val(f))
-		} else {
-			v = root.vec(f, o, v)
-		}
-		data := f.arrays[st.arr].Data
-		if st.ix < 0 {
-			dst := data[o+dd : o+dd+int64(n)]
-			switch st.op {
-			case 0:
-				copy(dst, v)
-			case 'c':
-				for i, x := range v {
-					dst[i] = st.comb(dst[i], x)
-				}
-			default:
-				stripVV(st.op, dst, dst, v)
-			}
-			return
-		}
-		idx := f.arrays[st.ix].Data[o+dd : o+dd+int64(n)]
-		lo := st.lo
-		switch st.op {
-		case 0:
-			for k, x := range v {
-				data[int64(idx[k])-lo] = x
-			}
-		case '+':
-			for k, x := range v {
-				i := int64(idx[k]) - lo
-				data[i] = data[i] + x
-			}
-		case '*':
-			for k, x := range v {
-				i := int64(idx[k]) - lo
-				data[i] = data[i] * x
-			}
-		default:
-			for k, x := range v {
-				i := int64(idx[k]) - lo
-				data[i] = st.comb(data[i], x)
-			}
-		}
-	}
-	return func(f *frame, t0, t1 int64) { run(f, t0, t1, strip) }
+	return node
 }
 
-// spine compiles the spine of rhs, the nodes above its carried reads,
-// to one closure per node, each doing one IEEE operation. Every
-// off-spine operand is a constant or a strip: off-spine operand j is
-// compiled by node into scratch strip j, its own subtree's scratch
-// above it, and filled once per strip by fills[j], in order.
-func (c *compiler) spine(rhs VExpr, carried map[*ARef]bool, node func(VExpr, int) snode, scratch func(int) int, at func(int, IntExpr) (int64, int)) (efn, []func(f *frame, o int64, n int)) {
-	var fills []func(f *frame, o int64, n int)
+// spine returns the compiler of x's spines, whose leaves are the
+// expressions leaf reports: an expression compiles to one closure per
+// node with a leaf below it, each doing one IEEE operation, and its
+// leaves load Data or a scalar slot per element. Every off-spine
+// operand, and an expression with no leaf at all, is a constant or a
+// strip: the j-th strip is compiled by node into scratch strip j, its
+// own subtree's scratch above it, and filled once per strip by
+// (*fills)[j], in order.
+func (c *compiler) spine(x *Loop, leaf func(VExpr) bool, node func(VExpr, int) snode, at func(int, IntExpr) (int64, int), fills *[]fillFn) func(VExpr) efn {
 	var onSpine func(e VExpr) bool
 	onSpine = func(e VExpr) bool {
 		switch v := e.(type) {
-		case *ARef:
-			return carried[v]
 		case *VNeg:
 			return onSpine(v.X)
 		case *VBin:
 			return onSpine(v.L) || onSpine(v.R)
 		}
-		return false
+		return leaf(e)
 	}
 	// operand returns an off-spine operand: the constant k when q < 0,
 	// else the scratch offset q of its strip.
@@ -803,9 +724,10 @@ func (c *compiler) spine(rhs VExpr, carried map[*ARef]bool, node func(VExpr, int
 		if v, ok := e.(*VConst); ok {
 			return v.Value, -1
 		}
-		q = scratch(len(fills))
-		n := node(e, len(fills)+1)
-		fills = append(fills, func(f *frame, o int64, m int) {
+		j := len(*fills)
+		q = c.scratch(j)
+		n := node(e, j+1)
+		*fills = append(*fills, func(f *frame, o int64, m int) {
 			out := f.strip[q : q+m]
 			switch {
 			case n.val != nil:
@@ -821,8 +743,15 @@ func (c *compiler) spine(rhs VExpr, carried map[*ARef]bool, node func(VExpr, int
 	var spine func(e VExpr) efn
 	spine = func(e VExpr) efn {
 		switch v := e.(type) {
+		case *VScalar:
+			slot := c.floatSlots[v.Name]
+			return func(f *frame, _ int64, _ int) float64 { return f.floats[slot] }
 		case *ARef:
 			arr := c.arraySlots[v.Array]
+			if ix, d, ok := c.gather(x, v.Array, v.Subs, v.Off); ok {
+				lo := c.prog.Arrays[arr].B.Lo[0]
+				return func(f *frame, o int64, _ int) float64 { return f.arrays[arr].Data[int64(f.arrays[ix].Data[o+d])-lo] }
+			}
 			d, s := at(arr, v.Off)
 			if s >= 0 {
 				return func(f *frame, o int64, _ int) float64 { return f.arrays[arr].Data[o+f.ints[s]+d] }
@@ -843,7 +772,16 @@ func (c *compiler) spine(rhs VExpr, carried map[*ARef]bool, node func(VExpr, int
 		}
 		return spineVV(v.Op, spine(v.L), spine(v.R))
 	}
-	return spine(rhs), fills
+	return func(e VExpr) efn {
+		if onSpine(e) {
+			return spine(e)
+		}
+		if k, q := operand(e); q < 0 {
+			return func(*frame, int64, int) float64 { return k }
+		} else {
+			return func(f *frame, _ int64, i int) float64 { return f.strip[q+i] }
+		}
+	}
 }
 
 // The spine's binary nodes: both operands on the spine (spineVV), or

@@ -66,9 +66,8 @@ type Program struct {
 	Name    string
 	Arrays  []ArrayDecl
 	Scalars []string // float scalar temporaries (node splitting)
-	// AccumOp names the combining function when Assign.Accumulate is
-	// used ("+", "*", "max", "min", "right", "left"); source-level
-	// back ends need the name, the interpreter uses the closure.
+	// AccumOp names the combining function of the accumulating stores
+	// (Assign.HasAccum): "+", "*", "max", "min", "right" or "left".
 	AccumOp string
 	Stmts   []Stmt
 }
@@ -308,12 +307,8 @@ type Assign struct {
 	// CheckCollision compiles a definedness test against the array's
 	// bitmap (second write ⇒ runtime error). Requires TrackDefs.
 	CheckCollision bool
-	// Accumulate, when non-nil, folds Rhs into the element with this
-	// combining function instead of storing it (accumArray).
-	Accumulate runtime.CombineFunc
-	// HasAccum mirrors Accumulate != nil in plain data: no encoding
-	// carries a closure, so serialized programs use the marker plus
-	// Program.AccumOp to re-derive the closure (RebindAccum).
+	// HasAccum folds Rhs into the element with the combining function
+	// Program.AccumOp names instead of storing it (accumArray).
 	HasAccum bool
 	// Off, when non-nil, is the strength-reduced row-major offset of the
 	// store — an affine form over induction registers (Loop.Inds) that

@@ -393,16 +393,16 @@ func TestBuiltins(t *testing.T) {
 }
 
 func TestAccumulateAssign(t *testing.T) {
-	plus, _ := runtime.Combiner("+")
 	p := &Program{
-		Name:   "hist",
-		Arrays: []ArrayDecl{{Name: "h", B: runtime.NewBounds1(0, 2), Role: RoleOut}},
+		Name:    "hist",
+		Arrays:  []ArrayDecl{{Name: "h", B: runtime.NewBounds1(0, 2), Role: RoleOut}},
+		AccumOp: "+",
 		Stmts: []Stmt{
 			&Loop{Var: "i", From: 1, To: 7, Step: 1, Body: []Stmt{
 				&Assign{Array: "h",
-					Subs:       []IntExpr{&IBin{Op: '%', L: &IVar{Name: "i"}, R: &IConst{Value: 3}}},
-					Rhs:        &VConst{Value: 1},
-					Accumulate: plus},
+					Subs:     []IntExpr{&IBin{Op: '%', L: &IVar{Name: "i"}, R: &IConst{Value: 3}}},
+					Rhs:      &VConst{Value: 1},
+					HasAccum: true},
 			}},
 		},
 	}
@@ -413,6 +413,14 @@ func TestAccumulateAssign(t *testing.T) {
 	// i=1..7: i mod 3 = 1,2,0,1,2,0,1 → h = [2,3,2]
 	if out.At(0) != 2 || out.At(1) != 3 || out.At(2) != 2 {
 		t.Errorf("hist = %v %v %v", out.At(0), out.At(1), out.At(2))
+	}
+	// The combiner is Program.AccumOp's: an empty or unknown name is a
+	// compile error, not a plain store.
+	for _, op := range []string{"", "avg"} {
+		p.AccumOp = op
+		if _, err := Compile(p); err == nil || !strings.Contains(err.Error(), "AccumOp") {
+			t.Errorf("AccumOp %q: compile error %v, want one naming AccumOp", op, err)
+		}
 	}
 }
 

@@ -98,7 +98,7 @@ func writeStmt(b *strings.Builder, s Stmt, depth int) {
 }
 
 func assignOp(x *Assign) string {
-	if x.Accumulate != nil {
+	if x.HasAccum {
 		return "accum:="
 	}
 	return ":="

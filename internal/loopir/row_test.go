@@ -46,10 +46,10 @@ func TestExecutorsGetSpecializedRow(t *testing.T) {
 		if rk := c.parRows[outer]; rk == nil || rk != want {
 			t.Fatalf("%s: executor row kernel %+v, want %+v", kind, rk, want)
 		}
-		if rk := c.rows[inner]; rk == nil || rk.kind != rowStrip {
+		if rk := c.rows[inner]; rk == nil || !rk.strip {
 			t.Fatalf("%s: inner loop row kernel %+v, want the strip form", kind, rk)
 		}
-		if rk := c.rows[outer]; rk == nil || rk.kind != rowGeneric {
+		if rk := c.rows[outer]; rk == nil || rk.strip {
 			t.Fatalf("%s: outer loop row kernel %+v, want the generic form", kind, rk)
 		}
 		if len(c.rows) != 2 {
@@ -79,7 +79,7 @@ func TestExecutorsGetSpecializedRow(t *testing.T) {
 	}
 	c := compileRows(t, p)
 	shard := p.Stmts[0].(*Loop)
-	if rk := c.parRows[shard]; rk == nil || rk != c.rows[shard] || rk.kind != rowStrip {
+	if rk := c.parRows[shard]; rk == nil || rk != c.rows[shard] || !rk.strip {
 		t.Fatalf("shard executor row kernel %+v, want the loop's strip kernel", rk)
 	}
 	in := runtime.NewStrict(runtime.NewBounds1(0, 4096))
@@ -101,10 +101,14 @@ func TestExecutorsGetSpecializedRow(t *testing.T) {
 	}
 }
 
-// TestRowKernelForms: which body shapes take which form. A single
-// store takes the strip form, also when it reads the stored array at a
-// constant distance (its carried reads then run per element); a scalar
-// chain takes the straight-line form.
+// TestRowKernelForms: which body shapes take which form. Every body of
+// unchecked arithmetic over offset-form accesses takes the strip form:
+// a single store, also when it reads the stored array at a constant
+// distance (its carried reads then run per element), and any other
+// body — a scalar chain, node splitting's five-statement chain, a fused
+// two-store border loop, a self-gather, a scatter or accumulating store
+// that reads its own array — with every read of a written array or a
+// set scalar on its per-element spine.
 func TestRowKernelForms(t *testing.T) {
 	b := runtime.NewBounds1(1, 100)
 	at := func(reg string, d int64) IntExpr { return lin(d, term(reg, 1)) }
@@ -116,38 +120,52 @@ func TestRowKernelForms(t *testing.T) {
 	}
 	bin := func(op byte, l, r VExpr) VExpr { return &VBin{Op: op, L: l, R: r} }
 	k := func(v float64) VExpr { return &VConst{Value: v} }
+	sc := func(name string) VExpr { return &VScalar{Name: name} }
+	set := func(name string, rhs VExpr) Stmt { return &SetScalar{Name: name, Rhs: rhs} }
+	byIdx := func(arr string) []IntExpr { return []IntExpr{&IIdx{Array: arr, Subs: []IntExpr{&IVar{Name: "i"}}}} }
+	accum := store("y", "o", bin('*', ref("y", "o", 1), k(0.5)))
+	accum.HasAccum = true
 	cases := []struct {
-		name string
-		body []Stmt
-		step int64
-		want rowKind
+		name  string
+		body  []Stmt
+		step  int64
+		strip bool
 	}{
-		{"copy", []Stmt{store("y", "o", ref("x", "o", 0))}, 1, rowStrip},
-		{"map", []Stmt{store("y", "o", bin('+', bin('*', ref("x", "o", 0), k(0.5)), k(0.25)))}, 1, rowStrip},
-		{"stencil", []Stmt{store("y", "o", bin('/', bin('+', bin('+', ref("x", "o", -1), ref("x", "o", 0)), ref("x", "o", 1)), k(3)))}, 1, rowStrip},
-		{"constant", []Stmt{store("y", "o", &VNeg{X: &VScalar{Name: "s"}})}, 1, rowStrip},
-		{"self copy", []Stmt{store("y", "o", ref("y", "o", -1))}, 1, rowStrip},
-		{"self stencil", []Stmt{store("y", "o", bin('+', ref("x", "o", 0), bin('*', ref("y", "o", -1), k(0.5))))}, 1, rowStrip},
-		{"scalar chain", []Stmt{
-			&SetScalar{Name: "s", Rhs: &VBin{Op: '*', L: ref("x", "o", 0), R: &VConst{Value: 2}}},
-			store("y", "o", &VScalar{Name: "s"}),
-		}, 1, rowStraight},
-		{"int conversion", []Stmt{store("y", "o", &VFromInt{X: &IVar{Name: "i"}})}, 1, rowGeneric},
-		{"call", []Stmt{store("y", "o", &VCall{Fn: "abs", Args: []VExpr{ref("x", "o", 0)}})}, 1, rowGeneric},
-		{"checked read", []Stmt{store("y", "o", &ARef{Array: "x", Subs: []IntExpr{lin(0, term("i", 1))}, CheckBounds: true})}, 1, rowGeneric},
-		{"register step 2", []Stmt{store("y", "o", ref("x", "o", 0))}, 2, rowGeneric},
+		{"copy", []Stmt{store("y", "o", ref("x", "o", 0))}, 1, true},
+		{"map", []Stmt{store("y", "o", bin('+', bin('*', ref("x", "o", 0), k(0.5)), k(0.25)))}, 1, true},
+		{"stencil", []Stmt{store("y", "o", bin('/', bin('+', bin('+', ref("x", "o", -1), ref("x", "o", 0)), ref("x", "o", 1)), k(3)))}, 1, true},
+		{"constant", []Stmt{store("y", "o", &VNeg{X: sc("s")})}, 1, true},
+		{"self copy", []Stmt{store("y", "o", ref("y", "o", -1))}, 1, true},
+		{"self stencil", []Stmt{store("y", "o", bin('+', ref("x", "o", 0), bin('*', ref("y", "o", -1), k(0.5))))}, 1, true},
+		{"scalar chain", []Stmt{set("s", bin('*', ref("x", "o", 0), k(2))), store("y", "o", sc("s"))}, 1, true},
+		{"node-split chain", []Stmt{
+			set("v", bin('*', k(0.25), bin('+', bin('+', bin('+', ref("r", "o", 0), ref("y", "o", 1)), sc("prev")), ref("x", "o", 0)))),
+			store("r", "o", ref("y", "o", 0)),
+			set("cur", ref("y", "o", 0)),
+			store("y", "o", sc("v")),
+			set("prev", sc("cur")),
+		}, 1, true},
+		{"fused border", []Stmt{store("y", "o", ref("x", "o", 0)), &Assign{Array: "y", Subs: []IntExpr{lin(50, term("i", 1))}, Off: at("o", 50), Rhs: ref("x", "o", 50)}}, 1, true},
+		{"self gather", []Stmt{store("y", "o", &ARef{Array: "x", Subs: byIdx("y")})}, 1, true},
+		{"self scatter", []Stmt{&Assign{Array: "y", Subs: byIdx("x"), Rhs: ref("y", "o", 0)}}, 1, true},
+		{"self accumulate", []Stmt{accum}, 1, true},
+		{"int conversion", []Stmt{store("y", "o", &VFromInt{X: &IVar{Name: "i"}})}, 1, false},
+		{"call", []Stmt{store("y", "o", &VCall{Fn: "abs", Args: []VExpr{ref("x", "o", 0)}})}, 1, false},
+		{"checked read", []Stmt{store("y", "o", &ARef{Array: "x", Subs: []IntExpr{lin(0, term("i", 1))}, CheckBounds: true})}, 1, false},
+		{"register step 2", []Stmt{store("y", "o", ref("x", "o", 0))}, 2, false},
 	}
 	for _, tc := range cases {
 		p := &Program{
 			Name:    "form",
-			Arrays:  []ArrayDecl{{Name: "y", B: b, Role: RoleOut}, {Name: "x", B: b, Role: RoleIn}},
-			Scalars: []string{"s"},
+			Arrays:  []ArrayDecl{{Name: "y", B: b, Role: RoleOut}, {Name: "x", B: b, Role: RoleIn}, {Name: "r", B: b, Role: RoleTemp}},
+			Scalars: []string{"s", "v", "cur", "prev"},
+			AccumOp: "+",
 			Stmts: []Stmt{&Loop{Var: "i", From: 1, To: 50, Step: 1,
 				Inds: []Ind{{Name: "o", Init: lin(0), Step: tc.step}}, Body: tc.body}},
 		}
 		c := compileRows(t, p)
-		if rk := c.rows[p.Stmts[0].(*Loop)]; rk.kind != tc.want {
-			t.Errorf("%s: form %d, want %d", tc.name, rk.kind, tc.want)
+		if rk := c.rows[p.Stmts[0].(*Loop)]; rk.strip != tc.strip {
+			t.Errorf("%s: strip form %v, want %v", tc.name, rk.strip, tc.strip)
 		}
 	}
 }

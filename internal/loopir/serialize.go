@@ -12,18 +12,14 @@ import (
 // (every scalar parameter was folded during analysis, so bounds,
 // strides, and subscript coefficients are concrete integers), which is
 // what lets a fleet persist compiled plans to disk and reload them in
-// another process without re-running any compile phase. Two details
-// need care:
-//
-//   - the IR's statement/expression slots are interfaces, so the
-//     encoding (internal/wire, one tag byte per node) tags every node
-//     with its kind. The tree is not left to encoding/gob: a gob
-//     stream carries, and its decoder compiles, a type description
-//     for each of the ~28 node types, and that set-up dominated a
-//     disk restore;
-//   - Assign.Accumulate is a Go closure, which no encoding carries,
-//     so accumulating stores carry a HasAccum marker and RebindAccum
-//     re-derives the closure from Program.AccumOp after decoding.
+// another process without re-running any compile phase. The IR's
+// statement/expression slots are interfaces, so the encoding
+// (internal/wire, one tag byte per node) tags every node with its kind.
+// The tree is not left to encoding/gob: a gob stream carries, and its
+// decoder compiles, a type description for each of the ~28 node types,
+// and that set-up dominated a disk restore. An accumulating store is
+// plain data too (Assign.HasAccum names no closure; the compiler
+// resolves Program.AccumOp), so a decoded Program compiles as it is.
 //
 // Every field of every node is encoded; TestCodecRoundTripsEveryField
 // sets them all, so a field added to a node type without a codec change
@@ -93,8 +89,7 @@ func (p *Program) MarshalBinary() ([]byte, error) {
 }
 
 // UnmarshalBinary decodes a Program MarshalBinary encoded, replacing
-// p's contents. Accumulating stores come back without their closures;
-// see RebindAccum.
+// p's contents.
 func (p *Program) UnmarshalBinary(data []byte) error {
 	d := wire.NewDecoder(data)
 	if d.Byte() != codecVersion {
@@ -521,35 +516,6 @@ func decBoolExpr(d *wire.Decoder) BExpr {
 		d.Fail(fmt.Sprintf("boolean expression tag %d", tag))
 		return nil
 	}
-}
-
-// RebindAccum restores the combining closures a round trip through
-// the encoding dropped: every Assign marked HasAccum gets the combiner named by
-// Program.AccumOp. It must be called on every decoded Program before
-// Compile; a marked store with no resolvable combiner is an error
-// (running it would silently degrade the accumulation to a plain
-// store).
-func RebindAccum(p *Program) error {
-	var comb runtime.CombineFunc
-	if p.AccumOp != "" {
-		var ok bool
-		comb, ok = runtime.Combiner(p.AccumOp)
-		if !ok {
-			return fmt.Errorf("loopir: unknown combining function %q", p.AccumOp)
-		}
-	}
-	var err error
-	inspectList(p.Stmts, func(n any) bool {
-		if a, ok := n.(*Assign); ok && a.HasAccum {
-			if comb == nil {
-				err = fmt.Errorf("loopir: accumulating store on %q but Program.AccumOp is empty", a.Array)
-			} else {
-				a.Accumulate = comb
-			}
-		}
-		return isStmt(n)
-	})
-	return err
 }
 
 // Per-node byte charges for Size. They are deliberately coarse — the

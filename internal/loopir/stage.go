@@ -9,8 +9,7 @@ import "arraycomp/internal/runtime"
 // (StageFrame.Bind, Slide), and each access subtracts the slot's base
 // position. Each top-level loop runs its row kernel (fast.go) over the
 // iterations that write inside a chunk, so an optimized stage takes
-// the same strip, straight-line or generic form as its materialized
-// loop. Parallel schedules are ignored: a stage runs one chunk at a
+// the same strip or generic form as its materialized loop. Parallel schedules are ignored: a stage runs one chunk at a
 // time, and a pipeline's parallelism is between stages.
 //
 // A Stage is immutable and safe for concurrent use through separate
@@ -68,7 +67,7 @@ func CompileStage(p *Program, sp *StreamPlan) (st *Stage, err error) {
 			c.fail("top-level %T in a stream stage", s)
 		}
 	}
-	// Straight-line kernels add row-distance slots as they compile.
+	// Strip kernels add row-distance slots as they compile.
 	st.nInts, st.nFloat, st.nStrip = len(c.intSlots), len(c.floatSlots), c.strips
 	return st, nil
 }

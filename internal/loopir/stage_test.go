@@ -158,7 +158,9 @@ func TestStreamStageSlidingWindows(t *testing.T) {
 // copied ends, and a carried d=1 recurrence; plus a plain copy, and
 // recurrences that read their own output d = 3, S−1, S and S+1
 // positions back (S the strip length; the first d positions copy x),
-// through two carried reads, and under negation.
+// through two carried reads, and under negation; and loops with
+// per-iteration temporaries: scalars set and read in the same
+// iteration, one of them from the loop's own output.
 func stageShapes(lo, hi int64) map[string]*Program {
 	at := func(arr string, d int64) VExpr { return &ARef{Array: arr, Subs: []IntExpr{lin(d, term("i", 1))}} }
 	pos := func(arr string, p int64) VExpr { return &ARef{Array: arr, Subs: []IntExpr{&IConst{Value: p}}} }
@@ -167,13 +169,16 @@ func stageShapes(lo, hi int64) map[string]*Program {
 	loop := func(from, to int64, rhs VExpr) Stmt {
 		return &Loop{Var: "i", From: from, To: to, Step: 1, Body: []Stmt{put(rhs)}}
 	}
+	set := func(name string, rhs VExpr) Stmt { return &SetScalar{Name: name, Rhs: rhs} }
+	sc := func(name string) VExpr { return &VScalar{Name: name} }
 	k := func(v float64) VExpr { return &VConst{Value: v} }
 	bin := func(op byte, l, r VExpr) VExpr { return &VBin{Op: op, L: l, R: r} }
 	prog := func(stmts ...Stmt) *Program {
 		return &Program{
-			Name:   "s",
-			Arrays: []ArrayDecl{{Name: "s", B: b1(lo, hi), Role: RoleOut}, {Name: "x", B: b1(lo, hi), Role: RoleIn}},
-			Stmts:  stmts,
+			Name:    "s",
+			Arrays:  []ArrayDecl{{Name: "s", B: b1(lo, hi), Role: RoleOut}, {Name: "x", B: b1(lo, hi), Role: RoleIn}},
+			Scalars: []string{"t", "u"},
+			Stmts:   stmts,
 		}
 	}
 	shapes := map[string]*Program{
@@ -188,6 +193,15 @@ func stageShapes(lo, hi int64) map[string]*Program {
 			loop(lo+2, hi, bin('-', bin('*', bin('+', at("s", -1), at("s", -2)), k(0.5)), at("x", 0)))),
 		"negated": prog(point(lo), point(lo+1),
 			loop(lo+2, hi, bin('+', bin('*', &VNeg{X: at("s", -2)}, k(0.5)), at("x", -1)))),
+		"temporary": prog(point(lo),
+			&Loop{Var: "i", From: lo + 1, To: hi, Step: 1, Body: []Stmt{
+				set("t", bin('*', at("x", 0), k(0.5))),
+				put(bin('+', sc("t"), at("x", -1)))}}),
+		"temporary recurrence": prog(point(lo),
+			&Loop{Var: "i", From: lo + 1, To: hi, Step: 1, Body: []Stmt{
+				set("t", bin('*', at("x", 0), k(0.25))),
+				set("u", bin('-', bin('*', at("s", -1), k(0.75)), sc("t"))),
+				put(bin('*', sc("u"), bin('+', sc("t"), k(1))))}}),
 	}
 	for _, d := range []int64{3, stripLen - 1, stripLen, stripLen + 1} {
 		shapes[fmt.Sprintf("recurrence d=%d", d)] = prog(loop(lo, lo+d-1, at("x", 0)),
@@ -211,10 +225,8 @@ func TestStageRowKernelForms(t *testing.T) {
 	inputs := map[string]*runtime.Strict{"x": x}
 	for _, optimize := range []bool{true, false} {
 		for name, p := range stageShapes(lo, hi) {
-			want := rowGeneric
 			if optimize {
 				optimizeFor(p)
-				want = rowStrip
 			}
 			// The reference runs the generic form, so a fault shared by
 			// the materialized and stage kernels still shows.
@@ -244,8 +256,8 @@ func TestStageRowKernelForms(t *testing.T) {
 					continue
 				}
 				loops++
-				if top.row.kind != want {
-					t.Fatalf("%s (optimized %v): stage loop form %d, want %d", name, optimize, top.row.kind, want)
+				if top.row.strip != optimize {
+					t.Fatalf("%s (optimized %v): stage loop takes the strip form: %v", name, optimize, top.row.strip)
 				}
 			}
 			if loops != wantLoops {

@@ -356,7 +356,7 @@ func (c *streamChecker) writeOffset(body []Stmt, v string) (cw int64, n int, err
 				if x.Array != c.out {
 					return fmt.Errorf("write to %s; streaming writes the output only", x.Array)
 				}
-				if x.CheckBounds || x.CheckCollision || x.HasAccum || x.Accumulate != nil {
+				if x.CheckBounds || x.CheckCollision || x.HasAccum {
 					return fmt.Errorf("write to %s keeps runtime checks or accumulation", x.Array)
 				}
 				if len(x.Subs) != 1 {
@@ -443,7 +443,7 @@ func pointLoop(a *Assign) (*Loop, error) {
 	na := &Assign{
 		Array: a.Array, Subs: []IntExpr{&IVar{Name: pointVar}}, Rhs: rhs,
 		CheckBounds: a.CheckBounds, CheckCollision: a.CheckCollision,
-		Accumulate: a.Accumulate, HasAccum: a.HasAccum,
+		HasAccum: a.HasAccum,
 	}
 	return &Loop{Var: pointVar, From: w, To: w, Step: 1, Body: []Stmt{na}}, nil
 }
@@ -679,9 +679,12 @@ func (c *streamChecker) topValue(e VExpr) error {
 	return fmt.Errorf("%T not allowed at top level", e)
 }
 
-// CertifyStream replays the window-legality analysis independently of
-// the plan being certified and cross-checks the claimed geometry. The
-// soundness direction matters: a plan claiming a *smaller* window than
+// CertifyStream checks a claimed stream plan (one restored from disk or
+// a peer, or forged) against the plan BuildStreamPlan derives for p. It
+// does not replay the legality rules independently: it runs the same
+// analysis that built the plan, so it catches a claim that disagrees
+// with p's geometry, not a fault in the rules. The soundness direction
+// matters: a plan claiming a *smaller* window than
 // the replay derives would drop live history at runtime, so any
 // under-claim falsifies; claims at or above the derived geometry are
 // certified. A plan for a program the replay rejects outright is a

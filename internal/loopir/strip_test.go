@@ -32,9 +32,7 @@ func stripBodies(n int64) map[string]*Program {
 		return &Assign{Array: "y", Subs: []IntExpr{&IIdx{Array: "idx", Subs: []IntExpr{k()}}}, Rhs: rhs}
 	}
 	prog := func(yHi int64, op string, a *Assign) *Program {
-		if op != "" {
-			a.Accumulate, _ = runtime.Combiner(op)
-		}
+		a.HasAccum = op != ""
 		par := &ParSchedule{Kind: ParShard}
 		if a.Off == nil {
 			par.AlignOn = a.Subs[0]
@@ -113,6 +111,13 @@ func stripInputs(n int64) map[string]*runtime.Strict {
 // values. "row back" is a 2-D nest over rows i = 1..4 of length n that
 // reads one row back and one element back, tiled as a wavefront so
 // that each row kernel call covers one tile's 16 columns.
+//
+// The rest run their spine per element: node splitting's
+// five-statement chain (v, the row buffer r, cur and prev, as in an
+// in-place Jacobi row), a fused two-store loop whose second store
+// writes what the next iteration's first store overwrites, a gather
+// through y, a scatter through idx and an accumulating store that read
+// y, and a store that gathers by the array it writes (selfIndexed).
 func selfBodies(n int64) map[string]*Program {
 	const lo = -stripLen
 	y := func(d int64) VExpr {
@@ -123,22 +128,46 @@ func selfBodies(n int64) map[string]*Program {
 	}
 	c := func(v float64) VExpr { return &VConst{Value: v} }
 	bin := func(op byte, l, r VExpr) VExpr { return &VBin{Op: op, L: l, R: r} }
-	prog := func(rhs VExpr) *Program {
+	put := func(arr string, d int64, rhs VExpr) *Assign {
+		return &Assign{Array: arr, Subs: []IntExpr{lin(d, term("k", 1))}, Off: lin(d, term("o", 1)), Rhs: rhs}
+	}
+	body := func(op string, stmts ...Stmt) *Program {
 		b := runtime.NewBounds1(lo, n+1)
 		return &Program{
-			Name:   "self",
-			Arrays: []ArrayDecl{{Name: "y", B: b, Role: RoleInOut}, {Name: "x", B: b, Role: RoleIn}},
-			Stmts: []Stmt{&Loop{Var: "k", From: 1, To: n, Step: 1,
+			Name: "self",
+			Arrays: []ArrayDecl{{Name: "y", B: b, Role: RoleInOut}, {Name: "x", B: b, Role: RoleIn},
+				{Name: "r", B: b, Role: RoleTemp}, {Name: "idx", B: runtime.NewBounds1(1, n), Role: RoleIn}},
+			Scalars: []string{"v", "cur", "prev"},
+			AccumOp: op,
+			Stmts: []Stmt{&SetScalar{Name: "prev", Rhs: c(0.5)}, &Loop{Var: "k", From: 1, To: n, Step: 1,
 				Inds: []Ind{{Name: "o", Init: lin(1 - lo), Step: 1}, {Name: "o2", Init: lin(-lo), Step: 1}},
-				Body: []Stmt{&Assign{Array: "y", Subs: []IntExpr{lin(0, term("k", 1))}, Off: lin(0, term("o", 1)), Rhs: rhs}}}},
+				Body: stmts}},
 		}
 	}
+	prog := func(rhs VExpr) *Program { return body("", put("y", 0, rhs)) }
+	sc := func(name string) VExpr { return &VScalar{Name: name} }
+	set := func(name string, rhs VExpr) Stmt { return &SetScalar{Name: name, Rhs: rhs} }
+	byIdx := []IntExpr{&IIdx{Array: "idx", Subs: []IntExpr{&IVar{Name: "k"}}}}
+	accum := put("y", 0, bin('+', bin('*', y(-1), c(0.5)), x(0)))
+	accum.HasAccum = true
 	out := map[string]*Program{
-		"self two carried": prog(bin('+', bin('*', bin('+', y(-1), x(0)), c(0.25)), bin('*', y(-3), c(0.5)))),
-		"self negated":     prog(bin('-', x(1), bin('*', &VNeg{X: y(-2)}, c(0.5)))),
-		"self copy":        prog(y(-1)),
-		"self register":    prog(bin('+', bin('*', &ARef{Array: "y", Subs: []IntExpr{lin(-1, term("k", 1))}, Off: lin(0, term("o2", 1))}, c(0.5)), x(0))),
-		"self ahead":       prog(bin('/', bin('+', bin('*', x(-1), c(0.5)), y(1)), bin('-', c(3), y(0)))),
+		"node-split chain": body("",
+			set("v", bin('*', c(0.25), bin('+', bin('+', bin('+', &ARef{Array: "r", Subs: []IntExpr{&IVar{Name: "k"}}, Off: lin(0, term("o", 1))}, y(1)), sc("prev")), x(0)))),
+			put("r", 0, y(0)),
+			set("cur", y(0)),
+			put("y", 0, sc("v")),
+			set("prev", sc("cur"))),
+		"fused border":            body("", put("y", 0, x(-1)), put("y", 1, bin('*', x(0), c(0.5)))),
+		"self gather":             prog(bin('+', bin('*', c(0.5), &ARef{Array: "y", Subs: byIdx}), x(0))),
+		"self scatter":            body("", &Assign{Array: "y", Subs: byIdx, Rhs: bin('+', bin('*', y(0), c(0.5)), x(0))}),
+		"self scatter accumulate": body("max", &Assign{Array: "y", Subs: byIdx, Rhs: bin('-', y(0), x(1)), HasAccum: true}),
+		"self accumulate":         body("+", accum),
+		"self indexed":            selfIndexed(n),
+		"self two carried":        prog(bin('+', bin('*', bin('+', y(-1), x(0)), c(0.25)), bin('*', y(-3), c(0.5)))),
+		"self negated":            prog(bin('-', x(1), bin('*', &VNeg{X: y(-2)}, c(0.5)))),
+		"self copy":               prog(y(-1)),
+		"self register":           prog(bin('+', bin('*', &ARef{Array: "y", Subs: []IntExpr{lin(-1, term("k", 1))}, Off: lin(0, term("o2", 1))}, c(0.5)), x(0))),
+		"self ahead":              prog(bin('/', bin('+', bin('*', x(-1), c(0.5)), y(1)), bin('-', c(3), y(0)))),
 	}
 	for _, d := range []int64{-stripLen - 1, -stripLen, -stripLen + 1, -3, -1, 0, 1} {
 		out[fmt.Sprintf("self d=%d", d)] = prog(bin('+', bin('*', y(d), c(0.5)), bin('*', x(0), c(0.75))))
@@ -161,15 +190,45 @@ func selfBodies(n int64) map[string]*Program {
 	return out
 }
 
+// selfIndexed is a store that gathers by the array it writes,
+// idx(k+1) := x(idx(k)) for k = 1..n: each element is read one
+// iteration after it is stored, so the read is on the spine.
+func selfIndexed(n int64) *Program {
+	return &Program{
+		Name: "selfidx",
+		Arrays: []ArrayDecl{
+			{Name: "idx", B: runtime.NewBounds1(1, n+1), Role: RoleInOut},
+			{Name: "x", B: runtime.NewBounds1(1, n+1), Role: RoleIn},
+		},
+		Stmts: []Stmt{&Loop{Var: "k", From: 1, To: n, Step: 1,
+			Inds: []Ind{{Name: "o", Init: lin(0), Step: 1}},
+			Body: []Stmt{&Assign{Array: "idx", Subs: []IntExpr{lin(1, term("k", 1))}, Off: lin(1, term("o", 1)),
+				Rhs: &ARef{Array: "x", Subs: []IntExpr{&IIdx{Array: "idx", Subs: []IntExpr{&IVar{Name: "k"}}}}}}}}},
+	}
+}
+
 // progInputs fills every input array of p, at its declared bounds,
-// with values that round under every operation.
+// with values that round under every operation, except index arrays:
+// in a selfBodies program idx holds subscripts into y; in selfIndexed
+// idx starts at 1 throughout and x(i) = min(i+2, n+1), so every
+// element the chain reads is an index inside x.
 func progInputs(p *Program) map[string]*runtime.Strict {
 	in := map[string]*runtime.Strict{}
 	for _, d := range p.Arrays {
 		if d.Role == RoleIn || d.Role == RoleInOut {
 			a := runtime.NewStrict(d.B)
 			for i := range a.Data {
-				a.Data[i] = math.Sin(float64(i)*1.3+float64(len(d.Name))) * 10
+				switch {
+				case p.Name == "selfidx" && d.Name == "idx":
+					a.Data[i] = 1
+				case p.Name == "selfidx":
+					a.Data[i] = float64(min(int64(i)+2, d.B.Hi[0]))
+				case d.Name == "idx":
+					y := p.Decl("y").B
+					a.Data[i] = float64(y.Lo[0] + int64(i)*7919%(y.Hi[0]-y.Lo[0]+1))
+				default:
+					a.Data[i] = math.Sin(float64(i)*1.3+float64(len(d.Name))) * 10
+				}
 			}
 			in[d.Name] = a
 		}
@@ -207,8 +266,8 @@ func TestStripMatchesGeneric(t *testing.T) {
 					}
 					return true
 				})
-				if rk := compileRows(t, p).rows[loop]; rk.kind != rowStrip {
-					t.Fatalf("form %d, want the strip form", rk.kind)
+				if rk := compileRows(t, p).rows[loop]; !rk.strip {
+					t.Fatal("generic form, want the strip form")
 				}
 				old := SetGenericRows(true)
 				gen := mustCompile(t, p)
@@ -230,47 +289,4 @@ func TestStripMatchesGeneric(t *testing.T) {
 			})
 		}
 	}
-}
-
-// TestSelfIndexedStoreStaysStraight: a store that gathers through the
-// array it writes, idx[k+1] := x[idx[k]], reads each element one
-// iteration after storing it. The strip form would read a whole strip
-// of idx before storing any of it, so the body must keep the
-// straight-line form and the generic form's result.
-func TestSelfIndexedStoreStaysStraight(t *testing.T) {
-	const n = stripLen + 9
-	p := &Program{
-		Name: "selfidx",
-		Arrays: []ArrayDecl{
-			{Name: "idx", B: runtime.NewBounds1(1, n+1), Role: RoleInOut},
-			{Name: "x", B: runtime.NewBounds1(1, n+1), Role: RoleIn},
-		},
-		Stmts: []Stmt{&Loop{Var: "k", From: 1, To: n, Step: 1,
-			Inds: []Ind{{Name: "o", Init: lin(0), Step: 1}},
-			Body: []Stmt{&Assign{Array: "idx", Subs: []IntExpr{lin(1, term("k", 1))}, Off: lin(1, term("o", 1)),
-				Rhs: &ARef{Array: "x", Subs: []IntExpr{&IIdx{Array: "idx", Subs: []IntExpr{&IVar{Name: "k"}}}}}}}}},
-	}
-	inputs := func() map[string]*runtime.Strict {
-		idx, x := runtime.NewStrict(p.Arrays[0].B), runtime.NewStrict(p.Arrays[1].B)
-		for i := range idx.Data {
-			idx.Data[i] = 1
-			x.Data[i] = float64(min(i+2, n+1))
-		}
-		return map[string]*runtime.Strict{"idx": idx, "x": x}
-	}
-	if rk := compileRows(t, p).rows[p.Stmts[0].(*Loop)]; rk.kind != rowStraight {
-		t.Fatalf("form %d, want the straight-line form", rk.kind)
-	}
-	old := SetGenericRows(true)
-	gen := mustCompile(t, p)
-	SetGenericRows(old)
-	want, err := gen.RunResult(inputs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := mustCompile(t, p).RunResult(inputs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireBitwise(t, got.Data, want)
 }
