@@ -4,6 +4,12 @@
 //
 //	benchdiff -base BENCH_2.json -new /tmp/bench.json -max-regress 25
 //
+// -new takes a comma-separated list of result files from repeated runs;
+// every check then reads their per-label median, so one run slowed by a
+// noisy host fails nothing:
+//
+//	benchdiff -base BENCH_2.json -new /tmp/b1.json,/tmp/b2.json,/tmp/b3.json
+//
 // Baseline arms that exist to be slow (thunked, hand-written, naive,
 // trailer, list variants) are skipped by default; -skip overrides the
 // substring list and -all gates everything. Output ends with one
@@ -45,7 +51,7 @@ import (
 func main() {
 	var (
 		basePath   = flag.String("base", "BENCH_2.json", "committed baseline result file")
-		newPath    = flag.String("new", "", "fresh hacbench -json result file (required)")
+		newPath    = flag.String("new", "", "fresh hacbench -json result file, or a comma-separated list of repeated runs' files, compared by their per-label median (required)")
 		maxRegress = flag.Float64("max-regress", 25, "max allowed ns/op regression, percent")
 		skipList   = flag.String("skip", strings.Join(benchcmp.DefaultSkip, ","),
 			"comma-separated label substrings excluded from gating")
@@ -73,10 +79,15 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchdiff: -speedup-only without any -minspeedup check gates nothing")
 		os.Exit(2)
 	}
-	fresh, err := benchcmp.Load(*newPath)
-	if err != nil {
-		die(err)
+	var runs []map[string]benchcmp.Result
+	for _, path := range strings.Split(*newPath, ",") {
+		run, err := benchcmp.Load(path)
+		if err != nil {
+			die(err)
+		}
+		runs = append(runs, run)
 	}
+	fresh := benchcmp.Median(runs)
 	failed := false
 	if !*speedupOnly {
 		base, err := benchcmp.Load(*basePath)

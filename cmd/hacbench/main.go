@@ -336,7 +336,7 @@ var experiments = []experiment{
 	},
 	{
 		id: "e9", title: "Jacobi step (carried anti deps, node splitting)",
-		expect: "pipeline+rowbuf temps; factor-n fewer copies than naive",
+		expect: "row snapshot temps; factor-n fewer copies than naive",
 		run: func() {
 			n := size(128, 32)
 			params := map[string]int64{"n": n}

@@ -5,9 +5,9 @@
 // a copy-update: the plan copies the mesh into the result once and
 // reads every neighbour from the kept old mesh, a dependence-free nest.
 // Where the old mesh is dead after the update (a second sweep in the
-// same program), node splitting instead inserts the carried scalar and
-// previous-row buffer a hand-coded Jacobi would use and updates the
-// mesh in place.
+// same program), node splitting instead copies the old current row and
+// keeps the old previous row in row buffers, as a hand-coded Jacobi
+// would, and updates the mesh in place.
 package main
 
 import (

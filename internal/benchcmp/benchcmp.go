@@ -99,6 +99,30 @@ func Load(path string) (map[string]Result, error) {
 	return m, nil
 }
 
+// Median returns the per-label median of several runs' result files, so
+// that one run slowed by a noisy host moves no label. A label's median
+// is over the runs that have it: the middle entry by ns/op, and for an
+// even count the lower middle entry carrying the mean of the middle two
+// ns/op.
+func Median(runs []map[string]Result) map[string]Result {
+	byLabel := map[string][]Result{}
+	for _, run := range runs {
+		for l, r := range run {
+			byLabel[l] = append(byLabel[l], r)
+		}
+	}
+	out := make(map[string]Result, len(byLabel))
+	for l, rs := range byLabel {
+		sort.Slice(rs, func(i, j int) bool { return rs[i].NsPerOp < rs[j].NsPerOp })
+		m := rs[(len(rs)-1)/2]
+		if len(rs)%2 == 0 {
+			m.NsPerOp = (m.NsPerOp + rs[len(rs)/2].NsPerOp) / 2
+		}
+		out[l] = m
+	}
+	return out
+}
+
 // DefaultSkip matches the baseline arms the regression wall ignores:
 // thunked, hand-written, and naive variants exist to be slow — only
 // the compiled path is gated.

@@ -169,6 +169,40 @@ func TestCheckSpeedups(t *testing.T) {
 	}
 }
 
+// TestMedianOfRuns: gated by the median of three runs, one slow outlier
+// passes both the drift wall and an ordering check, and two slow runs
+// fail both.
+func TestMedianOfRuns(t *testing.T) {
+	base := map[string]Result{"opt/split": {NsPerOp: 1000}}
+	run := func(split float64) map[string]Result {
+		return map[string]Result{"opt/split": {NsPerOp: split}, "opt/hand": {NsPerOp: 500}}
+	}
+	checks := []SpeedupCheck{{Slow: "opt/hand", Fast: "opt/split", MinRatio: 0.4}}
+	for _, c := range []struct {
+		name  string
+		split []float64
+		ok    bool
+	}{
+		{"one outlier", []float64{1010, 2000, 990}, true},
+		{"two slow runs", []float64{2000, 1010, 1900}, false},
+	} {
+		var runs []map[string]Result
+		for _, ns := range c.split {
+			runs = append(runs, run(ns))
+		}
+		med := Median(runs)
+		if rep := Compare(base, med, 25, nil); rep.OK() != c.ok {
+			t.Errorf("%s: drift wall passes %v, want %v (median %.0f ns)", c.name, rep.OK(), c.ok, med["opt/split"].NsPerOp)
+		}
+		if _, ok := CheckSpeedups(med, checks); ok != c.ok {
+			t.Errorf("%s: ordering check passes %v, want %v", c.name, ok, c.ok)
+		}
+	}
+	if got := Median([]map[string]Result{run(1000), run(3000)})["opt/split"].NsPerOp; got != 2000 {
+		t.Errorf("median of two runs %.0f ns, want their mean 2000", got)
+	}
+}
+
 func TestLoadRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "bench.json")

@@ -14,8 +14,8 @@
 // For bigupd definitions the generator first checks which anti
 // dependences the schedule satisfies; the violated ones are broken by
 // node splitting (section 9) in three tiers: a per-instance scalar for
-// same-instance kills (the LINPACK row-swap pattern), a distance-1
-// pipeline scalar or row buffer for uniformly carried kills (the
+// same-instance kills (the LINPACK row-swap pattern), a row snapshot
+// taken before each inner pass for kills one iteration earlier (the
 // Jacobi pattern), and a whole-array entry copy as the general
 // fallback (naive compilation).
 package codegen

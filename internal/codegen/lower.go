@@ -134,39 +134,15 @@ type splitHooks struct {
 	// instanceStart stmts run at the start of every instance of the
 	// keyed loop pass.
 	instanceStart map[*schedule.Node][]loopir.Stmt
-	// clauseSaves emits extra stores between rhs evaluation and the
-	// main write for the keyed clause: each entry is (dst array, dst
-	// subs, src VExpr) evaluated in clause scope.
-	clauseSaves map[int][]saveStmt
-	// clauseAfter stmts run after the keyed clause's write.
-	clauseAfter map[int][]loopir.Stmt
 	// readRepl / readTarget redirections for the expression translator.
 	readRepl   map[*lang.Index]loopir.VExpr
 	readTarget map[*lang.Index]string
-}
-
-// saveStmt stores rhs into either an array element or a scalar,
-// sequenced between a clause's rhs evaluation and its write.
-type saveStmt struct {
-	array  string // non-empty for array saves
-	subs   []loopir.IntExpr
-	scalar string // non-empty for scalar saves
-	rhs    loopir.VExpr
-}
-
-func (s saveStmt) stmt() loopir.Stmt {
-	if s.scalar != "" {
-		return &loopir.SetScalar{Name: s.scalar, Rhs: s.rhs}
-	}
-	return &loopir.Assign{Array: s.array, Subs: s.subs, Rhs: s.rhs}
 }
 
 func newSplitHooks() *splitHooks {
 	return &splitHooks{
 		beforeLoop:    map[*schedule.Node][]loopir.Stmt{},
 		instanceStart: map[*schedule.Node][]loopir.Stmt{},
-		clauseSaves:   map[int][]saveStmt{},
-		clauseAfter:   map[int][]loopir.Stmt{},
 		readRepl:      map[*lang.Index]loopir.VExpr{},
 		readTarget:    map[*lang.Index]string{},
 	}
@@ -619,7 +595,7 @@ func (lw *lowerer) lowerLoop(n *schedule.Node, x *xlate) ([]loopir.Stmt, error) 
 // state beyond disjoint array elements — no definedness bitmaps (their
 // flag writes would race under possible collisions), no accumulation
 // into possibly-shared elements, no node-splitting hooks (their
-// carried scalars/buffers are sequential state) — and only the
+// scalars and row temporaries are sequential state) — and only the
 // outermost eligible loop of a nest is sharded.
 func (lw *lowerer) parallelEligible(n *schedule.Node) bool {
 	if !lw.opts.Parallel || !n.Parallel || lw.inParallel {
@@ -649,8 +625,7 @@ func (lw *lowerer) parSafeState() bool {
 	if lw.accum && lw.effCollision() != analysis.No {
 		return false
 	}
-	if len(lw.hooks.clauseSaves) > 0 || len(lw.hooks.instanceStart) > 0 ||
-		len(lw.hooks.beforeLoop) > 0 || len(lw.hooks.clauseAfter) > 0 {
+	if len(lw.hooks.instanceStart) > 0 || len(lw.hooks.beforeLoop) > 0 {
 		return false
 	}
 	return true
@@ -681,18 +656,6 @@ func (lw *lowerer) lowerClause(cl *analysis.FlatClause, x *xlate) ([]loopir.Stmt
 	if checkBounds {
 		lw.plan.Checks.BoundsChecks++
 	}
-	var stmts []loopir.Stmt
-	saves := lw.hooks.clauseSaves[cl.ID]
-	if len(saves) > 0 {
-		// Node-split sequencing: evaluate the rhs first, then save the
-		// old values the future reads need, then write.
-		tmp := lw.freshScalar("v")
-		stmts = append(stmts, &loopir.SetScalar{Name: tmp, Rhs: rhs})
-		for _, s := range saves {
-			stmts = append(stmts, s.stmt())
-		}
-		rhs = &loopir.VScalar{Name: tmp}
-	}
 	assign := &loopir.Assign{
 		Array:       lw.selfIR,
 		Subs:        subs,
@@ -711,8 +674,7 @@ func (lw *lowerer) lowerClause(cl *analysis.FlatClause, x *xlate) ([]loopir.Stmt
 		assign.CheckCollision = true
 		lw.plan.Checks.CollisionChecks++
 	}
-	stmts = append(stmts, assign)
-	stmts = append(stmts, lw.hooks.clauseAfter[cl.ID]...)
+	stmts := []loopir.Stmt{assign}
 	// Clause-level guards.
 	if len(cl.Node.Guards) > 0 {
 		var conds []loopir.BExpr

@@ -19,16 +19,25 @@ import (
 //   - tier "scalar": the kill happens in the same loop instance, after
 //     the reading clause was scheduled past the killer; one scalar per
 //     instance saved at instance start (the LINPACK row-swap shape).
-//   - tier "pipeline": the kill happened exactly one iteration earlier
-//     in the innermost loop; a scalar carried across iterations (the
-//     inner half of the Jacobi shape).
-//   - tier "rowbuf": the kill happened exactly one iteration earlier
-//     in the outer loop of a two-level nest, same inner position; a
-//     vector temporary holding the previous outer instance's old
-//     values (the outer half of the Jacobi shape).
+//   - tier "row": the kill happened exactly one iteration earlier, in
+//     the innermost loop or in the outer loop of a two-level nest at
+//     the same inner position (the Jacobi shape). Before each pass of
+//     the innermost loop the old values the pass reads are copied into
+//     a row temporary, and the read loads that instead. An inner-
+//     distance read copies its own positions, which the pass has not
+//     yet overwritten. An outer-distance read's positions were
+//     overwritten by the previous pass, so its row rotates in the row
+//     saved before that pass, then saves the row this pass is about to
+//     overwrite; the first pass's row is saved before the outer loop.
 //   - tier "copy": everything else; the whole source array is copied
 //     at entry (the paper's naive compilation the better tiers beat by
 //     a factor of the loop extent).
+//
+// The scalar and row tiers load positions the program itself might
+// never read, and unchecked, so they are taken only when every position
+// they load provably lies within the array over the reader's nest. A
+// read that may fall outside it takes the copy tier, whose redirected
+// read keeps its bounds check.
 
 // schedPath is a clause's position in the schedule tree.
 type schedPath struct {
@@ -148,20 +157,13 @@ func (lw *lowerer) planSplits() error {
 	var copyReads []*analysis.ReadRef
 	for _, rd := range reads {
 		deps := violated[rd]
-		tier := lw.classifySplit(paths, rd, deps)
-		switch tier {
+		switch lw.classifySplit(paths, rd, deps) {
 		case "scalar":
-			if err := lw.splitScalar(paths, rd, deps); err != nil {
-				return err
-			}
-		case "pipeline":
-			if err := lw.splitPipeline(paths, rd); err != nil {
-				return err
-			}
-		case "rowbuf":
-			if err := lw.splitRowBuf(paths, rd); err != nil {
-				return err
-			}
+			lw.splitScalar(paths, rd, deps)
+		case "row":
+			lw.splitRow(paths, rd, false)
+		case "outer row":
+			lw.splitRow(paths, rd, true)
 		default:
 			copyReads = append(copyReads, rd)
 		}
@@ -172,16 +174,24 @@ func (lw *lowerer) planSplits() error {
 	return nil
 }
 
-// classifySplit picks the cheapest applicable tier for a read.
+// classifySplit picks the cheapest applicable tier for a read: "scalar",
+// "row" for an inner-distance read, "outer row" for an outer-distance
+// one, or "copy".
 func (lw *lowerer) classifySplit(paths map[int]schedPath, rd *analysis.ReadRef, deps []analysis.AntiDep) string {
-	if !rd.Affine {
+	nest := rd.Clause.Nest
+	if !rd.Affine || !lw.formsInBounds(rd.Forms, nest) {
 		return "copy"
 	}
-	if tier, ok := lw.classifyInstanceKill(paths, rd, deps); ok {
-		return tier
+	if lw.classifyInstanceKill(paths, rd, deps) {
+		return "scalar"
 	}
-	if tier, ok := lw.classifyCarriedKill(paths, rd, deps); ok {
-		return tier
+	switch level := lw.carriedKillLevel(paths, rd, deps); {
+	case level < 0:
+	case level == len(nest)-1:
+		return "row"
+	case lw.formsInBounds(rd.Clause.WriteForms, nest):
+		// The rows an outer-distance read saves hold the write's positions.
+		return "outer row"
 	}
 	return "copy"
 }
@@ -190,12 +200,12 @@ func (lw *lowerer) classifySplit(paths map[int]schedPath, rd *analysis.ReadRef, 
 // violated kill happens within the same instance of every shared loop,
 // the read's subscripts use only those shared loops, and reader and
 // writers traverse the same pass nodes.
-func (lw *lowerer) classifyInstanceKill(paths map[int]schedPath, rd *analysis.ReadRef, deps []analysis.AntiDep) (string, bool) {
+func (lw *lowerer) classifyInstanceKill(paths map[int]schedPath, rd *analysis.ReadRef, deps []analysis.AntiDep) bool {
 	reader := rd.Clause
 	rp := paths[reader.ID]
 	for _, dep := range deps {
 		if !dep.Dep.Dir.SelfEqual() {
-			return "", false
+			return false
 		}
 		wp := paths[dep.Writer]
 		// Reader and writer must share pass nodes for every shared
@@ -210,7 +220,7 @@ func (lw *lowerer) classifyInstanceKill(paths map[int]schedPath, rd *analysis.Re
 			common++
 		}
 		if loops < len(dep.Dep.Dir) {
-			return "", false
+			return false
 		}
 	}
 	// The read's element must be fixed within a shared instance: its
@@ -239,11 +249,11 @@ func (lw *lowerer) classifyInstanceKill(paths map[int]schedPath, rd *analysis.Re
 	for _, form := range rd.Forms {
 		for _, v := range form.Vars() {
 			if !sharedVars[v] {
-				return "", false
+				return false
 			}
 		}
 	}
-	return "scalar", true
+	return true
 }
 
 // killDelta computes the uniform per-loop source-space distance δ such
@@ -302,47 +312,38 @@ func execOffset(l affine.Loop, dir schedule.Direction, delta int64) (int64, bool
 	return -q, true
 }
 
-// classifyCarriedKill recognizes the pipeline and rowbuf tiers: a
-// single self kill exactly one iteration earlier on one loop level.
-func (lw *lowerer) classifyCarriedKill(paths map[int]schedPath, rd *analysis.ReadRef, deps []analysis.AntiDep) (string, bool) {
+// carriedKillLevel recognizes the row tier: a single self kill exactly
+// one iteration earlier on one loop level, the innermost, or the outer
+// of a two-level nest. It returns that level, or -1.
+func (lw *lowerer) carriedKillLevel(paths map[int]schedPath, rd *analysis.ReadRef, deps []analysis.AntiDep) int {
 	reader := rd.Clause
 	for _, dep := range deps {
 		if dep.Writer != reader.ID {
-			return "", false
+			return -1
 		}
 	}
 	delta, ok := killDelta(rd, reader)
 	if !ok {
-		return "", false
+		return -1
 	}
 	loops := paths[reader.ID].loopNodes()
 	if len(loops) != len(reader.Nest) {
-		return "", false
+		return -1
 	}
-	var offsets []int64
+	level := -1
 	for i, l := range reader.Nest {
 		m, ok := execOffset(l, loops[i].Dir, delta[l.Var])
-		if !ok {
-			return "", false
-		}
-		offsets = append(offsets, m)
-	}
-	n := len(offsets)
-	if n >= 1 && offsets[n-1] == 1 {
-		inner := true
-		for _, m := range offsets[:n-1] {
-			if m != 0 {
-				inner = false
-			}
-		}
-		if inner {
-			return "pipeline", true
+		switch {
+		case !ok || m != 0 && m != 1 || m == 1 && level >= 0:
+			return -1
+		case m == 1:
+			level = i
 		}
 	}
-	if n == 2 && offsets[0] == 1 && offsets[1] == 0 {
-		return "rowbuf", true
+	if level == len(loops)-1 || level == 0 && len(loops) == 2 {
+		return level
 	}
-	return "", false
+	return -1
 }
 
 // formToILin converts an affine subscript form to the IR fast path.
@@ -415,7 +416,7 @@ func (lw *lowerer) formsInBounds(forms []affine.Form, nest affine.Nest) bool {
 
 // splitScalar installs the same-instance tier: one scalar per violated
 // read, saved at the start of the deepest shared instance.
-func (lw *lowerer) splitScalar(paths map[int]schedPath, rd *analysis.ReadRef, deps []analysis.AntiDep) error {
+func (lw *lowerer) splitScalar(paths map[int]schedPath, rd *analysis.ReadRef, deps []analysis.AntiDep) {
 	reader := rd.Clause
 	rp := paths[reader.ID]
 	// Deepest common loop pass node with all violated writers.
@@ -447,82 +448,53 @@ func (lw *lowerer) splitScalar(paths map[int]schedPath, rd *analysis.ReadRef, de
 	}
 	lw.hooks.readRepl[rd.Ix] = &loopir.VScalar{Name: s}
 	lw.note("node splitting: %s!%s saved to a per-instance scalar (same-instance kill)", rd.Ix.Array, loopir.IntExprString(formsToSubs(rd.Forms)[0]))
-	return nil
 }
 
-// splitPipeline installs the innermost distance-1 tier.
-func (lw *lowerer) splitPipeline(paths map[int]schedPath, rd *analysis.ReadRef) error {
+// splitRow installs the row tier for a read killed one iteration
+// earlier on the innermost loop (outer false) or on the outer loop of a
+// two-level nest (outer true).
+func (lw *lowerer) splitRow(paths map[int]schedPath, rd *analysis.ReadRef, outer bool) {
 	reader := rd.Clause
 	loops := paths[reader.ID].loopNodes()
+	inner := reader.Nest[len(reader.Nest)-1]
+	innerKey := []loopir.IntExpr{&loopir.ILin{Terms: []loopir.ITerm{{Var: inner.Var, Coeff: 1}}}}
+	last := inner.ValueAt(inner.Trip())
+	// row declares a temporary over the inner loop's source value range.
+	row := func(prefix string) string {
+		name := fmt.Sprintf("%s$%d", prefix, len(lw.prog.Arrays))
+		lw.prog.Arrays = append(lw.prog.Arrays, loopir.ArrayDecl{
+			Name: name, B: runtime.NewBounds1(min(inner.First, last), max(inner.First, last)), Role: loopir.RoleTemp,
+		})
+		return name
+	}
+	// copyRow copies the positions forms take over the inner loop into dst.
+	copyRow := func(dst string, forms []affine.Form) loopir.Stmt {
+		return &loopir.Loop{Var: inner.Var, From: inner.First, To: last, Step: inner.Stride,
+			Body: []loopir.Stmt{&loopir.Assign{Array: dst, Subs: innerKey,
+				Rhs: &loopir.ARef{Array: lw.selfIR, Subs: formsToSubs(forms)}}}}
+	}
+	buf := row("row")
 	innerNode := loops[len(loops)-1]
-	innerLoop := reader.Nest[len(reader.Nest)-1]
-	prev := lw.freshScalar("prev")
-	cur := lw.freshScalar("cur")
-	// Initialize prev with the read's value at the first executed inner
-	// iteration, when provably in bounds.
-	firstVal := innerLoop.First
-	if innerNode.Dir == schedule.Backward {
-		firstVal = innerLoop.ValueAt(innerLoop.Trip())
-	}
-	initForms := make([]affine.Form, len(rd.Forms))
-	for d, f := range rd.Forms {
-		initForms[d] = substFormVar(f, innerLoop.Var, firstVal)
-	}
-	if lw.formsInBounds(initForms, reader.Nest[:len(reader.Nest)-1]) {
-		lw.hooks.beforeLoop[innerNode] = append(lw.hooks.beforeLoop[innerNode],
-			&loopir.SetScalar{Name: prev, Rhs: &loopir.ARef{Array: lw.selfIR, Subs: formsToSubs(initForms)}})
-	}
-	lw.hooks.clauseSaves[reader.ID] = append(lw.hooks.clauseSaves[reader.ID],
-		saveStmt{scalar: cur, rhs: &loopir.ARef{Array: lw.selfIR, Subs: formsToSubs(reader.WriteForms)}})
-	lw.hooks.clauseAfter[reader.ID] = append(lw.hooks.clauseAfter[reader.ID],
-		&loopir.SetScalar{Name: prev, Rhs: &loopir.VScalar{Name: cur}})
-	lw.hooks.readRepl[rd.Ix] = &loopir.VScalar{Name: prev}
-	lw.note("node splitting: %s read pipelined through a carried scalar (inner distance 1)", rd.Ix.Array)
-	return nil
-}
-
-// splitRowBuf installs the outer distance-1 tier for two-level nests.
-func (lw *lowerer) splitRowBuf(paths map[int]schedPath, rd *analysis.ReadRef) error {
-	reader := rd.Clause
-	loops := paths[reader.ID].loopNodes()
-	outerNode, innerNode := loops[0], loops[1]
-	outerLoop, innerLoop := reader.Nest[0], reader.Nest[1]
-	_ = innerNode
-	// Buffer over the inner loop's source value range.
-	lo, hi := innerLoop.First, innerLoop.ValueAt(innerLoop.Trip())
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	buf := fmt.Sprintf("rowbuf$%d", len(lw.prog.Arrays))
-	lw.prog.Arrays = append(lw.prog.Arrays, loopir.ArrayDecl{
-		Name: buf, B: runtime.NewBounds1(lo, hi), Role: loopir.RoleTemp,
-	})
-	innerKey := []loopir.IntExpr{&loopir.ILin{Terms: []loopir.ITerm{{Var: innerLoop.Var, Coeff: 1}}}}
-	// Initialize with the read's values at the first executed outer
-	// iteration.
-	firstOuter := outerLoop.First
-	if outerNode.Dir == schedule.Backward {
-		firstOuter = outerLoop.ValueAt(outerLoop.Trip())
-	}
-	initForms := make([]affine.Form, len(rd.Forms))
-	for d, f := range rd.Forms {
-		initForms[d] = substFormVar(f, outerLoop.Var, firstOuter)
-	}
-	if lw.formsInBounds(initForms, affine.Nest{innerLoop}) {
-		initLoop := &loopir.Loop{
-			Var: innerLoop.Var, From: innerLoop.First, To: innerLoop.ValueAt(innerLoop.Trip()), Step: innerLoop.Stride,
-			Body: []loopir.Stmt{&loopir.Assign{
-				Array: buf, Subs: innerKey,
-				Rhs: &loopir.ARef{Array: lw.selfIR, Subs: formsToSubs(initForms)},
-			}},
+	if outer {
+		saved := row("rowsave")
+		outerNode, outerLoop := loops[0], reader.Nest[0]
+		first := outerLoop.First
+		if outerNode.Dir == schedule.Backward {
+			first = outerLoop.ValueAt(outerLoop.Trip())
 		}
-		lw.hooks.beforeLoop[outerNode] = append(lw.hooks.beforeLoop[outerNode], initLoop)
+		seed := make([]affine.Form, len(rd.Forms))
+		for d, f := range rd.Forms {
+			seed[d] = substFormVar(f, outerLoop.Var, first)
+		}
+		lw.hooks.beforeLoop[outerNode] = append(lw.hooks.beforeLoop[outerNode], copyRow(saved, seed))
+		lw.hooks.beforeLoop[innerNode] = append(lw.hooks.beforeLoop[innerNode],
+			&loopir.CopyArray{Dst: buf, Src: saved}, copyRow(saved, reader.WriteForms))
+		lw.note("node splitting: %s read from a row snapshot saved before the previous pass (outer distance 1)", rd.Ix.Array)
+	} else {
+		lw.hooks.beforeLoop[innerNode] = append(lw.hooks.beforeLoop[innerNode], copyRow(buf, rd.Forms))
+		lw.note("node splitting: %s read from a row snapshot taken before the pass (inner distance 1)", rd.Ix.Array)
 	}
-	lw.hooks.clauseSaves[reader.ID] = append(lw.hooks.clauseSaves[reader.ID],
-		saveStmt{array: buf, subs: innerKey, rhs: &loopir.ARef{Array: lw.selfIR, Subs: formsToSubs(reader.WriteForms)}})
 	lw.hooks.readRepl[rd.Ix] = &loopir.ARef{Array: buf, Subs: innerKey}
-	lw.note("node splitting: %s read buffered through a row temporary (outer distance 1)", rd.Ix.Array)
-	return nil
 }
 
 // splitFullCopy installs the naive tier: copy the source at entry and

@@ -53,7 +53,7 @@ func TestCopyUpdateJacobiShardsSORWavefront(t *testing.T) {
 	if cd.Mode() != "copy-update" || !strings.Contains(dump, "copy a2 <- a") || !strings.Contains(dump, "[shard]") {
 		t.Fatalf("jacobi over the caller's a: mode %s, want copy-update with `copy a2 <- a` and a [shard] nest:\n%s", cd.Mode(), dump)
 	}
-	if strings.Contains(dump, "rowbuf") || strings.Contains(dump, "prev$") {
+	if strings.Contains(dump, "row$") || strings.Contains(dump, "rowsave$") {
 		t.Fatalf("copy-update jacobi must not node-split:\n%s", dump)
 	}
 	const why = "source a live after the update: copy-update, old values read from a"

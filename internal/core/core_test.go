@@ -330,8 +330,10 @@ func TestBigupdJacobiEndToEnd(t *testing.T) {
 		t.Fatalf("second jacobi sweep must compile in place with node splitting:\n%s", p.Report())
 	}
 	joined := strings.Join(cd.Plan.Notes, "\n")
-	if !strings.Contains(joined, "pipelined") || !strings.Contains(joined, "row temporary") {
-		t.Errorf("jacobi must use the pipeline and rowbuf tiers, notes:\n%s", joined)
+	for _, want := range []string{"taken before the pass (inner distance 1)", "saved before the previous pass (outer distance 1)"} {
+		if !strings.Contains(joined, "row snapshot "+want) {
+			t.Errorf("jacobi must read from a row snapshot %s, notes:\n%s", want, joined)
+		}
 	}
 	if strings.Contains(joined, "whole-array") {
 		t.Errorf("jacobi must not need the whole-array copy:\n%s", joined)
@@ -374,6 +376,50 @@ func TestBigupdShiftBackward(t *testing.T) {
 		if out.At(i) != float64(i-1) {
 			t.Errorf("a2(%d) = %v, want %v", i, out.At(i), i-1)
 		}
+	}
+}
+
+// TestNodeSplitKeepsBoundsCheck: a read that node splitting repairs
+// keeps its bounds check. Each program's first update reads outside a1,
+// which the thunked reference reports. The scalar and row tiers load
+// their positions unchecked, so a read they cannot prove in bounds takes
+// the whole-array copy, whose redirected read keeps the check.
+func TestNodeSplitKeepsBoundsCheck(t *testing.T) {
+	const n = 5
+	cases := []struct {
+		name, src, want string
+		x               *runtime.Strict
+	}{
+		{"1-D", `param n;
+		letrec*
+		a1 = array (1,n) [ i := x!i | i <- [1..n] ];
+		a2 = bigupd a1 [ i := a1!(i-1) + a1!(i+1) | i <- [1..n-1] ]
+		in a2`, "subscript [0] out of bounds", runtime.NewStrict(runtime.NewBounds1(1, n))},
+		{"2-D", `param n;
+		letrec*
+		a1 = array ((1,1),(n,n)) [ (i,j) := x!(i,j) | i <- [1..n], j <- [1..n] ];
+		a2 = bigupd a1 [ (i,j) := a1!(i-1,j) + a1!(i+1,j) + a1!(i,j-1) + a1!(i,j+1)
+		                 | i <- [2..n-1], j <- [1..n-1] ]
+		in a2`, "subscript [2 0] out of bounds", makeMatrix(n, n, func(i, j int64) float64 { return float64(i + j) })},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			inputs := map[string]*runtime.Strict{"x": c.x}
+			opts := Options{InputBounds: map[string]analysis.ArrayBounds{"x": {Lo: c.x.B.Lo, Hi: c.x.B.Hi}}}
+			params := map[string]int64{"n": n}
+			optsT := opts
+			optsT.ForceThunked = true
+			if _, err := compile(t, c.src, params, optsT).Run(inputs); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("thunked run: error %v, want %q", err, c.want)
+			}
+			p := compile(t, c.src, params, opts)
+			if m := p.Defs["a2"].Mode(); m != "in-place" {
+				t.Fatalf("a2 compiles %s, want in-place", m)
+			}
+			if _, err := p.Run(inputs); err == nil || !strings.Contains(err.Error(), "out of bounds") {
+				t.Fatalf("compiled run: error %v, want the thunked run's out-of-bounds read\n%s", err, p.Report())
+			}
+		})
 	}
 }
 

@@ -106,7 +106,7 @@ func TestParallelDisabledForNodeSplitting(t *testing.T) {
 	}
 	p := compile(t, workloads.TwoSweeps(workloads.JacobiSrc), map[string]int64{"n": n}, opts)
 	dump := p.Defs["a2"].Plan.Program.Dump()
-	if !strings.Contains(dump, "rowbuf") {
+	if !strings.Contains(dump, "row$") || !strings.Contains(dump, "rowsave$") {
 		t.Fatalf("second jacobi sweep must be node-split:\n%s", dump)
 	}
 	if strings.Contains(dump, "parallel") {

@@ -18,13 +18,17 @@ import (
 // straight-line expressions (affine reads, constants, sums,
 // differences and halvings), so the kernels take them whole. None
 // reads the array it accumulates: the reference semantics reject that.
-// Some draws are order-sensitive writes instead (collidingDef), and
-// some recurrences that read themselves d elements back (distantRecur).
+// Some draws are order-sensitive writes instead (collidingDef), some
+// recurrences that read themselves d elements back (distantRecur), and
+// some in-place updates that node splitting repairs (splitDefs).
 
 // accumDefs returns the definitions of one such accumulation starting
 // at definition k; the last is the program result.
 func (g *gen) accumDefs(k int) []*lang.ArrayDef {
 	name := fmt.Sprintf("%c", 'a'+k)
+	if g.chance(250) {
+		return g.splitDefs(name, fmt.Sprintf("%c", 'a'+k+1))
+	}
 	if g.chance(300) {
 		return []*lang.ArrayDef{g.collidingDef(name)}
 	}
@@ -196,4 +200,92 @@ func (g *gen) distantRecur(name string) *lang.ArrayDef {
 			g.genNode(v, lo+d, hi, 1, &lang.Clause{Subs: []lang.Expr{lang.Name(v)}, Value: rhs}),
 		}},
 	}
+}
+
+// splitDefs returns a definition src and an in-place update name =
+// bigupd src, the program result, so src is dead after the update. The
+// update reads old values its own writes kill, which the schedule
+// cannot order, so node splitting repairs them (paper section 9):
+//
+//   - inner, outer and both: a 2-D interior update reading the old
+//     west and east neighbours, the north and south ones, or all four
+//     (Jacobi), which take the row tier;
+//   - 1-D: the same with i−1 and i+1;
+//   - a row swap, whose kill is in the same instance (the scalar tier);
+//   - a row swap that reads one row reversed, whose kills cross
+//     instances (the whole-array copy tier);
+//   - when errors are drawn, the 1-D update over the whole array, whose
+//     first iteration reads outside it: the copy tier keeps the check,
+//     and every backend fails.
+func (g *gen) splitDefs(src, name string) []*lang.ArrayDef {
+	shape := g.pick(15, 15, 15, 15, 20, 20)
+	rank := 2
+	if shape == 3 {
+		rank = 1
+	}
+	var lo, hi []int64
+	var vars []vrange
+	var whole [][2]int64
+	for d := 0; d < rank; d++ {
+		l := int64(g.pick(5, 4, 1))
+		lo, hi = append(lo, l), append(hi, l+3+g.rng.Int63n(3))
+		vars = append(vars, vrange{g.freshVar(), lo[d], hi[d]})
+		whole = append(whole, [2]int64{lo[d], hi[d]})
+	}
+	// nest runs body over the given ranges of vars.
+	nest := func(body lang.CompNode, ranges ...[2]int64) lang.CompNode {
+		for d := len(ranges) - 1; d >= 0; d-- {
+			body = g.genNode(vars[d].name, ranges[d][0], ranges[d][1], 1, body)
+		}
+		return body
+	}
+	// at stores e at the position vars name.
+	at := func(e lang.Expr) *lang.Clause {
+		subs := make([]lang.Expr, rank)
+		for d, v := range vars {
+			subs[d] = lang.Name(v.name)
+		}
+		return &lang.Clause{Subs: subs, Value: e}
+	}
+	srcDef := &lang.ArrayDef{Name: src, Kind: lang.Monolithic, Bounds: g.langBounds(lo, hi), Strict: true,
+		Comp: nest(at(g.value(2, vars, g.readables(src))), whole...)}
+	// old reads src at the update's position shifted by di rows and dj
+	// columns (dj alone in 1-D).
+	old := func(di, dj int64) lang.Expr {
+		if rank == 1 {
+			return lang.At(src, g.shiftExpr(vrange{name: vars[0].name}, dj))
+		}
+		return lang.At(src, g.shiftExpr(vrange{name: vars[0].name}, di), g.shiftExpr(vrange{name: vars[1].name}, dj))
+	}
+	var comp lang.CompNode
+	switch shape {
+	case 0:
+		comp = nest(at(g.combine(old(0, -1), old(0, 1))), [2]int64{lo[0], hi[0]}, [2]int64{lo[1] + 1, hi[1] - 1})
+	case 1:
+		comp = nest(at(g.combine(old(-1, 0), old(1, 0))), [2]int64{lo[0] + 1, hi[0] - 1}, [2]int64{lo[1], hi[1]})
+	case 2:
+		comp = nest(at(g.combine(g.combine(old(-1, 0), old(1, 0)), g.combine(old(0, -1), old(0, 1)))),
+			[2]int64{lo[0] + 1, hi[0] - 1}, [2]int64{lo[1] + 1, hi[1] - 1})
+	case 3:
+		first := lo[0] + 1
+		if g.chance(g.cfg.ErrorWeight * 4) {
+			first = lo[0]
+		}
+		comp = nest(at(g.combine(old(0, -1), old(0, 1))), [2]int64{first, hi[0] - 1})
+	default:
+		// Rows r0 and r1 swap; the second clause reads r0 reversed when
+		// shape is 5.
+		r0 := lo[0] + g.rng.Int63n(hi[0]-lo[0])
+		r1 := r0 + 1 + g.rng.Int63n(hi[0]-r0)
+		j := lang.Name(vars[1].name)
+		var back lang.Expr = j
+		if shape == 5 {
+			back = lang.Sub(lang.Num(lo[1]+hi[1]), j)
+		}
+		comp = g.genNode(vars[1].name, lo[1], hi[1], 1, &lang.Append{Parts: []lang.CompNode{
+			&lang.Clause{Subs: []lang.Expr{lang.Num(r0), j}, Value: lang.At(src, lang.Num(r1), j)},
+			&lang.Clause{Subs: []lang.Expr{lang.Num(r1), j}, Value: lang.At(src, lang.Num(r0), back)},
+		}})
+	}
+	return []*lang.ArrayDef{srcDef, {Name: name, Kind: lang.BigUpd, Source: src, Strict: true, Comp: comp}}
 }

@@ -129,10 +129,18 @@ func TestBenchConfigPinned(t *testing.T) {
 // TestAccumWeightReachesRowKernels: with AccumWeight on, most
 // generated programs end in an accumulating store the specialized row
 // forms take — unchecked, through an offset form or an unchecked
-// index-array load.
+// index-array load — and some in an in-place update that engages each
+// node-splitting tier.
 func TestAccumWeightReachesRowKernels(t *testing.T) {
 	const n = 100
 	dense, scatter := 0, 0
+	tiers := map[string]int{}
+	notes := map[string]string{
+		"scalar":    "saved to a per-instance scalar",
+		"inner row": "row snapshot taken before the pass (inner distance 1)",
+		"outer row": "row snapshot saved before the previous pass (outer distance 1)",
+		"copy":      "fall back to a whole-array entry copy",
+	}
 	for seed := uint64(0); seed < n; seed++ {
 		p := Generate(seed, Config{ErrorWeight: -1, AccumWeight: 1000})
 		prog, err := core.CompileProgram(p.Prog, p.Params, core.Options{InputBounds: p.Inputs})
@@ -142,6 +150,11 @@ func TestAccumWeightReachesRowKernels(t *testing.T) {
 		res := prog.Defs[prog.Result]
 		if res.Plan == nil {
 			continue
+		}
+		for tier, note := range notes {
+			if strings.Contains(strings.Join(res.Plan.Notes, "\n"), note) {
+				tiers[tier]++
+			}
 		}
 		loopir.Inspect(res.Plan.Program.Stmts, func(n any) bool {
 			x, ok := n.(*loopir.Loop)
@@ -165,5 +178,10 @@ func TestAccumWeightReachesRowKernels(t *testing.T) {
 	if dense < n/4 || scatter < n/20 {
 		t.Errorf("unchecked accumulating stores: %d dense, %d scatters in %d programs", dense, scatter, n)
 	}
-	t.Logf("unchecked accumulating stores: %d dense, %d scatters in %d programs", dense, scatter, n)
+	for tier := range notes {
+		if tiers[tier] < 2 {
+			t.Errorf("node splitting's %s tier engaged in %d of %d programs", tier, tiers[tier], n)
+		}
+	}
+	t.Logf("unchecked accumulating stores: %d dense, %d scatters; node-splitting tiers %v, in %d programs", dense, scatter, tiers, n)
 }

@@ -18,7 +18,9 @@ import (
 // specializer off, and with every loop forced to the generic row form.
 // Every executor runs the same row kernels in the same per-element
 // order, and every form evaluates in the generic form's operation
-// order, so the results must agree bit for bit. Recurrences that read
+// order, so the results must agree bit for bit. Every innermost loop of
+// the dense kernels takes the strip form; the in-place Jacobi sweep's
+// are its row snapshot copies and one store per row. Recurrences that read
 // their own array d elements back, on both sides of the carried band's
 // edges and at trips around the strip length, and an in-place update
 // that reads its own array at distances 0 and +1, run streamed too.
@@ -34,28 +36,33 @@ func TestExecutorsBitwiseEquivalent(t *testing.T) {
 		inputs   map[string]*runtime.Strict
 		schedule string // the kind the 2- and 4-worker plans must carry; "" for none
 		stream   bool   // also run it streamed
+		// strip: every innermost loop of the one-worker plan takes the
+		// strip form.
+		strip bool
 	}
 	cases := []bitwiseCase{
 		{"sor", workloads.SORSrc, map[string]int64{"n": 384},
-			map[string]*runtime.Strict{"a": mesh(384, 1)}, "wavefront", false},
+			map[string]*runtime.Strict{"a": mesh(384, 1)}, "wavefront", false, true},
 		{"jacobi", workloads.JacobiSrc, map[string]int64{"n": 384},
-			map[string]*runtime.Strict{"a": mesh(384, 2)}, "", false},
+			map[string]*runtime.Strict{"a": mesh(384, 2)}, "", false, true},
 		{"l23", workloads.Livermore23Src, map[string]int64{"n": 256},
-			workloads.Livermore23Inputs(256), "wavefront", false},
-		{"wavefront", workloads.WavefrontSrc, map[string]int64{"n": 384}, nil, "wavefront", false},
+			workloads.Livermore23Inputs(256), "wavefront", false, true},
+		{"wavefront", workloads.WavefrontSrc, map[string]int64{"n": 384}, nil, "wavefront", false, true},
 		{"jacobi_oop", workloads.JacobiMonolithicSrc, map[string]int64{"n": 384},
-			map[string]*runtime.Strict{"b": mesh(384, 3)}, "shard", false},
-		{"spmv", workloads.SpMVSrc, csr.Params, csr.Inputs, "shard", false},
-		{"histogram", workloads.HistogramIdxSrc, hist.Params, hist.Inputs, "shard", false},
-		{"adjgather", workloads.AdjGatherSrc, adj.Params, adj.Inputs, "", false},
+			map[string]*runtime.Strict{"b": mesh(384, 3)}, "shard", false, true},
+		{"spmv", workloads.SpMVSrc, csr.Params, csr.Inputs, "shard", false, false},
+		{"histogram", workloads.HistogramIdxSrc, hist.Params, hist.Inputs, "shard", false, false},
+		{"adjgather", workloads.AdjGatherSrc, adj.Params, adj.Inputs, "", false, false},
 		{"in place ahead", aheadSrc, map[string]int64{"n": 3*strip + 7},
-			map[string]*runtime.Strict{"x": mesh1(3*strip + 7)}, "", false},
+			map[string]*runtime.Strict{"x": mesh1(3*strip + 7)}, "", false, true},
+		{"jacobi in place", workloads.TwoSweeps(workloads.JacobiSrc), map[string]int64{"n": 384},
+			map[string]*runtime.Strict{"a": mesh(384, 4)}, "", false, true},
 	}
 	for _, d := range []int64{strip + 1, strip, strip - 1, 3, 1} {
 		for _, trip := range []int64{1, strip - 1, strip + 1, 3*strip + 7} {
 			n := d + trip
 			cases = append(cases, bitwiseCase{fmt.Sprintf("recurrence d=%d trip=%d", d, trip), recurrenceSrc,
-				map[string]int64{"n": n, "d": d}, map[string]*runtime.Strict{"x": mesh1(n)}, "", true})
+				map[string]int64{"n": n, "d": d}, map[string]*runtime.Strict{"x": mesh1(n)}, "", true, true})
 		}
 	}
 	for _, c := range cases {
@@ -98,6 +105,9 @@ func TestExecutorsBitwiseEquivalent(t *testing.T) {
 					(cfg.label == "w=2" || cfg.label == "w=4") && kinds[c.schedule] == 0 {
 					t.Fatalf("%s: schedules %v, want a %s schedule", cfg.label, kinds, c.schedule)
 				}
+				if cfg.label == "w=1" && c.strip {
+					requireInnerStrips(t, p.Defs[p.Result].Plan.Program)
+				}
 				out, err := p.Run(c.inputs)
 				if err != nil {
 					t.Fatalf("%s: %v", cfg.label, err)
@@ -117,6 +127,31 @@ func TestExecutorsBitwiseEquivalent(t *testing.T) {
 			}
 		})
 	}
+}
+
+// requireInnerStrips fails unless every loop of prog with no loop in
+// its body takes the strip form.
+func requireInnerStrips(t *testing.T, prog *loopir.Program) {
+	t.Helper()
+	forms := loopir.RowForms(prog, false)
+	k := 0
+	loopir.Inspect(prog.Stmts, func(n any) bool {
+		x, ok := n.(*loopir.Loop)
+		if !ok {
+			return true
+		}
+		inner := true
+		loopir.Inspect(x.Body, func(n any) bool {
+			_, nested := n.(*loopir.Loop)
+			inner = inner && !nested
+			return inner
+		})
+		if inner && forms[k] != "strip" {
+			t.Fatalf("loop %s takes the %s form, want strip:\n%s", x.Var, forms[k], prog.Dump())
+		}
+		k++
+		return true
+	})
 }
 
 // recurrenceSrc copies x into its first d elements, then reads itself

@@ -39,32 +39,37 @@ import "arraycomp/internal/runtime"
 //     filled before the strip's first element, its leaves loading Data
 //     or a scalar slot, which hold what the previous element stored.
 //
-//     A body that is one store has a spine only for its carried reads
-//     of the stored array. A strip is read before any of it is stored,
-//     so such a read sees what the sequential loop sees unless it is
-//     carried: at a distance d iterations from the store, on the
+//     A body of plain stores — neither accumulating nor scattering — to
+//     distinct arrays, none of which it reads, has no spine: per strip,
+//     each store's root evaluates straight into its destination in turn,
+//     so `dst@{r1} := src@{r2}` is one builtin copy per strip (node
+//     splitting's row snapshots, `row[j] := a[i,j-1]`). Distinct arrays
+//     share no storage, so running one store's strip before the next's
+//     cannot change what either reads.
+//
+//     A body that is one other store has a spine only for its carried
+//     reads of the stored array. A strip is read before any of it is
+//     stored, so such a read sees what the sequential loop sees unless
+//     it is carried: at a distance d iterations from the store, on the
 //     store's register, with −min(stripLen, trip) < d < 0, or on
 //     another register, whose distance is unknown. The loop's access
 //     table (access.go) classifies the reads in one filter
 //     (selfReads). A carried spine stores each element as it computes
 //     it (SOR, Livermore 23, the wavefront, stream recurrences).
-//     Without carried reads, a plain store that does not read its own
-//     array evaluates its root straight into the destination, so
-//     `dst@{r1} := src@{r2}` is one builtin copy per strip (Jacobi's
-//     `rowbuf[j] := a[i-1,j]`), and a scatter, an accumulating store
+//     Without carried reads, a scatter, an accumulating store
 //     (comb(old, new), + and * inlined) or a store that reads its own
 //     array computes the strip into scratch, then stores it in element
 //     order.
 //
-//     Every other body — several statements (node splitting's
-//     rowbuf/prev/cur/v chain, fused border loops, the row swap), a
-//     store that gathers through the array it writes or by it, a
-//     scatter or accumulating store that reads it — puts on its spine
-//     every read of an array the body writes and of a scalar it sets;
-//     only the subtrees that read neither are strips. Per element,
-//     each statement's spine runs in statement order and its root
-//     stores or sets the value, so every read sees what it sees in the
-//     sequential loop.
+//     Every other body — several statements that set a scalar, write
+//     one array twice or read what they write (fused border loops, the
+//     row swap), a store that gathers through the array it writes or by
+//     it, a scatter or accumulating store that reads it — puts on its
+//     spine every read of an array the body writes and of a scalar it
+//     sets; only the subtrees that read neither are strips. Per
+//     element, each statement's spine runs in statement order and its
+//     root stores or sets the value, so every read sees what it sees in
+//     the sequential loop.
 //   - generic: the closure tree, writing the loop variable and the
 //     registers every iteration.
 //
@@ -313,14 +318,31 @@ func (c *compiler) stripRow(x *Loop, inds []cInd) rowFn {
 	node := c.stripNode(x, at)
 	var fills []fillFn
 	var strip func(f *frame, o, dd int64, n int)
-	// st is the one store a strip stores to; any other body's roots
-	// store per element, so its st hoists nothing.
+	// st is the one store a carried or scratch strip stores to; plain
+	// stores read their own row starts per strip, and any other body's
+	// roots store per element, so there st hoists nothing.
 	st, rhs := &sstore{s: -1}, VExpr(nil)
-	a, carried, self := c.selfReads(x)
+	plain, a, carried := c.selfReads(x)
 	if a != nil {
 		st, rhs = store(a), a.Rhs
 	}
 	switch {
+	case plain:
+		// Per strip, each store's root evaluates into its destination in
+		// turn.
+		stores := make([]func(f *frame, o, _ int64, n int), len(x.Body))
+		for k, s := range x.Body {
+			put := s.(*Assign)
+			stores[k] = intoDst(store(put), node(put.Rhs, 0))
+		}
+		strip = stores[0]
+		if len(stores) > 1 {
+			strip = func(f *frame, o, _ int64, n int) {
+				for _, run := range stores {
+					run(f, o, 0, n)
+				}
+			}
+		}
 	case a == nil:
 		// Any other body: the spine holds every read of an array the
 		// body writes and of a scalar it sets, and per element each
@@ -377,28 +399,9 @@ func (c *compiler) stripRow(x *Loop, inds []cInd) rowFn {
 				dst[i] = root(f, o+int64(i), i)
 			}
 		}
-	case st.op == 0 && st.ix < 0 && !self:
-		// A plain store that does not read its own array: the root
-		// evaluates into the destination.
-		root := node(rhs, 0)
-		switch {
-		case root.val != nil:
-			strip = func(f *frame, o, dd int64, n int) {
-				stripFill(f.arrays[st.arr].Data[o+dd:o+dd+int64(n)], root.val(f))
-			}
-		case root.view:
-			strip = func(f *frame, o, dd int64, n int) {
-				dst := f.arrays[st.arr].Data[o+dd : o+dd+int64(n)]
-				copy(dst, root.vec(f, o, dst))
-			}
-		default:
-			strip = func(f *frame, o, dd int64, n int) {
-				root.vec(f, o, f.arrays[st.arr].Data[o+dd:o+dd+int64(n)])
-			}
-		}
 	default:
-		// A scatter, an accumulating store, or a plain store that reads
-		// its own array: the root evaluates into scratch strip 0 (or is a
+		// A scatter, an accumulating store, or a store that reads its
+		// own array: the root evaluates into scratch strip 0 (or is a
 		// view, which copy moves like memmove), then the strip is stored
 		// in element order.
 		root := node(rhs, 1)
@@ -473,6 +476,29 @@ func (c *compiler) stripRow(x *Loop, inds []cInd) rowFn {
 	}
 }
 
+// intoDst returns the strip of a plain store whose root evaluates
+// straight into its destination, so `dst@{r1} := src@{r2}` is one
+// builtin copy per strip. The store's row start is read per strip.
+func intoDst(st *sstore, root snode) func(f *frame, o, _ int64, n int) {
+	switch {
+	case root.val != nil:
+		return func(f *frame, o, _ int64, n int) {
+			d := o + st.rowStart(f)
+			stripFill(f.arrays[st.arr].Data[d:d+int64(n)], root.val(f))
+		}
+	case root.view:
+		return func(f *frame, o, _ int64, n int) {
+			d := o + st.rowStart(f)
+			dst := f.arrays[st.arr].Data[d : d+int64(n)]
+			copy(dst, root.vec(f, o, dst))
+		}
+	}
+	return func(f *frame, o, _ int64, n int) {
+		d := o + st.rowStart(f)
+		root.vec(f, o, f.arrays[st.arr].Data[d:d+int64(n)])
+	}
+}
+
 // stripBody reports whether x's body fits the strip form, counting
 // each register's accesses into uses (the loop variable's at index
 // len(x.Inds)).
@@ -527,41 +553,54 @@ func (c *compiler) stripBody(x *Loop, uses []int) bool {
 	return true
 }
 
-// selfReads returns x's body's store when the body is one store whose
-// spine holds only its carried reads of the stored array, deciding by
-// the distance of each read of the stored array. The store is the access table's
-// first record, and every later one is a read. A read at distance d
+// selfReads classifies x's body by what it reads of what it writes.
+// plain reports a body of plain stores — neither accumulating nor
+// scattering — to distinct arrays, none of which the body reads: its
+// spine is empty, and since distinct arrays share no storage, each
+// store may run a whole strip before the next. Otherwise a is the
+// body's store when the body is one store whose spine holds only its
+// carried reads of the stored array, deciding by the distance of each
+// read of the stored array. The store is the access table's first
+// record, and every later one is a read. A read at distance d
 // iterations from the store on the store's register is carried when
 // −min(stripLen, trip) < d < 0: the sequential loop reads what an
 // earlier iteration of the same strip stored. A read on another
 // register has no distance known at compile time and is carried too.
 // Any other read sees what it would see sequentially when the strip is
-// read before it is stored. A body of several statements, a gather
-// through the stored array or of it, and a scatter or accumulating
-// store that reads itself return nil: every read of a written array
-// goes on the spine instead. self reports whether the body reads the
-// stored array at all.
-func (c *compiler) selfReads(x *Loop) (a *Assign, carried map[VExpr]bool, self bool) {
-	a, one := x.Body[0].(*Assign)
-	if !one || len(x.Body) > 1 {
-		return nil, nil, false
-	}
+// read before it is stored. A body of several statements that is not
+// plain, a gather through the stored array or of it, and a scatter or
+// accumulating store that reads itself return nil: every read of a
+// written array goes on the spine instead.
+func (c *compiler) selfReads(x *Loop) (plain bool, a *Assign, carried map[VExpr]bool) {
 	t := collectAccesses(x.Body, false)
 	defer t.release()
+	plain = t.scalarW == nil
+	for k := range t.acc {
+		if s, ok := t.acc[k].node.(*Assign); ok {
+			_, _, scatters := c.gather(x, s.Array, s.Subs, s.Off)
+			plain = plain && !s.HasAccum && !scatters
+		}
+		for _, r := range t.acc[:k] {
+			plain = plain && (r.array != t.acc[k].array || !r.write && !t.acc[k].write)
+		}
+	}
+	a, one := x.Body[0].(*Assign)
+	if plain || !one || len(x.Body) > 1 {
+		return plain, nil, nil
+	}
 	sr, sd, dense := unitReg(x, a.Off)
 	band := min(stripLen, x.TripCount())
 	for k := 1; k < len(t.acc); k++ {
 		if t.acc[k].array != a.Array {
 			continue
 		}
-		self = true
 		ref, isRef := t.acc[k].node.(*ARef)
 		if !isRef || !dense || a.HasAccum {
-			return nil, nil, true
+			return false, nil, nil
 		}
 		r, d, direct := unitReg(x, ref.Off)
 		if !direct {
-			return nil, nil, true
+			return false, nil, nil
 		}
 		if d -= sd; r != sr || -band < d && d < 0 {
 			if carried == nil {
@@ -570,7 +609,7 @@ func (c *compiler) selfReads(x *Loop) (a *Assign, carried map[VExpr]bool, self b
 			carried[ref] = true
 		}
 	}
-	return a, carried, self
+	return false, a, carried
 }
 
 // stripLen is the strip form's strip: long enough that one closure call

@@ -112,9 +112,9 @@ func TestOptimizerOutputPinned(t *testing.T) {
 				StencilNests: 67, StencilSplits: 8, StencilGuards: 25},
 			"ca5871a215b7e55d89604aa73ea3c9f6268567d1b9878cebae557aae6c3b8b7b"},
 		{"fuzz", gencomp.Config{AccumWeight: 250},
-			loopir.OptStats{FusedLoops: 44, HoistedScalars: 7, HoistedExprs: 75, ReducedAccesses: 837, IndRegisters: 508,
-				StencilNests: 80, StencilSplits: 5, StencilGuards: 18},
-			"e164c4d5e34a64a1105cf85ae09cabdf10ee0f0fe297eb296362cd805a873aa6"},
+			loopir.OptStats{FusedLoops: 41, HoistedScalars: 9, HoistedExprs: 66, ReducedAccesses: 874, IndRegisters: 534,
+				StencilNests: 78, StencilSplits: 5, StencilGuards: 19},
+			"70dba3d553d3475200a940899b1a57559968d2827049c0b65b61b9aae65e957d"},
 	} {
 		h := sha256.New()
 		var sum loopir.OptStats

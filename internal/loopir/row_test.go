@@ -102,13 +102,17 @@ func TestExecutorsGetSpecializedRow(t *testing.T) {
 }
 
 // TestRowKernelForms: which body shapes take which form. Every body of
-// unchecked arithmetic over offset-form accesses takes the strip form:
-// a single store, also when it reads the stored array at a constant
-// distance (its carried reads then run per element), and any other
-// body — a scalar chain, node splitting's five-statement chain, a fused
-// two-store border loop, a self-gather, a scatter or accumulating store
+// unchecked arithmetic over offset-form accesses takes the strip form.
+// Plain stores to distinct arrays that read none of them — one store,
+// or node splitting's fused row snapshots — run statement by statement
+// as strips ("plain"). Any other body runs a per-element spine
+// ("strip"): a single store that reads the stored array at a constant
+// distance (only its carried reads run per element), and any other body
+// — a scalar chain, a five-statement node-split chain carrying scalars
+// across iterations, a fused two-store border loop, a store reading
+// what another stored, a self-gather, a scatter or accumulating store
 // that reads its own array — with every read of a written array or a
-// set scalar on its per-element spine.
+// set scalar on its spine.
 func TestRowKernelForms(t *testing.T) {
 	b := runtime.NewBounds1(1, 100)
 	at := func(reg string, d int64) IntExpr { return lin(d, term(reg, 1)) }
@@ -126,33 +130,35 @@ func TestRowKernelForms(t *testing.T) {
 	accum := store("y", "o", bin('*', ref("y", "o", 1), k(0.5)))
 	accum.HasAccum = true
 	cases := []struct {
-		name  string
-		body  []Stmt
-		step  int64
-		strip bool
+		name string
+		body []Stmt
+		step int64
+		form string
 	}{
-		{"copy", []Stmt{store("y", "o", ref("x", "o", 0))}, 1, true},
-		{"map", []Stmt{store("y", "o", bin('+', bin('*', ref("x", "o", 0), k(0.5)), k(0.25)))}, 1, true},
-		{"stencil", []Stmt{store("y", "o", bin('/', bin('+', bin('+', ref("x", "o", -1), ref("x", "o", 0)), ref("x", "o", 1)), k(3)))}, 1, true},
-		{"constant", []Stmt{store("y", "o", &VNeg{X: sc("s")})}, 1, true},
-		{"self copy", []Stmt{store("y", "o", ref("y", "o", -1))}, 1, true},
-		{"self stencil", []Stmt{store("y", "o", bin('+', ref("x", "o", 0), bin('*', ref("y", "o", -1), k(0.5))))}, 1, true},
-		{"scalar chain", []Stmt{set("s", bin('*', ref("x", "o", 0), k(2))), store("y", "o", sc("s"))}, 1, true},
+		{"copy", []Stmt{store("y", "o", ref("x", "o", 0))}, 1, "plain"},
+		{"map", []Stmt{store("y", "o", bin('+', bin('*', ref("x", "o", 0), k(0.5)), k(0.25)))}, 1, "plain"},
+		{"stencil", []Stmt{store("y", "o", bin('/', bin('+', bin('+', ref("x", "o", -1), ref("x", "o", 0)), ref("x", "o", 1)), k(3)))}, 1, "plain"},
+		{"constant", []Stmt{store("y", "o", &VNeg{X: sc("s")})}, 1, "plain"},
+		{"self copy", []Stmt{store("y", "o", ref("y", "o", -1))}, 1, "strip"},
+		{"self stencil", []Stmt{store("y", "o", bin('+', ref("x", "o", 0), bin('*', ref("y", "o", -1), k(0.5))))}, 1, "strip"},
+		{"scalar chain", []Stmt{set("s", bin('*', ref("x", "o", 0), k(2))), store("y", "o", sc("s"))}, 1, "strip"},
 		{"node-split chain", []Stmt{
 			set("v", bin('*', k(0.25), bin('+', bin('+', bin('+', ref("r", "o", 0), ref("y", "o", 1)), sc("prev")), ref("x", "o", 0)))),
 			store("r", "o", ref("y", "o", 0)),
 			set("cur", ref("y", "o", 0)),
 			store("y", "o", sc("v")),
 			set("prev", sc("cur")),
-		}, 1, true},
-		{"fused border", []Stmt{store("y", "o", ref("x", "o", 0)), &Assign{Array: "y", Subs: []IntExpr{lin(50, term("i", 1))}, Off: at("o", 50), Rhs: ref("x", "o", 50)}}, 1, true},
-		{"self gather", []Stmt{store("y", "o", &ARef{Array: "x", Subs: byIdx("y")})}, 1, true},
-		{"self scatter", []Stmt{&Assign{Array: "y", Subs: byIdx("x"), Rhs: ref("y", "o", 0)}}, 1, true},
-		{"self accumulate", []Stmt{accum}, 1, true},
-		{"int conversion", []Stmt{store("y", "o", &VFromInt{X: &IVar{Name: "i"}})}, 1, false},
-		{"call", []Stmt{store("y", "o", &VCall{Fn: "abs", Args: []VExpr{ref("x", "o", 0)}})}, 1, false},
-		{"checked read", []Stmt{store("y", "o", &ARef{Array: "x", Subs: []IntExpr{lin(0, term("i", 1))}, CheckBounds: true})}, 1, false},
-		{"register step 2", []Stmt{store("y", "o", ref("x", "o", 0))}, 2, false},
+		}, 1, "strip"},
+		{"row snapshot", []Stmt{store("r", "o", ref("x", "o", 1)), store("y", "o", ref("x", "o", 0))}, 1, "plain"},
+		{"store then read", []Stmt{store("r", "o", ref("x", "o", 1)), store("y", "o", ref("r", "o", 0))}, 1, "strip"},
+		{"fused border", []Stmt{store("y", "o", ref("x", "o", 0)), &Assign{Array: "y", Subs: []IntExpr{lin(50, term("i", 1))}, Off: at("o", 50), Rhs: ref("x", "o", 50)}}, 1, "strip"},
+		{"self gather", []Stmt{store("y", "o", &ARef{Array: "x", Subs: byIdx("y")})}, 1, "strip"},
+		{"self scatter", []Stmt{&Assign{Array: "y", Subs: byIdx("x"), Rhs: ref("y", "o", 0)}}, 1, "strip"},
+		{"self accumulate", []Stmt{accum}, 1, "strip"},
+		{"int conversion", []Stmt{store("y", "o", &VFromInt{X: &IVar{Name: "i"}})}, 1, "generic"},
+		{"call", []Stmt{store("y", "o", &VCall{Fn: "abs", Args: []VExpr{ref("x", "o", 0)}})}, 1, "generic"},
+		{"checked read", []Stmt{store("y", "o", &ARef{Array: "x", Subs: []IntExpr{lin(0, term("i", 1))}, CheckBounds: true})}, 1, "generic"},
+		{"register step 2", []Stmt{store("y", "o", ref("x", "o", 0))}, 2, "generic"},
 	}
 	for _, tc := range cases {
 		p := &Program{
@@ -164,8 +170,16 @@ func TestRowKernelForms(t *testing.T) {
 				Inds: []Ind{{Name: "o", Init: lin(0), Step: tc.step}}, Body: tc.body}},
 		}
 		c := compileRows(t, p)
-		if rk := c.rows[p.Stmts[0].(*Loop)]; rk.strip != tc.strip {
-			t.Errorf("%s: strip form %v, want %v", tc.name, rk.strip, tc.strip)
+		loop := p.Stmts[0].(*Loop)
+		form := "generic"
+		if c.rows[loop].strip {
+			form = "strip"
+			if plain, _, _ := c.selfReads(loop); plain {
+				form = "plain"
+			}
+		}
+		if form != tc.form {
+			t.Errorf("%s: %s form, want %s", tc.name, form, tc.form)
 		}
 	}
 }

@@ -13,6 +13,8 @@ import (
 // idx[k] when it scatters) so that worker chunks end mid-strip. Dense
 // stores write y(1..n); scatters write y(1..m) through idx, which is
 // non-decreasing and repeats, and gathers read x(0..n+1) through col.
+// "row snapshot" is node splitting's fused pair of row copies, a second
+// plain store beside y's into z(1..n).
 func stripBodies(n int64) map[string]*Program {
 	const m = 37
 	k := func() IntExpr { return &IVar{Name: "k"} }
@@ -56,7 +58,12 @@ func stripBodies(n int64) map[string]*Program {
 			},
 		}
 	}
+	snapshot := prog(n, "", dense(at("x", 0)))
+	snapshot.Arrays = append(snapshot.Arrays, ArrayDecl{Name: "z", B: runtime.NewBounds1(1, n), Role: RoleOut})
+	loop := snapshot.Stmts[2].(*Loop)
+	loop.Body = append(loop.Body, &Assign{Array: "z", Subs: []IntExpr{k()}, Off: lin(0, term("o", 1)), Rhs: at("x", -1)})
 	return map[string]*Program{
+		"row snapshot":   snapshot,
 		"copy":           prog(n, "", dense(at("x", 1))),
 		"map":            prog(n, "", dense(bin('+', &VNeg{X: bin('*', at("x", 0), c(0.5))}, &VScalar{Name: "s"}))),
 		"stencil":        prog(n, "", dense(bin('/', bin('+', bin('+', at("x", -1), at("x", 0)), at("x", 1)), c(3)))),
@@ -112,9 +119,9 @@ func stripInputs(n int64) map[string]*runtime.Strict {
 // reads one row back and one element back, tiled as a wavefront so
 // that each row kernel call covers one tile's 16 columns.
 //
-// The rest run their spine per element: node splitting's
-// five-statement chain (v, the row buffer r, cur and prev, as in an
-// in-place Jacobi row), a fused two-store loop whose second store
+// The rest run their spine per element: a five-statement node-split
+// chain that carries scalars across iterations (v, the row buffer r,
+// cur and prev, an in-place Jacobi row), a fused two-store loop whose second store
 // writes what the next iteration's first store overwrites, a gather
 // through y, a scatter through idx and an accumulating store that read
 // y, and a store that gathers by the array it writes (selfIndexed).
@@ -273,18 +280,20 @@ func TestStripMatchesGeneric(t *testing.T) {
 				gen := mustCompile(t, p)
 				SetGenericRows(old)
 				gen.SetWorkers(1)
-				want, err := gen.RunResult(inputs())
+				want, err := gen.Run(inputs())
 				if err != nil {
 					t.Fatal(err)
 				}
 				ex := mustCompile(t, p)
 				for _, w := range []int{1, 2, 4} {
 					ex.SetWorkers(w)
-					got, err := ex.RunResult(inputs())
+					got, err := ex.Run(inputs())
 					if err != nil {
 						t.Fatalf("workers=%d: %v", w, err)
 					}
-					requireBitwise(t, got.Data, want)
+					for name, a := range want {
+						requireBitwise(t, got[name].Data, a)
+					}
 				}
 			})
 		}

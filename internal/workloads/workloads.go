@@ -74,7 +74,8 @@ a2 = bigupd a
   [* [ (i0,j) := a!(k0,j) ] ++ [ (k0,j) := a!(i0,j) ] | j <- [1..n] *]`
 
 // JacobiSrc is the section 9 Jacobi step: every neighbour read sees
-// the old array, forcing node splitting (inner pipeline + row buffer).
+// the old array, forcing node splitting (row snapshots for the inner and
+// the outer distance-1 reads).
 const JacobiSrc = `param n;
 a2 = bigupd a
   [* [ (i,j) := 0.25 * (a!(i-1,j) + a!(i+1,j) + a!(i,j-1) + a!(i,j+1)) ]

@@ -181,7 +181,7 @@ func TestScaleAndSaxpyNoSplitting(t *testing.T) {
 			t.Fatalf("%s: mode %s, want in-place", name, cd.Mode())
 		}
 		for _, note := range cd.Plan.Notes {
-			if note != "" && (containsAny(note, "scalar", "pipelined", "row temporary", "whole-array")) {
+			if note != "" && (containsAny(note, "scalar", "row snapshot", "whole-array")) {
 				t.Errorf("%s must need no node splitting, note: %s", name, note)
 			}
 		}
