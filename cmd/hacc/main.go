@@ -67,7 +67,7 @@ func run(args []string, w io.Writer) error {
 	explain := fs.Bool("explain", false, "print the compile report (per-phase timings, optimization counters) before the command output")
 	parallel := fs.Bool("parallel", false, "enable parallel scheduling (shard/wavefront)")
 	certifyFlag := fs.Bool("certify", false, "audit every dependence verdict (witness re-checks + shadow-domain enumeration); falsified claims abort the compile naming the lying layer")
-	noStencil := fs.Bool("nostencil", false, "disable the stencil specializer (interior/boundary splitting, halo-fed tiling)")
+	noStencil := fs.Bool("nostencil", false, "disable stencil guard splitting (interior/boundary clones)")
 	workers := fs.Int("workers", 0, "parallel worker count; 0 = GOMAXPROCS at run time (needs -parallel)")
 	streamFlag := fs.Bool("stream", false, "execute through the bounded-memory streaming pipeline when the window-legality analysis allows it (run; materialized fallback otherwise)")
 	tierFlag := fs.String("tier", "off", "execution tier policy for run: off, auto (promote to compiled native code after -tier-threshold calls), or native (compile natively up front); implies -certify")

@@ -51,10 +51,13 @@ import (
 // update the caller's array; it is recompiled. Version 5: a plan's loop
 // IR rides in its own compact encoding (loopir.Program.MarshalBinary)
 // instead of a gob-encoded node tree, so version-4 entries are
+// recompiled. Version 6: a loop's stencil record keeps only guard
+// splitting's boundary flag and replay records (the footprint fields
+// are gone from the loop encoding), so version-5 entries are
 // recompiled.
 const (
 	diskMagic   = "HACDISK1"
-	diskVersion = uint32(5)
+	diskVersion = uint32(6)
 	diskExt     = ".hacplan"
 )
 

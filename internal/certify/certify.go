@@ -80,9 +80,8 @@ type Certificate struct {
 	// Layer names the pass whose claim was checked: "analysis"
 	// (dependence, bounds and def-level verdicts), "schedule" (emitted
 	// order), "plan" (parallel schedules), "stencil" (boundary
-	// splits), "claims" (index-array claim covers), "idxprop"
-	// (statically discharged index-array claims) or "stream" (window
-	// legality of a streaming pipeline).
+	// splits), "claims" (index-array claim covers) or "idxprop"
+	// (statically discharged index-array claims).
 	Layer string
 	// Claim is the human-readable statement that was checked.
 	Claim string

@@ -72,10 +72,8 @@ type LowerOptions struct {
 	// default cohort; 1 forces sequential execution even of
 	// parallel-scheduled loops.
 	Workers int
-	// NoStencil disables the stencil specializer (guard splitting,
-	// footprint annotation, and the interior kernels keyed on the
-	// annotation) while keeping the rest of the optimizer — the
-	// `stencil` oracle ablation arm.
+	// NoStencil disables stencil guard splitting while keeping the
+	// rest of the optimizer — the `stencil` oracle ablation arm.
 	NoStencil bool
 	// NoIdxProp disables the subscripted-subscript conditional layer:
 	// no claim-assuming plan, no runtime verifier, every indirect

@@ -66,11 +66,9 @@ type Options struct {
 	// lowered nest exactly as the scheduler built it — the oracle's
 	// ablation arm for cross-checking optimized vs unoptimized runs.
 	NoOptimize bool
-	// NoStencil keeps the optimizer but disables the stencil
-	// specializer: no interior/boundary guard splitting, no footprint
-	// annotation, and therefore none of the specialized interior
-	// kernels in any tier. The `stencil` oracle ablation arm
-	// cross-checks this against the specialized paths bitwise.
+	// NoStencil keeps the optimizer but disables stencil guard
+	// splitting: no interior/boundary clones. The `stencil` oracle
+	// ablation arm cross-checks this against the split plans bitwise.
 	NoStencil bool
 	// NoIdxProp disables the subscripted-subscript conditional layer
 	// (index-array property claims, dual lowering, runtime verifier):
@@ -531,11 +529,7 @@ func compileProgram(source *lang.Program, params map[string]int64, opts Options,
 		return nil, err
 	}
 	if opts.Stream {
-		var cm func(string, string, *certify.Report, time.Time) error
-		if opts.Certify {
-			cm = certifyMerge
-		}
-		if err := p.initStream(rep, opts.Workers, cm); err != nil {
+		if err := p.initStream(rep, opts.Workers); err != nil {
 			return nil, err
 		}
 	}

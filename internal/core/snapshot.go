@@ -254,7 +254,7 @@ func RestoreSnapshot(s *Snapshot, opts Options) (*Program, error) {
 		// window geometry in — the legality analysis re-derives it
 		// here from scratch (and rejection just means materialized
 		// fallback, same as at compile time).
-		if err := p.initStream(rep, opts.Workers, nil); err != nil {
+		if err := p.initStream(rep, opts.Workers); err != nil {
 			return nil, err
 		}
 	}

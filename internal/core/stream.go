@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"arraycomp/internal/certify"
 	"arraycomp/internal/loopir"
 	"arraycomp/internal/metrics"
 	"arraycomp/internal/runtime"
@@ -50,10 +49,8 @@ func (p *Program) streamDefs() ([]stream.Def, error) {
 }
 
 // initStream attempts to build the streaming pipeline, whose step
-// width is workers (Options.Workers). certifyMerge,
-// when non-nil, receives the window-legality replay certificates (the
-// certify gate for streams); a falsification aborts via its error.
-func (p *Program) initStream(rep *metrics.CompileReport, workers int, certifyMerge func(name, layer string, crep *certify.Report, t0 time.Time) error) error {
+// width is workers (Options.Workers).
+func (p *Program) initStream(rep *metrics.CompileReport, workers int) error {
 	t0 := time.Now()
 	p.streamSt = &streamState{}
 	defs, err := p.streamDefs()
@@ -63,17 +60,6 @@ func (p *Program) initStream(rep *metrics.CompileReport, workers int, certifyMer
 		rep.AddPhase(metrics.PhasePlan, time.Since(t0))
 		return nil
 	}
-	// The replay is charged to certify: move plan's start past it.
-	tCert := time.Now()
-	if certifyMerge != nil {
-		for _, d := range defs {
-			tc := time.Now()
-			if err := certifyMerge(d.Name, "stream", loopir.CertifyStream(d.Prog, d.Plan), tc); err != nil {
-				return err
-			}
-		}
-	}
-	t0 = t0.Add(time.Since(tCert))
 	pl, err := stream.Build(defs, p.Result, stream.Config{})
 	if err != nil {
 		p.streamSt.reason = err.Error()

@@ -205,9 +205,9 @@ func (e *emitter) emitStmt(s loopir.Stmt) {
 			(x.Par.Kind == loopir.ParShard && e.emitShardLoop(x) || x.Par.Kind == loopir.ParWavefront && e.emitWavefront(x)) {
 			return
 		}
-		// Recognized stencil rows become constant-width slice loops the
-		// Go compiler can prove in-bounds (see stencil.go).
-		if x.Sten != nil && e.emitStencilLoop(x) {
+		// Stencil rows become constant-width slice loops the Go
+		// compiler can prove in-bounds (see stencil.go).
+		if e.emitStencilLoop(x) {
 			return
 		}
 		v := goName(x.Var)

@@ -2,6 +2,7 @@ package gogen_test
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -101,8 +102,9 @@ func checksum(data []float64) float64 {
 
 // emitHarness writes a runnable main package: the generated function
 // plus a main() that fills inputs with the LCG, runs, and prints each
-// result's checksum.
-func emitHarness(t *testing.T, dir string, prog *core.Program, def string) (params, results []string) {
+// result's checksum, or, with elements set, every element of every
+// result in its shortest round-trip form.
+func emitHarness(t *testing.T, dir string, prog *core.Program, def string, elements bool) (params, results []string) {
 	t.Helper()
 	plan := prog.Defs[def].Plan
 	fn, params, results, err := gogen.EmitFunc(plan.Program, "Compiled")
@@ -153,7 +155,11 @@ func main() {
 	fmt.Fprintf(&b, "\t%s := Compiled(%s)\n", strings.Join(outs, ", "), strings.Join(args, ", "))
 	b.WriteString("\tif err != nil {\n\t\tfmt.Fprintln(os.Stderr, err)\n\t\tos.Exit(1)\n\t}\n")
 	for i := range results {
-		fmt.Fprintf(&b, "\tfmt.Printf(\"%%.17g\\n\", checksum(out%d))\n", i)
+		if elements {
+			fmt.Fprintf(&b, "\tfor _, v := range out%d {\n\t\tfmt.Println(v)\n\t}\n", i)
+		} else {
+			fmt.Fprintf(&b, "\tfmt.Printf(\"%%.17g\\n\", checksum(out%d))\n", i)
+		}
 	}
 	b.WriteString("}\n")
 	if err := os.WriteFile(filepath.Join(dir, "main.go"), []byte(b.String()), 0o644); err != nil {
@@ -190,6 +196,24 @@ func runGenerated(t *testing.T, dir string) []float64 {
 	return sums
 }
 
+// interpret runs def's plan in the interpreter on the inputs the
+// harness fills, params in the emitted function's order.
+func interpret(t *testing.T, prog *core.Program, def string, params []string) map[string]*runtime.Strict {
+	t.Helper()
+	plan := prog.Defs[def].Plan
+	inputs := map[string]*runtime.Strict{}
+	for i, name := range params {
+		a := runtime.NewStrict(plan.Program.Decl(name).B)
+		lcgFill(a.Data, uint64(1000+i))
+		inputs[name] = a
+	}
+	outs, err := plan.Exec.Run(inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return outs
+}
+
 // differential runs a workload through the interpreter and the
 // generated Go code on identical inputs and compares checksums.
 func differential(t *testing.T, src string, params map[string]int64, inputDims map[string][]int64, def string) {
@@ -207,30 +231,73 @@ func differential(t *testing.T, src string, params map[string]int64, inputDims m
 	}
 	prog := compileWorkload(t, src, params, inputBounds)
 	dir := t.TempDir()
-	fnParams, results := emitHarness(t, dir, prog, def)
+	fnParams, results := emitHarness(t, dir, prog, def, false)
 	got := runGenerated(t, dir)
 	if len(got) != len(results) {
 		t.Fatalf("harness printed %d checksums, want %d", len(got), len(results))
 	}
-	// Interpreter on identical inputs.
-	plan := prog.Defs[def].Plan
-	inputs := map[string]*runtime.Strict{}
-	for i, name := range fnParams {
-		d := plan.Program.Decl(name)
-		a := runtime.NewStrict(d.B)
-		lcgFill(a.Data, uint64(1000+i))
-		inputs[name] = a
-	}
-	outs, err := plan.Exec.Run(inputs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	outs := interpret(t, prog, def, fnParams)
 	for i, name := range results {
 		want := checksum(outs[name].Data)
 		diff := got[i] - want
 		if diff < -1e-9 || diff > 1e-9 {
 			t.Errorf("result %s: generated %v, interpreter %v", name, got[i], want)
 		}
+	}
+}
+
+// TestEmitStencilInterior: gogen's slice emitter is the only stencil
+// recognizer, and needs no annotation from the optimizer. The interiors
+// of SOR, the wavefront and Jacobi, and a 1-D pointwise map each emit a
+// constant-width slice row; a row whose read keeps its bounds check
+// (guard splitting's interior clone b[i] := a[1+i], whose read the
+// lowering could not prove before the split) and a guarded body do not.
+// Every emitted program runs bitwise equal to the interpreter.
+func TestEmitStencilInterior(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode: skipping go-run differential")
+	}
+	n := int64(24)
+	mesh := map[string]analysis.ArrayBounds{"a": {Lo: []int64{1, 1}, Hi: []int64{n, n}}}
+	vec := map[string]analysis.ArrayBounds{"a": {Lo: []int64{1}, Hi: []int64{n}}}
+	for _, c := range []struct {
+		name, src, def string
+		inputs         map[string]analysis.ArrayBounds
+		sliced         bool
+	}{
+		{"sor", workloads.SORSrc, "a2", mesh, true},
+		{"wavefront", workloads.WavefrontSrc, "a", nil, true},
+		{"jacobi", workloads.JacobiSrc, "a2", mesh, true},
+		{"pointwise map", "param n;\nb = array (1,n) [ i := 2.0 * a!i + 1.0 | i <- [1..n] ]", "b", vec, true},
+		{"checked read", "param n;\nb = array (1,n) [ i := if i < n then a!(i+1) else a!1 | i <- [1..n] ]", "b", vec, false},
+		{"guarded body", "param n;\nb = array (1,n) [ i := if i mod 2 == 0 then a!i else 0.0 - a!i | i <- [1..n] ]", "b", vec, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			prog := compileWorkload(t, c.src, map[string]int64{"n": n}, c.inputs)
+			dir := t.TempDir()
+			fnParams, results := emitHarness(t, dir, prog, c.def, true)
+			src, err := os.ReadFile(filepath.Join(dir, "main.go"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sliced := strings.Contains(string(src), "// stencil interior"); sliced != c.sliced {
+				t.Fatalf("slice row emitted: %v, want %v\n%s", sliced, c.sliced, src)
+			}
+			outs := interpret(t, prog, c.def, fnParams)
+			var want []float64
+			for _, name := range results {
+				want = append(want, outs[name].Data...)
+			}
+			got := runGenerated(t, dir)
+			if len(got) != len(want) {
+				t.Fatalf("generated code printed %d elements, the interpreter has %d", len(got), len(want))
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("element %d: generated %v, interpreter %v", i, got[i], want[i])
+				}
+			}
+		})
 	}
 }
 

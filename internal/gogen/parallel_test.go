@@ -11,7 +11,6 @@ import (
 	"arraycomp/internal/analysis"
 	"arraycomp/internal/core"
 	"arraycomp/internal/gogen"
-	"arraycomp/internal/runtime"
 	"arraycomp/internal/workloads"
 )
 
@@ -59,23 +58,12 @@ func parDifferential(t *testing.T, src string, params map[string]int64, inputDim
 		t.Skip("short mode: skipping go-run differential")
 	}
 	dir := t.TempDir()
-	emitHarness(t, dir, prog, def)
+	emitHarness(t, dir, prog, def, false)
 	got := runGenerated(t, dir)
 	if len(got) != len(results) {
 		t.Fatalf("harness printed %d checksums, want %d", len(got), len(results))
 	}
-	plan := prog.Defs[def].Plan
-	inputs := map[string]*runtime.Strict{}
-	for i, name := range fnParams {
-		d := plan.Program.Decl(name)
-		a := runtime.NewStrict(d.B)
-		lcgFill(a.Data, uint64(1000+i))
-		inputs[name] = a
-	}
-	outs, err := plan.Exec.Run(inputs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	outs := interpret(t, prog, def, fnParams)
 	for i, name := range results {
 		want := checksum(outs[name].Data)
 		diff := got[i] - want

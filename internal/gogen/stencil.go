@@ -6,11 +6,13 @@ import (
 	"arraycomp/internal/loopir"
 )
 
-// Stencil interior emission. A loop the optimizer annotated as a
-// stencil row (Loop.Sten — the unit-stride inner loop of a recognized
-// nest, or a 1-D stencil) whose body is a single unchecked offset-form
-// assignment is emitted as constant-width row slices indexed by a
-// loop-local counter:
+// Stencil interior emission, and the only stencil recognizer. A
+// unit-step loop whose body is a single unchecked offset-form
+// assignment, every read of which sits at a constant delta on the
+// store's own unit-step induction register, is a stencil row — the
+// inner loop of a SOR, Jacobi or wavefront nest, a split clone's
+// interior, a 1-D stencil or a pointwise map. It is emitted as
+// constant-width row slices indexed by a loop-local counter:
 //
 //	b := <row base register init>
 //	s0 := a[b-66 : b-66+64]    // one slice per (array, offset delta)
@@ -46,7 +48,7 @@ type sliceKey struct {
 // qualifies, reporting whether it did. Callers fall through to the
 // generic emission on false.
 func (e *emitter) emitStencilLoop(x *loopir.Loop) bool {
-	if x.Sten == nil || x.Step != 1 || len(x.Body) != 1 {
+	if x.Step != 1 || len(x.Body) != 1 {
 		return false
 	}
 	a, ok := x.Body[0].(*loopir.Assign)

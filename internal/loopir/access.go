@@ -15,8 +15,6 @@ import "sync"
 //     dist1D) and the plan certifier (checkPlan, which enumerates
 //     concrete points instead of trusting the planner's distances)
 //     read the element accesses of a candidate nest;
-//   - the stencil recognizer (stencilShape) measures each read's
-//     offset from the write's forms;
 //   - strength reduction (strengthReduce) rewrites the loop's direct
 //     accesses through their node pointers;
 //   - the row-kernel compiler (selfReads) measures each read of the

@@ -14,11 +14,12 @@ import (
 
 // TestExecutorsBitwiseEquivalent runs the benchmark kernels and the
 // irregular gather/scatter bodies at sizes where their parallel
-// schedules engage, compiled for 1, 2 and 4 workers, with the stencil
-// specializer off, and with every loop forced to the generic row form.
+// schedules engage, compiled for 1, 2 and 4 workers, with stencil guard
+// splitting off, and with every loop forced to the generic row form.
 // Every executor runs the same row kernels in the same per-element
 // order, and every form evaluates in the generic form's operation
-// order, so the results must agree bit for bit. Every innermost loop of
+// order, so each result must equal the thunked reference (ForceThunked)
+// bit for bit; a lowering fault every tier shares fails it there. Every innermost loop of
 // the dense kernels takes the strip form; the in-place Jacobi sweep's
 // are its row snapshot copies and one store per row. Recurrences that read
 // their own array d elements back, on both sides of the carried band's
@@ -90,7 +91,15 @@ func TestExecutorsBitwiseEquivalent(t *testing.T) {
 					generic bool
 				}{"stream w=2", core.Options{Parallel: true, Workers: 2, InputBounds: bounds, Stream: true}, false})
 			}
-			var ref []float64
+			thunked, err := core.Compile(c.src, c.params, core.Options{ForceThunked: true, InputBounds: bounds})
+			if err != nil {
+				t.Fatalf("thunked: %v", err)
+			}
+			want, err := thunked.Run(c.inputs)
+			if err != nil {
+				t.Fatalf("thunked: %v", err)
+			}
+			ref := want.Data
 			for _, cfg := range configs {
 				old := loopir.SetGenericRows(cfg.generic)
 				p, err := core.Compile(c.src, c.params, cfg.opts)
@@ -115,13 +124,12 @@ func TestExecutorsBitwiseEquivalent(t *testing.T) {
 				if v := p.IdxVerify.Snapshot(); v.Failed != 0 {
 					t.Fatalf("%s: %d claim verifications failed; the verified branch never ran", cfg.label, v.Failed)
 				}
-				if ref == nil {
-					ref = out.Data
-					continue
+				if len(out.Data) != len(ref) {
+					t.Fatalf("%s: %d elements, the thunked reference gave %d", cfg.label, len(out.Data), len(ref))
 				}
 				for i, v := range out.Data {
 					if math.Float64bits(v) != math.Float64bits(ref[i]) {
-						t.Fatalf("%s: element %d is %v, w=1 gave %v", cfg.label, i, v, ref[i])
+						t.Fatalf("%s: element %d is %v, the thunked reference gave %v", cfg.label, i, v, ref[i])
 					}
 				}
 			}

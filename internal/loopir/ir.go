@@ -121,44 +121,27 @@ type Loop struct {
 	// the row-major offset of the affine accesses that reference it
 	// (via Assign.Off / ARef.Off).
 	Inds []Ind
-	// Sten is the stencil recognizer's annotation (see stencil.go):
-	// fixed-offset neighborhood shape, footprint per dimension, and —
-	// for loops produced by guard splitting — the replay record that
-	// certification checks (original range, resolved guard). Nil for
-	// loops the recognizer did not match.
+	// Sten is guard splitting's record (see stencil.go): whether the
+	// loop is a boundary strip, and the replay records certification
+	// checks (original range, resolved guard). Nil for loops no split
+	// produced.
 	Sten *StencilInfo
 	Body []Stmt
 }
 
-// StencilInfo annotates a loop the stencil recognizer matched: every
-// array access in the (inner) body sits at a fixed constant offset
-// from the write position, so the nest has a static footprint (halo).
-// The tile planner derives halo-fed tile sizes from it, the
-// interpreter and gogen emit specialized interior kernels for it, and
-// the schedule dump renders it as `[stencil KxK interior]`.
-//
-// Loops created by the guard-splitting pass additionally carry replay
-// records: the clones of one split share a record ID and remember the
+// StencilInfo marks a loop created by the guard-splitting pass. The
+// clones of one split share a replay record ID and remember the
 // original iteration range plus the guard condition that was resolved
 // to a constant over each clone's subrange. Nested guards split a
 // clone again, so one loop can carry several records (one per split it
 // descends from). CertifySplits re-checks both facts per record group
 // (exact disjoint coverage, guard constancy) independently of the pass
-// that claimed them.
+// that claimed them. The schedule dump renders it as
+// `[stencil interior]` or `[stencil boundary]`.
 type StencilInfo struct {
-	// Dims is the recognized nest depth (1 or 2); 0 for split clones
-	// whose body did not re-match the stencil shape.
-	Dims int
-	// HaloI / HaloJ are the per-dimension footprints: the maximum
-	// |offset| of any read relative to the write in the outer (or
-	// only) and inner dimension.
-	HaloI, HaloJ int64
 	// Boundary marks a split-off strip that kept the guarded arm
 	// (the thin region around the interior).
 	Boundary bool
-	// Inner marks the inner loop of an annotated 2-D nest; it shares
-	// the nest's footprint but is not separately dumped or counted.
-	Inner bool
 	// Splits are the replay records of every guard split this loop
 	// descends from, outermost first.
 	Splits []SplitRecord
@@ -178,21 +161,13 @@ type SplitRecord struct {
 	GuardVal bool
 }
 
-// String renders the dump form: "stencil 1x1 interior",
-// "stencil 2 boundary", or plain "stencil interior" for split clones
-// without a recognized footprint.
+// String renders the dump form: "stencil interior" or
+// "stencil boundary".
 func (s *StencilInfo) String() string {
-	part := "interior"
 	if s.Boundary {
-		part = "boundary"
+		return "stencil boundary"
 	}
-	switch s.Dims {
-	case 2:
-		return fmt.Sprintf("stencil %dx%d %s", s.HaloI, s.HaloJ, part)
-	case 1:
-		return fmt.Sprintf("stencil %d %s", s.HaloI, part)
-	}
-	return "stencil " + part
+	return "stencil interior"
 }
 
 // ParKind selects a parallel execution shape. There are two: a shard

@@ -47,7 +47,6 @@ type OptStats struct {
 	ReducedAccesses int // accesses rewritten to offset form
 	IndRegisters    int // induction registers introduced
 	ParSchedules    int // loops given parallel schedules
-	StencilNests    int // nests annotated with a stencil footprint
 	StencilSplits   int // guard splits performed (interior + strips)
 	StencilGuards   int // guards resolved to a constant arm
 }
@@ -56,7 +55,7 @@ type OptStats struct {
 func (s *OptStats) Changed() bool {
 	return s.DeadLoops+s.FusedLoops+s.Unswitched+s.HoistedScalars+
 		s.HoistedExprs+s.ReducedAccesses+s.IndRegisters+s.ParSchedules+
-		s.StencilNests+s.StencilSplits+s.StencilGuards > 0
+		s.StencilSplits+s.StencilGuards > 0
 }
 
 // String summarizes the non-zero counters.
@@ -77,7 +76,6 @@ func (s *OptStats) String() string {
 	add(s.ParSchedules, "parallel schedules")
 	add(s.StencilSplits, "stencil splits")
 	add(s.StencilGuards, "guards resolved")
-	add(s.StencilNests, "stencil nests")
 	if len(parts) == 0 {
 		return "no rewrites applied"
 	}
@@ -86,9 +84,9 @@ func (s *OptStats) String() string {
 
 // OptOptions selects optional passes. The zero value runs everything.
 type OptOptions struct {
-	// NoStencil disables stencil guard splitting and footprint
-	// annotation (the `stencil` oracle ablation arm); the generic
-	// rewrite passes and parallel planning still run.
+	// NoStencil disables stencil guard splitting (the `stencil` oracle
+	// ablation arm); the generic rewrite passes and parallel planning
+	// still run.
 	NoStencil bool
 	// Workers is the worker count the plans target (tile extents are
 	// sized for a cohort of this many). 0 means parCohortEst. It must
@@ -113,12 +111,9 @@ func OptimizeWith(p *Program, opts OptOptions) *OptStats {
 	}
 	p.Stmts = o.optStmts(p.Stmts, map[string]loopRange{})
 	if !opts.NoStencil {
-		// Guard splitting before annotation so interior clones are
-		// recognized; both before planning so the interior can gain a
-		// schedule the guarded original couldn't, and so halo-fed tile
-		// sizes can be derived from the annotation.
+		// Guard splitting before planning, so the interior can gain a
+		// schedule the guarded original couldn't.
 		p.Stmts = o.splitStencilGuards(p.Stmts, false)
-		o.annotateStencils(p.Stmts)
 	}
 	o.planParallel(p.Stmts)
 	return o.stats

@@ -77,7 +77,6 @@ func pinSum(h hash.Hash, sum *loopir.OptStats, p *core.Program, certs bool) {
 		sum.ReducedAccesses += st.ReducedAccesses
 		sum.IndRegisters += st.IndRegisters
 		sum.ParSchedules += st.ParSchedules
-		sum.StencilNests += st.StencilNests
 		sum.StencilSplits += st.StencilSplits
 		sum.StencilGuards += st.StencilGuards
 		prog := d.Plan.Program
@@ -105,16 +104,16 @@ func TestOptimizerOutputPinned(t *testing.T) {
 	}{
 		{"bench", gencomp.Config{ErrorWeight: -1, IdxWeight: 400},
 			loopir.OptStats{FusedLoops: 114, HoistedScalars: 5, HoistedExprs: 34, ReducedAccesses: 711, IndRegisters: 508,
-				StencilNests: 39, StencilSplits: 5, StencilGuards: 17},
-			"327c7233f33458cfbfca4cf0ae649421bef6f96344609fe1681b42edd84f86ec"},
+				StencilSplits: 5, StencilGuards: 17},
+			"b46542af23a8d2ac8478ce957d91e2f8ed4a80eb09879cd4a404cc5845e686d1"},
 		{"default", gencomp.Config{},
 			loopir.OptStats{FusedLoops: 37, HoistedScalars: 9, HoistedExprs: 64, ReducedAccesses: 584, IndRegisters: 402,
-				StencilNests: 67, StencilSplits: 8, StencilGuards: 25},
-			"ca5871a215b7e55d89604aa73ea3c9f6268567d1b9878cebae557aae6c3b8b7b"},
+				StencilSplits: 8, StencilGuards: 25},
+			"67e89a1ab7ccfa6605e72241cedcee79a6a7b13b20269f6252f6ab8411023bbe"},
 		{"fuzz", gencomp.Config{AccumWeight: 250},
 			loopir.OptStats{FusedLoops: 41, HoistedScalars: 9, HoistedExprs: 66, ReducedAccesses: 874, IndRegisters: 534,
-				StencilNests: 78, StencilSplits: 5, StencilGuards: 19},
-			"70dba3d553d3475200a940899b1a57559968d2827049c0b65b61b9aae65e957d"},
+				StencilSplits: 5, StencilGuards: 19},
+			"3abe6d945569b3b55459d6c1df351719f10b00f5ec625e09f031d1a3d952e49f"},
 	} {
 		h := sha256.New()
 		var sum loopir.OptStats
@@ -147,8 +146,8 @@ func TestOptimizerOutputPinned(t *testing.T) {
 	if sum.ParSchedules == 0 {
 		t.Fatal("the workloads planned no parallel schedule")
 	}
-	want := loopir.OptStats{FusedLoops: 21, ReducedAccesses: 195, IndRegisters: 51, ParSchedules: 16, StencilNests: 21}
-	const wantHash = "776993d3e1973aef45305b2576f784ad95bf78949846c943b277418e89337f3c"
+	want := loopir.OptStats{FusedLoops: 21, ReducedAccesses: 195, IndRegisters: 51, ParSchedules: 16}
+	const wantHash = "2642680eaf6599272487cf6883741e26cb49cae87c7a540190f9edc9391a4832"
 	if got := hex.EncodeToString(h.Sum(nil)); sum != want || got != wantHash {
 		t.Errorf("workloads: stats %+v hash %s\nwant stats %+v hash %s", sum, got, want, wantHash)
 	}

@@ -72,67 +72,18 @@ func tileWorthwhile(ni, nj, bodyWork, tI, tJ, workers int64) bool {
 	return parPays(total, units, path, w, nti-1)
 }
 
-// chooseTile picks the cache tile extents for an ni×nj nest: roughly
-// 2·workers tiles along each dimension so every anti-diagonal keeps a
-// cohort of the compile's worker target busy, clamped so a tile stays
-// big enough to amortize its dispatch and small enough to live in
-// cache.
+// chooseTile picks the cache tile extents for an ni×nj nest. Rows:
+// roughly 2·workers tiles along the outer dimension so every
+// anti-diagonal keeps a cohort of the compile's worker target busy,
+// clamped so a tile stays big enough to amortize its dispatch and small
+// enough to live in cache. Columns: the full cache-line-friendly
+// maximum, since a tile's rows are unit-stride, so wide tiles cost
+// nothing extra and cut the number of tiles a band waits on.
 func chooseTile(ni, nj, workers int64) (tI, tJ int64) {
-	pick := func(n int64) int64 {
-		t := n / (2 * workers)
-		if t < 8 {
-			t = 8
-		}
-		if t > 64 {
-			t = 64
-		}
-		if t > n {
-			t = n
-		}
-		if t < 1 {
-			// A non-positive extent (empty or saturated-degenerate nest)
-			// must never produce a zero-diagonal tile.
-			t = 1
-		}
-		return t
-	}
-	return pick(ni), pick(nj)
-}
-
-// chooseStencilTile picks tile extents for a recognized stencil nest
-// (Loop.Sten): the footprint replaces the generic occupancy guess. A
-// halo of h means each tile edge re-touches h rows/columns of its
-// neighbor, so the tile must be tall enough that the shared frontier
-// is a small fraction of its area — at least 8·haloI rows — while the
-// inner extent is stretched toward the cache-line-friendly maximum
-// (the interior row is unit-stride, so wide tiles cost nothing extra
-// and cut the number of tiles a band waits on).
-func chooseStencilTile(ni, nj, workers int64, st *StencilInfo) (tI, tJ int64) {
-	gi, gj := chooseTile(ni, nj, workers)
-	tI = 8 * st.HaloI
-	if tI < gi {
-		tI = gi
-	}
-	if tI > 64 {
-		tI = 64
-	}
-	if tI > ni {
-		tI = ni
-	}
-	tJ = 64
-	if tJ < gj {
-		tJ = gj
-	}
-	if tJ > nj {
-		tJ = nj
-	}
-	if tI < 1 {
-		tI = 1
-	}
-	if tJ < 1 {
-		tJ = 1
-	}
-	return tI, tJ
+	tI = min(max(ni/(2*workers), 8), 64, ni)
+	// A non-positive extent (empty or saturated-degenerate nest) must
+	// never produce a zero-diagonal tile.
+	return max(1, tI), max(1, min(nj, 64))
 }
 
 // --- planning walk ---
@@ -291,12 +242,6 @@ func (o *optimizer) assignPar2D(l, inner *Loop) bool {
 		// or a later row is fine (the column-0 tile of a row band runs
 		// before all its other tiles).
 		tI, tJ := chooseTile(ni, nj, w)
-		if l.Sten != nil && l.Sten.Dims == 2 {
-			// Halo-fed tiling: the recognized footprint overrides the
-			// generic occupancy heuristic. Legality is untouched — tile
-			// sizes only reshape the schedule's unit of work.
-			tI, tJ = chooseStencilTile(ni, nj, w, l.Sten)
-		}
 		if !tileWorthwhile(ni, nj, estimateWork(inner.Body), tI, tJ, w) {
 			return false
 		}

@@ -52,7 +52,7 @@ func writeStmt(b *strings.Builder, s Stmt, depth int) {
 		if x.Par != nil {
 			dir += " [" + x.Par.String() + "]"
 		}
-		if x.Sten != nil && !x.Sten.Inner {
+		if x.Sten != nil {
 			dir += " [" + x.Sten.String() + "]"
 		}
 		fmt.Fprintf(b, "do %s = %d, %d, %d  -- %s\n", x.Var, x.From, x.To, x.Step, dir)

@@ -150,11 +150,7 @@ func encStmt(e *wire.Encoder, s Stmt) {
 		}
 		e.Bool(x.Sten != nil)
 		if st := x.Sten; st != nil {
-			e.Int(int64(st.Dims))
-			e.Int(st.HaloI)
-			e.Int(st.HaloJ)
 			e.Bool(st.Boundary)
-			e.Bool(st.Inner)
 			e.Len(len(st.Splits))
 			for _, sp := range st.Splits {
 				e.Int(int64(sp.ID))
@@ -365,8 +361,7 @@ func decStmt(d *wire.Decoder) Stmt {
 			}
 		}
 		if d.Bool() {
-			st := &StencilInfo{Dims: int(d.Int()), HaloI: d.Int(), HaloJ: d.Int()}
-			st.Boundary, st.Inner = d.Bool(), d.Bool()
+			st := &StencilInfo{Boundary: d.Bool()}
 			if n := d.Len(); n > 0 {
 				st.Splits = make([]SplitRecord, n)
 				for i := range st.Splits {

@@ -2,40 +2,30 @@ package loopir
 
 import "slices"
 
-// Stencil specialization: shape recognition and interior/boundary
-// splitting, run between the rewrite passes and parallel planning.
+// Stencil guard splitting, run between the rewrite passes and parallel
+// planning.
 //
 // The paper's flagship workloads (SOR, Jacobi smoothing, Livermore 23,
-// the §3 wavefront) are all stencils: every array access in the nest
-// body sits at a fixed constant offset from the write position, so the
-// nest has a static footprint (the halo — max |offset| per dimension).
-// Two passes exploit that:
+// the §3 wavefront) are all stencils, and their boundary rows are
+// guarded special cases of one interior formula. A loop whose body is a
+// single guarded statement — an Assign whose right-hand side is a
+// top-level VCond, or a single If — with the condition affine in the
+// loop variable alone is partitioned into the maximal subranges on
+// which the condition is constant (splitStencilGuards). Each subrange
+// becomes a clone of the loop with the guard resolved away: the
+// interior clone runs the general arm branch-free, the thin boundary
+// strips keep the special-case arm. Clones rename their induction
+// registers (register names are program-unique) and shift register
+// inits to their new entry points; the arithmetic per element is
+// untouched, so results are bitwise identical. Every clone carries
+// replay records (split ID, original range, resolved guard — one per
+// split it descends from, since clones can be re-split) that
+// CertifySplits re-checks from scratch.
 //
-//  1. Guard splitting (splitStencilGuards). A loop whose body is a
-//     single guarded statement — an Assign whose right-hand side is a
-//     top-level VCond, or a single If — with the condition affine in
-//     the loop variable alone is partitioned into the maximal
-//     subranges on which the condition is constant. Each subrange
-//     becomes a clone of the loop with the guard resolved away: the
-//     interior clone runs the general arm branch-free, the thin
-//     boundary strips keep the special-case arm. Clones rename their
-//     induction registers (register names are program-unique) and
-//     shift register inits to their new entry points; the arithmetic
-//     per element is untouched, so results are bitwise identical.
-//     Every clone carries replay records (split ID, original range,
-//     resolved guard — one per split it descends from, since clones
-//     can be re-split) that CertifySplits re-checks from scratch.
-//
-//  2. Shape annotation (annotateStencils). Guard-free nests whose
-//     reads all sit at constant per-dimension offsets from the write
-//     are annotated with their footprint (Loop.Sten). The offsets come
-//     from the body's access table (access.go): each read's affine
-//     subscript forms less the write's. Two passes
-//     read it: the wavefront planner sizes halo-fed tiles from a 2-D
-//     footprint (chooseStencilTile in plan.go), and gogen emits a
-//     bounds-check-elimination-friendly interior loop over
-//     constant-width row slices (gogen/stencil.go). The interpreter's
-//     row kernels do not read it.
+// No pass here decides what a stencil row is: gogen's slice emitter
+// (gogen/stencil.go) recognizes the rows it can emit as constant-width
+// slices where it emits them, and the interpreter's strip form
+// (fast.go) needs no shape at all.
 //
 // Splitting runs before planning on purpose: the interior clone of a
 // guarded recurrence frequently becomes schedulable (its distance
@@ -278,7 +268,7 @@ func (o *optimizer) nextSplitID() int {
 
 // cloneLoopRange copies l restricted to [from, to] in one Rewrite: it
 // copies every statement, so that the clone's later in-place edits
-// (guard resolution, register pruning, annotation, planning) never reach
+// (guard resolution, register pruning, planning) never reach
 // l, and it renames every induction register bound inside the clone to
 // a fresh name (register names are program-unique; see
 // collectLoopVars). The clone's own register inits are shifted to the
@@ -350,19 +340,6 @@ func copyStmt(n any) any {
 		return &c
 	}
 	return n
-}
-
-// mergeSten overlays shape fields onto an existing (split) record,
-// preserving any split-replay records already attached.
-func mergeSten(prev, next *StencilInfo) *StencilInfo {
-	if prev == nil {
-		return next
-	}
-	prev.Dims = next.Dims
-	prev.HaloI = next.HaloI
-	prev.HaloJ = next.HaloJ
-	prev.Inner = next.Inner
-	return prev
 }
 
 // --- guard arithmetic ---
@@ -523,143 +500,4 @@ func sortI64(xs []int64) {
 			xs[j], xs[j-1] = xs[j-1], xs[j]
 		}
 	}
-}
-
-// --- shape annotation ---
-
-// annotateStencils marks every guard-free fixed-offset nest with its
-// footprint. Runs after splitting (so interior clones are seen) and
-// before planning (so halo-fed tile sizes can be derived).
-func (o *optimizer) annotateStencils(stmts []Stmt) {
-	for _, s := range stmts {
-		switch x := s.(type) {
-		case *Loop:
-			if !o.annotateStencil(x) {
-				o.annotateStencils(x.Body)
-			}
-		case *If:
-			o.annotateStencils(x.Then)
-			o.annotateStencils(x.Else)
-		}
-	}
-}
-
-// annotateStencil tries to match l as a stencil nest. 2-D: the nest2D
-// shape with a single-Assign inner body. 1-D: a flat single-Assign
-// loop. Returns true when an annotation was attached (no deeper
-// matches are sought).
-func (o *optimizer) annotateStencil(l *Loop) bool {
-	if l.Step != 1 {
-		return false
-	}
-	if inner := nest2D(l); inner != nil {
-		hi, hj, ok := o.stencilShape(inner, l.Var, inner.Var)
-		if !ok || hi+hj < 1 {
-			return false
-		}
-		l.Sten = mergeSten(l.Sten, &StencilInfo{Dims: 2, HaloI: hi, HaloJ: hj})
-		inner.Sten = mergeSten(inner.Sten, &StencilInfo{Dims: 2, HaloI: hi, HaloJ: hj, Inner: true})
-		o.stats.StencilNests++
-		return true
-	}
-	if hasLoop(l.Body) {
-		return false
-	}
-	halo, _, ok := o.stencilShape(l, l.Var, "")
-	if !ok || halo < 1 {
-		return false
-	}
-	l.Sten = mergeSten(l.Sten, &StencilInfo{Dims: 1, HaloI: halo})
-	o.stats.StencilNests++
-	return true
-}
-
-// stencilShape matches the loop body as a single plain assignment
-// whose write subscripts are dimension-aligned with (iVar, jVar) and
-// whose reads each differ from the write by per-dimension constants.
-// Returns the footprint per loop dimension. Guards belong to the
-// splitter, so a residual conditional body is not a uniform stencil.
-// Index loads outside a subscript do not count as reads.
-func (o *optimizer) stencilShape(l *Loop, iVar, jVar string) (haloI, haloJ int64, ok bool) {
-	if len(l.Body) != 1 {
-		return 0, 0, false
-	}
-	if _, isAssign := l.Body[0].(*Assign); !isAssign {
-		return 0, 0, false
-	}
-	t := collectAccesses(l.Body, false)
-	defer t.release()
-	wa := &t.acc[0] // the store
-	if t.cond || wa.checked || wa.collide || wa.accum {
-		return 0, 0, false
-	}
-	d := o.prog.Decl(wa.array)
-	if d == nil || d.TrackDefs {
-		return 0, 0, false
-	}
-	w := wa.forms()
-	for _, f := range w {
-		if f == nil {
-			return 0, 0, false
-		}
-	}
-	// Dimension alignment: exactly one write dimension depends on each
-	// loop variable (the nest writes a genuinely 2-D/1-D region).
-	dimOf := func(v string) int {
-		dim := -1
-		for i, f := range w {
-			if f.t[v] != 0 {
-				if dim != -1 {
-					return -2 // variable spread over two dimensions
-				}
-				dim = i
-			}
-		}
-		return dim
-	}
-	iDim := dimOf(iVar)
-	if iDim < 0 {
-		return 0, 0, false
-	}
-	jDim := -1
-	if jVar != "" {
-		jDim = dimOf(jVar)
-		if jDim < 0 || jDim == iDim {
-			return 0, 0, false
-		}
-	}
-	for k := 1; k < len(t.acc); k++ {
-		r := &t.acc[k]
-		if r.whole {
-			continue
-		}
-		rd := o.prog.Decl(r.array)
-		if r.checked || rd == nil || rd.TrackDefs || len(r.forms()) != len(w) {
-			return 0, 0, false
-		}
-		for dim, f := range r.forms() {
-			// The read must shift the write by a constant: identical
-			// variable coefficients, any constant difference.
-			if f == nil || len(f.t) != len(w[dim].t) {
-				return 0, 0, false
-			}
-			for v, c := range f.t {
-				if w[dim].t[v] != c {
-					return 0, 0, false
-				}
-			}
-			diff := abs64(f.c - w[dim].c)
-			switch dim {
-			case iDim:
-				haloI = max(haloI, diff)
-			case jDim:
-				haloJ = max(haloJ, diff)
-			default:
-				if diff != 0 {
-					return 0, 0, false
-				}
-			}
-		}
-	}
-	return haloI, haloJ, true
 }

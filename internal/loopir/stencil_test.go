@@ -209,48 +209,6 @@ func TestStencilEmptyInterior(t *testing.T) {
 	}
 }
 
-// TestStencilAnnotate2D checks footprint recognition and halo-fed
-// tiling on a Jacobi-style nest.
-func TestStencilAnnotate2D(t *testing.T) {
-	n := int64(128)
-	at := func(di, dj int64) *ARef {
-		return &ARef{Array: "b", Subs: []IntExpr{lin(di, term("i", 1)), lin(dj, term("j", 1))}}
-	}
-	p := &Program{
-		Name: "jac",
-		Arrays: []ArrayDecl{
-			{Name: "a", B: runtime.NewBounds2(1, 1, n, n), Role: RoleOut},
-			{Name: "b", B: runtime.NewBounds2(1, 1, n, n), Role: RoleIn},
-		},
-		Stmts: []Stmt{
-			&Loop{Var: "i", From: 2, To: n - 1, Step: 1, Parallel: true, Body: []Stmt{
-				&Loop{Var: "j", From: 2, To: n - 1, Step: 1, Body: []Stmt{
-					&Assign{
-						Array: "a",
-						Subs:  []IntExpr{lin(0, term("i", 1)), lin(0, term("j", 1))},
-						Rhs: &VBin{Op: '+',
-							L: &VBin{Op: '+', L: at(-1, 0), R: at(1, 0)},
-							R: &VBin{Op: '+', L: at(0, -1), R: at(0, 1)}},
-					},
-				}},
-			}},
-		},
-	}
-	Optimize(p)
-	outer := p.Stmts[0].(*Loop)
-	if outer.Sten == nil || outer.Sten.Dims != 2 || outer.Sten.HaloI != 1 || outer.Sten.HaloJ != 1 {
-		t.Fatalf("want 2-D halo (1,1) annotation, got %+v in\n%s", outer.Sten, p.Dump())
-	}
-	if !strings.Contains(p.Dump(), "[stencil 1x1 interior]") {
-		t.Fatalf("dump missing stencil marker:\n%s", p.Dump())
-	}
-	if outer.Par != nil && outer.Par.TileI != 0 {
-		if outer.Par.TileI < 8*outer.Sten.HaloI {
-			t.Fatalf("halo-fed tile too thin: tileI=%d halo=%d", outer.Par.TileI, outer.Sten.HaloI)
-		}
-	}
-}
-
 // Degenerate shapes must fall back to the general path (or split
 // trivially) and stay bitwise identical to the unspecialized build.
 func TestStencilDegenerateFallback(t *testing.T) {
@@ -309,8 +267,8 @@ func TestStencilDegenerateFallback(t *testing.T) {
 	}
 }
 
-// TestStencilNegativeStrideUntouched: the splitter and the annotator
-// are defined over unit-stride loops only; a backward recurrence must
+// TestStencilNegativeStrideUntouched: the splitter is defined over
+// unit-stride loops only; a backward recurrence must
 // come out with no stencil marks and unchanged semantics.
 func TestStencilNegativeStrideUntouched(t *testing.T) {
 	mk := func() *Program {

@@ -52,11 +52,8 @@ package loopir
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
-
-	"arraycomp/internal/certify"
 )
 
 // StreamMaxDistance caps the window distance d a plan may demand.
@@ -677,59 +674,4 @@ func (c *streamChecker) topValue(e VExpr) error {
 		return nil
 	}
 	return fmt.Errorf("%T not allowed at top level", e)
-}
-
-// CertifyStream checks a claimed stream plan (one restored from disk or
-// a peer, or forged) against the plan BuildStreamPlan derives for p. It
-// does not replay the legality rules independently: it runs the same
-// analysis that built the plan, so it catches a claim that disagrees
-// with p's geometry, not a fault in the rules. The soundness direction
-// matters: a plan claiming a *smaller* window than
-// the replay derives would drop live history at runtime, so any
-// under-claim falsifies; claims at or above the derived geometry are
-// certified. A plan for a program the replay rejects outright is a
-// forgery.
-func CertifyStream(p *Program, claimed *StreamPlan) *certify.Report {
-	rep := certify.NewReport()
-	cert := certify.Certificate{Layer: "stream", Exhaustive: true}
-	actual, err := BuildStreamPlan(p)
-	if err != nil {
-		cert.Claim = fmt.Sprintf("%s streams with %s", p.Name, claimed)
-		cert.Status = certify.Falsified
-		cert.Detail = fmt.Sprintf("replay rejects the program: %v", err)
-		rep.Record(cert)
-		return rep
-	}
-	cert.Claim = fmt.Sprintf("%s streams with window d=%d", p.Name, actual.MaxDist)
-	fail := func(detail string) *certify.Report {
-		cert.Status = certify.Falsified
-		cert.Detail = detail
-		rep.Record(cert)
-		return rep
-	}
-	if claimed.Out != actual.Out || claimed.Lo != actual.Lo || claimed.Hi != actual.Hi {
-		return fail(fmt.Sprintf("output identity mismatch: claimed %s[%d..%d], replay %s[%d..%d]", claimed.Out, claimed.Lo, claimed.Hi, actual.Out, actual.Lo, actual.Hi))
-	}
-	if !slices.Equal(claimed.WriteOffsets, actual.WriteOffsets) {
-		return fail(fmt.Sprintf("claimed write offsets %v, replay %v", claimed.WriteOffsets, actual.WriteOffsets))
-	}
-	if claimed.SelfBack < actual.SelfBack {
-		return fail(fmt.Sprintf("claimed self history %d < required %d", claimed.SelfBack, actual.SelfBack))
-	}
-	for _, aw := range actual.Reads {
-		cwin := claimed.Read(aw.Array)
-		if cwin == nil {
-			return fail(fmt.Sprintf("claimed plan omits read array %s", aw.Array))
-		}
-		if !aw.Windowable && cwin.Windowable {
-			return fail(fmt.Sprintf("claimed %s windowable; replay requires residency", aw.Array))
-		}
-		if aw.Windowable && cwin.Windowable && (cwin.Back < aw.Back || cwin.Fwd < aw.Fwd) {
-			return fail(fmt.Sprintf("claimed window %s[-%d..+%d] < required [-%d..+%d]", aw.Array, cwin.Back, cwin.Fwd, aw.Back, aw.Fwd))
-		}
-	}
-	cert.Status = certify.Certified
-	cert.Witness = []int64{actual.MaxDist, int64(actual.Loops)}
-	rep.Record(cert)
-	return rep
 }

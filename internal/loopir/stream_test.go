@@ -186,47 +186,3 @@ func TestStreamPlanCrossLoopForwardRead(t *testing.T) {
 		t.Fatalf("legal order rejected: %v", err)
 	}
 }
-
-func TestCertifyStream(t *testing.T) {
-	p := recurrenceProg(40)
-	sp, err := BuildStreamPlan(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep := CertifyStream(p, sp); rep.Err() != nil || rep.CertifiedCount == 0 {
-		t.Fatalf("honest plan should certify: err=%v certified=%d", rep.Err(), rep.CertifiedCount)
-	}
-	// Forgery 1: claim less self history than required — dropped live
-	// window at runtime.
-	forged := *sp
-	forged.SelfBack = 0
-	if rep := CertifyStream(p, &forged); rep.Err() == nil {
-		t.Fatalf("under-claimed self history must falsify")
-	}
-	// Forgery 2: claim a wrong output range.
-	forged2 := *sp
-	forged2.Hi = sp.Hi + 10
-	if rep := CertifyStream(p, &forged2); rep.Err() == nil {
-		t.Fatalf("forged output bounds must falsify")
-	}
-	// Forgery 3: shifted write offsets would clamp each loop to the
-	// wrong chunk positions.
-	forged3 := *sp
-	forged3.WriteOffsets = []int64{0, 1}
-	if rep := CertifyStream(p, &forged3); rep.Err() == nil {
-		t.Fatalf("forged write offsets must falsify")
-	}
-	// Forgery 4: a plan for a program the replay rejects outright.
-	bad := recurrenceProg(40)
-	bad.Stmts[1].(*Loop).Body[0].(*Assign).HasAccum = true
-	if rep := CertifyStream(bad, sp); rep.Err() == nil {
-		t.Fatalf("plan over an unstreamable program must falsify")
-	}
-	// Over-claiming (larger windows than needed) is sound and
-	// certifies.
-	over := *sp
-	over.SelfBack = sp.SelfBack + 5
-	if rep := CertifyStream(p, &over); rep.Err() != nil {
-		t.Fatalf("over-claimed window should certify: %v", rep.Err())
-	}
-}

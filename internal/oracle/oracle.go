@@ -83,11 +83,10 @@ func Ablations() []Ablation {
 		// disabled, so every fuzzed program cross-checks optimized
 		// (full) against unoptimized execution element-wise.
 		{"noopt", core.Options{NoOptimize: true}},
-		// stencil keeps the optimizer but forces the stencil
-		// specializer off (no guard splitting, no interior kernels).
-		// RunCase additionally holds this arm to a bitwise comparison
-		// against full: splitting and the specialized interior
-		// kernels re-order nothing, so even the last ulp must match.
+		// stencil keeps the optimizer but turns stencil guard
+		// splitting off. RunCase additionally holds this arm to a
+		// bitwise comparison against full: splitting re-orders
+		// nothing, so even the last ulp must match.
 		{"stencil", core.Options{NoStencil: true}},
 		// parallel runs the shard and wavefront schedules with a
 		// forced multi-worker pool; results (and error messages) must be
@@ -227,11 +226,10 @@ func RunCase(p *gencomp.Program) *Case {
 			})
 		}
 	}
-	// The stencil specializer's contract is stronger than the matrix
-	// default: interior/boundary splitting and the specialized kernels
-	// perform the same float operations in the same order, so the
-	// specialized (full) run must match the forced-off run bitwise,
-	// not merely within tolerance.
+	// Guard splitting's contract is stronger than the matrix default:
+	// the interior and boundary clones perform the same float
+	// operations in the same order, so the split (full) run must match
+	// the forced-off run bitwise, not merely within tolerance.
 	if ok, detail := BitwiseAgree(c.ByAblation["stencil"], c.ByAblation["full"]); !ok {
 		c.Mismatches = append(c.Mismatches, Mismatch{
 			Backend: "interp:stencil/bitwise",
