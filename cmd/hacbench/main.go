@@ -880,32 +880,7 @@ var experiments = []experiment{
 			"peak resident <= 25% of the materialized store at n >= 1e6, results bitwise-identical",
 		run: func() {
 			n := size(1<<20, 1<<17)
-			// A 10-definition chain alternating elementwise maps,
-			// backward/forward 3-point smoothing and carried d=1
-			// recurrences — every read a constant-offset neighbour, so
-			// the window-legality analysis admits the whole pipeline.
-			var sb strings.Builder
-			sb.WriteString("letrec* s1 = array (1,n) [ i := x!i + 1.0 | i <- [1..n] ]")
-			prev := "s1"
-			for k := 2; k <= 10; k++ {
-				name := fmt.Sprintf("s%d", k)
-				sb.WriteString(";\n  ")
-				switch k % 3 {
-				case 0: // 3-point smooth, copied edges (reads i-1, i, i+1)
-					fmt.Fprintf(&sb,
-						"%[1]s = array (1,n) ([ 1 := %[2]s!1 ] ++ [ i := (%[2]s!(i-1) + %[2]s!i + %[2]s!(i+1)) / 3.0 | i <- [2..n-1] ] ++ [ n := %[2]s!n ])",
-						name, prev)
-				case 1: // carried d=1 recurrence
-					fmt.Fprintf(&sb,
-						"%[1]s = array (1,n) ([ 1 := %[2]s!1 ] ++ [ i := %[1]s!(i-1) * 0.75 + %[2]s!i * 0.25 | i <- [2..n] ])",
-						name, prev)
-				case 2: // elementwise map
-					fmt.Fprintf(&sb, "%s = array (1,n) [ i := %s!i * 0.5 + 0.25 | i <- [1..n] ]", name, prev)
-				}
-				prev = name
-			}
-			fmt.Fprintf(&sb, "\nin %s", prev)
-			src := sb.String()
+			src := workloads.StreamChainSrc()
 			params := map[string]int64{"n": n}
 			in := workloads.Vector(n, 31)
 			inputs := map[string]*runtime.Strict{"x": in}

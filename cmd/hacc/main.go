@@ -58,8 +58,9 @@ func run(args []string, w io.Writer) error {
 	}
 	cmd := args[0]
 	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
-	paramsFlag := fs.String("p", "", "comma-separated parameter bindings, e.g. n=100,m=20")
-	inFlag := fs.String("in", "", "semicolon-separated input bounds, e.g. a=1:8,1:8;b=0:99")
+	var paramsFlag, inFlag repeated
+	fs.Var(&paramsFlag, "p", "comma-separated parameter bindings, e.g. n=100,m=20; repeatable")
+	fs.Var(&inFlag, "in", "semicolon-separated input bounds, e.g. a=1:8,1:8;b=0:99; repeatable")
 	seed := fs.Int64("seed", 1, "seed for generated input data (run) or first program seed (fuzz)")
 	show := fs.Int64("show", 5, "how many leading elements to print (run)")
 	thunked := fs.Bool("thunked", false, "force the thunked baseline")
@@ -92,11 +93,11 @@ func run(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	params, err := parseParams(*paramsFlag)
+	params, err := parseParams(paramsFlag...)
 	if err != nil {
 		return err
 	}
-	inputBounds, err := parseInputs(*inFlag)
+	inputBounds, err := parseInputs(inFlag...)
 	if err != nil {
 		return err
 	}
@@ -284,53 +285,77 @@ func exportName(s string) string {
 	return strings.ToUpper(s[:1]) + s[1:]
 }
 
-func parseParams(s string) (map[string]int64, error) {
-	out := map[string]int64{}
-	if s == "" {
-		return out, nil
-	}
-	for _, part := range strings.Split(s, ",") {
-		kv := strings.SplitN(strings.TrimSpace(part), "=", 2)
-		if len(kv) != 2 || kv[0] == "" {
-			return nil, fmt.Errorf("bad parameter binding %q", part)
-		}
-		v, err := strconv.ParseInt(kv[1], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad parameter value %q: %v", part, err)
-		}
-		out[kv[0]] = v
-	}
-	return out, nil
+// repeated collects every occurrence of a repeatable flag.
+type repeated []string
+
+func (r *repeated) String() string { return strings.Join(*r, " ") }
+
+func (r *repeated) Set(s string) error {
+	*r = append(*r, s)
+	return nil
 }
 
-func parseInputs(s string) (map[string]analysis.ArrayBounds, error) {
-	out := map[string]analysis.ArrayBounds{}
-	if s == "" {
-		return out, nil
-	}
-	for _, part := range strings.Split(s, ";") {
-		kv := strings.SplitN(strings.TrimSpace(part), "=", 2)
-		if len(kv) != 2 {
-			return nil, fmt.Errorf("bad input declaration %q", part)
+// eachBinding calls fn for every name=value entry of a repeatable flag's
+// occurrences, whose entries are separated by sep. A name may be given
+// once across all of them.
+func eachBinding(vals []string, sep, what string, fn func(name, val string) error) error {
+	seen := map[string]bool{}
+	for _, s := range vals {
+		if s == "" {
+			continue
 		}
+		for _, part := range strings.Split(s, sep) {
+			name, val, ok := strings.Cut(strings.TrimSpace(part), "=")
+			if !ok || name == "" {
+				return fmt.Errorf("bad %s %q", what, part)
+			}
+			if seen[name] {
+				return fmt.Errorf("%s %s given twice", what, name)
+			}
+			seen[name] = true
+			if err := fn(name, val); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+func parseParams(vals ...string) (map[string]int64, error) {
+	out := map[string]int64{}
+	err := eachBinding(vals, ",", "parameter", func(name, val string) error {
+		v, err := strconv.ParseInt(val, 10, 64)
+		if err != nil {
+			return fmt.Errorf("bad value of parameter %s: %v", name, err)
+		}
+		out[name] = v
+		return nil
+	})
+	return out, err
+}
+
+func parseInputs(vals ...string) (map[string]analysis.ArrayBounds, error) {
+	out := map[string]analysis.ArrayBounds{}
+	err := eachBinding(vals, ";", "input", func(name, val string) error {
 		var b analysis.ArrayBounds
-		for _, dim := range strings.Split(kv[1], ",") {
+		for _, dim := range strings.Split(val, ",") {
 			lh := strings.SplitN(strings.TrimSpace(dim), ":", 2)
 			if len(lh) != 2 {
-				return nil, fmt.Errorf("bad bounds %q (want lo:hi)", dim)
+				return fmt.Errorf("bad bounds %q (want lo:hi)", dim)
 			}
 			lo, err := strconv.ParseInt(lh[0], 10, 64)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			hi, err := strconv.ParseInt(lh[1], 10, 64)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			b.Lo = append(b.Lo, lo)
 			b.Hi = append(b.Hi, hi)
 		}
-		out[kv[0]] = b
-	}
-	return out, nil
+		out[name] = b
+		return nil
+	})
+	return out, err
 }

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"arraycomp/internal/workloads"
 )
 
 func writeTemp(t *testing.T, src string) string {
@@ -51,6 +53,35 @@ func TestParseInputs(t *testing.T) {
 	for _, bad := range []string{"a", "a=1", "a=1:", "a=x:2"} {
 		if _, err := parseInputs(bad); err == nil {
 			t.Errorf("parseInputs(%q) succeeded", bad)
+		}
+	}
+}
+
+// TestRepeatedFlags: -p and -in may each be given several times, and
+// their entries merge; a name given twice, in one value or across
+// occurrences, is an error that names it.
+func TestRepeatedFlags(t *testing.T) {
+	path := writeTemp(t, workloads.Livermore23Src)
+	in := []string{"-in", "za=1:8,1:8", "-in", "zr=1:8,1:8", "-in", "zb=1:8,1:8;zu=1:8,1:8", "-in", "zv=1:8,1:8"}
+	if err := run(append([]string{"emit-go", "-O", "-p", "n=8"}, append(in, path)...), io.Discard); err != nil {
+		t.Fatalf("repeated -in: %v", err)
+	}
+	path2 := writeTemp(t, `param n, m; a = array (1,n) [ i := 1.0 | i <- [m..n] ]`)
+	if err := run([]string{"report", "-p", "n=4", "-p", "m=1", path2}, io.Discard); err != nil {
+		t.Fatalf("repeated -p: %v", err)
+	}
+	for _, c := range []struct {
+		args []string
+		name string
+	}{
+		{[]string{"-p", "n=4", "-p", "m=3", "-p", "n=5"}, "parameter n"},
+		{[]string{"-p", "n=4,m=3,m=3"}, "parameter m"},
+		{[]string{"-p", "n=4,m=3", "-in", "a=1:4", "-in", "a=1:5"}, "input a"},
+		{[]string{"-p", "n=4,m=3", "-in", "b=1:4;b=1:4"}, "input b"},
+	} {
+		err := run(append(append([]string{"report"}, c.args...), path2), io.Discard)
+		if err == nil || !strings.Contains(err.Error(), c.name+" given twice") {
+			t.Errorf("hacc report %v: error %v, want %q given twice", c.args, err, c.name)
 		}
 	}
 }

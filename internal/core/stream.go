@@ -54,13 +54,10 @@ func (p *Program) initStream(rep *metrics.CompileReport, workers int) error {
 	t0 := time.Now()
 	p.streamSt = &streamState{}
 	defs, err := p.streamDefs()
-	if err != nil {
-		p.streamSt.reason = err.Error()
-		p.note("stream: materialized fallback: %v", err)
-		rep.AddPhase(metrics.PhasePlan, time.Since(t0))
-		return nil
+	var pl *stream.Pipeline
+	if err == nil {
+		pl, err = stream.Build(defs, p.Result, stream.Config{})
 	}
-	pl, err := stream.Build(defs, p.Result, stream.Config{})
 	if err != nil {
 		p.streamSt.reason = err.Error()
 		p.note("stream: materialized fallback: %v", err)

@@ -39,6 +39,9 @@ type emitter struct {
 	// counters every emitted BVerify verdict bumps atomically — the
 	// native tier's replacement for the interpreter's verify hook.
 	verifyPass, verifyFail string
+	// row, when set, renders an array read: the stencil emitter points
+	// each read of a row at its row slice.
+	row func(*loopir.ARef) string
 }
 
 func (e *emitter) fail(format string, args ...any) {
@@ -457,6 +460,9 @@ func (e *emitter) valueExpr(x loopir.VExpr) string {
 	case *loopir.VScalar:
 		return goName(n.Name)
 	case *loopir.ARef:
+		if e.row != nil {
+			return e.row(n)
+		}
 		if n.CheckDefined {
 			off := e.fresh("o")
 			e.line("%s := %s", off, e.offsetExpr(n.Array, n.Subs, n.Off, n.CheckBounds))

@@ -1,7 +1,11 @@
 package gogen
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
+	"slices"
+	"strings"
 
 	"arraycomp/internal/loopir"
 )
@@ -93,10 +97,13 @@ func (e *emitter) emitStencilLoop(x *loopir.Loop) bool {
 	e.line("// stencil interior: %d-wide row over constant-length slices (bounds checks eliminated)", w)
 	bv := e.fresh("b")
 	e.line("%s := %s", bv, e.intExpr(baseInit))
-	slices := map[sliceKey]string{}
-	for _, k := range sortedKeys(reads) {
+	rows := map[sliceKey]string{}
+	keys := slices.SortedFunc(maps.Keys(reads), func(a, b sliceKey) int {
+		return cmp.Or(strings.Compare(a.arr, b.arr), cmp.Compare(a.d, b.d))
+	})
+	for _, k := range keys {
 		sv := e.fresh("s")
-		slices[k] = sv
+		rows[k] = sv
 		lo := bv
 		if k.d != 0 {
 			lo = fmt.Sprintf("%s%+d", bv, k.d)
@@ -105,8 +112,12 @@ func (e *emitter) emitStencilLoop(x *loopir.Loop) bool {
 	}
 	jv := e.fresh("j")
 	store := func(idx string) {
-		rhs, _ := stencilExpr(a.Rhs, base, slices, idx)
-		e.line("%s[%s] = %s", slices[dstKey], idx, rhs)
+		e.row = func(r *loopir.ARef) string {
+			return fmt.Sprintf("%s[%s]", rows[sliceKey{r.Array, r.Off.(*loopir.ILin).Const}], idx)
+		}
+		rhs := e.valueExpr(a.Rhs)
+		e.row = nil
+		e.line("%s[%s] = %s", rows[dstKey], idx, rhs)
 	}
 	if w >= stencilUnrollMin {
 		e.line("%s := int64(0)", jv)
@@ -136,24 +147,6 @@ func (e *emitter) emitStencilLoop(x *loopir.Loop) bool {
 	e.depth--
 	e.line("}")
 	return true
-}
-
-func sortedKeys(m map[sliceKey]bool) []sliceKey {
-	keys := make([]sliceKey, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0; j-- {
-			a, b := keys[j], keys[j-1]
-			if a.arr < b.arr || (a.arr == b.arr && a.d < b.d) {
-				keys[j], keys[j-1] = keys[j-1], keys[j]
-			} else {
-				break
-			}
-		}
-	}
-	return keys
 }
 
 // collectStencilReads validates the body expression and gathers the
@@ -192,51 +185,4 @@ func collectStencilReads(v loopir.VExpr, base string, decl map[string]*loopir.Ar
 		return true
 	}
 	return false
-}
-
-// stencilExpr renders the body expression with every array access
-// rewritten to its row slice at the given index. The shapes were
-// validated by collectStencilReads; the bool mirrors it defensively.
-func stencilExpr(v loopir.VExpr, base string, slices map[sliceKey]string, idx string) (string, bool) {
-	switch x := v.(type) {
-	case *loopir.VConst:
-		return floatLit(x.Value), true
-	case *loopir.VScalar:
-		return goName(x.Name), true
-	case *loopir.ARef:
-		lin := x.Off.(*loopir.ILin)
-		return fmt.Sprintf("%s[%s]", slices[sliceKey{x.Array, lin.Const}], idx), true
-	case *loopir.VBin:
-		l, okL := stencilExpr(x.L, base, slices, idx)
-		r, okR := stencilExpr(x.R, base, slices, idx)
-		return fmt.Sprintf("(%s %c %s)", l, x.Op, r), okL && okR
-	case *loopir.VNeg:
-		s, ok := stencilExpr(x.X, base, slices, idx)
-		return fmt.Sprintf("(-%s)", s), ok
-	case *loopir.VCall:
-		args := make([]string, len(x.Args))
-		ok := true
-		for i, a := range x.Args {
-			var okA bool
-			args[i], okA = stencilExpr(a, base, slices, idx)
-			ok = ok && okA
-		}
-		fn, known := mathFns[x.Fn]
-		if !known {
-			return "0", false
-		}
-		return fn + "(" + join(args, ", ") + ")", ok
-	}
-	return "0", false
-}
-
-func join(parts []string, sep string) string {
-	out := ""
-	for i, p := range parts {
-		if i > 0 {
-			out += sep
-		}
-		out += p
-	}
-	return out
 }

@@ -18,7 +18,9 @@ import "sync"
 //   - strength reduction (strengthReduce) rewrites the loop's direct
 //     accesses through their node pointers;
 //   - the row-kernel compiler (selfReads) measures each read of the
-//     stored array's distance from the store.
+//     stored array's distance from the store;
+//   - the stream planner (BuildStreamPlan) takes a loop body's write
+//     offset and each read's window distance from their forms.
 //
 // A table is built on demand for the statements a pass examines and
 // never kept across rewrites: guard splitting clones loops, and a

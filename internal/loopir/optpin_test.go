@@ -207,3 +207,63 @@ func BenchmarkOptimize(b *testing.B) {
 		}
 	}
 }
+
+// TestStreamPlansPinned pins the stream planner's verdict on every
+// definition of the gencomp corpus under the default, hacc fuzz, bench
+// and wide configurations (seeds 1–400), each optimized and not, and
+// of E23's chain at three sizes: one SHA-256 over the plan string and
+// loop count of each accepted definition and the reason of each
+// rejected one. Write offsets are left out; the stage tests run every
+// plan bitwise against the materialized executor.
+func TestStreamPlansPinned(t *testing.T) {
+	h := sha256.New()
+	accepted, rejected := 0, 0
+	pin := func(p *core.Program) {
+		for _, name := range p.Order {
+			d := p.Defs[name]
+			if d.Plan == nil {
+				continue
+			}
+			if sp, err := loopir.BuildStreamPlan(d.Plan.Program); err != nil {
+				rejected++
+				fmt.Fprintf(h, "%s: %v\n", name, err)
+			} else {
+				accepted++
+				fmt.Fprintf(h, "%s: %s loops %d\n", name, sp, sp.Loops)
+			}
+		}
+	}
+	for _, cfg := range []gencomp.Config{
+		{},
+		{AccumWeight: 250},
+		{ErrorWeight: -1, IdxWeight: 400},
+		{MaxDefs: 5, MaxExtent: 40},
+	} {
+		for seed := uint64(1); seed <= 400; seed++ {
+			g := gencomp.Generate(seed, cfg)
+			for _, noOpt := range []bool{false, true} {
+				p, err := core.CompileProgram(g.Prog, g.Params, core.Options{InputBounds: g.Inputs, NoOptimize: noOpt})
+				if err != nil {
+					fmt.Fprintf(h, "seed %d: %v\n", seed, err)
+					continue
+				}
+				pin(p)
+			}
+		}
+	}
+	for _, n := range []int64{5, 64, 5000} {
+		for _, noOpt := range []bool{false, true} {
+			x := map[string]analysis.ArrayBounds{"x": {Lo: []int64{1}, Hi: []int64{n}}}
+			p, err := core.Compile(workloads.StreamChainSrc(), map[string]int64{"n": n}, core.Options{InputBounds: x, NoOptimize: noOpt})
+			if err != nil {
+				t.Fatalf("chain n=%d: %v", n, err)
+			}
+			pin(p)
+		}
+	}
+	const wantAccepted, wantRejected = 724, 3074
+	const wantHash = "3934da307c6a255786d75ae866d0086401918c0a22f66df7ef1d2883d074c9a2"
+	if got := hex.EncodeToString(h.Sum(nil)); accepted != wantAccepted || rejected != wantRejected || got != wantHash {
+		t.Errorf("%d accepted, %d rejected, hash %s\nwant %d, %d, %s", accepted, rejected, got, wantAccepted, wantRejected, wantHash)
+	}
+}

@@ -25,8 +25,8 @@ type Stage struct {
 // stageStmt is one top-level statement. A scalar set (set non-nil)
 // runs on every chunk; a loop's row kernel runs the iterations whose
 // write position v+cw falls in the chunk; a point assign (point
-// non-nil, from = to = its write position) runs when the chunk holds
-// that position.
+// non-nil) is a one-trip loop at 0 whose write offset cw is its
+// position, so it runs when the chunk holds that position.
 type stageStmt struct {
 	set, point stmtFn
 	row        *rowKernel
@@ -54,15 +54,7 @@ func CompileStage(p *Program, sp *StreamPlan) (st *Stage, err error) {
 			}
 			st.tops = append(st.tops, stageStmt{row: c.rowFor(x), from: x.From, to: x.To, cw: sp.WriteOffsets[k]})
 		case *Assign:
-			var w int64
-			ok := len(x.Subs) == 1
-			if ok {
-				w, ok = streamConstInt(x.Subs[0])
-			}
-			if !ok {
-				c.fail("top-level assign to %q has a non-constant subscript", x.Array)
-			}
-			st.tops = append(st.tops, stageStmt{point: c.compileAssign(x), from: w, to: w})
+			st.tops = append(st.tops, stageStmt{point: c.compileAssign(x), cw: sp.WriteOffsets[k]})
 		default:
 			c.fail("top-level %T in a stream stage", s)
 		}

@@ -19,7 +19,8 @@
 // values in bit-identical order:
 //
 //   - rank-1 arrays only, one RoleOut output, no temps/in-place/bitmaps;
-//   - top level is SetScalar and forward unit-step Loops, nothing else;
+//   - top level is SetScalar, forward unit-step Loops and point
+//     assigns (constant subscript), nothing else;
 //   - loop bodies are Assign/If/SetScalar over check-free expressions
 //     (no IBin, no IIdx, no BVerify — anything that can fail or roam);
 //   - every write subscript is i+c with coefficient 1, one write
@@ -43,16 +44,23 @@
 // definedness, subscripted subscripts — falls back to the materialized
 // path; BuildStreamPlan's error says why.
 //
-// The analysis reads Subs, which the optimizer keeps beside its
-// strength-reduced offsets (Assign.Off, ARef.Off, Loop.Inds) so that
-// dependence reasoning can ignore them; CompileStage (stage.go) runs
-// each loop's row kernel, which uses them. Parallel schedules
-// (Loop.Par) are ignored: a stage runs one chunk at a time.
+// The analysis is a filter over each loop body's access table
+// (access.go). The write position and every read distance come from
+// the table's affine forms: a read's distance is its form minus the
+// write's. A point assign is a write whose form has no variable, so it
+// is a one-trip loop at 0 whose write offset is its position. One
+// Inspect callback per body statement whitelists the rest. The forms
+// are those of Subs, which the optimizer keeps beside its
+// strength-reduced offsets (Assign.Off, ARef.Off, Loop.Inds);
+// CompileStage (stage.go) runs each loop's row kernel, which uses
+// them. Parallel schedules (Loop.Par) are ignored: a stage runs one
+// chunk at a time.
 package loopir
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 )
 
@@ -96,11 +104,13 @@ type StreamPlan struct {
 	// MaxDist is the largest window distance anywhere in the plan —
 	// the constant d of the bounded-distance argument.
 	MaxDist int64
-	// Loops counts the top-level loops (one comprehension arm each).
+	// Loops counts the top-level loops and point assigns (one
+	// comprehension arm each).
 	Loops int
 	// WriteOffsets holds, per top-level statement in program order, the
-	// write offset cw of a loop (write position = loop variable + cw).
-	// Scalar sets and constant-subscript point assigns record 0.
+	// write offset cw of a loop (write position = loop variable + cw)
+	// and the position of a point assign, a one-trip loop at 0. Scalar
+	// sets record 0.
 	WriteOffsets []int64
 }
 
@@ -131,32 +141,22 @@ func (sp *StreamPlan) String() string {
 	return b.String()
 }
 
-// streamChecker carries the walk state of one legality analysis.
+// streamChecker carries the state of one legality analysis.
 type streamChecker struct {
-	prog *Program
-	out  string
+	out string
 	// windows accumulates per-array requirements.
 	windows map[string]*StreamWindow
-	// topScalars are scalars assigned at top level (chunk-invariant).
-	topScalars map[string]bool
 	// bodySet are scalars assigned inside any loop body.
 	bodySet map[string]bool
 	// selfBack is the deepest backward self read.
 	selfBack int64
-	// selfReads records own-output read ranges per loop index for the
-	// cross-loop forward-read check.
-	selfReads []selfRead
-	// loops records each top-level loop's write range.
-	loops []streamLoopRange
-}
-
-type selfRead struct {
-	loopIdx  int
-	from, to int64 // read positions over the loop's range
-}
-
-type streamLoopRange struct {
-	from, to int64 // write positions (From+cw .. To+cw)
+	// writes holds the write range of each top-level loop and point
+	// assign, and selfReads the ranges its reads of the output cover,
+	// for the cross-loop forward-read check.
+	writes    []loopRange
+	selfReads [][]loopRange
+	// err is the first rejection of an Inspect callback.
+	err error
 }
 
 // BuildStreamPlan decides stream legality for one compiled program and
@@ -165,12 +165,7 @@ type streamLoopRange struct {
 // the error names the first disqualifying construct (the compile note
 // for the materialized fallback).
 func BuildStreamPlan(p *Program) (*StreamPlan, error) {
-	c := &streamChecker{
-		prog:       p,
-		windows:    map[string]*StreamWindow{},
-		topScalars: map[string]bool{},
-		bodySet:    map[string]bool{},
-	}
+	c := &streamChecker{windows: map[string]*StreamWindow{}, bodySet: map[string]bool{}}
 	// Array census: one rank-1 output, read-only rank-1 inputs, no
 	// temps, no in-place aliasing, no definedness bitmaps.
 	for i := range p.Arrays {
@@ -213,31 +208,30 @@ func BuildStreamPlan(p *Program) (*StreamPlan, error) {
 	offsets := make([]int64, 0, len(p.Stmts))
 	for _, s := range p.Stmts {
 		var cw int64
+		var err error
 		switch x := s.(type) {
 		case *SetScalar:
-			if err := c.topValue(x.Rhs); err != nil {
-				return nil, fmt.Errorf("top-level scalar %s: %w", x.Name, err)
+			if Inspect(x.Rhs, c.top); c.err != nil {
+				return nil, fmt.Errorf("top-level scalar %s: %w", x.Name, c.err)
 			}
-			c.topScalars[x.Name] = true
 		case *Loop:
-			var err error
-			if cw, err = c.loop(x); err != nil {
-				return nil, err
+			if x.Step != 1 {
+				return nil, fmt.Errorf("loop over %s has step %d; streaming needs forward unit steps", x.Var, x.Step)
 			}
+			cw, err = c.loop(x.Var, x.From, x.To, x.Body)
 		case *Assign:
-			pl, err := pointLoop(x)
-			if err != nil {
-				return nil, fmt.Errorf("top-level assign to %s: %w", x.Array, err)
-			}
-			if _, err := c.loop(pl); err != nil {
-				return nil, err
-			}
+			// A point assign binds no variable: it is a one-trip loop at
+			// 0 whose write offset is its position.
+			cw, err = c.loop("", 0, 0, []Stmt{x})
 		default:
 			return nil, fmt.Errorf("top-level %T is not streamable", s)
 		}
+		if err != nil {
+			return nil, err
+		}
 		offsets = append(offsets, cw)
 	}
-	if len(c.loops) == 0 {
+	if len(c.writes) == 0 {
 		return nil, fmt.Errorf("no loops (nothing to chunk)")
 	}
 	// Cross-loop hazard: a read of the output in loop j whose read
@@ -245,11 +239,12 @@ func BuildStreamPlan(p *Program) (*StreamPlan, error) {
 	// materialized order (loop j runs to completion first) but values
 	// under chunked interleaving (the later loop has already written
 	// earlier chunks).
-	for _, sr := range c.selfReads {
-		for k := sr.loopIdx + 1; k < len(c.loops); k++ {
-			lr := c.loops[k]
-			if sr.from <= lr.to && lr.from <= sr.to {
-				return nil, fmt.Errorf("loop %d reads %s[%d..%d], inside loop %d's write range [%d..%d]: chunked interleaving would reorder the observation", sr.loopIdx+1, c.out, sr.from, sr.to, k+1, lr.from, lr.to)
+	for j, reads := range c.selfReads {
+		for _, r := range reads {
+			for k := j + 1; k < len(c.writes); k++ {
+				if w := c.writes[k]; r.from <= w.to && w.from <= r.to {
+					return nil, fmt.Errorf("loop %d reads %s[%d..%d], inside loop %d's write range [%d..%d]: chunked interleaving would reorder the observation", j+1, c.out, r.from, r.to, k+1, w.from, w.to)
+				}
 			}
 		}
 	}
@@ -260,24 +255,14 @@ func BuildStreamPlan(p *Program) (*StreamPlan, error) {
 		Hi:           outDecl.B.Hi[0],
 		SelfBack:     c.selfBack,
 		MaxDist:      c.selfBack,
-		Loops:        len(c.loops),
+		Loops:        len(c.writes),
 		WriteOffsets: offsets,
 	}
-	names := make([]string, 0, len(c.windows))
-	for n := range c.windows {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
+	for _, n := range slices.Sorted(maps.Keys(c.windows)) {
 		w := c.windows[n]
 		sp.Reads = append(sp.Reads, *w)
 		if w.Windowable {
-			if w.Back > sp.MaxDist {
-				sp.MaxDist = w.Back
-			}
-			if w.Fwd > sp.MaxDist {
-				sp.MaxDist = w.Fwd
-			}
+			sp.MaxDist = max(sp.MaxDist, w.Back, w.Fwd)
 		}
 	}
 	if sp.MaxDist > StreamMaxDistance {
@@ -286,392 +271,225 @@ func BuildStreamPlan(p *Program) (*StreamPlan, error) {
 	return sp, nil
 }
 
-// loop checks one top-level loop, accumulates its window demands, and
-// returns its write offset.
-func (c *streamChecker) loop(l *Loop) (int64, error) {
-	if l.Step != 1 {
-		return 0, fmt.Errorf("loop over %s has step %d; streaming needs forward unit steps", l.Var, l.Step)
+// loop checks the body of one top-level loop over v in [from, to], or
+// of a point assign (v empty, from = to = 0), accumulates its window
+// demands and returns its write offset cw: the body writes v+cw.
+func (c *streamChecker) loop(v string, from, to int64, body []Stmt) (int64, error) {
+	form := v + "+c"
+	if v == "" {
+		form = "constant"
 	}
-	// Find the loop's single write offset first: read legality is
-	// judged relative to the write position.
-	cw, nWrites, err := c.writeOffset(l.Body, l.Var)
-	if err != nil {
-		return 0, err
+	// The table descends into nested loops so that a write in one is
+	// judged before the whitelist below rejects the loop.
+	t := collectAccesses(body, true)
+	defer t.release()
+	// The single write offset comes first: read legality is judged
+	// relative to the write position. CopyArray and Fill fall to the
+	// whitelist.
+	var cw int64
+	writes := 0
+	for i := range t.acc {
+		a := &t.acc[i]
+		if !a.write || a.whole {
+			continue
+		}
+		switch {
+		case a.array != c.out:
+			return 0, fmt.Errorf("write to %s; streaming writes the output only", a.array)
+		case a.checked || a.collide || a.accum:
+			return 0, fmt.Errorf("write to %s keeps runtime checks or accumulation", a.array)
+		case len(a.forms()) != 1:
+			return 0, fmt.Errorf("write to %s has %d subscripts", a.array, len(a.forms()))
+		}
+		off, ok := streamOffset(a.forms()[0], v)
+		switch {
+		case !ok:
+			return 0, fmt.Errorf("write subscript %s is not %s", IntExprString(a.node.(*Assign).Subs[0]), form)
+		case writes > 0 && off != cw:
+			return 0, fmt.Errorf("two write offsets in one loop (%d, %d)", cw, off)
+		}
+		cw = off
+		writes++
 	}
-	if nWrites == 0 {
-		return 0, fmt.Errorf("loop over %s writes nothing", l.Var)
+	if writes == 0 {
+		return 0, fmt.Errorf("loop over %s writes nothing", v)
 	}
-	loopIdx := len(c.loops)
-	c.loops = append(c.loops, streamLoopRange{from: l.From + cw, to: l.To + cw})
 	// defined tracks per-iteration scalar temporaries assigned
-	// unconditionally before their first read (walk order: If branches
-	// do not count as unconditional).
+	// unconditionally before their first read: a set inside an If
+	// branch does not count.
 	defined := map[string]bool{}
-	var stmts func(body []Stmt, unconditional bool) error
-	stmts = func(body []Stmt, unconditional bool) error {
-		for _, s := range body {
-			switch x := s.(type) {
-			case *Assign:
-				if err := c.value(x.Rhs, l, cw, loopIdx, defined); err != nil {
-					return err
-				}
-				// Write subscript shape was validated by writeOffset.
-			case *SetScalar:
-				if err := c.value(x.Rhs, l, cw, loopIdx, defined); err != nil {
-					return err
-				}
-				if unconditional {
-					defined[x.Name] = true
-				}
-			case *If:
-				if err := c.boolean(x.Cond, l, cw, loopIdx, defined); err != nil {
-					return err
-				}
-				if err := stmts(x.Then, false); err != nil {
-					return err
-				}
-				if err := stmts(x.Else, false); err != nil {
-					return err
-				}
+	check := c.body(v, defined)
+	for _, s := range body {
+		if Inspect(s, check); c.err != nil {
+			return 0, c.err
+		}
+		if x, ok := s.(*SetScalar); ok {
+			defined[x.Name] = true
+		}
+	}
+	// Every read's distance is its form minus the write's.
+	c.writes = append(c.writes, loopRange{from + cw, to + cw, 1})
+	var selfReads []loopRange
+	for i := range t.acc {
+		a := &t.acc[i]
+		r, ok := a.node.(*ARef)
+		if !ok {
+			continue
+		}
+		cr, unit := streamOffset(a.forms()[0], v)
+		if a.array != c.out {
+			w := c.window(a.array)
+			switch d := cr - cw; {
+			case !unit:
+				// Constant positions and non-unit coefficients force
+				// residency.
+				w.Windowable = false
+			case d < 0:
+				w.Back = max(w.Back, -d)
 			default:
-				return fmt.Errorf("loop over %s contains %T; streaming bodies are assign/if/scalar only", l.Var, s)
+				w.Fwd = max(w.Fwd, d)
 			}
+			continue
 		}
-		return nil
-	}
-	return cw, stmts(l.Body, true)
-}
-
-// writeOffset validates every Assign in the body and returns the
-// loop's single write offset cw (write position = var + cw).
-func (c *streamChecker) writeOffset(body []Stmt, v string) (cw int64, n int, err error) {
-	var walk func(stmts []Stmt) error
-	walk = func(stmts []Stmt) error {
-		for _, s := range stmts {
-			switch x := s.(type) {
-			case *Assign:
-				if x.Array != c.out {
-					return fmt.Errorf("write to %s; streaming writes the output only", x.Array)
-				}
-				if x.CheckBounds || x.CheckCollision || x.HasAccum {
-					return fmt.Errorf("write to %s keeps runtime checks or accumulation", x.Array)
-				}
-				if len(x.Subs) != 1 {
-					return fmt.Errorf("write to %s has %d subscripts", x.Array, len(x.Subs))
-				}
-				off, ok := unitOffset(x.Subs[0], v)
-				if !ok {
-					return fmt.Errorf("write subscript %s is not %s+c", IntExprString(x.Subs[0]), v)
-				}
-				if n == 0 {
-					cw = off
-				} else if off != cw {
-					return fmt.Errorf("two write offsets in one loop (%d, %d)", cw, off)
-				}
-				n++
-			case *If:
-				if err := walk(x.Then); err != nil {
-					return err
-				}
-				if err := walk(x.Else); err != nil {
-					return err
-				}
-			case *Loop:
-				return fmt.Errorf("nested loop over %s; streaming handles rank-1 nests", x.Var)
-			}
-		}
-		return nil
-	}
-	err = walk(body)
-	return cw, n, err
-}
-
-// unitOffset matches var+c with coefficient 1, returning c.
-func unitOffset(e IntExpr, v string) (int64, bool) {
-	switch x := e.(type) {
-	case *IVar:
-		if x.Name == v {
-			return 0, true
-		}
-	case *ILin:
-		if len(x.Terms) == 1 && x.Terms[0].Var == v && x.Terms[0].Coeff == 1 {
-			return x.Const, true
-		}
-	}
-	return 0, false
-}
-
-// streamConstInt matches a constant integer expression.
-func streamConstInt(e IntExpr) (int64, bool) {
-	switch x := e.(type) {
-	case *IConst:
-		return x.Value, true
-	case *ILin:
-		if len(x.Terms) == 0 {
-			return x.Const, true
-		}
-	}
-	return 0, false
-}
-
-// pointVar is the synthetic loop variable of rewritten point assigns.
-// The middle dot cannot appear in source identifiers.
-const pointVar = "·point·"
-
-// pointLoop rewrites a top-level constant-subscript Assign into an
-// equivalent single-trip Loop so the window math — read offsets
-// relative to the write position — applies uniformly. At iteration
-// i = w a constant subscript k equals i + (k-w), so every constant
-// ARef subscript becomes an affine form over the synthetic variable.
-// Expression trees are copied on the paths that change: the original
-// IR is shared with the materialized plan and must not be mutated.
-func pointLoop(a *Assign) (*Loop, error) {
-	if len(a.Subs) != 1 {
-		return nil, fmt.Errorf("write has %d subscripts", len(a.Subs))
-	}
-	w, ok := streamConstInt(a.Subs[0])
-	if !ok {
-		return nil, fmt.Errorf("write subscript %s is not constant", IntExprString(a.Subs[0]))
-	}
-	rhs, err := pointValue(a.Rhs, w)
-	if err != nil {
-		return nil, err
-	}
-	na := &Assign{
-		Array: a.Array, Subs: []IntExpr{&IVar{Name: pointVar}}, Rhs: rhs,
-		CheckBounds: a.CheckBounds, CheckCollision: a.CheckCollision,
-		HasAccum: a.HasAccum,
-	}
-	return &Loop{Var: pointVar, From: w, To: w, Step: 1, Body: []Stmt{na}}, nil
-}
-
-// pointValue rewrites every ARef subscript of a value expression from
-// its constant position k to the affine form pointVar+(k-w).
-func pointValue(e VExpr, w int64) (VExpr, error) {
-	var err error
-	out := Rewrite(e, func(n any) any {
-		x, ok := n.(*ARef)
-		if !ok || err != nil {
-			return n
-		}
-		if len(x.Subs) != 1 {
-			err = fmt.Errorf("read of %s has %d subscripts", x.Array, len(x.Subs))
-			return n
-		}
-		k, ok := streamConstInt(x.Subs[0])
-		if !ok {
-			err = fmt.Errorf("read of %s at non-constant position %s", x.Array, IntExprString(x.Subs[0]))
-			return n
-		}
-		return &ARef{
-			Array:       x.Array,
-			Subs:        []IntExpr{&ILin{Const: k - w, Terms: []ITerm{{Var: pointVar, Coeff: 1}}}},
-			CheckBounds: x.CheckBounds, CheckDefined: x.CheckDefined,
-		}
-	})
-	return out, err
-}
-
-// integer checks an integer expression inside a loop (guard operands,
-// VFromInt bodies): affine over the loop variable only. Division,
-// modulo, and subscripted subscripts can fail at runtime and are
-// rejected wholesale.
-func (c *streamChecker) integer(e IntExpr, l *Loop) error {
-	switch x := e.(type) {
-	case *IConst:
-		return nil
-	case *IVar:
-		if x.Name != l.Var {
-			return fmt.Errorf("integer expression reads %s outside the loop variable %s", x.Name, l.Var)
-		}
-		return nil
-	case *ILin:
-		for _, t := range x.Terms {
-			if t.Var != l.Var {
-				return fmt.Errorf("affine term over %s outside the loop variable %s", t.Var, l.Var)
-			}
-		}
-		return nil
-	case *IBin:
-		return fmt.Errorf("non-affine integer op %q (can fail at runtime)", string(x.Op))
-	case *IIdx:
-		return fmt.Errorf("subscripted subscript through %s", x.Array)
-	}
-	return fmt.Errorf("unknown integer expression %T", e)
-}
-
-// value checks a float expression inside a loop body.
-func (c *streamChecker) value(e VExpr, l *Loop, cw int64, loopIdx int, defined map[string]bool) error {
-	switch x := e.(type) {
-	case *VConst:
-		return nil
-	case *VFromInt:
-		return c.integer(x.X, l)
-	case *VScalar:
-		if c.bodySet[x.Name] && !defined[x.Name] {
-			return fmt.Errorf("scalar %s is read before an unconditional set in this loop (cross-chunk carry)", x.Name)
-		}
-		return nil
-	case *ARef:
-		return c.read(x, l, cw, loopIdx)
-	case *VBin:
-		if err := c.value(x.L, l, cw, loopIdx, defined); err != nil {
-			return err
-		}
-		return c.value(x.R, l, cw, loopIdx, defined)
-	case *VNeg:
-		return c.value(x.X, l, cw, loopIdx, defined)
-	case *VCall:
-		for _, a := range x.Args {
-			if err := c.value(a, l, cw, loopIdx, defined); err != nil {
-				return err
-			}
-		}
-		return nil
-	case *VCond:
-		if err := c.boolean(x.C, l, cw, loopIdx, defined); err != nil {
-			return err
-		}
-		if err := c.value(x.T, l, cw, loopIdx, defined); err != nil {
-			return err
-		}
-		return c.value(x.E, l, cw, loopIdx, defined)
-	}
-	return fmt.Errorf("unknown value expression %T", e)
-}
-
-// read checks one array read and accumulates its window demand.
-func (c *streamChecker) read(r *ARef, l *Loop, cw int64, loopIdx int) error {
-	if r.CheckBounds || r.CheckDefined {
-		return fmt.Errorf("read of %s keeps runtime checks", r.Array)
-	}
-	if len(r.Subs) != 1 {
-		return fmt.Errorf("read of %s has %d subscripts", r.Array, len(r.Subs))
-	}
-	if r.Array == c.out {
-		cr, ok := unitOffset(r.Subs[0], l.Var)
-		if !ok {
-			return fmt.Errorf("self read %s!%s is not %s+c", r.Array, IntExprString(r.Subs[0]), l.Var)
+		if !unit {
+			return 0, fmt.Errorf("self read %s!%s is not %s", r.Array, IntExprString(r.Subs[0]), form)
 		}
 		if cr >= cw {
-			return fmt.Errorf("self read at offset %+d is not strictly backward of the write offset %+d", cr, cw)
+			return 0, fmt.Errorf("self read at offset %+d is not strictly backward of the write offset %+d", cr, cw)
 		}
-		if d := cw - cr; d > c.selfBack {
-			c.selfBack = d
-		}
-		c.selfReads = append(c.selfReads, selfRead{loopIdx: loopIdx, from: l.From + cr, to: l.To + cr})
-		return nil
+		c.selfBack = max(c.selfBack, cw-cr)
+		selfReads = append(selfReads, loopRange{from + cr, to + cr, 1})
 	}
-	w := c.windows[r.Array]
+	c.selfReads = append(c.selfReads, selfReads)
+	return cw, nil
+}
+
+// streamOffset returns c when f is v+c, or, when v is empty (a point
+// assign), when f is the constant c.
+func streamOffset(f *linForm, v string) (int64, bool) {
+	if f == nil {
+		return 0, false
+	}
+	if v == "" {
+		return f.c, len(f.t) == 0
+	}
+	return f.c, len(f.t) == 1 && f.t[v] == 1
+}
+
+// window returns the read window of the named array, adding a
+// windowable one on first use.
+func (c *streamChecker) window(name string) *StreamWindow {
+	w := c.windows[name]
 	if w == nil {
-		w = &StreamWindow{Array: r.Array, Windowable: true}
-		c.windows[r.Array] = w
+		w = &StreamWindow{Array: name, Windowable: true}
+		c.windows[name] = w
 	}
-	if cr, ok := unitOffset(r.Subs[0], l.Var); ok {
-		d := cr - cw
-		if d < 0 && -d > w.Back {
-			w.Back = -d
-		}
-		if d > 0 && d > w.Fwd {
-			w.Fwd = d
-		}
-		return nil
-	}
-	// Constant positions and non-unit coefficients still have to be
-	// valid affine forms; they just force residency.
-	if err := c.integer(r.Subs[0], l); err != nil {
-		return fmt.Errorf("read of %s: %w", r.Array, err)
-	}
-	w.Windowable = false
-	return nil
+	return w
 }
 
-// boolean checks a guard/conditional expression inside a loop body.
-func (c *streamChecker) boolean(b BExpr, l *Loop, cw int64, loopIdx int, defined map[string]bool) error {
-	switch x := b.(type) {
-	case *BConst:
-		return nil
-	case *BCmpInt:
-		if err := c.integer(x.L, l); err != nil {
-			return err
+// body returns the Inspect callback that whitelists one statement of a
+// loop body over v. It rejects, in evaluation order, anything that can
+// fail or roam: integer division and modulo (IBin), subscripted
+// subscripts (IIdx), runtime claim verifiers, integer expressions over
+// another variable, checked reads, nested loops and statements other
+// than assign, if and scalar set. A scalar set in some loop body may be
+// read only after an unconditional set earlier in this one (defined):
+// otherwise its value would carry across chunks.
+func (c *streamChecker) body(v string, defined map[string]bool) func(any) bool {
+	var fn func(any) bool
+	fn = func(n any) bool {
+		if c.err != nil {
+			return false
 		}
-		return c.integer(x.R, l)
-	case *BCmpFloat:
-		if err := c.value(x.L, l, cw, loopIdx, defined); err != nil {
-			return err
+		switch x := n.(type) {
+		case *Assign:
+			// The store was judged by its table record, and Off is over
+			// induction registers.
+			Inspect(x.Rhs, fn)
+		case *If, *SetScalar, *VConst, *VFromInt, *VBin, *VNeg, *VCall, *VCond,
+			*BConst, *BCmpInt, *BCmpFloat, *BAnd, *BOr, *BNot, *IConst:
+			return true
+		case *Loop:
+			c.err = fmt.Errorf("nested loop over %s; streaming handles rank-1 nests", x.Var)
+		case Stmt:
+			c.err = fmt.Errorf("loop over %s contains %T; streaming bodies are assign/if/scalar only", v, n)
+		case *VScalar:
+			if c.bodySet[x.Name] && !defined[x.Name] {
+				c.err = fmt.Errorf("scalar %s is read before an unconditional set in this loop (cross-chunk carry)", x.Name)
+			}
+		case *ARef:
+			switch {
+			case x.CheckBounds || x.CheckDefined:
+				c.err = fmt.Errorf("read of %s keeps runtime checks", x.Array)
+			case len(x.Subs) != 1:
+				c.err = fmt.Errorf("read of %s has %d subscripts", x.Array, len(x.Subs))
+			default:
+				if Inspect(x.Subs[0], fn); c.err != nil {
+					c.err = fmt.Errorf("read of %s: %w", x.Array, c.err)
+				}
+			}
+		case *IVar:
+			if x.Name != v {
+				c.err = fmt.Errorf("integer expression reads %s outside the loop variable %s", x.Name, v)
+			}
+		case *ILin:
+			for _, t := range x.Terms {
+				if t.Var != v {
+					c.err = fmt.Errorf("integer expression reads %s outside the loop variable %s", t.Var, v)
+					break
+				}
+			}
+		case *IBin:
+			c.err = fmt.Errorf("non-affine integer op %q (can fail at runtime)", string(x.Op))
+		case *IIdx:
+			c.err = fmt.Errorf("subscripted subscript through %s", x.Array)
+		case *BVerify:
+			c.err = fmt.Errorf("runtime claim verifier over %s", x.Array)
+		default:
+			c.err = fmt.Errorf("unknown expression %T", n)
 		}
-		return c.value(x.R, l, cw, loopIdx, defined)
-	case *BAnd:
-		if err := c.boolean(x.L, l, cw, loopIdx, defined); err != nil {
-			return err
-		}
-		return c.boolean(x.R, l, cw, loopIdx, defined)
-	case *BOr:
-		if err := c.boolean(x.L, l, cw, loopIdx, defined); err != nil {
-			return err
-		}
-		return c.boolean(x.R, l, cw, loopIdx, defined)
-	case *BNot:
-		return c.boolean(x.X, l, cw, loopIdx, defined)
-	case *BVerify:
-		return fmt.Errorf("runtime claim verifier over %s", x.Array)
+		return false
 	}
-	return fmt.Errorf("unknown boolean expression %T", b)
+	return fn
 }
 
-// topValue checks a top-level SetScalar right-hand side: constants,
-// already-set scalars, math over them, and constant-position reads of
-// input arrays. No loop variable exists at top level, and reads of the
-// output are rejected — a chunked stage re-evaluates these statements
-// per chunk, so they must be chunk-invariant.
-func (c *streamChecker) topValue(e VExpr) error {
-	switch x := e.(type) {
-	case *VConst:
-		return nil
+// top is the Inspect callback that checks a top-level SetScalar's
+// right-hand side: constants, already-set scalars, math over them, and
+// constant-position reads of input arrays. No loop variable exists at
+// top level, and reads of the output are rejected: a chunked stage
+// re-evaluates these statements per chunk, so they must be
+// chunk-invariant.
+func (c *streamChecker) top(n any) bool {
+	if c.err != nil {
+		return false
+	}
+	switch x := n.(type) {
+	case *VConst, *VBin, *VNeg, *VCall:
+		return true
 	case *VScalar:
 		if c.bodySet[x.Name] {
-			return fmt.Errorf("reads scalar %s set inside a loop body", x.Name)
+			c.err = fmt.Errorf("reads scalar %s set inside a loop body", x.Name)
 		}
-		return nil
 	case *VFromInt:
-		if _, ok := x.X.(*IConst); ok {
-			return nil
+		if _, ok := x.X.(*IConst); !ok {
+			c.err = fmt.Errorf("non-constant integer at top level")
 		}
-		return fmt.Errorf("non-constant integer at top level")
 	case *ARef:
-		if x.Array == c.out {
-			return fmt.Errorf("reads the output %s", x.Array)
-		}
-		if x.CheckBounds || x.CheckDefined {
-			return fmt.Errorf("read of %s keeps runtime checks", x.Array)
-		}
-		if len(x.Subs) != 1 {
-			return fmt.Errorf("read of %s has %d subscripts", x.Array, len(x.Subs))
-		}
-		if _, ok := x.Subs[0].(*IConst); !ok {
-			return fmt.Errorf("read of %s at a non-constant position", x.Array)
-		}
-		w := c.windows[x.Array]
-		if w == nil {
-			w = &StreamWindow{Array: x.Array, Windowable: true}
-			c.windows[x.Array] = w
-		}
-		w.Windowable = false
-		return nil
-	case *VBin:
-		if err := c.topValue(x.L); err != nil {
-			return err
-		}
-		return c.topValue(x.R)
-	case *VNeg:
-		return c.topValue(x.X)
-	case *VCall:
-		for _, a := range x.Args {
-			if err := c.topValue(a); err != nil {
-				return err
+		switch {
+		case x.Array == c.out:
+			c.err = fmt.Errorf("reads the output %s", x.Array)
+		case x.CheckBounds || x.CheckDefined:
+			c.err = fmt.Errorf("read of %s keeps runtime checks", x.Array)
+		case len(x.Subs) != 1:
+			c.err = fmt.Errorf("read of %s has %d subscripts", x.Array, len(x.Subs))
+		default:
+			if _, ok := x.Subs[0].(*IConst); !ok {
+				c.err = fmt.Errorf("read of %s at a non-constant position", x.Array)
 			}
+			c.window(x.Array).Windowable = false
 		}
-		return nil
+	default:
+		c.err = fmt.Errorf("%T not allowed at top level", n)
 	}
-	return fmt.Errorf("%T not allowed at top level", e)
+	return false
 }

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math/rand"
 	"regexp"
+	"strings"
 
 	"arraycomp/internal/runtime"
 )
@@ -17,6 +18,31 @@ import (
 
 // SquaresSrc is the introduction's vector of squares.
 const SquaresSrc = `sq = array (1,n) [ i := i*i | i <- [1..n] ]`
+
+// StreamChainSrc is E23's ten-definition bounded-distance chain over
+// an input vector x: elementwise maps, 3-point smoothing with copied
+// ends and carried d=1 recurrences. Every read is a constant-offset
+// neighbour, so the stream planner admits the whole pipeline.
+func StreamChainSrc() string {
+	var sb strings.Builder
+	sb.WriteString("letrec* s1 = array (1,n) [ i := x!i + 1.0 | i <- [1..n] ]")
+	prev := "s1"
+	for k := 2; k <= 10; k++ {
+		name := fmt.Sprintf("s%d", k)
+		sb.WriteString(";\n  ")
+		switch k % 3 {
+		case 0: // 3-point smooth, copied edges (reads i-1, i, i+1)
+			fmt.Fprintf(&sb, "%[1]s = array (1,n) ([ 1 := %[2]s!1 ] ++ [ i := (%[2]s!(i-1) + %[2]s!i + %[2]s!(i+1)) / 3.0 | i <- [2..n-1] ] ++ [ n := %[2]s!n ])", name, prev)
+		case 1: // carried d=1 recurrence
+			fmt.Fprintf(&sb, "%[1]s = array (1,n) ([ 1 := %[2]s!1 ] ++ [ i := %[1]s!(i-1) * 0.75 + %[2]s!i * 0.25 | i <- [2..n] ])", name, prev)
+		case 2: // elementwise map
+			fmt.Fprintf(&sb, "%s = array (1,n) [ i := %s!i * 0.5 + 0.25 | i <- [1..n] ]", name, prev)
+		}
+		prev = name
+	}
+	fmt.Fprintf(&sb, "\nin %s", prev)
+	return sb.String()
+}
 
 // RecurrenceSrc is a first-order forward recurrence (flow edge (<)).
 const RecurrenceSrc = `a = array (1,n)
