@@ -32,8 +32,10 @@
 // so an arm that exists to be faster failing to keep its edge fails
 // CI even when neither arm regressed against its own baseline.
 // A fresh file measured with GOMAXPROCS above the CPU count cannot
-// show the speedups parallel arms exist for: there each check prints
-// BENCH-HOST-MISMATCH with its measured ratio and does not fail.
+// show the speedups parallel arms exist for: there a check with an arm
+// labelled w=N or workers=N, N above the CPU count, prints
+// BENCH-HOST-MISMATCH with its measured ratio and does not fail; every
+// other check is judged as usual.
 // -speedup-only skips the baseline comparison entirely (no -base file
 // needed), which is how the multicore wall gates a fresh same-host
 // run where no committed cross-host baseline would be comparable.

@@ -12,6 +12,7 @@ import (
 	"os"
 	goruntime "runtime"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -259,8 +260,9 @@ type SpeedupResult struct {
 	SlowNs, FastNs float64
 	Ratio          float64 // SlowNs/FastNs; >= MinRatio passes
 	Missing        string  // non-empty when a label is absent from the file
-	// HostMismatch describes an oversubscribed measuring host; the
-	// ratio is then reported, not judged.
+	// HostMismatch describes an oversubscribed measuring host with
+	// fewer CPUs than an arm of the check runs workers; the ratio is
+	// then reported, not judged.
 	HostMismatch string
 }
 
@@ -271,18 +273,20 @@ func (r SpeedupResult) OK() bool {
 }
 
 // CheckSpeedups evaluates every check against one result file and
-// reports whether all held. A file measured with GOMAXPROCS above the
-// CPU count cannot show the speedups the checks demand, so there no
-// ratio fails a check; a missing label still does.
+// reports whether all held. On a file measured with GOMAXPROCS above
+// the CPU count, a check one of whose arms runs more workers than the
+// host has CPUs (armWorkers) cannot show the speedup it demands, so
+// its ratio is reported, not judged; every other check, and a missing
+// label anywhere, still fails.
 func CheckSpeedups(m map[string]Result, checks []SpeedupCheck) ([]SpeedupResult, bool) {
 	out := make([]SpeedupResult, 0, len(checks))
 	allOK := true
-	mismatch := ""
-	if h := HostOf(m); h.Oversubscribed() {
-		mismatch = fmt.Sprintf("gomaxprocs=%d > ncpu=%d", h.GoMaxProcs, h.NCPU)
-	}
+	h := HostOf(m)
 	for _, c := range checks {
-		r := SpeedupResult{Check: c, HostMismatch: mismatch}
+		r := SpeedupResult{Check: c}
+		if h.Oversubscribed() && max(armWorkers(c.Slow), armWorkers(c.Fast)) > h.NCPU {
+			r.HostMismatch = fmt.Sprintf("gomaxprocs=%d > ncpu=%d", h.GoMaxProcs, h.NCPU)
+		}
 		slow, okS := m[c.Slow]
 		fast, okF := m[c.Fast]
 		switch {
@@ -304,10 +308,23 @@ func CheckSpeedups(m map[string]Result, checks []SpeedupCheck) ([]SpeedupResult,
 	return out, allOK
 }
 
+// armWorkers reads the worker count an arm's label names, as a
+// "w=N" or "workers=N" field; a label naming none is a one-worker arm.
+func armWorkers(label string) int {
+	n := 1
+	for _, f := range strings.Fields(label) {
+		k, v, ok := strings.Cut(f, "=")
+		if w, err := strconv.Atoi(v); ok && err == nil && (k == "w" || k == "workers") {
+			n = max(n, w)
+		}
+	}
+	return n
+}
+
 // WriteSpeedups emits one machine-readable line per check:
 // BENCH-SPEEDUP-OK / BENCH-SPEEDUP-FAIL / BENCH-SPEEDUP-MISSING, or
-// BENCH-HOST-MISMATCH with the measured ratio on an oversubscribed
-// host.
+// BENCH-HOST-MISMATCH with the measured ratio for a check its host
+// could not judge.
 func WriteSpeedups(w io.Writer, results []SpeedupResult) {
 	for _, r := range results {
 		switch {

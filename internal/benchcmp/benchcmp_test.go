@@ -169,6 +169,52 @@ func TestCheckSpeedups(t *testing.T) {
 	}
 }
 
+// TestHostExemptionPerCheck: on a file stamped GOMAXPROCS 4 over 2
+// CPUs, only a check with an arm of more workers than CPUs is exempt.
+// An ordering between one-worker arms, such as spmv claims-off over
+// spmv par w=1, fails there as on any host.
+func TestHostExemptionPerCheck(t *testing.T) {
+	h := Host{NCPU: 2, GoMaxProcs: 4}
+	m := map[string]Result{}
+	for l, ns := range map[string]float64{
+		"opt/spmv claims-off nnz=160257": 3000,
+		"opt/spmv par w=1 nnz=160257":    2000, // 1.5x, below 2.5
+		"opt/spmv par w=2":               1500, // 2x, below 2.5
+		"opt/spmv par w=4":               2500, // 1.2x, below 1.5
+	} {
+		r := Result{NsPerOp: ns}
+		h.Stamp(&r)
+		m[l] = r
+	}
+	for _, c := range []struct {
+		check  SpeedupCheck
+		exempt bool
+	}{
+		{SpeedupCheck{"opt/spmv claims-off nnz=160257", "opt/spmv par w=1 nnz=160257", 2.5}, false},
+		{SpeedupCheck{"opt/spmv claims-off nnz=160257", "opt/spmv par w=2", 2.5}, false},
+		{SpeedupCheck{"opt/spmv claims-off nnz=160257", "opt/spmv par w=4", 1.5}, true},
+		{SpeedupCheck{"opt/spmv par w=4", "opt/spmv par w=1 nnz=160257", 2.5}, true},
+	} {
+		results, ok := CheckSpeedups(m, []SpeedupCheck{c.check})
+		var buf bytes.Buffer
+		WriteSpeedups(&buf, results)
+		if ok != c.exempt || (results[0].HostMismatch != "") != c.exempt {
+			t.Errorf("%s | %s: passes %v, want %v:\n%s", c.check.Slow, c.check.Fast, ok, c.exempt, buf.String())
+		}
+		if !c.exempt && !strings.HasPrefix(buf.String(), "BENCH-SPEEDUP-FAIL ") {
+			t.Errorf("%s | %s: want a BENCH-SPEEDUP-FAIL line:\n%s", c.check.Slow, c.check.Fast, buf.String())
+		}
+	}
+	for label, want := range map[string]int{
+		"opt/spmv par w=4": 4, "jacobi workers=3": 3, "opt/spmv claims-off nnz=160257": 1,
+		"opt/jacobi stencil par w=1": 1, "opt/w=x": 1,
+	} {
+		if got := armWorkers(label); got != want {
+			t.Errorf("armWorkers(%q) = %d, want %d", label, got, want)
+		}
+	}
+}
+
 // TestMedianOfRuns: gated by the median of three runs, one slow outlier
 // passes both the drift wall and an ordering check, and two slow runs
 // fail both.

@@ -191,88 +191,8 @@ func simplifyInt(e loopir.IntExpr) loopir.IntExpr {
 // tryLinear converts the expression to Const + Σ coeff·var if it is
 // affine.
 func tryLinear(e loopir.IntExpr) (*loopir.ILin, bool) {
-	type linForm struct {
-		c     int64
-		coeff map[string]int64
-	}
-	var walk func(e loopir.IntExpr) (linForm, bool)
-	walk = func(e loopir.IntExpr) (linForm, bool) {
-		switch n := e.(type) {
-		case *loopir.IConst:
-			return linForm{c: n.Value}, true
-		case *loopir.IVar:
-			return linForm{coeff: map[string]int64{n.Name: 1}}, true
-		case *loopir.ILin:
-			f := linForm{c: n.Const, coeff: map[string]int64{}}
-			for _, t := range n.Terms {
-				f.coeff[t.Var] += t.Coeff
-			}
-			return f, true
-		case *loopir.IBin:
-			l, okL := walk(n.L)
-			r, okR := walk(n.R)
-			if !okL || !okR {
-				return linForm{}, false
-			}
-			switch n.Op {
-			case '+', '-':
-				sign := int64(1)
-				if n.Op == '-' {
-					sign = -1
-				}
-				out := linForm{c: l.c + sign*r.c, coeff: map[string]int64{}}
-				for v, k := range l.coeff {
-					out.coeff[v] += k
-				}
-				for v, k := range r.coeff {
-					out.coeff[v] += sign * k
-				}
-				return out, true
-			case '*':
-				if len(l.coeff) == 0 {
-					out := linForm{c: l.c * r.c, coeff: map[string]int64{}}
-					for v, k := range r.coeff {
-						out.coeff[v] = k * l.c
-					}
-					return out, true
-				}
-				if len(r.coeff) == 0 {
-					out := linForm{c: l.c * r.c, coeff: map[string]int64{}}
-					for v, k := range l.coeff {
-						out.coeff[v] = k * r.c
-					}
-					return out, true
-				}
-				return linForm{}, false
-			}
-			return linForm{}, false
-		}
-		return linForm{}, false
-	}
-	f, ok := walk(e)
-	if !ok {
-		return nil, false
-	}
-	lin := &loopir.ILin{Const: f.c}
-	for _, v := range sortedKeys(f.coeff) {
-		if f.coeff[v] != 0 {
-			lin.Terms = append(lin.Terms, loopir.ITerm{Var: v, Coeff: f.coeff[v]})
-		}
-	}
-	return lin, true
-}
-
-func sortedKeys(m map[string]int64) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
+	lin := loopir.AffineForm(e)
+	return lin, lin != nil
 }
 
 // valueExpr translates an expression in value (float) position.

@@ -58,33 +58,37 @@ func TestSteadyRunAllocs(t *testing.T) {
 }
 
 // TestSteadyStreamAllocs: a second RunStream of a small map, smoothing
-// and recurrence chain allocates within its budget.
+// and recurrence chain allocates within its budget, at one chunk and at
+// sixteen: a pass runs one worker cohort whatever its step count, so
+// its allocations do not grow with the steps.
 func TestSteadyStreamAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled objects at random")
 	}
-	in, b := allocInput(160)
 	src := `letrec* a = array (1,n) [ i := x!i + 1.0 | i <- [1..n] ];
   b = array (1,n) ([ 1 := a!1 ] ++ [ i := (a!(i-1) + a!i + a!(i+1)) / 3.0 | i <- [2..n-1] ] ++ [ n := a!n ]);
   c = array (1,n) ([ 1 := b!1 ] ++ [ i := c!(i-1) * 0.75 + b!i * 0.25 | i <- [2..n] ])
 in c`
-	p, err := Compile(src, map[string]int64{"n": 160}, Options{Parallel: true, Workers: 2, InputBounds: b, Stream: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !p.StreamActive() {
-		t.Fatalf("the chain did not stream: %s", p.StreamFallback())
-	}
-	emit := func(int64, []float64) error { return nil }
-	if _, err := p.RunStream(in, emit); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(200, func() {
+	for _, n := range []int64{160, 1 << 16} {
+		in, b := allocInput(n)
+		p, err := Compile(src, map[string]int64{"n": n}, Options{Parallel: true, Workers: 2, InputBounds: b, Stream: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !p.StreamActive() {
+			t.Fatalf("n=%d: the chain did not stream: %s", n, p.StreamFallback())
+		}
+		emit := func(int64, []float64) error { return nil }
 		if _, err := p.RunStream(in, emit); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs > streamAllocBudget {
-		t.Errorf("RunStream allocates %.0f times, budget %d", allocs, streamAllocBudget)
+		allocs := testing.AllocsPerRun(200, func() {
+			if _, err := p.RunStream(in, emit); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > streamAllocBudget {
+			t.Errorf("n=%d: RunStream allocates %.0f times, budget %d", n, allocs, streamAllocBudget)
+		}
 	}
 }

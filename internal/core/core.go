@@ -47,9 +47,10 @@ type Options struct {
 	// the worker target their tiles are sized for. 0 reads GOMAXPROCS
 	// at each run and plans for a default cohort, so the plan does not
 	// depend on the compiling host; 1 forces sequential execution.
-	// Plans ignore it unless Parallel is set. It is also the step width
-	// of a streaming pipeline (Stream), resolved the same way: how many
-	// stages run their chunks at once.
+	// Plans ignore it unless Parallel is set. It is also the cohort
+	// width budget of a streaming pipeline (Stream), resolved the same
+	// way and capped by the stage count and GOMAXPROCS: how many
+	// workers share the stages.
 	Workers int
 	// NoLinearize disables the §6 linearization refinement for
 	// multi-dimensional subscripts (ablation).

@@ -318,8 +318,18 @@ func intLin(e IntExpr) *linForm {
 	return nil
 }
 
-// toILin renders a linear form back to an IntExpr with sorted terms.
-func (f *linForm) toILin() IntExpr {
+// AffineForm returns e as Const + Σ Coeff·Var, its terms sorted by
+// variable with no zero coefficient, or nil when e is not affine
+// (division, modulus, variable products, subscripted subscripts).
+func AffineForm(e IntExpr) *ILin {
+	if f := intLin(e); f != nil {
+		return f.toILin()
+	}
+	return nil
+}
+
+// toILin renders a linear form back to an ILin with sorted terms.
+func (f *linForm) toILin() *ILin {
 	lin := &ILin{Const: f.c}
 	for _, name := range f.vars() {
 		lin.Terms = append(lin.Terms, ITerm{Var: name, Coeff: f.t[name]})

@@ -1,8 +1,10 @@
 package loopir
 
 import (
+	goruntime "runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Parallel execution of scheduled loops (the paper's section 10
@@ -12,7 +14,8 @@ import (
 // ParSchedule. Each schedule has one executor over the persistent
 // worker pool (see pool.go) that owns chunking, band progress and the
 // worker count and calls back a kernel: Shard deals contiguous chunks
-// of a loop's iterations, Wavefront pipelines row bands of tiles. The
+// of a loop's iterations, Wavefront pipelines row bands of tiles, and
+// a Barrier runs a stream pipeline's steps in lockstep. The
 // interpreter passes its row kernels (compileShardLoop,
 // compileWavefront); native assigns both executors to a plugin's
 // runners, so emitted kernels run on them too.
@@ -240,6 +243,142 @@ func (b *bandProgress) finish(n int64) {
 	b.done = n
 	b.cond.Broadcast()
 	b.mu.Unlock()
+}
+
+// Barrier is the pool's third cohort shape, beside Shard's chunk
+// claims and Wavefront's band progress: a cohort that runs a static
+// schedule in lockstep, such as a stream pipeline's steps
+// (internal/stream), meets at the barrier between phases. Run starts
+// the cohort as one RunParallel call, so a pass of many steps costs one
+// pool handoff, not one per step.
+//
+// A waiting worker spins, yielding its P with runtime.Gosched, for up
+// to barrierSpin and only then parks: a step is a few tens of
+// microseconds of work, and a futex wakeup per worker per phase costs
+// as much as the parallelism gains. Gosched keeps the barrier live
+// when the cohort is larger than the Ps it gets (GOMAXPROCS 1, or
+// several cohorts at once), because a spinner hands its P to the
+// worker it waits for. A caller should still cap the cohort at
+// GOMAXPROCS, since spinners on a shared P cost that worker time.
+//
+// A Barrier may be reused for successive runs, not shared by
+// concurrent ones. Its zero value is ready for Run.
+type Barrier struct {
+	n       int32
+	arrived atomic.Int32
+	gen     atomic.Uint32
+	broken  atomic.Bool
+	// parked counts the workers blocked on cond after their spin
+	// budget; the last arrival broadcasts only when there are any.
+	parked atomic.Int32
+	mu     sync.Mutex
+	cond   sync.Cond
+	pv     any // first panic of the run, re-raised by Run
+	pnk    bool
+}
+
+// barrierSpin is how long a waiting worker spins before it parks. A
+// balanced step waits far less. A longer wait most likely means a
+// partner's thread has lost its CPU to another process, and spinning
+// would only keep that CPU from it.
+const barrierSpin = 100 * time.Microsecond
+
+// Run executes fn(0) … fn(n-1) as one cohort synchronizing on b, fn(0)
+// on the calling goroutine. A worker's panic is recovered on its own
+// goroutine and breaks the barrier, so the other workers' Wait returns
+// false and no worker is left waiting; once every worker has returned,
+// Run re-raises the first panic on the caller.
+func (b *Barrier) Run(n int, fn func(w int)) {
+	b.n = int32(max(n, 1))
+	b.arrived.Store(0)
+	b.broken.Store(false)
+	b.cond.L = &b.mu
+	b.pv, b.pnk = nil, false
+	RunParallel(n, func(w int) {
+		defer b.recoverPanic()
+		fn(w)
+	})
+	if b.pnk {
+		pv := b.pv
+		b.pv = nil
+		panic(pv)
+	}
+}
+
+// recoverPanic, deferred by each worker, records the worker's panic and
+// releases the cohort.
+func (b *Barrier) recoverPanic() {
+	if r := recover(); r != nil {
+		b.mu.Lock()
+		if !b.pnk {
+			b.pv, b.pnk = r, true
+		}
+		b.mu.Unlock()
+		b.Break()
+	}
+}
+
+// Wait blocks until all n workers of the run have called Wait for this
+// phase and reports true, or reports false once a worker has called
+// Break: a worker that breaks never arrives, so the phase cannot
+// complete, and every Wait after a Break fails at once.
+func (b *Barrier) Wait() bool {
+	if b.broken.Load() {
+		return false
+	}
+	g := b.gen.Load()
+	if b.arrived.Add(1) == b.n {
+		// The last arrival resets the count before opening the next
+		// generation, so an early arrival at the next phase counts anew.
+		b.arrived.Store(0)
+		b.gen.Add(1)
+		if b.parked.Load() > 0 {
+			b.wake()
+		}
+		return true
+	}
+	start := time.Now()
+	for spins := 1; b.gen.Load() == g; spins++ {
+		if b.broken.Load() {
+			return false
+		}
+		if spins%64 == 0 && time.Since(start) > barrierSpin {
+			return b.park(g)
+		}
+		goruntime.Gosched()
+	}
+	return true
+}
+
+// park blocks the calling worker until generation g ends or the
+// barrier breaks. parked is raised before gen is read again, and the
+// last arrival raises gen before it reads parked, so either this
+// worker sees the new generation or the last arrival sees it parked
+// and wakes it.
+func (b *Barrier) park(g uint32) bool {
+	b.mu.Lock()
+	b.parked.Add(1)
+	for b.gen.Load() == g && !b.broken.Load() {
+		b.cond.Wait()
+	}
+	b.parked.Add(-1)
+	b.mu.Unlock()
+	return b.gen.Load() != g
+}
+
+// wake releases every parked worker.
+func (b *Barrier) wake() {
+	b.mu.Lock()
+	b.cond.Broadcast()
+	b.mu.Unlock()
+}
+
+// Break fails the phase in progress and every later one: each worker
+// waiting at the barrier, now or later, gets false from Wait. A worker
+// that fails calls it instead of Wait.
+func (b *Barrier) Break() {
+	b.broken.Store(true)
+	b.wake()
 }
 
 // cohort is the interpreter's per-worker state for one parallel loop

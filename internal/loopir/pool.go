@@ -64,8 +64,9 @@ func workerLoop(ch chan func()) {
 // recorded errors. Native kernels reach this pool only for bodies
 // that cannot fail (gogen gates kernel closures on loopir.CanFail);
 // bodies with checks or integer division run sequentially on the
-// caller and return their errors. Parallel loops and the steps of a
-// stream pipeline (internal/stream) share this one pool.
+// caller and return their errors. Parallel loops and the pass cohorts
+// of a stream pipeline (Barrier.Run, internal/stream) share this one
+// pool.
 func RunParallel(n int, fn func(w int)) {
 	if n <= 1 {
 		fn(0)

@@ -1,10 +1,12 @@
 package loopir
 
 import (
+	goruntime "runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"arraycomp/internal/runtime"
 )
@@ -459,5 +461,70 @@ func TestShardAndWavefrontExecutors(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestBarrierLockstep drives the step barrier with cohorts larger than
+// the one P the test allows: no worker starts a phase before every
+// worker has finished the previous one, whether the others spin or,
+// behind a slow worker, park; a worker's Break releases the
+// rest at their next Wait, and a worker's panic reaches the caller
+// once every worker has returned. The Barrier is reused across runs.
+func TestBarrierLockstep(t *testing.T) {
+	defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(1))
+	var b Barrier
+	for _, n := range []int{1, 2, 4, 8} {
+		const phases = 200
+		done := make([]atomic.Int32, phases)
+		b.Run(n, func(w int) {
+			for p := range phases {
+				if p > 0 && done[p-1].Load() != int32(n) {
+					t.Errorf("n=%d: worker %d entered phase %d before phase %d finished", n, w, p, p-1)
+				}
+				done[p].Add(1)
+				if w == 0 && p%50 == 0 {
+					time.Sleep(2 * barrierSpin) // the others park
+				}
+				if !b.Wait() {
+					t.Errorf("n=%d: barrier broken without a Break", n)
+					return
+				}
+			}
+		})
+		var waits atomic.Int32
+		b.Run(n, func(w int) {
+			for p := 0; ; p++ {
+				if w == n-1 && p == 3 {
+					b.Break()
+					return
+				}
+				if !b.Wait() {
+					return
+				}
+				waits.Add(1)
+			}
+		})
+		if got := waits.Load(); got != int32(3*n) {
+			t.Errorf("n=%d: %d waits passed around a Break at phase 3, want %d", n, got, 3*n)
+		}
+		func() {
+			defer func() {
+				if r := recover(); r != "worker 0" && r != "last worker" {
+					t.Errorf("n=%d: caller recovered %v", n, r)
+				}
+			}()
+			b.Run(n, func(w int) {
+				switch w {
+				case 0:
+					b.Wait()
+					panic("worker 0")
+				case n - 1:
+					panic("last worker")
+				}
+				for b.Wait() {
+				}
+			})
+			t.Errorf("n=%d: a worker's panic did not reach the caller", n)
+		}()
 	}
 }

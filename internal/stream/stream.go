@@ -7,18 +7,26 @@
 // into fixed chunks, and the loop steps that chunk grid. At step t,
 // stage i runs chunk t − lag[i], where lag[i] is the largest lag[p] +
 // kAhead + 1 over its producers p and kAhead is the number of chunks
-// of lookahead stage i reads of p. Each step has two phases. First the
-// calling goroutine slides the window of every stage that runs this
-// step: it keeps the history its readers need and zeroes the fresh
-// chunk, as a fresh materialized output would be. Then those stages
-// run their chunks on loopir's worker pool, as many at once as the
-// step width (SetWorkers). A consumer reads its producers' windows in
-// place, so nothing is copied between stages; the +1 in the lag means
-// that within a step no stage reads a chunk another stage is writing.
-// A producer window therefore keeps max(SelfBack, back + (lag[c] −
-// lag[p])·chunk) elements of history for its consumers c. When the
-// result is collected, the result stage writes straight into the
-// result array instead of a window.
+// of lookahead stage i reads of p. The schedule is static, so one
+// worker cohort runs a whole pass: worker 0 is the calling goroutine,
+// the rest come from loopir's worker pool in one handoff, and each
+// worker owns a fixed set of stages, dealt round-robin in Build with
+// the result stage on worker 0. Each step has two phases, separated by
+// a step barrier (loopir.Barrier). First every worker slides the
+// window of each of its stages that runs this step: it keeps the
+// history its readers need and zeroes the fresh chunk, as a fresh
+// materialized output would be. Then, with no window moving, each
+// worker points its stages at their producers' windows and runs their
+// chunks; worker 0 hands the result chunk to emit as soon as it has
+// run it. A consumer reads its producers' windows in place, so nothing
+// is copied between stages; the +1 in the lag means that within a step
+// no stage reads a chunk another stage is writing. A producer window
+// therefore keeps max(SelfBack, back + (lag[c] − lag[p])·chunk)
+// elements of history for its consumers c. When the result is
+// collected, the result stage writes straight into the result array
+// instead of a window. A failing stage, a failing emit or a panic on
+// any worker breaks the barrier, so every worker stops at its next
+// wait; the run returns the error or re-panics on the caller.
 //
 // There is one compiler. Each stage runs the row kernels
 // loopir.CompileStage builds with the materialized interpreter's own
@@ -30,10 +38,11 @@
 // by tolerance: each element is computed once (the compiler proved
 // writes collision-free), by the loop-IR interpreter's own kernels,
 // reading operands that the window invariants prove are the same
-// values the materialized order would observe. The order in which one
-// step's stages run cannot change a value, so results are identical at
-// every step width. The oracle's `stream` ablation arm cross-checks
-// this bit-for-bit on generated programs.
+// values the materialized order would observe. No window moves while
+// any stage runs, and the order in which one step's stages run cannot
+// change a value, so results are identical at every cohort width. The
+// oracle's `stream` ablation arm cross-checks this bit-for-bit on
+// generated programs.
 //
 // Memory accounting is a closed form: every window is allocated before
 // the first step, so the peak is the resident inputs plus every stage
@@ -104,6 +113,10 @@ type Pipeline struct {
 	lag, hist []int64
 	steps     int64
 	workers   int
+	// deal is the stage order a run's cohort deals round-robin: worker
+	// w of n owns deal[w], deal[w+n], …. The result stage comes first,
+	// so worker 0, the calling goroutine, owns it at every width.
+	deal []int
 	// Every declared array slot of stage i is bound to exactly one of:
 	// self[i], its own output window; a resident[i] input; an edges[i]
 	// upstream window.
@@ -231,6 +244,12 @@ func Build(defs []Def, result string, cfg Config) (*Pipeline, error) {
 		}
 		p.steps = max(p.steps, p.lag[i]+p.nCh)
 	}
+	p.deal = append(p.deal, p.result)
+	for i := range defs {
+		if i != p.result {
+			p.deal = append(p.deal, i)
+		}
+	}
 	// Materialized-path live bytes: every external input plus every
 	// definition's output stays in the interpreter's store for the
 	// whole run.
@@ -249,11 +268,12 @@ func (p *Pipeline) MaxDist() int64 { return p.maxDist }
 // Stages reports the stage count.
 func (p *Pipeline) Stages() int { return len(p.defs) }
 
-// SetWorkers fixes the step width of subsequent runs: how many stages
-// run their chunks at once on loopir's worker pool. n <= 0 restores the
-// default, GOMAXPROCS at the time each run starts. Results and the
-// reported peak are the same at every width. Not safe to call
-// concurrently with a run.
+// SetWorkers fixes the cohort width budget of subsequent runs: how many
+// workers share the stages. n <= 0 restores the default, GOMAXPROCS.
+// Each run caps the budget by the stage count and by GOMAXPROCS at the
+// time it starts, since a worker without a P of its own only spins at
+// the step barrier. Results and the reported peak are the same at
+// every width. Not safe to call concurrently with a run.
 func (p *Pipeline) SetWorkers(n int) { p.workers = max(n, 0) }
 
 // MaterializedBytes reports the materialized path's live footprint.
@@ -297,6 +317,26 @@ func (w *window) slide(c int64) {
 	w.base += c
 }
 
+// stageRun is one stage's state for a run: its window, its frame, and
+// the first error its chunks returned.
+type stageRun struct {
+	win window
+	fr  *loopir.StageFrame
+	err error
+}
+
+// width is the cohort size of a run: the SetWorkers budget (default
+// GOMAXPROCS), capped by the stage count and by GOMAXPROCS, since
+// workers beyond the Ps only spin at the step barrier.
+func (p *Pipeline) width() int {
+	procs := goruntime.GOMAXPROCS(0)
+	w := p.workers
+	if w <= 0 {
+		w = procs
+	}
+	return min(w, len(p.defs), procs)
+}
+
 // run drives one execution. collect materializes the result; emit, if
 // non-nil, receives result chunks in order.
 func (p *Pipeline) run(inputs map[string]*runtime.Strict, emit func(int64, []float64) error, collect bool) (*runtime.Strict, Report, error) {
@@ -318,89 +358,103 @@ func (p *Pipeline) run(inputs map[string]*runtime.Strict, emit func(int64, []flo
 		rep.PeakBytes += b.Size() * 8
 	}
 	// Allocate every window up front, so the peak is their sum plus the
-	// resident inputs whatever the step width, and bind every array
+	// resident inputs whatever the cohort width, and bind every array
 	// slot: the own window, resident inputs, and the producers' windows
-	// in place (Build proved each slot has exactly one).
+	// in place (Build proved each slot has exactly one). A consumer
+	// moves its producers' window bases each step, once they have slid.
 	var out *runtime.Strict
-	wins := make([]window, len(p.defs))
-	frames := make([]*loopir.StageFrame, len(p.defs))
+	sr := make([]stageRun, len(p.defs))
 	for i, st := range p.stages {
 		// The frame's scalars and scratch strips ride the window's
 		// allocation, past its end.
 		var floats []float64
 		if plan := p.defs[i].Plan; collect && i == p.result {
 			out = runtime.NewStrict(runtime.NewBounds1(plan.Lo, plan.Hi))
-			wins[i] = window{buf: out.Data, base: plan.Lo}
+			sr[i].win = window{buf: out.Data, base: plan.Lo}
 			floats = make([]float64, st.FrameFloats())
 		} else {
 			w := p.hist[i] + p.chunk
 			buf := make([]float64, w+int64(st.FrameFloats()))
-			wins[i] = window{buf: buf[:w:w], base: p.gridLo - p.hist[i]}
+			sr[i].win = window{buf: buf[:w:w], base: p.gridLo - p.hist[i]}
 			floats = buf[w:]
 		}
-		rep.PeakBytes += int64(len(wins[i].buf)) * 8
+		rep.PeakBytes += int64(len(sr[i].win.buf)) * 8
 		fr := st.NewFrame(floats)
-		fr.Bind(p.self[i], wins[i].buf, wins[i].base)
+		fr.Bind(p.self[i], sr[i].win.buf, sr[i].win.base)
 		for _, r := range p.resident[i] {
 			in := inputs[r.name]
 			fr.Bind(r.slot, in.Data, in.B.Lo[0])
 		}
 		for _, e := range p.edges[i] {
-			fr.Bind(e.slot, wins[e.from].buf, wins[e.from].base)
+			fr.Bind(e.slot, sr[e.from].win.buf, sr[e.from].win.base)
 		}
-		frames[i] = fr
+		sr[i].fr = fr
 	}
-	width := p.workers
-	if width <= 0 {
-		width = goruntime.GOMAXPROCS(0)
+	// One cohort runs the whole pass: worker w owns the stages at
+	// p.deal[w], p.deal[w+n], …, so the result stage is worker 0's and
+	// emit runs on this goroutine.
+	var b loopir.Barrier
+	var emitErr error
+	n := p.width()
+	b.Run(n, func(w int) {
+		for t := int64(0); t < p.steps; t++ {
+			// Phase 1: each owned stage that runs chunk c = t−lag this
+			// step slides its window past chunk c−1.
+			for k := w; k < len(p.deal); k += n {
+				i := p.deal[k]
+				c := t - p.lag[i]
+				if c > 0 && c < p.nCh && (out == nil || i != p.result) {
+					sr[i].win.slide(p.chunk)
+					sr[i].fr.Slide(p.self[i], sr[i].win.base)
+				}
+			}
+			if !b.Wait() {
+				return
+			}
+			// Phase 2: no window moves until the next barrier, so each
+			// owned stage rebinds its producers' windows and runs its
+			// chunk. The lag keeps every read behind every write.
+			for k := w; k < len(p.deal); k += n {
+				i := p.deal[k]
+				c := t - p.lag[i]
+				if c < 0 || c >= p.nCh {
+					continue
+				}
+				for _, e := range p.edges[i] {
+					sr[i].fr.Slide(e.slot, sr[e.from].win.base)
+				}
+				clo := p.gridLo + c*p.chunk
+				if err := p.stages[i].RunChunk(sr[i].fr, clo, clo+p.chunk-1); err != nil {
+					sr[i].err = err
+					b.Break()
+					continue
+				}
+				if i != p.result || emit == nil {
+					continue
+				}
+				plan, rw := p.defs[i].Plan, &sr[i].win
+				if s, e := max(clo, plan.Lo), min(clo+p.chunk-1, plan.Hi); s <= e {
+					if err := emit(s, rw.buf[s-rw.base:e-rw.base+1]); err != nil {
+						emitErr = err
+						b.Break()
+						return
+					}
+				}
+			}
+			if !b.Wait() {
+				return
+			}
+		}
+	})
+	// A failing step stops every worker at its next barrier; report its
+	// first failing stage in evaluation order, as a serial step would.
+	for i := range sr {
+		if sr[i].err != nil {
+			return nil, rep, fmt.Errorf("stream: stage %s: %w", p.defs[i].Name, sr[i].err)
+		}
 	}
-	active := make([]int, 0, len(p.defs))
-	errs := make([]error, len(p.defs))
-	for t := int64(0); t < p.steps; t++ {
-		// Phase 1, on this goroutine: every stage that runs chunk
-		// t−lag this step slides its own window and rebinds the windows
-		// it reads, whose producers, earlier in evaluation order, have
-		// already slid.
-		active = active[:0]
-		for i := range p.defs {
-			c := t - p.lag[i]
-			if c < 0 || c >= p.nCh {
-				continue
-			}
-			active = append(active, i)
-			if c > 0 && (out == nil || i != p.result) {
-				wins[i].slide(p.chunk)
-				frames[i].Slide(p.self[i], wins[i].base)
-			}
-			for _, e := range p.edges[i] {
-				frames[i].Slide(e.slot, wins[e.from].base)
-			}
-		}
-		// Phase 2: the active stages run their chunks on the worker
-		// pool. The lag keeps every read behind every write.
-		n := min(width, len(active))
-		loopir.RunParallel(n, func(w int) {
-			for k := w; k < len(active); k += n {
-				i := active[k]
-				clo := p.gridLo + (t-p.lag[i])*p.chunk
-				errs[i] = p.stages[i].RunChunk(frames[i], clo, clo+p.chunk-1)
-			}
-		})
-		for _, i := range active {
-			if errs[i] != nil {
-				return nil, rep, fmt.Errorf("stream: stage %s: %w", p.defs[i].Name, errs[i])
-			}
-		}
-		if c := t - p.lag[p.result]; emit != nil && c >= 0 && c < p.nCh {
-			plan, w := p.defs[p.result].Plan, &wins[p.result]
-			s, e := max(p.gridLo+c*p.chunk, plan.Lo), min(p.gridLo+(c+1)*p.chunk-1, plan.Hi)
-			if s > e {
-				continue
-			}
-			if err := emit(s, w.buf[s-w.base:e-w.base+1]); err != nil {
-				return nil, rep, fmt.Errorf("stream: emit: %w", err)
-			}
-		}
+	if emitErr != nil {
+		return nil, rep, fmt.Errorf("stream: emit: %w", emitErr)
 	}
 	return out, rep, nil
 }

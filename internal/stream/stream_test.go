@@ -128,11 +128,11 @@ func ewmaProg(name, src string, lo, hi int64) *loopir.Program {
 	}
 }
 
-// stepWidths are the step widths every pipeline test runs at.
+// stepWidths are the cohort widths every pipeline test runs at.
 var stepWidths = []int{1, 2, 4}
 
 // diffPipeline runs a pipeline streamed (at the given chunk size, at
-// every step width) and materialized and requires bitwise equality.
+// every cohort width) and materialized and requires bitwise equality.
 func diffPipeline(t *testing.T, defs []stream.Def, result string, inputs map[string]*runtime.Strict, chunk int64) {
 	t.Helper()
 	pl, err := stream.Build(defs, result, stream.Config{ChunkSize: chunk})
@@ -301,7 +301,7 @@ func TestStreamEmitAbort(t *testing.T) {
 
 // TestStreamPeakBytes: a long bounded-distance chain holds far less
 // than the materialized store, and the peak is the closed form of the
-// windows Build sized, the same on every run and at every step width.
+// windows Build sized, the same on every run and at every cohort width.
 func TestStreamPeakBytes(t *testing.T) {
 	const lo, hi = 1, 1<<18 + 13
 	const n, chunk = hi - lo + 1, 1024

@@ -129,7 +129,7 @@ func whitelistProg(c whitelistCase, lo, hi int64) *loopir.Program {
 // TestStreamWhitelistBitwise runs every construct the window whitelist
 // admits through a two-stage pipeline and requires the streamed result
 // to be bitwise equal to the materialized one at several chunk sizes
-// and every step width.
+// and every cohort width.
 func TestStreamWhitelistBitwise(t *testing.T) {
 	const lo, hi = 3, 203
 	x := fill(b1(lo, hi), 17)
